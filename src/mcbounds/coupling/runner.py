@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from fractions import Fraction
 from typing import Sequence
 
 import numpy as np
@@ -22,8 +21,9 @@ from ..finite_chain import (
     MinorizationCert,
     ProbVector,
     StochasticMatrix,
+    _common_denominator,
+    _pair_measure,
     matrix_power,
-    pseudo_nu,
     stationary,
 )
 from ..kernels import HALFLINE_OVERLAP_EPSILON, RWM_OVERLAP_EPSILON, RWM_SMALL_SET
@@ -38,8 +38,6 @@ __all__ = [
     "run_uniform_coupling",
     "run_small_set_coupling",
 ]
-
-_RESIDUAL_SLACK = 1e-12
 
 
 @dataclass(frozen=True)
@@ -242,63 +240,52 @@ def _cdf_rows(rows: np.ndarray) -> np.ndarray:
     return cdf
 
 
-def _exact_row_floats(rows: Sequence[Sequence[Fraction]]) -> np.ndarray:
-    return np.array([[float(v) for v in row] for row in rows])
-
-
 def _finite_arrays(config: CouplingConfig):
-    """Exact residual/overlap tables for the finite engine, as float CDFs."""
+    """Exact residual/overlap tables for the finite engine, as float CDFs.
+
+    Residuals are formed exactly on integer numerators, so a certificate that
+    over-claims its overlap by any amount is rejected. Each table entry is an
+    int/int quotient, the correctly rounded float of the exact rational.
+    """
     P = config.matrix
     cert = config.cert
     size = P.size
-    pn0 = matrix_power(P, cert.n0)
-    eps = cert.epsilon
+    pn0 = matrix_power(P, cert.n0)  # memoized on P: the finder formed it already
+    num, den = pn0._num, pn0._den
+    p, q = cert.epsilon.numerator, cert.epsilon.denominator  # eps = p/q <= 1
 
-    step_cdf = _cdf_rows(_exact_row_floats(pn0.rows))
-    one = Fraction(1)
+    step_cdf = _cdf_rows(np.array([[v / den for v in row] for row in num]))
+
+    def residual(row, weights, total, pair=""):
+        # (row/den - eps*weights/total) / (1 - eps) = resid / (den*total*(q-p))
+        if p == q:
+            return [1 / size] * size  # never used: the coin always couples
+        scale = den * total * (q - p)
+        resid = [a * q * total - p * w * den for a, w in zip(row, weights)]
+        for v in resid:
+            if v < 0:
+                raise CertificateError(f"residual entry {v / scale} is negative{pair}")
+        return [v / scale for v in resid]
 
     if cert.variant == "uniform":
-        nu = cert.nu
-        if eps == 1:
-            resid = [[Fraction(1, size)] * size for _ in range(size)]  # never used
-        else:
-            resid = [
-                [(pn0.rows[i][j] - eps * nu[j]) / (one - eps) for j in range(size)]
-                for i in range(size)
-            ]
-        for row in resid:
-            for v in row:
-                if v < -_RESIDUAL_SLACK:
-                    raise CertificateError(f"residual entry {float(v)} is negative")
-        nu_cdf = _cdf_rows(np.array([float(v) for v in nu.entries]))
-        resid_cdf = _cdf_rows(_exact_row_floats(resid))
+        nu, nu_den = _common_denominator(cert.nu.entries)
+        nu_cdf = _cdf_rows(np.array([w / nu_den for w in nu]))
+        resid_cdf = _cdf_rows(np.array([residual(row, nu, nu_den) for row in num]))
         nu_pair_cdf = np.zeros((1, 1))
         resid_pair_cdf = np.zeros((1, 1))
         pair_mode = False
     else:
-        nu_pair = np.empty((size * size, size))
-        resid_pair = np.empty((size * size, size))
+        nu_pair = np.zeros((size * size, size))
+        resid_pair = np.zeros((size * size, size))
         for i in range(size):
             for j in range(size):
                 if i == j:
-                    nu_pair[i * size + j] = 0.0
-                    resid_pair[i * size + j] = 0.0
                     continue
-                nu_ij = pseudo_nu(pn0, i, j)
-                if eps == 1:
-                    resid_row = [Fraction(1, size)] * size
-                else:
-                    resid_row = [
-                        (pn0.rows[i][z] - eps * nu_ij[z]) / (one - eps)
-                        for z in range(size)
-                    ]
-                for v in resid_row:
-                    if v < -_RESIDUAL_SLACK:
-                        raise CertificateError(
-                            f"residual entry {float(v)} is negative for pair ({i},{j})"
-                        )
-                nu_pair[i * size + j] = [float(v) for v in nu_ij.entries]
-                resid_pair[i * size + j] = [float(v) for v in resid_row]
+                mins, total = _pair_measure(pn0, i, j)
+                nu_pair[i * size + j] = [m / total for m in mins]
+                resid_pair[i * size + j] = residual(
+                    num[i], mins, total, f" for pair ({i},{j})"
+                )
         nu_cdf = np.zeros(1)
         resid_cdf = np.zeros((1, 1))
         nu_pair_cdf = _cdf_rows(nu_pair)

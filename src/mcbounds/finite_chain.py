@@ -1,17 +1,24 @@
 """Exact analysis of finite-state Markov chains.
 
-Transition matrices and distributions hold ``fractions.Fraction`` entries, so
-row sums, stationary solves, distances, and minorization constants are exact;
-the only floating point in this module is the explicitly approximate
-eigenvalue analysis. State indices are 0-based throughout; display layers may
-relabel them.
+Transition matrices and distributions are exact rationals. Their public view
+is ``fractions.Fraction`` entries (``StochasticMatrix.rows``,
+``ProbVector.entries``), but the algebra runs on integers: a matrix also
+holds its entries as integer numerators over one common denominator, the lcm
+of the reduced entry denominators (60 for grid walks). Products, n-step
+distributions, the stationary solve (fraction-free Bareiss elimination) and
+the minorization searches work on those integers, and each result is turned
+back into ``Fraction`` values once. Row sums, stationary vectors, distances
+and minorization constants are therefore exact; the only floating point in
+this module is the explicitly approximate eigenvalue analysis. State indices
+are 0-based throughout; display layers may relabel them.
 """
 
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
+from math import lcm
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -105,11 +112,28 @@ class ProbVector:
         return [str(e) for e in self.entries]
 
 
+def _common_denominator(values: Iterable[Fraction]) -> tuple[tuple[int, ...], int]:
+    """Integer numerators of ``values`` over the lcm of their denominators."""
+    values = tuple(values)
+    den = lcm(*(v.denominator for v in values))
+    return tuple(v.numerator * (den // v.denominator) for v in values), den
+
+
 @dataclass(frozen=True)
 class StochasticMatrix:
-    """Row-stochastic square matrix with exact rational entries."""
+    """Row-stochastic square matrix with exact rational entries.
+
+    ``rows`` is the public ``Fraction`` view; equality, hashing and JSON use
+    it alone. ``_num``/``_den`` hold the same entries as integer numerators
+    over the least common denominator, and ``_power`` memoizes the last
+    n-step matrix asked of ``matrix_power``, so one command's certificate
+    search and coupling tables form ``P^n0`` once.
+    """
 
     rows: tuple[tuple[Fraction, ...], ...]
+    _num: tuple[tuple[int, ...], ...] = field(init=False, repr=False, compare=False)
+    _den: int = field(init=False, repr=False, compare=False)
+    _power: tuple | None = field(init=False, repr=False, compare=False, default=None)
 
     def __post_init__(self) -> None:
         rows = tuple(tuple(_frac(e) for e in row) for row in self.rows)
@@ -117,11 +141,15 @@ class StochasticMatrix:
         n = len(rows)
         if n == 0 or any(len(row) != n for row in rows):
             raise InputError("matrix must be square and non-empty")
-        for i, row in enumerate(rows):
-            if any(e < 0 for e in row):
+        flat, den = _common_denominator(e for row in rows for e in row)
+        num = tuple(flat[i * n : (i + 1) * n] for i in range(n))
+        for i, row in enumerate(num):
+            if any(v < 0 for v in row):
                 raise InputError(f"row {i} has a negative entry")
-            if sum(row) != 1:
-                raise InputError(f"row {i} sums to {sum(row)}, not exactly 1")
+            if sum(row) != den:
+                raise InputError(f"row {i} sums to {sum(rows[i])}, not exactly 1")
+        object.__setattr__(self, "_num", num)
+        object.__setattr__(self, "_den", den)
 
     @classmethod
     def from_rows(cls, rows: Iterable[Iterable]) -> "StochasticMatrix":
@@ -195,28 +223,74 @@ def build_grid_walk(rows: int, cols: int) -> StochasticMatrix:
     return StochasticMatrix.from_rows(out)
 
 
-def _mat_mul(a: Sequence[Sequence[Fraction]], b: Sequence[Sequence[Fraction]]):
-    n = len(a)
-    return tuple(
-        tuple(sum(a[i][k] * b[k][j] for k in range(n)) for j in range(n))
-        for i in range(n)
-    )
+def _int_mat_mul(
+    a: Sequence[Sequence[int]], b: Sequence[Sequence[int]]
+) -> tuple[tuple[int, ...], ...]:
+    """Integer matrix product, each row a combination of the rows of ``b``.
+
+    Zero entries of ``a`` are skipped, which keeps banded chains (grid walks
+    and their powers) far below the dense cubic cost.
+    """
+    width = len(b[0])
+    out = []
+    for row in a:
+        acc = [0] * width
+        for x, b_row in zip(row, b):
+            if x:
+                acc = [s + x * y for s, y in zip(acc, b_row)]
+        out.append(tuple(acc))
+    return tuple(out)
+
+
+def _int_power(
+    num: Sequence[Sequence[int]], den: int, n: int
+) -> tuple[Sequence[Sequence[int]], int]:
+    """Numerators and denominator of (num/den)^n by binary exponentiation."""
+    size = len(num)
+    result = None
+    result_den = 1
+    while n:
+        if n & 1:
+            result = num if result is None else _int_mat_mul(result, num)
+            result_den *= den
+        n >>= 1
+        if n:
+            num = _int_mat_mul(num, num)
+            den *= den
+    if result is None:
+        result = tuple(tuple(int(i == j) for j in range(size)) for i in range(size))
+    return result, result_den
 
 
 def matrix_power(P: StochasticMatrix, n: int) -> StochasticMatrix:
-    """Exact n-step transition matrix by binary exponentiation."""
+    """Exact n-step transition matrix by binary exponentiation.
+
+    The last power asked of each matrix is memoized on it, so callers that
+    need ``P^n0`` in turn (certificate search, coupling tables) share it.
+    """
     if n < 0:
         raise InputError("power must be >= 0")
-    size = P.size
-    result = StochasticMatrix.identity(size).rows
-    base = P.rows
-    while n:
-        if n & 1:
-            result = _mat_mul(result, base)
-        n >>= 1
-        if n:
-            base = _mat_mul(base, base)
-    return StochasticMatrix(result)
+    memo = P._power
+    if memo is None or memo[0] != n:
+        num, den = _int_power(P._num, P._den, n)
+        power = StochasticMatrix(tuple(tuple(Fraction(v, den) for v in row) for row in num))
+        memo = (n, power)
+        object.__setattr__(P, "_power", memo)
+    return memo[1]
+
+
+def _steps(mu0: ProbVector, P: StochasticMatrix):
+    """Yield mu0 P^n as (numerators, denominator) for n = 0, 1, 2, ...
+
+    Each step is the integer recurrence v_{n+1} = v_n A over denominators
+    d_{n+1} = d_n D, where A/D is P's integer form.
+    """
+    v, d = _common_denominator(mu0.entries)
+    columns = [[(i, a) for i, a in enumerate(col) if a] for col in zip(*P._num)]
+    while True:
+        yield v, d
+        v = [sum(v[i] * a for i, a in col) for col in columns]
+        d *= P._den
 
 
 def evolve(mu0: ProbVector, P: StochasticMatrix, n: int) -> ProbVector:
@@ -225,51 +299,58 @@ def evolve(mu0: ProbVector, P: StochasticMatrix, n: int) -> ProbVector:
         raise InputError(f"dimension mismatch: vector {mu0.size}, matrix {P.size}")
     if n < 0:
         raise InputError("step count must be >= 0")
-    current = mu0.entries
-    size = P.size
-    for _ in range(n):
-        current = tuple(
-            sum(current[i] * P.rows[i][j] for i in range(size)) for j in range(size)
-        )
-    return ProbVector(current)
+    v, d = next(itertools.islice(_steps(mu0, P), n, None))
+    return ProbVector(tuple(Fraction(x, d) for x in v))
 
 
-def _rref(matrix: list[list[Fraction]]) -> tuple[list[list[Fraction]], list[int]]:
-    """In-place reduced row echelon form; returns (matrix, pivot columns)."""
+def _bareiss(matrix: list[list[int]]) -> list[int]:
+    """Fraction-free Gauss-Jordan elimination (Bareiss) in place.
+
+    Returns the pivot columns. Row operations are scaled so every entry stays
+    an integer (a minor of the input, so each division by the previous pivot
+    is exact); at the end every pivot row holds the same pivot value, zeros
+    in the other pivot columns, and rows past the rank are zero.
+    """
     n_rows = len(matrix)
     n_cols = len(matrix[0])
     pivots: list[int] = []
+    previous = 1
     r = 0
     for c in range(n_cols):
-        pivot_row = next((i for i in range(r, n_rows) if matrix[i][c] != 0), None)
+        pivot_row = next((i for i in range(r, n_rows) if matrix[i][c]), None)
         if pivot_row is None:
             continue
         matrix[r], matrix[pivot_row] = matrix[pivot_row], matrix[r]
-        inv = matrix[r][c]
-        matrix[r] = [v / inv for v in matrix[r]]
+        top = matrix[r]
+        pivot = top[c]
         for i in range(n_rows):
-            if i != r and matrix[i][c] != 0:
-                f = matrix[i][c]
-                matrix[i] = [a - f * b for a, b in zip(matrix[i], matrix[r])]
+            if i == r:
+                continue
+            f = matrix[i][c]
+            if f:
+                matrix[i] = [(pivot * a - f * b) // previous for a, b in zip(matrix[i], top)]
+            elif pivot != previous:
+                matrix[i] = [pivot * a // previous for a in matrix[i]]
+        previous = pivot
         pivots.append(c)
         r += 1
         if r == n_rows:
             break
-    return matrix, pivots
+    return pivots
 
 
 def stationary(P: StochasticMatrix) -> ProbVector:
-    """Exact stationary distribution via elimination on (P^T - I).
+    """Exact stationary distribution via elimination on D(P^T - I).
 
-    Raises ``NonUniqueStationaryError`` when the unit-eigenvalue left
-    eigenspace has dimension > 1, rather than returning an arbitrary member.
+    D is the common denominator of P's entries, so the system is integral and
+    Bareiss elimination solves it without fractions. Raises
+    ``NonUniqueStationaryError`` when the unit-eigenvalue left eigenspace has
+    dimension > 1, rather than returning an arbitrary member.
     """
     n = P.size
-    A = [
-        [P.rows[j][i] - (Fraction(1) if i == j else Fraction(0)) for j in range(n)]
-        for i in range(n)
-    ]
-    reduced, pivots = _rref(A)
+    num, den = P._num, P._den
+    A = [[num[j][i] - (den if i == j else 0) for j in range(n)] for i in range(n)]
+    pivots = _bareiss(A)
     free_cols = [c for c in range(n) if c not in pivots]
     if len(free_cols) != 1:
         raise NonUniqueStationaryError(
@@ -277,24 +358,30 @@ def stationary(P: StochasticMatrix) -> ProbVector:
             f"{len(free_cols)}"
         )
     free = free_cols[0]
-    solution = [Fraction(0)] * n
-    solution[free] = Fraction(1)
-    for row, col in zip(reduced, pivots):
+    # pivot row r reads d*x[pivots[r]] + A[r][free]*x[free] = 0, d its pivot
+    solution = [0] * n
+    solution[free] = A[0][pivots[0]] if pivots else 1
+    for row, col in zip(A, pivots):
         solution[col] = -row[free]
     total = sum(solution)
     if total == 0:
         raise MathError("degenerate null vector with zero sum")
-    pi = [v / total for v in solution]
+    pi = [Fraction(v, total) for v in solution]
     if any(v < 0 for v in pi):
         raise MathError("stationary solve produced a negative entry")
     return ProbVector(tuple(pi))
+
+
+def _tv(v: Sequence[int], d: int, w: Sequence[int], e: int) -> Fraction:
+    """Half the L1 distance between the vectors v/d and w/e."""
+    return Fraction(sum(abs(x * e - y * d) for x, y in zip(v, w)), 2 * d * e)
 
 
 def tv_distance(mu: ProbVector, nu: ProbVector) -> Fraction:
     """Total variation distance, computed exactly as half the L1 distance."""
     if mu.size != nu.size:
         raise InputError(f"dimension mismatch: {mu.size} vs {nu.size}")
-    return sum(abs(a - b) for a, b in zip(mu.entries, nu.entries)) / 2
+    return _tv(*_common_denominator(mu.entries), *_common_denominator(nu.entries))
 
 
 def tv_distance_subset_sup(mu: ProbVector, nu: ProbVector, max_size: int = 20) -> Fraction:
@@ -329,19 +416,19 @@ def exact_tv_curve(
     if n_max < 0:
         raise InputError("n_max must be >= 0")
     pi = stationary(P)
-    values = []
-    current = mu0
-    for n in range(n_max + 1):
-        values.append(tv_distance(current, pi))
-        if n < n_max:
-            current = evolve(current, P, 1)
+    if mu0.size != pi.size:
+        raise InputError(f"dimension mismatch: {mu0.size} vs {pi.size}")
+    p, q = _common_denominator(pi.entries)
+    values = tuple(
+        _tv(v, d, p, q) for v, d in itertools.islice(_steps(mu0, P), n_max + 1)
+    )
     crossing = None
     if threshold is not None:
         crossing = next((n for n, v in enumerate(values) if v < threshold), None)
     return BoundReport(
         kind="exact-tv",
         ns=tuple(range(n_max + 1)),
-        values=tuple(values),
+        values=values,
         threshold=threshold,
         crossing=crossing,
         inputs={"size": P.size},
@@ -385,34 +472,37 @@ def minorization_uniform(P: StochasticMatrix, n0: int) -> MinorizationCert | Non
     if n0 < 1:
         raise InputError("n0 must be >= 1")
     pn = matrix_power(P, n0)
-    size = P.size
-    mins = [min(pn.rows[i][j] for i in range(size)) for j in range(size)]
-    eps = sum(mins)
-    if eps == 0:
+    mins = [min(col) for col in zip(*pn._num)]
+    total = sum(mins)
+    if total == 0:
         return None
-    nu = ProbVector(tuple(m / eps for m in mins))
     return MinorizationCert(
         variant="uniform",
-        small_set=tuple(range(size)),
+        small_set=tuple(range(P.size)),
         n0=n0,
-        epsilon=eps,
-        nu=nu,
+        epsilon=Fraction(total, pn._den),
+        nu=ProbVector(tuple(Fraction(m, total) for m in mins)),
     )
+
+
+def _pair_measure(pn0: StochasticMatrix, i: int, j: int) -> tuple[list[int], int]:
+    """Numerators of min(row i, row j) of pn0 and their (nonzero) sum."""
+    mins = list(map(min, pn0._num[i], pn0._num[j]))
+    total = sum(mins)
+    if total == 0:
+        raise MathError(f"rows {i} and {j} have disjoint support at this lag")
+    return mins, total
 
 
 def pseudo_pair_overlap(pn0: StochasticMatrix, i: int, j: int) -> Fraction:
     """Overlap mass sum_z min((P^n0)_iz, (P^n0)_jz) of two starting rows."""
-    return sum(min(a, b) for a, b in zip(pn0.rows[i], pn0.rows[j]))
+    return Fraction(sum(map(min, pn0._num[i], pn0._num[j])), pn0._den)
 
 
 def pseudo_nu(pn0: StochasticMatrix, i: int, j: int) -> ProbVector:
     """Pair overlap measure: min of the two rows, normalized."""
-    total = pseudo_pair_overlap(pn0, i, j)
-    if total == 0:
-        raise MathError(f"rows {i} and {j} have disjoint support at this lag")
-    return ProbVector(
-        tuple(min(a, b) / total for a, b in zip(pn0.rows[i], pn0.rows[j]))
-    )
+    mins, total = _pair_measure(pn0, i, j)
+    return ProbVector(tuple(Fraction(m, total) for m in mins))
 
 
 def minorization_pseudo(P: StochasticMatrix, n0: int) -> MinorizationCert | None:
@@ -424,25 +514,25 @@ def minorization_pseudo(P: StochasticMatrix, n0: int) -> MinorizationCert | None
     if n0 < 1:
         raise InputError("n0 must be >= 1")
     pn = matrix_power(P, n0)
+    rows = pn._num
     size = P.size
-    eps: Fraction | None = None
+    best: int | None = None
     pairs: list[tuple[int, int]] = []
     for i in range(size):
         for j in range(i if size == 1 else i + 1, size):
-            overlap = pseudo_pair_overlap(pn, i, j)
-            if eps is None or overlap < eps:
-                eps = overlap
+            overlap = sum(map(min, rows[i], rows[j]))
+            if overlap == 0:
+                return None  # one disjoint pair settles eps = 0
+            if best is None or overlap < best:
+                best = overlap
                 pairs = [(i, j)]
-            elif overlap == eps:
+            elif overlap == best:
                 pairs.append((i, j))
-    assert eps is not None
-    if eps == 0:
-        return None
     return MinorizationCert(
         variant="pseudo",
         small_set=tuple(range(size)),
         n0=n0,
-        epsilon=eps,
+        epsilon=Fraction(best, pn._den),
         argmin_pairs=tuple(pairs),
     )
 
@@ -454,25 +544,26 @@ def minorization_margin(P: StochasticMatrix, cert: MinorizationCert) -> Fraction
     (i, j, z) of both row constraints against the pair measure.
     """
     pn = matrix_power(P, cert.n0)
-    size = P.size
-    worst: Fraction | None = None
+    num, den = pn._num, pn._den
+    eps = Fraction(cert.epsilon)
     if cert.variant == "uniform":
-        assert cert.nu is not None
-        for i in range(size):
-            for j in range(size):
-                slack = pn.rows[i][j] - cert.epsilon * cert.nu[j]
-                if worst is None or slack < worst:
-                    worst = slack
-    else:
-        for i in range(size):
-            for j in range(i, size):
-                nu_ij = pseudo_nu(pn, i, j)
-                for z in range(size):
-                    for row in (i, j):
-                        slack = pn.rows[row][z] - cert.epsilon * nu_ij[z]
-                        if worst is None or slack < worst:
-                            worst = slack
-    assert worst is not None
+        # column j is tightest at its smallest entry
+        return min(
+            Fraction(min(col), den) - eps * cert.nu[j] for j, col in enumerate(zip(*num))
+        )
+    p, q = eps.numerator, eps.denominator
+    worst: Fraction | None = None
+    for i in range(P.size):
+        for j in range(i, P.size):
+            mins, total = _pair_measure(pn, i, j)
+            # at z the smaller row is tightest, with slack
+            # mins[z]/den - eps*mins[z]/total = mins[z]*factor / (den*q*total),
+            # so the pair's worst z has the smallest or the largest mins[z]
+            factor = q * total - p * den
+            extreme = min(mins) if factor >= 0 else max(mins)
+            slack = Fraction(extreme * factor, den * q * total)
+            if worst is None or slack < worst:
+                worst = slack
     return worst
 
 

@@ -8,11 +8,10 @@ engineering checks, not proofs.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
-
-from scipy.integrate import quad
 
 from ..bounds import Interval, UnivariateDrift
 from ..errors import InputError, QuadratureError
@@ -92,9 +91,21 @@ def _require_density(kernel: Kernel) -> None:
         )
 
 
+@functools.cache
+def _quad():
+    """``scipy.integrate.quad``, imported on first use.
+
+    Only the numeric checks integrate; importing scipy's integrators when the
+    package loads would slow the start-up of every other command.
+    """
+    from scipy.integrate import quad
+
+    return quad
+
+
 def _integrate(f: Callable[[float], float], lo: float, hi: float, pts) -> tuple[float, float]:
     inner = [p for p in pts if lo < p < hi] if not math.isinf(hi) else None
-    value, err = quad(f, lo, hi, points=inner or None, limit=200, epsabs=_QUAD_TOL)
+    value, err = _quad()(f, lo, hi, points=inner or None, limit=200, epsabs=_QUAD_TOL)
     if err > _QUAD_TOL * _QUAD_FAIL_FACTOR:
         raise QuadratureError(
             f"integration on [{lo}, {hi}] reported error {err:.3e} "

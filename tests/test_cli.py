@@ -1,11 +1,17 @@
 """Command-line interface: golden outputs, exit codes, schema stability."""
 
+import hashlib
 import json
+import subprocess
+import sys
 from importlib.resources import files
+from pathlib import Path
 
 import jsonschema
 import pytest
 
+import mcbounds
+from mcbounds import finite_chain
 from mcbounds.cli import main
 from mcbounds.finite_chain import build_grid_walk
 
@@ -82,6 +88,42 @@ class TestFinite:
             assert float(tv) <= float(bp) + 1e-12
         report = json.loads((tmp_path / "finite-tv-exact.json").read_text())
         assert report["results"]["curve"][0]["tv"] == "28/33"
+
+    def test_tv_exact_8x8_bytes_pinned(self, capsys, tmp_path):
+        # SHA-256 digests of the Fraction-arithmetic implementation's output
+        argv = ["finite", "tv-exact", "--grid", "8x8", "--n0", "4", "--n", "100"]
+        assert main(argv) == 0
+        stdout = capsys.readouterr().out.encode()
+        assert hashlib.sha256(stdout).hexdigest() == (
+            "74bf9f623632433b0b7f95665fb1389b9a5ace160af0a6739c62ea3c7acd07d0"
+        )
+        assert main(argv + ["--output", str(tmp_path), "--format", "both"]) == 0
+        csv = (tmp_path / "finite-tv-exact-curve.csv").read_bytes()
+        assert hashlib.sha256(csv).hexdigest() == (
+            "3507936730694e10cf2bc4acbd02dfd3232732681c1353676da41a853ea98011"
+        )
+        assert (tmp_path / "finite-tv-exact.json").read_bytes() == stdout
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["finite", "tv-exact", "--grid", "3x3", "--n0", "2", "--n", "10"],
+            ["simulate", "--grid", "3x3", "--n0", "2", "--n-max", "6", "--reps", "20",
+             "--seed", "1"],
+        ],
+    )
+    def test_n_step_matrix_formed_once_per_command(self, capsys, monkeypatch, argv):
+        calls = []
+        int_power = finite_chain._int_power
+
+        def counted(num, den, n):
+            calls.append(n)
+            return int_power(num, den, n)
+
+        monkeypatch.setattr(finite_chain, "_int_power", counted)
+        assert main(argv) == 0
+        capsys.readouterr()
+        assert calls == [2]
 
     def test_matrix_file_roundtrip(self, capsys, tmp_path):
         grid = build_grid_walk(3, 3)
@@ -281,3 +323,44 @@ class TestOutputs:
             code, report = run_cli(capsys, *argv)
             assert code == 0
             assert report["tool"] == "mcbounds"
+
+
+class TestStartup:
+    def run_script(self, body: str) -> str:
+        src = str(Path(mcbounds.__file__).resolve().parents[1])
+        script = "import sys\nsys.path.insert(0, %r)\n" % src + body
+        return subprocess.run(
+            [sys.executable, "-c", script], capture_output=True, text=True, check=True
+        ).stdout
+
+    def test_commands_without_quadrature_do_not_import_scipy_integrate(self):
+        out = self.run_script(
+            "import contextlib, io\n"
+            "import mcbounds.cli\n"
+            "from mcbounds.cli import main\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            "    assert main(['bound', 't2', '--preset', 'rwm-laplace']) == 0\n"
+            "    assert main(['bound', 't1', '--epsilon', '1/2']) == 0\n"
+            "    assert main(['finite', 'tv-exact', '--grid', '3x3', '--n0', '2',\n"
+            "                 '--n', '10']) == 0\n"
+            "    assert main(['simulate', '--grid', '2x2', '--n-max', '4', '--reps',\n"
+            "                 '20', '--seed', '1']) == 0\n"
+            "    assert main(['simulate', '--halfline', '--n-max', '2', '--reps',\n"
+            "                 '5', '--burn-in', '5', '--seed', '1']) == 0\n"
+            "print('scipy.integrate' in sys.modules)\n"
+        )
+        assert out.strip() == "False"
+
+    def test_quadrature_imports_its_integrator_once(self):
+        out = self.run_script(
+            "import contextlib, io\n"
+            "from mcbounds.cli import main\n"
+            "from mcbounds.kernels import verify\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            "    for _ in range(2):\n"
+            "        assert main(['verify', 'drift', '--grid-step', '2.0']) == 0\n"
+            "import scipy.integrate\n"
+            "print(verify._quad() is scipy.integrate.quad,\n"
+            "      verify._quad.cache_info().misses)\n"
+        )
+        assert out.split() == ["True", "1"]

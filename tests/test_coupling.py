@@ -9,7 +9,10 @@ from fractions import Fraction as F
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import fraction_reference as ref
 from mcbounds.coupling import (
     CouplingConfig,
     empirical_tv,
@@ -17,6 +20,7 @@ from mcbounds.coupling import (
     run_small_set_coupling,
     run_uniform_coupling,
 )
+from mcbounds.coupling.runner import _finite_arrays
 from mcbounds.errors import CertificateError, InputError
 from mcbounds.finite_chain import (
     MinorizationCert,
@@ -178,6 +182,98 @@ class TestGridCoupling:
         )
         with pytest.raises(CertificateError):
             run_uniform_coupling(config)
+
+    def test_overlap_claimed_just_above_the_pairwise_overlap_rejected(self, grid):
+        good = minorization_pseudo(grid, 2)
+        inflated = MinorizationCert(
+            variant="pseudo",
+            small_set=good.small_set,
+            n0=2,
+            epsilon=good.epsilon + F(1, 10**15),  # residuals dip below 0 by ~1e-15
+            argmin_pairs=good.argmin_pairs,
+        )
+        config = CouplingConfig(
+            model="finite",
+            n_max=4,
+            replications=10,
+            master_seed=1,
+            matrix=grid,
+            cert=inflated,
+            initial_law=ProbVector.delta(9, 4),
+        )
+        with pytest.raises(CertificateError, match="is negative for pair"):
+            run_uniform_coupling(config)
+
+
+def assert_tables_match_reference(matrix, cert):
+    config = CouplingConfig(
+        model="finite", n_max=1, replications=1, master_seed=0, matrix=matrix, cert=cert
+    )
+    tables = _finite_arrays(config)
+    expected = ref.finite_arrays(matrix, cert)
+    assert len(tables) == len(expected)
+    for got, want in zip(tables, expected):
+        assert np.array_equal(got, want)
+        assert np.asarray(got).dtype == np.asarray(want).dtype
+
+
+class TestFiniteTables:
+    """Engine tables from integer numerators equal the Fraction-built ones."""
+
+    @pytest.mark.parametrize(
+        "shape,finder,n0",
+        [
+            ((3, 3), minorization_uniform, 2),
+            ((3, 3), minorization_pseudo, 2),
+            ((5, 5), minorization_pseudo, 6),
+        ],
+    )
+    def test_grid_tables(self, shape, finder, n0):
+        grid = build_grid_walk(*shape)
+        assert_tables_match_reference(grid, finder(grid, n0))
+
+    @pytest.mark.parametrize("finder", [minorization_uniform, minorization_pseudo])
+    def test_over_claimed_overlap_raises_like_the_reference(self, grid, finder):
+        good = finder(grid, 2)
+        bad = MinorizationCert(
+            variant=good.variant,
+            small_set=good.small_set,
+            n0=2,
+            epsilon=good.epsilon + F(1, 7),
+            nu=good.nu,
+            argmin_pairs=good.argmin_pairs,
+        )
+        config = CouplingConfig(
+            model="finite", n_max=1, replications=1, master_seed=0, matrix=grid, cert=bad
+        )
+        with pytest.raises(CertificateError) as fast:
+            _finite_arrays(config)
+        with pytest.raises(CertificateError) as slow:
+            ref.finite_arrays(grid, bad)
+        assert str(fast.value) == str(slow.value)
+
+    def test_full_overlap_tables(self):
+        iid = StochasticMatrix.from_rows([[F(1, 3), F(2, 3)], [F(1, 3), F(2, 3)]])
+        for finder in (minorization_uniform, minorization_pseudo):
+            assert_tables_match_reference(iid, finder(iid, 1))
+
+    @settings(max_examples=30, deadline=None)
+    @given(
+        st.integers(2, 4).flatmap(
+            lambda n: st.lists(
+                st.lists(st.integers(0, 9), min_size=n, max_size=n).filter(any),
+                min_size=n,
+                max_size=n,
+            )
+        ),
+        st.integers(1, 2),
+    )
+    def test_random_chain_tables(self, weights, n0):
+        matrix = StochasticMatrix.from_rows([[F(w, sum(row)) for w in row] for row in weights])
+        for finder in (minorization_uniform, minorization_pseudo):
+            cert = finder(matrix, n0)
+            if cert is not None:
+                assert_tables_match_reference(matrix, cert)
 
 
 class TestHalflineCoupling:

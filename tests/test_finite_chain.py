@@ -1,19 +1,23 @@
 """Exact finite-chain analysis: golden values and algebraic invariants."""
 
 from fractions import Fraction as F
+from math import lcm
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import fraction_reference as ref
 from mcbounds.errors import (
     IllConditionedEigenbasisError,
     InputError,
+    McbError,
     NonUniqueStationaryError,
     PeriodicChainError,
 )
 from mcbounds.finite_chain import (
+    MinorizationCert,
     ProbVector,
     StochasticMatrix,
     build_grid_walk,
@@ -49,23 +53,48 @@ def grid_pi(grid):
 
 
 def stochastic_matrices(max_size=5, max_weight=6):
-    """Random exact row-stochastic matrices from small integer weights."""
+    """Random exact row-stochastic matrices of 1..max_size states.
+
+    Each row is integer weights over their own sum, with weights up to 1,
+    ``max_weight`` or 97, so rows have distinct denominators and the common
+    denominator of a matrix varies widely. Besides unstructured chains the
+    mix draws reducible ones (two closed classes, so the stationary law is not
+    unique) and periodic ones (even states move to odd ones and back).
+    """
 
     @st.composite
-    def build(draw):
-        n = draw(st.integers(2, max_size))
-        rows = []
-        for _ in range(n):
-            weights = draw(
-                st.lists(st.integers(0, max_weight), min_size=n, max_size=n).filter(
-                    lambda w: sum(w) > 0
-                )
-            )
-            total = sum(weights)
-            rows.append([F(w, total) for w in weights])
-        return StochasticMatrix.from_rows(rows)
+    def row(draw, size, support):
+        top = draw(st.sampled_from((1, max_weight, 97)))
+        weights = draw(
+            st.lists(st.integers(0, top), min_size=len(support), max_size=len(support))
+            .filter(lambda w: sum(w) > 0)
+        )
+        out = [F(0)] * size
+        for state, w in zip(support, weights):
+            out[state] = F(w, sum(weights))
+        return out
 
-    return build()
+    @st.composite
+    def unstructured(draw):
+        n = draw(st.integers(1, max_size))
+        return StochasticMatrix.from_rows([draw(row(n, range(n))) for _ in range(n)])
+
+    @st.composite
+    def reducible(draw):
+        n = draw(st.integers(2, max_size))
+        k = draw(st.integers(1, n - 1))
+        blocks = [range(k)] * k + [range(k, n)] * (n - k)
+        return StochasticMatrix.from_rows([draw(row(n, b)) for b in blocks])
+
+    @st.composite
+    def periodic(draw):
+        n = draw(st.integers(2, max_size))
+        even, odd = range(0, n, 2), range(1, n, 2)
+        return StochasticMatrix.from_rows(
+            [draw(row(n, odd if s % 2 == 0 else even)) for s in range(n)]
+        )
+
+    return st.one_of(unstructured(), reducible(), periodic())
 
 
 class TestConstruction:
@@ -289,3 +318,122 @@ class TestAlgebraicProperties:
         mu = ProbVector.delta(P.size, 0)
         nu = evolve(mu, P, 2)
         assert tv_distance(mu, nu) == tv_distance_subset_sup(mu, nu)
+
+
+def same_outcome(fast, slow, *args):
+    """Both implementations return equal values, or raise alike.
+
+    "Alike" is the same exception type with the same message. Returns the
+    reference result, or None when both raised.
+    """
+    try:
+        expected = slow(*args)
+    except McbError as exc:
+        with pytest.raises(type(exc)) as raised:
+            fast(*args)
+        assert type(raised.value) is type(exc)
+        assert str(raised.value) == str(exc)
+        return None
+    assert fast(*args) == expected
+    return expected
+
+
+def inflated(cert: MinorizationCert, extra: F) -> MinorizationCert:
+    """The same certificate claiming a larger overlap, capped at 1."""
+    return MinorizationCert(
+        variant=cert.variant,
+        small_set=cert.small_set,
+        n0=cert.n0,
+        epsilon=min(F(1), cert.epsilon + extra),
+        nu=cert.nu,
+        argmin_pairs=cert.argmin_pairs,
+    )
+
+
+class TestMatchesFractionReference:
+    """The integer algebra against the Fraction loops in fraction_reference."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(stochastic_matrices(), st.integers(0, 6))
+    def test_matrix_power(self, P, n):
+        pn = same_outcome(matrix_power, ref.matrix_power, P, n)
+        # integer form: numerators over the lcm of the reduced denominators
+        assert pn._den == lcm(*(e.denominator for row in pn.rows for e in row))
+        assert all(
+            F(v, pn._den) == e for nrow, row in zip(pn._num, pn.rows) for v, e in zip(nrow, row)
+        )
+
+    @settings(max_examples=60, deadline=None)
+    @given(stochastic_matrices(), st.integers(0, 8), st.integers(0, 4))
+    def test_evolve(self, P, n, start):
+        for mu0 in (ProbVector.delta(P.size, start % P.size), P.row(start % P.size)):
+            same_outcome(evolve, ref.evolve, mu0, P, n)
+
+    @settings(max_examples=80, deadline=None)
+    @given(stochastic_matrices())
+    def test_stationary(self, P):
+        same_outcome(stationary, ref.stationary, P)
+
+    @settings(max_examples=40, deadline=None)
+    @given(stochastic_matrices(), st.integers(0, 12), st.sampled_from([None, 0.01, 0.3]))
+    def test_exact_tv_curve(self, P, n_max, threshold):
+        mu0 = P.row(P.size - 1)
+        same_outcome(exact_tv_curve, ref.exact_tv_curve, mu0, P, n_max, threshold)
+
+    @settings(max_examples=60, deadline=None)
+    @given(stochastic_matrices(), st.integers(1, 4))
+    def test_certificates_and_margins(self, P, n0):
+        for fast, slow in (
+            (minorization_uniform, ref.minorization_uniform),
+            (minorization_pseudo, ref.minorization_pseudo),
+        ):
+            cert = same_outcome(fast, slow, P, n0)
+            if cert is None:
+                continue
+            for claimed in (cert, inflated(cert, F(1, 97)), inflated(cert, F(1, 10**15))):
+                same_outcome(minorization_margin, ref.minorization_margin, P, claimed)
+
+    @settings(max_examples=40, deadline=None)
+    @given(stochastic_matrices(max_size=4), st.integers(1, 3))
+    def test_pair_overlaps_and_measures(self, P, n0):
+        pn = matrix_power(P, n0)
+        for i in range(P.size):
+            for j in range(P.size):
+                same_outcome(pseudo_pair_overlap, ref.pseudo_pair_overlap, pn, i, j)
+                same_outcome(pseudo_nu, ref.pseudo_nu, pn, i, j)
+
+    def test_grid_goldens(self):
+        grid = build_grid_walk(4, 4)
+        mu0 = ProbVector.delta(16, 5)
+        assert stationary(grid) == ref.stationary(grid)
+        assert matrix_power(grid, 5) == ref.matrix_power(grid, 5)
+        assert exact_tv_curve(mu0, grid, 30, 0.01) == ref.exact_tv_curve(mu0, grid, 30, 0.01)
+        for n0 in (2, 6):
+            assert minorization_uniform(grid, n0) == ref.minorization_uniform(grid, n0)
+            assert minorization_pseudo(grid, n0) == ref.minorization_pseudo(grid, n0)
+
+    def test_reducible_chain_raises_the_same_error(self):
+        two_classes = StochasticMatrix.from_rows(
+            [[F(1, 2), F(1, 2), 0], [F(1, 3), F(2, 3), 0], [0, 0, 1]]
+        )
+        with pytest.raises(NonUniqueStationaryError) as fast:
+            stationary(two_classes)
+        with pytest.raises(NonUniqueStationaryError) as slow:
+            ref.stationary(two_classes)
+        assert str(fast.value) == str(slow.value)
+        assert "dimension 2" in str(fast.value)
+
+
+class TestPowerMemo:
+    def test_repeated_power_reuses_the_same_matrix(self):
+        P = build_grid_walk(3, 3)
+        assert matrix_power(P, 2) is matrix_power(P, 2)
+        assert matrix_power(P, 3) == ref.matrix_power(P, 3)
+        assert matrix_power(P, 2) == ref.matrix_power(P, 2)
+
+    def test_memo_is_not_part_of_equality_or_hash(self):
+        fresh, used = build_grid_walk(2, 2), build_grid_walk(2, 2)
+        matrix_power(used, 3)
+        assert fresh == used
+        assert hash(fresh) == hash(used)
+        assert repr(fresh) == repr(used)
