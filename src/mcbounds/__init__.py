@@ -6,7 +6,6 @@ numeric drift/minorization verification, analytic bound calculators, and a
 seeded coupling simulator that checks the bounds empirically.
 """
 
-from ._jit import NUMBA_ENABLED
 from .bounds import (
     BivariateDrift,
     BoundReport,
@@ -40,3 +39,6 @@ from .finite_chain import (
 )
 
 __version__ = "0.1.0"
+
+# there is no compiled backend: every engine is numpy array code
+NUMBA_ENABLED = False

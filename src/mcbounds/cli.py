@@ -384,7 +384,6 @@ def _simulate_config(args) -> tuple[CouplingConfig, dict, float, int]:
             cert=cert,
             initial_law=ProbVector.delta(matrix.size, start),
             record_every=args.record_every,
-            workers=args.workers,
         )
         desc = {
             "model": f"grid {rows}x{cols}",
@@ -403,7 +402,6 @@ def _simulate_config(args) -> tuple[CouplingConfig, dict, float, int]:
             x0=args.x0,
             burn_in=args.burn_in,
             record_every=args.record_every,
-            workers=args.workers,
         )
         desc = {"model": "halfline", "epsilon": presets.HALFLINE_EPSILON, "n0": 1,
                 "x0": args.x0, "burn_in": args.burn_in}
@@ -417,7 +415,6 @@ def _simulate_config(args) -> tuple[CouplingConfig, dict, float, int]:
             x0=args.x0,
             burn_in=args.burn_in,
             record_every=args.record_every,
-            workers=args.workers,
         )
         desc = {"model": "rwm-laplace", "epsilon": presets.LAPLACE_EPSILON, "n0": 2,
                 "x0": args.x0, "burn_in": args.burn_in,
@@ -454,7 +451,6 @@ def _cmd_simulate(args) -> tuple[_Report, int]:
             "n_max": args.n_max,
             "replications": args.reps,
             "master_seed": config.master_seed,
-            "workers": args.workers,
             "record_every": args.record_every,
         }
     )
@@ -644,7 +640,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n-max", type=int, default=60)
     p.add_argument("--reps", type=int, default=10_000)
     p.add_argument("--seed", type=int, help="master seed (fallback: MCB_SEED, then 0)")
-    p.add_argument("--workers", type=int, default=0, help="0 = all available")
     p.add_argument("--burn-in", type=int, default=20_000,
                    help="auxiliary-chain steps for the stationary start (continuous)")
     p.add_argument("--record-every", type=int, default=1,

@@ -5,7 +5,6 @@ from .runner import (
     CouplingResult,
     TvEstimate,
     empirical_tv,
-    replication_seeds,
     run_small_set_coupling,
     run_uniform_coupling,
 )
@@ -15,7 +14,6 @@ __all__ = [
     "CouplingResult",
     "TvEstimate",
     "empirical_tv",
-    "replication_seeds",
     "run_small_set_coupling",
     "run_uniform_coupling",
 ]

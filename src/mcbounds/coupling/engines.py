@@ -1,34 +1,125 @@
-"""Trajectory engines for the coupling simulator.
+"""Lockstep trajectory engines for the coupling simulator.
 
-Each replication owns a private substream: the engine reseeds ``np.random``
-from ``seeds[r]`` before touching replication r, so output is independent of
-worker count and iteration order. The same source runs jitted (default) or as
-plain Python when numba is disabled; both produce identical streams.
+Randomness contract: replications are cut into blocks of ``BLOCK``
+consecutive replications. Block b draws from its own ``np.random.Generator``
+seeded by child b of ``SeedSequence(master_seed).spawn(...)``, and all pairs
+of a block advance together, one array operation per step. Output is a
+function of the master seed, the config and ``BLOCK``. Child b does not depend
+on how many children are spawned, so a run with more replications repeats
+every full block of a run with fewer.
 
 Construction per lattice step, given the overlap constant eps at lag n0:
 chains already equal move together; unequal chains inside the small set flip
 an eps-coin (heads: both jump to a shared overlap draw; tails: independent
 residual draws); chains outside the small set update independently.
+
+Every engine returns ``(xs, xps, couple_at, ...)``: the states at the
+recorded lattice steps (step k is recorded in slot k // record_every when
+record_every divides k) and the exact lattice step at which each pair first
+coincides, -1 if it never does within the run.
 """
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
-from .._jit import maybe_njit, prange
-from ..kernels import scalars
+from ..errors import MathError
+from ..kernels.scalars import SQRT_TWO_PI
+
+# replications per Generator stream; changing it changes every seeded output
+BLOCK = 4096
+
+# a residual sampler accepts each proposal with probability 1 - eps >= 1/2
+# under the certified overlaps, so a pair still pending after this many
+# rounds means the residual law is not what the certificate promises
+MAX_REDRAW_ROUNDS = 100
 
 
-@maybe_njit(cache=True)
-def _draw(cdf: np.ndarray) -> int:
-    """Inverse-CDF draw; cdf[-1] is exactly 1.0 so the index stays in range."""
-    return int(np.searchsorted(cdf, np.random.random(), side="right"))
+def _blocks(master_seed: int, replications: int):
+    """(rows, generator) per block of replications, in order."""
+    children = np.random.SeedSequence(master_seed).spawn(-(-replications // BLOCK))
+    for b, child in enumerate(children):
+        yield slice(b * BLOCK, min((b + 1) * BLOCK, replications)), np.random.default_rng(child)
 
 
-@maybe_njit(cache=True, parallel=True)
+class _Paths:
+    """Recorded states and first coupling steps of every replication."""
+
+    def __init__(self, replications: int, n_steps: int, record_every: int, dtype):
+        shape = (replications, n_steps // record_every + 1)
+        self.xs = np.empty(shape, dtype)
+        self.xps = np.empty(shape, dtype)
+        self.couple_at = np.full(replications, -1, np.int64)
+        self.every = record_every
+
+    def store(self, rows: slice, k: int, x: np.ndarray, xp: np.ndarray) -> None:
+        """Take lattice step k of the pairs in ``rows``."""
+        at = self.couple_at[rows]  # a view: rows is a slice
+        at[(at < 0) & (x == xp)] = k
+        if k % self.every == 0:
+            self.xs[rows, k // self.every] = x
+            self.xps[rows, k // self.every] = xp
+
+    def freeze(self, rows: slice, k: int, x: np.ndarray, xp: np.ndarray) -> None:
+        """Repeat the states of step k in every later slot (a run stopped early)."""
+        slot = k // self.every + 1
+        self.xs[rows, slot:] = x[:, None]
+        self.xps[rows, slot:] = xp[:, None]
+
+    def result(self):
+        return self.xs, self.xps, self.couple_at
+
+
+def inverse_cdf(cdf: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """``np.searchsorted(cdf[i], u[i], side="right")`` for every i, exactly.
+
+    ``cdf`` holds one CDF row per uniform, or a single row for all of them.
+    The entries <= u form a prefix of each row, whose length is the drawn
+    state: a zero-probability state repeats its predecessor's entry, so no
+    prefix ends on it.
+    """
+    return np.count_nonzero(cdf <= u[:, None], axis=-1)
+
+
+def residual_draw(rng, x: np.ndarray, propose, keep_prob) -> np.ndarray:
+    """One residual-law draw per state in ``x``, by masked rejection rounds.
+
+    Each round proposes ``z = propose(rng, x)`` for the pending states and
+    accepts with probability ``keep_prob(x, z)``; accepted states leave the
+    pending set. Raises ``MathError`` on a negative (or undefined) acceptance
+    probability, which means the overlap exceeds the kernel somewhere, and
+    when states are still pending after ``MAX_REDRAW_ROUNDS`` rounds.
+    """
+    out = np.empty_like(x)
+    pending = np.arange(x.size)
+    for _ in range(MAX_REDRAW_ROUNDS):
+        if pending.size == 0:
+            return out
+        at = x[pending]
+        z = propose(rng, at)
+        keep = keep_prob(at, z)
+        if not np.all(keep >= 0.0):
+            raise MathError(
+                "residual acceptance probability below zero: the overlap "
+                "exceeds the transition law, so the certificate does not hold"
+            )
+        accept = rng.random(pending.size) < keep
+        out[pending[accept]] = z[accept]
+        pending = pending[~accept]
+    if pending.size:
+        raise MathError(
+            f"residual sampler still pending after {MAX_REDRAW_ROUNDS} rounds"
+        )
+    return out
+
+
 def finite_coupling_paths(
     n_lat: int,
-    seeds: np.ndarray,
+    master_seed: int,
+    replications: int,
+    record_every: int,
     mu0_cdf: np.ndarray,
     pi_cdf: np.ndarray,
     step_cdf: np.ndarray,
@@ -43,145 +134,244 @@ def finite_coupling_paths(
     """Coupled paths of a finite chain on the lag-n0 lattice.
 
     ``step_cdf`` holds row CDFs of the n0-step matrix. In pair mode the
-    overlap measure and residuals are indexed by the unordered start pair
-    (row x * size + y); otherwise the single ``nu_cdf``/``resid_cdf`` apply.
+    overlap measure and residuals are indexed by the ordered start pair
+    (row x * size + y); otherwise the single ``nu_cdf`` and the per-state
+    ``resid_cdf`` apply. Each step takes three uniforms per pair: the coin,
+    then one inverse-CDF draw per chain.
     """
-    reps = seeds.size
     size = step_cdf.shape[0]
-    xs = np.empty((reps, n_lat + 1), np.int32)
-    xps = np.empty((reps, n_lat + 1), np.int32)
-    for r in prange(reps):
-        np.random.seed(seeds[r])
-        x = _draw(mu0_cdf)
-        xp = _draw(pi_cdf)
-        xs[r, 0] = x
-        xps[r, 0] = xp
+    n_nu = size * size if pair_mode else 1
+    if pair_mode:
+        table = np.concatenate([step_cdf, nu_pair_cdf, resid_pair_cdf])
+    else:
+        table = np.concatenate([step_cdf, nu_cdf[None, :], resid_cdf])
+
+    def nu_row(x, xp):
+        return size + (x * size + xp if pair_mode else 0)
+
+    def resid_row(x, xp):
+        return size + n_nu + (x * size + xp if pair_mode else x)
+
+    small = in_small_set.astype(bool)
+    paths = _Paths(replications, n_lat, record_every, np.int32)
+    for rows, rng in _blocks(master_seed, replications):
+        start = rng.random((2, rows.stop - rows.start))
+        x = inverse_cdf(mu0_cdf, start[0])
+        xp = inverse_cdf(pi_cdf, start[1])
+        paths.store(rows, 0, x, xp)
         for k in range(1, n_lat + 1):
-            if x == xp:
-                x = _draw(step_cdf[x])
-                xp = x
-            elif in_small_set[x] == 1 and in_small_set[xp] == 1:
-                if np.random.random() < eps:
-                    if pair_mode:
-                        x = _draw(nu_pair_cdf[x * size + xp])
-                    else:
-                        x = _draw(nu_cdf)
-                    xp = x
-                else:
-                    if pair_mode:
-                        new_x = _draw(resid_pair_cdf[x * size + xp])
-                        xp = _draw(resid_pair_cdf[xp * size + x])
-                        x = new_x
-                    else:
-                        new_x = _draw(resid_cdf[x])
-                        xp = _draw(resid_cdf[xp])
-                        x = new_x
-            else:
-                x = _draw(step_cdf[x])
-                xp = _draw(step_cdf[xp])
-            xs[r, k] = x
-            xps[r, k] = xp
-    return xs, xps
+            u = rng.random((3, x.size))
+            eq = x == xp
+            coin = ~eq & small[x] & small[xp]
+            heads = coin & (u[0] < eps)
+            tails = coin & ~heads
+            row_x = np.where(heads, nu_row(x, xp), np.where(tails, resid_row(x, xp), x))
+            row_xp = np.where(tails, resid_row(xp, x), xp)
+            new_x = inverse_cdf(table[row_x], u[1])
+            new_xp = inverse_cdf(table[row_xp], u[2])
+            x, xp = new_x, np.where(eq | heads, new_x, new_xp)
+            paths.store(rows, k, x, xp)
+    return paths.result()
 
 
-@maybe_njit(cache=True, parallel=True)
+# ---------------------------------------------------------------------------
+# half-line mixture chain; array forms of the kernels.scalars formulas
+
+
+def _hl_step(rng, x: np.ndarray) -> np.ndarray:
+    """One transition from each state: Exponential(2) or |N(0, (x+1)^2)|, 1:1."""
+    n = x.size
+    exponential = rng.random(n) < 0.5
+    return np.where(
+        exponential, rng.exponential(0.5, n), np.abs(rng.standard_normal(n)) * (x + 1.0)
+    )
+
+
+def _hl_keep(eps: float):
+    """Acceptance 1 - eps * nu(z) / p(x, z) of the half-line residual sampler."""
+
+    def keep(x, z):
+        scale = x + 1.0
+        nu = 2.0 * np.exp(-2.0 * z)
+        density = 0.5 * nu + np.exp(-z * z / (2.0 * scale * scale)) / (SQRT_TWO_PI * scale)
+        return 1.0 - eps * nu / density
+
+    return keep
+
+
 def halfline_coupling_paths(
-    n_lat: int, seeds: np.ndarray, x0: float, eps: float, burn_in: int
+    n_lat: int,
+    master_seed: int,
+    replications: int,
+    record_every: int,
+    x0: float,
+    eps: float,
+    burn_in: int,
 ):
     """Coupled paths of the half-line mixture chain (whole-space overlap, lag 1).
 
     The second chain starts from an auxiliary run of ``burn_in`` steps, an
     approximate stationary draw.
     """
-    reps = seeds.size
-    xs = np.empty((reps, n_lat + 1))
-    xps = np.empty((reps, n_lat + 1))
-    for r in prange(reps):
-        np.random.seed(seeds[r])
-        xp = x0
+    keep = _hl_keep(eps)
+    paths = _Paths(replications, n_lat, record_every, np.float64)
+    for rows, rng in _blocks(master_seed, replications):
+        m = rows.stop - rows.start
+        xp = np.full(m, float(x0))
         for _ in range(burn_in):
-            xp = scalars.hl_draw(xp)
-        x = x0
-        xs[r, 0] = x
-        xps[r, 0] = xp
+            xp = _hl_step(rng, xp)
+        x = np.full(m, float(x0))
+        paths.store(rows, 0, x, xp)
         for k in range(1, n_lat + 1):
-            if x == xp:
-                x = scalars.hl_draw(x)
-                xp = x
-            elif np.random.random() < eps:
-                x = scalars.exp_rate2()
-                xp = x
-            else:
-                x = scalars.hl_resid_draw(x, eps)
-                xp = scalars.hl_resid_draw(xp, eps)
-            xs[r, k] = x
-            xps[r, k] = xp
-    return xs, xps
+            eq = x == xp
+            heads = ~eq & (rng.random(m) < eps)
+            tails = ~(eq | heads)
+            new = np.where(eq, _hl_step(rng, x), rng.exponential(0.5, m))
+            if tails.any():
+                both = residual_draw(rng, np.concatenate([x[tails], xp[tails]]), _hl_step, keep)
+                x[tails], xp[tails] = np.split(both, 2)
+            x = np.where(tails, x, new)
+            xp = np.where(tails, xp, new)
+            paths.store(rows, k, x, xp)
+    return paths.result()
 
 
-@maybe_njit(cache=True, parallel=True)
+# ---------------------------------------------------------------------------
+# random-walk Metropolis with target exp(-|x|); array forms of kernels.scalars
+
+
+def _rwm_step(rng, x: np.ndarray) -> np.ndarray:
+    """One Metropolis transition from each state (uniform proposal on x +- 2)."""
+    u = rng.random((2, x.size))
+    y = x + 4.0 * u[0] - 2.0
+    gap = np.abs(x) - np.abs(y)
+    return np.where((gap >= 0.0) | (u[1] < np.exp(gap)), y, x)
+
+
+def _rwm_two_steps(rng, x: np.ndarray) -> np.ndarray:
+    return _rwm_step(rng, _rwm_step(rng, x))
+
+
+def _rwm_density(x, y):
+    """``scalars.rwm_density`` per element."""
+    accept = np.exp(np.minimum(0.0, np.abs(x) - np.abs(y)))
+    return np.where(np.abs(y - x) > 2.0, 0.0, 0.25 * accept)
+
+
+def _rwm_atom(x):
+    """``scalars.rwm_atom`` per element."""
+    t = np.minimum(np.abs(x), 1.0)
+    inside = 1.0 - 0.25 * (2.0 * t + 2.0 - np.exp(2.0 * t - 2.0) - math.exp(-2.0))
+    return np.where(t >= 1.0, 0.25 * (1.0 + math.exp(-2.0)), inside)
+
+
+def _rwm_conv2(x, z):
+    """``scalars.rwm_conv2`` per element: the pieces are added in the same order.
+
+    Breakpoints outside (lo, hi) move to hi, where they bound empty pieces.
+    """
+    lo = np.maximum(x, z) - 2.0
+    hi = np.minimum(x, z) + 2.0
+    ax, az = np.abs(x), np.abs(z)
+    inner = np.stack([np.zeros_like(ax), ax, -ax, az, -az])
+    inner = np.where((lo < inner) & (inner < hi), inner, hi)
+    pts = np.sort(np.concatenate([lo[None], inner, hi[None]]), axis=0)
+    left, right = pts[:-1], pts[1:]
+    width = right - left
+
+    def log_integrand(w):
+        return np.minimum(0.0, ax - np.abs(w)) + np.minimum(0.0, np.abs(w) - az)
+
+    fu, fv = log_integrand(left), log_integrand(right)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        slope = (fv - fu) / width
+        piece = np.where(
+            np.abs(slope) < 1e-12, np.exp(fu) * width, (np.exp(fv) - np.exp(fu)) / slope
+        )
+    total = np.where(width < 1e-15, 0.0, piece).sum(axis=0)
+    return np.where(lo < hi, total, 0.0) / 16.0
+
+
+def _rwm_two_step_density(x, z):
+    """``scalars.rwm_two_step_density`` per element."""
+    p_xz = _rwm_density(x, z)
+    return _rwm_conv2(x, z) + _rwm_atom(x) * p_xz + p_xz * _rwm_atom(z)
+
+
+def _rwm_keep(eps: float):
+    """Acceptance of the two-step residual sampler.
+
+    A proposal equal to x is the double-rejection atom and one outside
+    [-1, 1] lies where the overlap density is 0: both are always kept.
+    """
+
+    def keep(x, w):
+        out = np.ones_like(w)
+        inside = (w != x) & (np.abs(w) <= 1.0)
+        out[inside] = 1.0 - eps * 0.5 / _rwm_two_step_density(x[inside], w[inside])
+        return out
+
+    return keep
+
+
 def rwm_coupling_paths(
     n_pairs: int,
-    seeds: np.ndarray,
+    master_seed: int,
+    replications: int,
+    record_every: int,
     x0: float,
     eps: float,
     c_lo: float,
     c_hi: float,
     burn_in: int,
-    record_every: int,
     stop_when_coupled: bool,
 ):
     """Coupled paths of the Metropolis chain with small set [c_lo, c_hi], lag 2.
 
     Coin flips happen at even times when both chains sit in the small set;
-    otherwise both advance two Metropolis steps independently. States are
-    recorded every ``record_every`` pair-steps; the exact coupling pair-step
-    and the number of coin opportunities are returned per replication.
+    otherwise both advance two Metropolis steps independently. Lattice steps
+    are pair-steps; the number of coin opportunities is returned per
+    replication after the coupling steps.
 
-    With ``stop_when_coupled`` the replication ends at coupling and later
-    recorded slots are frozen at the coupling value: equality flags and
+    With ``stop_when_coupled`` a pair leaves the active set at coupling and
+    its later recorded slots hold the coupling value: equality flags and
     coupling times stay exact, recorded post-coupling states do not evolve.
     """
-    reps = seeds.size
-    n_rec = n_pairs // record_every + 1
-    xs = np.empty((reps, n_rec))
-    xps = np.empty((reps, n_rec))
-    couple_at = np.full(reps, -1, np.int64)
-    opportunities = np.zeros(reps, np.int64)
-    for r in prange(reps):
-        np.random.seed(seeds[r])
-        xp = x0
+    keep = _rwm_keep(eps)
+    paths = _Paths(replications, n_pairs, record_every, np.float64)
+    opportunities = np.zeros(replications, np.int64)
+    for rows, rng in _blocks(master_seed, replications):
+        m = rows.stop - rows.start
+        xp = np.full(m, float(x0))
         for _ in range(burn_in):
-            xp = scalars.rwm_step(xp)
-        x = x0
-        xs[r, 0] = x
-        xps[r, 0] = xp
-        if x == xp:
-            couple_at[r] = 0
+            xp = _rwm_step(rng, xp)
+        x = np.full(m, float(x0))
+        paths.store(rows, 0, x, xp)
+        chances = opportunities[rows]  # a view
+        active = np.flatnonzero(x != xp) if stop_when_coupled else np.arange(m)
         for k in range(1, n_pairs + 1):
-            if x == xp:
-                x = scalars.rwm_step(scalars.rwm_step(x))
-                xp = x
-            elif c_lo <= x <= c_hi and c_lo <= xp <= c_hi:
-                opportunities[r] += 1
-                if np.random.random() < eps:
-                    x = 2.0 * np.random.random() - 1.0
-                    xp = x
-                else:
-                    new_x = scalars.rwm_resid2_draw(x, eps)
-                    xp = scalars.rwm_resid2_draw(xp, eps)
-                    x = new_x
-            else:
-                x = scalars.rwm_step(scalars.rwm_step(x))
-                xp = scalars.rwm_step(scalars.rwm_step(xp))
-            if x == xp and couple_at[r] < 0:
-                couple_at[r] = k
-            if k % record_every == 0:
-                xs[r, k // record_every] = x
-                xps[r, k // record_every] = xp
-            if stop_when_coupled and x == xp:
-                for slot in range(k // record_every + 1, n_rec):
-                    xs[r, slot] = x
-                    xps[r, slot] = x
+            if active.size == 0:
+                paths.freeze(rows, k - 1, x, xp)
                 break
-    return xs, xps, couple_at, opportunities
+            n = active.size
+            xa, xpa = x[active], xp[active]
+            eq = xa == xpa
+            coin = ~eq & (c_lo <= xa) & (xa <= c_hi) & (c_lo <= xpa) & (xpa <= c_hi)
+            chances[active[coin]] += 1
+            heads = coin & (rng.random(n) < eps)
+            tails = coin & ~heads
+            moved = _rwm_two_steps(rng, np.concatenate([xa, xpa]))
+            shared = 2.0 * rng.random(n) - 1.0
+            new_x = np.where(heads, shared, moved[:n])
+            new_xp = np.where(heads, shared, np.where(eq, new_x, moved[n:]))
+            if tails.any():
+                both = residual_draw(
+                    rng, np.concatenate([xa[tails], xpa[tails]]), _rwm_two_steps, keep
+                )
+                new_x[tails], new_xp[tails] = np.split(both, 2)
+            x[active] = new_x
+            xp[active] = new_xp
+            paths.store(rows, k, x, xp)
+            if stop_when_coupled:
+                active = active[new_x != new_xp]
+    return (*paths.result(), opportunities)

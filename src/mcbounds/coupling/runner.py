@@ -1,10 +1,10 @@
 """Coupling simulation orchestration: configs, statistics, result reports.
 
-Randomness contract: a 64-bit master seed expands to one unique 32-bit
-substream seed per replication (collisions resolved deterministically), so a
-run is reproducible bit-for-bit for a fixed config regardless of worker
-count. Statistics are reported on the lag-n0 lattice; intermediate times are
-not filled in.
+Randomness contract: the master seed spawns one ``np.random.Generator`` per
+block of ``engines.BLOCK`` replications, so a run is reproducible bit for bit
+for a fixed config (see ``engines``). Statistics are reported on every
+``record_every``-th point of the lag-n0 lattice; intermediate times are not
+filled in. Coupling times are exact lattice times whether recorded or not.
 """
 
 from __future__ import annotations
@@ -15,7 +15,6 @@ from typing import Sequence
 
 import numpy as np
 
-from .._jit import set_workers
 from ..errors import CertificateError, InputError, MathError
 from ..finite_chain import (
     MinorizationCert,
@@ -34,7 +33,6 @@ __all__ = [
     "CouplingResult",
     "TvEstimate",
     "empirical_tv",
-    "replication_seeds",
     "run_uniform_coupling",
     "run_small_set_coupling",
 ]
@@ -65,7 +63,6 @@ class CouplingConfig:
     n0: int | None = None
     burn_in: int = 20_000
     record_every: int = 1
-    workers: int = 0
     stop_when_coupled: bool = False
 
     def __post_init__(self) -> None:
@@ -84,6 +81,22 @@ class CouplingConfig:
                 raise InputError("initial law size does not match the matrix")
         if self.model == "halfline" and self.x0 < 0:
             raise InputError("half-line start must be >= 0")
+        if self.model != "finite" and self.epsilon is not None:
+            certified = (
+                HALFLINE_OVERLAP_EPSILON if self.model == "halfline" else RWM_OVERLAP_EPSILON
+            )
+            if not 0.0 <= self.epsilon <= certified:
+                raise InputError(
+                    f"epsilon {self.epsilon} is outside [0, {certified}], the "
+                    f"certified overlap of the {self.model} chain"
+                )
+        if self.model == "rwm-laplace":
+            lo, hi = self.small_set
+            if not RWM_SMALL_SET[0] <= lo <= hi <= RWM_SMALL_SET[1]:
+                raise InputError(
+                    f"small set {self.small_set} is not inside {RWM_SMALL_SET}, where "
+                    "the Metropolis overlap is certified"
+                )
 
     def effective_n0(self) -> int:
         if self.model == "finite":
@@ -209,34 +222,14 @@ class CouplingResult:
         return out
 
 
-def replication_seeds(master_seed: int, replications: int) -> np.ndarray:
-    """One unique uint32 substream seed per replication.
-
-    Words come from a seed-sequence expansion of the master seed; the rare
-    duplicate is replaced by the next unused word, deterministically.
-    """
-    sequence = np.random.SeedSequence(master_seed)
-    pool_size = replications + 64
-    pool = sequence.generate_state(pool_size, np.uint32)
-    seen: set[int] = set()
-    out = np.empty(replications, np.uint32)
-    cursor = replications
-    for r in range(replications):
-        word = int(pool[r])
-        while word in seen:
-            if cursor >= pool_size:
-                pool_size *= 2
-                pool = sequence.generate_state(pool_size, np.uint32)
-            word = int(pool[cursor])
-            cursor += 1
-        seen.add(word)
-        out[r] = word
-    return out
-
-
 def _cdf_rows(rows: np.ndarray) -> np.ndarray:
+    """Row CDFs, exactly 1.0 from each row's last positive entry on.
+
+    A rounded total just below 1 would otherwise leave the largest uniforms
+    to a trailing zero-probability state.
+    """
     cdf = np.cumsum(rows, axis=-1)
-    cdf[..., -1] = 1.0
+    cdf[cdf >= cdf[..., -1:]] = 1.0
     return cdf
 
 
@@ -298,14 +291,6 @@ def _finite_arrays(config: CouplingConfig):
     return step_cdf, nu_cdf, nu_pair_cdf, resid_cdf, resid_pair_cdf, pair_mode, in_small
 
 
-def _coupling_times(eq: np.ndarray, lattice: tuple[int, ...]) -> np.ndarray:
-    """Chain-step coupling time per replication from lattice equality flags, -1 if none."""
-    any_eq = eq.any(axis=1)
-    first = eq.argmax(axis=1)
-    steps = np.array(lattice)[first]
-    return np.where(any_eq, steps, -1)
-
-
 def _assert_once_coupled_forever(eq: np.ndarray) -> None:
     if eq.shape[1] > 1 and not np.all(~eq[:, :-1] | eq[:, 1:]):
         raise MathError("a trajectory decoupled after coupling; engine invariant broken")
@@ -314,14 +299,22 @@ def _assert_once_coupled_forever(eq: np.ndarray) -> None:
 def _summarize(
     config: CouplingConfig,
     mode: str,
-    lattice: tuple[int, ...],
+    n_steps: int,
     xs: np.ndarray,
     xps: np.ndarray,
-    couple_steps: np.ndarray,
+    couple_at: np.ndarray,
     opportunities: np.ndarray | None,
     finite_reference: ProbVector | None,
 ) -> CouplingResult:
+    """Statistics of an engine run of ``n_steps`` lattice steps.
+
+    ``xs``/``xps`` hold every ``record_every``-th lattice point and
+    ``couple_at`` the exact lattice step of coupling per replication.
+    """
     reps = config.replications
+    n0 = config.effective_n0()
+    lattice = tuple(k * n0 for k in range(0, n_steps + 1, config.record_every))
+    couple_steps = np.where(couple_at >= 0, couple_at * n0, -1)
     eq = xs == xps
     _assert_once_coupled_forever(eq)
     p_neq = 1.0 - eq.mean(axis=0)
@@ -355,7 +348,7 @@ def _summarize(
     return CouplingResult(
         model=config.model,
         mode=mode,
-        n0=config.effective_n0(),
+        n0=n0,
         epsilon=config.effective_epsilon(),
         replications=reps,
         master_seed=config.master_seed,
@@ -380,17 +373,16 @@ def _summarize(
 def _run_finite(config: CouplingConfig, mode: str) -> CouplingResult:
     P = config.matrix
     cert = config.cert
-    n0 = cert.n0
-    n_lat = config.n_max // n0
+    n_lat = config.n_max // cert.n0
     pi = stationary(P)
     mu0 = config.initial_law or ProbVector.delta(P.size, 0)
     arrays = _finite_arrays(config)
     step_cdf, nu_cdf, nu_pair_cdf, resid_cdf, resid_pair_cdf, pair_mode, in_small = arrays
-    seeds = replication_seeds(config.master_seed, config.replications)
-    set_workers(config.workers or 10**9)
-    xs, xps = engines.finite_coupling_paths(
+    xs, xps, couple_at = engines.finite_coupling_paths(
         n_lat,
-        seeds,
+        config.master_seed,
+        config.replications,
+        config.record_every,
         _cdf_rows(mu0.to_floats()),
         _cdf_rows(pi.to_floats()),
         step_cdf,
@@ -402,9 +394,7 @@ def _run_finite(config: CouplingConfig, mode: str) -> CouplingResult:
         pair_mode,
         in_small,
     )
-    lattice = tuple(k * n0 for k in range(n_lat + 1))
-    couple_steps = _coupling_times(xs == xps, lattice)
-    return _summarize(config, mode, lattice, xs, xps, couple_steps, None, pi)
+    return _summarize(config, mode, n_lat, xs, xps, couple_at, None, pi)
 
 
 def run_uniform_coupling(config: CouplingConfig) -> CouplingResult:
@@ -419,15 +409,16 @@ def run_uniform_coupling(config: CouplingConfig) -> CouplingResult:
             raise InputError("whole-space coupling requires a whole-space certificate")
         return _run_finite(config, mode="uniform")
     if config.model == "halfline":
-        n_lat = config.n_max
-        seeds = replication_seeds(config.master_seed, config.replications)
-        set_workers(config.workers or 10**9)
-        xs, xps = engines.halfline_coupling_paths(
-            n_lat, seeds, config.x0, config.effective_epsilon(), config.burn_in
+        xs, xps, couple_at = engines.halfline_coupling_paths(
+            config.n_max,
+            config.master_seed,
+            config.replications,
+            config.record_every,
+            config.x0,
+            config.effective_epsilon(),
+            config.burn_in,
         )
-        lattice = tuple(range(n_lat + 1))
-        couple_steps = _coupling_times(xs == xps, lattice)
-        return _summarize(config, "uniform", lattice, xs, xps, couple_steps, None, None)
+        return _summarize(config, "uniform", config.n_max, xs, xps, couple_at, None, None)
     raise InputError(
         "whole-space coupling supports the finite and halfline models; the "
         "Metropolis chain has no whole-space certificate"
@@ -446,28 +437,22 @@ def run_small_set_coupling(config: CouplingConfig) -> CouplingResult:
         return _run_finite(config, mode="small-set")
     if config.model != "rwm-laplace":
         raise InputError("small-set coupling supports the finite and rwm-laplace models")
-    n0 = config.effective_n0()
-    if n0 != 2:
+    if config.effective_n0() != 2:
         raise InputError("the Metropolis coupling is defined on the lag-2 lattice")
     n_pairs = config.n_max // 2
-    seeds = replication_seeds(config.master_seed, config.replications)
-    set_workers(config.workers or 10**9)
     lo, hi = config.small_set
     xs, xps, couple_at, opportunities = engines.rwm_coupling_paths(
         n_pairs,
-        seeds,
+        config.master_seed,
+        config.replications,
+        config.record_every,
         config.x0,
         config.effective_epsilon(),
         lo,
         hi,
         config.burn_in,
-        config.record_every,
         config.stop_when_coupled,
     )
-    lattice = tuple(
-        2 * k * config.record_every for k in range(n_pairs // config.record_every + 1)
-    )
-    couple_steps = np.where(couple_at >= 0, 2 * couple_at, -1)
     return _summarize(
-        config, "small-set", lattice, xs, xps, couple_steps, opportunities, None
+        config, "small-set", n_pairs, xs, xps, couple_at, opportunities, None
     )

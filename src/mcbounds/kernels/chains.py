@@ -2,7 +2,7 @@
 
 Each constructor returns an immutable ``Kernel`` (and, for the Metropolis
 chains, the ``TargetDensity`` it preserves). Sampling is deterministic in
-(state, seed): trajectory engines reseed ``np.random`` themselves, while the
+(state, seed): trajectory samplers reseed ``np.random`` themselves, while the
 scalar ``step`` functions consume whatever stream the caller has seeded.
 """
 
@@ -14,7 +14,6 @@ from typing import Callable
 
 import numpy as np
 
-from .._jit import maybe_njit
 from ..errors import InputError
 from . import scalars
 
@@ -72,7 +71,6 @@ class Kernel:
     direct_samples: Callable | None = None
 
 
-@maybe_njit(cache=True)
 def _hl_trajectory(x0: float, n: int, seed: int) -> np.ndarray:
     np.random.seed(seed)
     out = np.empty(n + 1)
@@ -84,7 +82,6 @@ def _hl_trajectory(x0: float, n: int, seed: int) -> np.ndarray:
     return out
 
 
-@maybe_njit(cache=True)
 def _hl_one_step_samples(x: float, n: int, seed: int) -> np.ndarray:
     np.random.seed(seed)
     out = np.empty(n)
@@ -124,7 +121,6 @@ def halfline_mixture_kernel() -> Kernel:
     )
 
 
-@maybe_njit(cache=True)
 def _rwm_trajectory(x0: float, n: int, seed: int) -> np.ndarray:
     np.random.seed(seed)
     out = np.empty(n + 1)
@@ -136,7 +132,6 @@ def _rwm_trajectory(x0: float, n: int, seed: int) -> np.ndarray:
     return out
 
 
-@maybe_njit(cache=True)
 def _rwm_one_step_samples(x: float, n: int, seed: int) -> np.ndarray:
     np.random.seed(seed)
     out = np.empty(n)
@@ -174,7 +169,6 @@ def metropolis_rwm_laplace() -> tuple[Kernel, TargetDensity]:
     return kernel, target
 
 
-@maybe_njit(cache=True)
 def _pp_trajectory(x0: np.ndarray, n: int, seed: int, c: float, d: float):
     np.random.seed(seed)
     out = np.empty((n + 1, 6))
@@ -197,7 +191,6 @@ def _pp_trajectory(x0: np.ndarray, n: int, seed: int, c: float, d: float):
     return out, accepts
 
 
-@maybe_njit(cache=True)
 def _pp_direct_samples(n: int, seed: int, c: float, d: float):
     """Independent draws from the target by rejection from the uniform law.
 

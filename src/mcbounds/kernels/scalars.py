@@ -1,11 +1,12 @@
 """Scalar transition math and seeded draws for the built-in kernels.
 
-Single source of truth for the closed-form densities, atom masses, and
-rejection samplers: the quadrature verifiers call these from Python and the
-simulation engines call them from jitted code. Functions that consume
-randomness draw exclusively from ``np.random`` (the ambient legacy stream,
-seeded by the caller), which numba reproduces bit-for-bit; uniforms are
-mapped through ``1 - u`` before any ``log`` so that 0 never reaches it.
+Closed-form densities, atom masses and one-step samplers, evaluated one
+point at a time: the quadrature verifiers and the kernels' trajectory
+samplers call these. The coupling engines use array forms of the same
+formulas (``coupling.engines``), which the tests compare with these.
+Functions that consume randomness draw exclusively from ``np.random`` (the
+ambient legacy stream, seeded by the caller); uniforms are mapped through
+``1 - u`` before any ``log`` so that 0 never reaches it.
 """
 
 from __future__ import annotations
@@ -14,8 +15,6 @@ import math
 
 import numpy as np
 
-from .._jit import maybe_njit
-
 SQRT_TWO_PI = math.sqrt(2.0 * math.pi)
 
 
@@ -23,7 +22,6 @@ SQRT_TWO_PI = math.sqrt(2.0 * math.pi)
 # half-line mixture: equal mix of a rate-2 exponential and a half-normal
 # with scale x + 1; fully absolutely continuous (no atom)
 
-@maybe_njit(cache=True)
 def hl_density(x: float, y: float) -> float:
     """Transition density at y >= 0 from state x >= 0."""
     scale = x + 1.0
@@ -32,25 +30,21 @@ def hl_density(x: float, y: float) -> float:
     )
 
 
-@maybe_njit(cache=True)
 def hl_nu_density(y: float) -> float:
     """Rate-2 exponential density, the shared overlap component."""
     return 2.0 * math.exp(-2.0 * y)
 
 
-@maybe_njit(cache=True)
 def std_normal() -> float:
     u1 = 1.0 - np.random.random()
     u2 = np.random.random()
     return math.sqrt(-2.0 * math.log(u1)) * math.cos(2.0 * math.pi * u2)
 
 
-@maybe_njit(cache=True)
 def exp_rate2() -> float:
     return -0.5 * math.log(1.0 - np.random.random())
 
 
-@maybe_njit(cache=True)
 def hl_draw(x: float) -> float:
     """One transition of the half-line mixture chain."""
     if np.random.random() < 0.5:
@@ -58,30 +52,14 @@ def hl_draw(x: float) -> float:
     return abs(std_normal()) * (x + 1.0)
 
 
-@maybe_njit(cache=True)
-def hl_resid_draw(x: float, eps: float) -> float:
-    """Draw from the residual law (P(x,.) - eps*nu) / (1 - eps) by rejection.
-
-    Proposes from P(x,.) and accepts with probability 1 - eps*nu(z)/p(x,z),
-    which is nonnegative because the overlap bound holds everywhere.
-    """
-    while True:
-        z = hl_draw(x)
-        keep = 1.0 - eps * hl_nu_density(z) / hl_density(x, z)
-        if np.random.random() < keep:
-            return z
-
-
 # ---------------------------------------------------------------------------
 # random-walk Metropolis on the real line with target exp(-|x|):
 # uniform proposal on [x-2, x+2], acceptance min(1, exp(|x|-|y|))
 
-@maybe_njit(cache=True)
 def rwm_accept_prob(x: float, y: float) -> float:
     return min(1.0, math.exp(abs(x) - abs(y)))
 
 
-@maybe_njit(cache=True)
 def rwm_density(x: float, y: float) -> float:
     """Absolutely continuous part of the one-step transition."""
     if abs(y - x) > 2.0:
@@ -89,7 +67,6 @@ def rwm_density(x: float, y: float) -> float:
     return 0.25 * rwm_accept_prob(x, y)
 
 
-@maybe_njit(cache=True)
 def rwm_atom(x: float) -> float:
     """Rejection mass left at x; closed form by integrating the acceptance."""
     t = abs(x)
@@ -98,7 +75,6 @@ def rwm_atom(x: float) -> float:
     return 1.0 - 0.25 * (2.0 * t + 2.0 - math.exp(2.0 * t - 2.0) - math.exp(-2.0))
 
 
-@maybe_njit(cache=True)
 def rwm_conv2(x: float, z: float) -> float:
     """Integral of p(x,w)p(w,z) dw, exactly, piece by piece.
 
@@ -137,7 +113,6 @@ def rwm_conv2(x: float, z: float) -> float:
     return total / 16.0
 
 
-@maybe_njit(cache=True)
 def rwm_two_step_density(x: float, z: float) -> float:
     """Absolutely continuous part of the two-step transition.
 
@@ -149,7 +124,6 @@ def rwm_two_step_density(x: float, z: float) -> float:
     return rwm_conv2(x, z) + rwm_atom(x) * p_xz + p_xz * rwm_atom(z)
 
 
-@maybe_njit(cache=True)
 def rwm_step(x: float) -> float:
     """One Metropolis transition."""
     y = x + 4.0 * np.random.random() - 2.0
@@ -161,30 +135,10 @@ def rwm_step(x: float) -> float:
     return x
 
 
-@maybe_njit(cache=True)
-def rwm_resid2_draw(x: float, eps: float) -> float:
-    """Two-step residual draw by rejection against the overlap component.
-
-    Proposes a simulated two-step move; a proposal equal to x is the
-    double-rejection atom and is always kept (the overlap measure has no
-    atoms), as is anything outside [-1, 1] where the overlap density is 0.
-    """
-    while True:
-        w = rwm_step(rwm_step(x))
-        if w == x:
-            return w
-        if abs(w) > 1.0:
-            return w
-        keep = 1.0 - eps * 0.5 / rwm_two_step_density(x, w)
-        if np.random.random() < keep:
-            return w
-
-
 # ---------------------------------------------------------------------------
 # three-particle repulsion process on [0,1]^2 per particle, states flattened
 # to length-6 arrays (x1, y1, x2, y2, x3, y3)
 
-@maybe_njit(cache=True)
 def pp_log_target(state: np.ndarray, c: float, d: float) -> float:
     """Log unnormalized density: -c * sum |x_i| - d * sum 1/|x_i - x_j|.
 

@@ -227,7 +227,7 @@ def minorization_margin(P: StochasticMatrix, cert: MinorizationCert) -> Fraction
 
 def _cdf_rows(rows: np.ndarray) -> np.ndarray:
     cdf = np.cumsum(rows, axis=-1)
-    cdf[..., -1] = 1.0
+    cdf[cdf >= cdf[..., -1:]] = 1.0
     return cdf
 
 

@@ -255,6 +255,26 @@ class TestSimulate:
         assert lines[0] == "replication,n,x,x_prime,coupled"
         assert len(lines) == 1 + 5 * 4  # header + reps * lattice points
 
+    @pytest.mark.parametrize(
+        "model,every,lattice",
+        [
+            (["--grid", "2x2", "--n-max", "8"], 2, [0, 4, 8]),
+            (["--halfline", "--n-max", "9", "--burn-in", "20"], 3, [0, 3, 6, 9]),
+            (["--rwm-laplace", "--n-max", "20", "--burn-in", "20"], 5, [0, 10, 20]),
+        ],
+    )
+    def test_record_every_thins_the_lattice(self, capsys, tmp_path, model, every, lattice):
+        traj = tmp_path / "paths.csv"
+        code, report = run_cli(
+            capsys, "simulate", *model, "--reps", "30", "--seed", "2",
+            "--record-every", str(every), "--trajectories", str(traj),
+        )
+        assert code == 0
+        assert report["config"]["record_every"] == every
+        assert report["results"]["lattice"] == lattice
+        assert len(report["results"]["p_neq"]) == len(lattice)
+        assert len(traj.read_text().splitlines()) == 1 + 30 * len(lattice)
+
     def test_model_required(self, capsys):
         code, _ = run_cli(capsys, "simulate", "--reps", "10")
         assert code == 2

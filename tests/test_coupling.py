@@ -1,10 +1,8 @@
 """Coupling simulator: bound dominance, marginal correctness, determinism."""
 
+import dataclasses
 import json
 import math
-import os
-import subprocess
-import sys
 from fractions import Fraction as F
 
 import numpy as np
@@ -16,12 +14,13 @@ import fraction_reference as ref
 from mcbounds.coupling import (
     CouplingConfig,
     empirical_tv,
-    replication_seeds,
     run_small_set_coupling,
     run_uniform_coupling,
 )
-from mcbounds.coupling.runner import _finite_arrays
-from mcbounds.errors import CertificateError, InputError
+from mcbounds.coupling import engines
+from mcbounds.coupling.runner import _cdf_rows, _finite_arrays
+from mcbounds.errors import CertificateError, InputError, MathError
+from mcbounds.kernels import scalars
 from mcbounds.finite_chain import (
     MinorizationCert,
     ProbVector,
@@ -31,6 +30,7 @@ from mcbounds.finite_chain import (
     exact_tv_curve,
     minorization_pseudo,
     minorization_uniform,
+    stationary,
 )
 
 
@@ -53,15 +53,312 @@ def grid_pseudo_run(grid):
     return config, run_uniform_coupling(config)
 
 
+def small_runs(master_seed, replications):
+    """One short run of each engine: finite 3x3 pseudo, half-line, Metropolis."""
+    grid = build_grid_walk(3, 3)
+    common = dict(master_seed=master_seed, replications=replications)
+    return (
+        run_uniform_coupling(CouplingConfig(
+            model="finite", n_max=8, matrix=grid, cert=minorization_pseudo(grid, 2),
+            initial_law=ProbVector.delta(9, 4), **common,
+        )),
+        run_uniform_coupling(CouplingConfig(model="halfline", n_max=4, burn_in=10, **common)),
+        run_small_set_coupling(
+            CouplingConfig(model="rwm-laplace", n_max=20, burn_in=10, **common)
+        ),
+    )
+
+
 class TestSeeds:
-    def test_deterministic_and_unique(self):
-        a = replication_seeds(2024, 50_000)
-        b = replication_seeds(2024, 50_000)
-        assert np.array_equal(a, b)
-        assert np.unique(a).size == a.size
+    """Randomness contract: one Generator per block of engines.BLOCK replications."""
+
+    def test_same_seed_gives_same_bytes(self):
+        for a, b in zip(small_runs(2024, 300), small_runs(2024, 300)):
+            assert a.xs.tobytes() == b.xs.tobytes()
+            assert a.xps.tobytes() == b.xps.tobytes()
+            assert json.dumps(a.to_jsonable()) == json.dumps(b.to_jsonable())
 
     def test_different_masters_differ(self):
-        assert not np.array_equal(replication_seeds(1, 100), replication_seeds(2, 100))
+        for a, b in zip(small_runs(1, 100), small_runs(2, 100)):
+            assert not np.array_equal(a.xps, b.xps)
+
+    def test_first_block_repeats_in_a_longer_run(self):
+        block = engines.BLOCK
+        for one, two in zip(small_runs(5, block), small_runs(5, 2 * block)):
+            assert np.array_equal(two.xs[:block], one.xs)
+            assert np.array_equal(two.xps[:block], one.xps)
+            assert not np.array_equal(two.xps[block:], one.xps)
+
+
+class TestInverseCdf:
+    def test_equals_searchsorted_right_including_steps(self):
+        rng = np.random.default_rng(0)
+        probs = rng.random((50, 7))
+        probs[probs < 0.3] = 0.0
+        probs[:, 3] = 0.0
+        probs[0] = [0, 0, 1, 0, 0, 0, 0]
+        probs /= probs.sum(axis=1, keepdims=True)
+        cdf = _cdf_rows(probs)
+        rows = np.repeat(np.arange(50), 9)
+        # every step value of each row, 0, and the largest uniform below 1
+        u = np.concatenate([cdf, np.zeros((50, 1)), np.full((50, 1), np.nextafter(1.0, 0.0))],
+                           axis=1).ravel()
+        u = np.minimum(u, np.nextafter(1.0, 0.0))
+        want = [np.searchsorted(cdf[r], v, side="right") for r, v in zip(rows, u)]
+        assert np.array_equal(engines.inverse_cdf(cdf[rows], u), want)
+        assert np.array_equal(engines.inverse_cdf(cdf[7], u), np.searchsorted(cdf[7], u, "right"))
+
+    def test_never_returns_a_zero_probability_state(self):
+        # ten entries of 0.1 add up to 1 - 2**-53 in floating point, so the
+        # largest uniforms used to land on the trailing zero-probability state
+        probs = np.array([
+            [0.1] * 10 + [0.0],
+            [0.0, 0.5, 0.0, 0.5, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0],
+            [0.0] * 10 + [1.0],
+        ])
+        cdf = _cdf_rows(probs)
+        u = np.unique(np.concatenate([cdf.ravel(), [0.0, 0.25, np.nextafter(1.0, 0.0)]]))
+        u = u[u < 1.0]
+        for row in range(3):
+            drawn = engines.inverse_cdf(cdf[row], u)
+            assert np.all(probs[row, drawn] > 0)
+
+
+def pair_chain_oracle(config):
+    """Exact P(X_n != X'_n) and law of X_n on the lattice, from the engine tables.
+
+    The coupling is a Markov chain on ordered pairs (x, x') with index
+    x * size + x'; its float64 transition matrix is assembled from the same
+    CDF tables the engine draws from, and evolved from mu0 (x) pi.
+    """
+    step, nu, nu_pair, resid, resid_pair, pair_mode, in_small = _finite_arrays(config)
+    size = step.shape[0]
+
+    def probs(cdf):
+        return np.diff(cdf, prepend=0.0, axis=-1)
+
+    step, nu, nu_pair, resid, resid_pair = map(probs, (step, nu, nu_pair, resid, resid_pair))
+    eps = float(config.cert.epsilon)
+    T = np.zeros((size * size, size * size))
+    diagonal = np.arange(size) * (size + 1)
+    for x in range(size):
+        for xp in range(size):
+            i = x * size + xp
+            if x == xp:
+                T[i, diagonal] = step[x]
+            elif in_small[x] and in_small[xp]:
+                shared = nu_pair[i] if pair_mode else nu
+                r_x = resid_pair[i] if pair_mode else resid[x]
+                r_xp = resid_pair[xp * size + x] if pair_mode else resid[xp]
+                T[i] = (1.0 - eps) * np.outer(r_x, r_xp).ravel()
+                T[i, diagonal] += eps * shared
+            else:
+                T[i] = np.outer(step[x], step[xp]).ravel()
+    mu0 = config.initial_law.to_floats()
+    pi = stationary(config.matrix).to_floats()
+    law = np.outer(mu0, pi).ravel()
+    p_neq, marginals = [], []
+    for _ in range(config.n_max // config.cert.n0 + 1):
+        p_neq.append(1.0 - law[diagonal].sum())
+        marginals.append(law.reshape(size, size).sum(axis=1))
+        law = law @ T
+    return np.array(p_neq), np.array(marginals)
+
+
+def proper_subset_cert(grid):
+    """The pairwise certificate with its small set cut to the centre cross."""
+    cert = minorization_pseudo(grid, 2)
+    return MinorizationCert(
+        variant="pseudo", small_set=(1, 3, 4, 5, 7), n0=2, epsilon=cert.epsilon,
+        argmin_pairs=cert.argmin_pairs,
+    )
+
+
+class TestPairChainOracle:
+    """Simulated p_neq and X_n law against the exact pair-chain law, within 4 se."""
+
+    @pytest.mark.parametrize(
+        "make_cert",
+        [
+            lambda grid: minorization_uniform(grid, 2),
+            lambda grid: minorization_pseudo(grid, 2),
+            proper_subset_cert,
+        ],
+        ids=["uniform", "pseudo", "proper-subset"],
+    )
+    def test_simulation_matches_the_exact_pair_chain(self, grid, make_cert):
+        cert = make_cert(grid)
+        config = CouplingConfig(
+            model="finite", n_max=20, replications=20_000, master_seed=99,
+            matrix=grid, cert=cert, initial_law=ProbVector.delta(9, 0),
+        )
+        whole = set(cert.small_set) == set(range(9))
+        res = (run_uniform_coupling if whole else run_small_set_coupling)(config)
+        exact_p, exact_law = pair_chain_oracle(config)
+        reps = config.replications
+        p_se = np.sqrt(exact_p * (1.0 - exact_p) / reps)
+        assert np.all(np.abs(np.array(res.p_neq) - exact_p) <= 4.0 * p_se + 1e-12)
+        freq = np.array(res.marginal_counts) / reps
+        law_se = np.sqrt(exact_law * (1.0 - exact_law) / reps)
+        assert np.all(np.abs(freq - exact_law) <= 4.0 * law_se + 1e-12)
+
+    def test_proper_subset_coupling_is_slower(self, grid):
+        # the oracle itself must see the smaller small set
+        config = CouplingConfig(
+            model="finite", n_max=10, replications=1, master_seed=0, matrix=grid,
+            cert=minorization_pseudo(grid, 2), initial_law=ProbVector.delta(9, 0),
+        )
+        whole, _ = pair_chain_oracle(config)
+        subset, _ = pair_chain_oracle(
+            dataclasses.replace(config, cert=proper_subset_cert(grid))
+        )
+        assert np.all(subset[1:] > whole[1:])
+
+
+class TestRecordEvery:
+    """Every engine keeps every record_every-th lattice point of the same paths."""
+
+    @pytest.mark.parametrize("every", [2, 3])
+    def test_recorded_columns_are_the_full_run_thinned(self, every):
+        full = small_runs(8, 200)
+        grid = build_grid_walk(3, 3)
+        common = dict(master_seed=8, replications=200, record_every=every)
+        thinned = (
+            run_uniform_coupling(CouplingConfig(
+                model="finite", n_max=8, matrix=grid, cert=minorization_pseudo(grid, 2),
+                initial_law=ProbVector.delta(9, 4), **common,
+            )),
+            run_uniform_coupling(CouplingConfig(model="halfline", n_max=4, burn_in=10, **common)),
+            run_small_set_coupling(
+                CouplingConfig(model="rwm-laplace", n_max=20, burn_in=10, **common)
+            ),
+        )
+        for a, b in zip(full, thinned):
+            assert b.lattice == a.lattice[::every]
+            assert np.array_equal(b.xs, a.xs[:, ::every])
+            assert np.array_equal(b.xps, a.xps[:, ::every])
+            assert b.p_neq == a.p_neq[::every]
+            # coupling times stay exact between recorded points
+            assert b.coupling_time_mean == a.coupling_time_mean
+            assert b.uncoupled == a.uncoupled
+
+
+class TestContinuousOverlapBounds:
+    @pytest.mark.parametrize(
+        "model,eps",
+        [("halfline", 1.0), ("halfline", 0.5 + 1e-12), ("halfline", -0.1),
+         ("rwm-laplace", 1.0 / (8.0 * math.e**2) * (1 + 1e-12)), ("rwm-laplace", 0.5)],
+    )
+    def test_epsilon_above_the_certificate_rejected(self, model, eps):
+        with pytest.raises(InputError, match="certified overlap"):
+            CouplingConfig(model=model, n_max=4, replications=10, master_seed=1, epsilon=eps)
+
+    @pytest.mark.parametrize("small_set", [(-10.0, 10.0), (-2.0, 2.5), (1.0, -1.0)])
+    def test_metropolis_small_set_outside_the_certificate_rejected(self, small_set):
+        # from x = 8 the coin would jump into [-1, 1], out of the kernel's reach
+        with pytest.raises(InputError, match="certified"):
+            CouplingConfig(model="rwm-laplace", n_max=4, replications=10, master_seed=1,
+                           x0=8.0, small_set=small_set)
+
+    @pytest.mark.parametrize("model,eps", [("halfline", 0.5), ("rwm-laplace", 0.0)])
+    def test_certified_epsilon_accepted(self, model, eps):
+        config = CouplingConfig(model=model, n_max=4, replications=10, master_seed=1, epsilon=eps)
+        assert config.effective_epsilon() == eps
+
+    def test_negative_acceptance_probability_raises(self):
+        rng = np.random.default_rng(0)
+        with pytest.raises(MathError, match="below zero"):
+            engines.residual_draw(
+                rng, np.zeros(5), lambda rng, x: x + rng.random(x.size),
+                lambda x, z: 0.5 - z,
+            )
+
+    def test_redraws_stop_after_the_round_cap(self):
+        rng = np.random.default_rng(0)
+        with pytest.raises(MathError, match=f"{engines.MAX_REDRAW_ROUNDS} rounds"):
+            engines.residual_draw(
+                rng, np.zeros(5), lambda rng, x: x + rng.random(x.size),
+                lambda x, z: np.zeros_like(z),
+            )
+
+    def test_halfline_epsilon_one_no_longer_samples_silently(self):
+        # with eps = 1 the acceptance 1 - nu/p is negative near 0
+        keep = engines._hl_keep(1.0)
+        assert keep(np.zeros(1), np.zeros(1))[0] < 0
+        with pytest.raises(MathError):
+            engines.residual_draw(np.random.default_rng(0), np.zeros(4096),
+                                  engines._hl_step, keep)
+
+
+def ks_distance(samples, cdf):
+    """Kolmogorov-Smirnov distance of a sample from a continuous CDF."""
+    x = np.sort(samples)
+    f = cdf(x)
+    n = x.size
+    return max(np.max(np.arange(1, n + 1) / n - f), np.max(f - np.arange(n) / n))
+
+
+class TestArrayKernels:
+    """Array samplers and densities of the engines against the scalar formulas."""
+
+    def test_rwm_two_step_density_matches_the_scalar_one(self):
+        rng = np.random.default_rng(3)
+        x = np.concatenate([rng.uniform(-3, 3, 400), [0.0, 1.0, -1.0, 2.0, 0.5]])
+        z = np.concatenate([x[:400] + rng.uniform(-4, 4, 400), [0.0, 1.0, 1.0, -2.0, 4.5]])
+        got = engines._rwm_two_step_density(x, z)
+        want = [scalars.rwm_two_step_density(float(a), float(b)) for a, b in zip(x, z)]
+        assert got == pytest.approx(want, rel=1e-12, abs=1e-300)
+
+    def test_halfline_acceptance_matches_the_scalar_formula(self):
+        x = np.linspace(0.0, 5.0, 50)
+        z = np.linspace(0.0, 8.0, 50)
+        got = engines._hl_keep(0.4)(x, z)
+        want = [1.0 - 0.4 * scalars.hl_nu_density(b) / scalars.hl_density(a, b)
+                for a, b in zip(x, z)]
+        assert got == pytest.approx(want, rel=1e-12)
+
+    def test_halfline_step_law(self):
+        x = 1.0
+        z = engines._hl_step(np.random.default_rng(4), np.full(100_000, x))
+        scale = x + 1.0
+        law = lambda t: 0.5 * (1 - np.exp(-2 * t)) + 0.5 * np.array(
+            [math.erf(v / (scale * math.sqrt(2))) for v in t])
+        assert ks_distance(z, law) < 1.63 / math.sqrt(z.size)
+
+    def test_halfline_residual_law_is_the_half_normal(self):
+        # at eps = 1/2 the residual (p - nu/2) / (1/2) is exactly the half-normal part
+        x = 0.5
+        z = engines.residual_draw(
+            np.random.default_rng(5), np.full(100_000, x), engines._hl_step, engines._hl_keep(0.5)
+        )
+        scale = x + 1.0
+        law = lambda t: np.array([math.erf(v / (scale * math.sqrt(2))) for v in t])
+        assert ks_distance(z, law) < 1.63 / math.sqrt(z.size)
+
+    def test_rwm_step_law(self):
+        from scipy.integrate import quad
+
+        x = 0.7
+        y = engines._rwm_step(np.random.default_rng(6), np.full(200_000, x))
+        for t in (-1.0, 0.0, 0.7, 1.5, 2.5):
+            cont, _ = quad(lambda v: scalars.rwm_density(x, v), x - 2.0, min(t, x + 2.0))
+            want = cont + (scalars.rwm_atom(x) if t >= x else 0.0)
+            got = np.mean(y <= t)
+            assert abs(got - want) <= 4 * math.sqrt(want * (1 - want) / y.size) + 1e-12
+
+    def test_rwm_residual_law(self):
+        from scipy.integrate import quad
+
+        # an overlap above the published one, still below the two-step density
+        x, eps, lo, hi = 0.5, 0.07, -1.0, 0.0
+        w = engines.residual_draw(
+            np.random.default_rng(7), np.full(100_000, x), engines._rwm_two_steps,
+            engines._rwm_keep(eps),
+        )
+        mass, _ = quad(lambda v: scalars.rwm_two_step_density(x, v), lo, hi, points=[-0.5])
+        want = (mass - eps * 0.5 * (hi - lo)) / (1.0 - eps)
+        got = np.mean((lo <= w) & (w <= hi))
+        assert abs(got - want) <= 4 * math.sqrt(want * (1 - want) / w.size)
 
 
 class TestEmpiricalTv:
@@ -112,8 +409,6 @@ class TestGridCoupling:
             assert np.all(np.abs(got - want) <= 4 * se + 1e-12)
 
     def test_stationary_marginal_stays_stationary(self, grid, grid_pseudo_run):
-        from mcbounds.finite_chain import stationary
-
         config, res = grid_pseudo_run
         pi = stationary(grid).to_floats()
         for k in range(len(res.lattice)):
@@ -391,50 +686,3 @@ class TestDeterminism:
         a = json.dumps(run_uniform_coupling(config).to_jsonable(), sort_keys=True)
         b = json.dumps(run_uniform_coupling(config).to_jsonable(), sort_keys=True)
         assert a == b
-
-    def test_worker_count_does_not_change_output(self, grid):
-        base = dict(
-            model="finite",
-            n_max=20,
-            replications=2_000,
-            master_seed=5,
-            matrix=grid,
-            cert=minorization_uniform(grid, 2),
-            initial_law=ProbVector.delta(9, 4),
-        )
-        one = run_uniform_coupling(CouplingConfig(**base, workers=1))
-        many = run_uniform_coupling(CouplingConfig(**base, workers=0))
-        assert np.array_equal(one.xs, many.xs)
-        assert np.array_equal(one.xps, many.xps)
-
-    def test_pure_python_backend_matches_numba(self, grid):
-        """The same simulation with MCB_NO_NUMBA=1 yields identical JSON."""
-        script = (
-            "import json\n"
-            "from fractions import Fraction as F\n"
-            "from mcbounds.finite_chain import build_grid_walk, minorization_pseudo, ProbVector\n"
-            "from mcbounds.coupling import CouplingConfig, run_uniform_coupling, run_small_set_coupling\n"
-            "grid = build_grid_walk(3, 3)\n"
-            "out = {}\n"
-            "cfg = CouplingConfig(model='finite', n_max=16, replications=300, master_seed=9,\n"
-            "                     matrix=grid, cert=minorization_pseudo(grid, 2),\n"
-            "                     initial_law=ProbVector.delta(9, 4))\n"
-            "out['finite'] = run_uniform_coupling(cfg).to_jsonable()\n"
-            "cfg = CouplingConfig(model='halfline', n_max=8, replications=200, master_seed=5, burn_in=40)\n"
-            "out['halfline'] = run_uniform_coupling(cfg).to_jsonable()\n"
-            "cfg = CouplingConfig(model='rwm-laplace', n_max=300, replications=80, master_seed=3, burn_in=200)\n"
-            "out['rwm'] = run_small_set_coupling(cfg).to_jsonable()\n"
-            "print(json.dumps(out, sort_keys=True))\n"
-        )
-
-        def run(disable: str) -> str:
-            env = dict(os.environ, MCB_NO_NUMBA=disable)
-            return subprocess.run(
-                [sys.executable, "-c", script],
-                capture_output=True,
-                text=True,
-                env=env,
-                check=True,
-            ).stdout
-
-        assert run("1") == run("0")
