@@ -55,8 +55,9 @@ class Interval:
         if not self.lo <= self.hi:
             raise InputError(f"empty interval [{self.lo}, {self.hi}]")
 
-    def contains(self, x: float) -> bool:
-        return self.lo <= x <= self.hi
+    def contains(self, x):
+        """Membership of x; per element when x is a numpy array."""
+        return (self.lo <= x) & (x <= self.hi)
 
     def grid(self, step: float) -> list[float]:
         """Probe points lo, lo+step, ..., including hi."""

@@ -46,7 +46,7 @@ from .kernels import (
     verify_minorization_numeric,
     verify_univariate_drift,
 )
-from .kernels import scalars
+from .kernels import laws
 
 _FLOAT_FMT = "%.17g"
 
@@ -532,7 +532,7 @@ def _cmd_verify(args) -> tuple[_Report, int]:
         kernel = halfline_mixture_kernel()
         lag = 1
         epsilon = presets.HALFLINE_EPSILON
-        nu = scalars.hl_nu_density
+        nu = laws.hl_nu_density
         probe_x = np.arange(0.0, 50.0 + 1e-12, args.probe_step)
         probe_y = probe_x
         nu_desc = "2*exp(-2y)"

@@ -21,12 +21,17 @@ coincides, -1 if it never does within the run.
 
 from __future__ import annotations
 
-import math
-
 import numpy as np
 
 from ..errors import MathError
-from ..kernels.scalars import SQRT_TWO_PI
+from ..kernels.laws import (
+    hl_density,
+    hl_nu_density,
+    hl_step,
+    rwm_step,
+    rwm_two_step_density,
+    rwm_two_steps,
+)
 
 # replications per Generator stream; changing it changes every seeded output
 BLOCK = 4096
@@ -70,6 +75,12 @@ class _Paths:
 
     def result(self):
         return self.xs, self.xps, self.couple_at
+
+
+def _initially_active(x: np.ndarray, xp: np.ndarray, stop_when_coupled: bool) -> np.ndarray:
+    """Indices of the pairs a block advances: the uncoupled ones when runs stop
+    at coupling, all of them otherwise."""
+    return np.flatnonzero(x != xp) if stop_when_coupled else np.arange(x.size)
 
 
 def inverse_cdf(cdf: np.ndarray, u: np.ndarray) -> np.ndarray:
@@ -130,14 +141,16 @@ def finite_coupling_paths(
     resid_pair_cdf: np.ndarray,
     pair_mode: bool,
     in_small_set: np.ndarray,
+    stop_when_coupled: bool = False,
 ):
     """Coupled paths of a finite chain on the lag-n0 lattice.
 
     ``step_cdf`` holds row CDFs of the n0-step matrix. In pair mode the
     overlap measure and residuals are indexed by the ordered start pair
     (row x * size + y); otherwise the single ``nu_cdf`` and the per-state
-    ``resid_cdf`` apply. Each step takes three uniforms per pair: the coin,
-    then one inverse-CDF draw per chain.
+    ``resid_cdf`` apply. Each step takes three uniforms per active pair: the
+    coin, then one inverse-CDF draw per chain. ``stop_when_coupled`` works
+    as in ``rwm_coupling_paths``.
     """
     size = step_cdf.shape[0]
     n_nu = size * size if pair_mode else 1
@@ -159,42 +172,38 @@ def finite_coupling_paths(
         x = inverse_cdf(mu0_cdf, start[0])
         xp = inverse_cdf(pi_cdf, start[1])
         paths.store(rows, 0, x, xp)
+        active = _initially_active(x, xp, stop_when_coupled)
         for k in range(1, n_lat + 1):
-            u = rng.random((3, x.size))
-            eq = x == xp
-            coin = ~eq & small[x] & small[xp]
+            if active.size == 0:
+                paths.freeze(rows, k - 1, x, xp)
+                break
+            xa, xpa = x[active], xp[active]
+            u = rng.random((3, active.size))
+            eq = xa == xpa
+            coin = ~eq & small[xa] & small[xpa]
             heads = coin & (u[0] < eps)
             tails = coin & ~heads
-            row_x = np.where(heads, nu_row(x, xp), np.where(tails, resid_row(x, xp), x))
-            row_xp = np.where(tails, resid_row(xp, x), xp)
+            row_x = np.where(heads, nu_row(xa, xpa), np.where(tails, resid_row(xa, xpa), xa))
+            row_xp = np.where(tails, resid_row(xpa, xa), xpa)
             new_x = inverse_cdf(table[row_x], u[1])
-            new_xp = inverse_cdf(table[row_xp], u[2])
-            x, xp = new_x, np.where(eq | heads, new_x, new_xp)
+            new_xp = np.where(eq | heads, new_x, inverse_cdf(table[row_xp], u[2]))
+            x[active] = new_x
+            xp[active] = new_xp
             paths.store(rows, k, x, xp)
+            if stop_when_coupled:
+                active = active[new_x != new_xp]
     return paths.result()
 
 
 # ---------------------------------------------------------------------------
-# half-line mixture chain; array forms of the kernels.scalars formulas
-
-
-def _hl_step(rng, x: np.ndarray) -> np.ndarray:
-    """One transition from each state: Exponential(2) or |N(0, (x+1)^2)|, 1:1."""
-    n = x.size
-    exponential = rng.random(n) < 0.5
-    return np.where(
-        exponential, rng.exponential(0.5, n), np.abs(rng.standard_normal(n)) * (x + 1.0)
-    )
+# half-line mixture chain
 
 
 def _hl_keep(eps: float):
     """Acceptance 1 - eps * nu(z) / p(x, z) of the half-line residual sampler."""
 
     def keep(x, z):
-        scale = x + 1.0
-        nu = 2.0 * np.exp(-2.0 * z)
-        density = 0.5 * nu + np.exp(-z * z / (2.0 * scale * scale)) / (SQRT_TWO_PI * scale)
-        return 1.0 - eps * nu / density
+        return 1.0 - eps * hl_nu_density(z) / hl_density(x, z)
 
     return keep
 
@@ -207,11 +216,13 @@ def halfline_coupling_paths(
     x0: float,
     eps: float,
     burn_in: int,
+    stop_when_coupled: bool = False,
 ):
     """Coupled paths of the half-line mixture chain (whole-space overlap, lag 1).
 
     The second chain starts from an auxiliary run of ``burn_in`` steps, an
-    approximate stationary draw.
+    approximate stationary draw. ``stop_when_coupled`` works as in
+    ``rwm_coupling_paths``.
     """
     keep = _hl_keep(eps)
     paths = _Paths(replications, n_lat, record_every, np.float64)
@@ -219,83 +230,35 @@ def halfline_coupling_paths(
         m = rows.stop - rows.start
         xp = np.full(m, float(x0))
         for _ in range(burn_in):
-            xp = _hl_step(rng, xp)
+            xp = hl_step(rng, xp)
         x = np.full(m, float(x0))
         paths.store(rows, 0, x, xp)
+        active = _initially_active(x, xp, stop_when_coupled)
         for k in range(1, n_lat + 1):
-            eq = x == xp
-            heads = ~eq & (rng.random(m) < eps)
+            if active.size == 0:
+                paths.freeze(rows, k - 1, x, xp)
+                break
+            n = active.size
+            xa, xpa = x[active], xp[active]
+            eq = xa == xpa
+            heads = ~eq & (rng.random(n) < eps)
             tails = ~(eq | heads)
-            new = np.where(eq, _hl_step(rng, x), rng.exponential(0.5, m))
+            new = np.where(eq, hl_step(rng, xa), rng.exponential(0.5, n))
             if tails.any():
-                both = residual_draw(rng, np.concatenate([x[tails], xp[tails]]), _hl_step, keep)
-                x[tails], xp[tails] = np.split(both, 2)
-            x = np.where(tails, x, new)
-            xp = np.where(tails, xp, new)
+                both = residual_draw(rng, np.concatenate([xa[tails], xpa[tails]]), hl_step, keep)
+                xa[tails], xpa[tails] = np.split(both, 2)
+            new_x = np.where(tails, xa, new)
+            new_xp = np.where(tails, xpa, new)
+            x[active] = new_x
+            xp[active] = new_xp
             paths.store(rows, k, x, xp)
+            if stop_when_coupled:
+                active = active[new_x != new_xp]
     return paths.result()
 
 
 # ---------------------------------------------------------------------------
-# random-walk Metropolis with target exp(-|x|); array forms of kernels.scalars
-
-
-def _rwm_step(rng, x: np.ndarray) -> np.ndarray:
-    """One Metropolis transition from each state (uniform proposal on x +- 2)."""
-    u = rng.random((2, x.size))
-    y = x + 4.0 * u[0] - 2.0
-    gap = np.abs(x) - np.abs(y)
-    return np.where((gap >= 0.0) | (u[1] < np.exp(gap)), y, x)
-
-
-def _rwm_two_steps(rng, x: np.ndarray) -> np.ndarray:
-    return _rwm_step(rng, _rwm_step(rng, x))
-
-
-def _rwm_density(x, y):
-    """``scalars.rwm_density`` per element."""
-    accept = np.exp(np.minimum(0.0, np.abs(x) - np.abs(y)))
-    return np.where(np.abs(y - x) > 2.0, 0.0, 0.25 * accept)
-
-
-def _rwm_atom(x):
-    """``scalars.rwm_atom`` per element."""
-    t = np.minimum(np.abs(x), 1.0)
-    inside = 1.0 - 0.25 * (2.0 * t + 2.0 - np.exp(2.0 * t - 2.0) - math.exp(-2.0))
-    return np.where(t >= 1.0, 0.25 * (1.0 + math.exp(-2.0)), inside)
-
-
-def _rwm_conv2(x, z):
-    """``scalars.rwm_conv2`` per element: the pieces are added in the same order.
-
-    Breakpoints outside (lo, hi) move to hi, where they bound empty pieces.
-    """
-    lo = np.maximum(x, z) - 2.0
-    hi = np.minimum(x, z) + 2.0
-    ax, az = np.abs(x), np.abs(z)
-    inner = np.stack([np.zeros_like(ax), ax, -ax, az, -az])
-    inner = np.where((lo < inner) & (inner < hi), inner, hi)
-    pts = np.sort(np.concatenate([lo[None], inner, hi[None]]), axis=0)
-    left, right = pts[:-1], pts[1:]
-    width = right - left
-
-    def log_integrand(w):
-        return np.minimum(0.0, ax - np.abs(w)) + np.minimum(0.0, np.abs(w) - az)
-
-    fu, fv = log_integrand(left), log_integrand(right)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        slope = (fv - fu) / width
-        piece = np.where(
-            np.abs(slope) < 1e-12, np.exp(fu) * width, (np.exp(fv) - np.exp(fu)) / slope
-        )
-    total = np.where(width < 1e-15, 0.0, piece).sum(axis=0)
-    return np.where(lo < hi, total, 0.0) / 16.0
-
-
-def _rwm_two_step_density(x, z):
-    """``scalars.rwm_two_step_density`` per element."""
-    p_xz = _rwm_density(x, z)
-    return _rwm_conv2(x, z) + _rwm_atom(x) * p_xz + p_xz * _rwm_atom(z)
+# random-walk Metropolis with target exp(-|x|)
 
 
 def _rwm_keep(eps: float):
@@ -308,7 +271,7 @@ def _rwm_keep(eps: float):
     def keep(x, w):
         out = np.ones_like(w)
         inside = (w != x) & (np.abs(w) <= 1.0)
-        out[inside] = 1.0 - eps * 0.5 / _rwm_two_step_density(x[inside], w[inside])
+        out[inside] = 1.0 - eps * 0.5 / rwm_two_step_density(x[inside], w[inside])
         return out
 
     return keep
@@ -344,11 +307,11 @@ def rwm_coupling_paths(
         m = rows.stop - rows.start
         xp = np.full(m, float(x0))
         for _ in range(burn_in):
-            xp = _rwm_step(rng, xp)
+            xp = rwm_step(rng, xp)
         x = np.full(m, float(x0))
         paths.store(rows, 0, x, xp)
         chances = opportunities[rows]  # a view
-        active = np.flatnonzero(x != xp) if stop_when_coupled else np.arange(m)
+        active = _initially_active(x, xp, stop_when_coupled)
         for k in range(1, n_pairs + 1):
             if active.size == 0:
                 paths.freeze(rows, k - 1, x, xp)
@@ -360,13 +323,13 @@ def rwm_coupling_paths(
             chances[active[coin]] += 1
             heads = coin & (rng.random(n) < eps)
             tails = coin & ~heads
-            moved = _rwm_two_steps(rng, np.concatenate([xa, xpa]))
+            moved = rwm_two_steps(rng, np.concatenate([xa, xpa]))
             shared = 2.0 * rng.random(n) - 1.0
             new_x = np.where(heads, shared, moved[:n])
             new_xp = np.where(heads, shared, np.where(eq, new_x, moved[n:]))
             if tails.any():
                 both = residual_draw(
-                    rng, np.concatenate([xa[tails], xpa[tails]]), _rwm_two_steps, keep
+                    rng, np.concatenate([xa[tails], xpa[tails]]), rwm_two_steps, keep
                 )
                 new_x[tails], new_xp[tails] = np.split(both, 2)
             x[active] = new_x

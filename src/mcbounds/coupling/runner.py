@@ -393,6 +393,7 @@ def _run_finite(config: CouplingConfig, mode: str) -> CouplingResult:
         resid_pair_cdf,
         pair_mode,
         in_small,
+        config.stop_when_coupled,
     )
     return _summarize(config, mode, n_lat, xs, xps, couple_at, None, pi)
 
@@ -417,6 +418,7 @@ def run_uniform_coupling(config: CouplingConfig) -> CouplingResult:
             config.x0,
             config.effective_epsilon(),
             config.burn_in,
+            config.stop_when_coupled,
         )
         return _summarize(config, "uniform", config.n_max, xs, xps, couple_at, None, None)
     raise InputError(

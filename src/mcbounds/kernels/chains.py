@@ -2,8 +2,11 @@
 
 Each constructor returns an immutable ``Kernel`` (and, for the Metropolis
 chains, the ``TargetDensity`` it preserves). Sampling is deterministic in
-(state, seed): trajectory samplers reseed ``np.random`` themselves, while the
-scalar ``step`` functions consume whatever stream the caller has seeded.
+(state, seed): trajectory samplers reseed ``np.random`` themselves, one-step
+samplers draw all their samples at once from ``np.random.default_rng(seed)``,
+and the scalar ``step`` functions consume whatever stream the caller has
+seeded. Densities, atom masses, windows and breakpoints take numpy arrays and
+work per element.
 """
 
 from __future__ import annotations
@@ -15,7 +18,7 @@ from typing import Callable
 import numpy as np
 
 from ..errors import InputError
-from . import scalars
+from . import laws, scalars
 
 __all__ = [
     "HALFLINE_OVERLAP_EPSILON",
@@ -54,7 +57,9 @@ class Kernel:
     ``atom_mass`` the rejection mass left at the current point (None when the
     kernel has no density in the required form). ``window`` and
     ``breakpoints`` describe the one-step support and the integrand kinks for
-    quadrature. ``step_radius`` bounds one-step moves when finite.
+    quadrature. For the one-dimensional kernels all four take numpy arrays of
+    states and work per element. ``step_radius`` bounds one-step moves when
+    finite.
     """
 
     name: str
@@ -83,11 +88,7 @@ def _hl_trajectory(x0: float, n: int, seed: int) -> np.ndarray:
 
 
 def _hl_one_step_samples(x: float, n: int, seed: int) -> np.ndarray:
-    np.random.seed(seed)
-    out = np.empty(n)
-    for i in range(n):
-        out[i] = scalars.hl_draw(x)
-    return out
+    return laws.hl_step(np.random.default_rng(seed), np.full(n, x))
 
 
 def halfline_mixture_kernel() -> Kernel:
@@ -113,8 +114,8 @@ def halfline_mixture_kernel() -> Kernel:
         support="[0, inf)",
         step=scalars.hl_draw,
         trajectory=trajectory,
-        transition_density=scalars.hl_density,
-        atom_mass=lambda x: 0.0,
+        transition_density=laws.hl_density,
+        atom_mass=lambda x: np.zeros(np.shape(x)),
         window=lambda x: (0.0, math.inf),
         breakpoints=lambda x: [],
         one_step_samples=one_step_samples,
@@ -133,11 +134,7 @@ def _rwm_trajectory(x0: float, n: int, seed: int) -> np.ndarray:
 
 
 def _rwm_one_step_samples(x: float, n: int, seed: int) -> np.ndarray:
-    np.random.seed(seed)
-    out = np.empty(n)
-    for i in range(n):
-        out[i] = scalars.rwm_step(x)
-    return out
+    return laws.rwm_step(np.random.default_rng(seed), np.full(n, x))
 
 
 def metropolis_rwm_laplace() -> tuple[Kernel, TargetDensity]:
@@ -157,10 +154,10 @@ def metropolis_rwm_laplace() -> tuple[Kernel, TargetDensity]:
         support="R",
         step=scalars.rwm_step,
         trajectory=trajectory,
-        transition_density=scalars.rwm_density,
-        atom_mass=scalars.rwm_atom,
+        transition_density=laws.rwm_density,
+        atom_mass=laws.rwm_atom,
         window=lambda x: (x - 2.0, x + 2.0),
-        breakpoints=lambda x: [0.0, abs(x), -abs(x)],
+        breakpoints=lambda x: [0.0, np.abs(x), -np.abs(x)],
         step_radius=2.0,
         one_step_samples=lambda x, n, seed: _rwm_one_step_samples(
             float(x), int(n), int(seed)

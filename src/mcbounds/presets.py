@@ -11,6 +11,8 @@ from __future__ import annotations
 
 import math
 
+import numpy as np
+
 from .bounds import (
     Interval,
     DriftMinorizationInputs,
@@ -70,13 +72,20 @@ POINT_PROCESS_C = 0.1
 POINT_PROCESS_D = 0.1
 
 
-def laplace_drift_V(x: float) -> float:
-    return math.exp(abs(x) / 2.0)
+def laplace_drift_V(x):
+    """e^{|x|/2}: per element on numpy arrays, a builtin float on a float.
+
+    The bound calculators evaluate V on builtin floats, point by point, and
+    their reports keep the bytes that ``math.exp`` gives.
+    """
+    if isinstance(x, float):
+        return math.exp(abs(x) / 2.0)
+    return np.exp(np.abs(x) / 2.0)
 
 
-def laplace_nu_density(y: float) -> float:
+def laplace_nu_density(y):
     """Overlap measure of the lag-2 certificate: half of Lebesgue on [-1, 1]."""
-    return 0.5 if abs(y) <= 1.0 else 0.0
+    return np.where(np.abs(y) <= 1.0, 0.5, 0.0)
 
 
 def laplace_drift(lam: float = LAPLACE_LAM, b: float = LAPLACE_B) -> UnivariateDrift:

@@ -41,7 +41,7 @@ from mcbounds.kernels import (
     verify_minorization_numeric,
     verify_univariate_drift,
 )
-from mcbounds.kernels import scalars
+from mcbounds.kernels import laws
 from mcbounds import presets
 
 GOLDEN_PI = (
@@ -132,7 +132,7 @@ def test_criterion_06_halfline_overlap_and_crossing():
         kernel,
         lag=1,
         epsilon=0.5,
-        nu_density=scalars.hl_nu_density,
+        nu_density=laws.hl_nu_density,
         probe_x=np.arange(0.0, 50.0 + 1e-9, 0.05),
         probe_y=np.arange(0.0, 50.0 + 1e-9, 0.05),
     )

@@ -20,7 +20,8 @@ from mcbounds.coupling import (
 from mcbounds.coupling import engines
 from mcbounds.coupling.runner import _cdf_rows, _finite_arrays
 from mcbounds.errors import CertificateError, InputError, MathError
-from mcbounds.kernels import scalars
+import scalar_reference as sref
+from mcbounds.kernels import laws
 from mcbounds.finite_chain import (
     MinorizationCert,
     ProbVector,
@@ -215,6 +216,57 @@ class TestPairChainOracle:
         assert np.all(subset[1:] > whole[1:])
 
 
+class TestStopWhenCoupled:
+    """Runs that stop at coupling: frozen recorded slots, exact coupling times."""
+
+    @staticmethod
+    def config(model, **kwargs):
+        common = dict(master_seed=31, replications=2_000, stop_when_coupled=True)
+        if model == "finite":
+            grid = build_grid_walk(3, 3)
+            return CouplingConfig(
+                model="finite", n_max=20, matrix=grid, cert=minorization_pseudo(grid, 2),
+                initial_law=ProbVector.delta(9, 0), **common, **kwargs,
+            )
+        return CouplingConfig(model="halfline", n_max=12, burn_in=50, **common, **kwargs)
+
+    @pytest.mark.parametrize("model", ["finite", "halfline"])
+    def test_slots_after_coupling_are_frozen(self, model):
+        res = run_uniform_coupling(self.config(model))
+        eq = res.xs == res.xps
+        first = np.where(eq.any(axis=1), eq.argmax(axis=1), -1)
+        coupled = first >= 0
+        assert coupled.mean() > 0.5  # the frozen-slot check below is not vacuous
+        later = (np.arange(eq.shape[1]) >= first[:, None]) & coupled[:, None]
+        at_coupling = res.xs[np.arange(first.size), first]
+        assert np.all(~later | (res.xs == at_coupling[:, None]))
+        assert np.all(~later | (res.xps == at_coupling[:, None]))
+        # the recorded first coincidence is the engine's coupling step
+        assert res.uncoupled == int((~coupled).sum())
+        assert res.coupling_time_mean == float((first[coupled] * res.n0).mean())
+
+    @pytest.mark.parametrize("model", ["finite", "halfline"])
+    def test_coupling_times_exact_between_recorded_points(self, model):
+        full = run_uniform_coupling(self.config(model))
+        thinned = run_uniform_coupling(self.config(model, record_every=3))
+        assert np.array_equal(thinned.xs, full.xs[:, ::3])
+        assert np.array_equal(thinned.xps, full.xps[:, ::3])
+        assert thinned.coupling_time_mean == full.coupling_time_mean
+        assert thinned.coupling_time_quantiles == full.coupling_time_quantiles
+        assert thinned.uncoupled == full.uncoupled
+
+    def test_finite_p_neq_matches_the_exact_pair_chain(self, grid):
+        config = CouplingConfig(
+            model="finite", n_max=20, replications=20_000, master_seed=99, matrix=grid,
+            cert=minorization_pseudo(grid, 2), initial_law=ProbVector.delta(9, 0),
+            stop_when_coupled=True,
+        )
+        res = run_uniform_coupling(config)
+        exact_p, _ = pair_chain_oracle(config)
+        p_se = np.sqrt(exact_p * (1.0 - exact_p) / config.replications)
+        assert np.all(np.abs(np.array(res.p_neq) - exact_p) <= 4.0 * p_se + 1e-12)
+
+
 class TestRecordEvery:
     """Every engine keeps every record_every-th lattice point of the same paths."""
 
@@ -287,7 +339,7 @@ class TestContinuousOverlapBounds:
         assert keep(np.zeros(1), np.zeros(1))[0] < 0
         with pytest.raises(MathError):
             engines.residual_draw(np.random.default_rng(0), np.zeros(4096),
-                                  engines._hl_step, keep)
+                                  laws.hl_step, keep)
 
 
 def ks_distance(samples, cdf):
@@ -299,27 +351,44 @@ def ks_distance(samples, cdf):
 
 
 class TestArrayKernels:
-    """Array samplers and densities of the engines against the scalar formulas."""
+    """The shared array samplers and densities against the scalar reference formulas."""
 
     def test_rwm_two_step_density_matches_the_scalar_one(self):
         rng = np.random.default_rng(3)
         x = np.concatenate([rng.uniform(-3, 3, 400), [0.0, 1.0, -1.0, 2.0, 0.5]])
         z = np.concatenate([x[:400] + rng.uniform(-4, 4, 400), [0.0, 1.0, 1.0, -2.0, 4.5]])
-        got = engines._rwm_two_step_density(x, z)
-        want = [scalars.rwm_two_step_density(float(a), float(b)) for a, b in zip(x, z)]
+        got = laws.rwm_two_step_density(x, z)
+        want = [sref.rwm_two_step_density(float(a), float(b)) for a, b in zip(x, z)]
         assert got == pytest.approx(want, rel=1e-12, abs=1e-300)
+        assert laws.rwm_conv2(x, z) == pytest.approx(
+            [sref.rwm_conv2(float(a), float(b)) for a, b in zip(x, z)], rel=1e-12, abs=1e-300
+        )
+
+    def test_densities_match_the_scalar_ones(self):
+        rng = np.random.default_rng(13)
+        x = np.concatenate([rng.uniform(-4, 4, 300), [-1.0, 0.0, 1.0, 2.0]])
+        y = np.concatenate([x[:300] + rng.uniform(-3, 3, 300), [1.0, 2.0, -1.0, 4.0]])
+        pairs = list(zip(x.tolist(), y.tolist()))
+        assert laws.rwm_density(x, y) == pytest.approx(
+            [sref.rwm_density(a, b) for a, b in pairs], rel=1e-14)
+        assert laws.rwm_atom(x) == pytest.approx([sref.rwm_atom(a) for a in x.tolist()], rel=1e-14)
+        hx, hy = np.abs(x), np.abs(y)
+        assert laws.hl_density(hx, hy) == pytest.approx(
+            [sref.hl_density(a, b) for a, b in zip(hx.tolist(), hy.tolist())], rel=1e-14)
+        assert laws.hl_nu_density(hy) == pytest.approx(
+            [sref.hl_nu_density(b) for b in hy.tolist()], rel=1e-14)
 
     def test_halfline_acceptance_matches_the_scalar_formula(self):
         x = np.linspace(0.0, 5.0, 50)
         z = np.linspace(0.0, 8.0, 50)
         got = engines._hl_keep(0.4)(x, z)
-        want = [1.0 - 0.4 * scalars.hl_nu_density(b) / scalars.hl_density(a, b)
+        want = [1.0 - 0.4 * sref.hl_nu_density(b) / sref.hl_density(a, b)
                 for a, b in zip(x, z)]
         assert got == pytest.approx(want, rel=1e-12)
 
     def test_halfline_step_law(self):
         x = 1.0
-        z = engines._hl_step(np.random.default_rng(4), np.full(100_000, x))
+        z = laws.hl_step(np.random.default_rng(4), np.full(100_000, x))
         scale = x + 1.0
         law = lambda t: 0.5 * (1 - np.exp(-2 * t)) + 0.5 * np.array(
             [math.erf(v / (scale * math.sqrt(2))) for v in t])
@@ -329,7 +398,7 @@ class TestArrayKernels:
         # at eps = 1/2 the residual (p - nu/2) / (1/2) is exactly the half-normal part
         x = 0.5
         z = engines.residual_draw(
-            np.random.default_rng(5), np.full(100_000, x), engines._hl_step, engines._hl_keep(0.5)
+            np.random.default_rng(5), np.full(100_000, x), laws.hl_step, engines._hl_keep(0.5)
         )
         scale = x + 1.0
         law = lambda t: np.array([math.erf(v / (scale * math.sqrt(2))) for v in t])
@@ -339,10 +408,10 @@ class TestArrayKernels:
         from scipy.integrate import quad
 
         x = 0.7
-        y = engines._rwm_step(np.random.default_rng(6), np.full(200_000, x))
+        y = laws.rwm_step(np.random.default_rng(6), np.full(200_000, x))
         for t in (-1.0, 0.0, 0.7, 1.5, 2.5):
-            cont, _ = quad(lambda v: scalars.rwm_density(x, v), x - 2.0, min(t, x + 2.0))
-            want = cont + (scalars.rwm_atom(x) if t >= x else 0.0)
+            cont, _ = quad(lambda v: sref.rwm_density(x, v), x - 2.0, min(t, x + 2.0))
+            want = cont + (sref.rwm_atom(x) if t >= x else 0.0)
             got = np.mean(y <= t)
             assert abs(got - want) <= 4 * math.sqrt(want * (1 - want) / y.size) + 1e-12
 
@@ -352,10 +421,10 @@ class TestArrayKernels:
         # an overlap above the published one, still below the two-step density
         x, eps, lo, hi = 0.5, 0.07, -1.0, 0.0
         w = engines.residual_draw(
-            np.random.default_rng(7), np.full(100_000, x), engines._rwm_two_steps,
+            np.random.default_rng(7), np.full(100_000, x), laws.rwm_two_steps,
             engines._rwm_keep(eps),
         )
-        mass, _ = quad(lambda v: scalars.rwm_two_step_density(x, v), lo, hi, points=[-0.5])
+        mass, _ = quad(lambda v: sref.rwm_two_step_density(x, v), lo, hi, points=[-0.5])
         want = (mass - eps * 0.5 * (hi - lo)) / (1.0 - eps)
         got = np.mean((lo <= w) & (w <= hi))
         assert abs(got - want) <= 4 * math.sqrt(want * (1 - want) / w.size)

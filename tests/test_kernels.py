@@ -5,10 +5,13 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.integrate import quad
 
+import scalar_reference as sref
 from mcbounds.bounds import Interval, UnivariateDrift
-from mcbounds.errors import InputError
+from mcbounds.errors import InputError, QuadratureError
 from mcbounds.kernels import (
     containment_escape_mass,
     expected_value_after_step,
@@ -20,7 +23,8 @@ from mcbounds.kernels import (
     verify_minorization_numeric,
     verify_univariate_drift,
 )
-from mcbounds.kernels import scalars
+from mcbounds.kernels import laws
+from mcbounds.kernels.verify import batch_quad
 
 LAPLACE_EPS = 1.0 / (8.0 * math.e**2)
 
@@ -63,9 +67,7 @@ class TestHalflineDensity:
     def test_dominates_exponential_component(self, halfline):
         ys = np.linspace(0.0, 50.0, 1001)
         for x in (0.0, 0.5, 3.0, 20.0):
-            assert all(
-                halfline.transition_density(x, y) >= math.exp(-2.0 * y) for y in ys
-            )
+            assert np.all(halfline.transition_density(x, ys) >= np.exp(-2.0 * ys))
 
     def test_negative_state_rejected(self, halfline):
         with pytest.raises(InputError):
@@ -73,8 +75,10 @@ class TestHalflineDensity:
 
 
 class TestRwmDensity:
-    def test_acceptance_zero_to_one(self):
-        assert scalars.rwm_accept_prob(0.0, 1.0) == pytest.approx(math.exp(-1.0))
+    def test_acceptance_zero_to_one(self, rwm):
+        kernel, _ = rwm
+        # uniform proposal density 1/4 times the acceptance e^-1
+        assert kernel.transition_density(0.0, 1.0) == pytest.approx(0.25 * math.exp(-1.0))
 
     def test_density_plus_atom_normalizes(self, rwm):
         kernel, _ = rwm
@@ -95,7 +99,7 @@ class TestRwmDensity:
             x = rng.uniform(-4, 4)
             y = x + rng.uniform(-4, 4)
             via_quad, _ = two_step_density(kernel, x, y)
-            assert scalars.rwm_two_step_density(x, y) == pytest.approx(
+            assert laws.rwm_two_step_density(x, y) == pytest.approx(
                 via_quad, abs=1e-10
             )
 
@@ -126,7 +130,7 @@ class TestMinorizationVerification:
             halfline,
             lag=1,
             epsilon=0.5,
-            nu_density=scalars.hl_nu_density,
+            nu_density=laws.hl_nu_density,
             probe_x=np.arange(0.0, 50.0 + 1e-9, 0.05),
             probe_y=np.arange(0.0, 50.0 + 1e-9, 0.05),
         )
@@ -135,7 +139,7 @@ class TestMinorizationVerification:
 
     def test_rwm_two_step_overlap(self, rwm):
         kernel, _ = rwm
-        nu = lambda y: 0.5 if abs(y) <= 1.0 else 0.0
+        nu = lambda y: np.where(np.abs(y) <= 1.0, 0.5, 0.0)
         report = verify_minorization_numeric(
             kernel,
             lag=2,
@@ -149,7 +153,7 @@ class TestMinorizationVerification:
 
     def test_zero_epsilon_trivially_passes(self, halfline):
         report = verify_minorization_numeric(
-            halfline, 1, 0.0, scalars.hl_nu_density, [0.0], [0.0]
+            halfline, 1, 0.0, laws.hl_nu_density, [0.0], [0.0]
         )
         assert report.passed
 
@@ -163,7 +167,7 @@ class TestMinorizationVerification:
         # json.dumps rejects np.bool_, and a truthy np.bool_ passes `assert passed`
         probes = np.arange(0.0, 5.0 + 1e-9, 0.5)
         report = verify_minorization_numeric(
-            halfline, 1, 0.5, scalars.hl_nu_density, probes, probes
+            halfline, 1, 0.5, laws.hl_nu_density, probes, probes
         )
         assert type(report.passed) is bool
         assert type(report.min_margin) is float
@@ -172,7 +176,7 @@ class TestMinorizationVerification:
 
 def laplace_drift():
     return UnivariateDrift(
-        V=lambda x: math.exp(abs(x) / 2.0),
+        V=lambda x: np.exp(np.abs(x) / 2.0),
         small_set=Interval(-2.0, 2.0),
         lam=0.916,
         b=0.285,
@@ -191,7 +195,7 @@ class TestDriftVerification:
 
     def test_spot_value_matches_closed_form(self, rwm):
         kernel, _ = rwm
-        pv, _ = expected_value_after_step(kernel, lambda y: math.exp(abs(y) / 2.0), 6.0)
+        pv, _ = expected_value_after_step(kernel, lambda y: np.exp(np.abs(y) / 2.0), 6.0)
         closed = 0.25 * math.exp(3.0) * (
             2.0 * (1.0 - math.exp(-1.0))
             + 2.0 * (1.0 - math.exp(-1.0))
@@ -211,7 +215,7 @@ class TestDriftVerification:
     def test_report_holds_builtin_scalars(self, rwm):
         kernel, _ = rwm
         drift = UnivariateDrift(
-            V=lambda x: np.exp(abs(x) / 2.0),  # numpy scalars in, builtins out
+            V=lambda x: np.exp(np.abs(x) / 2.0),  # numpy arrays in, builtins out
             small_set=Interval(-2.0, 2.0),
             lam=0.916,
             b=0.285,
@@ -227,7 +231,7 @@ class TestDriftVerification:
     def test_understated_constants_fail(self, rwm):
         kernel, _ = rwm
         drift = UnivariateDrift(
-            V=lambda x: math.exp(abs(x) / 2.0),
+            V=lambda x: np.exp(np.abs(x) / 2.0),
             small_set=Interval(-2.0, 2.0),
             lam=0.5,
             b=0.0,
@@ -255,6 +259,141 @@ class TestContainment:
     def test_unbounded_kernel_rejected(self, halfline):
         with pytest.raises(InputError):
             containment_escape_mass(halfline, Interval(0, 2), Interval(0, 50), 1)
+
+
+def scipy_integral(f, lo, hi, pts=()):
+    """``scipy.integrate.quad`` as the verifiers used to call it: inner kinks
+    as points, 200 subintervals, absolute tolerance 1e-8."""
+    inner = sorted({p for p in pts if lo < p < hi}) if math.isfinite(hi) else []
+    value, _ = quad(f, lo, hi, points=inner or None, limit=200, epsabs=1e-8)
+    return value
+
+
+def scipy_two_step(x, y):
+    lo, hi = max(x, y) - 2.0, min(x, y) + 2.0
+    conv = 0.0
+    if lo < hi:
+        conv = scipy_integral(
+            lambda w: sref.rwm_density(x, w) * sref.rwm_density(w, y), lo, hi,
+            (0.0, abs(x), -abs(x), abs(y), -abs(y)),
+        )
+    p = sref.rwm_density(x, y)
+    return conv + sref.rwm_atom(x) * p + p * sref.rwm_atom(y)
+
+
+def cauchy(centre, scale):
+    """Cauchy densities, one per point, as a ``batch_quad`` integrand."""
+
+    def f(i, w):
+        c, s = np.asarray(centre)[i], np.asarray(scale)[i]
+        return s / (math.pi * ((w - c) ** 2 + s * s))
+
+    return f
+
+
+class TestBatchQuad:
+    """The batched qk21 integrator, cross-checked with scipy.integrate.quad to 1e-12."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.floats(-4.0, 4.0), st.floats(-4.0, 4.0))
+    def test_rwm_two_step_convolution(self, rwm, x, d):
+        kernel, _ = rwm
+        y = x + d
+        got, err = two_step_density(kernel, x, y)
+        assert got == pytest.approx(scipy_two_step(x, y), rel=1e-12, abs=1e-12)
+        assert err <= 1e-8
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.floats(-10.0, 10.0))
+    def test_drift_integrand(self, rwm, x):
+        kernel, _ = rwm
+        got, _ = expected_value_after_step(kernel, lambda y: np.exp(np.abs(y) / 2.0), x)
+        want = scipy_integral(
+            lambda w: sref.rwm_density(x, w) * math.exp(abs(w) / 2.0), x - 2.0, x + 2.0,
+            (0.0, abs(x), -abs(x)),
+        ) + sref.rwm_atom(x) * math.exp(abs(x) / 2.0)
+        assert got == pytest.approx(want, rel=1e-12, abs=1e-12)
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.floats(0.0, 20.0))
+    def test_halfline_infinite_window(self, halfline, x):
+        got, err = expected_value_after_step(halfline, lambda y: 1.0 + y, x)
+        assert err <= 1.49e-8 * got
+        # E[1 + Y] = (1/2 + 1/4) + (1/2 + (x + 1) / sqrt(2 pi)), in closed form.
+        # On the mapped half-line neither integrator is good to 1e-12: both
+        # stop at a relative estimate of 1.49e-8 and land up to ~1e-10 off
+        # (scipy's qagi at x = 15.2, for one), so each must stay within its
+        # own estimate instead.
+        closed = 1.25 + (x + 1.0) / math.sqrt(2.0 * math.pi)
+        assert abs(got - closed) <= min(err, 1e-10 * closed)
+        want, scipy_err = quad(lambda y: sref.hl_density(x, y) * (1.0 + y), 0.0, math.inf,
+                               limit=200, epsabs=1e-8)
+        assert abs(got - want) <= err + scipy_err
+
+    @pytest.mark.parametrize("region", [Interval(-6.0, 6.0), Interval(-3.0, 3.0)])
+    @pytest.mark.parametrize("n_steps", [1, 2])
+    def test_containment_escape_mass(self, rwm, region, n_steps):
+        kernel, _ = rwm
+        worst = 0.0
+        for x in (-2.0, 2.0):
+            reach = 2.0 * n_steps
+            lo, hi = max(region.lo, x - reach), min(region.hi, x + reach)
+            if n_steps == 1:
+                inside = scipy_integral(lambda y: sref.rwm_density(x, y), lo, hi,
+                                        (0.0, abs(x), -abs(x)))
+            else:
+                inside = scipy_integral(lambda y: scipy_two_step(x, y), lo, hi,
+                                        (0.0, abs(x), -abs(x)))
+            if region.contains(x):
+                inside += sref.rwm_atom(x) ** n_steps
+            worst = max(worst, 1.0 - inside)
+        got = containment_escape_mass(kernel, Interval(-2.0, 2.0), region, n_steps)
+        assert got == pytest.approx(worst, rel=1e-12, abs=1e-12)
+
+    def test_peaked_integrand_is_bisected_until_it_converges(self):
+        # Cauchy density with scale 1e-3 at 0.3: its tails reach every node
+        f = cauchy([0.3], [1e-3])
+        passes = []
+
+        def counted(i, w):
+            passes.append(w.shape[1])
+            return f(i, w)
+
+        value, err = batch_quad(counted, np.array([-1.0]), np.array([1.0]))
+        assert len(passes) > 5  # bisection rounds after the first pass
+        want = (math.atan(0.7 / 1e-3) + math.atan(1.3 / 1e-3)) / math.pi
+        assert value[0] == pytest.approx(want, rel=1e-12)
+        assert err[0] <= 1.49e-8 * value[0]
+
+    def test_divergent_integrand_raises_at_the_cap(self):
+        passes = []
+
+        def inverse(i, w):
+            passes.append(w.shape[1])
+            return 1.0 / np.abs(w - 1.0 / 3.0)
+
+        with pytest.raises(QuadratureError, match="reported error"):
+            batch_quad(inverse, np.array([-1.0]), np.array([1.0]))
+        # each bisection turns one piece into two: the point ends at 200 pieces
+        assert passes[0] + sum(passes[1:]) // 2 == 200
+        with pytest.raises(QuadratureError):
+            batch_quad(lambda i, w: np.full(w.shape, np.nan), np.zeros(1), np.ones(1))
+
+    def test_value_does_not_depend_on_the_batch(self):
+        centre = np.array([0.3, 0.0, -0.7, 2.0, 0.1])
+        scale = np.array([1e-3, 1.0, 0.05, 0.5, 1e-2])
+        lo = np.array([-1.0, -math.inf, -1.0, 0.0, -math.inf])
+        hi = np.array([1.0, math.inf, 1.0, math.inf, 0.5])
+        breaks = np.array([[0.0], [np.nan], [-0.5], [1.0], [0.0]])
+        value, err = batch_quad(cauchy(centre, scale), lo, hi, breaks)
+        with np.errstate(divide="ignore"):
+            want = (np.arctan((hi - centre) / scale) - np.arctan((lo - centre) / scale)) / math.pi
+        assert value == pytest.approx(want, rel=1e-10)
+        for order in ([0], [3], [4, 1], [2, 0, 3], [4, 3, 2, 1, 0]):
+            sub = np.array(order)
+            v, e = batch_quad(cauchy(centre[sub], scale[sub]), lo[sub], hi[sub], breaks[sub])
+            assert v.tobytes() == value[sub].tobytes()
+            assert e.tobytes() == err[sub].tobytes()
 
 
 class TestPointProcessOverlap:
