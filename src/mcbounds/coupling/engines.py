@@ -136,36 +136,35 @@ def finite_coupling_paths(
     step_cdf: np.ndarray,
     eps: float,
     nu_cdf: np.ndarray,
-    nu_pair_cdf: np.ndarray,
     resid_cdf: np.ndarray,
-    resid_pair_cdf: np.ndarray,
-    pair_mode: bool,
     in_small_set: np.ndarray,
     stop_when_coupled: bool = False,
 ):
     """Coupled paths of a finite chain on the lag-n0 lattice.
 
-    ``step_cdf`` holds row CDFs of the n0-step matrix. In pair mode the
-    overlap measure and residuals are indexed by the ordered start pair
-    (row x * size + y); otherwise the single ``nu_cdf`` and the per-state
-    ``resid_cdf`` apply. Each step takes three uniforms per active pair: the
-    coin, then one inverse-CDF draw per chain. ``stop_when_coupled`` works
-    as in ``rwm_coupling_paths``.
+    ``step_cdf`` holds row CDFs of the n0-step matrix, ``in_small_set`` one
+    bool per state. The overlap table ``nu_cdf`` and the residual table
+    ``resid_cdf`` hold one row for all pairs, one per start state (row x) or
+    one per ordered start pair (row x * size + x'); their row counts select
+    which. Each step takes three uniforms per active pair: the coin, then one
+    inverse-CDF draw per chain. ``stop_when_coupled`` works as in
+    ``rwm_coupling_paths``.
     """
     size = step_cdf.shape[0]
-    n_nu = size * size if pair_mode else 1
-    if pair_mode:
-        table = np.concatenate([step_cdf, nu_pair_cdf, resid_pair_cdf])
-    else:
-        table = np.concatenate([step_cdf, nu_cdf[None, :], resid_cdf])
+    table = np.concatenate([step_cdf, nu_cdf, resid_cdf])
+
+    def row(first: int, count: int, x, xp):
+        """Row of ``table`` for the pair (x, xp) in the ``count`` rows from ``first``."""
+        if count == 1:
+            return first
+        return first + (x if count == size else x * size + xp)
 
     def nu_row(x, xp):
-        return size + (x * size + xp if pair_mode else 0)
+        return row(size, nu_cdf.shape[0], x, xp)
 
     def resid_row(x, xp):
-        return size + n_nu + (x * size + xp if pair_mode else x)
+        return row(size + nu_cdf.shape[0], resid_cdf.shape[0], x, xp)
 
-    small = in_small_set.astype(bool)
     paths = _Paths(replications, n_lat, record_every, np.int32)
     for rows, rng in _blocks(master_seed, replications):
         start = rng.random((2, rows.stop - rows.start))
@@ -180,7 +179,7 @@ def finite_coupling_paths(
             xa, xpa = x[active], xp[active]
             u = rng.random((3, active.size))
             eq = xa == xpa
-            coin = ~eq & small[xa] & small[xpa]
+            coin = ~eq & in_small_set[xa] & in_small_set[xpa]
             heads = coin & (u[0] < eps)
             tails = coin & ~heads
             row_x = np.where(heads, nu_row(xa, xpa), np.where(tails, resid_row(xa, xpa), xa))

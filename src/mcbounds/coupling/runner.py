@@ -236,9 +236,13 @@ def _cdf_rows(rows: np.ndarray) -> np.ndarray:
 def _finite_arrays(config: CouplingConfig):
     """Exact residual/overlap tables for the finite engine, as float CDFs.
 
-    Residuals are formed exactly on integer numerators, so a certificate that
-    over-claims its overlap by any amount is rejected. Each table entry is an
-    int/int quotient, the correctly rounded float of the exact rational.
+    Returns ``(step_cdf, nu_cdf, resid_cdf, in_small)``. The uniform
+    certificate gives one overlap row and one residual row per state; the
+    pairwise one gives both per ordered pair, at row x * size + x' (the
+    diagonal rows are never drawn from). Residuals are formed exactly on
+    integer numerators, so a certificate that over-claims its overlap by any
+    amount is rejected. Each table entry is an int/int quotient, the
+    correctly rounded float of the exact rational.
     """
     P = config.matrix
     cert = config.cert
@@ -262,11 +266,8 @@ def _finite_arrays(config: CouplingConfig):
 
     if cert.variant == "uniform":
         nu, nu_den = _common_denominator(cert.nu.entries)
-        nu_cdf = _cdf_rows(np.array([w / nu_den for w in nu]))
+        nu_cdf = _cdf_rows(np.array([[w / nu_den for w in nu]]))
         resid_cdf = _cdf_rows(np.array([residual(row, nu, nu_den) for row in num]))
-        nu_pair_cdf = np.zeros((1, 1))
-        resid_pair_cdf = np.zeros((1, 1))
-        pair_mode = False
     else:
         nu_pair = np.zeros((size * size, size))
         resid_pair = np.zeros((size * size, size))
@@ -279,16 +280,12 @@ def _finite_arrays(config: CouplingConfig):
                 resid_pair[i * size + j] = residual(
                     num[i], mins, total, f" for pair ({i},{j})"
                 )
-        nu_cdf = np.zeros(1)
-        resid_cdf = np.zeros((1, 1))
-        nu_pair_cdf = _cdf_rows(nu_pair)
-        resid_pair_cdf = _cdf_rows(resid_pair)
-        pair_mode = True
+        nu_cdf = _cdf_rows(nu_pair)
+        resid_cdf = _cdf_rows(resid_pair)
 
-    in_small = np.zeros(size, np.uint8)
-    for s in cert.small_set:
-        in_small[s] = 1
-    return step_cdf, nu_cdf, nu_pair_cdf, resid_cdf, resid_pair_cdf, pair_mode, in_small
+    in_small = np.zeros(size, bool)
+    in_small[list(cert.small_set)] = True
+    return step_cdf, nu_cdf, resid_cdf, in_small
 
 
 def _assert_once_coupled_forever(eq: np.ndarray) -> None:
@@ -376,8 +373,7 @@ def _run_finite(config: CouplingConfig, mode: str) -> CouplingResult:
     n_lat = config.n_max // cert.n0
     pi = stationary(P)
     mu0 = config.initial_law or ProbVector.delta(P.size, 0)
-    arrays = _finite_arrays(config)
-    step_cdf, nu_cdf, nu_pair_cdf, resid_cdf, resid_pair_cdf, pair_mode, in_small = arrays
+    step_cdf, nu_cdf, resid_cdf, in_small = _finite_arrays(config)
     xs, xps, couple_at = engines.finite_coupling_paths(
         n_lat,
         config.master_seed,
@@ -388,10 +384,7 @@ def _run_finite(config: CouplingConfig, mode: str) -> CouplingResult:
         step_cdf,
         float(cert.epsilon),
         nu_cdf,
-        nu_pair_cdf,
         resid_cdf,
-        resid_pair_cdf,
-        pair_mode,
         in_small,
         config.stop_when_coupled,
     )

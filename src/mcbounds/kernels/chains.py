@@ -2,11 +2,10 @@
 
 Each constructor returns an immutable ``Kernel`` (and, for the Metropolis
 chains, the ``TargetDensity`` it preserves). Sampling is deterministic in
-(state, seed): trajectory samplers reseed ``np.random`` themselves, one-step
-samplers draw all their samples at once from ``np.random.default_rng(seed)``,
-and the scalar ``step`` functions consume whatever stream the caller has
-seeded. Densities, atom masses, windows and breakpoints take numpy arrays and
-work per element.
+(state, seed): every sampler draws from its own
+``np.random.default_rng(seed)``, takes all its variates in a few array calls
+and leaves no global random state behind. Densities, atom masses, windows and
+breakpoints take numpy arrays and work per element.
 """
 
 from __future__ import annotations
@@ -17,8 +16,8 @@ from typing import Callable
 
 import numpy as np
 
-from ..errors import InputError
-from . import laws, scalars
+from ..errors import InputError, MathError
+from . import laws
 
 __all__ = [
     "HALFLINE_OVERLAP_EPSILON",
@@ -40,6 +39,13 @@ HALFLINE_OVERLAP_EPSILON = 0.5
 RWM_SMALL_SET = (-2.0, 2.0)
 RWM_OVERLAP_EPSILON = 1.0 / (8.0 * math.e**2)
 
+# rejection rounds of the particle direct sampler: at acceptance a a sample
+# is still pending after r rounds with probability (1 - a)^r, so at
+# c = d = 0.5 (a = 1.35 %) 120 000 samples all finish within the cap but with
+# probability 2e-13; a target that needs more rounds has too little mass
+# under the uniform law for this sampler
+MAX_REJECTION_ROUNDS = 3000
+
 
 @dataclass(frozen=True)
 class TargetDensity:
@@ -58,33 +64,38 @@ class Kernel:
     kernel has no density in the required form). ``window`` and
     ``breakpoints`` describe the one-step support and the integrand kinks for
     quadrature. For the one-dimensional kernels all four take numpy arrays of
-    states and work per element. ``step_radius`` bounds one-step moves when
-    finite.
+    states and work per element; ``atom_breakpoints`` lists the fixed states
+    where ``atom_mass`` kinks. ``step_radius`` bounds one-step moves when
+    finite. ``trajectory(x0, n, seed)``, ``one_step_samples(x, n, seed)`` and
+    ``direct_samples(n, seed)`` each draw from ``np.random.default_rng(seed)``.
     """
 
     name: str
     dim: int
     support: str
-    step: Callable | None
     trajectory: Callable
     transition_density: Callable | None = None
     atom_mass: Callable | None = None
     window: Callable | None = None
     breakpoints: Callable | None = None
+    atom_breakpoints: tuple[float, ...] = ()
     step_radius: float | None = None
     one_step_samples: Callable | None = None
     direct_samples: Callable | None = None
 
 
 def _hl_trajectory(x0: float, n: int, seed: int) -> np.ndarray:
-    np.random.seed(seed)
-    out = np.empty(n + 1)
-    out[0] = x0
+    """The law of ``laws.hl_step``, with every variate drawn up front."""
+    rng = np.random.default_rng(seed)
+    pick = (rng.random(n) < 0.5).tolist()
+    exponential = rng.exponential(0.5, n).tolist()
+    half_normal = np.abs(rng.standard_normal(n)).tolist()
+    out = [x0]
     x = x0
-    for i in range(1, n + 1):
-        x = scalars.hl_draw(x)
-        out[i] = x
-    return out
+    for exp_branch, e, z in zip(pick, exponential, half_normal):
+        x = e if exp_branch else z * (x + 1.0)
+        out.append(x)
+    return np.array(out)
 
 
 def _hl_one_step_samples(x: float, n: int, seed: int) -> np.ndarray:
@@ -112,7 +123,6 @@ def halfline_mixture_kernel() -> Kernel:
         name="halfline-mixture",
         dim=1,
         support="[0, inf)",
-        step=scalars.hl_draw,
         trajectory=trajectory,
         transition_density=laws.hl_density,
         atom_mass=lambda x: np.zeros(np.shape(x)),
@@ -123,14 +133,23 @@ def halfline_mixture_kernel() -> Kernel:
 
 
 def _rwm_trajectory(x0: float, n: int, seed: int) -> np.ndarray:
-    np.random.seed(seed)
-    out = np.empty(n + 1)
-    out[0] = x0
+    """n steps of ``laws.rwm_step``, bit for bit, from one draw of uniforms.
+
+    Row i holds the two uniforms ``laws.rwm_step`` would take at step i, so
+    the path equals n one-state calls of it on the same generator.
+    """
+    u = np.random.default_rng(seed).random((n, 2))
+    shift = (4.0 * u[:, 0]).tolist()  # exact: a power-of-two multiple
+    accept = u[:, 1].tolist()
+    out = [x0]
     x = x0
-    for i in range(1, n + 1):
-        x = scalars.rwm_step(x)
-        out[i] = x
-    return out
+    for s, a in zip(shift, accept):
+        y = x + s - 2.0
+        gap = abs(x) - abs(y)
+        if gap >= 0.0 or a < math.exp(gap):
+            x = y
+        out.append(x)
+    return np.array(out)
 
 
 def _rwm_one_step_samples(x: float, n: int, seed: int) -> np.ndarray:
@@ -152,12 +171,12 @@ def metropolis_rwm_laplace() -> tuple[Kernel, TargetDensity]:
         name="rwm-laplace",
         dim=1,
         support="R",
-        step=scalars.rwm_step,
         trajectory=trajectory,
         transition_density=laws.rwm_density,
         atom_mass=laws.rwm_atom,
         window=lambda x: (x - 2.0, x + 2.0),
         breakpoints=lambda x: [0.0, np.abs(x), -np.abs(x)],
+        atom_breakpoints=(-1.0, 1.0),  # where x -+ 2 meets the kink at -+|x|
         step_radius=2.0,
         one_step_samples=lambda x, n, seed: _rwm_one_step_samples(
             float(x), int(n), int(seed)
@@ -167,47 +186,53 @@ def metropolis_rwm_laplace() -> tuple[Kernel, TargetDensity]:
 
 
 def _pp_trajectory(x0: np.ndarray, n: int, seed: int, c: float, d: float):
-    np.random.seed(seed)
-    out = np.empty((n + 1, 6))
-    out[0] = x0
-    cur = x0.copy()
-    log_cur = scalars.pp_log_target(cur, c, d)
-    prop = np.empty(6)
+    """Independence Metropolis path and its number of accepted moves.
+
+    Proposals do not depend on the state, so all n of them are drawn and
+    scored in one pass; only the accept scan runs step by step.
+    """
+    rng = np.random.default_rng(seed)
+    proposals = rng.random((n, 6))
+    log_prop = laws.pp_log_target(proposals, c, d).tolist()
+    log_u = np.log1p(-rng.random(n)).tolist()
+    held = np.empty(n + 1, np.int64)  # row of [x0; proposals] held at step i
+    held[0] = cur = 0
+    log_cur = float(laws.pp_log_target(x0, c, d))
     accepts = 0
-    for i in range(1, n + 1):
-        for k in range(6):
-            prop[k] = np.random.random()
-        log_prop = scalars.pp_log_target(prop, c, d)
-        gap = log_prop - log_cur
-        if gap >= 0.0 or math.log(1.0 - np.random.random()) < gap:
-            for k in range(6):
-                cur[k] = prop[k]
-            log_cur = log_prop
+    for i, (lp, lu) in enumerate(zip(log_prop, log_u), start=1):
+        gap = lp - log_cur
+        if gap >= 0.0 or lu < gap:
+            cur, log_cur = i, lp
             accepts += 1
-        out[i] = cur
-    return out, accepts
+        held[i] = cur
+    return np.concatenate([x0[None, :], proposals])[held], accepts
 
 
 def _pp_direct_samples(n: int, seed: int, c: float, d: float):
     """Independent draws from the target by rejection from the uniform law.
 
     The log density is <= 0 on the cube, so accepting a uniform proposal with
-    probability exp(log density) is exact.
+    probability exp(log density) is exact. Each round proposes once for every
+    pending sample; returns the samples and the number of proposals.
     """
-    np.random.seed(seed)
+    rng = np.random.default_rng(seed)
     out = np.empty((n, 6))
-    prop = np.empty(6)
+    pending = np.arange(n)
     proposals = 0
-    for i in range(n):
-        while True:
-            proposals += 1
-            for k in range(6):
-                prop[k] = np.random.random()
-            log_t = scalars.pp_log_target(prop, c, d)
-            if math.log(1.0 - np.random.random()) < log_t:
-                for k in range(6):
-                    out[i, k] = prop[k]
-                break
+    for _ in range(MAX_REJECTION_ROUNDS):
+        if pending.size == 0:
+            break
+        prop = rng.random((6, pending.size)).T  # coordinate-major, as laws reads it
+        accept = np.log1p(-rng.random(pending.size)) < laws.pp_log_target(prop, c, d)
+        proposals += pending.size
+        out[pending[accept]] = prop[accept]
+        pending = pending[~accept]
+    if pending.size:
+        raise MathError(
+            f"{pending.size} of {n} direct samples still pending after "
+            f"{MAX_REJECTION_ROUNDS} rejection rounds: the target's acceptance "
+            "is too small for rejection from the uniform law"
+        )
     return out, proposals
 
 
@@ -222,8 +247,8 @@ def metropolis_point_process(c: float, d: float) -> tuple[Kernel, TargetDensity]
     if not (c > 0 and d > 0):
         raise InputError(f"need c > 0 and d > 0, got c={c}, d={d}")
 
-    def log_target(state: np.ndarray) -> float:
-        return float(scalars.pp_log_target(np.asarray(state, dtype=float), c, d))
+    def log_target(states: np.ndarray):
+        return laws.pp_log_target(states, c, d)
 
     target = TargetDensity(log_unnormalized=log_target, support="[0,1]^6")
 
@@ -243,15 +268,17 @@ def metropolis_point_process(c: float, d: float) -> tuple[Kernel, TargetDensity]
     def direct_samples(n: int, seed: int):
         return _pp_direct_samples(int(n), int(seed), c, d)
 
-    def density(x: np.ndarray, y: np.ndarray) -> float:
-        # uniform proposal density is 1 on the cube
-        return min(1.0, math.exp(log_target(y) - log_target(x)))
+    def density(x: np.ndarray, y: np.ndarray):
+        # uniform proposal density is 1 on the cube; every move out of a
+        # zero-density (coincident) state is accepted, fmin drops the NaN of
+        # -inf - -inf
+        with np.errstate(invalid="ignore"):
+            return np.fmin(1.0, np.exp(log_target(y) - log_target(x)))
 
     kernel = Kernel(
         name="point-process",
         dim=6,
         support="[0,1]^6",
-        step=None,
         trajectory=trajectory,
         transition_density=density,
         atom_mass=None,

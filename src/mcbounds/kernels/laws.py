@@ -1,9 +1,11 @@
-"""Transition laws of the built-in one-dimensional kernels, on numpy arrays.
+"""Transition laws of the built-in kernels, on numpy arrays.
 
-Densities, atom masses and one-step samplers, each evaluated per element of
-its (broadcast) array arguments. The kernels, the quadrature verifiers and
-the coupling engines all use these functions; there is no second, scalar
-copy. Samplers draw from the ``np.random.Generator`` they are given.
+Densities, atom masses and one-step samplers of the one-dimensional chains,
+each evaluated per element of its (broadcast) array arguments, and the
+particle chain's target on arrays of states. The kernels, the quadrature
+verifiers and the coupling engines all use these functions; there is no
+second, scalar copy. Samplers draw from the ``np.random.Generator`` they are
+given.
 """
 
 from __future__ import annotations
@@ -109,3 +111,26 @@ def rwm_step(rng, x: np.ndarray) -> np.ndarray:
 
 def rwm_two_steps(rng, x: np.ndarray) -> np.ndarray:
     return rwm_step(rng, rwm_step(rng, x))
+
+
+# ---------------------------------------------------------------------------
+# three-particle repulsion process on [0,1]^2 per particle, states flattened
+# to (x1, y1, x2, y2, x3, y3)
+
+
+def pp_log_target(states, c: float, d: float):
+    """Log unnormalized density -c * sum |x_i| - d * sum 1/|x_i - x_j|.
+
+    ``states`` has shape (..., 6); the result has shape (...). Coincident
+    particles get log density -inf, so proposals hitting them are always
+    rejected.
+    """
+    # coordinates first: one contiguous row per coordinate
+    p = np.ascontiguousarray(np.moveaxis(np.asarray(states, dtype=float), -1, 0))
+    x, y = p[0::2], p[1::2]
+    total = -c * np.sqrt(x * x + y * y).sum(axis=0)
+    with np.errstate(divide="ignore"):
+        for i, j in ((0, 1), (0, 2), (1, 2)):
+            dx, dy = x[i] - x[j], y[i] - y[j]
+            total -= d / np.sqrt(dx * dx + dy * dy)
+    return total

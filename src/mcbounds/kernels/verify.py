@@ -438,6 +438,7 @@ def containment_escape_mass(
     x = np.array([small_set.lo, small_set.hi], dtype=float)
     lo, hi = _window(kernel, x)
     kept_atom = np.where(region.contains(x), _atom(kernel, x) ** n_steps, 0.0)
+    breaks = _breaks(kernel, x)
     if n_steps == 1:
         lo, hi = np.maximum(lo, region.lo), np.minimum(hi, region.hi)
 
@@ -446,10 +447,18 @@ def containment_escape_mass(
     else:
         radius = kernel.step_radius
         lo, hi = np.maximum(region.lo, lo - radius), np.minimum(region.hi, hi + radius)
+        # y -> p2(x, y) jumps at x -+ radius, where p(x, y) drops to 0, and
+        # kinks at the kinks of p(x, .), at those shifted by -+radius (where
+        # an end of the convolution window crosses one) and at the atom's
+        edges = np.stack([x - radius, x + radius], axis=-1)
+        atom_kinks = np.tile(np.array(kernel.atom_breakpoints, dtype=float), (x.size, 1))
+        breaks = np.concatenate(
+            [breaks, breaks - radius, breaks + radius, edges, atom_kinks], axis=1
+        )
 
         def integrand(i, w):
             starts = np.broadcast_to(x[i], w.shape).ravel()
             return _two_step_densities(kernel, starts, w.ravel())[0].reshape(w.shape)
 
-    mass, _ = batch_quad(integrand, lo, hi, _breaks(kernel, x))
+    mass, _ = batch_quad(integrand, lo, hi, breaks)
     return float(max(0.0, np.max(1.0 - (mass + kept_atom))))

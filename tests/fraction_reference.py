@@ -260,11 +260,8 @@ def finite_arrays(P: StochasticMatrix, cert: MinorizationCert):
             for v in row:
                 if v < 0:
                     raise CertificateError(f"residual entry {float(v)} is negative")
-        nu_cdf = _cdf_rows(np.array([float(v) for v in nu.entries]))
+        nu_cdf = _cdf_rows(np.array([[float(v) for v in nu.entries]]))
         resid_cdf = _cdf_rows(_exact_row_floats(resid))
-        nu_pair_cdf = np.zeros((1, 1))
-        resid_pair_cdf = np.zeros((1, 1))
-        pair_mode = False
     else:
         nu_pair = np.empty((size * size, size))
         resid_pair = np.empty((size * size, size))
@@ -289,13 +286,10 @@ def finite_arrays(P: StochasticMatrix, cert: MinorizationCert):
                         )
                 nu_pair[i * size + j] = [float(v) for v in nu_ij.entries]
                 resid_pair[i * size + j] = [float(v) for v in resid_row]
-        nu_cdf = np.zeros(1)
-        resid_cdf = np.zeros((1, 1))
-        nu_pair_cdf = _cdf_rows(nu_pair)
-        resid_pair_cdf = _cdf_rows(resid_pair)
-        pair_mode = True
+        nu_cdf = _cdf_rows(nu_pair)
+        resid_cdf = _cdf_rows(resid_pair)
 
-    in_small = np.zeros(size, np.uint8)
+    in_small = np.zeros(size, bool)
     for s in cert.small_set:
-        in_small[s] = 1
-    return step_cdf, nu_cdf, nu_pair_cdf, resid_cdf, resid_pair_cdf, pair_mode, in_small
+        in_small[s] = True
+    return step_cdf, nu_cdf, resid_cdf, in_small

@@ -1,4 +1,4 @@
-"""Scalar transition densities of the built-in kernels, kept for tests only.
+"""Scalar transition densities and the particle target, kept for tests only.
 
 One point at a time on ``math``: the straightforward forms of the array
 functions in ``mcbounds.kernels.laws``. The tests require the two to agree
@@ -82,3 +82,18 @@ def rwm_conv2(x: float, z: float) -> float:
 def rwm_two_step_density(x: float, z: float) -> float:
     p_xz = rwm_density(x, z)
     return rwm_conv2(x, z) + rwm_atom(x) * p_xz + p_xz * rwm_atom(z)
+
+
+def pp_log_target(state, c: float, d: float) -> float:
+    """Particle log target -c * sum |x_i| - d * sum 1/|x_i - x_j|, -inf on
+    coincident particles; ``state`` is (x1, y1, x2, y2, x3, y3)."""
+    total = 0.0
+    for i in range(3):
+        total -= c * math.sqrt(state[2 * i] ** 2 + state[2 * i + 1] ** 2)
+    for i in range(3):
+        for j in range(i + 1, 3):
+            r = math.hypot(state[2 * i] - state[2 * j], state[2 * i + 1] - state[2 * j + 1])
+            if r == 0.0:
+                return -math.inf
+            total -= d / r
+    return total

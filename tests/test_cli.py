@@ -377,12 +377,15 @@ class TestStartup:
         )
         assert out.strip() == "[]"
 
-    def test_no_module_under_src_imports_scipy(self):
+    def sources(self):
         package = Path(mcbounds.__file__).resolve().parent
         sources = sorted(package.rglob("*.py"))
         assert len(sources) > 10
-        for path in sources:
-            for node in ast.walk(ast.parse(path.read_text())):
+        return [(path, ast.parse(path.read_text())) for path in sources]
+
+    def test_no_module_under_src_imports_scipy(self):
+        for path, tree in self.sources():
+            for node in ast.walk(tree):
                 if isinstance(node, ast.Import):
                     names = [alias.name for alias in node.names]
                 elif isinstance(node, ast.ImportFrom):
@@ -390,3 +393,23 @@ class TestStartup:
                 else:
                     continue
                 assert not any(n.split(".")[0] == "scipy" for n in names), path
+
+    def test_no_module_under_src_uses_the_legacy_random_stream(self):
+        # every sampler owns a seeded Generator; np.random.seed, np.random.random
+        # and the other module-level functions share one hidden global stream
+        allowed = {"default_rng", "Generator", "SeedSequence"}
+        for path, tree in self.sources():
+            for node in ast.walk(tree):
+                if isinstance(node, ast.ImportFrom) and node.module == "numpy":
+                    assert "random" not in {alias.name for alias in node.names}, path
+                elif isinstance(node, ast.ImportFrom) and node.module == "numpy.random":
+                    names = {alias.name for alias in node.names}
+                    assert names <= allowed, (path, node.lineno, names - allowed)
+                elif (
+                    isinstance(node, ast.Attribute)
+                    and isinstance(node.value, ast.Attribute)
+                    and node.value.attr == "random"
+                    and isinstance(node.value.value, ast.Name)
+                    and node.value.value.id in ("np", "numpy")
+                ):
+                    assert node.attr in allowed, (path, node.lineno, node.attr)

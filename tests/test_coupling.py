@@ -132,13 +132,14 @@ def pair_chain_oracle(config):
     x * size + x'; its float64 transition matrix is assembled from the same
     CDF tables the engine draws from, and evolved from mu0 (x) pi.
     """
-    step, nu, nu_pair, resid, resid_pair, pair_mode, in_small = _finite_arrays(config)
+    step, nu, resid, in_small = _finite_arrays(config)
     size = step.shape[0]
+    pair_mode = config.cert.variant == "pseudo"
 
     def probs(cdf):
         return np.diff(cdf, prepend=0.0, axis=-1)
 
-    step, nu, nu_pair, resid, resid_pair = map(probs, (step, nu, nu_pair, resid, resid_pair))
+    step, nu, resid = map(probs, (step, nu, resid))
     eps = float(config.cert.epsilon)
     T = np.zeros((size * size, size * size))
     diagonal = np.arange(size) * (size + 1)
@@ -148,9 +149,9 @@ def pair_chain_oracle(config):
             if x == xp:
                 T[i, diagonal] = step[x]
             elif in_small[x] and in_small[xp]:
-                shared = nu_pair[i] if pair_mode else nu
-                r_x = resid_pair[i] if pair_mode else resid[x]
-                r_xp = resid_pair[xp * size + x] if pair_mode else resid[xp]
+                shared = nu[i] if pair_mode else nu[0]
+                r_x = resid[i] if pair_mode else resid[x]
+                r_xp = resid[xp * size + x] if pair_mode else resid[xp]
                 T[i] = (1.0 - eps) * np.outer(r_x, r_xp).ravel()
                 T[i, diagonal] += eps * shared
             else:
@@ -575,6 +576,11 @@ def assert_tables_match_reference(matrix, cert):
     )
     tables = _finite_arrays(config)
     expected = ref.finite_arrays(matrix, cert)
+    # one overlap row, one residual row per state; or both per ordered pair
+    size = matrix.size
+    pair = cert.variant == "pseudo"
+    assert tables[1].shape == (size * size if pair else 1, size)
+    assert tables[2].shape == (size * size if pair else size, size)
     assert len(tables) == len(expected)
     for got, want in zip(tables, expected):
         assert np.array_equal(got, want)

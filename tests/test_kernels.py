@@ -2,6 +2,7 @@
 
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -11,7 +12,7 @@ from scipy.integrate import quad
 
 import scalar_reference as sref
 from mcbounds.bounds import Interval, UnivariateDrift
-from mcbounds.errors import InputError, QuadratureError
+from mcbounds.errors import InputError, MathError, QuadratureError
 from mcbounds.kernels import (
     containment_escape_mass,
     expected_value_after_step,
@@ -256,6 +257,35 @@ class TestContainment:
         )
         assert escape > 1e-3
 
+    @pytest.mark.parametrize(
+        "small,region",
+        [
+            (Interval(-1.0, 1.5), Interval(-3.0, 3.0)),
+            (Interval(-2.0, 2.0), Interval(-5.0, 5.5)),
+        ],
+    )
+    def test_two_step_escape_matches_the_closed_form(self, rwm, small, region):
+        # scipy integrates the closed-form two-step density piece by piece,
+        # split at every kink: the jumps at x -+ 2, the kinks 0, -+|x| of
+        # p(x, .), those shifted by -+2, and |y| = 1 of the atom term
+        kernel, _ = rwm
+        worst = 0.0
+        for x in (small.lo, small.hi):
+            lo, hi = max(region.lo, x - 4.0), min(region.hi, x + 4.0)
+            kinks = {s * 2.0 + b for s in (-1, 0, 1) for b in (0.0, abs(x), -abs(x))}
+            kinks |= {x - 2.0, x + 2.0, -1.0, 1.0}
+            edges = [lo] + sorted(k for k in kinks if lo < k < hi) + [hi]
+            inside = sum(
+                quad(lambda y: float(laws.rwm_two_step_density(x, y)), a, b,
+                     epsabs=1e-14, epsrel=1e-13)[0]
+                for a, b in zip(edges[:-1], edges[1:])
+            )
+            if region.contains(x):
+                inside += sref.rwm_atom(x) ** 2
+            worst = max(worst, 1.0 - inside)
+        got = containment_escape_mass(kernel, small, region, n_steps=2)
+        assert got == pytest.approx(worst, rel=1e-12, abs=1e-12)
+
     def test_unbounded_kernel_rejected(self, halfline):
         with pytest.raises(InputError):
             containment_escape_mass(halfline, Interval(0, 2), Interval(0, 50), 1)
@@ -419,7 +449,7 @@ class TestPointProcessOverlap:
         log_b = target.log_unnormalized(config_b)
         rng = np.random.default_rng(42)
         ys = rng.random((100_000, 6))
-        log_t = np.array([target.log_unnormalized(y) for y in ys])
+        log_t = target.log_unnormalized(ys)
         overlap = np.minimum(
             np.minimum(1.0, np.exp(log_t - log_a)),
             np.minimum(1.0, np.exp(log_t - log_b)),
@@ -438,6 +468,35 @@ class TestSamplerCorrectness:
         assert np.array_equal(
             kernel.trajectory(0.0, 500, seed=7), kernel.trajectory(0.0, 500, seed=7)
         )
+
+    def test_rwm_trajectory_steps_like_rwm_step(self, rwm):
+        kernel, _ = rwm
+        path = kernel.trajectory(0.3, 2000, seed=4)
+        rng = np.random.default_rng(4)
+        x = np.array([0.3])
+        want = [0.3]
+        for _ in range(2000):
+            x = laws.rwm_step(rng, x)
+            want.append(float(x[0]))
+        assert path.tobytes() == np.array(want).tobytes()
+
+    def test_halfline_trajectory_follows_hl_step(self, halfline):
+        # the trajectory's scalar recurrence against a lockstep ensemble
+        # advanced by laws.hl_step; 40 steps leave a bias below 2^-40, as
+        # every step regenerates with probability 1/2
+        path = halfline.trajectory(0.0, 200_000, seed=41)[1000:]
+        rng = np.random.default_rng(42)
+        ensemble = np.zeros(100_000)
+        for _ in range(40):
+            ensemble = laws.hl_step(rng, ensemble)
+        for q in (0.1, 0.25, 0.6, 1.3, 2.5, 7.0):
+            chain_ind = (path <= q).astype(float)
+            ensemble_ind = (ensemble <= q).astype(float)
+            se = math.hypot(
+                batch_se(chain_ind),
+                float(ensemble_ind.std(ddof=1)) / math.sqrt(ensemble_ind.size),
+            )
+            assert chain_ind.mean() == pytest.approx(ensemble_ind.mean(), abs=4 * se)
 
     def test_rwm_one_step_histogram_matches_density(self, rwm):
         kernel, _ = rwm
@@ -507,6 +566,30 @@ class TestSamplerCorrectness:
         se = math.sqrt(rate_a * (1 - rate_a) / 100_000)
         assert rate_a == pytest.approx(rate_b, abs=3 * math.hypot(se, se))
 
+    def test_point_process_direct_samples_finish_at_low_acceptance(self):
+        kernel, target = metropolis_point_process(0.5, 0.5)
+        samples, proposals = kernel.direct_samples(120_000, seed=3)
+        assert samples.shape == (120_000, 6)
+        assert np.all((samples >= 0.0) & (samples < 1.0))
+        assert np.all(np.isfinite(target.log_unnormalized(samples)))
+        # about 1.4 % of uniform proposals are accepted at c = d = 0.5
+        assert 0.012 < samples.shape[0] / proposals < 0.016
+
+    def test_point_process_direct_samples_give_up_at_the_round_cap(self):
+        kernel, _ = metropolis_point_process(3.0, 3.0)
+        with pytest.raises(MathError, match="1000 of 1000 direct samples still pending"):
+            kernel.direct_samples(1000, seed=3)
+
+    def test_point_process_log_target_matches_the_scalar_one(self, point_process):
+        _, target = point_process
+        states = np.random.default_rng(8).random((4, 50, 6))
+        states[1, 7, 2:4] = states[1, 7, 0:2]  # particles 1 and 2 coincide
+        got = target.log_unnormalized(states)
+        assert got.shape == (4, 50)
+        want = [[sref.pp_log_target(s, 0.1, 0.1) for s in block] for block in states]
+        assert got == pytest.approx(np.array(want), rel=1e-13)
+        assert got[1, 7] == -math.inf
+
     def test_coincident_particles_invalid_start_and_always_rejected(
         self, point_process
     ):
@@ -517,6 +600,11 @@ class TestSamplerCorrectness:
             kernel.trajectory(coincident, 10, seed=1)
         valid = np.array([0.2, 0.2, 0.8, 0.3, 0.5, 0.9])
         assert kernel.transition_density(valid, coincident) == 0.0
+        # moves out of a zero-density state are always accepted
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert kernel.transition_density(coincident, valid) == 1.0
+            assert kernel.transition_density(coincident, coincident) == 1.0
 
     def test_acceptance_certain_when_target_increases(self, point_process):
         kernel, target = point_process
