@@ -4,8 +4,10 @@ Covers the geometric minorization bound (1-eps)^floor(n/n0), the
 drift-based two-term bound (1-eps)^j + alpha^-n * B^(j-1) * E[h], the
 univariate-to-bivariate drift conversion, and the helpers around them
 (stationary moment bound, B constant, sup-h shortcut, threshold search,
-integer-j optimization). Everything here is a pure function; large powers
-are evaluated in log space.
+integer-j optimization), and the closed-form constants of the built-in chains
+that the bound command reads. Everything here is a pure function; large powers
+are evaluated in log space. The module imports no numpy, so the exact
+commands start without it.
 """
 
 from __future__ import annotations
@@ -19,6 +21,7 @@ from .errors import (
     ContainmentError,
     DriftConversionError,
     InputError,
+    MathError,
     ThresholdNotReachedError,
 )
 
@@ -30,6 +33,7 @@ __all__ = [
     "DriftMinorizationInputs",
     "minorization_bound",
     "minorization_curve",
+    "minorization_crossing",
     "steps_to_threshold",
     "bivariate_from_univariate",
     "stationary_moment_bound",
@@ -38,10 +42,26 @@ __all__ = [
     "drift_minorization_bound",
     "drift_minorization_log_terms",
     "optimize_drift_minorization",
+    "point_process_overlap",
+    "LAPLACE_SCHEDULE",
+    "MAX_CURVE_POINTS",
+    "MAX_POWER_BITS",
 ]
 
 # exp() overflows just above this; larger log-terms are reported as +inf
 _EXP_OVERFLOW = 700.0
+
+# The geometric bound is evaluated on exact powers (1-eps)^k, whose numerator
+# and denominator grow linearly in k. A curve holds at most MAX_CURVE_POINTS
+# lattice points, and a crossing search refuses a power whose numerator or
+# denominator would exceed MAX_POWER_BITS bits (forming one such power takes
+# about a second on a 2-core x86 host); both limits raise InputError.
+MAX_CURVE_POINTS = 10_000
+MAX_POWER_BITS = 1 << 22
+
+# reference (n, j) pair at which `bound t2` reports the Metropolis chain's
+# two-term bound, for regression
+LAPLACE_SCHEDULE = (120_000, 274)
 
 
 @dataclass(frozen=True)
@@ -127,12 +147,24 @@ def minorization_bound(epsilon, n0: int, n: int):
 
 
 def minorization_curve(epsilon, n0: int, n_max: int, threshold: float | None = None) -> BoundReport:
-    """Evaluate the geometric bound on n = 0..n_max."""
+    """Evaluate the geometric bound on n = 0..n_max, as floats.
+
+    Each value is the float nearest the exact bound: powers of a rational
+    ``epsilon`` are formed exactly, one multiplication per step. Raises
+    ``InputError`` for a curve of more than ``MAX_CURVE_POINTS`` points.
+    """
+    minorization_bound(epsilon, n0, 0)  # validates epsilon and n0
+    if n_max + 1 > MAX_CURVE_POINTS:
+        raise InputError(
+            f"a curve of {n_max + 1} points exceeds the cap of {MAX_CURVE_POINTS}; "
+            "pass a smaller n_max"
+        )
     ns = tuple(range(n_max + 1))
-    values = tuple(minorization_bound(epsilon, n0, n) for n in ns)
+    powers = _geometric_powers(1 - epsilon, n_max // n0)
+    values = tuple(powers[n // n0] for n in ns)
     crossing = None
     if threshold is not None:
-        crossing = steps_to_threshold(lambda n: float(minorization_bound(epsilon, n0, n)), threshold)
+        crossing = minorization_crossing(epsilon, n0, threshold)
     return BoundReport(
         kind="minorization-geometric",
         ns=ns,
@@ -141,6 +173,70 @@ def minorization_curve(epsilon, n0: int, n_max: int, threshold: float | None = N
         crossing=crossing,
         inputs={"epsilon": float(epsilon), "n0": n0},
     )
+
+
+def _geometric_powers(base, k_max: int) -> list[float]:
+    """float(base**k) for k = 0..k_max; a rational base is powered exactly."""
+    if isinstance(base, float):
+        return [base**k for k in range(k_max + 1)]
+    num, den = Fraction(base).as_integer_ratio()
+    top, bottom, out = 1, 1, []
+    for _ in range(k_max + 1):
+        out.append(top / bottom)  # int division rounds correctly, as Fraction's float does
+        top *= num
+        bottom *= den
+    return out
+
+
+def minorization_crossing(epsilon, n0: int, delta: float) -> int:
+    """Smallest n with float(minorization_bound(epsilon, n0, n)) < delta.
+
+    The answer ``steps_to_threshold`` gives for the geometric bound, found
+    without a search over exact powers: the crossing exponent k is estimated
+    in float log space, then settled by exact powers at k and k - 1 (a step
+    or two further in the rare case the estimate is off). Raises
+    ``InputError`` when an exact power at the crossing would exceed
+    ``MAX_POWER_BITS``, and ``ThresholdNotReachedError`` when the crossing
+    lies beyond the 10**9 steps ``steps_to_threshold`` searches by default.
+    """
+    if not 0 < delta < 1:
+        raise InputError(f"delta must be in (0, 1), got {delta}")
+    minorization_bound(epsilon, n0, 0)  # validates epsilon and n0
+    base = 1 - epsilon
+    if base == 0:
+        return n0
+    ratio = Fraction(base)
+    eps = float(epsilon)
+    if eps <= 0.5:
+        log_base = math.log1p(-eps)  # accurate near 1, where base itself is not
+    else:
+        log_base = math.log(ratio.numerator) - math.log(ratio.denominator)
+    k_est = math.log(delta) / log_base if log_base < 0 else math.inf
+    if not isinstance(base, float):
+        bits = k_est * max(ratio.numerator.bit_length(), ratio.denominator.bit_length())
+        if bits > MAX_POWER_BITS:
+            raise InputError(
+                f"the bound falls below {delta} near n = {k_est * n0:.4g}; its exact "
+                f"value there needs about {bits:.3g} bits, beyond the cap of "
+                f"{MAX_POWER_BITS} (epsilon too small for this delta)"
+            )
+    if k_est * n0 > 10**9:
+        raise ThresholdNotReachedError(
+            f"bound does not fall below {delta} within {10**9} steps"
+        )
+
+    def below(k: int) -> bool:
+        return float(base**k) < delta
+
+    k = max(1, math.ceil(k_est))  # the bound at k = 0 is 1 >= delta
+    for _ in range(8):
+        if not below(k):
+            k += 1
+        elif k > 1 and below(k - 1):
+            k -= 1
+        else:
+            return k * n0
+    raise MathError(f"log-space estimate {k_est} missed the crossing of the geometric bound")
 
 
 def steps_to_threshold(
@@ -394,3 +490,10 @@ def optimize_drift_minorization(
         crossing=hi,
         inputs=report_inputs,
     )
+
+
+def point_process_overlap(c: float, d: float) -> float:
+    """Published whole-space overlap constant for the particle chain."""
+    if not (c > 0 and d > 0):
+        raise InputError(f"need c > 0 and d > 0, got c={c}, d={d}")
+    return 0.48 * math.exp(-4.25 * c - 9.88 * d)

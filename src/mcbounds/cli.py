@@ -6,6 +6,11 @@ and overlap checks). Reports are JSON (stdout, or files under ``--output``)
 with optional CSV curves; exact rationals are serialized as "p/q" strings.
 Exit codes: 0 success, 2 usage or configuration error, 3 mathematical or
 verification failure.
+
+Only the exact layers (``bounds``, ``finite_chain``) load with this module.
+Each command imports what else it needs (numpy, the presets, the coupling
+engines, the kernels) when it runs, so ``bound t1`` and every ``finite``
+analysis but ``eigen-bound`` run without numpy.
 """
 
 from __future__ import annotations
@@ -17,17 +22,18 @@ import os
 import sys
 from fractions import Fraction
 from pathlib import Path
+from typing import TYPE_CHECKING
 
-import numpy as np
-
-from . import __version__, presets
+from . import __version__
 from .bounds import (
+    LAPLACE_SCHEDULE,
     minorization_bound,
+    minorization_crossing,
     minorization_curve,
     optimize_drift_minorization,
+    point_process_overlap,
     steps_to_threshold,
 )
-from .coupling import CouplingConfig, run_small_set_coupling, run_uniform_coupling
 from .errors import InputError, MathError, McbError
 from .finite_chain import (
     ProbVector,
@@ -39,14 +45,9 @@ from .finite_chain import (
     minorization_uniform,
     stationary,
 )
-from .kernels import (
-    halfline_mixture_kernel,
-    point_process_overlap,
-    metropolis_rwm_laplace,
-    verify_minorization_numeric,
-    verify_univariate_drift,
-)
-from .kernels import laws
+
+if TYPE_CHECKING:
+    from .coupling import CouplingConfig
 
 _FLOAT_FMT = "%.17g"
 
@@ -233,9 +234,7 @@ def _cmd_finite(args) -> tuple[_Report, int]:
                 results["nu"] = cert.nu.as_strings()
             if cert.argmin_pairs is not None:
                 results["argmin_pairs"] = [[i + 1, j + 1] for i, j in cert.argmin_pairs]
-            crossing = steps_to_threshold(
-                lambda n: float(minorization_bound(cert.epsilon, cert.n0, n)), args.delta
-            )
+            crossing = minorization_crossing(cert.epsilon, cert.n0, args.delta)
             results["threshold_steps"] = crossing
             provenance["epsilon"] = "computed (exact search)"
 
@@ -288,9 +287,7 @@ def _cmd_bound(args) -> tuple[_Report, int]:
             epsilon = _parse_rational(args.epsilon)
         if not 0 < epsilon <= 1:
             raise InputError(f"epsilon must be in (0, 1], got {epsilon}")
-        crossing = steps_to_threshold(
-            lambda n: float(minorization_bound(epsilon, args.n0, n)), args.delta
-        )
+        crossing = minorization_crossing(epsilon, args.n0, args.delta)
         n_max = args.n_max if args.n_max is not None else crossing
         curve = minorization_curve(epsilon, args.n0, n_max)
         config = {
@@ -316,6 +313,8 @@ def _cmd_bound(args) -> tuple[_Report, int]:
         return report, 0
 
     # t2
+    from . import presets
+
     if args.preset != "rwm-laplace":
         raise InputError("bound t2 currently ships one preset: rwm-laplace")
     inputs, provenance = presets.laplace_drift_minorization_inputs(expected_h=args.expected_h)
@@ -364,6 +363,9 @@ def _cmd_bound(args) -> tuple[_Report, int]:
 
 
 def _simulate_config(args) -> tuple[CouplingConfig, dict, float, int]:
+    from . import presets
+    from .coupling import CouplingConfig
+
     seed = _resolve_seed(args.seed)
     if args.grid:
         rows, cols = _parse_grid(args.grid)
@@ -424,6 +426,8 @@ def _simulate_config(args) -> tuple[CouplingConfig, dict, float, int]:
 
 
 def _cmd_simulate(args) -> tuple[_Report, int]:
+    from .coupling import run_small_set_coupling, run_uniform_coupling
+
     config, desc, epsilon, n0 = _simulate_config(args)
     if config.model == "finite":
         runner = run_uniform_coupling
@@ -472,6 +476,8 @@ def _cmd_simulate(args) -> tuple[_Report, int]:
 
 
 def _dump_trajectories(path: Path, result) -> None:
+    import numpy as np
+
     lines = ["replication,n,x,x_prime,coupled"]
     xs, xps = result.xs, result.xps
     as_str = (
@@ -491,10 +497,33 @@ def _dump_trajectories(path: Path, result) -> None:
 # verify
 
 
+def _positive_step(name: str, step: float) -> None:
+    if not (math.isfinite(step) and step > 0):
+        raise InputError(f"{name} must be a positive finite number, got {step}")
+
+
 def _cmd_verify(args) -> tuple[_Report, int]:
+    import numpy as np
+
+    from . import presets
+    from .kernels import (
+        halfline_mixture_kernel,
+        laws,
+        metropolis_rwm_laplace,
+        verify_minorization_numeric,
+        verify_univariate_drift,
+    )
+
     if args.condition == "drift":
         if args.preset != "rwm-laplace":
             raise InputError("drift verification ships one preset: rwm-laplace")
+        _positive_step("--grid-step", args.grid_step)
+        if not (math.isfinite(args.grid_lo) and math.isfinite(args.grid_hi)
+                and args.grid_lo <= args.grid_hi):
+            raise InputError(
+                f"empty grid: need finite --grid-lo <= --grid-hi, got "
+                f"{args.grid_lo} and {args.grid_hi}"
+            )
         kernel, _ = metropolis_rwm_laplace()
         lam = args.lam if args.lam is not None else presets.LAPLACE_LAM
         b = args.b if args.b is not None else presets.LAPLACE_B
@@ -528,6 +557,7 @@ def _cmd_verify(args) -> tuple[_Report, int]:
         return report, 0 if verif.passed else 3
 
     # minorization
+    _positive_step("--probe-step", args.probe_step)
     if args.preset == "halfline":
         kernel = halfline_mixture_kernel()
         lag = 1
@@ -621,9 +651,9 @@ def build_parser() -> argparse.ArgumentParser:
         "--expected-h", choices=["analytic", "fallback"], default="analytic",
         help="use the analytic stationary mean of h or the moment-bound fallback",
     )
-    p.add_argument("--check-n", type=int, default=presets.LAPLACE_SCHEDULE[0],
+    p.add_argument("--check-n", type=int, default=LAPLACE_SCHEDULE[0],
                    help="regression point: n")
-    p.add_argument("--check-j", type=int, default=presets.LAPLACE_SCHEDULE[1],
+    p.add_argument("--check-j", type=int, default=LAPLACE_SCHEDULE[1],
                    help="regression point: j")
     add_output(p)
     p.set_defaults(func=_cmd_bound_dispatch)

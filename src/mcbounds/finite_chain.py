@@ -9,8 +9,10 @@ distributions, the stationary solve (fraction-free Bareiss elimination) and
 the minorization searches work on those integers, and each result is turned
 back into ``Fraction`` values once. Row sums, stationary vectors, distances
 and minorization constants are therefore exact; the only floating point in
-this module is the explicitly approximate eigenvalue analysis. State indices
-are 0-based throughout; display layers may relabel them.
+this module is the explicitly approximate eigenvalue analysis, and it is the
+only part that imports numpy (inside ``eigen_bound`` and ``to_floats``), so
+the exact analyses run without it. State indices are 0-based throughout;
+display layers may relabel them.
 """
 
 from __future__ import annotations
@@ -19,9 +21,7 @@ import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import lcm
-from typing import Iterable, Sequence
-
-import numpy as np
+from typing import TYPE_CHECKING, Iterable, Sequence
 
 from .bounds import BoundReport
 from .errors import (
@@ -31,6 +31,9 @@ from .errors import (
     NonUniqueStationaryError,
     PeriodicChainError,
 )
+
+if TYPE_CHECKING:
+    import numpy as np
 
 __all__ = [
     "ProbVector",
@@ -106,6 +109,8 @@ class ProbVector:
         return iter(self.entries)
 
     def to_floats(self) -> np.ndarray:
+        import numpy as np
+
         return np.array([float(e) for e in self.entries])
 
     def as_strings(self) -> list[str]:
@@ -175,6 +180,8 @@ class StochasticMatrix:
         return ProbVector(self.rows[i])
 
     def to_floats(self) -> np.ndarray:
+        import numpy as np
+
         return np.array([[float(e) for e in row] for row in self.rows])
 
     def to_json_dict(self) -> dict:
@@ -608,6 +615,8 @@ def eigen_bound(
     |projection(target)| with rate = the largest modulus among clusters that
     contribute more than ``coeff_floor``.
     """
+    import numpy as np
+
     size = P.size
     if mu0.size != size:
         raise InputError(f"dimension mismatch: vector {mu0.size}, matrix {size}")

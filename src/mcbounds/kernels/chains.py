@@ -16,6 +16,7 @@ from typing import Callable
 
 import numpy as np
 
+from ..bounds import point_process_overlap  # closed form, kept numpy-free for `bound t1`
 from ..errors import InputError, MathError
 from . import laws
 
@@ -285,10 +286,3 @@ def metropolis_point_process(c: float, d: float) -> tuple[Kernel, TargetDensity]
         direct_samples=direct_samples,
     )
     return kernel, target
-
-
-def point_process_overlap(c: float, d: float) -> float:
-    """Published whole-space overlap constant for the particle chain."""
-    if not (c > 0 and d > 0):
-        raise InputError(f"need c > 0 and d > 0, got c={c}, d={d}")
-    return 0.48 * math.exp(-4.25 * c - 9.88 * d)

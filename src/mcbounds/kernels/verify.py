@@ -321,6 +321,8 @@ def verify_univariate_drift(
     """
     _require_density(kernel)
     grid = np.asarray(probe_grid, dtype=float).ravel()
+    if grid.size == 0:
+        raise InputError("drift verification needs at least one probe state")
     lhs = np.empty(grid.size)
     worst_err = 0.0
     for rows in _chunks(grid.size):
@@ -371,6 +373,10 @@ def verify_minorization_numeric(
     _require_density(kernel)
     if lag not in (1, 2):
         raise InputError(f"lag must be 1 or 2, got {lag}")
+    xs = np.asarray(probe_x, dtype=float).ravel()
+    ys = np.asarray(probe_y, dtype=float).ravel()
+    if xs.size == 0 or ys.size == 0:
+        raise InputError("minorization verification needs at least one probe pair")
     if epsilon == 0.0:
         return MinorizationVerificationReport(
             lag=lag,
@@ -383,8 +389,6 @@ def verify_minorization_numeric(
             passed=True,
         )
     density = kernel.transition_density
-    xs = np.asarray(probe_x, dtype=float).ravel()
-    ys = np.asarray(probe_y, dtype=float).ravel()
     # builtin floats out: numpy scalars would make `passed` an np.bool_,
     # which json.dumps rejects
     min_margin = math.inf

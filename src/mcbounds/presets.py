@@ -14,6 +14,7 @@ import math
 import numpy as np
 
 from .bounds import (
+    LAPLACE_SCHEDULE,
     Interval,
     DriftMinorizationInputs,
     UnivariateDrift,
@@ -65,7 +66,6 @@ LAPLACE_EPSILON = RWM_OVERLAP_EPSILON
 LAPLACE_D = math.e  # inf of V outside the small set, analytic
 LAPLACE_REGION = Interval(-6.0, 6.0)  # two steps from the small set stay inside
 LAPLACE_EXPECTED_H = 2.0  # stationary mean of h(0, .), analytic
-LAPLACE_SCHEDULE = (120_000, 274)  # reference (n, j) pair for regression
 
 # repelling-particle chain defaults
 POINT_PROCESS_C = 0.1

@@ -1,11 +1,13 @@
 """Analytic bound calculators: golden crossings and structural properties."""
 
 import math
+import random
 from fractions import Fraction as F
 
 import pytest
 
 from mcbounds.bounds import (
+    MAX_CURVE_POINTS,
     Interval,
     DriftMinorizationInputs,
     UnivariateDrift,
@@ -16,8 +18,10 @@ from mcbounds.bounds import (
     steps_to_threshold,
     sup_rh_via_containment,
     minorization_bound,
+    minorization_crossing,
     minorization_curve,
     drift_minorization_bound,
+    point_process_overlap,
 )
 from mcbounds.errors import (
     ContainmentError,
@@ -56,6 +60,68 @@ class TestMinorizationBound:
         assert all(vals[n + 1] <= vals[n] for n in range(40))
         assert all(vals[2 * k] == vals[2 * k + 1] for k in range(20))
         assert report.crossing == 78
+
+    @pytest.mark.parametrize("eps, n0", [
+        (F(9, 80), 2), (F(1, 1000), 1), (F(1, 3), 4), (F(1), 3), (0.117, 1),
+        (point_process_overlap(0.1, 0.1), 2),
+    ])
+    def test_curve_values_are_the_rounded_exact_bound(self, eps, n0):
+        values = minorization_curve(eps, n0, 400).values
+        assert values == tuple(float(minorization_bound(eps, n0, n)) for n in range(401))
+
+    def test_curve_point_cap(self):
+        assert len(minorization_curve(F(1, 2), 1, MAX_CURVE_POINTS - 1).values) == MAX_CURVE_POINTS
+        with pytest.raises(InputError, match="cap"):
+            minorization_curve(F(1, 2), 1, MAX_CURVE_POINTS)
+
+
+def exact_search_crossing(eps, n0, delta):
+    """The crossing by the doubling search over exact powers (the reference)."""
+    return steps_to_threshold(lambda n: float(minorization_bound(eps, n0, n)), delta)
+
+
+class TestMinorizationCrossing:
+    def test_matches_the_exact_search(self):
+        cases = [
+            (F(1, 2), 1, 0.01), (F(9, 80), 2, 0.01), (F(1, 3), 2, 0.01), (0.117, 1, 0.01),
+            (point_process_overlap(0.1, 0.1), 1, 0.01), (F(1), 3, 0.01), (1.0, 2, 0.3),
+            (F(1, 1000), 1, 0.01), (F(999, 1000), 1, 1e-300), (0.9999999, 2, 0.01),
+            # the bound equals delta at k = 6 (2^-6): the crossing is the next step
+            (F(1, 2), 1, 2.0**-6), (0.5, 3, 2.0**-6),
+        ]
+        rng = random.Random(11)
+        for _ in range(150):
+            q = rng.randint(2, 10**6)
+            eps = F(rng.randint(max(1, q // 300), q), q)
+            cases.append((eps, rng.randint(1, 4), rng.choice([0.9, 0.5, 0.01, 1e-4])))
+            cases.append((float(eps), rng.randint(1, 4), rng.choice([0.5, 1e-3, 1e-12])))
+        for eps, n0, delta in cases:
+            assert minorization_crossing(eps, n0, delta) == exact_search_crossing(
+                eps, n0, delta
+            ), (eps, n0, delta)
+
+    def test_published_crossings(self):
+        assert minorization_crossing(F(9, 80), 2, 0.01) == 78
+        assert minorization_crossing(F(1, 3), 2, 0.01) == 24
+        assert minorization_crossing(F(1, 2), 1, 0.01) == 7
+        assert minorization_crossing(0.117, 1, 0.01) == 38
+
+    @pytest.mark.parametrize("eps", [F(1, 10**12), F(1, 100000), F(1, 10**400)])
+    def test_tiny_rational_epsilon_is_refused_before_any_exact_power(self, eps):
+        with pytest.raises(InputError, match="epsilon too small"):
+            minorization_crossing(eps, 1, 0.01)
+
+    def test_tiny_float_epsilon_never_crosses_within_the_cap(self):
+        with pytest.raises(ThresholdNotReachedError):
+            minorization_crossing(point_process_overlap(10.0, 10.0), 1, 0.01)
+
+    def test_inputs_checked(self):
+        with pytest.raises(InputError):
+            minorization_crossing(F(1, 2), 1, 1.0)
+        with pytest.raises(InputError):
+            minorization_crossing(F(0), 1, 0.01)
+        with pytest.raises(InputError):
+            minorization_crossing(F(1, 2), 0, 0.01)
 
 
 class TestStepsToThreshold:

@@ -3,6 +3,7 @@
 import ast
 import hashlib
 import json
+import os
 import subprocess
 import sys
 from importlib.resources import files
@@ -203,6 +204,32 @@ class TestBound:
         eh = report["results"]["constants"]["expected_h"]
         assert eh == pytest.approx(0.5 + 0.5 * 3.392857, abs=1e-3)
 
+    @pytest.mark.parametrize("argv", [
+        ["--epsilon", "1e-12"],  # the crossing search grew without bound
+        ["--epsilon", "1/100000"],  # exact powers of ~8 million bits
+        ["--epsilon", "1/10000"],  # a curve of 46051 points
+        ["--pointprocess", "1,1"],  # a float curve of 13 million points
+    ])
+    def test_t1_small_epsilon_exits_2_quickly(self, argv):
+        # in a child process, so that a search that does not end fails the test
+        src = str(Path(mcbounds.__file__).resolve().parents[1])
+        done = subprocess.run(
+            [sys.executable, "-m", "mcbounds.cli", "bound", "t1", *argv],
+            capture_output=True, text=True, timeout=30,
+            env={**os.environ, "PYTHONPATH": src},
+        )
+        assert done.returncode == 2
+        assert done.stderr.startswith("mcbounds: error:")
+        assert "Traceback" not in done.stderr
+
+    def test_t1_small_epsilon_with_short_curve(self, capsys):
+        code, report = run_cli(
+            capsys, "bound", "t1", "--epsilon", "1/10000", "--n-max", "20"
+        )
+        assert code == 0
+        assert report["results"]["crossing"] == 46050
+        assert len(report["results"]["curve"]) == 21
+
 
 class TestSimulate:
     def test_grid_run_reports_bound_curve(self, capsys):
@@ -282,6 +309,21 @@ class TestSimulate:
 
 
 class TestVerify:
+    @pytest.mark.parametrize("argv", [
+        ["drift", "--grid-step", "0"],
+        ["drift", "--grid-step", "-1"],
+        ["drift", "--grid-step", "nan"],
+        ["drift", "--grid-lo", "5", "--grid-hi", "1"],
+        ["minorization", "--probe-step", "-1"],
+        ["minorization", "--preset", "halfline", "--probe-step", "0"],
+    ])
+    def test_degenerate_grid_exits_2(self, capsys, argv):
+        assert main(["verify", *argv]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("mcbounds: error:")
+        assert "--grid" in captured.err or "--probe-step" in captured.err
+
     def test_drift_preset_passes(self, capsys):
         code, report = run_cli(
             capsys, "verify", "drift", "--grid-step", "0.5"
@@ -377,6 +419,58 @@ class TestStartup:
         )
         assert out.strip() == "[]"
 
+    def test_exact_commands_do_not_import_numpy(self, tmp_path):
+        out = self.run_script(
+            "import contextlib, io\n"
+            "from mcbounds import build_grid_walk, minorization_curve, stationary\n"
+            "from mcbounds.cli import main\n"
+            "stationary(build_grid_walk(3, 3))\n"
+            f"out = {str(tmp_path)!r}\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            "    for analysis in ('stationary', 'pseudo', 'minorization', 'tv-exact'):\n"
+            "        assert main(['finite', analysis, '--grid', '3x3', '--n0', '2']) == 0\n"
+            "        assert main(['finite', analysis, '--grid', '3x3', '--n0', '2',\n"
+            "                     '--output', out, '--format', 'both']) == 0\n"
+            "    assert main(['bound', 't1', '--epsilon', '9/80', '--n0', '2']) == 0\n"
+            "    assert main(['bound', 't1', '--epsilon', '0.117', '--output', out,\n"
+            "                 '--format', 'both']) == 0\n"
+            "    assert main(['bound', 't1', '--pointprocess', '0.1,0.1']) == 0\n"
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'numpy'))\n"
+        )
+        assert out.strip() == "[]"
+        assert (tmp_path / "finite-tv-exact-curve.csv").is_file()
+        assert (tmp_path / "bound-t1-curve.csv").is_file()
+
+    def test_every_public_name_imports_from_the_package(self):
+        assert len(mcbounds.__all__) > 20
+        for name in mcbounds.__all__:
+            namespace: dict = {}
+            exec(f"from mcbounds import {name}", namespace)
+            assert namespace[name] is getattr(mcbounds, name)
+        assert set(mcbounds.__all__) <= set(dir(mcbounds))
+        assert mcbounds.NUMBA_ENABLED is False
+        with pytest.raises(AttributeError):
+            mcbounds.no_such_name
+
+    def test_exact_layers_import_no_heavy_module_at_top_level(self):
+        # the modules every exact command loads; a top-level numpy (or engine,
+        # kernel or preset) import there puts its start-up cost on every command
+        exact_layers = {"__init__.py", "cli.py", "bounds.py", "finite_chain.py", "errors.py"}
+        heavy = {"numpy", "coupling", "kernels", "presets"}
+        package = Path(mcbounds.__file__).resolve().parent
+        checked = set()
+        for path, tree in self.sources():
+            if path.parent != package or path.name not in exact_layers:
+                continue
+            checked.add(path.name)
+            for node in _top_level_imports(tree):
+                names = [alias.name for alias in node.names]  # import x, from . import x
+                if isinstance(node, ast.ImportFrom) and node.module is not None:
+                    names = [node.module]
+                parts = {part for name in names for part in name.split(".")}
+                assert not parts & heavy, (path.name, node.lineno, sorted(parts & heavy))
+        assert checked == exact_layers
+
     def sources(self):
         package = Path(mcbounds.__file__).resolve().parent
         sources = sorted(package.rglob("*.py"))
@@ -413,3 +507,21 @@ class TestStartup:
                     and node.value.value.id in ("np", "numpy")
                 ):
                     assert node.attr in allowed, (path, node.lineno, node.attr)
+
+
+def _top_level_imports(tree: ast.Module):
+    """Import statements that run when the module is imported: not those inside
+    functions or under ``if TYPE_CHECKING:``."""
+    pending = list(tree.body)
+    while pending:
+        node = pending.pop()
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            yield node
+        elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            continue
+        elif isinstance(node, ast.If) and ast.unparse(node.test) in (
+            "TYPE_CHECKING", "typing.TYPE_CHECKING",
+        ):
+            pending.extend(node.orelse)
+        else:
+            pending.extend(ast.iter_child_nodes(node))

@@ -174,6 +174,14 @@ class TestMinorizationVerification:
         assert type(report.min_margin) is float
         json.dumps(report.to_jsonable())
 
+    @pytest.mark.parametrize("probe_x, probe_y", [([], [0.0]), ([0.0], []), ([], [])])
+    def test_empty_probe_set_is_refused(self, halfline, probe_x, probe_y):
+        # zero probe pairs used to pass vacuously, with a NaN argmin
+        with pytest.raises(InputError, match="at least one probe"):
+            verify_minorization_numeric(
+                halfline, 1, 0.5, laws.hl_nu_density, probe_x, probe_y
+            )
+
 
 def laplace_drift():
     return UnivariateDrift(
@@ -240,6 +248,11 @@ class TestDriftVerification:
         report = verify_univariate_drift(kernel, drift, np.arange(-10.0, 10.5, 0.5))
         assert not report.passed
         assert report.max_violation > 0.1
+
+    def test_empty_probe_grid_is_refused(self, rwm):
+        kernel, _ = rwm
+        with pytest.raises(InputError, match="at least one probe"):
+            verify_univariate_drift(kernel, laplace_drift(), np.arange(5.0, 1.0, 0.5))
 
 
 class TestContainment:
