@@ -110,26 +110,6 @@ class BoundReport:
     def value_at(self, n: int) -> object:
         return self.values[self.ns.index(n)]
 
-    def to_jsonable(self) -> dict:
-        def render(v):
-            if isinstance(v, Fraction):
-                return {"exact": str(v), "float": float(v)}
-            return v
-
-        out = {
-            "kind": self.kind,
-            "ns": list(self.ns),
-            "values": [render(v) for v in self.values],
-            "threshold": self.threshold,
-            "crossing": self.crossing,
-            "inputs": dict(self.inputs),
-        }
-        if self.js is not None:
-            out["js"] = list(self.js)
-        if self.log_values is not None:
-            out["log_values"] = list(self.log_values)
-        return out
-
 
 def minorization_bound(epsilon, n0: int, n: int):
     """Geometric bound (1-eps)^floor(n/n0) on the distance to stationarity.

@@ -362,86 +362,49 @@ def _cmd_bound(args) -> tuple[_Report, int]:
 # simulate
 
 
-def _simulate_config(args) -> tuple[CouplingConfig, dict, float, int]:
-    from . import presets
+def _simulate_config(args) -> tuple[CouplingConfig, dict]:
     from .coupling import CouplingConfig
 
-    seed = _resolve_seed(args.seed)
+    run = dict(
+        n_max=args.n_max,
+        replications=args.reps,
+        master_seed=_resolve_seed(args.seed),
+        record_every=args.record_every,
+    )
     if args.grid:
         rows, cols = _parse_grid(args.grid)
         matrix = build_grid_walk(rows, cols)
+        start = _default_start(args, matrix.size)
         finder = minorization_pseudo if args.cert == "pseudo" else minorization_uniform
         cert = finder(matrix, args.n0)
         if cert is None:
             raise MathError(f"no {args.cert} overlap at lag {args.n0} for this grid")
-        start = args.start - 1 if args.start is not None else matrix.size // 2
-        if not 0 <= start < matrix.size:
-            raise InputError(f"--start must be in 1..{matrix.size}")
         config = CouplingConfig(
-            model="finite",
-            n_max=args.n_max,
-            replications=args.reps,
-            master_seed=seed,
-            matrix=matrix,
-            cert=cert,
-            initial_law=ProbVector.delta(matrix.size, start),
-            record_every=args.record_every,
+            model="finite", matrix=matrix, cert=cert,
+            initial_law=ProbVector.delta(matrix.size, start), **run,
         )
-        desc = {
-            "model": f"grid {rows}x{cols}",
-            "cert": args.cert,
-            "epsilon": str(cert.epsilon),
-            "n0": cert.n0,
-            "start": start + 1,
-        }
-        return config, desc, float(cert.epsilon), cert.n0
-    if args.halfline:
-        config = CouplingConfig(
-            model="halfline",
-            n_max=args.n_max,
-            replications=args.reps,
-            master_seed=seed,
-            x0=args.x0,
-            burn_in=args.burn_in,
-            record_every=args.record_every,
-        )
-        desc = {"model": "halfline", "epsilon": presets.HALFLINE_EPSILON, "n0": 1,
-                "x0": args.x0, "burn_in": args.burn_in}
-        return config, desc, presets.HALFLINE_EPSILON, 1
-    if args.rwm_laplace:
-        config = CouplingConfig(
-            model="rwm-laplace",
-            n_max=args.n_max,
-            replications=args.reps,
-            master_seed=seed,
-            x0=args.x0,
-            burn_in=args.burn_in,
-            record_every=args.record_every,
-        )
-        desc = {"model": "rwm-laplace", "epsilon": presets.LAPLACE_EPSILON, "n0": 2,
-                "x0": args.x0, "burn_in": args.burn_in,
-                "small_set": [-2.0, 2.0]}
-        return config, desc, presets.LAPLACE_EPSILON, 2
-    raise InputError("select --grid RxC, --halfline, or --rwm-laplace")
+        desc = {"model": f"grid {rows}x{cols}", "cert": args.cert,
+                "epsilon": str(cert.epsilon), "start": start + 1}
+        return config, desc
+    if not (args.halfline or args.rwm_laplace):
+        raise InputError("select --grid RxC, --halfline, or --rwm-laplace")
+    model = "halfline" if args.halfline else "rwm-laplace"
+    config = CouplingConfig(model=model, x0=args.x0, burn_in=args.burn_in, **run)
+    desc = {"model": model, "x0": args.x0, "burn_in": args.burn_in}
+    if model == "rwm-laplace":
+        desc["small_set"] = list(config.small_set)
+    return config, desc
 
 
 def _cmd_simulate(args) -> tuple[_Report, int]:
-    from .coupling import run_small_set_coupling, run_uniform_coupling
+    from .coupling import run_coupling
 
-    config, desc, epsilon, n0 = _simulate_config(args)
-    if config.model == "finite":
-        runner = run_uniform_coupling
-        if set(config.cert.small_set) != set(range(config.matrix.size)):
-            runner = run_small_set_coupling
-    elif config.model == "halfline":
-        runner = run_uniform_coupling
-    else:
-        runner = run_small_set_coupling
-    result = runner(config)
+    config, desc = _simulate_config(args)
+    result = run_coupling(config)
+    bounds = [minorization_bound(result.epsilon, result.n0, n) for n in result.lattice]
 
     warnings = []
-    for n, p, se in zip(result.lattice, result.p_neq, result.p_neq_se):
-        bound = (1.0 - epsilon) ** (n // n0)
+    for n, p, se, bound in zip(result.lattice, result.p_neq, result.p_neq_se, bounds):
         if p > bound + 3.0 * se:
             warnings.append(
                 f"empirical non-coupling {p:.6g} at n={n} exceeds the analytic "
@@ -449,24 +412,24 @@ def _cmd_simulate(args) -> tuple[_Report, int]:
                 "noise, not a tool failure)"
             )
 
-    cfg = dict(desc)
-    cfg.update(
-        {
-            "n_max": args.n_max,
-            "replications": args.reps,
-            "master_seed": config.master_seed,
-            "record_every": args.record_every,
-        }
-    )
+    cfg = {
+        "epsilon": result.epsilon,
+        "n0": result.n0,
+        **desc,
+        "n_max": args.n_max,
+        "replications": args.reps,
+        "master_seed": config.master_seed,
+        "record_every": args.record_every,
+    }
     results = result.to_jsonable()
     results["bound_curve"] = [
-        {"n": n, "bound": (1.0 - epsilon) ** (n // n0)} for n in result.lattice
+        {"n": n, "bound": bound} for n, bound in zip(result.lattice, bounds)
     ]
     report = _Report("simulate", desc["model"].split()[0], cfg, results,
                      warnings=warnings)
     rows = [
-        [str(n), _float_str(p), _float_str(se), _float_str((1 - epsilon) ** (n // n0))]
-        for n, p, se in zip(result.lattice, result.p_neq, result.p_neq_se)
+        [str(n), _float_str(p), _float_str(se), _float_str(bound)]
+        for n, p, se, bound in zip(result.lattice, result.p_neq, result.p_neq_se, bounds)
     ]
     report.add_csv("-curve", ["n", "p_neq", "p_neq_se", "bound"], rows)
 
@@ -502,11 +465,20 @@ def _positive_step(name: str, step: float) -> None:
         raise InputError(f"{name} must be a positive finite number, got {step}")
 
 
+def _probe_count(lo: float, hi: float, step: float) -> float:
+    """Length of the probe grid ``np.arange(lo, hi + 1e-12, step)``, counted
+    without building it (inf when the count overflows a float)."""
+    n = (hi + 1e-12 - lo) / step
+    return float(math.ceil(n)) if math.isfinite(n) else n
+
+
 def _cmd_verify(args) -> tuple[_Report, int]:
     import numpy as np
 
     from . import presets
     from .kernels import (
+        MAX_DRIFT_POINTS,
+        MAX_PROBE_PAIRS,
         halfline_mixture_kernel,
         laws,
         metropolis_rwm_laplace,
@@ -523,6 +495,12 @@ def _cmd_verify(args) -> tuple[_Report, int]:
             raise InputError(
                 f"empty grid: need finite --grid-lo <= --grid-hi, got "
                 f"{args.grid_lo} and {args.grid_hi}"
+            )
+        points = _probe_count(args.grid_lo, args.grid_hi, args.grid_step)
+        if points > MAX_DRIFT_POINTS:
+            raise InputError(
+                f"a drift grid of {points:.3g} points exceeds the cap of "
+                f"{MAX_DRIFT_POINTS}; pass a larger --grid-step"
             )
         kernel, _ = metropolis_rwm_laplace()
         lam = args.lam if args.lam is not None else presets.LAPLACE_LAM
@@ -563,19 +541,25 @@ def _cmd_verify(args) -> tuple[_Report, int]:
         lag = 1
         epsilon = presets.HALFLINE_EPSILON
         nu = laws.hl_nu_density
-        probe_x = np.arange(0.0, 50.0 + 1e-12, args.probe_step)
-        probe_y = probe_x
+        x_range = y_range = (0.0, 50.0)
         nu_desc = "2*exp(-2y)"
     elif args.preset == "rwm-laplace":
         kernel, _ = metropolis_rwm_laplace()
         lag = 2
         epsilon = presets.LAPLACE_EPSILON
         nu = presets.laplace_nu_density
-        probe_x = np.arange(-2.0, 2.0 + 1e-12, args.probe_step)
-        probe_y = np.arange(-1.0, 1.0 + 1e-12, args.probe_step)
+        x_range, y_range = (-2.0, 2.0), (-1.0, 1.0)
         nu_desc = "half of Lebesgue on [-1,1]"
     else:
         raise InputError("minorization presets: halfline, rwm-laplace")
+    step = args.probe_step
+    pairs = _probe_count(*x_range, step) * _probe_count(*y_range, step)
+    if pairs > MAX_PROBE_PAIRS:
+        raise InputError(
+            f"{pairs:.3g} probe pairs exceed the cap of {MAX_PROBE_PAIRS}; "
+            "pass a larger --probe-step"
+        )
+    probe_x, probe_y = (np.arange(lo, hi + 1e-12, step) for lo, hi in (x_range, y_range))
     verif = verify_minorization_numeric(
         kernel, lag, epsilon, nu, probe_x, probe_y, tolerance=args.tolerance
     )

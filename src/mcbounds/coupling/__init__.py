@@ -5,8 +5,7 @@ from .runner import (
     CouplingResult,
     TvEstimate,
     empirical_tv,
-    run_small_set_coupling,
-    run_uniform_coupling,
+    run_coupling,
 )
 
 __all__ = [
@@ -14,6 +13,5 @@ __all__ = [
     "CouplingResult",
     "TvEstimate",
     "empirical_tv",
-    "run_small_set_coupling",
-    "run_uniform_coupling",
+    "run_coupling",
 ]

@@ -77,10 +77,47 @@ class _Paths:
         return self.xs, self.xps, self.couple_at
 
 
-def _initially_active(x: np.ndarray, xp: np.ndarray, stop_when_coupled: bool) -> np.ndarray:
-    """Indices of the pairs a block advances: the uncoupled ones when runs stop
-    at coupling, all of them otherwise."""
-    return np.flatnonzero(x != xp) if stop_when_coupled else np.arange(x.size)
+def _lockstep(n_steps, master_seed, replications, record_every, dtype, start, step,
+              stop_when_coupled):
+    """Run the coupled pairs block by block; returns ``(xs, xps, couple_at)``.
+
+    ``start(rng, m)`` draws the two start arrays of an m-pair block, and
+    ``step(rng, x, xp, reps)`` returns the next lattice states of the pairs
+    ``(x, xp)``, which are replications ``reps`` of the run. Each block draws
+    its starts and then its steps from its own generator. With
+    ``stop_when_coupled`` a pair leaves the active set at coupling and its
+    later recorded slots hold the coupling value: equality flags and coupling
+    times stay exact, recorded post-coupling states do not evolve.
+    """
+    paths = _Paths(replications, n_steps, record_every, dtype)
+    for rows, rng in _blocks(master_seed, replications):
+        x, xp = start(rng, rows.stop - rows.start)
+        paths.store(rows, 0, x, xp)
+        active = np.flatnonzero(x != xp) if stop_when_coupled else np.arange(x.size)
+        for k in range(1, n_steps + 1):
+            if active.size == 0:
+                paths.freeze(rows, k - 1, x, xp)
+                break
+            new_x, new_xp = step(rng, x[active], xp[active], rows.start + active)
+            x[active] = new_x
+            xp[active] = new_xp
+            paths.store(rows, k, x, xp)
+            if stop_when_coupled:
+                active = active[new_x != new_xp]
+    return paths.result()
+
+
+def _burned_in_start(x0: float, burn_in: int, kernel_step):
+    """Start draw of a continuous chain: x at x0, x' after ``burn_in`` kernel
+    steps from x0, an approximate stationary draw."""
+
+    def start(rng, m):
+        xp = np.full(m, float(x0))
+        for _ in range(burn_in):
+            xp = kernel_step(rng, xp)
+        return np.full(m, float(x0)), xp
+
+    return start
 
 
 def inverse_cdf(cdf: np.ndarray, u: np.ndarray) -> np.ndarray:
@@ -148,7 +185,7 @@ def finite_coupling_paths(
     one per ordered start pair (row x * size + x'); their row counts select
     which. Each step takes three uniforms per active pair: the coin, then one
     inverse-CDF draw per chain. ``stop_when_coupled`` works as in
-    ``rwm_coupling_paths``.
+    ``_lockstep``.
     """
     size = step_cdf.shape[0]
     table = np.concatenate([step_cdf, nu_cdf, resid_cdf])
@@ -165,33 +202,23 @@ def finite_coupling_paths(
     def resid_row(x, xp):
         return row(size + nu_cdf.shape[0], resid_cdf.shape[0], x, xp)
 
-    paths = _Paths(replications, n_lat, record_every, np.int32)
-    for rows, rng in _blocks(master_seed, replications):
-        start = rng.random((2, rows.stop - rows.start))
-        x = inverse_cdf(mu0_cdf, start[0])
-        xp = inverse_cdf(pi_cdf, start[1])
-        paths.store(rows, 0, x, xp)
-        active = _initially_active(x, xp, stop_when_coupled)
-        for k in range(1, n_lat + 1):
-            if active.size == 0:
-                paths.freeze(rows, k - 1, x, xp)
-                break
-            xa, xpa = x[active], xp[active]
-            u = rng.random((3, active.size))
-            eq = xa == xpa
-            coin = ~eq & in_small_set[xa] & in_small_set[xpa]
-            heads = coin & (u[0] < eps)
-            tails = coin & ~heads
-            row_x = np.where(heads, nu_row(xa, xpa), np.where(tails, resid_row(xa, xpa), xa))
-            row_xp = np.where(tails, resid_row(xpa, xa), xpa)
-            new_x = inverse_cdf(table[row_x], u[1])
-            new_xp = np.where(eq | heads, new_x, inverse_cdf(table[row_xp], u[2]))
-            x[active] = new_x
-            xp[active] = new_xp
-            paths.store(rows, k, x, xp)
-            if stop_when_coupled:
-                active = active[new_x != new_xp]
-    return paths.result()
+    def start(rng, m):
+        u = rng.random((2, m))
+        return inverse_cdf(mu0_cdf, u[0]), inverse_cdf(pi_cdf, u[1])
+
+    def step(rng, x, xp, _reps):
+        u = rng.random((3, x.size))
+        eq = x == xp
+        coin = ~eq & in_small_set[x] & in_small_set[xp]
+        heads = coin & (u[0] < eps)
+        tails = coin & ~heads
+        row_x = np.where(heads, nu_row(x, xp), np.where(tails, resid_row(x, xp), x))
+        row_xp = np.where(tails, resid_row(xp, x), xp)
+        new_x = inverse_cdf(table[row_x], u[1])
+        return new_x, np.where(eq | heads, new_x, inverse_cdf(table[row_xp], u[2]))
+
+    return _lockstep(n_lat, master_seed, replications, record_every, np.int32, start, step,
+                     stop_when_coupled)
 
 
 # ---------------------------------------------------------------------------
@@ -219,41 +246,25 @@ def halfline_coupling_paths(
 ):
     """Coupled paths of the half-line mixture chain (whole-space overlap, lag 1).
 
-    The second chain starts from an auxiliary run of ``burn_in`` steps, an
-    approximate stationary draw. ``stop_when_coupled`` works as in
-    ``rwm_coupling_paths``.
+    The second chain starts from an auxiliary run of ``burn_in`` steps.
+    ``stop_when_coupled`` works as in ``_lockstep``.
     """
     keep = _hl_keep(eps)
-    paths = _Paths(replications, n_lat, record_every, np.float64)
-    for rows, rng in _blocks(master_seed, replications):
-        m = rows.stop - rows.start
-        xp = np.full(m, float(x0))
-        for _ in range(burn_in):
-            xp = hl_step(rng, xp)
-        x = np.full(m, float(x0))
-        paths.store(rows, 0, x, xp)
-        active = _initially_active(x, xp, stop_when_coupled)
-        for k in range(1, n_lat + 1):
-            if active.size == 0:
-                paths.freeze(rows, k - 1, x, xp)
-                break
-            n = active.size
-            xa, xpa = x[active], xp[active]
-            eq = xa == xpa
-            heads = ~eq & (rng.random(n) < eps)
-            tails = ~(eq | heads)
-            new = np.where(eq, hl_step(rng, xa), rng.exponential(0.5, n))
-            if tails.any():
-                both = residual_draw(rng, np.concatenate([xa[tails], xpa[tails]]), hl_step, keep)
-                xa[tails], xpa[tails] = np.split(both, 2)
-            new_x = np.where(tails, xa, new)
-            new_xp = np.where(tails, xpa, new)
-            x[active] = new_x
-            xp[active] = new_xp
-            paths.store(rows, k, x, xp)
-            if stop_when_coupled:
-                active = active[new_x != new_xp]
-    return paths.result()
+
+    def step(rng, x, xp, _reps):
+        n = x.size
+        eq = x == xp
+        heads = ~eq & (rng.random(n) < eps)
+        tails = ~(eq | heads)
+        new = np.where(eq, hl_step(rng, x), rng.exponential(0.5, n))
+        if tails.any():
+            both = residual_draw(rng, np.concatenate([x[tails], xp[tails]]), hl_step, keep)
+            x[tails], xp[tails] = np.split(both, 2)
+        return np.where(tails, x, new), np.where(tails, xp, new)
+
+    start = _burned_in_start(x0, burn_in, hl_step)
+    return _lockstep(n_lat, master_seed, replications, record_every, np.float64, start, step,
+                     stop_when_coupled)
 
 
 # ---------------------------------------------------------------------------
@@ -293,47 +304,32 @@ def rwm_coupling_paths(
     Coin flips happen at even times when both chains sit in the small set;
     otherwise both advance two Metropolis steps independently. Lattice steps
     are pair-steps; the number of coin opportunities is returned per
-    replication after the coupling steps.
-
-    With ``stop_when_coupled`` a pair leaves the active set at coupling and
-    its later recorded slots hold the coupling value: equality flags and
-    coupling times stay exact, recorded post-coupling states do not evolve.
+    replication after the coupling steps. The second chain starts from an
+    auxiliary run of ``burn_in`` steps; ``stop_when_coupled`` works as in
+    ``_lockstep``.
     """
     keep = _rwm_keep(eps)
-    paths = _Paths(replications, n_pairs, record_every, np.float64)
     opportunities = np.zeros(replications, np.int64)
-    for rows, rng in _blocks(master_seed, replications):
-        m = rows.stop - rows.start
-        xp = np.full(m, float(x0))
-        for _ in range(burn_in):
-            xp = rwm_step(rng, xp)
-        x = np.full(m, float(x0))
-        paths.store(rows, 0, x, xp)
-        chances = opportunities[rows]  # a view
-        active = _initially_active(x, xp, stop_when_coupled)
-        for k in range(1, n_pairs + 1):
-            if active.size == 0:
-                paths.freeze(rows, k - 1, x, xp)
-                break
-            n = active.size
-            xa, xpa = x[active], xp[active]
-            eq = xa == xpa
-            coin = ~eq & (c_lo <= xa) & (xa <= c_hi) & (c_lo <= xpa) & (xpa <= c_hi)
-            chances[active[coin]] += 1
-            heads = coin & (rng.random(n) < eps)
-            tails = coin & ~heads
-            moved = rwm_two_steps(rng, np.concatenate([xa, xpa]))
-            shared = 2.0 * rng.random(n) - 1.0
-            new_x = np.where(heads, shared, moved[:n])
-            new_xp = np.where(heads, shared, np.where(eq, new_x, moved[n:]))
-            if tails.any():
-                both = residual_draw(
-                    rng, np.concatenate([xa[tails], xpa[tails]]), rwm_two_steps, keep
-                )
-                new_x[tails], new_xp[tails] = np.split(both, 2)
-            x[active] = new_x
-            xp[active] = new_xp
-            paths.store(rows, k, x, xp)
-            if stop_when_coupled:
-                active = active[new_x != new_xp]
-    return (*paths.result(), opportunities)
+
+    def step(rng, x, xp, reps):
+        n = x.size
+        eq = x == xp
+        coin = ~eq & (c_lo <= x) & (x <= c_hi) & (c_lo <= xp) & (xp <= c_hi)
+        opportunities[reps[coin]] += 1
+        heads = coin & (rng.random(n) < eps)
+        tails = coin & ~heads
+        moved = rwm_two_steps(rng, np.concatenate([x, xp]))
+        shared = 2.0 * rng.random(n) - 1.0
+        new_x = np.where(heads, shared, moved[:n])
+        new_xp = np.where(heads, shared, np.where(eq, new_x, moved[n:]))
+        if tails.any():
+            both = residual_draw(
+                rng, np.concatenate([x[tails], xp[tails]]), rwm_two_steps, keep
+            )
+            new_x[tails], new_xp[tails] = np.split(both, 2)
+        return new_x, new_xp
+
+    start = _burned_in_start(x0, burn_in, rwm_step)
+    paths = _lockstep(n_pairs, master_seed, replications, record_every, np.float64, start,
+                      step, stop_when_coupled)
+    return (*paths, opportunities)

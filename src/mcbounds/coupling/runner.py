@@ -33,8 +33,7 @@ __all__ = [
     "CouplingResult",
     "TvEstimate",
     "empirical_tv",
-    "run_uniform_coupling",
-    "run_small_set_coupling",
+    "run_coupling",
 ]
 
 
@@ -45,7 +44,8 @@ class CouplingConfig:
     ``model`` selects the chain: "finite" (supply ``matrix``, ``cert``, and an
     ``initial_law``), "halfline", or "rwm-laplace" (point start ``x0``; the
     stationary partner start is drawn by a ``burn_in``-step auxiliary run for
-    the continuous chains, exactly for finite ones). ``stop_when_coupled``
+    the continuous chains, exactly for finite ones). The lag and the coupling
+    mode follow from the model and the certificate. ``stop_when_coupled``
     ends each replication at its coupling step (coupling-time studies with
     large step caps); recorded post-coupling states are then frozen.
     """
@@ -60,7 +60,6 @@ class CouplingConfig:
     x0: float = 0.0
     epsilon: float | None = None
     small_set: tuple[float, float] = RWM_SMALL_SET
-    n0: int | None = None
     burn_in: int = 20_000
     record_every: int = 1
     stop_when_coupled: bool = False
@@ -68,6 +67,14 @@ class CouplingConfig:
     def __post_init__(self) -> None:
         if self.model not in ("finite", "halfline", "rwm-laplace"):
             raise InputError(f"unknown model {self.model!r}")
+        if self.master_seed < 0:
+            raise InputError(
+                f"master seed must be a non-negative integer, got {self.master_seed}"
+            )
+        if not math.isfinite(self.x0):
+            raise InputError(f"start point x0 must be finite, got {self.x0}")
+        if self.burn_in < 0:
+            raise InputError(f"burn_in must be >= 0, got {self.burn_in}")
         if self.replications < 1:
             raise InputError("replications must be >= 1")
         if self.n_max < 0:
@@ -101,9 +108,16 @@ class CouplingConfig:
     def effective_n0(self) -> int:
         if self.model == "finite":
             return self.cert.n0
-        if self.model == "halfline":
-            return 1
-        return 2 if self.n0 is None else self.n0
+        return 1 if self.model == "halfline" else 2
+
+    def mode(self) -> str:
+        """The coupling mode: ``uniform`` when the coin is flipped on the whole
+        state space (the half-line chain, a finite certificate on every
+        state), ``small-set`` otherwise."""
+        if self.model == "finite":
+            whole = set(self.cert.small_set) == set(range(self.matrix.size))
+            return "uniform" if whole else "small-set"
+        return "uniform" if self.model == "halfline" else "small-set"
 
     def effective_epsilon(self) -> float:
         if self.model == "finite":
@@ -295,7 +309,6 @@ def _assert_once_coupled_forever(eq: np.ndarray) -> None:
 
 def _summarize(
     config: CouplingConfig,
-    mode: str,
     n_steps: int,
     xs: np.ndarray,
     xps: np.ndarray,
@@ -344,7 +357,7 @@ def _summarize(
 
     return CouplingResult(
         model=config.model,
-        mode=mode,
+        mode=config.mode(),
         n0=n0,
         epsilon=config.effective_epsilon(),
         replications=reps,
@@ -367,87 +380,36 @@ def _summarize(
     )
 
 
-def _run_finite(config: CouplingConfig, mode: str) -> CouplingResult:
-    P = config.matrix
-    cert = config.cert
-    n_lat = config.n_max // cert.n0
-    pi = stationary(P)
-    mu0 = config.initial_law or ProbVector.delta(P.size, 0)
-    step_cdf, nu_cdf, resid_cdf, in_small = _finite_arrays(config)
-    xs, xps, couple_at = engines.finite_coupling_paths(
-        n_lat,
-        config.master_seed,
-        config.replications,
-        config.record_every,
-        _cdf_rows(mu0.to_floats()),
-        _cdf_rows(pi.to_floats()),
-        step_cdf,
-        float(cert.epsilon),
-        nu_cdf,
-        resid_cdf,
-        in_small,
-        config.stop_when_coupled,
-    )
-    return _summarize(config, mode, n_lat, xs, xps, couple_at, None, pi)
+def run_coupling(config: CouplingConfig) -> CouplingResult:
+    """Simulate the coupling of ``config`` on its lag-n0 lattice.
 
-
-def run_uniform_coupling(config: CouplingConfig) -> CouplingResult:
-    """Simulate the whole-space-overlap coupling on the lag-n0 lattice.
-
-    Finite chains use their exact certificate (either variant; the pairwise
-    one supplies pair-dependent overlap measures). The half-line chain uses
-    its closed-form overlap of mass 1/2.
+    The chains flip an eps-coin whenever both sit in the small set: the whole
+    space for the half-line chain (closed-form overlap 1/2) and for a finite
+    certificate on every state, the certificate's set for other finite ones,
+    and ``config.small_set`` for the Metropolis chain, which couples at even
+    times with the published lag-2 overlap (odd-time states are not
+    recorded). Finite chains draw from their exact certificate tables; the
+    pairwise variant supplies pair-dependent overlap measures.
     """
+    n_steps = config.n_max // config.effective_n0()
+    run = (n_steps, config.master_seed, config.replications, config.record_every)
+    eps = config.effective_epsilon()
+    opportunities = pi = None
     if config.model == "finite":
-        if set(config.cert.small_set) != set(range(config.matrix.size)):
-            raise InputError("whole-space coupling requires a whole-space certificate")
-        return _run_finite(config, mode="uniform")
-    if config.model == "halfline":
+        pi = stationary(config.matrix)
+        mu0 = config.initial_law or ProbVector.delta(config.matrix.size, 0)
+        step_cdf, nu_cdf, resid_cdf, in_small = _finite_arrays(config)
+        xs, xps, couple_at = engines.finite_coupling_paths(
+            *run, _cdf_rows(mu0.to_floats()), _cdf_rows(pi.to_floats()), step_cdf, eps,
+            nu_cdf, resid_cdf, in_small, config.stop_when_coupled,
+        )
+    elif config.model == "halfline":
         xs, xps, couple_at = engines.halfline_coupling_paths(
-            config.n_max,
-            config.master_seed,
-            config.replications,
-            config.record_every,
-            config.x0,
-            config.effective_epsilon(),
-            config.burn_in,
+            *run, config.x0, eps, config.burn_in, config.stop_when_coupled
+        )
+    else:
+        xs, xps, couple_at, opportunities = engines.rwm_coupling_paths(
+            *run, config.x0, eps, *config.small_set, config.burn_in,
             config.stop_when_coupled,
         )
-        return _summarize(config, "uniform", config.n_max, xs, xps, couple_at, None, None)
-    raise InputError(
-        "whole-space coupling supports the finite and halfline models; the "
-        "Metropolis chain has no whole-space certificate"
-    )
-
-
-def run_small_set_coupling(config: CouplingConfig) -> CouplingResult:
-    """Simulate the small-set coupling: coins only when both chains are in C.
-
-    Finite chains reuse the lattice engine with the certificate's small set
-    (a whole-space set reproduces ``run_uniform_coupling`` draw for draw).
-    The Metropolis chain couples at even times with the published lag-2
-    overlap; odd-time states are not recorded.
-    """
-    if config.model == "finite":
-        return _run_finite(config, mode="small-set")
-    if config.model != "rwm-laplace":
-        raise InputError("small-set coupling supports the finite and rwm-laplace models")
-    if config.effective_n0() != 2:
-        raise InputError("the Metropolis coupling is defined on the lag-2 lattice")
-    n_pairs = config.n_max // 2
-    lo, hi = config.small_set
-    xs, xps, couple_at, opportunities = engines.rwm_coupling_paths(
-        n_pairs,
-        config.master_seed,
-        config.replications,
-        config.record_every,
-        config.x0,
-        config.effective_epsilon(),
-        lo,
-        hi,
-        config.burn_in,
-        config.stop_when_coupled,
-    )
-    return _summarize(
-        config, "small-set", n_pairs, xs, xps, couple_at, opportunities, None
-    )
+    return _summarize(config, n_steps, xs, xps, couple_at, opportunities, pi)

@@ -12,6 +12,8 @@ from .chains import (
     metropolis_rwm_laplace,
 )
 from .verify import (
+    MAX_DRIFT_POINTS,
+    MAX_PROBE_PAIRS,
     DriftVerificationReport,
     MinorizationVerificationReport,
     containment_escape_mass,
@@ -31,6 +33,8 @@ __all__ = [
     "point_process_overlap",
     "metropolis_point_process",
     "metropolis_rwm_laplace",
+    "MAX_DRIFT_POINTS",
+    "MAX_PROBE_PAIRS",
     "DriftVerificationReport",
     "MinorizationVerificationReport",
     "containment_escape_mass",

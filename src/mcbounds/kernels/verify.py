@@ -24,6 +24,8 @@ from .chains import Kernel
 
 __all__ = [
     "DriftVerificationReport",
+    "MAX_DRIFT_POINTS",
+    "MAX_PROBE_PAIRS",
     "MinorizationVerificationReport",
     "batch_quad",
     "expected_value_after_step",
@@ -43,6 +45,13 @@ _QUAD_FAIL_FACTOR = 100.0
 _QUAD_LIMIT = 200
 # probe points (or probe pairs) per array pass
 _CHUNK = 1024
+# the largest probe sets the command line builds: a drift state costs one
+# integral and a row of the report's CSV (100 000 take seconds), a lag-1
+# overlap pair one density evaluation and a lag-2 pair one integral (about
+# 2^22 lag-1 pairs take a second); the defaults use 401 states and 1001 x 1001
+# lag-1 or 81 x 41 lag-2 pairs
+MAX_DRIFT_POINTS = 100_000
+MAX_PROBE_PAIRS = 1 << 22
 
 # qk21: Kronrod abscissae on [0, 1) of the reference interval, descending (the
 # odd-numbered ones from 1 are the 10-point Gauss nodes), their weights, and

@@ -33,7 +33,6 @@ from .kernels import (
 
 __all__ = [
     "HALFLINE_EPSILON",
-    "HALFLINE_N0",
     "LAPLACE_B",
     "LAPLACE_D",
     "LAPLACE_EPSILON",
@@ -43,8 +42,6 @@ __all__ = [
     "LAPLACE_REGION",
     "LAPLACE_SCHEDULE",
     "LAPLACE_SMALL_SET",
-    "POINT_PROCESS_C",
-    "POINT_PROCESS_D",
     "laplace_drift",
     "laplace_drift_V",
     "laplace_nu_density",
@@ -53,7 +50,6 @@ __all__ = [
 
 # half-line mixture: whole-space overlap against the Exponential(2) component
 HALFLINE_EPSILON = HALFLINE_OVERLAP_EPSILON
-HALFLINE_N0 = 1
 
 # Metropolis chain with target exp(-|x|): published certificate constants.
 # The drift function is e^{+|x|/2}: the growing sign is the only one
@@ -66,10 +62,6 @@ LAPLACE_EPSILON = RWM_OVERLAP_EPSILON
 LAPLACE_D = math.e  # inf of V outside the small set, analytic
 LAPLACE_REGION = Interval(-6.0, 6.0)  # two steps from the small set stay inside
 LAPLACE_EXPECTED_H = 2.0  # stationary mean of h(0, .), analytic
-
-# repelling-particle chain defaults
-POINT_PROCESS_C = 0.1
-POINT_PROCESS_D = 0.1
 
 
 def laplace_drift_V(x):

@@ -21,7 +21,7 @@ from mcbounds.bounds import (
     drift_minorization_bound,
     drift_minorization_log_terms,
 )
-from mcbounds.coupling import CouplingConfig, run_uniform_coupling
+from mcbounds.coupling import CouplingConfig, run_coupling
 from mcbounds.finite_chain import (
     ProbVector,
     build_grid_walk,
@@ -231,7 +231,7 @@ def big_grid_run(grid):
         cert=minorization_pseudo(grid, 2),
         initial_law=ProbVector.delta(9, 4),
     )
-    return config, run_uniform_coupling(config)
+    return config, run_coupling(config)
 
 
 def test_criterion_10_coupling_simulation(grid, big_grid_run):
@@ -272,7 +272,7 @@ def test_criterion_11_determinism(grid):
         cert=minorization_uniform(grid, 2),
         initial_law=ProbVector.delta(9, 4),
     )
-    first = json.dumps(run_uniform_coupling(config).to_jsonable(), sort_keys=True)
-    second = json.dumps(run_uniform_coupling(config).to_jsonable(), sort_keys=True)
+    first = json.dumps(run_coupling(config).to_jsonable(), sort_keys=True)
+    second = json.dumps(run_coupling(config).to_jsonable(), sort_keys=True)
     assert first.encode() == second.encode()
     report("criterion 11: identical seed and config reproduce byte-identical JSON")

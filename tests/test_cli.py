@@ -307,6 +307,45 @@ class TestSimulate:
         code, _ = run_cli(capsys, "simulate", "--reps", "10")
         assert code == 2
 
+    @pytest.mark.parametrize("argv,seed_env", [
+        (["--grid", "3x3", "--seed", "-1"], None),
+        (["--halfline"], "-2"),
+        (["--rwm-laplace", "--x0", "nan"], None),
+        (["--halfline", "--x0", "inf"], None),
+        (["--rwm-laplace", "--burn-in", "-1"], None),
+    ])
+    def test_bad_coupling_input_exits_2(self, capsys, monkeypatch, argv, seed_env):
+        if seed_env is not None:
+            monkeypatch.setenv("MCB_SEED", seed_env)
+        argv = ["simulate", "--n-max", "4", "--reps", "10", "--burn-in", "10", *argv]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("mcbounds: error:")
+
+    @pytest.mark.parametrize("argv,stdout_digest,traj_digest", [
+        (["--grid", "3x3", "--cert", "pseudo", "--n-max", "12", "--reps", "500"],
+         "7c035fdd21abeacc1fb6ed913d39a930d49daafcdd3d27d4b946f2d36d38af10", None),
+        (["--grid", "3x3", "--cert", "uniform", "--n-max", "12", "--reps", "500"],
+         "c26cadcf5022834be455f0a22dc3b2739e89b2d72e8f6c4242eb57419a80d64b", None),
+        (["--halfline", "--n-max", "6", "--reps", "300", "--burn-in", "50"],
+         "8115e305cc4362d6ca9f9aa9f1821181446d6aff528eda7ae76ece8350f1981e", None),
+        (["--rwm-laplace", "--n-max", "40", "--reps", "50", "--burn-in", "50",
+          "--record-every", "4"],
+         "721b99c168f2991441871e9a4be09671cac70e678ed4b6839413bf886a594dc0",
+         "38877c79f9c0ea3259751aab2f656a0546d3451f168a3b62b4798cdfc67997bb"),
+    ], ids=["grid-pseudo", "grid-uniform", "halfline", "rwm-laplace"])
+    def test_seeded_bytes_pinned(self, capsys, tmp_path, argv, stdout_digest, traj_digest):
+        # the random stream contract: a seed gives these bytes on every version
+        # until a change says otherwise
+        traj = tmp_path / "paths.csv"
+        extra = ["--trajectories", str(traj)] if traj_digest else []
+        assert main(["simulate", *argv, "--seed", "7", *extra]) == 0
+        stdout = capsys.readouterr().out.encode()
+        assert hashlib.sha256(stdout).hexdigest() == stdout_digest
+        if traj_digest:
+            assert hashlib.sha256(traj.read_bytes()).hexdigest() == traj_digest
+
 
 class TestVerify:
     @pytest.mark.parametrize("argv", [
@@ -316,6 +355,11 @@ class TestVerify:
         ["drift", "--grid-lo", "5", "--grid-hi", "1"],
         ["minorization", "--probe-step", "-1"],
         ["minorization", "--preset", "halfline", "--probe-step", "0"],
+        ["drift", "--grid-step", "1e-300"],
+        ["drift", "--grid-step", "1e-4"],
+        ["minorization", "--probe-step", "1e-300"],
+        ["minorization", "--preset", "halfline", "--probe-step", "1e-300"],
+        ["minorization", "--preset", "halfline", "--probe-step", "0.02"],
     ])
     def test_degenerate_grid_exits_2(self, capsys, argv):
         assert main(["verify", *argv]) == 2

@@ -11,12 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import fraction_reference as ref
-from mcbounds.coupling import (
-    CouplingConfig,
-    empirical_tv,
-    run_small_set_coupling,
-    run_uniform_coupling,
-)
+from mcbounds.coupling import CouplingConfig, empirical_tv, run_coupling
 from mcbounds.coupling import engines
 from mcbounds.coupling.runner import _cdf_rows, _finite_arrays
 from mcbounds.errors import CertificateError, InputError, MathError
@@ -51,7 +46,7 @@ def grid_pseudo_run(grid):
         cert=minorization_pseudo(grid, 2),
         initial_law=ProbVector.delta(9, 4),
     )
-    return config, run_uniform_coupling(config)
+    return config, run_coupling(config)
 
 
 def small_runs(master_seed, replications):
@@ -59,14 +54,12 @@ def small_runs(master_seed, replications):
     grid = build_grid_walk(3, 3)
     common = dict(master_seed=master_seed, replications=replications)
     return (
-        run_uniform_coupling(CouplingConfig(
+        run_coupling(CouplingConfig(
             model="finite", n_max=8, matrix=grid, cert=minorization_pseudo(grid, 2),
             initial_law=ProbVector.delta(9, 4), **common,
         )),
-        run_uniform_coupling(CouplingConfig(model="halfline", n_max=4, burn_in=10, **common)),
-        run_small_set_coupling(
-            CouplingConfig(model="rwm-laplace", n_max=20, burn_in=10, **common)
-        ),
+        run_coupling(CouplingConfig(model="halfline", n_max=4, burn_in=10, **common)),
+        run_coupling(CouplingConfig(model="rwm-laplace", n_max=20, burn_in=10, **common)),
     )
 
 
@@ -194,8 +187,7 @@ class TestPairChainOracle:
             model="finite", n_max=20, replications=20_000, master_seed=99,
             matrix=grid, cert=cert, initial_law=ProbVector.delta(9, 0),
         )
-        whole = set(cert.small_set) == set(range(9))
-        res = (run_uniform_coupling if whole else run_small_set_coupling)(config)
+        res = run_coupling(config)
         exact_p, exact_law = pair_chain_oracle(config)
         reps = config.replications
         p_se = np.sqrt(exact_p * (1.0 - exact_p) / reps)
@@ -217,6 +209,28 @@ class TestPairChainOracle:
         assert np.all(subset[1:] > whole[1:])
 
 
+def finite_model(make_cert):
+    return lambda grid: dict(model="finite", matrix=grid, cert=make_cert(grid),
+                             initial_law=ProbVector.delta(9, 0))
+
+
+@pytest.mark.parametrize(
+    "model,mode",
+    [
+        (finite_model(lambda grid: minorization_uniform(grid, 2)), "uniform"),
+        (finite_model(lambda grid: minorization_pseudo(grid, 2)), "uniform"),
+        (finite_model(proper_subset_cert), "small-set"),
+        (lambda grid: dict(model="halfline", burn_in=5), "uniform"),
+        (lambda grid: dict(model="rwm-laplace", burn_in=5), "small-set"),
+    ],
+    ids=["uniform", "pseudo", "proper-subset", "halfline", "rwm-laplace"],
+)
+def test_mode_follows_from_the_model_and_certificate(grid, model, mode):
+    config = CouplingConfig(n_max=4, replications=20, master_seed=1, **model(grid))
+    assert config.mode() == mode
+    assert run_coupling(config).mode == mode
+
+
 class TestStopWhenCoupled:
     """Runs that stop at coupling: frozen recorded slots, exact coupling times."""
 
@@ -233,7 +247,7 @@ class TestStopWhenCoupled:
 
     @pytest.mark.parametrize("model", ["finite", "halfline"])
     def test_slots_after_coupling_are_frozen(self, model):
-        res = run_uniform_coupling(self.config(model))
+        res = run_coupling(self.config(model))
         eq = res.xs == res.xps
         first = np.where(eq.any(axis=1), eq.argmax(axis=1), -1)
         coupled = first >= 0
@@ -248,8 +262,8 @@ class TestStopWhenCoupled:
 
     @pytest.mark.parametrize("model", ["finite", "halfline"])
     def test_coupling_times_exact_between_recorded_points(self, model):
-        full = run_uniform_coupling(self.config(model))
-        thinned = run_uniform_coupling(self.config(model, record_every=3))
+        full = run_coupling(self.config(model))
+        thinned = run_coupling(self.config(model, record_every=3))
         assert np.array_equal(thinned.xs, full.xs[:, ::3])
         assert np.array_equal(thinned.xps, full.xps[:, ::3])
         assert thinned.coupling_time_mean == full.coupling_time_mean
@@ -262,7 +276,7 @@ class TestStopWhenCoupled:
             cert=minorization_pseudo(grid, 2), initial_law=ProbVector.delta(9, 0),
             stop_when_coupled=True,
         )
-        res = run_uniform_coupling(config)
+        res = run_coupling(config)
         exact_p, _ = pair_chain_oracle(config)
         p_se = np.sqrt(exact_p * (1.0 - exact_p) / config.replications)
         assert np.all(np.abs(np.array(res.p_neq) - exact_p) <= 4.0 * p_se + 1e-12)
@@ -277,14 +291,12 @@ class TestRecordEvery:
         grid = build_grid_walk(3, 3)
         common = dict(master_seed=8, replications=200, record_every=every)
         thinned = (
-            run_uniform_coupling(CouplingConfig(
+            run_coupling(CouplingConfig(
                 model="finite", n_max=8, matrix=grid, cert=minorization_pseudo(grid, 2),
                 initial_law=ProbVector.delta(9, 4), **common,
             )),
-            run_uniform_coupling(CouplingConfig(model="halfline", n_max=4, burn_in=10, **common)),
-            run_small_set_coupling(
-                CouplingConfig(model="rwm-laplace", n_max=20, burn_in=10, **common)
-            ),
+            run_coupling(CouplingConfig(model="halfline", n_max=4, burn_in=10, **common)),
+            run_coupling(CouplingConfig(model="rwm-laplace", n_max=20, burn_in=10, **common)),
         )
         for a, b in zip(full, thinned):
             assert b.lattice == a.lattice[::every]
@@ -465,7 +477,7 @@ class TestGridCoupling:
             cert=minorization_uniform(grid, 2),
             initial_law=ProbVector.delta(9, 4),
         )
-        res = run_uniform_coupling(config)
+        res = run_coupling(config)
         for n, p, se in zip(res.lattice, res.p_neq, res.p_neq_se):
             assert p <= float(F(71, 80)) ** (n // 2) + 3 * se
 
@@ -524,7 +536,7 @@ class TestGridCoupling:
             cert=cert,
             initial_law=ProbVector.delta(2, 0),
         )
-        res = run_uniform_coupling(config)
+        res = run_coupling(config)
         assert all(p == 0.0 for p in res.p_neq[1:])
 
     def test_invalid_certificate_rejected(self, grid):
@@ -546,7 +558,7 @@ class TestGridCoupling:
             initial_law=ProbVector.delta(9, 4),
         )
         with pytest.raises(CertificateError):
-            run_uniform_coupling(config)
+            run_coupling(config)
 
     def test_overlap_claimed_just_above_the_pairwise_overlap_rejected(self, grid):
         good = minorization_pseudo(grid, 2)
@@ -567,7 +579,7 @@ class TestGridCoupling:
             initial_law=ProbVector.delta(9, 4),
         )
         with pytest.raises(CertificateError, match="is negative for pair"):
-            run_uniform_coupling(config)
+            run_coupling(config)
 
 
 def assert_tables_match_reference(matrix, cert):
@@ -655,7 +667,7 @@ class TestHalflineCoupling:
             master_seed=77,
             burn_in=200,
         )
-        res = run_uniform_coupling(config)
+        res = run_coupling(config)
         for n, p in zip(res.lattice, res.p_neq):
             want = 0.5**n
             se = math.sqrt(want * (1 - want) / config.replications)
@@ -678,7 +690,7 @@ def rwm_run():
         burn_in=2_000,
         record_every=50,
     )
-    return config, run_small_set_coupling(config)
+    return config, run_coupling(config)
 
 
 class TestRwmSmallSetCoupling:
@@ -719,32 +731,9 @@ class TestRwmSmallSetCoupling:
             record_every=500_000,
             stop_when_coupled=True,
         )
-        res = run_small_set_coupling(config)
+        res = run_coupling(config)
         assert res.uncoupled <= 10  # at least 99% must couple; typically all do
         assert res.coupling_time_mean < 2_000
-
-    def test_whole_space_small_set_reduces_to_uniform_coupling(self, grid):
-        cert = minorization_pseudo(grid, 2)  # small set is the whole space
-        kwargs = dict(
-            model="finite",
-            n_max=30,
-            replications=3_000,
-            master_seed=21,
-            matrix=grid,
-            cert=cert,
-            initial_law=ProbVector.delta(9, 4),
-        )
-        uniform = run_uniform_coupling(CouplingConfig(**kwargs))
-        small = run_small_set_coupling(CouplingConfig(**kwargs))
-        assert np.array_equal(uniform.xs, small.xs)
-        assert np.array_equal(uniform.xps, small.xps)
-
-    def test_rwm_rejects_whole_space_coupling(self):
-        config = CouplingConfig(
-            model="rwm-laplace", n_max=10, replications=10, master_seed=1
-        )
-        with pytest.raises(InputError):
-            run_uniform_coupling(config)
 
 
 class TestDeterminism:
@@ -758,6 +747,6 @@ class TestDeterminism:
             cert=minorization_pseudo(grid, 2),
             initial_law=ProbVector.delta(9, 4),
         )
-        a = json.dumps(run_uniform_coupling(config).to_jsonable(), sort_keys=True)
-        b = json.dumps(run_uniform_coupling(config).to_jsonable(), sort_keys=True)
+        a = json.dumps(run_coupling(config).to_jsonable(), sort_keys=True)
+        b = json.dumps(run_coupling(config).to_jsonable(), sort_keys=True)
         assert a == b
