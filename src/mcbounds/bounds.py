@@ -4,10 +4,11 @@ Covers the geometric minorization bound (1-eps)^floor(n/n0), the
 drift-based two-term bound (1-eps)^j + alpha^-n * B^(j-1) * E[h], the
 univariate-to-bivariate drift conversion, and the helpers around them
 (stationary moment bound, B constant, sup-h shortcut, threshold search,
-integer-j optimization), and the closed-form constants of the built-in chains
-that the bound command reads. Everything here is a pure function; large powers
-are evaluated in log space. The module imports no numpy, so the exact
-commands start without it.
+integer-j optimization), the closed-form certificate constants of the
+built-in chains that the bound command reads, and the step-radius argument
+that settles containment without an integral. Everything here is a pure
+function; large powers are evaluated in log space. The module imports no
+numpy, so the exact commands (``bound t2`` among them) start without it.
 """
 
 from __future__ import annotations
@@ -43,9 +44,14 @@ __all__ = [
     "drift_minorization_log_terms",
     "optimize_drift_minorization",
     "point_process_overlap",
+    "contained_by_step_radius",
+    "HALFLINE_OVERLAP_EPSILON",
     "LAPLACE_SCHEDULE",
     "MAX_CURVE_POINTS",
     "MAX_POWER_BITS",
+    "RWM_OVERLAP_EPSILON",
+    "RWM_SMALL_SET",
+    "RWM_STEP_RADIUS",
 ]
 
 # exp() overflows just above this; larger log-terms are reported as +inf
@@ -62,6 +68,15 @@ MAX_POWER_BITS = 1 << 22
 # reference (n, j) pair at which `bound t2` reports the Metropolis chain's
 # two-term bound, for regression
 LAPLACE_SCHEDULE = (120_000, 274)
+
+# published certificates of the built-in continuous chains: the half-line
+# mixture dominates its exponential component everywhere with mass 1/2; the
+# Metropolis chain, whose proposals lie within RWM_STEP_RADIUS of the state,
+# overlaps at lag 2 from RWM_SMALL_SET against half of Lebesgue on [-1, 1]
+HALFLINE_OVERLAP_EPSILON = 0.5
+RWM_STEP_RADIUS = 2.0
+RWM_SMALL_SET = (-2.0, 2.0)
+RWM_OVERLAP_EPSILON = 1.0 / (8.0 * math.e**2)
 
 
 @dataclass(frozen=True)
@@ -335,6 +350,19 @@ def b_constant(n0: int, alpha: float, epsilon: float, sup_rh: float) -> float:
     if sup_rh < 0:
         raise InputError("sup_rh must be >= 0")
     return max(1.0, alpha**n0 * (1.0 - epsilon) * sup_rh)
+
+
+def contained_by_step_radius(
+    small_set: Interval, region: Interval, step_radius: float, n_steps: int
+) -> bool:
+    """Whether n_steps moves of at most ``step_radius`` from ``small_set``
+    stay inside ``region``.
+
+    When they do, no path can leave the region, so the escape mass is exactly
+    0 by the kernel's support alone, with no integral.
+    """
+    reach = step_radius * n_steps
+    return region.lo <= small_set.lo - reach and small_set.hi + reach <= region.hi
 
 
 def sup_rh_via_containment(

@@ -7,10 +7,11 @@ with optional CSV curves; exact rationals are serialized as "p/q" strings.
 Exit codes: 0 success, 2 usage or configuration error, 3 mathematical or
 verification failure.
 
-Only the exact layers (``bounds``, ``finite_chain``) load with this module.
-Each command imports what else it needs (numpy, the presets, the coupling
-engines, the kernels) when it runs, so ``bound t1`` and every ``finite``
-analysis but ``eigen-bound`` run without numpy.
+Only ``bounds`` and ``errors`` load with this module. Each command imports
+what else it needs (``finite_chain``, numpy, the presets, the coupling
+engines, the kernels) when it runs, so ``bound`` loads no finite-chain code,
+and ``bound`` and every ``finite`` analysis but ``eigen-bound`` run without
+numpy.
 """
 
 from __future__ import annotations
@@ -35,19 +36,10 @@ from .bounds import (
     steps_to_threshold,
 )
 from .errors import InputError, MathError, McbError
-from .finite_chain import (
-    ProbVector,
-    StochasticMatrix,
-    build_grid_walk,
-    eigen_bound,
-    exact_tv_curve,
-    minorization_pseudo,
-    minorization_uniform,
-    stationary,
-)
 
 if TYPE_CHECKING:
     from .coupling import CouplingConfig
+    from .finite_chain import StochasticMatrix
 
 _FLOAT_FMT = "%.17g"
 
@@ -86,6 +78,8 @@ def _parse_rational(text: str) -> Fraction:
 
 
 def _load_model(args) -> tuple[StochasticMatrix, str]:
+    from .finite_chain import StochasticMatrix, build_grid_walk
+
     if args.grid:
         rows, cols = _parse_grid(args.grid)
         return build_grid_walk(rows, cols), f"grid {rows}x{cols}"
@@ -169,6 +163,15 @@ def _emit(report: _Report, args) -> None:
 
 
 def _cmd_finite(args) -> tuple[_Report, int]:
+    from .finite_chain import (
+        ProbVector,
+        eigen_bound,
+        exact_tv_curve,
+        minorization_pseudo,
+        minorization_uniform,
+        stationary,
+    )
+
     matrix, model_desc = _load_model(args)
     size = matrix.size
     config = {
@@ -364,6 +367,12 @@ def _cmd_bound(args) -> tuple[_Report, int]:
 
 def _simulate_config(args) -> tuple[CouplingConfig, dict]:
     from .coupling import CouplingConfig
+    from .finite_chain import (
+        ProbVector,
+        build_grid_walk,
+        minorization_pseudo,
+        minorization_uniform,
+    )
 
     run = dict(
         n_max=args.n_max,
@@ -441,18 +450,14 @@ def _cmd_simulate(args) -> tuple[_Report, int]:
 def _dump_trajectories(path: Path, result) -> None:
     import numpy as np
 
+    value = "%d" if np.issubdtype(result.xs.dtype, np.integer) else _FLOAT_FMT
+    line = f"%d,%d,{value},{value},%d"
     lines = ["replication,n,x,x_prime,coupled"]
-    xs, xps = result.xs, result.xps
-    as_str = (
-        (lambda v: str(int(v))) if np.issubdtype(xs.dtype, np.integer) else _float_str
-    )
-    for r in range(xs.shape[0]):
+    for r, (xs, xps) in enumerate(zip(result.xs.tolist(), result.xps.tolist())):
         coupled = False
-        for k, n in enumerate(result.lattice):
-            coupled = coupled or xs[r, k] == xps[r, k]
-            lines.append(
-                f"{r},{n},{as_str(xs[r, k])},{as_str(xps[r, k])},{int(coupled)}"
-            )
+        for n, x, xp in zip(result.lattice, xs, xps):
+            coupled = coupled or x == xp
+            lines.append(line % (r, n, x, xp, coupled))
     path.write_text("\n".join(lines) + "\n")
 
 

@@ -36,6 +36,12 @@ from ..kernels.laws import (
 # replications per Generator stream; changing it changes every seeded output
 BLOCK = 4096
 
+# recorded pair states per run, replications x (lattice steps // record_every
+# + 1): the two recorded arrays take 16 bytes a state as float64 (8 as the
+# finite chain's int32), so the cap keeps them within 1 GiB; the defaults
+# record 610 000 states
+MAX_RECORDED_STATES = 1 << 26
+
 # a residual sampler accepts each proposal with probability 1 - eps >= 1/2
 # under the certified overlaps, so a pair still pending after this many
 # rounds means the residual law is not what the certificate promises
@@ -136,9 +142,10 @@ def residual_draw(rng, x: np.ndarray, propose, keep_prob) -> np.ndarray:
 
     Each round proposes ``z = propose(rng, x)`` for the pending states and
     accepts with probability ``keep_prob(x, z)``; accepted states leave the
-    pending set. Raises ``MathError`` on a negative (or undefined) acceptance
-    probability, which means the overlap exceeds the kernel somewhere, and
-    when states are still pending after ``MAX_REDRAW_ROUNDS`` rounds.
+    pending set. Raises ``MathError`` on a negative acceptance probability,
+    which means the overlap exceeds the kernel somewhere, on an undefined
+    (NaN) one, which means the density is not finite there, and when states
+    are still pending after ``MAX_REDRAW_ROUNDS`` rounds.
     """
     out = np.empty_like(x)
     pending = np.arange(x.size)
@@ -148,7 +155,13 @@ def residual_draw(rng, x: np.ndarray, propose, keep_prob) -> np.ndarray:
         at = x[pending]
         z = propose(rng, at)
         keep = keep_prob(at, z)
-        if not np.all(keep >= 0.0):
+        bad = ~(keep >= 0.0)
+        if bad.any():
+            if np.isnan(keep[bad]).any():
+                raise MathError(
+                    "residual acceptance probability undefined (NaN): the "
+                    "transition density is not finite at some proposal"
+                )
             raise MathError(
                 "residual acceptance probability below zero: the overlap "
                 "exceeds the transition law, so the certificate does not hold"

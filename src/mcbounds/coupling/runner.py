@@ -25,7 +25,7 @@ from ..finite_chain import (
     matrix_power,
     stationary,
 )
-from ..kernels import HALFLINE_OVERLAP_EPSILON, RWM_OVERLAP_EPSILON, RWM_SMALL_SET
+from ..bounds import HALFLINE_OVERLAP_EPSILON, RWM_OVERLAP_EPSILON, RWM_SMALL_SET
 from . import engines
 
 __all__ = [
@@ -35,6 +35,13 @@ __all__ = [
     "empirical_tv",
     "run_coupling",
 ]
+
+
+# largest half-line start: the transition density from x divides by
+# 2 (x + 1)^2, which overflows above x = 9.4e153, and a half-normal step moves
+# x to |N(0, 1)| (x + 1), so from 1e100 the chain would need dozens of
+# consecutive extreme draws to get there
+MAX_HALFLINE_START = 1e100
 
 
 @dataclass(frozen=True)
@@ -86,8 +93,10 @@ class CouplingConfig:
                 raise InputError("finite model requires matrix and cert")
             if self.initial_law is not None and self.initial_law.size != self.matrix.size:
                 raise InputError("initial law size does not match the matrix")
-        if self.model == "halfline" and self.x0 < 0:
-            raise InputError("half-line start must be >= 0")
+        if self.model == "halfline" and not 0 <= self.x0 <= MAX_HALFLINE_START:
+            raise InputError(
+                f"half-line start must be in [0, {MAX_HALFLINE_START:g}], got {self.x0}"
+            )
         if self.model != "finite" and self.epsilon is not None:
             certified = (
                 HALFLINE_OVERLAP_EPSILON if self.model == "halfline" else RWM_OVERLAP_EPSILON
@@ -104,6 +113,15 @@ class CouplingConfig:
                     f"small set {self.small_set} is not inside {RWM_SMALL_SET}, where "
                     "the Metropolis overlap is certified"
                 )
+        recorded = self.replications * (
+            self.n_max // self.effective_n0() // self.record_every + 1
+        )
+        if recorded > engines.MAX_RECORDED_STATES:
+            raise InputError(
+                f"{recorded:.3g} recorded pair states exceed the cap of "
+                f"{engines.MAX_RECORDED_STATES}; pass fewer replications, a "
+                "smaller n_max or a larger record_every"
+            )
 
     def effective_n0(self) -> int:
         if self.model == "finite":

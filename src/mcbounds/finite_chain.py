@@ -4,10 +4,11 @@ Transition matrices and distributions are exact rationals. Their public view
 is ``fractions.Fraction`` entries (``StochasticMatrix.rows``,
 ``ProbVector.entries``), but the algebra runs on integers: a matrix also
 holds its entries as integer numerators over one common denominator, the lcm
-of the reduced entry denominators (60 for grid walks). Products, n-step
-distributions, the stationary solve (fraction-free Bareiss elimination) and
-the minorization searches work on those integers, and each result is turned
-back into ``Fraction`` values once. Row sums, stationary vectors, distances
+of the reduced entry denominators (60 for grid walks), and builds its
+``Fraction`` view only when asked. Products, n-step distributions, the
+stationary solve (sparse fraction-free forward elimination) and the
+minorization searches work on those integers, and each result is turned back
+into ``Fraction`` values once. Row sums, stationary vectors, distances
 and minorization constants are therefore exact; the only floating point in
 this module is the explicitly approximate eigenvalue analysis, and it is the
 only part that imports numpy (inside ``eigen_bound`` and ``to_floats``), so
@@ -18,9 +19,9 @@ display layers may relabel them.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 from typing import TYPE_CHECKING, Iterable, Sequence
 
 from .bounds import BoundReport
@@ -124,57 +125,88 @@ def _common_denominator(values: Iterable[Fraction]) -> tuple[tuple[int, ...], in
     return tuple(v.numerator * (den // v.denominator) for v in values), den
 
 
-@dataclass(frozen=True)
 class StochasticMatrix:
     """Row-stochastic square matrix with exact rational entries.
 
-    ``rows`` is the public ``Fraction`` view; equality, hashing and JSON use
-    it alone. ``_num``/``_den`` hold the same entries as integer numerators
-    over the least common denominator, and ``_power`` memoizes the last
-    n-step matrix asked of ``matrix_power``, so one command's certificate
-    search and coupling tables form ``P^n0`` once.
+    The matrix is held as integer numerators ``_num`` over one denominator
+    ``_den``, reduced by their common gcd: the least common denominator of the
+    entries, so this form is canonical and equality and hashing use it.
+    ``rows``, the public ``Fraction`` view, is built on first use and cached.
+    ``_power`` memoizes the last n-step matrix asked of ``matrix_power``, so
+    one command's certificate search and coupling tables form ``P^n0`` once.
     """
 
-    rows: tuple[tuple[Fraction, ...], ...]
-    _num: tuple[tuple[int, ...], ...] = field(init=False, repr=False, compare=False)
-    _den: int = field(init=False, repr=False, compare=False)
-    _power: tuple | None = field(init=False, repr=False, compare=False, default=None)
-
-    def __post_init__(self) -> None:
-        rows = tuple(tuple(_frac(e) for e in row) for row in self.rows)
-        object.__setattr__(self, "rows", rows)
+    def __init__(self, rows: Iterable[Iterable]) -> None:
+        rows = tuple(tuple(_frac(e) for e in row) for row in rows)
         n = len(rows)
         if n == 0 or any(len(row) != n for row in rows):
             raise InputError("matrix must be square and non-empty")
         flat, den = _common_denominator(e for row in rows for e in row)
-        num = tuple(flat[i * n : (i + 1) * n] for i in range(n))
+        self._set(tuple(flat[i * n : (i + 1) * n] for i in range(n)), den)
+        self._rows = rows
+
+    @classmethod
+    def from_num_den(
+        cls, num: Sequence[Sequence[int]], den: int
+    ) -> "StochasticMatrix":
+        """The matrix with entries ``num[i][j] / den``, from square integer rows."""
+        n = len(num)
+        if n == 0 or any(len(row) != n for row in num) or den < 1:
+            raise InputError("matrix must be square and non-empty, over den >= 1")
+        g = gcd(den, *(v for row in num for v in row))
+        if g > 1:
+            num = [[v // g for v in row] for row in num]
+            den //= g
+        matrix = cls.__new__(cls)
+        matrix._set(tuple(map(tuple, num)), den)
+        matrix._rows = None
+        return matrix
+
+    def _set(self, num: tuple[tuple[int, ...], ...], den: int) -> None:
         for i, row in enumerate(num):
             if any(v < 0 for v in row):
                 raise InputError(f"row {i} has a negative entry")
             if sum(row) != den:
-                raise InputError(f"row {i} sums to {sum(rows[i])}, not exactly 1")
-        object.__setattr__(self, "_num", num)
-        object.__setattr__(self, "_den", den)
+                raise InputError(
+                    f"row {i} sums to {Fraction(sum(row), den)}, not exactly 1"
+                )
+        self._num = num
+        self._den = den
+        self._power: tuple | None = None
+
+    @property
+    def rows(self) -> tuple[tuple[Fraction, ...], ...]:
+        if self._rows is None:
+            den = self._den
+            self._rows = tuple(tuple(Fraction(v, den) for v in row) for row in self._num)
+        return self._rows
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, StochasticMatrix):
+            return NotImplemented
+        return self._den == other._den and self._num == other._num
+
+    def __hash__(self) -> int:
+        return hash((self._num, self._den))
+
+    def __repr__(self) -> str:
+        return f"StochasticMatrix(rows={self.rows!r})"
 
     @classmethod
     def from_rows(cls, rows: Iterable[Iterable]) -> "StochasticMatrix":
-        return cls(tuple(tuple(_frac(e) for e in row) for row in rows))
+        return cls(rows)
 
     @classmethod
     def identity(cls, n: int) -> "StochasticMatrix":
-        return cls(
-            tuple(
-                tuple(Fraction(1 if i == j else 0) for j in range(n)) for i in range(n)
-            )
-        )
+        return cls.from_num_den([[int(i == j) for j in range(n)] for i in range(n)], 1)
 
     @property
     def size(self) -> int:
-        return len(self.rows)
+        return len(self._num)
 
     def __getitem__(self, key: tuple[int, int]) -> Fraction:
         i, j = key
-        return self.rows[i][j]
+        return Fraction(self._num[i][j], self._den)
 
     def row(self, i: int) -> ProbVector:
         return ProbVector(self.rows[i])
@@ -182,7 +214,9 @@ class StochasticMatrix:
     def to_floats(self) -> np.ndarray:
         import numpy as np
 
-        return np.array([[float(e) for e in row] for row in self.rows])
+        # int / int is correctly rounded, as float(Fraction) is
+        den = self._den
+        return np.array([[v / den for v in row] for row in self._num])
 
     def to_json_dict(self) -> dict:
         return {"size": self.size, "rows": [[str(e) for e in row] for row in self.rows]}
@@ -210,24 +244,23 @@ def build_grid_walk(rows: int, cols: int) -> StochasticMatrix:
     if rows < 1 or cols < 1:
         raise InputError("grid dimensions must be >= 1")
     n = rows * cols
-    out = [[Fraction(0)] * n for _ in range(n)]
+    den = 60  # lcm of the 1/(degree+1) denominators 1..5
+    num = [[0] * n for _ in range(n)]
     for r in range(rows):
         for c in range(cols):
             i = r * cols + c
-            nbrs = []
+            cells = [i]
             if r > 0:
-                nbrs.append(i - cols)
+                cells.append(i - cols)
             if r < rows - 1:
-                nbrs.append(i + cols)
+                cells.append(i + cols)
             if c > 0:
-                nbrs.append(i - 1)
+                cells.append(i - 1)
             if c < cols - 1:
-                nbrs.append(i + 1)
-            p = Fraction(1, len(nbrs) + 1)
-            out[i][i] = p
-            for j in nbrs:
-                out[i][j] = p
-    return StochasticMatrix.from_rows(out)
+                cells.append(i + 1)
+            for j in cells:
+                num[i][j] = den // len(cells)
+    return StochasticMatrix.from_num_den(num, den)
 
 
 def _int_mat_mul(
@@ -279,10 +312,8 @@ def matrix_power(P: StochasticMatrix, n: int) -> StochasticMatrix:
         raise InputError("power must be >= 0")
     memo = P._power
     if memo is None or memo[0] != n:
-        num, den = _int_power(P._num, P._den, n)
-        power = StochasticMatrix(tuple(tuple(Fraction(v, den) for v in row) for row in num))
-        memo = (n, power)
-        object.__setattr__(P, "_power", memo)
+        memo = (n, StochasticMatrix.from_num_den(*_int_power(P._num, P._den, n)))
+        P._power = memo
     return memo[1]
 
 
@@ -310,70 +341,94 @@ def evolve(mu0: ProbVector, P: StochasticMatrix, n: int) -> ProbVector:
     return ProbVector(tuple(Fraction(x, d) for x in v))
 
 
-def _bareiss(matrix: list[list[int]]) -> list[int]:
-    """Fraction-free Gauss-Jordan elimination (Bareiss) in place.
+def _eliminate(rows: list[dict[int, int]], n_cols: int) -> list[tuple[int, dict[int, int]]]:
+    """Forward elimination on sparse integer rows (column -> nonzero entry).
 
-    Returns the pivot columns. Row operations are scaled so every entry stays
-    an integer (a minor of the input, so each division by the previous pivot
-    is exact); at the end every pivot row holds the same pivot value, zeros
-    in the other pivot columns, and rows past the rank are zero.
+    Rows wait in buckets keyed by their first column. At column c the first
+    row of the bucket becomes the pivot row, and each other row of the bucket
+    is combined with it to clear column c, divided by the gcd of what is
+    left, and moved to the bucket of its new first column. Rows that start
+    past c are not touched, so a banded matrix fills in only within its band.
+    Returns the (pivot column, pivot row) pairs in column order; a pivot row
+    has no entry left of its column, and the pivot columns are those of the
+    row echelon form.
     """
-    n_rows = len(matrix)
-    n_cols = len(matrix[0])
-    pivots: list[int] = []
-    previous = 1
-    r = 0
+    waiting: dict[int, list[dict[int, int]]] = {}
+    for row in rows:
+        if row:
+            waiting.setdefault(min(row), []).append(row)
+    pivots = []
     for c in range(n_cols):
-        pivot_row = next((i for i in range(r, n_rows) if matrix[i][c]), None)
-        if pivot_row is None:
+        bucket = waiting.pop(c, None)
+        if bucket is None:
             continue
-        matrix[r], matrix[pivot_row] = matrix[pivot_row], matrix[r]
-        top = matrix[r]
+        top = bucket[0]
         pivot = top[c]
-        for i in range(n_rows):
-            if i == r:
-                continue
-            f = matrix[i][c]
-            if f:
-                matrix[i] = [(pivot * a - f * b) // previous for a, b in zip(matrix[i], top)]
-            elif pivot != previous:
-                matrix[i] = [pivot * a // previous for a in matrix[i]]
-        previous = pivot
-        pivots.append(c)
-        r += 1
-        if r == n_rows:
-            break
+        for row in bucket[1:]:
+            g = gcd(pivot, row[c])
+            a, b = pivot // g, row[c] // g
+            row = {j: a * v for j, v in row.items()}
+            for j, v in top.items():
+                row[j] = row.get(j, 0) - b * v
+            row = {j: v for j, v in row.items() if v}
+            if row:
+                g = gcd(*row.values())
+                if g > 1:
+                    row = {j: v // g for j, v in row.items()}
+                waiting.setdefault(min(row), []).append(row)
+        pivots.append((c, top))
     return pivots
 
 
 def stationary(P: StochasticMatrix) -> ProbVector:
     """Exact stationary distribution via elimination on D(P^T - I).
 
-    D is the common denominator of P's entries, so the system is integral and
-    Bareiss elimination solves it without fractions. Raises
-    ``NonUniqueStationaryError`` when the unit-eigenvalue left eigenspace has
-    dimension > 1, rather than returning an arbitrary member.
+    D is the common denominator of P's entries, so the system is integral:
+    sparse forward elimination (``_eliminate``) and back substitution on one
+    integer vector, kept free of common factors, solve it without fractions.
+    Raises ``NonUniqueStationaryError`` when the unit-eigenvalue left
+    eigenspace has dimension > 1, rather than returning an arbitrary member.
     """
     n = P.size
     num, den = P._num, P._den
-    A = [[num[j][i] - (den if i == j else 0) for j in range(n)] for i in range(n)]
-    pivots = _bareiss(A)
-    free_cols = [c for c in range(n) if c not in pivots]
+    # row i is the balance equation of state i: sum_j pi_j P_ji - pi_i = 0
+    rows: list[dict[int, int]] = [{} for _ in range(n)]
+    for j, p_row in enumerate(num):
+        for i, v in enumerate(p_row):
+            if v:
+                rows[i][j] = v
+    for i, row in enumerate(rows):
+        diagonal = row.pop(i, 0) - den
+        if diagonal:
+            row[i] = diagonal
+    pivots = _eliminate(rows, n)
+    pivot_cols = {c for c, _ in pivots}
+    free_cols = [c for c in range(n) if c not in pivot_cols]
     if len(free_cols) != 1:
         raise NonUniqueStationaryError(
             f"stationary distribution is not unique: null space has dimension "
             f"{len(free_cols)}"
         )
-    free = free_cols[0]
-    # pivot row r reads d*x[pivots[r]] + A[r][free]*x[free] = 0, d its pivot
-    solution = [0] * n
-    solution[free] = A[0][pivots[0]] if pivots else 1
-    for row, col in zip(A, pivots):
-        solution[col] = -row[free]
-    total = sum(solution)
+    # x solves the pivot rows below the current one; x[c] = t / a needs the
+    # whole vector scaled by a / gcd(t, a) when that is not 1
+    x = [0] * n
+    x[free_cols[0]] = 1
+    for c, row in reversed(pivots):
+        a = row[c]
+        t = -sum(v * x[j] for j, v in row.items() if j != c)
+        g = gcd(t, a)
+        scale = a // g
+        if scale == 1:
+            x[c] = t // g
+        else:
+            x = [v * scale for v in x]
+            x[c] = t // g
+            g = gcd(*x)
+            x = [v // g for v in x]
+    total = sum(x)
     if total == 0:
         raise MathError("degenerate null vector with zero sum")
-    pi = [Fraction(v, total) for v in solution]
+    pi = [Fraction(v, total) for v in x]
     if any(v < 0 for v in pi):
         raise MathError("stationary solve produced a negative entry")
     return ProbVector(tuple(pi))

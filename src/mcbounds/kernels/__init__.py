@@ -5,6 +5,7 @@ from .chains import (
     Kernel,
     RWM_OVERLAP_EPSILON,
     RWM_SMALL_SET,
+    RWM_STEP_RADIUS,
     TargetDensity,
     halfline_mixture_kernel,
     point_process_overlap,
@@ -28,6 +29,7 @@ __all__ = [
     "Kernel",
     "RWM_OVERLAP_EPSILON",
     "RWM_SMALL_SET",
+    "RWM_STEP_RADIUS",
     "TargetDensity",
     "halfline_mixture_kernel",
     "point_process_overlap",

@@ -16,7 +16,14 @@ from typing import Callable
 
 import numpy as np
 
-from ..bounds import point_process_overlap  # closed form, kept numpy-free for `bound t1`
+# closed forms and certificate constants, kept numpy-free for `bound t1` and `t2`
+from ..bounds import (
+    HALFLINE_OVERLAP_EPSILON,
+    RWM_OVERLAP_EPSILON,
+    RWM_SMALL_SET,
+    RWM_STEP_RADIUS,
+    point_process_overlap,
+)
 from ..errors import InputError, MathError
 from . import laws
 
@@ -25,20 +32,13 @@ __all__ = [
     "Kernel",
     "RWM_OVERLAP_EPSILON",
     "RWM_SMALL_SET",
+    "RWM_STEP_RADIUS",
     "TargetDensity",
     "halfline_mixture_kernel",
     "metropolis_rwm_laplace",
     "metropolis_point_process",
     "point_process_overlap",
 ]
-
-# published certificates of the built-in chains: the half-line mixture
-# dominates its exponential component everywhere with mass 1/2; the
-# Metropolis chain overlaps at lag 2 from [-2, 2] against half of Lebesgue
-# on [-1, 1]
-HALFLINE_OVERLAP_EPSILON = 0.5
-RWM_SMALL_SET = (-2.0, 2.0)
-RWM_OVERLAP_EPSILON = 1.0 / (8.0 * math.e**2)
 
 # rejection rounds of the particle direct sampler: at acceptance a a sample
 # is still pending after r rounds with probability (1 - a)^r, so at
@@ -175,10 +175,10 @@ def metropolis_rwm_laplace() -> tuple[Kernel, TargetDensity]:
         trajectory=trajectory,
         transition_density=laws.rwm_density,
         atom_mass=laws.rwm_atom,
-        window=lambda x: (x - 2.0, x + 2.0),
+        window=lambda x: (x - RWM_STEP_RADIUS, x + RWM_STEP_RADIUS),
         breakpoints=lambda x: [0.0, np.abs(x), -np.abs(x)],
         atom_breakpoints=(-1.0, 1.0),  # where x -+ 2 meets the kink at -+|x|
-        step_radius=2.0,
+        step_radius=RWM_STEP_RADIUS,
         one_step_samples=lambda x, n, seed: _rwm_one_step_samples(
             float(x), int(n), int(seed)
         ),

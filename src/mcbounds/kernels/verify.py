@@ -18,7 +18,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from ..bounds import Interval, UnivariateDrift
+from ..bounds import Interval, UnivariateDrift, contained_by_step_radius
 from ..errors import InputError, QuadratureError
 from .chains import Kernel
 
@@ -441,8 +441,7 @@ def containment_escape_mass(
             f"kernel {kernel.name!r} has unbounded steps; containment must be "
             "established analytically"
         )
-    reach = kernel.step_radius * n_steps
-    if region.lo <= small_set.lo - reach and small_set.hi + reach <= region.hi:
+    if contained_by_step_radius(small_set, region, kernel.step_radius, n_steps):
         return 0.0
     if n_steps > 2:
         raise InputError("escape-mass quadrature supported for n_steps <= 2 only")

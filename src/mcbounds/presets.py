@@ -5,31 +5,33 @@ chain so that reproducing the headline numbers is a one-flag operation in the
 CLI. Derived quantities (pair-drift rate, containment supremum, the B
 constant) are computed here from the primitive constants, with provenance
 tags for the reports.
+
+The module imports neither numpy nor the kernels when it loads, so
+``bound t2`` runs without them: the containment of the Metropolis chain
+follows from its step radius, and quadrature is the fallback only when that
+argument does not settle it.
 """
 
 from __future__ import annotations
 
 import math
 
-import numpy as np
-
 from .bounds import (
+    HALFLINE_OVERLAP_EPSILON,
     LAPLACE_SCHEDULE,
+    RWM_OVERLAP_EPSILON,
+    RWM_SMALL_SET,
+    RWM_STEP_RADIUS,
     Interval,
     DriftMinorizationInputs,
     UnivariateDrift,
     b_constant,
     bivariate_from_univariate,
+    contained_by_step_radius,
     stationary_moment_bound,
     sup_rh_via_containment,
 )
 from .errors import InputError
-from .kernels import (
-    HALFLINE_OVERLAP_EPSILON,
-    RWM_OVERLAP_EPSILON,
-    containment_escape_mass,
-    metropolis_rwm_laplace,
-)
 
 __all__ = [
     "HALFLINE_EPSILON",
@@ -44,6 +46,7 @@ __all__ = [
     "LAPLACE_SMALL_SET",
     "laplace_drift",
     "laplace_drift_V",
+    "laplace_escape_mass",
     "laplace_nu_density",
     "laplace_drift_minorization_inputs",
 ]
@@ -56,7 +59,7 @@ HALFLINE_EPSILON = HALFLINE_OVERLAP_EPSILON
 # consistent with inf V = e off [-2, 2] and sup V = e^3 on [-6, 6].
 LAPLACE_LAM = 0.916
 LAPLACE_B = 0.285
-LAPLACE_SMALL_SET = Interval(-2.0, 2.0)
+LAPLACE_SMALL_SET = Interval(*RWM_SMALL_SET)
 LAPLACE_N0 = 2
 LAPLACE_EPSILON = RWM_OVERLAP_EPSILON
 LAPLACE_D = math.e  # inf of V outside the small set, analytic
@@ -72,16 +75,39 @@ def laplace_drift_V(x):
     """
     if isinstance(x, float):
         return math.exp(abs(x) / 2.0)
+    import numpy as np
+
     return np.exp(np.abs(x) / 2.0)
 
 
 def laplace_nu_density(y):
     """Overlap measure of the lag-2 certificate: half of Lebesgue on [-1, 1]."""
+    import numpy as np
+
     return np.where(np.abs(y) <= 1.0, 0.5, 0.0)
 
 
 def laplace_drift(lam: float = LAPLACE_LAM, b: float = LAPLACE_B) -> UnivariateDrift:
     return UnivariateDrift(V=laplace_drift_V, small_set=LAPLACE_SMALL_SET, lam=lam, b=b)
+
+
+def laplace_escape_mass() -> float:
+    """Worst mass the Metropolis chain moves out of ``LAPLACE_REGION`` in
+    ``LAPLACE_N0`` steps from ``LAPLACE_SMALL_SET``.
+
+    Exactly 0 when the step radius keeps every path inside; only otherwise
+    are the kernels (and numpy) loaded to integrate it.
+    """
+    if contained_by_step_radius(
+        LAPLACE_SMALL_SET, LAPLACE_REGION, RWM_STEP_RADIUS, LAPLACE_N0
+    ):
+        return 0.0
+    from .kernels import containment_escape_mass, metropolis_rwm_laplace
+
+    kernel, _ = metropolis_rwm_laplace()
+    return containment_escape_mass(
+        kernel, LAPLACE_SMALL_SET, LAPLACE_REGION, n_steps=LAPLACE_N0
+    )
 
 
 def laplace_drift_minorization_inputs(
@@ -95,14 +121,8 @@ def laplace_drift_minorization_inputs(
     """
     drift = laplace_drift()
     pair = bivariate_from_univariate(drift, d=LAPLACE_D)
-    kernel, _ = metropolis_rwm_laplace()
     sup_rh = sup_rh_via_containment(
-        pair.h,
-        LAPLACE_REGION,
-        probe_step=0.05,
-        containment=lambda: containment_escape_mass(
-            kernel, LAPLACE_SMALL_SET, LAPLACE_REGION, n_steps=LAPLACE_N0
-        ),
+        pair.h, LAPLACE_REGION, probe_step=0.05, containment=laplace_escape_mass
     )
     big_b = b_constant(LAPLACE_N0, pair.alpha, LAPLACE_EPSILON, sup_rh)
     if expected_h == "analytic":

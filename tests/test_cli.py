@@ -313,6 +313,9 @@ class TestSimulate:
         (["--rwm-laplace", "--x0", "nan"], None),
         (["--halfline", "--x0", "inf"], None),
         (["--rwm-laplace", "--burn-in", "-1"], None),
+        (["--halfline", "--x0", "1e300"], None),
+        (["--grid", "2x2", "--n0", "1", "--reps", "1000000000000", "--n-max", "1000000"],
+         None),
     ])
     def test_bad_coupling_input_exits_2(self, capsys, monkeypatch, argv, seed_env):
         if seed_env is not None:
@@ -479,6 +482,8 @@ class TestStartup:
             "    assert main(['bound', 't1', '--epsilon', '0.117', '--output', out,\n"
             "                 '--format', 'both']) == 0\n"
             "    assert main(['bound', 't1', '--pointprocess', '0.1,0.1']) == 0\n"
+            "    for expected_h in ('analytic', 'fallback'):\n"
+            "        assert main(['bound', 't2', '--expected-h', expected_h]) == 0\n"
             "print(sorted(m for m in sys.modules if m.split('.')[0] == 'numpy'))\n"
         )
         assert out.strip() == "[]"
@@ -497,9 +502,12 @@ class TestStartup:
             mcbounds.no_such_name
 
     def test_exact_layers_import_no_heavy_module_at_top_level(self):
-        # the modules every exact command loads; a top-level numpy (or engine,
-        # kernel or preset) import there puts its start-up cost on every command
-        exact_layers = {"__init__.py", "cli.py", "bounds.py", "finite_chain.py", "errors.py"}
+        # the modules the exact commands load (presets for `bound t2`); a
+        # top-level numpy (or engine, kernel or preset) import there puts its
+        # start-up cost on every command
+        exact_layers = {
+            "__init__.py", "cli.py", "bounds.py", "finite_chain.py", "errors.py", "presets.py",
+        }
         heavy = {"numpy", "coupling", "kernels", "presets"}
         package = Path(mcbounds.__file__).resolve().parent
         checked = set()

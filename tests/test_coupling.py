@@ -338,6 +338,38 @@ class TestContinuousOverlapBounds:
                 lambda x, z: 0.5 - z,
             )
 
+    def test_undefined_acceptance_probability_raises(self):
+        # 0/0 where the density underflows: not evidence against the certificate
+        rng = np.random.default_rng(0)
+        with pytest.raises(MathError, match="undefined"):
+            engines.residual_draw(
+                rng, np.zeros(5), lambda rng, x: x + rng.random(x.size),
+                lambda x, z: np.where(z > 0.5, np.nan, 0.5),
+            )
+
+    def test_halfline_start_capped_where_the_density_stays_finite(self):
+        from mcbounds.coupling.runner import MAX_HALFLINE_START
+
+        run = dict(model="halfline", n_max=4, replications=10, master_seed=1, burn_in=10)
+        with pytest.raises(InputError, match="half-line start"):
+            CouplingConfig(x0=math.nextafter(MAX_HALFLINE_START, math.inf), **run)
+        with np.errstate(over="raise", invalid="raise"):
+            result = run_coupling(CouplingConfig(x0=MAX_HALFLINE_START, **run))
+        assert all(math.isfinite(p) for p in result.p_neq)
+
+    @pytest.mark.parametrize("run", [
+        dict(replications=10_000_000, n_max=60),
+        dict(replications=1, n_max=2 * engines.MAX_RECORDED_STATES),
+        dict(replications=10**12, n_max=10**6, record_every=10**6),
+    ])
+    def test_recorded_states_capped(self, grid, run):
+        cert = minorization_uniform(grid, 2)
+        with pytest.raises(InputError, match="recorded pair states"):
+            CouplingConfig(model="finite", matrix=grid, cert=cert, master_seed=1, **run)
+        run = {**run, "model": "rwm-laplace", "n_max": 2 * run["n_max"]}
+        with pytest.raises(InputError, match="recorded pair states"):
+            CouplingConfig(master_seed=1, **run)
+
     def test_redraws_stop_after_the_round_cap(self):
         rng = np.random.default_rng(0)
         with pytest.raises(MathError, match=f"{engines.MAX_REDRAW_ROUNDS} rounds"):

@@ -122,6 +122,26 @@ class TestConstruction:
     def test_json_roundtrip(self, grid):
         assert StochasticMatrix.from_json_dict(grid.to_json_dict()) == grid
 
+    def test_integer_form_is_reduced_and_equals_the_rows_form(self):
+        # 2/6, 4/6 over 6 share the factor 2 with every numerator
+        m = StochasticMatrix.from_num_den([[2, 4], [6, 0]], 6)
+        assert (m._num, m._den) == (((1, 2), (3, 0)), 3)
+        same = StochasticMatrix.from_rows([[F(1, 3), F(2, 3)], [1, 0]])
+        assert m == same
+        assert hash(m) == hash(same)
+        assert repr(m) == repr(same)
+        assert m.rows == same.rows
+        assert m != StochasticMatrix.identity(2)
+
+    @pytest.mark.parametrize("num,den", [
+        ([[1, 1], [2, 0]], 3),  # a row sums to 2/3
+        ([[3, -1], [1, 1]], 2),  # a negative entry
+        ([[1, 1]], 2),  # not square
+    ])
+    def test_integer_form_is_validated(self, num, den):
+        with pytest.raises(InputError):
+            StochasticMatrix.from_num_den(num, den)
+
 
 class TestPowerAndEvolve:
     def test_power_zero_is_identity(self, grid):
@@ -163,6 +183,19 @@ class TestStationary:
     def test_two_by_two_grid_uniform_by_symmetry(self):
         pi = stationary(build_grid_walk(2, 2))
         assert pi.entries == (F(1, 4),) * 4
+
+    @pytest.mark.parametrize("rows,cols", [(1, 1), (1, 2), (1, 9), (12, 12), (16, 16), (30, 30)])
+    def test_grid_stationary_is_proportional_to_degree_plus_one(self, rows, cols):
+        # the lazy walk is reversible with pi(i) P(i, j) = pi(j) P(j, i), and
+        # P(i, j) = 1 / (deg(i) + 1), so pi(i) is proportional to deg(i) + 1
+        P = build_grid_walk(rows, cols)
+        weights = [
+            1 + (r > 0) + (r < rows - 1) + (c > 0) + (c < cols - 1)
+            for r in range(rows)
+            for c in range(cols)
+        ]
+        total = sum(weights)
+        assert stationary(P).entries == tuple(F(w, total) for w in weights)
 
 
 class TestTvDistance:

@@ -12,7 +12,8 @@ from scipy.integrate import quad
 
 import scalar_reference as sref
 from mcbounds.bounds import Interval, UnivariateDrift
-from mcbounds.errors import InputError, MathError, QuadratureError
+from mcbounds import presets
+from mcbounds.errors import ContainmentError, InputError, MathError, QuadratureError
 from mcbounds.kernels import (
     containment_escape_mass,
     expected_value_after_step,
@@ -24,7 +25,7 @@ from mcbounds.kernels import (
     verify_minorization_numeric,
     verify_univariate_drift,
 )
-from mcbounds.kernels import laws
+from mcbounds.kernels import laws, verify
 from mcbounds.kernels.verify import batch_quad
 
 LAPLACE_EPS = 1.0 / (8.0 * math.e**2)
@@ -298,6 +299,27 @@ class TestContainment:
             worst = max(worst, 1.0 - inside)
         got = containment_escape_mass(kernel, small, region, n_steps=2)
         assert got == pytest.approx(worst, rel=1e-12, abs=1e-12)
+
+    def test_preset_integrates_where_the_step_radius_does_not_settle_it(
+        self, rwm, monkeypatch
+    ):
+        # two steps from [-2, 2] reach -6, below this region: the preset loads
+        # the kernels, integrates, and the t2 constants refuse the leak
+        region = Interval(-5.0, 5.5)
+        monkeypatch.setattr(presets, "LAPLACE_REGION", region)
+        kernel, _ = rwm
+        escape = containment_escape_mass(kernel, presets.LAPLACE_SMALL_SET, region, 2)
+        assert escape > 1e-3
+        assert presets.laplace_escape_mass() == escape
+        with pytest.raises(ContainmentError, match=f"mass {escape:.3e} escapes"):
+            presets.laplace_drift_minorization_inputs()
+
+    def test_quadrature_agrees_with_the_step_radius_argument(self, monkeypatch):
+        expected = presets.laplace_drift_minorization_inputs()
+        for module in (presets, verify):
+            monkeypatch.setattr(module, "contained_by_step_radius", lambda *args: False)
+        assert 0.0 <= presets.laplace_escape_mass() <= 1e-12
+        assert presets.laplace_drift_minorization_inputs() == expected
 
     def test_unbounded_kernel_rejected(self, halfline):
         with pytest.raises(InputError):
