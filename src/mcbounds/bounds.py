@@ -4,8 +4,8 @@ Covers the geometric minorization bound (1-eps)^floor(n/n0), the
 drift-based two-term bound (1-eps)^j + alpha^-n * B^(j-1) * E[h], the
 univariate-to-bivariate drift conversion, and the helpers around them
 (stationary moment bound, B constant, sup-h shortcut, threshold search,
-integer-j optimization), the closed-form certificate constants of the
-built-in chains that the bound command reads, and the step-radius argument
+integer-j optimization), the overlap certificates of the built-in chains,
+which every layer reads from ``CERTIFICATES``, and the step-radius argument
 that settles containment without an integral. Everything here is a pure
 function; large powers are evaluated in log space. The module imports no
 numpy, so the exact commands (``bound t2`` among them) start without it.
@@ -28,6 +28,8 @@ from .errors import (
 
 __all__ = [
     "BoundReport",
+    "CERTIFICATES",
+    "ChainCertificate",
     "Interval",
     "UnivariateDrift",
     "BivariateDrift",
@@ -45,12 +47,9 @@ __all__ = [
     "optimize_drift_minorization",
     "point_process_overlap",
     "contained_by_step_radius",
-    "HALFLINE_OVERLAP_EPSILON",
     "LAPLACE_SCHEDULE",
     "MAX_CURVE_POINTS",
     "MAX_POWER_BITS",
-    "RWM_OVERLAP_EPSILON",
-    "RWM_SMALL_SET",
     "RWM_STEP_RADIUS",
 ]
 
@@ -69,14 +68,8 @@ MAX_POWER_BITS = 1 << 22
 # two-term bound, for regression
 LAPLACE_SCHEDULE = (120_000, 274)
 
-# published certificates of the built-in continuous chains: the half-line
-# mixture dominates its exponential component everywhere with mass 1/2; the
-# Metropolis chain, whose proposals lie within RWM_STEP_RADIUS of the state,
-# overlaps at lag 2 from RWM_SMALL_SET against half of Lebesgue on [-1, 1]
-HALFLINE_OVERLAP_EPSILON = 0.5
+# the Metropolis chain's proposals lie within this distance of the state
 RWM_STEP_RADIUS = 2.0
-RWM_SMALL_SET = (-2.0, 2.0)
-RWM_OVERLAP_EPSILON = 1.0 / (8.0 * math.e**2)
 
 
 @dataclass(frozen=True)
@@ -101,6 +94,34 @@ class Interval:
         if pts[-1] < self.hi - 1e-12:
             pts.append(self.hi)
         return pts
+
+
+@dataclass(frozen=True)
+class ChainCertificate:
+    """Overlap certificate (C, n0, eps, nu) of a built-in chain.
+
+    From any two states in ``small_set`` (the whole space when None) the
+    ``n0``-step laws share mass ``epsilon`` of the measure ``nu``, given here
+    as the text the reports print.
+    """
+
+    epsilon: float
+    n0: int
+    nu: str
+    small_set: Interval | None = None
+
+
+# published certificates of the built-in continuous chains, keyed by model;
+# the half-line mixture dominates its exponential component everywhere
+CERTIFICATES = {
+    "halfline": ChainCertificate(epsilon=0.5, n0=1, nu="2*exp(-2y)"),
+    "rwm-laplace": ChainCertificate(
+        epsilon=1.0 / (8.0 * math.e**2),
+        n0=2,
+        nu="half of Lebesgue on [-1,1]",
+        small_set=Interval(-2.0, 2.0),
+    ),
+}
 
 
 @dataclass(frozen=True)
@@ -442,13 +463,10 @@ def optimize_drift_minorization(
 ) -> BoundReport:
     """Smallest n whose j-optimized two-term bound falls below ``delta``.
 
-    Doubling search over n followed by bisection; at each probed n the integer
-    j is optimized exactly. ``schedule`` lists extra (n, j) pairs to evaluate
-    for regression (reported under inputs["schedule"]).
+    The ``steps_to_threshold`` search over n >= 1; at each probed n the
+    integer j is optimized exactly. ``schedule`` lists extra (n, j) pairs to
+    evaluate for regression (reported under inputs["schedule"]).
     """
-    if not 0 < delta < 1:
-        raise InputError(f"delta must be in (0, 1), got {delta}")
-
     probes: dict[int, tuple[int, float]] = {}
 
     def probe(n: int) -> float:
@@ -457,21 +475,7 @@ def optimize_drift_minorization(
             probes[n] = (j, drift_minorization_bound(inputs, n, j))
         return probes[n][1]
 
-    hi = 1
-    while probe(hi) >= delta:
-        hi *= 2
-        if hi > n_cap:
-            raise ThresholdNotReachedError(
-                f"optimized bound does not fall below {delta} within {n_cap} steps"
-            )
-    lo = hi // 2
-    while hi - lo > 1:
-        mid = (lo + hi) // 2
-        if probe(mid) < delta:
-            hi = mid
-        else:
-            lo = mid
-
+    crossing = steps_to_threshold(lambda n: probe(n) if n else math.inf, delta, n_cap)
     ns = tuple(sorted(probes))
     values = tuple(probes[n][1] for n in ns)
     js = tuple(probes[n][0] for n in ns)
@@ -482,7 +486,7 @@ def optimize_drift_minorization(
         "alpha": inputs.alpha,
         "B": inputs.big_b,
         "expected_h": inputs.expected_h,
-        "optimal_j": probes[hi][0],
+        "optimal_j": probes[crossing][0],
     }
     if schedule:
         report_inputs["schedule"] = [
@@ -495,7 +499,7 @@ def optimize_drift_minorization(
         js=js,
         log_values=log_values,
         threshold=delta,
-        crossing=hi,
+        crossing=crossing,
         inputs=report_inputs,
     )
 

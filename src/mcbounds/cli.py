@@ -27,6 +27,7 @@ from typing import TYPE_CHECKING
 
 from . import __version__
 from .bounds import (
+    CERTIFICATES,
     LAPLACE_SCHEDULE,
     minorization_bound,
     minorization_crossing,
@@ -44,8 +45,13 @@ if TYPE_CHECKING:
 _FLOAT_FMT = "%.17g"
 
 
-def _float_str(x: float) -> str:
-    return _FLOAT_FMT % float(x)
+def _csv_cell(value) -> str:
+    """The one CSV cell rule: None is empty, an int is exact, a number is %.17g."""
+    if value is None:
+        return ""
+    if isinstance(value, int):
+        return str(value)
+    return _FLOAT_FMT % value
 
 
 def _resolve_seed(value: int | None) -> int:
@@ -105,7 +111,8 @@ def _default_start(args, size: int) -> int:
 
 
 class _Report:
-    """Envelope plus optional CSV tables keyed by file stem suffix."""
+    """Envelope plus optional CSV tables keyed by file stem suffix; a table is
+    a mapping of column names to equally long lists of cells."""
 
     def __init__(self, command: str, analysis: str, config: dict, results: dict,
                  provenance: dict | None = None, warnings: list[str] | None = None):
@@ -115,7 +122,7 @@ class _Report:
         self.results = results
         self.provenance = provenance
         self.warnings = warnings
-        self.csv_tables: dict[str, tuple[list[str], list[list[str]]]] = {}
+        self.csv_tables: dict[str, dict[str, list]] = {}
 
     @property
     def payload(self) -> dict:
@@ -133,8 +140,8 @@ class _Report:
             out["warnings"] = self.warnings
         return out
 
-    def add_csv(self, suffix: str, header: list[str], rows: list[list[str]]) -> None:
-        self.csv_tables[suffix] = (header, rows)
+    def add_csv(self, suffix: str, **columns: list) -> None:
+        self.csv_tables[suffix] = columns
 
 
 def _emit(report: _Report, args) -> None:
@@ -151,11 +158,10 @@ def _emit(report: _Report, args) -> None:
     if fmt in ("json", "both"):
         (outdir / f"{stem}.json").write_text(text)
     if fmt in ("csv", "both"):
-        for suffix, (header, rows) in report.csv_tables.items():
-            name = f"{stem}{suffix}.csv"
-            lines = [",".join(header)]
-            lines += [",".join(row) for row in rows]
-            (outdir / name).write_text("\n".join(lines) + "\n")
+        for suffix, columns in report.csv_tables.items():
+            lines = [",".join(columns)]
+            lines += [",".join(map(_csv_cell, row)) for row in zip(*columns.values())]
+            (outdir / f"{stem}{suffix}.csv").write_text("\n".join(lines) + "\n")
 
 
 # ---------------------------------------------------------------------------
@@ -218,10 +224,8 @@ def _cmd_finite(args) -> tuple[_Report, int]:
             }
         )
         provenance["coefficient"] = "computed (spectral expansion)"
-        rows = [
-            [str(n), _float_str(eb.value(n))] for n in range(crossing + 1)
-        ]
-        report.add_csv("-curve", ["n", "bound"], rows)
+        ns = range(crossing + 1)
+        report.add_csv("-curve", n=ns, bound=[eb.value(n) for n in ns])
 
     elif args.analysis in ("minorization", "pseudo"):
         finder = minorization_uniform if args.analysis == "minorization" else minorization_pseudo
@@ -250,22 +254,22 @@ def _cmd_finite(args) -> tuple[_Report, int]:
         uniform_cert = minorization_uniform(matrix, args.n0)
         pseudo_cert = minorization_pseudo(matrix, args.n0)
         entries = []
-        rows = []
         for n, tv in zip(curve.ns, curve.values):
             entry = {"n": n, "tv": str(tv), "tv_float": float(tv)}
-            row = [str(n), _float_str(float(tv))]
             for label, cert in (("uniform", uniform_cert), ("pseudo", pseudo_cert)):
                 if cert is not None:
                     bound = float(minorization_bound(cert.epsilon, cert.n0, n))
                     entry[f"bound_{label}"] = bound
-                    row.append(_float_str(bound))
-                else:
-                    row.append("")
             entries.append(entry)
-            rows.append(row)
         results["curve"] = entries
         results["crossing"] = curve.crossing
-        report.add_csv("-curve", ["n", "tv", "bound_uniform", "bound_pseudo"], rows)
+        report.add_csv(
+            "-curve",
+            n=curve.ns,
+            tv=[e["tv_float"] for e in entries],
+            bound_uniform=[e.get("bound_uniform") for e in entries],
+            bound_pseudo=[e.get("bound_pseudo") for e in entries],
+        )
 
     return report, 0
 
@@ -308,11 +312,7 @@ def _cmd_bound(args) -> tuple[_Report, int]:
             ],
         }
         report = _Report("bound", "t1", config, results, provenance)
-        report.add_csv(
-            "-curve",
-            ["n", "bound"],
-            [[str(n), _float_str(float(v))] for n, v in zip(curve.ns, curve.values)],
-        )
+        report.add_csv("-curve", n=curve.ns, bound=curve.values)
         return report, 0
 
     # t2
@@ -353,11 +353,7 @@ def _cmd_bound(args) -> tuple[_Report, int]:
         ],
     }
     report = _Report("bound", "t2", config, results, provenance)
-    report.add_csv(
-        "-curve",
-        ["n", "j", "bound"],
-        [[str(n), str(j), _float_str(v)] for n, j, v in zip(opt.ns, opt.js, opt.values)],
-    )
+    report.add_csv("-curve", n=opt.ns, j=opt.js, bound=opt.values)
     return report, 0
 
 
@@ -400,8 +396,9 @@ def _simulate_config(args) -> tuple[CouplingConfig, dict]:
     model = "halfline" if args.halfline else "rwm-laplace"
     config = CouplingConfig(model=model, x0=args.x0, burn_in=args.burn_in, **run)
     desc = {"model": model, "x0": args.x0, "burn_in": args.burn_in}
-    if model == "rwm-laplace":
-        desc["small_set"] = list(config.small_set)
+    small = CERTIFICATES[model].small_set
+    if small is not None:
+        desc["small_set"] = [small.lo, small.hi]
     return config, desc
 
 
@@ -436,11 +433,10 @@ def _cmd_simulate(args) -> tuple[_Report, int]:
     ]
     report = _Report("simulate", desc["model"].split()[0], cfg, results,
                      warnings=warnings)
-    rows = [
-        [str(n), _float_str(p), _float_str(se), _float_str(bound)]
-        for n, p, se, bound in zip(result.lattice, result.p_neq, result.p_neq_se, bounds)
-    ]
-    report.add_csv("-curve", ["n", "p_neq", "p_neq_se", "bound"], rows)
+    report.add_csv(
+        "-curve", n=result.lattice, p_neq=result.p_neq, p_neq_se=result.p_neq_se,
+        bound=bounds,
+    )
 
     if args.trajectories:
         _dump_trajectories(Path(args.trajectories), result)
@@ -532,31 +528,22 @@ def _cmd_verify(args) -> tuple[_Report, int]:
             "b": "user" if args.b is not None else "preset",
         }
         report = _Report("verify", "drift", config, results, provenance)
-        rows = [
-            [_float_str(x), _float_str(l), _float_str(r)]
-            for x, l, r in zip(verif.grid, verif.lhs, verif.rhs)
-        ]
-        report.add_csv("-grid", ["x", "lhs", "rhs"], rows)
+        report.add_csv("-grid", x=verif.grid, lhs=verif.lhs, rhs=verif.rhs)
         return report, 0 if verif.passed else 3
 
     # minorization
     _positive_step("--probe-step", args.probe_step)
     if args.preset == "halfline":
         kernel = halfline_mixture_kernel()
-        lag = 1
-        epsilon = presets.HALFLINE_EPSILON
         nu = laws.hl_nu_density
         x_range = y_range = (0.0, 50.0)
-        nu_desc = "2*exp(-2y)"
     elif args.preset == "rwm-laplace":
         kernel, _ = metropolis_rwm_laplace()
-        lag = 2
-        epsilon = presets.LAPLACE_EPSILON
-        nu = presets.laplace_nu_density
+        nu = laws.rwm_nu_density
         x_range, y_range = (-2.0, 2.0), (-1.0, 1.0)
-        nu_desc = "half of Lebesgue on [-1,1]"
     else:
         raise InputError("minorization presets: halfline, rwm-laplace")
+    cert = CERTIFICATES[args.preset]
     step = args.probe_step
     pairs = _probe_count(*x_range, step) * _probe_count(*y_range, step)
     if pairs > MAX_PROBE_PAIRS:
@@ -566,7 +553,7 @@ def _cmd_verify(args) -> tuple[_Report, int]:
         )
     probe_x, probe_y = (np.arange(lo, hi + 1e-12, step) for lo, hi in (x_range, y_range))
     verif = verify_minorization_numeric(
-        kernel, lag, epsilon, nu, probe_x, probe_y, tolerance=args.tolerance
+        kernel, cert.n0, cert.epsilon, nu, probe_x, probe_y, tolerance=args.tolerance
     )
     config = {
         "preset": args.preset,
@@ -575,9 +562,9 @@ def _cmd_verify(args) -> tuple[_Report, int]:
     }
     results = {
         "passed": verif.passed,
-        "lag": lag,
-        "epsilon": epsilon,
-        "nu": nu_desc,
+        "lag": cert.n0,
+        "epsilon": cert.epsilon,
+        "nu": cert.nu,
         "min_margin": verif.min_margin,
         "argmin": [verif.argmin_x, verif.argmin_y],
         "quadrature_error_estimate": verif.quadrature_error_estimate,

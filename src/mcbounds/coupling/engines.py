@@ -28,6 +28,7 @@ from ..kernels.laws import (
     hl_density,
     hl_nu_density,
     hl_step,
+    rwm_nu_density,
     rwm_step,
     rwm_two_step_density,
     rwm_two_steps,
@@ -285,16 +286,17 @@ def halfline_coupling_paths(
 
 
 def _rwm_keep(eps: float):
-    """Acceptance of the two-step residual sampler.
+    """Acceptance 1 - eps * nu(w) / p2(x, w) of the two-step residual sampler.
 
     A proposal equal to x is the double-rejection atom and one outside
-    [-1, 1] lies where the overlap density is 0: both are always kept.
+    [-1, 1] lies where nu is 0: both are always kept.
     """
 
     def keep(x, w):
         out = np.ones_like(w)
-        inside = (w != x) & (np.abs(w) <= 1.0)
-        out[inside] = 1.0 - eps * 0.5 / rwm_two_step_density(x[inside], w[inside])
+        nu = rwm_nu_density(w)
+        inside = (w != x) & (nu > 0.0)
+        out[inside] = 1.0 - eps * nu[inside] / rwm_two_step_density(x[inside], w[inside])
         return out
 
     return keep

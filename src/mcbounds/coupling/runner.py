@@ -25,7 +25,7 @@ from ..finite_chain import (
     matrix_power,
     stationary,
 )
-from ..bounds import HALFLINE_OVERLAP_EPSILON, RWM_OVERLAP_EPSILON, RWM_SMALL_SET
+from ..bounds import CERTIFICATES
 from . import engines
 
 __all__ = [
@@ -51,8 +51,9 @@ class CouplingConfig:
     ``model`` selects the chain: "finite" (supply ``matrix``, ``cert``, and an
     ``initial_law``), "halfline", or "rwm-laplace" (point start ``x0``; the
     stationary partner start is drawn by a ``burn_in``-step auxiliary run for
-    the continuous chains, exactly for finite ones). The lag and the coupling
-    mode follow from the model and the certificate. ``stop_when_coupled``
+    the continuous chains, exactly for finite ones). The lag, the overlap and
+    the coupling mode follow from the finite certificate or, for the
+    continuous chains, from ``bounds.CERTIFICATES``. ``stop_when_coupled``
     ends each replication at its coupling step (coupling-time studies with
     large step caps); recorded post-coupling states are then frozen.
     """
@@ -65,8 +66,6 @@ class CouplingConfig:
     cert: MinorizationCert | None = None
     initial_law: ProbVector | None = None
     x0: float = 0.0
-    epsilon: float | None = None
-    small_set: tuple[float, float] = RWM_SMALL_SET
     burn_in: int = 20_000
     record_every: int = 1
     stop_when_coupled: bool = False
@@ -97,22 +96,6 @@ class CouplingConfig:
             raise InputError(
                 f"half-line start must be in [0, {MAX_HALFLINE_START:g}], got {self.x0}"
             )
-        if self.model != "finite" and self.epsilon is not None:
-            certified = (
-                HALFLINE_OVERLAP_EPSILON if self.model == "halfline" else RWM_OVERLAP_EPSILON
-            )
-            if not 0.0 <= self.epsilon <= certified:
-                raise InputError(
-                    f"epsilon {self.epsilon} is outside [0, {certified}], the "
-                    f"certified overlap of the {self.model} chain"
-                )
-        if self.model == "rwm-laplace":
-            lo, hi = self.small_set
-            if not RWM_SMALL_SET[0] <= lo <= hi <= RWM_SMALL_SET[1]:
-                raise InputError(
-                    f"small set {self.small_set} is not inside {RWM_SMALL_SET}, where "
-                    "the Metropolis overlap is certified"
-                )
         recorded = self.replications * (
             self.n_max // self.effective_n0() // self.record_every + 1
         )
@@ -126,7 +109,7 @@ class CouplingConfig:
     def effective_n0(self) -> int:
         if self.model == "finite":
             return self.cert.n0
-        return 1 if self.model == "halfline" else 2
+        return CERTIFICATES[self.model].n0
 
     def mode(self) -> str:
         """The coupling mode: ``uniform`` when the coin is flipped on the whole
@@ -134,17 +117,14 @@ class CouplingConfig:
         state), ``small-set`` otherwise."""
         if self.model == "finite":
             whole = set(self.cert.small_set) == set(range(self.matrix.size))
-            return "uniform" if whole else "small-set"
-        return "uniform" if self.model == "halfline" else "small-set"
+        else:
+            whole = CERTIFICATES[self.model].small_set is None
+        return "uniform" if whole else "small-set"
 
     def effective_epsilon(self) -> float:
         if self.model == "finite":
             return float(self.cert.epsilon)
-        if self.epsilon is not None:
-            return self.epsilon
-        if self.model == "halfline":
-            return HALFLINE_OVERLAP_EPSILON
-        return RWM_OVERLAP_EPSILON
+        return CERTIFICATES[self.model].epsilon
 
 
 @dataclass(frozen=True)
@@ -404,7 +384,7 @@ def run_coupling(config: CouplingConfig) -> CouplingResult:
     The chains flip an eps-coin whenever both sit in the small set: the whole
     space for the half-line chain (closed-form overlap 1/2) and for a finite
     certificate on every state, the certificate's set for other finite ones,
-    and ``config.small_set`` for the Metropolis chain, which couples at even
+    and the certificate's set for the Metropolis chain, which couples at even
     times with the published lag-2 overlap (odd-time states are not
     recorded). Finite chains draw from their exact certificate tables; the
     pairwise variant supplies pair-dependent overlap measures.
@@ -426,8 +406,9 @@ def run_coupling(config: CouplingConfig) -> CouplingResult:
             *run, config.x0, eps, config.burn_in, config.stop_when_coupled
         )
     else:
+        small = CERTIFICATES[config.model].small_set
         xs, xps, couple_at, opportunities = engines.rwm_coupling_paths(
-            *run, config.x0, eps, *config.small_set, config.burn_in,
+            *run, config.x0, eps, small.lo, small.hi, config.burn_in,
             config.stop_when_coupled,
         )
     return _summarize(config, n_steps, xs, xps, couple_at, opportunities, pi)

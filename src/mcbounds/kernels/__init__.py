@@ -1,14 +1,9 @@
 """Continuous-state chains and numeric condition verification."""
 
 from .chains import (
-    HALFLINE_OVERLAP_EPSILON,
     Kernel,
-    RWM_OVERLAP_EPSILON,
-    RWM_SMALL_SET,
-    RWM_STEP_RADIUS,
     TargetDensity,
     halfline_mixture_kernel,
-    point_process_overlap,
     metropolis_point_process,
     metropolis_rwm_laplace,
 )
@@ -25,14 +20,9 @@ from .verify import (
 )
 
 __all__ = [
-    "HALFLINE_OVERLAP_EPSILON",
     "Kernel",
-    "RWM_OVERLAP_EPSILON",
-    "RWM_SMALL_SET",
-    "RWM_STEP_RADIUS",
     "TargetDensity",
     "halfline_mixture_kernel",
-    "point_process_overlap",
     "metropolis_point_process",
     "metropolis_rwm_laplace",
     "MAX_DRIFT_POINTS",

@@ -16,28 +16,16 @@ from typing import Callable
 
 import numpy as np
 
-# closed forms and certificate constants, kept numpy-free for `bound t1` and `t2`
-from ..bounds import (
-    HALFLINE_OVERLAP_EPSILON,
-    RWM_OVERLAP_EPSILON,
-    RWM_SMALL_SET,
-    RWM_STEP_RADIUS,
-    point_process_overlap,
-)
+from ..bounds import RWM_STEP_RADIUS
 from ..errors import InputError, MathError
 from . import laws
 
 __all__ = [
-    "HALFLINE_OVERLAP_EPSILON",
     "Kernel",
-    "RWM_OVERLAP_EPSILON",
-    "RWM_SMALL_SET",
-    "RWM_STEP_RADIUS",
     "TargetDensity",
     "halfline_mixture_kernel",
     "metropolis_rwm_laplace",
     "metropolis_point_process",
-    "point_process_overlap",
 ]
 
 # rejection rounds of the particle direct sampler: at acceptance a a sample
@@ -53,7 +41,6 @@ class TargetDensity:
     """Unnormalized target with a log evaluator; finite on the support interior."""
 
     log_unnormalized: Callable
-    support: str
 
 
 @dataclass(frozen=True)
@@ -73,7 +60,6 @@ class Kernel:
 
     name: str
     dim: int
-    support: str
     trajectory: Callable
     transition_density: Callable | None = None
     atom_mass: Callable | None = None
@@ -123,7 +109,6 @@ def halfline_mixture_kernel() -> Kernel:
     return Kernel(
         name="halfline-mixture",
         dim=1,
-        support="[0, inf)",
         trajectory=trajectory,
         transition_density=laws.hl_density,
         atom_mass=lambda x: np.zeros(np.shape(x)),
@@ -163,7 +148,7 @@ def metropolis_rwm_laplace() -> tuple[Kernel, TargetDensity]:
     Proposals are uniform on [x-2, x+2]; rejection leaves an atom at x whose
     mass is known in closed form.
     """
-    target = TargetDensity(log_unnormalized=lambda x: -abs(x), support="R")
+    target = TargetDensity(log_unnormalized=lambda x: -abs(x))
 
     def trajectory(x0: float, n: int, seed: int) -> np.ndarray:
         return _rwm_trajectory(float(x0), int(n), int(seed))
@@ -171,7 +156,6 @@ def metropolis_rwm_laplace() -> tuple[Kernel, TargetDensity]:
     kernel = Kernel(
         name="rwm-laplace",
         dim=1,
-        support="R",
         trajectory=trajectory,
         transition_density=laws.rwm_density,
         atom_mass=laws.rwm_atom,
@@ -251,7 +235,7 @@ def metropolis_point_process(c: float, d: float) -> tuple[Kernel, TargetDensity]
     def log_target(states: np.ndarray):
         return laws.pp_log_target(states, c, d)
 
-    target = TargetDensity(log_unnormalized=log_target, support="[0,1]^6")
+    target = TargetDensity(log_unnormalized=log_target)
 
     def validate(state: np.ndarray) -> np.ndarray:
         state = np.asarray(state, dtype=float)
@@ -279,7 +263,6 @@ def metropolis_point_process(c: float, d: float) -> tuple[Kernel, TargetDensity]
     kernel = Kernel(
         name="point-process",
         dim=6,
-        support="[0,1]^6",
         trajectory=trajectory,
         transition_density=density,
         atom_mass=None,

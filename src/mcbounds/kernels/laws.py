@@ -101,6 +101,11 @@ def rwm_two_step_density(x, z):
     return rwm_conv2(x, z) + rwm_atom(x) * p_xz + p_xz * rwm_atom(z)
 
 
+def rwm_nu_density(y):
+    """Overlap measure of the lag-2 certificate: half of Lebesgue on [-1, 1]."""
+    return np.where(np.abs(y) <= 1.0, 0.5, 0.0)
+
+
 def rwm_step(rng, x: np.ndarray) -> np.ndarray:
     """One Metropolis transition from each state (uniform proposal on x +- 2)."""
     u = rng.random((2, x.size))

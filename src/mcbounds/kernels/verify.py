@@ -92,17 +92,6 @@ class DriftVerificationReport:
     tolerance: float
     passed: bool
 
-    def to_jsonable(self) -> dict:
-        return {
-            "grid": list(self.grid),
-            "lhs": list(self.lhs),
-            "rhs": list(self.rhs),
-            "max_violation": self.max_violation,
-            "quadrature_error_estimate": self.quadrature_error_estimate,
-            "tolerance": self.tolerance,
-            "passed": self.passed,
-        }
-
 
 @dataclass(frozen=True)
 class MinorizationVerificationReport:
@@ -116,18 +105,6 @@ class MinorizationVerificationReport:
     quadrature_error_estimate: float
     tolerance: float
     passed: bool
-
-    def to_jsonable(self) -> dict:
-        return {
-            "lag": self.lag,
-            "epsilon": self.epsilon,
-            "min_margin": self.min_margin,
-            "argmin_x": self.argmin_x,
-            "argmin_y": self.argmin_y,
-            "quadrature_error_estimate": self.quadrature_error_estimate,
-            "tolerance": self.tolerance,
-            "passed": self.passed,
-        }
 
 
 def _require_density(kernel: Kernel) -> None:

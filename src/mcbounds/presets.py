@@ -1,8 +1,9 @@
 """Built-in constant presets wiring the full bound pipelines.
 
-Each preset bundles the published certificate constants for one built-in
-chain so that reproducing the headline numbers is a one-flag operation in the
-CLI. Derived quantities (pair-drift rate, containment supremum, the B
+Each preset bundles the published drift constants for one built-in chain,
+read together with the chain's overlap certificate in
+``bounds.CERTIFICATES``, so that reproducing the headline numbers is a
+one-flag operation in the CLI. Derived quantities (pair-drift rate, containment supremum, the B
 constant) are computed here from the primitive constants, with provenance
 tags for the reports.
 
@@ -17,10 +18,7 @@ from __future__ import annotations
 import math
 
 from .bounds import (
-    HALFLINE_OVERLAP_EPSILON,
-    LAPLACE_SCHEDULE,
-    RWM_OVERLAP_EPSILON,
-    RWM_SMALL_SET,
+    CERTIFICATES,
     RWM_STEP_RADIUS,
     Interval,
     DriftMinorizationInputs,
@@ -34,34 +32,24 @@ from .bounds import (
 from .errors import InputError
 
 __all__ = [
-    "HALFLINE_EPSILON",
     "LAPLACE_B",
     "LAPLACE_D",
-    "LAPLACE_EPSILON",
     "LAPLACE_EXPECTED_H",
     "LAPLACE_LAM",
-    "LAPLACE_N0",
     "LAPLACE_REGION",
-    "LAPLACE_SCHEDULE",
-    "LAPLACE_SMALL_SET",
     "laplace_drift",
     "laplace_drift_V",
     "laplace_escape_mass",
-    "laplace_nu_density",
     "laplace_drift_minorization_inputs",
 ]
 
-# half-line mixture: whole-space overlap against the Exponential(2) component
-HALFLINE_EPSILON = HALFLINE_OVERLAP_EPSILON
-
-# Metropolis chain with target exp(-|x|): published certificate constants.
-# The drift function is e^{+|x|/2}: the growing sign is the only one
-# consistent with inf V = e off [-2, 2] and sup V = e^3 on [-6, 6].
+# Metropolis chain with target exp(-|x|): published drift constants; its
+# overlap certificate is CERTIFICATES["rwm-laplace"], whose small set the
+# drift shares. The drift function is e^{+|x|/2}: the growing sign is the
+# only one consistent with inf V = e off [-2, 2] and sup V = e^3 on [-6, 6].
+_CERT = CERTIFICATES["rwm-laplace"]
 LAPLACE_LAM = 0.916
 LAPLACE_B = 0.285
-LAPLACE_SMALL_SET = Interval(*RWM_SMALL_SET)
-LAPLACE_N0 = 2
-LAPLACE_EPSILON = RWM_OVERLAP_EPSILON
 LAPLACE_D = math.e  # inf of V outside the small set, analytic
 LAPLACE_REGION = Interval(-6.0, 6.0)  # two steps from the small set stay inside
 LAPLACE_EXPECTED_H = 2.0  # stationary mean of h(0, .), analytic
@@ -80,34 +68,23 @@ def laplace_drift_V(x):
     return np.exp(np.abs(x) / 2.0)
 
 
-def laplace_nu_density(y):
-    """Overlap measure of the lag-2 certificate: half of Lebesgue on [-1, 1]."""
-    import numpy as np
-
-    return np.where(np.abs(y) <= 1.0, 0.5, 0.0)
-
-
 def laplace_drift(lam: float = LAPLACE_LAM, b: float = LAPLACE_B) -> UnivariateDrift:
-    return UnivariateDrift(V=laplace_drift_V, small_set=LAPLACE_SMALL_SET, lam=lam, b=b)
+    return UnivariateDrift(V=laplace_drift_V, small_set=_CERT.small_set, lam=lam, b=b)
 
 
 def laplace_escape_mass() -> float:
     """Worst mass the Metropolis chain moves out of ``LAPLACE_REGION`` in
-    ``LAPLACE_N0`` steps from ``LAPLACE_SMALL_SET``.
+    its certificate's lag from its certificate's small set.
 
     Exactly 0 when the step radius keeps every path inside; only otherwise
     are the kernels (and numpy) loaded to integrate it.
     """
-    if contained_by_step_radius(
-        LAPLACE_SMALL_SET, LAPLACE_REGION, RWM_STEP_RADIUS, LAPLACE_N0
-    ):
+    if contained_by_step_radius(_CERT.small_set, LAPLACE_REGION, RWM_STEP_RADIUS, _CERT.n0):
         return 0.0
     from .kernels import containment_escape_mass, metropolis_rwm_laplace
 
     kernel, _ = metropolis_rwm_laplace()
-    return containment_escape_mass(
-        kernel, LAPLACE_SMALL_SET, LAPLACE_REGION, n_steps=LAPLACE_N0
-    )
+    return containment_escape_mass(kernel, _CERT.small_set, LAPLACE_REGION, n_steps=_CERT.n0)
 
 
 def laplace_drift_minorization_inputs(
@@ -124,7 +101,7 @@ def laplace_drift_minorization_inputs(
     sup_rh = sup_rh_via_containment(
         pair.h, LAPLACE_REGION, probe_step=0.05, containment=laplace_escape_mass
     )
-    big_b = b_constant(LAPLACE_N0, pair.alpha, LAPLACE_EPSILON, sup_rh)
+    big_b = b_constant(_CERT.n0, pair.alpha, _CERT.epsilon, sup_rh)
     if expected_h == "analytic":
         eh = LAPLACE_EXPECTED_H
         eh_source = "preset (analytic stationary mean)"
@@ -134,8 +111,8 @@ def laplace_drift_minorization_inputs(
     else:
         raise InputError(f"expected_h must be 'analytic' or 'fallback', got {expected_h!r}")
     inputs = DriftMinorizationInputs(
-        epsilon=LAPLACE_EPSILON,
-        n0=LAPLACE_N0,
+        epsilon=_CERT.epsilon,
+        n0=_CERT.n0,
         alpha=pair.alpha,
         big_b=big_b,
         expected_h=eh,

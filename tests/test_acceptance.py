@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 
 from mcbounds.bounds import (
+    CERTIFICATES,
     b_constant,
     bivariate_from_univariate,
     stationary_moment_bound,
@@ -20,6 +21,7 @@ from mcbounds.bounds import (
     minorization_bound,
     drift_minorization_bound,
     drift_minorization_log_terms,
+    point_process_overlap,
 )
 from mcbounds.coupling import CouplingConfig, run_coupling
 from mcbounds.finite_chain import (
@@ -36,7 +38,6 @@ from mcbounds.kernels import (
     containment_escape_mass,
     expected_value_after_step,
     halfline_mixture_kernel,
-    point_process_overlap,
     metropolis_rwm_laplace,
     verify_minorization_numeric,
     verify_univariate_drift,
@@ -174,12 +175,12 @@ def test_criterion_08_laplace_two_term_pipeline():
         presets.LAPLACE_REGION,
         probe_step=0.05,
         containment=lambda: containment_escape_mass(
-            kernel, presets.LAPLACE_SMALL_SET, presets.LAPLACE_REGION, 2
+            kernel, CERTIFICATES["rwm-laplace"].small_set, presets.LAPLACE_REGION, 2
         ),
     )
     assert sup_rh == pytest.approx(math.e**3, rel=1e-12)
 
-    big_b = b_constant(2, pair.alpha, presets.LAPLACE_EPSILON, sup_rh)
+    big_b = b_constant(2, pair.alpha, CERTIFICATES["rwm-laplace"].epsilon, sup_rh)
     assert abs(big_b - 20.04) <= 0.05
 
     fallback = stationary_moment_bound(drift.lam, drift.b)

@@ -14,6 +14,7 @@ import pytest
 
 import mcbounds
 from mcbounds import finite_chain
+from mcbounds.bounds import CERTIFICATES
 from mcbounds.cli import main
 from mcbounds.finite_chain import build_grid_walk
 
@@ -405,6 +406,37 @@ class TestVerify:
         )
         assert code == 0
         assert report["results"]["passed"] is True
+
+
+class TestCertificates:
+    @pytest.mark.parametrize("model", ["halfline", "rwm-laplace"])
+    def test_every_layer_reports_the_built_in_certificate(self, capsys, model):
+        cert = CERTIFICATES[model]
+        small_set = None if cert.small_set is None else [cert.small_set.lo, cert.small_set.hi]
+        code, report = run_cli(
+            capsys, "simulate", f"--{model}", "--n-max", "2", "--reps", "10",
+            "--burn-in", "5", "--seed", "1",
+        )
+        assert code == 0
+        config = report["config"]
+        assert (config["epsilon"], config["n0"]) == (cert.epsilon, cert.n0)
+        assert config.get("small_set") == small_set
+        assert report["results"]["mode"] == ("uniform" if small_set is None else "small-set")
+
+        code, report = run_cli(
+            capsys, "verify", "minorization", "--preset", model, "--probe-step", "1.0"
+        )
+        assert code == 0
+        results = report["results"]
+        assert (results["lag"], results["epsilon"], results["nu"]) == (
+            cert.n0, cert.epsilon, cert.nu,
+        )
+
+        if model == "rwm-laplace":
+            code, report = run_cli(capsys, "bound", "t2")
+            assert code == 0
+            constants = report["results"]["constants"]
+            assert (constants["epsilon"], constants["n0"]) == (cert.epsilon, cert.n0)
 
 
 class TestOutputs:

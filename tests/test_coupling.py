@@ -309,27 +309,6 @@ class TestRecordEvery:
 
 
 class TestContinuousOverlapBounds:
-    @pytest.mark.parametrize(
-        "model,eps",
-        [("halfline", 1.0), ("halfline", 0.5 + 1e-12), ("halfline", -0.1),
-         ("rwm-laplace", 1.0 / (8.0 * math.e**2) * (1 + 1e-12)), ("rwm-laplace", 0.5)],
-    )
-    def test_epsilon_above_the_certificate_rejected(self, model, eps):
-        with pytest.raises(InputError, match="certified overlap"):
-            CouplingConfig(model=model, n_max=4, replications=10, master_seed=1, epsilon=eps)
-
-    @pytest.mark.parametrize("small_set", [(-10.0, 10.0), (-2.0, 2.5), (1.0, -1.0)])
-    def test_metropolis_small_set_outside_the_certificate_rejected(self, small_set):
-        # from x = 8 the coin would jump into [-1, 1], out of the kernel's reach
-        with pytest.raises(InputError, match="certified"):
-            CouplingConfig(model="rwm-laplace", n_max=4, replications=10, master_seed=1,
-                           x0=8.0, small_set=small_set)
-
-    @pytest.mark.parametrize("model,eps", [("halfline", 0.5), ("rwm-laplace", 0.0)])
-    def test_certified_epsilon_accepted(self, model, eps):
-        config = CouplingConfig(model=model, n_max=4, replications=10, master_seed=1, epsilon=eps)
-        assert config.effective_epsilon() == eps
-
     def test_negative_acceptance_probability_raises(self):
         rng = np.random.default_rng(0)
         with pytest.raises(MathError, match="below zero"):

@@ -1,5 +1,6 @@
 """Continuous kernels: densities, verification routines, sampler correctness."""
 
+import dataclasses
 import json
 import math
 import warnings
@@ -11,14 +12,13 @@ from hypothesis import strategies as st
 from scipy.integrate import quad
 
 import scalar_reference as sref
-from mcbounds.bounds import Interval, UnivariateDrift
+from mcbounds.bounds import CERTIFICATES, Interval, UnivariateDrift, point_process_overlap
 from mcbounds import presets
 from mcbounds.errors import ContainmentError, InputError, MathError, QuadratureError
 from mcbounds.kernels import (
     containment_escape_mass,
     expected_value_after_step,
     halfline_mixture_kernel,
-    point_process_overlap,
     metropolis_point_process,
     metropolis_rwm_laplace,
     two_step_density,
@@ -173,7 +173,7 @@ class TestMinorizationVerification:
         )
         assert type(report.passed) is bool
         assert type(report.min_margin) is float
-        json.dumps(report.to_jsonable())
+        json.dumps(dataclasses.asdict(report))
 
     @pytest.mark.parametrize("probe_x, probe_y", [([], [0.0]), ([0.0], []), ([], [])])
     def test_empty_probe_set_is_refused(self, halfline, probe_x, probe_y):
@@ -236,7 +236,7 @@ class TestDriftVerification:
         assert type(report.passed) is bool
         assert type(report.max_violation) is float
         assert {type(v) for v in report.lhs + report.rhs} == {float}
-        json.dumps(report.to_jsonable())
+        json.dumps(dataclasses.asdict(report))
 
     def test_understated_constants_fail(self, rwm):
         kernel, _ = rwm
@@ -308,7 +308,8 @@ class TestContainment:
         region = Interval(-5.0, 5.5)
         monkeypatch.setattr(presets, "LAPLACE_REGION", region)
         kernel, _ = rwm
-        escape = containment_escape_mass(kernel, presets.LAPLACE_SMALL_SET, region, 2)
+        small_set = CERTIFICATES["rwm-laplace"].small_set
+        escape = containment_escape_mass(kernel, small_set, region, 2)
         assert escape > 1e-3
         assert presets.laplace_escape_mass() == escape
         with pytest.raises(ContainmentError, match=f"mass {escape:.3e} escapes"):
