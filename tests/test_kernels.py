@@ -184,6 +184,40 @@ class TestMinorizationVerification:
             )
 
 
+class TestBuiltInCertificates:
+    """Each record in ``CERTIFICATES`` holds for its kernel, and an over-claim shows."""
+
+    def verify(self, model, halfline, rwm, epsilon=None, small_set=None):
+        cert = CERTIFICATES[model]
+        if model == "halfline":
+            kernel, nu, x_range, y_range = halfline, laws.hl_nu_density, (0.0, 20.0), (0.0, 20.0)
+        else:
+            kernel, nu = rwm[0], laws.rwm_nu_density
+            x_range, y_range = (cert.small_set.lo, cert.small_set.hi), (-1.0, 1.0)
+        probe_x, probe_y = (
+            np.arange(lo, hi + 1e-9, 0.1) for lo, hi in (small_set or x_range, y_range)
+        )
+        eps = cert.epsilon if epsilon is None else epsilon
+        return verify_minorization_numeric(kernel, cert.n0, eps, nu, probe_x, probe_y)
+
+    @pytest.mark.parametrize("model", ["halfline", "rwm-laplace"])
+    def test_record_holds_on_its_small_set(self, model, halfline, rwm):
+        assert self.verify(model, halfline, rwm).passed
+
+    @pytest.mark.parametrize(
+        "model,eps", [("halfline", 1.0), ("halfline", 0.6), ("rwm-laplace", 0.1)]
+    )
+    def test_epsilon_above_the_record_fails(self, model, eps, halfline, rwm):
+        assert not self.verify(model, halfline, rwm, epsilon=eps).passed
+
+    @pytest.mark.parametrize("small_set", [(-10.0, 10.0), (-5.0, 5.0)])
+    def test_metropolis_small_set_beyond_the_record_fails(self, small_set, halfline, rwm):
+        # from |x| >= 5 two steps of radius 2 do not reach into (-1, 1)
+        report = self.verify("rwm-laplace", halfline, rwm, small_set=small_set)
+        assert not report.passed
+        assert abs(report.argmin_x) >= 5.0
+
+
 def laplace_drift():
     return UnivariateDrift(
         V=lambda x: np.exp(np.abs(x) / 2.0),
@@ -395,6 +429,14 @@ class TestBatchQuad:
         want, scipy_err = quad(lambda y: sref.hl_density(x, y) * (1.0 + y), 0.0, math.inf,
                                limit=200, epsabs=1e-8)
         assert abs(got - want) <= err + scipy_err
+
+    @pytest.mark.parametrize("x", [8.05078125, 13.921875, 17.2421875, 18.095])
+    def test_halfline_wide_normal_part_is_resolved(self, halfline, x):
+        # on the uncut map (0, 1] these missed the closed form by up to 2.7e-5
+        # (at x = 18.095) while estimating at most 6e-8
+        got, err = expected_value_after_step(halfline, lambda y: 1.0 + y, x)
+        closed = 1.25 + (x + 1.0) / math.sqrt(2.0 * math.pi)
+        assert abs(got - closed) <= min(err, 1e-10 * closed)
 
     @pytest.mark.parametrize("region", [Interval(-6.0, 6.0), Interval(-3.0, 3.0)])
     @pytest.mark.parametrize("n_steps", [1, 2])
