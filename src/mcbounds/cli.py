@@ -9,9 +9,9 @@ verification failure.
 
 Only ``bounds`` and ``errors`` load with this module. Each command imports
 what else it needs (``finite_chain``, numpy, the presets, the coupling
-engines, the kernels) when it runs, so ``bound`` loads no finite-chain code,
-and ``bound`` and every ``finite`` analysis but ``eigen-bound`` run without
-numpy.
+engines, the kernels) when it runs, so ``bound`` and a continuous-chain
+``simulate`` load no finite-chain code, and ``bound`` and every ``finite``
+analysis but ``eigen-bound`` run without numpy.
 """
 
 from __future__ import annotations
@@ -363,12 +363,6 @@ def _cmd_bound(args) -> tuple[_Report, int]:
 
 def _simulate_config(args) -> tuple[CouplingConfig, dict]:
     from .coupling import CouplingConfig
-    from .finite_chain import (
-        ProbVector,
-        build_grid_walk,
-        minorization_pseudo,
-        minorization_uniform,
-    )
 
     run = dict(
         n_max=args.n_max,
@@ -377,6 +371,13 @@ def _simulate_config(args) -> tuple[CouplingConfig, dict]:
         record_every=args.record_every,
     )
     if args.grid:
+        from .finite_chain import (
+            ProbVector,
+            build_grid_walk,
+            minorization_pseudo,
+            minorization_uniform,
+        )
+
         rows, cols = _parse_grid(args.grid)
         matrix = build_grid_walk(rows, cols)
         start = _default_start(args, matrix.size)
@@ -477,12 +478,11 @@ def _cmd_verify(args) -> tuple[_Report, int]:
     import numpy as np
 
     from . import presets
-    from .kernels import (
+    from .kernels import laws
+    from .kernels.chains import halfline_mixture_kernel, metropolis_rwm_laplace
+    from .kernels.verify import (
         MAX_DRIFT_POINTS,
         MAX_PROBE_PAIRS,
-        halfline_mixture_kernel,
-        laws,
-        metropolis_rwm_laplace,
         verify_minorization_numeric,
         verify_univariate_drift,
     )

@@ -11,22 +11,16 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Sequence
+from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
 
 from ..errors import CertificateError, InputError, MathError
-from ..finite_chain import (
-    MinorizationCert,
-    ProbVector,
-    StochasticMatrix,
-    _common_denominator,
-    _pair_measure,
-    matrix_power,
-    stationary,
-)
 from ..bounds import CERTIFICATES
 from . import engines
+
+if TYPE_CHECKING:
+    from ..finite_chain import MinorizationCert, ProbVector, StochasticMatrix
 
 __all__ = [
     "CouplingConfig",
@@ -256,6 +250,8 @@ def _finite_arrays(config: CouplingConfig):
     amount is rejected. Each table entry is an int/int quotient, the
     correctly rounded float of the exact rational.
     """
+    from ..finite_chain import _common_denominator, _pair_measure, matrix_power
+
     P = config.matrix
     cert = config.cert
     size = P.size
@@ -305,6 +301,22 @@ def _assert_once_coupled_forever(eq: np.ndarray) -> None:
         raise MathError("a trajectory decoupled after coupling; engine invariant broken")
 
 
+def _quantile(ordered: list[int], q: float) -> float:
+    """numpy's default (linear) quantile of ascending integers, to the float
+    bit: at v = q (n - 1), between a = ordered[floor(v)] and the next value
+    b, with d = b - a and g = v - floor(v), it is a + d g for g < 1/2 and
+    b - d (1 - g) otherwise. numpy's own quantile function imports
+    ``numpy.ma`` (through ``np.unique``), which no other step of a run needs.
+    """
+    v = q * (len(ordered) - 1)
+    i = math.floor(v)
+    g = v - i
+    a = ordered[i]
+    b = ordered[min(i + 1, len(ordered) - 1)]
+    d = b - a
+    return a + d * g if g < 0.5 else b - d * (1 - g)
+
+
 def _summarize(
     config: CouplingConfig,
     n_steps: int,
@@ -349,9 +361,8 @@ def _summarize(
     mean_time = float(coupled.mean()) if coupled.size else None
     quantiles: tuple[tuple[str, float], ...] = ()
     if coupled.size:
-        qs = (0.5, 0.9, 0.99)
-        vals = np.quantile(coupled, qs)
-        quantiles = tuple((str(q), float(v)) for q, v in zip(qs, vals))
+        ordered = np.sort(coupled).tolist()
+        quantiles = tuple((str(q), _quantile(ordered, q)) for q in (0.5, 0.9, 0.99))
 
     return CouplingResult(
         model=config.model,
@@ -394,6 +405,8 @@ def run_coupling(config: CouplingConfig) -> CouplingResult:
     eps = config.effective_epsilon()
     opportunities = pi = None
     if config.model == "finite":
+        from ..finite_chain import ProbVector, stationary
+
         pi = stationary(config.matrix)
         mu0 = config.initial_law or ProbVector.delta(config.matrix.size, 0)
         step_cdf, nu_cdf, resid_cdf, in_small = _finite_arrays(config)

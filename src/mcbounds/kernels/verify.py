@@ -37,7 +37,7 @@ __all__ = [
 
 # absolute and relative tolerances of the integrator (QUADPACK's test, with
 # the relative one scipy.integrate.quad defaults to); estimates far above the
-# absolute one indicate non-convergence
+# larger of the two indicate non-convergence
 _QUAD_TOL = 1e-8
 _QUAD_REL = 1.49e-8
 _QUAD_FAIL_FACTOR = 100.0
@@ -181,7 +181,7 @@ def batch_quad(f, lo, hi, breaks=None) -> tuple[np.ndarray, np.ndarray]:
     own integrand only, never on the other points of the batch.
 
     Returns (values, error estimates); raises ``QuadratureError`` when a
-    point ends with an error above _QUAD_TOL * _QUAD_FAIL_FACTOR, or NaN.
+    point ends with an error above _QUAD_FAIL_FACTOR times that bound, or NaN.
     """
     lo = np.asarray(lo, dtype=float)
     hi = np.asarray(hi, dtype=float)
@@ -236,13 +236,14 @@ def batch_quad(f, lo, hi, breaks=None) -> tuple[np.ndarray, np.ndarray]:
         owner, sign, base, a, b, value, err = (
             v[order] for v in (owner, sign, base, a, b, value, err)
         )
-    # a NaN estimate fails too: it is no estimate
-    failed = np.flatnonzero(~(errsum <= _QUAD_TOL * _QUAD_FAIL_FACTOR))
+    # a NaN estimate or value fails too: it is no estimate
+    failed = np.flatnonzero(~(errsum <= _QUAD_FAIL_FACTOR * bound))
     if failed.size:
         i = failed[0]
         raise QuadratureError(
             f"integration on [{lo[i]}, {hi[i]}] reported error {errsum[i]:.3e} "
-            f"(requested {_QUAD_TOL:.1e})"
+            f"on a value of {total[i]:.6g} (requested max({_QUAD_TOL:.1e}, "
+            f"{_QUAD_REL:.3g} |value|) = {bound[i]:.3e})"
         )
     return total, errsum
 

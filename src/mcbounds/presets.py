@@ -81,7 +81,8 @@ def laplace_escape_mass() -> float:
     """
     if contained_by_step_radius(_CERT.small_set, LAPLACE_REGION, RWM_STEP_RADIUS, _CERT.n0):
         return 0.0
-    from .kernels import containment_escape_mass, metropolis_rwm_laplace
+    from .kernels.chains import metropolis_rwm_laplace
+    from .kernels.verify import containment_escape_mass
 
     kernel, _ = metropolis_rwm_laplace()
     return containment_escape_mass(kernel, _CERT.small_set, LAPLACE_REGION, n_steps=_CERT.n0)

@@ -34,15 +34,14 @@ from mcbounds.finite_chain import (
     minorization_uniform,
     stationary,
 )
-from mcbounds.kernels import (
+from mcbounds.kernels import laws
+from mcbounds.kernels.chains import halfline_mixture_kernel, metropolis_rwm_laplace
+from mcbounds.kernels.verify import (
     containment_escape_mass,
     expected_value_after_step,
-    halfline_mixture_kernel,
-    metropolis_rwm_laplace,
     verify_minorization_numeric,
     verify_univariate_drift,
 )
-from mcbounds.kernels import laws
 from mcbounds import presets
 
 GOLDEN_PI = (

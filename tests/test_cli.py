@@ -390,6 +390,16 @@ class TestVerify:
         assert report["results"]["max_violation"] > 0
         assert report["provenance"]["lam"] == "user"
 
+    @pytest.mark.parametrize("grid_hi", ["38", "60", "200"])
+    def test_drift_on_a_wide_grid_passes(self, capsys, grid_hi):
+        # V grows as exp(|x| / 2): from x = 37.55 on, the integrals' error
+        # estimates pass 1e-6 while staying within 1.49e-8 |value|
+        code, report = run_cli(
+            capsys, "verify", "drift", "--preset", "rwm-laplace", "--grid-hi", grid_hi
+        )
+        assert code == 0
+        assert report["results"]["passed"] is True
+
     def test_minorization_halfline_passes(self, capsys):
         code, report = run_cli(
             capsys, "verify", "minorization", "--preset", "halfline",
@@ -467,6 +477,11 @@ class TestOutputs:
             assert report["tool"] == "mcbounds"
 
 
+FINITE_AND_KERNEL_LAYERS = (
+    "mcbounds.finite_chain", "mcbounds.kernels.chains", "mcbounds.kernels.verify", "numpy.ma",
+)
+
+
 class TestStartup:
     def run_script(self, body: str) -> str:
         src = str(Path(mcbounds.__file__).resolve().parents[1])
@@ -522,6 +537,24 @@ class TestStartup:
         assert (tmp_path / "finite-tv-exact-curve.csv").is_file()
         assert (tmp_path / "bound-t1-curve.csv").is_file()
 
+    @pytest.mark.parametrize("argv,unused", [
+        (["--halfline", "--burn-in", "5"], FINITE_AND_KERNEL_LAYERS),
+        (["--rwm-laplace", "--burn-in", "5"], FINITE_AND_KERNEL_LAYERS),
+        (["--grid", "2x2"], FINITE_AND_KERNEL_LAYERS[1:]),
+    ], ids=["halfline", "rwm-laplace", "grid"])
+    def test_simulate_loads_only_the_layers_its_model_runs(self, argv, unused):
+        # the engines need kernels.laws alone; the chains, the verifiers and
+        # numpy.ma (loaded by np.quantile) cost start-up time and do nothing
+        argv = ["simulate", "--n-max", "4", "--reps", "20", "--seed", "1", *argv]
+        out = self.run_script(
+            "import contextlib, io\n"
+            "from mcbounds.cli import main\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            f"    assert main({argv!r}) == 0\n"
+            f"print(sorted(m for m in {unused!r} if m in sys.modules))\n"
+        )
+        assert out.strip() == "[]"
+
     def test_every_public_name_imports_from_the_package(self):
         assert len(mcbounds.__all__) > 20
         for name in mcbounds.__all__:
@@ -548,12 +581,18 @@ class TestStartup:
                 continue
             checked.add(path.name)
             for node in _top_level_imports(tree):
-                names = [alias.name for alias in node.names]  # import x, from . import x
-                if isinstance(node, ast.ImportFrom) and node.module is not None:
-                    names = [node.module]
-                parts = {part for name in names for part in name.split(".")}
+                parts = _imported_parts(node)
                 assert not parts & heavy, (path.name, node.lineno, sorted(parts & heavy))
         assert checked == exact_layers
+
+    def test_simulate_layers_import_no_unused_layer_at_top_level(self):
+        # the runner loads finite_chain for finite models only, and the
+        # kernels package loads none of its submodules (the engines need laws)
+        package = Path(mcbounds.__file__).resolve().parent
+        trees = dict(self.sources())
+        runner = _top_level_imports(trees[package / "coupling" / "runner.py"])
+        assert not any("finite_chain" in _imported_parts(node) for node in runner)
+        assert list(_top_level_imports(trees[package / "kernels" / "__init__.py"])) == []
 
     def sources(self):
         package = Path(mcbounds.__file__).resolve().parent
@@ -591,6 +630,14 @@ class TestStartup:
                     and node.value.value.id in ("np", "numpy")
                 ):
                     assert node.attr in allowed, (path, node.lineno, node.attr)
+
+
+def _imported_parts(node: ast.Import | ast.ImportFrom) -> set[str]:
+    """The dotted parts of the module names an import statement names."""
+    names = [alias.name for alias in node.names]  # import x, from . import x
+    if isinstance(node, ast.ImportFrom) and node.module is not None:
+        names = [node.module]
+    return {part for name in names for part in name.split(".")}
 
 
 def _top_level_imports(tree: ast.Module):

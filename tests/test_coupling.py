@@ -7,13 +7,13 @@ from fractions import Fraction as F
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import fraction_reference as ref
 from mcbounds.coupling import CouplingConfig, empirical_tv, run_coupling
 from mcbounds.coupling import engines
-from mcbounds.coupling.runner import _cdf_rows, _finite_arrays
+from mcbounds.coupling.runner import _cdf_rows, _finite_arrays, _quantile
 from mcbounds.errors import CertificateError, InputError, MathError
 import scalar_reference as sref
 from mcbounds.kernels import laws
@@ -452,6 +452,26 @@ class TestArrayKernels:
         want = (mass - eps * 0.5 * (hi - lo)) / (1.0 - eps)
         got = np.mean((lo <= w) & (w <= hi))
         assert abs(got - want) <= 4 * math.sqrt(want * (1 - want) / w.size)
+
+
+class TestQuantile:
+    @settings(max_examples=200, deadline=None)
+    @example(1, 40, 0)
+    @example(2, 40, 0)
+    @example(2, 0, 0)
+    @given(
+        st.integers(1, 5000),
+        st.integers(0, 40),
+        st.integers(0, 2**32 - 1),
+    )
+    def test_same_float_bytes_as_numpy(self, n, bits, seed):
+        # values up to 2^bits: small bits repeat values, large ones reach 2^40
+        values = np.random.default_rng(seed).integers(0, 2**bits, n, endpoint=True)
+        ordered = np.sort(values).tolist()
+        qs = (0.5, 0.9, 0.99)
+        got = [_quantile(ordered, q) for q in qs]
+        assert all(type(v) is float for v in got)
+        assert np.array(got).tobytes() == np.quantile(values, qs).tobytes()
 
 
 class TestEmpiricalTv:

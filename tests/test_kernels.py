@@ -15,18 +15,20 @@ import scalar_reference as sref
 from mcbounds.bounds import CERTIFICATES, Interval, UnivariateDrift, point_process_overlap
 from mcbounds import presets
 from mcbounds.errors import ContainmentError, InputError, MathError, QuadratureError
-from mcbounds.kernels import (
-    containment_escape_mass,
-    expected_value_after_step,
+from mcbounds.kernels import laws, verify
+from mcbounds.kernels.chains import (
     halfline_mixture_kernel,
     metropolis_point_process,
     metropolis_rwm_laplace,
+)
+from mcbounds.kernels.verify import (
+    batch_quad,
+    containment_escape_mass,
+    expected_value_after_step,
     two_step_density,
     verify_minorization_numeric,
     verify_univariate_drift,
 )
-from mcbounds.kernels import laws, verify
-from mcbounds.kernels.verify import batch_quad
 
 LAPLACE_EPS = 1.0 / (8.0 * math.e**2)
 
@@ -438,6 +440,15 @@ class TestBatchQuad:
         closed = 1.25 + (x + 1.0) / math.sqrt(2.0 * math.pi)
         assert abs(got - closed) <= min(err, 1e-10 * closed)
 
+    @pytest.mark.parametrize("x", [1e6, 1e7, 1e8])
+    def test_large_values_pass_the_relative_test(self, halfline, x):
+        # the estimates (1.5e-3 at x = 1e6) are far above 1e-6 but within
+        # 1.49e-8 |value|, the test the bisection itself stops on
+        got, err = expected_value_after_step(halfline, lambda y: 1.0 + y, x)
+        closed = 1.25 + (x + 1.0) / math.sqrt(2.0 * math.pi)
+        assert err <= 1.49e-8 * got
+        assert abs(got - closed) <= 1e-14 * closed
+
     @pytest.mark.parametrize("region", [Interval(-6.0, 6.0), Interval(-3.0, 3.0)])
     @pytest.mark.parametrize("n_steps", [1, 2])
     def test_containment_escape_mass(self, rwm, region, n_steps):
@@ -480,7 +491,8 @@ class TestBatchQuad:
             passes.append(w.shape[1])
             return 1.0 / np.abs(w - 1.0 / 3.0)
 
-        with pytest.raises(QuadratureError, match="reported error"):
+        requested = r"requested max\(1\.0e-08, 1\.49e-08 \|value\|\)"
+        with pytest.raises(QuadratureError, match=requested):
             batch_quad(inverse, np.array([-1.0]), np.array([1.0]))
         # each bisection turns one piece into two: the point ends at 200 pieces
         assert passes[0] + sum(passes[1:]) // 2 == 200
