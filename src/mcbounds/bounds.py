@@ -14,9 +14,9 @@ numpy, so the exact commands (``bound t2`` among them) start without it.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Callable, Mapping, Sequence
+from types import MappingProxyType
+from typing import Callable, Mapping, NamedTuple, Sequence
 
 from .errors import (
     ContainmentError,
@@ -72,16 +72,33 @@ LAPLACE_SCHEDULE = (120_000, 274)
 RWM_STEP_RADIUS = 2.0
 
 
-@dataclass(frozen=True)
 class Interval:
     """Closed interval [lo, hi], used as a small-set / region description."""
 
-    lo: float
-    hi: float
+    __slots__ = ("lo", "hi")
 
-    def __post_init__(self) -> None:
-        if not self.lo <= self.hi:
-            raise InputError(f"empty interval [{self.lo}, {self.hi}]")
+    def __init__(self, lo: float, hi: float) -> None:
+        if not lo <= hi:
+            raise InputError(f"empty interval [{lo}, {hi}]")
+        object.__setattr__(self, "lo", lo)
+        object.__setattr__(self, "hi", hi)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.lo, self.hi) == (other.lo, other.hi)
+
+    def __hash__(self):
+        return hash((self.lo, self.hi))
+
+    def __repr__(self):
+        return f"Interval(lo={self.lo!r}, hi={self.hi!r})"
 
     def contains(self, x):
         """Membership of x; per element when x is a numpy array."""
@@ -96,8 +113,7 @@ class Interval:
         return pts
 
 
-@dataclass(frozen=True)
-class ChainCertificate:
+class ChainCertificate(NamedTuple):
     """Overlap certificate (C, n0, eps, nu) of a built-in chain.
 
     From any two states in ``small_set`` (the whole space when None) the
@@ -124,8 +140,7 @@ CERTIFICATES = {
 }
 
 
-@dataclass(frozen=True)
-class BoundReport:
+class BoundReport(NamedTuple):
     """A bound (or exact-distance) curve with its threshold crossing.
 
     ``values`` holds floats for analytic bounds and ``Fraction`` entries for
@@ -141,7 +156,7 @@ class BoundReport:
     crossing: int | None = None
     js: tuple[int, ...] | None = None
     log_values: tuple[float, ...] | None = None
-    inputs: Mapping[str, object] = field(default_factory=dict)
+    inputs: Mapping[str, object] = MappingProxyType({})
 
     def value_at(self, n: int) -> object:
         return self.values[self.ns.index(n)]
@@ -284,56 +299,131 @@ def steps_to_threshold(
     return hi
 
 
-@dataclass(frozen=True)
 class UnivariateDrift:
     """One-chain drift certificate: E[V(next)] <= lam*V(x) + b*1_C(x)."""
 
-    V: Callable[[float], float]
-    small_set: Interval
-    lam: float
-    b: float
+    __slots__ = ("V", "small_set", "lam", "b")
 
-    def __post_init__(self) -> None:
-        if not 0 < self.lam < 1:
-            raise InputError(f"lam must be in (0, 1), got {self.lam}")
-        if not 0 <= self.b < math.inf:
-            raise InputError(f"b must be finite and >= 0, got {self.b}")
+    def __init__(
+        self, V: Callable[[float], float], small_set: Interval, lam: float, b: float
+    ) -> None:
+        if not 0 < lam < 1:
+            raise InputError(f"lam must be in (0, 1), got {lam}")
+        if not 0 <= b < math.inf:
+            raise InputError(f"b must be finite and >= 0, got {b}")
+        object.__setattr__(self, "V", V)
+        object.__setattr__(self, "small_set", small_set)
+        object.__setattr__(self, "lam", lam)
+        object.__setattr__(self, "b", b)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def _key(self) -> tuple:
+        return (self.V, self.small_set, self.lam, self.b)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self):
+        return hash(self._key())
+
+    def __repr__(self):
+        return (
+            f"UnivariateDrift(V={self.V!r}, small_set={self.small_set!r}, "
+            f"lam={self.lam!r}, b={self.b!r})"
+        )
 
 
-@dataclass(frozen=True)
 class BivariateDrift:
     """Two-chain drift certificate: E[h(next pair)] <= h(x,y)/alpha off C x C."""
 
-    h: Callable[[float, float], float]
-    small_set: Interval
-    alpha: float
+    __slots__ = ("h", "small_set", "alpha")
 
-    def __post_init__(self) -> None:
-        if not self.alpha > 1:
-            raise InputError(f"alpha must be > 1, got {self.alpha}")
+    def __init__(
+        self, h: Callable[[float, float], float], small_set: Interval, alpha: float
+    ) -> None:
+        if not alpha > 1:
+            raise InputError(f"alpha must be > 1, got {alpha}")
+        object.__setattr__(self, "h", h)
+        object.__setattr__(self, "small_set", small_set)
+        object.__setattr__(self, "alpha", alpha)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def _key(self) -> tuple:
+        return (self.h, self.small_set, self.alpha)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self):
+        return hash(self._key())
+
+    def __repr__(self):
+        return (
+            f"BivariateDrift(h={self.h!r}, small_set={self.small_set!r}, "
+            f"alpha={self.alpha!r})"
+        )
 
 
-@dataclass(frozen=True)
 class DriftMinorizationInputs:
     """Constants feeding the two-term drift/minorization bound."""
 
-    epsilon: float
-    n0: int
-    alpha: float
-    big_b: float
-    expected_h: float
+    __slots__ = ("epsilon", "n0", "alpha", "big_b", "expected_h")
 
-    def __post_init__(self) -> None:
-        if not 0 < self.epsilon < 1:
-            raise InputError(f"epsilon must be in (0, 1), got {self.epsilon}")
-        if self.n0 < 1:
+    def __init__(
+        self, epsilon: float, n0: int, alpha: float, big_b: float, expected_h: float
+    ) -> None:
+        if not 0 < epsilon < 1:
+            raise InputError(f"epsilon must be in (0, 1), got {epsilon}")
+        if n0 < 1:
             raise InputError("n0 must be >= 1")
-        if not self.alpha > 1:
-            raise InputError(f"alpha must be > 1, got {self.alpha}")
-        if not self.big_b >= 1:
-            raise InputError(f"B must be >= 1, got {self.big_b}")
-        if not self.expected_h >= 1:
-            raise InputError(f"expected h must be >= 1, got {self.expected_h}")
+        if not alpha > 1:
+            raise InputError(f"alpha must be > 1, got {alpha}")
+        if not big_b >= 1:
+            raise InputError(f"B must be >= 1, got {big_b}")
+        if not expected_h >= 1:
+            raise InputError(f"expected h must be >= 1, got {expected_h}")
+        object.__setattr__(self, "epsilon", epsilon)
+        object.__setattr__(self, "n0", n0)
+        object.__setattr__(self, "alpha", alpha)
+        object.__setattr__(self, "big_b", big_b)
+        object.__setattr__(self, "expected_h", expected_h)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def _key(self) -> tuple:
+        return (self.epsilon, self.n0, self.alpha, self.big_b, self.expected_h)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self):
+        return hash(self._key())
+
+    def __repr__(self):
+        return (
+            f"DriftMinorizationInputs(epsilon={self.epsilon!r}, n0={self.n0!r}, "
+            f"alpha={self.alpha!r}, big_b={self.big_b!r}, expected_h={self.expected_h!r})"
+        )
 
 
 def bivariate_from_univariate(uni: UnivariateDrift, d: float) -> BivariateDrift:
@@ -387,7 +477,7 @@ def contained_by_step_radius(
 
 
 def sup_rh_via_containment(
-    h: Callable[[float, float], float],
+    V: Callable[[float], float],
     region: Interval,
     probe_step: float = 0.05,
     containment: Callable[[], float] | None = None,
@@ -395,9 +485,13 @@ def sup_rh_via_containment(
 ) -> float:
     """Bound sup of the post-failure expected h by sup of h over region x region.
 
-    Valid when every small-set start lands inside ``region`` with probability
-    one after the minorization lag. ``containment``, when given, returns the
-    worst-case escaping mass and is checked against ``escape_tolerance``.
+    h is the pair drift (V(x)+V(y))/2 of ``bivariate_from_univariate``. Float
+    addition and halving are monotone, so its sup over the probe grid squared
+    is 0.5*(m+m), m the largest V on the grid: the same float the pairwise
+    maximum gives, from one pass over the grid. Valid when every small-set
+    start lands inside ``region`` with probability one after the minorization
+    lag. ``containment``, when given, returns the worst-case escaping mass and
+    is checked against ``escape_tolerance``.
     """
     if containment is not None:
         escape = containment()
@@ -406,8 +500,8 @@ def sup_rh_via_containment(
                 f"mass {escape:.3e} escapes the containment region "
                 f"[{region.lo}, {region.hi}]"
             )
-    pts = region.grid(probe_step)
-    return max(h(x, y) for x in pts for y in pts)
+    m = max(V(x) for x in region.grid(probe_step))
+    return 0.5 * (m + m)
 
 
 def drift_minorization_log_terms(inputs: DriftMinorizationInputs, n: int, j: int) -> tuple[float, float]:

@@ -110,6 +110,23 @@ def _default_start(args, size: int) -> int:
     raise InputError("--start is required with --matrix-file")
 
 
+def _require_printable(option: str, n: int, den: int, factor: int = 1) -> None:
+    """Refuse ``option`` = n when its exact results are too long to print.
+
+    Entries of P^n have denominators dividing den**n, and the probabilities
+    the command prints from them denominators dividing factor * den**n. Python
+    turns no int of more than ``sys.get_int_max_str_digits()`` digits into a
+    string, so such a run would end in a traceback after all its work.
+    """
+    limit = sys.get_int_max_str_digits()
+    digits = n * math.log10(den) + math.log10(factor)
+    if limit and digits >= limit:
+        raise InputError(
+            f"{option} {n} gives exact rationals of up to {math.ceil(digits)} digits, "
+            f"beyond the {limit} that can be printed; pass a smaller {option}"
+        )
+
+
 class _Report:
     """Envelope plus optional CSV tables keyed by file stem suffix; a table is
     a mapping of column names to equally long lists of cells."""
@@ -228,6 +245,7 @@ def _cmd_finite(args) -> tuple[_Report, int]:
         report.add_csv("-curve", n=ns, bound=[eb.value(n) for n in ns])
 
     elif args.analysis in ("minorization", "pseudo"):
+        _require_printable("--n0", args.n0, matrix.denominator)
         finder = minorization_uniform if args.analysis == "minorization" else minorization_pseudo
         cert = finder(matrix, args.n0)
         if cert is None:
@@ -248,8 +266,12 @@ def _cmd_finite(args) -> tuple[_Report, int]:
     elif args.analysis == "tv-exact":
         start = _default_start(args, size)
         config["start"] = start + 1
+        pi = stationary(matrix)
+        # a distance's denominator divides 2 * den**n * (that of pi)
+        pi_den = math.lcm(*(v.denominator for v in pi))
+        _require_printable("--n", args.n_max, matrix.denominator, 2 * pi_den)
         curve = exact_tv_curve(
-            ProbVector.delta(size, start), matrix, args.n_max, threshold=args.delta
+            ProbVector.delta(size, start), matrix, args.n_max, threshold=args.delta, pi=pi
         )
         uniform_cert = minorization_uniform(matrix, args.n0)
         pseudo_cert = minorization_pseudo(matrix, args.n0)
@@ -381,6 +403,7 @@ def _simulate_config(args) -> tuple[CouplingConfig, dict]:
         rows, cols = _parse_grid(args.grid)
         matrix = build_grid_walk(rows, cols)
         start = _default_start(args, matrix.size)
+        _require_printable("--n0", args.n0, matrix.denominator)
         finder = minorization_pseudo if args.cert == "pseudo" else minorization_uniform
         cert = finder(matrix, args.n0)
         if cert is None:

@@ -19,10 +19,9 @@ display layers may relabel them.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
-from typing import TYPE_CHECKING, Iterable, Sequence
+from typing import TYPE_CHECKING, Iterable, NamedTuple, Sequence
 
 from .bounds import BoundReport
 from .errors import (
@@ -72,19 +71,35 @@ def _frac(value) -> Fraction:
     )
 
 
-@dataclass(frozen=True)
 class ProbVector:
     """Finite probability distribution with exact rational entries."""
 
-    entries: tuple[Fraction, ...]
+    __slots__ = ("entries",)
 
-    def __post_init__(self) -> None:
-        entries = tuple(_frac(e) for e in self.entries)
-        object.__setattr__(self, "entries", entries)
+    def __init__(self, entries: Iterable) -> None:
+        entries = tuple(_frac(e) for e in entries)
         if any(e < 0 for e in entries):
             raise InputError("probabilities must be >= 0")
         if sum(entries) != 1:
             raise InputError(f"probabilities must sum to 1, got {sum(entries)}")
+        object.__setattr__(self, "entries", entries)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.entries == other.entries
+
+    def __hash__(self):
+        return hash(self.entries)
+
+    def __repr__(self):
+        return f"ProbVector(entries={self.entries!r})"
 
     @classmethod
     def delta(cls, size: int, state: int) -> "ProbVector":
@@ -203,6 +218,11 @@ class StochasticMatrix:
     @property
     def size(self) -> int:
         return len(self._num)
+
+    @property
+    def denominator(self) -> int:
+        """Least common denominator of the entries; that of P^n divides its n-th power."""
+        return self._den
 
     def __getitem__(self, key: tuple[int, int]) -> Fraction:
         i, j = key
@@ -468,16 +488,22 @@ def tv_distance_subset_sup(mu: ProbVector, nu: ProbVector, max_size: int = 20) -
 
 
 def exact_tv_curve(
-    mu0: ProbVector, P: StochasticMatrix, n_max: int, threshold: float | None = None
+    mu0: ProbVector,
+    P: StochasticMatrix,
+    n_max: int,
+    threshold: float | None = None,
+    pi: ProbVector | None = None,
 ) -> BoundReport:
     """Exact distance-to-stationarity curve for n = 0..n_max.
 
     The curve need not be monotone step-by-step; ``crossing`` (when a
-    threshold is given) is simply the first index below it.
+    threshold is given) is simply the first index below it. ``pi`` is
+    ``stationary(P)``, passed by a caller that already holds it.
     """
     if n_max < 0:
         raise InputError("n_max must be >= 0")
-    pi = stationary(P)
+    if pi is None:
+        pi = stationary(P)
     if mu0.size != pi.size:
         raise InputError(f"dimension mismatch: {mu0.size} vs {pi.size}")
     p, q = _common_denominator(pi.entries)
@@ -497,7 +523,6 @@ def exact_tv_curve(
     )
 
 
-@dataclass(frozen=True)
 class MinorizationCert:
     """Certificate (C, n0, eps, nu) that n0-step transitions overlap by eps.
 
@@ -507,22 +532,55 @@ class MinorizationCert:
     set is the whole space for both search routines here.
     """
 
-    variant: str
-    small_set: tuple[int, ...]
-    n0: int
-    epsilon: Fraction
-    nu: ProbVector | None = None
-    argmin_pairs: tuple[tuple[int, int], ...] | None = None
+    __slots__ = ("variant", "small_set", "n0", "epsilon", "nu", "argmin_pairs")
 
-    def __post_init__(self) -> None:
-        if self.variant not in ("uniform", "pseudo"):
-            raise InputError(f"unknown variant {self.variant!r}")
-        if self.n0 < 1:
+    def __init__(
+        self,
+        variant: str,
+        small_set: tuple[int, ...],
+        n0: int,
+        epsilon: Fraction,
+        nu: ProbVector | None = None,
+        argmin_pairs: tuple[tuple[int, int], ...] | None = None,
+    ) -> None:
+        if variant not in ("uniform", "pseudo"):
+            raise InputError(f"unknown variant {variant!r}")
+        if n0 < 1:
             raise InputError("n0 must be >= 1")
-        if not 0 < self.epsilon <= 1:
-            raise InputError(f"epsilon must be in (0, 1], got {self.epsilon}")
-        if self.variant == "uniform" and self.nu is None:
+        if not 0 < epsilon <= 1:
+            raise InputError(f"epsilon must be in (0, 1], got {epsilon}")
+        if variant == "uniform" and nu is None:
             raise InputError("uniform certificate requires nu")
+        object.__setattr__(self, "variant", variant)
+        object.__setattr__(self, "small_set", small_set)
+        object.__setattr__(self, "n0", n0)
+        object.__setattr__(self, "epsilon", epsilon)
+        object.__setattr__(self, "nu", nu)
+        object.__setattr__(self, "argmin_pairs", argmin_pairs)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def _key(self) -> tuple:
+        return (self.variant, self.small_set, self.n0, self.epsilon, self.nu, self.argmin_pairs)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self):
+        return hash(self._key())
+
+    def __repr__(self):
+        return (
+            f"MinorizationCert(variant={self.variant!r}, small_set={self.small_set!r}, "
+            f"n0={self.n0!r}, epsilon={self.epsilon!r}, nu={self.nu!r}, "
+            f"argmin_pairs={self.argmin_pairs!r})"
+        )
 
 
 def minorization_uniform(P: StochasticMatrix, n0: int) -> MinorizationCert | None:
@@ -629,8 +687,7 @@ def minorization_margin(P: StochasticMatrix, cert: MinorizationCert) -> Fraction
     return worst
 
 
-@dataclass(frozen=True)
-class EigenMode:
+class EigenMode(NamedTuple):
     """One eigenvalue cluster's contribution to the start-distribution expansion."""
 
     eigenvalue: complex
@@ -638,8 +695,7 @@ class EigenMode:
     projection_norm: float  # L2 norm of the projection vector
 
 
-@dataclass(frozen=True)
-class EigenBound:
+class EigenBound(NamedTuple):
     """Geometric bound coefficient * rate^n on |mu_n(target) - pi(target)|."""
 
     target: int

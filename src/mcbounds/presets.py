@@ -100,7 +100,7 @@ def laplace_drift_minorization_inputs(
     drift = laplace_drift()
     pair = bivariate_from_univariate(drift, d=LAPLACE_D)
     sup_rh = sup_rh_via_containment(
-        pair.h, LAPLACE_REGION, probe_step=0.05, containment=laplace_escape_mass
+        drift.V, LAPLACE_REGION, probe_step=0.05, containment=laplace_escape_mass
     )
     big_b = b_constant(_CERT.n0, pair.alpha, _CERT.epsilon, sup_rh)
     if expected_h == "analytic":

@@ -170,7 +170,7 @@ def test_criterion_08_laplace_two_term_pipeline():
 
     kernel, _ = metropolis_rwm_laplace()
     sup_rh = sup_rh_via_containment(
-        pair.h,
+        drift.V,
         presets.LAPLACE_REGION,
         probe_step=0.05,
         containment=lambda: containment_escape_mass(

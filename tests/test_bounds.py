@@ -194,18 +194,22 @@ class TestMomentAndBConstant:
         assert b_constant(2, 1.01, 0.5, 0.1) == 1.0
 
     def test_sup_rh_on_interval(self):
-        h = lambda x, y: 0.5 * (math.exp(abs(x) / 2) + math.exp(abs(y) / 2))
-        sup = sup_rh_via_containment(h, Interval(-6.0, 6.0), probe_step=0.05)
+        V = lambda x: math.exp(abs(x) / 2)
+        sup = sup_rh_via_containment(V, Interval(-6.0, 6.0), probe_step=0.05)
         assert sup == pytest.approx(math.e**3, rel=1e-12)
         assert sup < 20.1
+        # the one-pass sup is the float the pairwise maximum of h gives
+        pts = Interval(-6.0, 6.0).grid(0.05)
+        assert sup == max(0.5 * (V(x) + V(y)) for x in pts for y in pts)
+        assert sup == 20.085536923187668
 
     def test_sup_rh_constant_function(self):
-        assert sup_rh_via_containment(lambda x, y: 1.0, Interval(-6, 6)) == 1.0
+        assert sup_rh_via_containment(lambda x: 1.0, Interval(-6, 6)) == 1.0
 
     def test_containment_failure_raises(self):
         with pytest.raises(ContainmentError):
             sup_rh_via_containment(
-                lambda x, y: 1.0, Interval(-6, 6), containment=lambda: 1e-6
+                lambda x: 1.0, Interval(-6, 6), containment=lambda: 1e-6
             )
 
 

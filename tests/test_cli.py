@@ -23,6 +23,17 @@ SCHEMA = json.loads(
 )
 
 
+def run_cli_process(*argv):
+    """Run the CLI in a child process, so that a run that does not end fails
+    the test after 30 s."""
+    src = str(Path(mcbounds.__file__).resolve().parents[1])
+    return subprocess.run(
+        [sys.executable, "-m", "mcbounds.cli", *argv],
+        capture_output=True, text=True, timeout=30,
+        env={**os.environ, "PYTHONPATH": src},
+    )
+
+
 def run_cli(capsys, *argv):
     code = main(list(argv))
     out = capsys.readouterr().out
@@ -150,6 +161,33 @@ class TestFinite:
         code, _ = run_cli(capsys, "finite", "stationary")
         assert code == 2
 
+    @pytest.mark.parametrize("argv,option", [
+        (["minorization", "--n0", "3000"], "--n0"),
+        (["pseudo", "--n0", "10000"], "--n0"),
+        (["pseudo", "--n0", "100000"], "--n0"),  # ran for over 30 s
+        (["tv-exact", "--n0", "2", "--n", "3000"], "--n"),
+        (["tv-exact", "--n0", "2", "--n", "100000"], "--n"),  # ran for over 30 s
+    ], ids=["minorization-3000", "pseudo-10000", "pseudo-100000", "tv-3000", "tv-100000"])
+    def test_unprintable_rationals_exit_2_quickly(self, argv, option):
+        # Python turns no int of more than sys.get_int_max_str_digits() digits
+        # into a string; these runs ended in that ValueError's traceback
+        done = run_cli_process("finite", argv[0], "--grid", "3x3", *argv[1:])
+        assert done.returncode == 2
+        assert done.stderr.startswith(f"mcbounds: error: {option} ")
+        assert "Traceback" not in done.stderr
+
+    @pytest.mark.parametrize("argv", [
+        ["minorization", "--n0", "1000"],
+        ["pseudo", "--n0", "1000"],
+        ["tv-exact", "--n0", "2", "--n", "2000"],
+    ], ids=["minorization", "pseudo", "tv-exact"])
+    def test_long_rationals_within_the_limit_print(self, capsys, argv):
+        code, report = run_cli(capsys, "finite", argv[0], "--grid", "3x3", *argv[1:])
+        assert code == 0
+        results = report["results"]
+        text = results["curve"][-1]["tv"] if "curve" in results else results["epsilon"]
+        assert len(text) > 1000
+
 
 class TestBound:
     def test_t1_published_crossings(self, capsys):
@@ -212,13 +250,7 @@ class TestBound:
         ["--pointprocess", "1,1"],  # a float curve of 13 million points
     ])
     def test_t1_small_epsilon_exits_2_quickly(self, argv):
-        # in a child process, so that a search that does not end fails the test
-        src = str(Path(mcbounds.__file__).resolve().parents[1])
-        done = subprocess.run(
-            [sys.executable, "-m", "mcbounds.cli", "bound", "t1", *argv],
-            capture_output=True, text=True, timeout=30,
-            env={**os.environ, "PYTHONPATH": src},
-        )
+        done = run_cli_process("bound", "t1", *argv)
         assert done.returncode == 2
         assert done.stderr.startswith("mcbounds: error:")
         assert "Traceback" not in done.stderr
@@ -317,6 +349,7 @@ class TestSimulate:
         (["--halfline", "--x0", "1e300"], None),
         (["--grid", "2x2", "--n0", "1", "--reps", "1000000000000", "--n-max", "1000000"],
          None),
+        (["--grid", "3x3", "--n0", "5000", "--n-max", "10000"], None),  # epsilon unprintable
     ])
     def test_bad_coupling_input_exits_2(self, capsys, monkeypatch, argv, seed_env):
         if seed_env is not None:
@@ -531,7 +564,8 @@ class TestStartup:
             "    assert main(['bound', 't1', '--pointprocess', '0.1,0.1']) == 0\n"
             "    for expected_h in ('analytic', 'fallback'):\n"
             "        assert main(['bound', 't2', '--expected-h', expected_h]) == 0\n"
-            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'numpy'))\n"
+            "print(sorted(m for m in sys.modules\n"
+            "             if m.split('.')[0] in ('numpy', 'dataclasses', 'inspect')))\n"
         )
         assert out.strip() == "[]"
         assert (tmp_path / "finite-tv-exact-curve.csv").is_file()
@@ -569,11 +603,12 @@ class TestStartup:
     def test_exact_layers_import_no_heavy_module_at_top_level(self):
         # the modules the exact commands load (presets for `bound t2`); a
         # top-level numpy (or engine, kernel or preset) import there puts its
-        # start-up cost on every command
+        # start-up cost on every command, and dataclasses loads inspect, ast
+        # and dis, which only numpy's commands load anyway
         exact_layers = {
             "__init__.py", "cli.py", "bounds.py", "finite_chain.py", "errors.py", "presets.py",
         }
-        heavy = {"numpy", "coupling", "kernels", "presets"}
+        heavy = {"numpy", "coupling", "kernels", "presets", "dataclasses"}
         package = Path(mcbounds.__file__).resolve().parent
         checked = set()
         for path, tree in self.sources():
