@@ -127,6 +127,32 @@ def _require_printable(option: str, n: int, den: int, factor: int = 1) -> None:
         )
 
 
+def _check_ranges(args) -> None:
+    """Refuse an out-of-range option shared by several commands, once, before
+    any command runs."""
+    opts = vars(args)
+    delta, n_max, tolerance = opts.get("delta"), opts.get("n_max"), opts.get("tolerance")
+    if delta is not None and not 0 < delta < 1:
+        raise InputError(f"delta must be in (0, 1), got {delta}")
+    if n_max is not None and n_max < 0:
+        raise InputError("n_max must be >= 0")
+    if tolerance is not None and not 0 <= tolerance < math.inf:
+        raise InputError(f"tolerance must be finite and >= 0, got {tolerance}")
+    for name in ("grid_step", "probe_step"):
+        step = opts.get(name)
+        if step is not None and not 0 < step < math.inf:
+            option = "--" + name.replace("_", "-")
+            raise InputError(f"{option} must be a positive finite number, got {step}")
+
+
+def _write_text(path: Path, text: str) -> None:
+    """Write one output file; a path that cannot be written is a usage error."""
+    try:
+        path.write_text(text)
+    except OSError as exc:
+        raise InputError(f"cannot write {path}: {exc.strerror}") from exc
+
+
 class _Report:
     """Envelope plus optional CSV tables keyed by file stem suffix; a table is
     a mapping of column names to equally long lists of cells."""
@@ -170,15 +196,18 @@ def _emit(report: _Report, args) -> None:
         sys.stdout.write(text)
         return
     outdir = Path(args.output)
-    outdir.mkdir(parents=True, exist_ok=True)
+    try:
+        outdir.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise InputError(f"cannot create {outdir}: {exc.strerror}") from exc
     stem = f"{report.command}-{report.analysis}"
     if fmt in ("json", "both"):
-        (outdir / f"{stem}.json").write_text(text)
+        _write_text(outdir / f"{stem}.json", text)
     if fmt in ("csv", "both"):
         for suffix, columns in report.csv_tables.items():
             lines = [",".join(columns)]
             lines += [",".join(map(_csv_cell, row)) for row in zip(*columns.values())]
-            (outdir / f"{stem}{suffix}.csv").write_text("\n".join(lines) + "\n")
+            _write_text(outdir / f"{stem}{suffix}.csv", "\n".join(lines) + "\n")
 
 
 # ---------------------------------------------------------------------------
@@ -207,6 +236,9 @@ def _cmd_finite(args) -> tuple[_Report, int]:
     provenance: dict = {}
     results: dict = {}
     report = _Report("finite", args.analysis, config, results, provenance)
+    if args.analysis in ("minorization", "pseudo", "tv-exact"):
+        # these form P^n0 exactly, for the overlap search
+        _require_printable("--n0", args.n0, matrix.denominator)
 
     if args.analysis == "stationary":
         pi = stationary(matrix)
@@ -245,7 +277,6 @@ def _cmd_finite(args) -> tuple[_Report, int]:
         report.add_csv("-curve", n=ns, bound=[eb.value(n) for n in ns])
 
     elif args.analysis in ("minorization", "pseudo"):
-        _require_printable("--n0", args.n0, matrix.denominator)
         finder = minorization_uniform if args.analysis == "minorization" else minorization_pseudo
         cert = finder(matrix, args.n0)
         if cert is None:
@@ -478,16 +509,11 @@ def _dump_trajectories(path: Path, result) -> None:
         for n, x, xp in zip(result.lattice, xs, xps):
             coupled = coupled or x == xp
             lines.append(line % (r, n, x, xp, coupled))
-    path.write_text("\n".join(lines) + "\n")
+    _write_text(path, "\n".join(lines) + "\n")
 
 
 # ---------------------------------------------------------------------------
 # verify
-
-
-def _positive_step(name: str, step: float) -> None:
-    if not (math.isfinite(step) and step > 0):
-        raise InputError(f"{name} must be a positive finite number, got {step}")
 
 
 def _probe_count(lo: float, hi: float, step: float) -> float:
@@ -513,7 +539,6 @@ def _cmd_verify(args) -> tuple[_Report, int]:
     if args.condition == "drift":
         if args.preset != "rwm-laplace":
             raise InputError("drift verification ships one preset: rwm-laplace")
-        _positive_step("--grid-step", args.grid_step)
         if not (math.isfinite(args.grid_lo) and math.isfinite(args.grid_hi)
                 and args.grid_lo <= args.grid_hi):
             raise InputError(
@@ -555,7 +580,6 @@ def _cmd_verify(args) -> tuple[_Report, int]:
         return report, 0 if verif.passed else 3
 
     # minorization
-    _positive_step("--probe-step", args.probe_step)
     if args.preset == "halfline":
         kernel = halfline_mixture_kernel()
         nu = laws.hl_nu_density
@@ -669,8 +693,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n-max", type=int, default=60)
     p.add_argument("--reps", type=int, default=10_000)
     p.add_argument("--seed", type=int, help="master seed (fallback: MCB_SEED, then 0)")
-    p.add_argument("--burn-in", type=int, default=20_000,
-                   help="auxiliary-chain steps for the stationary start (continuous)")
+    p.add_argument("--burn-in", type=int, default=0,
+                   help="kernel steps after the exact stationary start (continuous; "
+                        "default 0)")
     p.add_argument("--record-every", type=int, default=1,
                    help="record every k-th lattice point")
     p.add_argument("--trajectories", help="write per-trajectory CSV to this path")
@@ -704,6 +729,7 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        _check_ranges(args)
         report, code = args.func(args)
         _emit(report, args)
         return code

@@ -27,8 +27,10 @@ from ..errors import MathError
 from ..kernels.laws import (
     hl_density,
     hl_nu_density,
+    hl_stationary,
     hl_step,
     rwm_nu_density,
+    rwm_stationary,
     rwm_step,
     rwm_two_step_density,
     rwm_two_steps,
@@ -114,12 +116,12 @@ def _lockstep(n_steps, master_seed, replications, record_every, dtype, start, st
     return paths.result()
 
 
-def _burned_in_start(x0: float, burn_in: int, kernel_step):
-    """Start draw of a continuous chain: x at x0, x' after ``burn_in`` kernel
-    steps from x0, an approximate stationary draw."""
+def _stationary_start(x0: float, burn_in: int, stationary, kernel_step):
+    """Start draw of a continuous chain: x at x0, x' an exact stationary draw
+    followed by ``burn_in`` kernel steps, which leave its law at pi."""
 
     def start(rng, m):
-        xp = np.full(m, float(x0))
+        xp = stationary(rng, m)
         for _ in range(burn_in):
             xp = kernel_step(rng, xp)
         return np.full(m, float(x0)), xp
@@ -260,8 +262,9 @@ def halfline_coupling_paths(
 ):
     """Coupled paths of the half-line mixture chain (whole-space overlap, lag 1).
 
-    The second chain starts from an auxiliary run of ``burn_in`` steps.
-    ``stop_when_coupled`` works as in ``_lockstep``.
+    The second chain starts from an exact stationary draw (``hl_stationary``)
+    advanced by ``burn_in`` further steps. ``stop_when_coupled`` works as in
+    ``_lockstep``.
     """
     keep = _hl_keep(eps)
 
@@ -276,7 +279,7 @@ def halfline_coupling_paths(
             x[tails], xp[tails] = np.split(both, 2)
         return np.where(tails, x, new), np.where(tails, xp, new)
 
-    start = _burned_in_start(x0, burn_in, hl_step)
+    start = _stationary_start(x0, burn_in, hl_stationary, hl_step)
     return _lockstep(n_lat, master_seed, replications, record_every, np.float64, start, step,
                      stop_when_coupled)
 
@@ -320,8 +323,8 @@ def rwm_coupling_paths(
     otherwise both advance two Metropolis steps independently. Lattice steps
     are pair-steps; the number of coin opportunities is returned per
     replication after the coupling steps. The second chain starts from an
-    auxiliary run of ``burn_in`` steps; ``stop_when_coupled`` works as in
-    ``_lockstep``.
+    exact Laplace draw (``rwm_stationary``) advanced by ``burn_in`` further
+    Metropolis steps; ``stop_when_coupled`` works as in ``_lockstep``.
     """
     keep = _rwm_keep(eps)
     opportunities = np.zeros(replications, np.int64)
@@ -344,7 +347,7 @@ def rwm_coupling_paths(
             new_x[tails], new_xp[tails] = np.split(both, 2)
         return new_x, new_xp
 
-    start = _burned_in_start(x0, burn_in, rwm_step)
+    start = _stationary_start(x0, burn_in, rwm_stationary, rwm_step)
     paths = _lockstep(n_pairs, master_seed, replications, record_every, np.float64, start,
                       step, stop_when_coupled)
     return (*paths, opportunities)

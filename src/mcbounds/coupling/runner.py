@@ -43,13 +43,14 @@ class CouplingConfig:
     """Everything a coupling run needs; immutable and fully seed-determined.
 
     ``model`` selects the chain: "finite" (supply ``matrix``, ``cert``, and an
-    ``initial_law``), "halfline", or "rwm-laplace" (point start ``x0``; the
-    stationary partner start is drawn by a ``burn_in``-step auxiliary run for
-    the continuous chains, exactly for finite ones). The lag, the overlap and
-    the coupling mode follow from the finite certificate or, for the
-    continuous chains, from ``bounds.CERTIFICATES``. ``stop_when_coupled``
-    ends each replication at its coupling step (coupling-time studies with
-    large step caps); recorded post-coupling states are then frozen.
+    ``initial_law``), "halfline", or "rwm-laplace" (point start ``x0``). The
+    partner chain starts from an exact stationary draw; for the continuous
+    chains ``burn_in`` further kernel steps follow it, which keep its law.
+    The lag, the overlap and the coupling mode follow from the finite
+    certificate or, for the continuous chains, from ``bounds.CERTIFICATES``.
+    ``stop_when_coupled`` ends each replication at its coupling step
+    (coupling-time studies with large step caps); recorded post-coupling
+    states are then frozen.
     """
 
     model: str
@@ -60,7 +61,7 @@ class CouplingConfig:
     cert: MinorizationCert | None = None
     initial_law: ProbVector | None = None
     x0: float = 0.0
-    burn_in: int = 20_000
+    burn_in: int = 0
     record_every: int = 1
     stop_when_coupled: bool = False
 

@@ -1,11 +1,12 @@
 """Built-in general-state-space chains as samplable kernels.
 
 Each constructor returns an immutable ``Kernel`` (and, for the Metropolis
-chains, the ``TargetDensity`` it preserves). Sampling is deterministic in
-(state, seed): every sampler draws from its own
+chains, the ``TargetDensity`` it preserves). Densities, atom masses, windows
+and breakpoints take numpy arrays and work per element. The half-line and
+Metropolis chains are sampled by ``laws`` alone. The particle chain's
+samplers are deterministic in (state, seed): each draws from its own
 ``np.random.default_rng(seed)``, takes all its variates in a few array calls
-and leaves no global random state behind. Densities, atom masses, windows and
-breakpoints take numpy arrays and work per element.
+and leaves no global random state behind.
 """
 
 from __future__ import annotations
@@ -54,39 +55,22 @@ class Kernel:
     quadrature. For the one-dimensional kernels all four take numpy arrays of
     states and work per element; ``atom_breakpoints`` lists the fixed states
     where ``atom_mass`` kinks. ``step_radius`` bounds one-step moves when
-    finite. ``trajectory(x0, n, seed)``, ``one_step_samples(x, n, seed)`` and
-    ``direct_samples(n, seed)`` each draw from ``np.random.default_rng(seed)``.
+    finite. The particle chain's ``trajectory(x0, n, seed)`` and
+    ``direct_samples(n, seed)`` each draw from ``np.random.default_rng(seed)``;
+    the one-dimensional chains are sampled only by ``laws`` (``hl_step``,
+    ``rwm_step`` and their exact stationary draws).
     """
 
     name: str
     dim: int
-    trajectory: Callable
     transition_density: Callable | None = None
     atom_mass: Callable | None = None
     window: Callable | None = None
     breakpoints: Callable | None = None
     atom_breakpoints: tuple[float, ...] = ()
     step_radius: float | None = None
-    one_step_samples: Callable | None = None
+    trajectory: Callable | None = None
     direct_samples: Callable | None = None
-
-
-def _hl_trajectory(x0: float, n: int, seed: int) -> np.ndarray:
-    """The law of ``laws.hl_step``, with every variate drawn up front."""
-    rng = np.random.default_rng(seed)
-    pick = (rng.random(n) < 0.5).tolist()
-    exponential = rng.exponential(0.5, n).tolist()
-    half_normal = np.abs(rng.standard_normal(n)).tolist()
-    out = [x0]
-    x = x0
-    for exp_branch, e, z in zip(pick, exponential, half_normal):
-        x = e if exp_branch else z * (x + 1.0)
-        out.append(x)
-    return np.array(out)
-
-
-def _hl_one_step_samples(x: float, n: int, seed: int) -> np.ndarray:
-    return laws.hl_step(np.random.default_rng(seed), np.full(n, x))
 
 
 def halfline_mixture_kernel() -> Kernel:
@@ -95,51 +79,14 @@ def halfline_mixture_kernel() -> Kernel:
     No atom; the density dominates the exponential component everywhere, which
     is the whole-space overlap used by the geometric bound.
     """
-
-    def trajectory(x0: float, n: int, seed: int) -> np.ndarray:
-        if x0 < 0:
-            raise InputError(f"half-line state must be >= 0, got {x0}")
-        return _hl_trajectory(float(x0), int(n), int(seed))
-
-    def one_step_samples(x: float, n: int, seed: int) -> np.ndarray:
-        if x < 0:
-            raise InputError(f"half-line state must be >= 0, got {x}")
-        return _hl_one_step_samples(float(x), int(n), int(seed))
-
     return Kernel(
         name="halfline-mixture",
         dim=1,
-        trajectory=trajectory,
         transition_density=laws.hl_density,
         atom_mass=lambda x: np.zeros(np.shape(x)),
         window=lambda x: (0.0, math.inf),
         breakpoints=lambda x: [],
-        one_step_samples=one_step_samples,
     )
-
-
-def _rwm_trajectory(x0: float, n: int, seed: int) -> np.ndarray:
-    """n steps of ``laws.rwm_step``, bit for bit, from one draw of uniforms.
-
-    Row i holds the two uniforms ``laws.rwm_step`` would take at step i, so
-    the path equals n one-state calls of it on the same generator.
-    """
-    u = np.random.default_rng(seed).random((n, 2))
-    shift = (4.0 * u[:, 0]).tolist()  # exact: a power-of-two multiple
-    accept = u[:, 1].tolist()
-    out = [x0]
-    x = x0
-    for s, a in zip(shift, accept):
-        y = x + s - 2.0
-        gap = abs(x) - abs(y)
-        if gap >= 0.0 or a < math.exp(gap):
-            x = y
-        out.append(x)
-    return np.array(out)
-
-
-def _rwm_one_step_samples(x: float, n: int, seed: int) -> np.ndarray:
-    return laws.rwm_step(np.random.default_rng(seed), np.full(n, x))
 
 
 def metropolis_rwm_laplace() -> tuple[Kernel, TargetDensity]:
@@ -149,23 +96,15 @@ def metropolis_rwm_laplace() -> tuple[Kernel, TargetDensity]:
     mass is known in closed form.
     """
     target = TargetDensity(log_unnormalized=lambda x: -abs(x))
-
-    def trajectory(x0: float, n: int, seed: int) -> np.ndarray:
-        return _rwm_trajectory(float(x0), int(n), int(seed))
-
     kernel = Kernel(
         name="rwm-laplace",
         dim=1,
-        trajectory=trajectory,
         transition_density=laws.rwm_density,
         atom_mass=laws.rwm_atom,
         window=lambda x: (x - RWM_STEP_RADIUS, x + RWM_STEP_RADIUS),
         breakpoints=lambda x: [0.0, np.abs(x), -np.abs(x)],
         atom_breakpoints=(-1.0, 1.0),  # where x -+ 2 meets the kink at -+|x|
         step_radius=RWM_STEP_RADIUS,
-        one_step_samples=lambda x, n, seed: _rwm_one_step_samples(
-            float(x), int(n), int(seed)
-        ),
     )
     return kernel, target
 

@@ -1,11 +1,11 @@
 """Transition laws of the built-in kernels, on numpy arrays.
 
-Densities, atom masses and one-step samplers of the one-dimensional chains,
-each evaluated per element of its (broadcast) array arguments, and the
-particle chain's target on arrays of states. The kernels, the quadrature
-verifiers and the coupling engines all use these functions; there is no
-second, scalar copy. Samplers draw from the ``np.random.Generator`` they are
-given.
+Densities, atom masses, one-step samplers and exact stationary samplers of
+the one-dimensional chains, each evaluated per element of its (broadcast)
+array arguments, and the particle chain's target on arrays of states. The
+kernels, the quadrature verifiers and the coupling engines all use these
+functions; they are the only samplers of the half-line and Metropolis chains.
+Samplers draw from the ``np.random.Generator`` they are given.
 """
 
 from __future__ import annotations
@@ -40,6 +40,24 @@ def hl_step(rng, x: np.ndarray) -> np.ndarray:
     return np.where(
         exponential, rng.exponential(0.5, n), np.abs(rng.standard_normal(n)) * (x + 1.0)
     )
+
+
+def hl_stationary(rng, m: int) -> np.ndarray:
+    """m exact draws from the half-line chain's stationary law.
+
+    The kernel splits as P(x, .) = eps nu + (1 - eps) R(x, .): eps = 1/2,
+    nu = Exponential(2) and lag 1 on the whole space, the overlap recorded as
+    ``bounds.CERTIFICATES["halfline"]``, and R(x, .) the half-normal with
+    scale x + 1. So pi = sum_k eps (1 - eps)^k nu R^k (Nummelin's split
+    chain): a nu draw, then K ~ Geometric(eps) - 1 residual steps, run in
+    masked rounds up to the largest K (about log2 m rounds).
+    """
+    k = rng.geometric(0.5, m) - 1
+    x = rng.exponential(0.5, m)
+    for r in range(int(k.max(initial=0))):
+        live = np.flatnonzero(k > r)
+        x[live] = np.abs(rng.standard_normal(live.size)) * (x[live] + 1.0)
+    return x
 
 
 # ---------------------------------------------------------------------------
@@ -116,6 +134,11 @@ def rwm_step(rng, x: np.ndarray) -> np.ndarray:
 
 def rwm_two_steps(rng, x: np.ndarray) -> np.ndarray:
     return rwm_step(rng, rwm_step(rng, x))
+
+
+def rwm_stationary(rng, m: int) -> np.ndarray:
+    """m exact draws from the Metropolis target exp(-|x|) / 2, Laplace(0, 1)."""
+    return rng.laplace(0.0, 1.0, m)
 
 
 # ---------------------------------------------------------------------------

@@ -167,7 +167,9 @@ class TestFinite:
         (["pseudo", "--n0", "100000"], "--n0"),  # ran for over 30 s
         (["tv-exact", "--n0", "2", "--n", "3000"], "--n"),
         (["tv-exact", "--n0", "2", "--n", "100000"], "--n"),  # ran for over 30 s
-    ], ids=["minorization-3000", "pseudo-10000", "pseudo-100000", "tv-3000", "tv-100000"])
+        (["tv-exact", "--n0", "100000", "--n", "10"], "--n0"),  # ran for 18.6 s
+    ], ids=["minorization-3000", "pseudo-10000", "pseudo-100000", "tv-3000", "tv-100000",
+            "tv-n0-100000"])
     def test_unprintable_rationals_exit_2_quickly(self, argv, option):
         # Python turns no int of more than sys.get_int_max_str_digits() digits
         # into a string; these runs ended in that ValueError's traceback
@@ -180,7 +182,8 @@ class TestFinite:
         ["minorization", "--n0", "1000"],
         ["pseudo", "--n0", "1000"],
         ["tv-exact", "--n0", "2", "--n", "2000"],
-    ], ids=["minorization", "pseudo", "tv-exact"])
+        ["tv-exact", "--n0", "2418", "--n", "2000"],
+    ], ids=["minorization", "pseudo", "tv-exact", "tv-exact-n0-2418"])
     def test_long_rationals_within_the_limit_print(self, capsys, argv):
         code, report = run_cli(capsys, "finite", argv[0], "--grid", "3x3", *argv[1:])
         assert code == 0
@@ -366,11 +369,11 @@ class TestSimulate:
         (["--grid", "3x3", "--cert", "uniform", "--n-max", "12", "--reps", "500"],
          "c26cadcf5022834be455f0a22dc3b2739e89b2d72e8f6c4242eb57419a80d64b", None),
         (["--halfline", "--n-max", "6", "--reps", "300", "--burn-in", "50"],
-         "8115e305cc4362d6ca9f9aa9f1821181446d6aff528eda7ae76ece8350f1981e", None),
+         "410490dd181de2e2a36d1e517fcf71852afa75f47f6c12d9cd0e579c57a9fa6f", None),
         (["--rwm-laplace", "--n-max", "40", "--reps", "50", "--burn-in", "50",
           "--record-every", "4"],
-         "721b99c168f2991441871e9a4be09671cac70e678ed4b6839413bf886a594dc0",
-         "38877c79f9c0ea3259751aab2f656a0546d3451f168a3b62b4798cdfc67997bb"),
+         "3f45ec8a69edbed6919f0476e9064c997e1d9e5af45963e9893cfd902b859bd2",
+         "4c021b896e5d768bb78f54be55012264faaac0b94f78039d78977eb33741914a"),
     ], ids=["grid-pseudo", "grid-uniform", "halfline", "rwm-laplace"])
     def test_seeded_bytes_pinned(self, capsys, tmp_path, argv, stdout_digest, traj_digest):
         # the random stream contract: a seed gives these bytes on every version
@@ -488,6 +491,41 @@ class TestOutputs:
             capsys, "finite", "tv-exact", "--grid", "3x3", "--format", "csv"
         )
         assert code == 2
+
+    @pytest.mark.parametrize("argv,message", [
+        (["finite", "tv-exact", "--grid", "3x3", "--delta", "1.5"], "delta must be in (0, 1)"),
+        (["finite", "tv-exact", "--grid", "3x3", "--delta", "0"], "delta must be in (0, 1)"),
+        (["finite", "tv-exact", "--grid", "3x3", "--delta", "nan"], "delta must be in (0, 1)"),
+        (["finite", "minorization", "--grid", "3x3", "--delta", "0"],
+         "delta must be in (0, 1)"),
+        (["finite", "tv-exact", "--grid", "3x3", "--n", "-1"], "n_max must be >= 0"),
+        (["bound", "t1", "--epsilon", "1/2", "--n-max", "-5"], "n_max must be >= 0"),
+        (["verify", "drift", "--tolerance", "nan"], "tolerance must be"),
+        (["verify", "minorization", "--tolerance=-1e-6"], "tolerance must be"),
+        (["verify", "minorization", "--preset", "halfline", "--tolerance", "nan"],
+         "tolerance must be"),
+    ], ids=["tv-delta-1.5", "tv-delta-0", "tv-delta-nan", "minorization-delta-0",
+            "tv-n-negative", "t1-n-max-negative", "drift-tolerance-nan",
+            "minorization-tolerance-negative", "halfline-tolerance-nan"])
+    def test_out_of_range_option_exits_2(self, capsys, argv, message):
+        # these exited 0 with a null or empty result, or 3 as if verification failed
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"mcbounds: error: {message}")
+        assert captured.err.count("\n") == 1
+
+    @pytest.mark.parametrize("argv,path", [
+        (["simulate", "--grid", "3x3", "--n-max", "4", "--reps", "10",
+          "--trajectories", "/nonexistent/x.csv"], "/nonexistent/x.csv"),
+        (["finite", "tv-exact", "--grid", "3x3", "--output", "/dev/null/x"], "/dev/null/x"),
+    ], ids=["trajectories", "output"])
+    def test_unwritable_path_exits_2(self, capsys, argv, path):
+        # both ended in an OSError traceback (exit 1)
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("mcbounds: error: cannot ")
+        assert path in err and err.count("\n") == 1
 
     def test_all_reports_validate_against_schema(self, capsys):
         # run_cli validates every JSON payload against the shipped schema

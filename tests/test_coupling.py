@@ -696,7 +696,6 @@ class TestHalflineCoupling:
             n_max=12,
             replications=20_000,
             master_seed=77,
-            burn_in=200,
         )
         res = run_coupling(config)
         for n, p in zip(res.lattice, res.p_neq):
@@ -718,7 +717,6 @@ def rwm_run():
         n_max=20_000,
         replications=500,
         master_seed=11,
-        burn_in=2_000,
         record_every=50,
     )
     return config, run_coupling(config)
@@ -758,7 +756,6 @@ class TestRwmSmallSetCoupling:
             n_max=1_000_000,
             replications=1_000,
             master_seed=2_024,
-            burn_in=2_000,
             record_every=500_000,
             stop_when_coupled=True,
         )

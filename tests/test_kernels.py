@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
+from scipy.stats import ks_2samp, kstest
 
 import scalar_reference as sref
 from mcbounds.bounds import CERTIFICATES, Interval, UnivariateDrift, point_process_overlap
@@ -31,6 +32,12 @@ from mcbounds.kernels.verify import (
 )
 
 LAPLACE_EPS = 1.0 / (8.0 * math.e**2)
+
+
+def laplace_cdf(q):
+    """CDF of the Metropolis target exp(-|x|) / 2."""
+    tail = 0.5 * np.exp(-np.abs(q))
+    return np.where(q < 0.0, tail, 1.0 - tail)
 
 
 def batch_se(indicator: np.ndarray, n_batches: int = 100) -> float:
@@ -72,10 +79,6 @@ class TestHalflineDensity:
         ys = np.linspace(0.0, 50.0, 1001)
         for x in (0.0, 0.5, 3.0, 20.0):
             assert np.all(halfline.transition_density(x, ys) >= np.exp(-2.0 * ys))
-
-    def test_negative_state_rejected(self, halfline):
-        with pytest.raises(InputError):
-            halfline.trajectory(-0.5, 10, seed=1)
 
 
 class TestRwmDensity:
@@ -218,6 +221,13 @@ class TestBuiltInCertificates:
         report = self.verify("rwm-laplace", halfline, rwm, small_set=small_set)
         assert not report.passed
         assert abs(report.argmin_x) >= 5.0
+
+    def test_halfline_record_is_the_one_the_exact_start_uses(self):
+        # laws.hl_stationary splits the kernel as eps nu + (1 - eps) R with
+        # this record's eps = 1/2, nu = Exponential(2) and lag 1 on the whole space
+        cert = CERTIFICATES["halfline"]
+        assert (cert.epsilon, cert.n0, cert.small_set) == (0.5, 1, None)
+        assert cert.nu == "2*exp(-2y)"
 
 
 def laplace_drift():
@@ -550,48 +560,37 @@ class TestPointProcessOverlap:
 
 
 class TestSamplerCorrectness:
-    def test_trajectories_deterministic_in_seed(self, halfline, rwm):
-        kernel, _ = rwm
-        assert np.array_equal(
-            halfline.trajectory(0.0, 500, seed=7), halfline.trajectory(0.0, 500, seed=7)
-        )
-        assert np.array_equal(
-            kernel.trajectory(0.0, 500, seed=7), kernel.trajectory(0.0, 500, seed=7)
-        )
+    def test_trajectories_deterministic_in_seed(self, point_process):
+        kernel, _ = point_process
+        x0 = np.array([0.2, 0.2, 0.8, 0.3, 0.5, 0.9])
+        path_a, accepts_a = kernel.trajectory(x0, 500, seed=7)
+        path_b, accepts_b = kernel.trajectory(x0, 500, seed=7)
+        assert path_a.tobytes() == path_b.tobytes() and accepts_a == accepts_b
+        for draw in (laws.hl_stationary, laws.rwm_stationary):
+            a = draw(np.random.default_rng(7), 500)
+            assert a.tobytes() == draw(np.random.default_rng(7), 500).tobytes()
 
-    def test_rwm_trajectory_steps_like_rwm_step(self, rwm):
-        kernel, _ = rwm
-        path = kernel.trajectory(0.3, 2000, seed=4)
-        rng = np.random.default_rng(4)
-        x = np.array([0.3])
-        want = [0.3]
-        for _ in range(2000):
-            x = laws.rwm_step(rng, x)
-            want.append(float(x[0]))
-        assert path.tobytes() == np.array(want).tobytes()
-
-    def test_halfline_trajectory_follows_hl_step(self, halfline):
-        # the trajectory's scalar recurrence against a lockstep ensemble
-        # advanced by laws.hl_step; 40 steps leave a bias below 2^-40, as
-        # every step regenerates with probability 1/2
-        path = halfline.trajectory(0.0, 200_000, seed=41)[1000:]
-        rng = np.random.default_rng(42)
+    def test_halfline_stationary_matches_a_long_hl_step_ensemble(self):
+        # 60 steps from 0 leave a bias below 2^-60, as every step regenerates
+        # with probability 1/2
+        rng = np.random.default_rng(41)
+        exact = laws.hl_stationary(rng, 200_000)
         ensemble = np.zeros(100_000)
-        for _ in range(40):
+        for _ in range(60):
             ensemble = laws.hl_step(rng, ensemble)
-        for q in (0.1, 0.25, 0.6, 1.3, 2.5, 7.0):
-            chain_ind = (path <= q).astype(float)
-            ensemble_ind = (ensemble <= q).astype(float)
-            se = math.hypot(
-                batch_se(chain_ind),
-                float(ensemble_ind.std(ddof=1)) / math.sqrt(ensemble_ind.size),
-            )
-            assert chain_ind.mean() == pytest.approx(ensemble_ind.mean(), abs=4 * se)
+        assert np.all(exact >= 0.0)
+        assert ks_2samp(exact, ensemble).pvalue > 0.01
+
+    def test_halfline_stationary_is_invariant_under_hl_step(self):
+        rng = np.random.default_rng(43)
+        exact = laws.hl_stationary(rng, 200_000)
+        stepped = laws.hl_step(rng, laws.hl_stationary(rng, 200_000))
+        assert ks_2samp(exact, stepped).pvalue > 0.01
 
     def test_rwm_one_step_histogram_matches_density(self, rwm):
         kernel, _ = rwm
         x = 0.7
-        samples = kernel.one_step_samples(x, 1_000_000, seed=123)
+        samples = laws.rwm_step(np.random.default_rng(123), np.full(1_000_000, x))
         stayed = samples == x
         assert stayed.mean() == pytest.approx(
             kernel.atom_mass(x), abs=4 * math.sqrt(0.25 / samples.size)
@@ -611,7 +610,7 @@ class TestSamplerCorrectness:
 
     def test_halfline_one_step_histogram_matches_density(self, halfline):
         x = 1.0
-        samples = halfline.one_step_samples(x, 1_000_000, seed=321)
+        samples = laws.hl_step(np.random.default_rng(321), np.full(1_000_000, x))
         edges = np.linspace(0.0, 8.0, 33)
         counts, _ = np.histogram(samples, bins=edges)
         for k in range(len(edges) - 1):
@@ -621,14 +620,14 @@ class TestSamplerCorrectness:
             se = math.sqrt(prob * (1 - prob) / samples.size)
             assert counts[k] / samples.size == pytest.approx(prob, abs=4 * se + 1e-9)
 
-    def test_rwm_preserves_laplace_target(self, rwm):
-        kernel, _ = rwm
-        path = kernel.trajectory(0.0, 200_000, seed=99)[1000:]
-        laplace_cdf = lambda q: 0.5 * math.exp(q) if q < 0 else 1.0 - 0.5 * math.exp(-q)
-        for q in (-2.0, -0.5, 0.0, 1.0, 3.0):
-            indicator = (path <= q).astype(float)
-            se = batch_se(indicator)
-            assert indicator.mean() == pytest.approx(laplace_cdf(q), abs=3 * se)
+    def test_rwm_stationary_is_the_laplace_target(self):
+        exact = laws.rwm_stationary(np.random.default_rng(97), 200_000)
+        assert kstest(exact, laplace_cdf).pvalue > 0.01
+
+    def test_rwm_preserves_laplace_target(self):
+        rng = np.random.default_rng(99)
+        stepped = laws.rwm_step(rng, laws.rwm_stationary(rng, 200_000))
+        assert kstest(stepped, laplace_cdf).pvalue > 0.01
 
     def test_point_process_matches_direct_sampling_oracle(self, point_process):
         kernel, _ = point_process
