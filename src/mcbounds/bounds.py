@@ -72,16 +72,16 @@ LAPLACE_SCHEDULE = (120_000, 274)
 RWM_STEP_RADIUS = 2.0
 
 
-class Interval:
-    """Closed interval [lo, hi], used as a small-set / region description."""
+class _Record:
+    """Base of the immutable validating records: fields are the subclass's
+    ``__slots__``, stored once by ``_fill`` and read-only afterwards; equality
+    (same class only), hashing and repr go by the fields in slot order."""
 
-    __slots__ = ("lo", "hi")
+    __slots__ = ()
 
-    def __init__(self, lo: float, hi: float) -> None:
-        if not lo <= hi:
-            raise InputError(f"empty interval [{lo}, {hi}]")
-        object.__setattr__(self, "lo", lo)
-        object.__setattr__(self, "hi", hi)
+    def _fill(self, *values) -> None:
+        for name, value in zip(self.__slots__, values, strict=True):
+            object.__setattr__(self, name, value)
 
     def __setattr__(self, name, value):
         raise AttributeError(f"cannot assign to field {name!r}")
@@ -89,25 +89,46 @@ class Interval:
     def __delattr__(self, name):
         raise AttributeError(f"cannot delete field {name!r}")
 
+    def _fields(self) -> tuple:
+        return tuple(getattr(self, name) for name in self.__slots__)
+
     def __eq__(self, other):
         if other.__class__ is not self.__class__:
             return NotImplemented
-        return (self.lo, self.hi) == (other.lo, other.hi)
+        return self._fields() == other._fields()
 
     def __hash__(self):
-        return hash((self.lo, self.hi))
+        return hash(self._fields())
 
     def __repr__(self):
-        return f"Interval(lo={self.lo!r}, hi={self.hi!r})"
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        return f"{type(self).__name__}({fields})"
+
+
+class Interval(_Record):
+    """Closed interval [lo, hi], used as a small-set / region description."""
+
+    __slots__ = ("lo", "hi")
+
+    def __init__(self, lo: float, hi: float) -> None:
+        if not lo <= hi:
+            raise InputError(f"empty interval [{lo}, {hi}]")
+        self._fill(lo, hi)
 
     def contains(self, x):
         """Membership of x; per element when x is a numpy array."""
         return (self.lo <= x) & (x <= self.hi)
 
     def grid(self, step: float) -> list[float]:
-        """Probe points lo, lo+step, ..., including hi."""
+        """Probe points lo, lo+step, ... up to hi, and hi itself.
+
+        No point lies above hi. Raises ``InputError`` unless ``step`` is a
+        positive finite number.
+        """
+        if not 0 < step < math.inf:
+            raise InputError(f"grid step must be a positive finite number, got {step}")
         n = int(round((self.hi - self.lo) / step))
-        pts = [self.lo + k * step for k in range(n + 1)]
+        pts = [x for x in (self.lo + k * step for k in range(n + 1)) if x <= self.hi]
         if pts[-1] < self.hi - 1e-12:
             pts.append(self.hi)
         return pts
@@ -299,7 +320,7 @@ def steps_to_threshold(
     return hi
 
 
-class UnivariateDrift:
+class UnivariateDrift(_Record):
     """One-chain drift certificate: E[V(next)] <= lam*V(x) + b*1_C(x)."""
 
     __slots__ = ("V", "small_set", "lam", "b")
@@ -311,36 +332,10 @@ class UnivariateDrift:
             raise InputError(f"lam must be in (0, 1), got {lam}")
         if not 0 <= b < math.inf:
             raise InputError(f"b must be finite and >= 0, got {b}")
-        object.__setattr__(self, "V", V)
-        object.__setattr__(self, "small_set", small_set)
-        object.__setattr__(self, "lam", lam)
-        object.__setattr__(self, "b", b)
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"cannot assign to field {name!r}")
-
-    def __delattr__(self, name):
-        raise AttributeError(f"cannot delete field {name!r}")
-
-    def _key(self) -> tuple:
-        return (self.V, self.small_set, self.lam, self.b)
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self._key() == other._key()
-
-    def __hash__(self):
-        return hash(self._key())
-
-    def __repr__(self):
-        return (
-            f"UnivariateDrift(V={self.V!r}, small_set={self.small_set!r}, "
-            f"lam={self.lam!r}, b={self.b!r})"
-        )
+        self._fill(V, small_set, lam, b)
 
 
-class BivariateDrift:
+class BivariateDrift(_Record):
     """Two-chain drift certificate: E[h(next pair)] <= h(x,y)/alpha off C x C."""
 
     __slots__ = ("h", "small_set", "alpha")
@@ -350,35 +345,10 @@ class BivariateDrift:
     ) -> None:
         if not alpha > 1:
             raise InputError(f"alpha must be > 1, got {alpha}")
-        object.__setattr__(self, "h", h)
-        object.__setattr__(self, "small_set", small_set)
-        object.__setattr__(self, "alpha", alpha)
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"cannot assign to field {name!r}")
-
-    def __delattr__(self, name):
-        raise AttributeError(f"cannot delete field {name!r}")
-
-    def _key(self) -> tuple:
-        return (self.h, self.small_set, self.alpha)
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self._key() == other._key()
-
-    def __hash__(self):
-        return hash(self._key())
-
-    def __repr__(self):
-        return (
-            f"BivariateDrift(h={self.h!r}, small_set={self.small_set!r}, "
-            f"alpha={self.alpha!r})"
-        )
+        self._fill(h, small_set, alpha)
 
 
-class DriftMinorizationInputs:
+class DriftMinorizationInputs(_Record):
     """Constants feeding the two-term drift/minorization bound."""
 
     __slots__ = ("epsilon", "n0", "alpha", "big_b", "expected_h")
@@ -396,34 +366,7 @@ class DriftMinorizationInputs:
             raise InputError(f"B must be >= 1, got {big_b}")
         if not expected_h >= 1:
             raise InputError(f"expected h must be >= 1, got {expected_h}")
-        object.__setattr__(self, "epsilon", epsilon)
-        object.__setattr__(self, "n0", n0)
-        object.__setattr__(self, "alpha", alpha)
-        object.__setattr__(self, "big_b", big_b)
-        object.__setattr__(self, "expected_h", expected_h)
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"cannot assign to field {name!r}")
-
-    def __delattr__(self, name):
-        raise AttributeError(f"cannot delete field {name!r}")
-
-    def _key(self) -> tuple:
-        return (self.epsilon, self.n0, self.alpha, self.big_b, self.expected_h)
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self._key() == other._key()
-
-    def __hash__(self):
-        return hash(self._key())
-
-    def __repr__(self):
-        return (
-            f"DriftMinorizationInputs(epsilon={self.epsilon!r}, n0={self.n0!r}, "
-            f"alpha={self.alpha!r}, big_b={self.big_b!r}, expected_h={self.expected_h!r})"
-        )
+        self._fill(epsilon, n0, alpha, big_b, expected_h)
 
 
 def bivariate_from_univariate(uni: UnivariateDrift, d: float) -> BivariateDrift:

@@ -153,6 +153,27 @@ def _write_text(path: Path, text: str) -> None:
         raise InputError(f"cannot write {path}: {exc.strerror}") from exc
 
 
+def _prepare_outputs(args) -> None:
+    """Create the ``--output`` directory and open the ``--trajectories`` file,
+    before any command runs, so a path that cannot be written costs no work.
+
+    The trajectory file is opened for appending, which creates it but leaves
+    an existing file as it is until the run writes it.
+    """
+    if args.output is not None:
+        outdir = Path(args.output)
+        try:
+            outdir.mkdir(parents=True, exist_ok=True)
+        except OSError as exc:
+            raise InputError(f"cannot create {outdir}: {exc.strerror}") from exc
+    if getattr(args, "trajectories", None):
+        path = Path(args.trajectories)
+        try:
+            path.open("a").close()
+        except OSError as exc:
+            raise InputError(f"cannot write {path}: {exc.strerror}") from exc
+
+
 class _Report:
     """Envelope plus optional CSV tables keyed by file stem suffix; a table is
     a mapping of column names to equally long lists of cells."""
@@ -195,11 +216,7 @@ def _emit(report: _Report, args) -> None:
             raise InputError("--format csv requires --output DIR")
         sys.stdout.write(text)
         return
-    outdir = Path(args.output)
-    try:
-        outdir.mkdir(parents=True, exist_ok=True)
-    except OSError as exc:
-        raise InputError(f"cannot create {outdir}: {exc.strerror}") from exc
+    outdir = Path(args.output)  # made by _prepare_outputs
     stem = f"{report.command}-{report.analysis}"
     if fmt in ("json", "both"):
         _write_text(outdir / f"{stem}.json", text)
@@ -333,6 +350,8 @@ def _cmd_finite(args) -> tuple[_Report, int]:
 
 def _cmd_bound(args) -> tuple[_Report, int]:
     if args.theorem == "t1":
+        if not (args.epsilon or args.pointprocess):
+            raise InputError("bound t1 requires --epsilon or --pointprocess C,D")
         provenance = {"epsilon": "user"}
         if args.pointprocess:
             try:
@@ -345,8 +364,6 @@ def _cmd_bound(args) -> tuple[_Report, int]:
             provenance["epsilon"] = f"computed (overlap constant at C={c}, D={d})"
         else:
             epsilon = _parse_rational(args.epsilon)
-        if not 0 < epsilon <= 1:
-            raise InputError(f"epsilon must be in (0, 1], got {epsilon}")
         crossing = minorization_crossing(epsilon, args.n0, args.delta)
         n_max = args.n_max if args.n_max is not None else crossing
         curve = minorization_curve(epsilon, args.n0, n_max)
@@ -679,7 +696,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--check-j", type=int, default=LAPLACE_SCHEDULE[1],
                    help="regression point: j")
     add_output(p)
-    p.set_defaults(func=_cmd_bound_dispatch)
+    p.set_defaults(func=_cmd_bound)
 
     p = sub.add_parser("simulate", help="coupling Monte Carlo")
     p.add_argument("--grid", help="finite grid model, e.g. 3x3")
@@ -719,17 +736,12 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _cmd_bound_dispatch(args):
-    if args.theorem == "t1" and not (args.epsilon or args.pointprocess):
-        raise InputError("bound t1 requires --epsilon or --pointprocess C,D")
-    return _cmd_bound(args)
-
-
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
         _check_ranges(args)
+        _prepare_outputs(args)
         report, code = args.func(args)
         _emit(report, args)
         return code

@@ -23,7 +23,7 @@ from fractions import Fraction
 from math import gcd, lcm
 from typing import TYPE_CHECKING, Iterable, NamedTuple, Sequence
 
-from .bounds import BoundReport
+from .bounds import BoundReport, _Record
 from .errors import (
     IllConditionedEigenbasisError,
     InputError,
@@ -71,7 +71,7 @@ def _frac(value) -> Fraction:
     )
 
 
-class ProbVector:
+class ProbVector(_Record):
     """Finite probability distribution with exact rational entries."""
 
     __slots__ = ("entries",)
@@ -82,24 +82,7 @@ class ProbVector:
             raise InputError("probabilities must be >= 0")
         if sum(entries) != 1:
             raise InputError(f"probabilities must sum to 1, got {sum(entries)}")
-        object.__setattr__(self, "entries", entries)
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"cannot assign to field {name!r}")
-
-    def __delattr__(self, name):
-        raise AttributeError(f"cannot delete field {name!r}")
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self.entries == other.entries
-
-    def __hash__(self):
-        return hash(self.entries)
-
-    def __repr__(self):
-        return f"ProbVector(entries={self.entries!r})"
+        self._fill(entries)
 
     @classmethod
     def delta(cls, size: int, state: int) -> "ProbVector":
@@ -523,7 +506,7 @@ def exact_tv_curve(
     )
 
 
-class MinorizationCert:
+class MinorizationCert(_Record):
     """Certificate (C, n0, eps, nu) that n0-step transitions overlap by eps.
 
     ``variant`` is "uniform" (one shared overlap measure, ``nu`` set) or
@@ -551,36 +534,7 @@ class MinorizationCert:
             raise InputError(f"epsilon must be in (0, 1], got {epsilon}")
         if variant == "uniform" and nu is None:
             raise InputError("uniform certificate requires nu")
-        object.__setattr__(self, "variant", variant)
-        object.__setattr__(self, "small_set", small_set)
-        object.__setattr__(self, "n0", n0)
-        object.__setattr__(self, "epsilon", epsilon)
-        object.__setattr__(self, "nu", nu)
-        object.__setattr__(self, "argmin_pairs", argmin_pairs)
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"cannot assign to field {name!r}")
-
-    def __delattr__(self, name):
-        raise AttributeError(f"cannot delete field {name!r}")
-
-    def _key(self) -> tuple:
-        return (self.variant, self.small_set, self.n0, self.epsilon, self.nu, self.argmin_pairs)
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self._key() == other._key()
-
-    def __hash__(self):
-        return hash(self._key())
-
-    def __repr__(self):
-        return (
-            f"MinorizationCert(variant={self.variant!r}, small_set={self.small_set!r}, "
-            f"n0={self.n0!r}, epsilon={self.epsilon!r}, nu={self.nu!r}, "
-            f"argmin_pairs={self.argmin_pairs!r})"
-        )
+        self._fill(variant, small_set, n0, epsilon, nu, argmin_pairs)
 
 
 def minorization_uniform(P: StochasticMatrix, n0: int) -> MinorizationCert | None:

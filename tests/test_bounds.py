@@ -200,8 +200,25 @@ class TestMomentAndBConstant:
         assert sup < 20.1
         # the one-pass sup is the float the pairwise maximum of h gives
         pts = Interval(-6.0, 6.0).grid(0.05)
+        assert len(pts) == 241
         assert sup == max(0.5 * (V(x) + V(y)) for x in pts for y in pts)
         assert sup == 20.085536923187668
+
+    @pytest.mark.parametrize("lo,hi,step,points", [
+        (0.0, 1.0, 0.6, [0.0, 0.6, 1.0]),  # 2 * 0.6 lies above 1
+        (0.0, 1.0, 0.4, [0.0, 0.4, 0.8, 1.0]),
+        (0.0, 0.3, 0.1, [0.0, 0.1, 0.2, 0.3]),  # 3 * 0.1 rounds above 0.3
+        (2.0, 2.0, 0.5, [2.0]),
+    ])
+    def test_grid_stays_inside_the_interval(self, lo, hi, step, points):
+        assert Interval(lo, hi).grid(step) == points
+
+    @pytest.mark.parametrize("step", [0.0, -0.05, math.inf, math.nan])
+    def test_grid_refuses_a_bad_step(self, step):
+        with pytest.raises(InputError, match="grid step must be a positive finite number"):
+            Interval(0.0, 1.0).grid(step)
+        with pytest.raises(InputError, match="grid step"):
+            sup_rh_via_containment(lambda x: 1.0, Interval(-6, 6), probe_step=step)
 
     def test_sup_rh_constant_function(self):
         assert sup_rh_via_containment(lambda x: 1.0, Interval(-6, 6)) == 1.0

@@ -218,6 +218,18 @@ class TestBound:
         code, _ = run_cli(capsys, "bound", "t1")
         assert code == 2
 
+    @pytest.mark.parametrize("argv,message", [
+        ([], "bound t1 requires --epsilon or --pointprocess C,D"),
+        (["--epsilon", "0"], "epsilon must be in (0, 1], got 0"),
+        (["--epsilon", "3/2"], "epsilon must be in (0, 1], got 3/2"),
+        (["--pointprocess", "0,1"], "need c > 0 and d > 0, got c=0.0, d=1.0"),
+    ], ids=["no-epsilon", "epsilon-0", "epsilon-3/2", "pointprocess-c-0"])
+    def test_t1_bad_overlap_exits_2(self, capsys, argv, message):
+        assert main(["bound", "t1", *argv]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"mcbounds: error: {message}\n"
+
     def test_t1_pointprocess_derived_epsilon(self, capsys):
         code, report = run_cli(capsys, "bound", "t1", "--pointprocess", "0.1,0.1")
         assert code == 0
@@ -518,10 +530,17 @@ class TestOutputs:
     @pytest.mark.parametrize("argv,path", [
         (["simulate", "--grid", "3x3", "--n-max", "4", "--reps", "10",
           "--trajectories", "/nonexistent/x.csv"], "/nonexistent/x.csv"),
+        (["simulate", "--grid", "3x3", "--n-max", "4", "--reps", "10",
+          "--output", "/dev/null/x"], "/dev/null/x"),
         (["finite", "tv-exact", "--grid", "3x3", "--output", "/dev/null/x"], "/dev/null/x"),
-    ], ids=["trajectories", "output"])
-    def test_unwritable_path_exits_2(self, capsys, argv, path):
-        # both ended in an OSError traceback (exit 1)
+    ], ids=["trajectories", "simulate-output", "output"])
+    def test_unwritable_path_exits_2(self, capsys, monkeypatch, argv, path):
+        # the paths are checked before the command runs, so a mistyped one
+        # costs no coupling run
+        def must_not_run(config):
+            raise AssertionError("the coupling ran before its output paths were checked")
+
+        monkeypatch.setattr("mcbounds.coupling.run_coupling", must_not_run)
         assert main(argv) == 2
         err = capsys.readouterr().err
         assert err.startswith("mcbounds: error: cannot ")
@@ -657,6 +676,19 @@ class TestStartup:
                 parts = _imported_parts(node)
                 assert not parts & heavy, (path.name, node.lineno, sorted(parts & heavy))
         assert checked == exact_layers
+
+    def test_only_the_record_base_refuses_assignment(self):
+        # the validating records inherit __setattr__/__delattr__ (and equality,
+        # hashing and repr) from bounds._Record; a class that writes them out
+        # again repeats the record boilerplate
+        found = []
+        for path, tree in self.sources():
+            for node in ast.walk(tree):
+                if isinstance(node, ast.ClassDef) and node.name != "_Record":
+                    methods = {item.name for item in node.body if isinstance(item, ast.FunctionDef)}
+                    if methods & {"__setattr__", "__delattr__"}:
+                        found.append((path.name, node.name))
+        assert found == []
 
     def test_simulate_layers_import_no_unused_layer_at_top_level(self):
         # the runner loads finite_chain for finite models only, and the

@@ -93,6 +93,11 @@ class TestRecord:
         assert all(f"{name}=" in text for name in fields)
 
 
+def test_repr_shows_each_field_value():
+    assert repr(Interval(-2.0, 2.0)) == "Interval(lo=-2.0, hi=2.0)"
+    assert repr(HALVES) == "ProbVector(entries=(Fraction(1, 2), Fraction(1, 2)))"
+
+
 class TestDefaults:
     def test_optional_fields(self):
         assert ChainCertificate(0.5, 1, "nu").small_set is None
