@@ -44,6 +44,16 @@ if TYPE_CHECKING:
 
 _FLOAT_FMT = "%.17g"
 
+# the (command, analysis) pairs whose reports have no CSV table; every other
+# report has one, so only these may take --format csv without --output, and
+# under --output they write their JSON for it
+_TABLELESS = {
+    ("finite", "stationary"),
+    ("finite", "minorization"),
+    ("finite", "pseudo"),
+    ("verify", "minorization"),
+}
+
 
 def _csv_cell(value) -> str:
     """The one CSV cell rule: None is empty, an int is exact, a number is %.17g."""
@@ -154,13 +164,18 @@ def _write_text(path: Path, text: str) -> None:
 
 
 def _prepare_outputs(args) -> None:
-    """Create the ``--output`` directory and open the ``--trajectories`` file,
-    before any command runs, so a path that cannot be written costs no work.
+    """Refuse CSV tables without ``--output``, create the ``--output``
+    directory and open the ``--trajectories`` file, before any command runs,
+    so a bad output choice costs no work.
 
     The trajectory file is opened for appending, which creates it but leaves
     an existing file as it is until the run writes it.
     """
-    if args.output is not None:
+    if args.output is None:
+        analysis = getattr(args, "analysis", None) or getattr(args, "condition", None)
+        if args.format != "json" and (args.command, analysis) not in _TABLELESS:
+            raise InputError("--format csv requires --output DIR")
+    else:
         outdir = Path(args.output)
         try:
             outdir.mkdir(parents=True, exist_ok=True)
@@ -209,22 +224,21 @@ class _Report:
 
 
 def _emit(report: _Report, args) -> None:
+    """Print the JSON report, or write it and its CSV tables under
+    ``--output``; a report without tables writes its JSON under any format."""
     text = json.dumps(report.payload, indent=2, sort_keys=True) + "\n"
-    fmt = getattr(args, "format", "json")
-    if args.output is None:
-        if fmt in ("csv", "both") and report.csv_tables:
-            raise InputError("--format csv requires --output DIR")
+    if args.output is None:  # a report with tables was refused csv before it ran
         sys.stdout.write(text)
         return
     outdir = Path(args.output)  # made by _prepare_outputs
     stem = f"{report.command}-{report.analysis}"
-    if fmt in ("json", "both"):
+    tables = report.csv_tables if args.format != "json" else {}
+    if args.format != "csv" or not tables:
         _write_text(outdir / f"{stem}.json", text)
-    if fmt in ("csv", "both"):
-        for suffix, columns in report.csv_tables.items():
-            lines = [",".join(columns)]
-            lines += [",".join(map(_csv_cell, row)) for row in zip(*columns.values())]
-            _write_text(outdir / f"{stem}{suffix}.csv", "\n".join(lines) + "\n")
+    for suffix, columns in tables.items():
+        lines = [",".join(columns)]
+        lines += [",".join(map(_csv_cell, row)) for row in zip(*columns.values())]
+        _write_text(outdir / f"{stem}{suffix}.csv", "\n".join(lines) + "\n")
 
 
 # ---------------------------------------------------------------------------
@@ -568,7 +582,7 @@ def _cmd_verify(args) -> tuple[_Report, int]:
                 f"a drift grid of {points:.3g} points exceeds the cap of "
                 f"{MAX_DRIFT_POINTS}; pass a larger --grid-step"
             )
-        kernel, _ = metropolis_rwm_laplace()
+        kernel = metropolis_rwm_laplace()
         lam = args.lam if args.lam is not None else presets.LAPLACE_LAM
         b = args.b if args.b is not None else presets.LAPLACE_B
         drift = presets.laplace_drift(lam=lam, b=b)
@@ -602,7 +616,7 @@ def _cmd_verify(args) -> tuple[_Report, int]:
         nu = laws.hl_nu_density
         x_range = y_range = (0.0, 50.0)
     elif args.preset == "rwm-laplace":
-        kernel, _ = metropolis_rwm_laplace()
+        kernel = metropolis_rwm_laplace()
         nu = laws.rwm_nu_density
         x_range, y_range = (-2.0, 2.0), (-1.0, 1.0)
     else:

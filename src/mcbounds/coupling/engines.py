@@ -76,43 +76,28 @@ class _Paths:
             self.xs[rows, k // self.every] = x
             self.xps[rows, k // self.every] = xp
 
-    def freeze(self, rows: slice, k: int, x: np.ndarray, xp: np.ndarray) -> None:
-        """Repeat the states of step k in every later slot (a run stopped early)."""
-        slot = k // self.every + 1
-        self.xs[rows, slot:] = x[:, None]
-        self.xps[rows, slot:] = xp[:, None]
-
     def result(self):
         return self.xs, self.xps, self.couple_at
 
 
-def _lockstep(n_steps, master_seed, replications, record_every, dtype, start, step,
-              stop_when_coupled):
+def _lockstep(n_steps, master_seed, replications, record_every, dtype, start, step):
     """Run the coupled pairs block by block; returns ``(xs, xps, couple_at)``.
 
     ``start(rng, m)`` draws the two start arrays of an m-pair block, and
     ``step(rng, x, xp, reps)`` returns the next lattice states of the pairs
-    ``(x, xp)``, which are replications ``reps`` of the run. Each block draws
-    its starts and then its steps from its own generator. With
-    ``stop_when_coupled`` a pair leaves the active set at coupling and its
-    later recorded slots hold the coupling value: equality flags and coupling
-    times stay exact, recorded post-coupling states do not evolve.
+    ``(x, xp)``, which are replications ``reps`` of the run; it may overwrite
+    ``x`` and ``xp``, which are already recorded. Each block draws its starts
+    and then its steps from its own generator, and every pair of the block
+    takes every lattice step.
     """
     paths = _Paths(replications, n_steps, record_every, dtype)
     for rows, rng in _blocks(master_seed, replications):
-        x, xp = start(rng, rows.stop - rows.start)
+        reps = np.arange(rows.start, rows.stop)
+        x, xp = start(rng, reps.size)
         paths.store(rows, 0, x, xp)
-        active = np.flatnonzero(x != xp) if stop_when_coupled else np.arange(x.size)
         for k in range(1, n_steps + 1):
-            if active.size == 0:
-                paths.freeze(rows, k - 1, x, xp)
-                break
-            new_x, new_xp = step(rng, x[active], xp[active], rows.start + active)
-            x[active] = new_x
-            xp[active] = new_xp
+            x, xp = step(rng, x, xp, reps)
             paths.store(rows, k, x, xp)
-            if stop_when_coupled:
-                active = active[new_x != new_xp]
     return paths.result()
 
 
@@ -191,7 +176,6 @@ def finite_coupling_paths(
     nu_cdf: np.ndarray,
     resid_cdf: np.ndarray,
     in_small_set: np.ndarray,
-    stop_when_coupled: bool = False,
 ):
     """Coupled paths of a finite chain on the lag-n0 lattice.
 
@@ -199,9 +183,8 @@ def finite_coupling_paths(
     bool per state. The overlap table ``nu_cdf`` and the residual table
     ``resid_cdf`` hold one row for all pairs, one per start state (row x) or
     one per ordered start pair (row x * size + x'); their row counts select
-    which. Each step takes three uniforms per active pair: the coin, then one
-    inverse-CDF draw per chain. ``stop_when_coupled`` works as in
-    ``_lockstep``.
+    which. Each step takes three uniforms per pair: the coin, then one
+    inverse-CDF draw per chain.
     """
     size = step_cdf.shape[0]
     table = np.concatenate([step_cdf, nu_cdf, resid_cdf])
@@ -233,8 +216,7 @@ def finite_coupling_paths(
         new_x = inverse_cdf(table[row_x], u[1])
         return new_x, np.where(eq | heads, new_x, inverse_cdf(table[row_xp], u[2]))
 
-    return _lockstep(n_lat, master_seed, replications, record_every, np.int32, start, step,
-                     stop_when_coupled)
+    return _lockstep(n_lat, master_seed, replications, record_every, np.int32, start, step)
 
 
 # ---------------------------------------------------------------------------
@@ -258,13 +240,11 @@ def halfline_coupling_paths(
     x0: float,
     eps: float,
     burn_in: int,
-    stop_when_coupled: bool = False,
 ):
     """Coupled paths of the half-line mixture chain (whole-space overlap, lag 1).
 
     The second chain starts from an exact stationary draw (``hl_stationary``)
-    advanced by ``burn_in`` further steps. ``stop_when_coupled`` works as in
-    ``_lockstep``.
+    advanced by ``burn_in`` further steps.
     """
     keep = _hl_keep(eps)
 
@@ -280,8 +260,7 @@ def halfline_coupling_paths(
         return np.where(tails, x, new), np.where(tails, xp, new)
 
     start = _stationary_start(x0, burn_in, hl_stationary, hl_step)
-    return _lockstep(n_lat, master_seed, replications, record_every, np.float64, start, step,
-                     stop_when_coupled)
+    return _lockstep(n_lat, master_seed, replications, record_every, np.float64, start, step)
 
 
 # ---------------------------------------------------------------------------
@@ -315,7 +294,6 @@ def rwm_coupling_paths(
     c_lo: float,
     c_hi: float,
     burn_in: int,
-    stop_when_coupled: bool,
 ):
     """Coupled paths of the Metropolis chain with small set [c_lo, c_hi], lag 2.
 
@@ -324,7 +302,7 @@ def rwm_coupling_paths(
     are pair-steps; the number of coin opportunities is returned per
     replication after the coupling steps. The second chain starts from an
     exact Laplace draw (``rwm_stationary``) advanced by ``burn_in`` further
-    Metropolis steps; ``stop_when_coupled`` works as in ``_lockstep``.
+    Metropolis steps.
     """
     keep = _rwm_keep(eps)
     opportunities = np.zeros(replications, np.int64)
@@ -348,6 +326,5 @@ def rwm_coupling_paths(
         return new_x, new_xp
 
     start = _stationary_start(x0, burn_in, rwm_stationary, rwm_step)
-    paths = _lockstep(n_pairs, master_seed, replications, record_every, np.float64, start,
-                      step, stop_when_coupled)
+    paths = _lockstep(n_pairs, master_seed, replications, record_every, np.float64, start, step)
     return (*paths, opportunities)

@@ -48,9 +48,7 @@ class CouplingConfig:
     chains ``burn_in`` further kernel steps follow it, which keep its law.
     The lag, the overlap and the coupling mode follow from the finite
     certificate or, for the continuous chains, from ``bounds.CERTIFICATES``.
-    ``stop_when_coupled`` ends each replication at its coupling step
-    (coupling-time studies with large step caps); recorded post-coupling
-    states are then frozen.
+    Every replication runs all ``n_max // n0`` lattice steps.
     """
 
     model: str
@@ -63,7 +61,6 @@ class CouplingConfig:
     x0: float = 0.0
     burn_in: int = 0
     record_every: int = 1
-    stop_when_coupled: bool = False
 
     def __post_init__(self) -> None:
         if self.model not in ("finite", "halfline", "rwm-laplace"):
@@ -413,16 +410,13 @@ def run_coupling(config: CouplingConfig) -> CouplingResult:
         step_cdf, nu_cdf, resid_cdf, in_small = _finite_arrays(config)
         xs, xps, couple_at = engines.finite_coupling_paths(
             *run, _cdf_rows(mu0.to_floats()), _cdf_rows(pi.to_floats()), step_cdf, eps,
-            nu_cdf, resid_cdf, in_small, config.stop_when_coupled,
+            nu_cdf, resid_cdf, in_small
         )
     elif config.model == "halfline":
-        xs, xps, couple_at = engines.halfline_coupling_paths(
-            *run, config.x0, eps, config.burn_in, config.stop_when_coupled
-        )
+        xs, xps, couple_at = engines.halfline_coupling_paths(*run, config.x0, eps, config.burn_in)
     else:
         small = CERTIFICATES[config.model].small_set
         xs, xps, couple_at, opportunities = engines.rwm_coupling_paths(
-            *run, config.x0, eps, small.lo, small.hi, config.burn_in,
-            config.stop_when_coupled,
+            *run, config.x0, eps, small.lo, small.hi, config.burn_in
         )
     return _summarize(config, n_steps, xs, xps, couple_at, opportunities, pi)

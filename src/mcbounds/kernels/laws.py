@@ -150,8 +150,9 @@ def pp_log_target(states, c: float, d: float):
     """Log unnormalized density -c * sum |x_i| - d * sum 1/|x_i - x_j|.
 
     ``states`` has shape (..., 6); the result has shape (...). Coincident
-    particles get log density -inf, so proposals hitting them are always
-    rejected.
+    particles get log density -inf. This is the target of the independence
+    Metropolis chain whose overlap constant ``bounds.point_process_overlap``
+    gives in closed form.
     """
     # coordinates first: one contiguous row per coordinate
     p = np.ascontiguousarray(np.moveaxis(np.asarray(states, dtype=float), -1, 0))

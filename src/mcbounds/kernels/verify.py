@@ -112,14 +112,6 @@ class MinorizationVerificationReport:
     passed: bool
 
 
-def _require_density(kernel: Kernel) -> None:
-    if kernel.dim != 1 or kernel.transition_density is None or kernel.window is None:
-        raise InputError(
-            f"kernel {kernel.name!r} does not expose a one-dimensional "
-            "transition density; numeric verification unsupported"
-        )
-
-
 def _qk21(f, owner, sign, base, a, b):
     """QUADPACK's qk21 on every piece: (integral, error estimate) per piece.
 
@@ -261,14 +253,10 @@ def _window(kernel: Kernel, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 def _breaks(kernel: Kernel, x: np.ndarray) -> np.ndarray:
     """One row of kink points per state."""
-    pts = kernel.breakpoints(x) if kernel.breakpoints is not None else []
+    pts = kernel.breakpoints(x)
     if len(pts) == 0:
         return np.empty(x.shape + (0,))
     return np.stack([np.full(x.shape, p, dtype=float) for p in pts], axis=-1)
-
-
-def _atom(kernel: Kernel, x: np.ndarray):
-    return kernel.atom_mass(x) if kernel.atom_mass is not None else 0.0
 
 
 def _expected_values(kernel: Kernel, V, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -276,7 +264,7 @@ def _expected_values(kernel: Kernel, V, x: np.ndarray) -> tuple[np.ndarray, np.n
     density = kernel.transition_density
     lo, hi = _window(kernel, x)
     cont, err = batch_quad(lambda i, w: density(x[i], w) * V(w), lo, hi, _breaks(kernel, x))
-    return cont + _atom(kernel, x) * V(x), err
+    return cont + kernel.atom_mass(x) * V(x), err
 
 
 def _two_step_densities(kernel: Kernel, x: np.ndarray, y: np.ndarray):
@@ -294,7 +282,7 @@ def _two_step_densities(kernel: Kernel, x: np.ndarray, y: np.ndarray):
         np.concatenate([_breaks(kernel, x), _breaks(kernel, y)], axis=1),
     )
     p_xy = density(x, y)
-    return conv + _atom(kernel, x) * p_xy + p_xy * _atom(kernel, y), err
+    return conv + kernel.atom_mass(x) * p_xy + p_xy * kernel.atom_mass(y), err
 
 
 def expected_value_after_step(
@@ -305,7 +293,6 @@ def expected_value_after_step(
     Continuous part by quadrature over the one-step window plus the atom
     contribution at x. ``V`` takes numpy arrays.
     """
-    _require_density(kernel)
     value, err = _expected_values(kernel, V, np.array([float(x)]))
     return float(value[0]), float(err[0])
 
@@ -320,7 +307,6 @@ def verify_univariate_drift(
 
     ``drift.V`` takes numpy arrays; the report holds builtin floats.
     """
-    _require_density(kernel)
     grid = np.asarray(probe_grid, dtype=float).ravel()
     if grid.size == 0:
         raise InputError("drift verification needs at least one probe state")
@@ -350,7 +336,6 @@ def two_step_density(kernel: Kernel, x: float, y: float) -> tuple[float, float]:
     the double-rejection atom at x itself is excluded. Requires a kernel with
     a finite one-step window.
     """
-    _require_density(kernel)
     value, err = _two_step_densities(kernel, np.array([float(x)]), np.array([float(y)]))
     return float(value[0]), float(err[0])
 
@@ -371,7 +356,6 @@ def verify_minorization_numeric(
     samplers. ``nu_density`` takes numpy arrays. Pairs run x-major in chunks;
     the first pair with the smallest margin is reported.
     """
-    _require_density(kernel)
     if lag not in (1, 2):
         raise InputError(f"lag must be 1 or 2, got {lag}")
     xs = np.asarray(probe_x, dtype=float).ravel()
@@ -437,11 +421,10 @@ def containment_escape_mass(
         return 0.0
     if n_steps > 2:
         raise InputError("escape-mass quadrature supported for n_steps <= 2 only")
-    _require_density(kernel)
     density = kernel.transition_density
     x = np.array([small_set.lo, small_set.hi], dtype=float)
     lo, hi = _window(kernel, x)
-    kept_atom = np.where(region.contains(x), _atom(kernel, x) ** n_steps, 0.0)
+    kept_atom = np.where(region.contains(x), kernel.atom_mass(x) ** n_steps, 0.0)
     breaks = _breaks(kernel, x)
     if n_steps == 1:
         lo, hi = np.maximum(lo, region.lo), np.minimum(hi, region.hi)

@@ -84,8 +84,9 @@ def laplace_escape_mass() -> float:
     from .kernels.chains import metropolis_rwm_laplace
     from .kernels.verify import containment_escape_mass
 
-    kernel, _ = metropolis_rwm_laplace()
-    return containment_escape_mass(kernel, _CERT.small_set, LAPLACE_REGION, n_steps=_CERT.n0)
+    return containment_escape_mass(
+        metropolis_rwm_laplace(), _CERT.small_set, LAPLACE_REGION, n_steps=_CERT.n0
+    )
 
 
 def laplace_drift_minorization_inputs(

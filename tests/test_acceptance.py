@@ -168,7 +168,7 @@ def test_criterion_08_laplace_two_term_pipeline():
     precondition = drift.b / (1.0 - drift.lam) - 1.0
     assert abs(precondition - 2.39) <= 0.01
 
-    kernel, _ = metropolis_rwm_laplace()
+    kernel = metropolis_rwm_laplace()
     sup_rh = sup_rh_via_containment(
         drift.V,
         presets.LAPLACE_REGION,
@@ -201,7 +201,7 @@ def test_criterion_08_laplace_two_term_pipeline():
 
 
 def test_criterion_09_drift_verification():
-    kernel, _ = metropolis_rwm_laplace()
+    kernel = metropolis_rwm_laplace()
     verif = verify_univariate_drift(
         kernel,
         presets.laplace_drift(),

@@ -386,7 +386,14 @@ class TestSimulate:
           "--record-every", "4"],
          "3f45ec8a69edbed6919f0476e9064c997e1d9e5af45963e9893cfd902b859bd2",
          "4c021b896e5d768bb78f54be55012264faaac0b94f78039d78977eb33741914a"),
-    ], ids=["grid-pseudo", "grid-uniform", "halfline", "rwm-laplace"])
+        (["--halfline", "--n-max", "6", "--reps", "300"],
+         "65998f447006604c3df54929d8b16ec341602e2f73836d96e900e442d7dde656",
+         "d233a22a2698de5c351c3d00650c5af9836164cdade52eb98341fb29b7b64efa"),
+        (["--grid", "3x3", "--cert", "pseudo", "--n-max", "12", "--reps", "500"],
+         "7c035fdd21abeacc1fb6ed913d39a930d49daafcdd3d27d4b946f2d36d38af10",
+         "fc51cec4a79489f9d043a536e9620e6187b86a4ce7336e66a6d97c2d69762e82"),
+    ], ids=["grid-pseudo", "grid-uniform", "halfline", "rwm-laplace", "halfline-burn-in-0",
+            "grid-pseudo-trajectories"])
     def test_seeded_bytes_pinned(self, capsys, tmp_path, argv, stdout_digest, traj_digest):
         # the random stream contract: a seed gives these bytes on every version
         # until a change says otherwise
@@ -503,6 +510,33 @@ class TestOutputs:
             capsys, "finite", "tv-exact", "--grid", "3x3", "--format", "csv"
         )
         assert code == 2
+
+    def test_csv_without_output_dir_is_refused_before_the_run(self, capsys, monkeypatch):
+        def must_not_run(config):
+            raise AssertionError("the coupling ran before --format csv was refused")
+
+        monkeypatch.setattr("mcbounds.coupling.run_coupling", must_not_run)
+        argv = ["simulate", "--grid", "5x5", "--n0", "6", "--reps", "200000", "--format", "csv"]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "mcbounds: error: --format csv requires --output DIR\n"
+
+    @pytest.mark.parametrize("argv", [
+        ["finite", "stationary", "--grid", "3x3"],
+        ["finite", "minorization", "--grid", "3x3", "--n0", "2"],
+        ["finite", "pseudo", "--grid", "3x3", "--n0", "2"],
+        ["verify", "minorization", "--preset", "halfline", "--probe-step", "1.0"],
+    ], ids=["stationary", "minorization", "pseudo", "verify-minorization"])
+    def test_csv_of_a_report_without_tables_writes_its_json(self, capsys, tmp_path, argv):
+        # on stdout and under --output alike, csv means json for these reports
+        assert main([*argv, "--format", "csv"]) == 0
+        printed = capsys.readouterr().out
+        assert main([*argv, "--output", str(tmp_path), "--format", "csv"]) == 0
+        assert capsys.readouterr().out == ""
+        stem = f"{argv[0]}-{argv[1]}"
+        assert [p.name for p in tmp_path.iterdir()] == [f"{stem}.json"]
+        assert (tmp_path / f"{stem}.json").read_text() == printed
 
     @pytest.mark.parametrize("argv,message", [
         (["finite", "tv-exact", "--grid", "3x3", "--delta", "1.5"], "delta must be in (0, 1)"),

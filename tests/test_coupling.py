@@ -231,57 +231,6 @@ def test_mode_follows_from_the_model_and_certificate(grid, model, mode):
     assert run_coupling(config).mode == mode
 
 
-class TestStopWhenCoupled:
-    """Runs that stop at coupling: frozen recorded slots, exact coupling times."""
-
-    @staticmethod
-    def config(model, **kwargs):
-        common = dict(master_seed=31, replications=2_000, stop_when_coupled=True)
-        if model == "finite":
-            grid = build_grid_walk(3, 3)
-            return CouplingConfig(
-                model="finite", n_max=20, matrix=grid, cert=minorization_pseudo(grid, 2),
-                initial_law=ProbVector.delta(9, 0), **common, **kwargs,
-            )
-        return CouplingConfig(model="halfline", n_max=12, burn_in=50, **common, **kwargs)
-
-    @pytest.mark.parametrize("model", ["finite", "halfline"])
-    def test_slots_after_coupling_are_frozen(self, model):
-        res = run_coupling(self.config(model))
-        eq = res.xs == res.xps
-        first = np.where(eq.any(axis=1), eq.argmax(axis=1), -1)
-        coupled = first >= 0
-        assert coupled.mean() > 0.5  # the frozen-slot check below is not vacuous
-        later = (np.arange(eq.shape[1]) >= first[:, None]) & coupled[:, None]
-        at_coupling = res.xs[np.arange(first.size), first]
-        assert np.all(~later | (res.xs == at_coupling[:, None]))
-        assert np.all(~later | (res.xps == at_coupling[:, None]))
-        # the recorded first coincidence is the engine's coupling step
-        assert res.uncoupled == int((~coupled).sum())
-        assert res.coupling_time_mean == float((first[coupled] * res.n0).mean())
-
-    @pytest.mark.parametrize("model", ["finite", "halfline"])
-    def test_coupling_times_exact_between_recorded_points(self, model):
-        full = run_coupling(self.config(model))
-        thinned = run_coupling(self.config(model, record_every=3))
-        assert np.array_equal(thinned.xs, full.xs[:, ::3])
-        assert np.array_equal(thinned.xps, full.xps[:, ::3])
-        assert thinned.coupling_time_mean == full.coupling_time_mean
-        assert thinned.coupling_time_quantiles == full.coupling_time_quantiles
-        assert thinned.uncoupled == full.uncoupled
-
-    def test_finite_p_neq_matches_the_exact_pair_chain(self, grid):
-        config = CouplingConfig(
-            model="finite", n_max=20, replications=20_000, master_seed=99, matrix=grid,
-            cert=minorization_pseudo(grid, 2), initial_law=ProbVector.delta(9, 0),
-            stop_when_coupled=True,
-        )
-        res = run_coupling(config)
-        exact_p, _ = pair_chain_oracle(config)
-        p_se = np.sqrt(exact_p * (1.0 - exact_p) / config.replications)
-        assert np.all(np.abs(np.array(res.p_neq) - exact_p) <= 4.0 * p_se + 1e-12)
-
-
 class TestRecordEvery:
     """Every engine keeps every record_every-th lattice point of the same paths."""
 
@@ -749,19 +698,6 @@ class TestRwmSmallSetCoupling:
         _, res = rwm_run
         eq = res.xs == res.xps
         assert np.all(~eq[:, :-1] | eq[:, 1:])
-
-    def test_thousand_replications_all_couple_within_step_cap(self):
-        config = CouplingConfig(
-            model="rwm-laplace",
-            n_max=1_000_000,
-            replications=1_000,
-            master_seed=2_024,
-            record_every=500_000,
-            stop_when_coupled=True,
-        )
-        res = run_coupling(config)
-        assert res.uncoupled <= 10  # at least 99% must couple; typically all do
-        assert res.coupling_time_mean < 2_000
 
 
 class TestDeterminism:

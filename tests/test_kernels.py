@@ -3,7 +3,6 @@
 import dataclasses
 import json
 import math
-import warnings
 
 import numpy as np
 import pytest
@@ -15,11 +14,10 @@ from scipy.stats import ks_2samp, kstest
 import scalar_reference as sref
 from mcbounds.bounds import CERTIFICATES, Interval, UnivariateDrift, point_process_overlap
 from mcbounds import presets
-from mcbounds.errors import ContainmentError, InputError, MathError, QuadratureError
+from mcbounds.errors import ContainmentError, InputError, QuadratureError
 from mcbounds.kernels import laws, verify
 from mcbounds.kernels.chains import (
     halfline_mixture_kernel,
-    metropolis_point_process,
     metropolis_rwm_laplace,
 )
 from mcbounds.kernels.verify import (
@@ -40,13 +38,6 @@ def laplace_cdf(q):
     return np.where(q < 0.0, tail, 1.0 - tail)
 
 
-def batch_se(indicator: np.ndarray, n_batches: int = 100) -> float:
-    """Standard error of a correlated binary/real series via batch means."""
-    usable = (indicator.size // n_batches) * n_batches
-    batches = indicator[:usable].reshape(n_batches, -1).mean(axis=1)
-    return float(batches.std(ddof=1) / math.sqrt(n_batches))
-
-
 @pytest.fixture(scope="module")
 def halfline():
     return halfline_mixture_kernel()
@@ -55,11 +46,6 @@ def halfline():
 @pytest.fixture(scope="module")
 def rwm():
     return metropolis_rwm_laplace()
-
-
-@pytest.fixture(scope="module")
-def point_process():
-    return metropolis_point_process(0.1, 0.1)
 
 
 class TestHalflineDensity:
@@ -83,12 +69,12 @@ class TestHalflineDensity:
 
 class TestRwmDensity:
     def test_acceptance_zero_to_one(self, rwm):
-        kernel, _ = rwm
+        kernel = rwm
         # uniform proposal density 1/4 times the acceptance e^-1
         assert kernel.transition_density(0.0, 1.0) == pytest.approx(0.25 * math.exp(-1.0))
 
     def test_density_plus_atom_normalizes(self, rwm):
-        kernel, _ = rwm
+        kernel = rwm
         for x in (-3.0, 0.0, 5.0):
             mass, _ = quad(
                 lambda y: kernel.transition_density(x, y),
@@ -100,7 +86,7 @@ class TestRwmDensity:
             assert mass + kernel.atom_mass(x) == pytest.approx(1.0, abs=1e-8)
 
     def test_two_step_closed_form_matches_quadrature(self, rwm):
-        kernel, _ = rwm
+        kernel = rwm
         rng = np.random.default_rng(11)
         for _ in range(40):
             x = rng.uniform(-4, 4)
@@ -111,23 +97,13 @@ class TestRwmDensity:
             )
 
     def test_detailed_balance(self, rwm):
-        kernel, target = rwm
+        # with respect to the target exp(-|x|)
         rng = np.random.default_rng(5)
         for _ in range(50):
             x = rng.uniform(-4, 4)
             y = x + rng.uniform(-2, 2)
-            lhs = math.exp(target.log_unnormalized(x)) * kernel.transition_density(x, y)
-            rhs = math.exp(target.log_unnormalized(y)) * kernel.transition_density(y, x)
-            assert lhs == pytest.approx(rhs, abs=1e-10)
-
-    def test_detailed_balance_point_process(self, point_process):
-        kernel, target = point_process
-        rng = np.random.default_rng(6)
-        for _ in range(25):
-            x = rng.random(6)
-            y = rng.random(6)
-            lhs = math.exp(target.log_unnormalized(x)) * kernel.transition_density(x, y)
-            rhs = math.exp(target.log_unnormalized(y)) * kernel.transition_density(y, x)
+            lhs = math.exp(-abs(x)) * rwm.transition_density(x, y)
+            rhs = math.exp(-abs(y)) * rwm.transition_density(y, x)
             assert lhs == pytest.approx(rhs, abs=1e-10)
 
 
@@ -145,7 +121,7 @@ class TestMinorizationVerification:
         assert report.min_margin >= 0.0
 
     def test_rwm_two_step_overlap(self, rwm):
-        kernel, _ = rwm
+        kernel = rwm
         nu = lambda y: np.where(np.abs(y) <= 1.0, 0.5, 0.0)
         report = verify_minorization_numeric(
             kernel,
@@ -163,11 +139,6 @@ class TestMinorizationVerification:
             halfline, 1, 0.0, laws.hl_nu_density, [0.0], [0.0]
         )
         assert report.passed
-
-    def test_point_process_unsupported(self, point_process):
-        kernel, _ = point_process
-        with pytest.raises(InputError):
-            verify_minorization_numeric(kernel, 1, 0.1, lambda y: 1.0, [0], [0])
 
     def test_report_holds_builtin_scalars(self, halfline):
         # numpy probes must not leak np.bool_/np.float64 into the report:
@@ -197,7 +168,7 @@ class TestBuiltInCertificates:
         if model == "halfline":
             kernel, nu, x_range, y_range = halfline, laws.hl_nu_density, (0.0, 20.0), (0.0, 20.0)
         else:
-            kernel, nu = rwm[0], laws.rwm_nu_density
+            kernel, nu = rwm, laws.rwm_nu_density
             x_range, y_range = (cert.small_set.lo, cert.small_set.hi), (-1.0, 1.0)
         probe_x, probe_y = (
             np.arange(lo, hi + 1e-9, 0.1) for lo, hi in (small_set or x_range, y_range)
@@ -241,7 +212,7 @@ def laplace_drift():
 
 class TestDriftVerification:
     def test_laplace_drift_passes_on_standard_grid(self, rwm):
-        kernel, _ = rwm
+        kernel = rwm
         report = verify_univariate_drift(
             kernel, laplace_drift(), np.arange(-10.0, 10.0 + 1e-9, 0.05)
         )
@@ -250,7 +221,7 @@ class TestDriftVerification:
         assert report.quadrature_error_estimate < 1e-8
 
     def test_spot_value_matches_closed_form(self, rwm):
-        kernel, _ = rwm
+        kernel = rwm
         pv, _ = expected_value_after_step(kernel, lambda y: np.exp(np.abs(y) / 2.0), 6.0)
         closed = 0.25 * math.exp(3.0) * (
             2.0 * (1.0 - math.exp(-1.0))
@@ -261,7 +232,7 @@ class TestDriftVerification:
         assert pv / math.exp(3.0) == pytest.approx(0.9159, abs=1e-3)
 
     def test_constant_drift_function_always_passes(self, rwm):
-        kernel, _ = rwm
+        kernel = rwm
         drift = UnivariateDrift(
             V=lambda x: 1.0, small_set=Interval(-10.0, 10.0), lam=0.5, b=1.0
         )
@@ -269,7 +240,7 @@ class TestDriftVerification:
         assert report.passed
 
     def test_report_holds_builtin_scalars(self, rwm):
-        kernel, _ = rwm
+        kernel = rwm
         drift = UnivariateDrift(
             V=lambda x: np.exp(np.abs(x) / 2.0),  # numpy arrays in, builtins out
             small_set=Interval(-2.0, 2.0),
@@ -285,7 +256,7 @@ class TestDriftVerification:
         json.dumps(dataclasses.asdict(report))
 
     def test_understated_constants_fail(self, rwm):
-        kernel, _ = rwm
+        kernel = rwm
         drift = UnivariateDrift(
             V=lambda x: np.exp(np.abs(x) / 2.0),
             small_set=Interval(-2.0, 2.0),
@@ -297,21 +268,21 @@ class TestDriftVerification:
         assert report.max_violation > 0.1
 
     def test_empty_probe_grid_is_refused(self, rwm):
-        kernel, _ = rwm
+        kernel = rwm
         with pytest.raises(InputError, match="at least one probe"):
             verify_univariate_drift(kernel, laplace_drift(), np.arange(5.0, 1.0, 0.5))
 
 
 class TestContainment:
     def test_two_steps_from_small_set_stay_inside(self, rwm):
-        kernel, _ = rwm
+        kernel = rwm
         escape = containment_escape_mass(
             kernel, Interval(-2.0, 2.0), Interval(-6.0, 6.0), n_steps=2
         )
         assert escape == 0.0
 
     def test_too_small_region_leaks(self, rwm):
-        kernel, _ = rwm
+        kernel = rwm
         escape = containment_escape_mass(
             kernel, Interval(-2.0, 2.0), Interval(-3.0, 3.0), n_steps=2
         )
@@ -328,7 +299,7 @@ class TestContainment:
         # scipy integrates the closed-form two-step density piece by piece,
         # split at every kink: the jumps at x -+ 2, the kinks 0, -+|x| of
         # p(x, .), those shifted by -+2, and |y| = 1 of the atom term
-        kernel, _ = rwm
+        kernel = rwm
         worst = 0.0
         for x in (small.lo, small.hi):
             lo, hi = max(region.lo, x - 4.0), min(region.hi, x + 4.0)
@@ -353,7 +324,7 @@ class TestContainment:
         # the kernels, integrates, and the t2 constants refuse the leak
         region = Interval(-5.0, 5.5)
         monkeypatch.setattr(presets, "LAPLACE_REGION", region)
-        kernel, _ = rwm
+        kernel = rwm
         small_set = CERTIFICATES["rwm-laplace"].small_set
         escape = containment_escape_mass(kernel, small_set, region, 2)
         assert escape > 1e-3
@@ -409,7 +380,7 @@ class TestBatchQuad:
     @settings(max_examples=60, deadline=None)
     @given(st.floats(-4.0, 4.0), st.floats(-4.0, 4.0))
     def test_rwm_two_step_convolution(self, rwm, x, d):
-        kernel, _ = rwm
+        kernel = rwm
         y = x + d
         got, err = two_step_density(kernel, x, y)
         assert got == pytest.approx(scipy_two_step(x, y), rel=1e-12, abs=1e-12)
@@ -418,7 +389,7 @@ class TestBatchQuad:
     @settings(max_examples=60, deadline=None)
     @given(st.floats(-10.0, 10.0))
     def test_drift_integrand(self, rwm, x):
-        kernel, _ = rwm
+        kernel = rwm
         got, _ = expected_value_after_step(kernel, lambda y: np.exp(np.abs(y) / 2.0), x)
         want = scipy_integral(
             lambda w: sref.rwm_density(x, w) * math.exp(abs(w) / 2.0), x - 2.0, x + 2.0,
@@ -462,7 +433,7 @@ class TestBatchQuad:
     @pytest.mark.parametrize("region", [Interval(-6.0, 6.0), Interval(-3.0, 3.0)])
     @pytest.mark.parametrize("n_steps", [1, 2])
     def test_containment_escape_mass(self, rwm, region, n_steps):
-        kernel, _ = rwm
+        kernel = rwm
         worst = 0.0
         for x in (-2.0, 2.0):
             reach = 2.0 * n_steps
@@ -539,17 +510,18 @@ class TestPointProcessOverlap:
         assert direct == pytest.approx(via_log, rel=1e-12)
         assert direct == pytest.approx(0.48 * math.exp(-14.13), rel=1e-12)
 
-    def test_overlap_monte_carlo_lower_bound(self, point_process):
-        # sampled continuous-part overlap between two fixed starts must not
-        # sit below the published constant
-        _, target = point_process
+    def test_overlap_monte_carlo_lower_bound(self):
+        # the independence Metropolis chain proposes uniformly on [0, 1]^6 and
+        # moves from x to y with density min(1, pi(y) / pi(x)); the sampled
+        # overlap of those densities from two fixed starts must not sit below
+        # the published constant
         config_a = np.array([0.1, 0.1, 0.1, 0.9, 0.9, 0.5])
         config_b = np.array([0.9, 0.9, 0.2, 0.1, 0.6, 0.6])
-        log_a = target.log_unnormalized(config_a)
-        log_b = target.log_unnormalized(config_b)
+        log_a = laws.pp_log_target(config_a, 0.1, 0.1)
+        log_b = laws.pp_log_target(config_b, 0.1, 0.1)
         rng = np.random.default_rng(42)
         ys = rng.random((100_000, 6))
-        log_t = target.log_unnormalized(ys)
+        log_t = laws.pp_log_target(ys, 0.1, 0.1)
         overlap = np.minimum(
             np.minimum(1.0, np.exp(log_t - log_a)),
             np.minimum(1.0, np.exp(log_t - log_b)),
@@ -560,12 +532,7 @@ class TestPointProcessOverlap:
 
 
 class TestSamplerCorrectness:
-    def test_trajectories_deterministic_in_seed(self, point_process):
-        kernel, _ = point_process
-        x0 = np.array([0.2, 0.2, 0.8, 0.3, 0.5, 0.9])
-        path_a, accepts_a = kernel.trajectory(x0, 500, seed=7)
-        path_b, accepts_b = kernel.trajectory(x0, 500, seed=7)
-        assert path_a.tobytes() == path_b.tobytes() and accepts_a == accepts_b
+    def test_trajectories_deterministic_in_seed(self):
         for draw in (laws.hl_stationary, laws.rwm_stationary):
             a = draw(np.random.default_rng(7), 500)
             assert a.tobytes() == draw(np.random.default_rng(7), 500).tobytes()
@@ -588,7 +555,7 @@ class TestSamplerCorrectness:
         assert ks_2samp(exact, stepped).pvalue > 0.01
 
     def test_rwm_one_step_histogram_matches_density(self, rwm):
-        kernel, _ = rwm
+        kernel = rwm
         x = 0.7
         samples = laws.rwm_step(np.random.default_rng(123), np.full(1_000_000, x))
         stayed = samples == x
@@ -629,75 +596,11 @@ class TestSamplerCorrectness:
         stepped = laws.rwm_step(rng, laws.rwm_stationary(rng, 200_000))
         assert kstest(stepped, laplace_cdf).pvalue > 0.01
 
-    def test_point_process_matches_direct_sampling_oracle(self, point_process):
-        kernel, _ = point_process
-        path, _ = kernel.trajectory(
-            np.array([0.2, 0.2, 0.8, 0.3, 0.5, 0.9]), 120_000, seed=17
-        )
-        path = path[2000:]
-        oracle, _ = kernel.direct_samples(120_000, seed=18)
-        for coord, q in ((0, 0.3), (1, 0.5), (3, 0.7), (4, 0.2), (5, 0.8)):
-            chain_ind = (path[:, coord] <= q).astype(float)
-            oracle_ind = (oracle[:, coord] <= q).astype(float)
-            se = math.hypot(
-                batch_se(chain_ind),
-                float(oracle_ind.std(ddof=1)) / math.sqrt(oracle_ind.size),
-            )
-            assert chain_ind.mean() == pytest.approx(oracle_ind.mean(), abs=3 * se)
-
-    def test_point_process_acceptance_rate_reproducible(self, point_process):
-        kernel, _ = point_process
-        x0 = np.array([0.2, 0.2, 0.8, 0.3, 0.5, 0.9])
-        _, accepts_a = kernel.trajectory(x0, 100_000, seed=31)
-        _, accepts_b = kernel.trajectory(x0, 100_000, seed=77)
-        rate_a = accepts_a / 100_000
-        rate_b = accepts_b / 100_000
-        se = math.sqrt(rate_a * (1 - rate_a) / 100_000)
-        assert rate_a == pytest.approx(rate_b, abs=3 * math.hypot(se, se))
-
-    def test_point_process_direct_samples_finish_at_low_acceptance(self):
-        kernel, target = metropolis_point_process(0.5, 0.5)
-        samples, proposals = kernel.direct_samples(120_000, seed=3)
-        assert samples.shape == (120_000, 6)
-        assert np.all((samples >= 0.0) & (samples < 1.0))
-        assert np.all(np.isfinite(target.log_unnormalized(samples)))
-        # about 1.4 % of uniform proposals are accepted at c = d = 0.5
-        assert 0.012 < samples.shape[0] / proposals < 0.016
-
-    def test_point_process_direct_samples_give_up_at_the_round_cap(self):
-        kernel, _ = metropolis_point_process(3.0, 3.0)
-        with pytest.raises(MathError, match="1000 of 1000 direct samples still pending"):
-            kernel.direct_samples(1000, seed=3)
-
-    def test_point_process_log_target_matches_the_scalar_one(self, point_process):
-        _, target = point_process
+    def test_point_process_log_target_matches_the_scalar_one(self):
         states = np.random.default_rng(8).random((4, 50, 6))
         states[1, 7, 2:4] = states[1, 7, 0:2]  # particles 1 and 2 coincide
-        got = target.log_unnormalized(states)
+        got = laws.pp_log_target(states, 0.1, 0.1)
         assert got.shape == (4, 50)
         want = [[sref.pp_log_target(s, 0.1, 0.1) for s in block] for block in states]
         assert got == pytest.approx(np.array(want), rel=1e-13)
         assert got[1, 7] == -math.inf
-
-    def test_coincident_particles_invalid_start_and_always_rejected(
-        self, point_process
-    ):
-        kernel, target = point_process
-        coincident = np.array([0.5, 0.5, 0.5, 0.5, 0.1, 0.9])
-        assert target.log_unnormalized(coincident) == -math.inf
-        with pytest.raises(InputError):
-            kernel.trajectory(coincident, 10, seed=1)
-        valid = np.array([0.2, 0.2, 0.8, 0.3, 0.5, 0.9])
-        assert kernel.transition_density(valid, coincident) == 0.0
-        # moves out of a zero-density state are always accepted
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            assert kernel.transition_density(coincident, valid) == 1.0
-            assert kernel.transition_density(coincident, coincident) == 1.0
-
-    def test_acceptance_certain_when_target_increases(self, point_process):
-        kernel, target = point_process
-        better = np.array([0.1, 0.1, 0.9, 0.1, 0.1, 0.9])
-        worse = np.array([0.5, 0.45, 0.55, 0.5, 0.5, 0.55])
-        assert target.log_unnormalized(better) > target.log_unnormalized(worse)
-        assert kernel.transition_density(worse, better) == 1.0
