@@ -14,8 +14,8 @@ import pytest
 
 import mcbounds
 from mcbounds import finite_chain
-from mcbounds.bounds import CERTIFICATES
-from mcbounds.cli import main
+from mcbounds.bounds import CERTIFICATES, LAPLACE_SCHEDULE
+from mcbounds.cli import _TABLELESS, main
 from mcbounds.finite_chain import build_grid_walk
 
 SCHEMA = json.loads(
@@ -223,7 +223,11 @@ class TestBound:
         (["--epsilon", "0"], "epsilon must be in (0, 1], got 0"),
         (["--epsilon", "3/2"], "epsilon must be in (0, 1], got 3/2"),
         (["--pointprocess", "0,1"], "need c > 0 and d > 0, got c=0.0, d=1.0"),
-    ], ids=["no-epsilon", "epsilon-0", "epsilon-3/2", "pointprocess-c-0"])
+        (["--epsilon", "1e-300"],
+         "epsilon 1e-300 rounds to 0 at denominators up to 10**12; pass it as p/q"),
+        (["--epsilon", "inf"], "cannot parse 'inf' as a probability"),
+    ], ids=["no-epsilon", "epsilon-0", "epsilon-3/2", "pointprocess-c-0", "epsilon-1e-300",
+            "epsilon-inf"])
     def test_t1_bad_overlap_exits_2(self, capsys, argv, message):
         assert main(["bound", "t1", *argv]) == 2
         captured = capsys.readouterr()
@@ -249,6 +253,17 @@ class TestBound:
         assert abs(res["constants"]["B"] - 20.04) <= 0.05
         assert res["constants"]["expected_h"] == 2.0
         assert report["provenance"]["alpha_inv"].startswith("computed")
+
+    def test_t2_check_point_defaults_to_the_schedule(self, capsys):
+        # the parser states the defaults without loading bounds; t2 fills them in
+        with pytest.raises(SystemExit):
+            main(["bound", "--help"])
+        help_text = " ".join(capsys.readouterr().out.split())
+        for value in LAPLACE_SCHEDULE:
+            assert f"(default: the preset's, {value})" in help_text
+        code, report = run_cli(capsys, "bound", "t2")
+        assert code == 0
+        assert (report["config"]["check_n"], report["config"]["check_j"]) == LAPLACE_SCHEDULE
 
     def test_t2_fallback_expected_h(self, capsys):
         code, report = run_cli(
@@ -521,6 +536,11 @@ class TestOutputs:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == "mcbounds: error: --format csv requires --output DIR\n"
+        # the message names the format given
+        assert main([*argv[:-1], "both"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "mcbounds: error: --format both requires --output DIR\n"
 
     @pytest.mark.parametrize("argv", [
         ["finite", "stationary", "--grid", "3x3"],
@@ -537,6 +557,43 @@ class TestOutputs:
         stem = f"{argv[0]}-{argv[1]}"
         assert [p.name for p in tmp_path.iterdir()] == [f"{stem}.json"]
         assert (tmp_path / f"{stem}.json").read_text() == printed
+
+    @pytest.mark.parametrize("argv,analysis", [
+        (["finite", "stationary", "--grid", "3x3"], "stationary"),
+        (["finite", "eigen-bound", "--grid", "3x3"], "eigen-bound"),
+        (["finite", "minorization", "--grid", "3x3", "--n0", "2"], "minorization"),
+        (["finite", "pseudo", "--grid", "3x3", "--n0", "2"], "pseudo"),
+        (["finite", "tv-exact", "--grid", "3x3", "--n0", "2", "--n", "10"], "tv-exact"),
+        (["bound", "t1", "--epsilon", "1/2"], "t1"),
+        (["bound", "t2"], "t2"),
+        (["simulate", "--grid", "2x2", "--n-max", "4", "--reps", "20", "--seed", "1"], "grid"),
+        (["simulate", "--halfline", "--n-max", "2", "--reps", "20", "--seed", "1"], "halfline"),
+        (["simulate", "--rwm-laplace", "--n-max", "2", "--reps", "20", "--seed", "1"],
+         "rwm-laplace"),
+        (["verify", "drift", "--grid-step", "1.0"], "drift"),
+        (["verify", "minorization", "--preset", "halfline", "--probe-step", "1.0"],
+         "minorization"),
+        (["verify", "minorization", "--preset", "rwm-laplace", "--probe-step", "0.5"],
+         "minorization"),
+    ], ids=["finite-stationary", "finite-eigen-bound", "finite-minorization", "finite-pseudo",
+            "finite-tv-exact", "bound-t1", "bound-t2", "simulate-grid", "simulate-halfline",
+            "simulate-rwm-laplace", "verify-drift", "verify-minorization-halfline",
+            "verify-minorization-rwm-laplace"])
+    def test_declared_tables_match_the_written_ones(self, capsys, tmp_path, argv, analysis):
+        # _prepare_outputs refuses csv without --output from _TABLELESS alone,
+        # before the run; the reports must agree with it
+        assert main([*argv, "--output", str(tmp_path), "--format", "both"]) == 0
+        assert capsys.readouterr().out == ""
+        stem = f"{argv[0]}-{analysis}"
+        names = sorted(p.name for p in tmp_path.iterdir())
+        if (argv[0], analysis) in _TABLELESS:
+            assert names == [f"{stem}.json"]
+        else:
+            assert f"{stem}.json" in names and len(names) >= 2
+            for name in names:
+                assert name == f"{stem}.json" or (
+                    name.startswith(f"{stem}-") and name.endswith(".csv")
+                ), name
 
     @pytest.mark.parametrize("argv,message", [
         (["finite", "tv-exact", "--grid", "3x3", "--delta", "1.5"], "delta must be in (0, 1)"),
@@ -698,18 +755,67 @@ class TestStartup:
         # and dis, which only numpy's commands load anyway
         exact_layers = {
             "__init__.py", "cli.py", "bounds.py", "finite_chain.py", "errors.py", "presets.py",
+            "commands/__init__.py", "commands/finite.py", "commands/bound.py",
         }
         heavy = {"numpy", "coupling", "kernels", "presets", "dataclasses"}
         package = Path(mcbounds.__file__).resolve().parent
         checked = set()
         for path, tree in self.sources():
-            if path.parent != package or path.name not in exact_layers:
+            name = path.relative_to(package).as_posix()
+            if name not in exact_layers:
                 continue
-            checked.add(path.name)
+            checked.add(name)
             for node in _top_level_imports(tree):
                 parts = _imported_parts(node)
-                assert not parts & heavy, (path.name, node.lineno, sorted(parts & heavy))
+                assert not parts & heavy, (name, node.lineno, sorted(parts & heavy))
         assert checked == exact_layers
+
+    def test_cli_imports_only_argparse_and_sys_at_top_level(self):
+        # everything else cli uses loads after parse_args, inside the function
+        # that uses it, and each command's code loads with its own module
+        package = Path(mcbounds.__file__).resolve().parent
+        imported = set()
+        for node in _top_level_imports(ast.parse((package / "cli.py").read_text())):
+            if isinstance(node, ast.Import):
+                imported |= {alias.name for alias in node.names}
+            else:
+                base = "." * node.level + (node.module or "")
+                imported |= {base if node.module else base + alias.name for alias in node.names}
+        assert imported <= {"__future__", "argparse", "sys", ".__version__"}
+
+    def test_parsing_loads_no_layer(self):
+        # the parser for every subcommand, and --help, run on argparse alone
+        argvs = [
+            ["finite", "tv-exact", "--grid", "3x3", "--n0", "2"],
+            ["bound", "t2", "--check-n", "500"],
+            ["simulate", "--grid", "3x3", "--format", "csv"],
+            ["verify", "minorization", "--preset", "halfline"],
+            ["--help"],
+        ]
+        late = ("mcbounds.bounds", "mcbounds.errors", "fractions", "json", "numpy")
+        out = self.run_script(
+            "import contextlib, io\n"
+            "from mcbounds.cli import build_parser\n"
+            f"for argv in {argvs!r}:\n"
+            "    with contextlib.redirect_stdout(io.StringIO()):\n"
+            "        try:\n"
+            "            build_parser().parse_args(argv)\n"
+            "        except SystemExit:\n"
+            "            assert argv == ['--help']\n"
+            f"print(sorted(m for m in {late!r} if m in sys.modules))\n"
+        )
+        assert out.strip() == "[]"
+
+    def test_a_refused_command_line_loads_no_command_code(self):
+        out = self.run_script(
+            "import contextlib, io\n"
+            "from mcbounds.cli import main\n"
+            "with contextlib.redirect_stderr(io.StringIO()):\n"
+            "    assert main(['simulate', '--grid', '3x3', '--format', 'csv']) == 2\n"
+            "    assert main(['finite', 'tv-exact', '--grid', '3x3', '--delta', '2']) == 2\n"
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'mcbounds'))\n"
+        )
+        assert out.strip() == "['mcbounds', 'mcbounds.cli', 'mcbounds.errors']"
 
     def test_only_the_record_base_refuses_assignment(self):
         # the validating records inherit __setattr__/__delattr__ (and equality,
