@@ -15,11 +15,9 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from types import MappingProxyType
-from typing import Callable, Mapping, NamedTuple, Sequence
+from typing import Callable, NamedTuple
 
 from .errors import (
-    ContainmentError,
     DriftConversionError,
     InputError,
     MathError,
@@ -50,6 +48,7 @@ __all__ = [
     "LAPLACE_SCHEDULE",
     "MAX_CURVE_POINTS",
     "MAX_POWER_BITS",
+    "MAX_STEPS",
     "RWM_STEP_RADIUS",
 ]
 
@@ -63,6 +62,9 @@ _EXP_OVERFLOW = 700.0
 # about a second on a 2-core x86 host); both limits raise InputError.
 MAX_CURVE_POINTS = 10_000
 MAX_POWER_BITS = 1 << 22
+
+# a threshold search gives up, with ThresholdNotReachedError, beyond this n
+MAX_STEPS = 10**9
 
 # reference (n, j) pair at which `bound t2` reports the Metropolis chain's
 # two-term bound, for regression
@@ -166,18 +168,13 @@ class BoundReport(NamedTuple):
 
     ``values`` holds floats for analytic bounds and ``Fraction`` entries for
     exact curves. ``js`` is populated only by the two-term drift bound, where
-    each lattice point carries the minimizing j. ``inputs`` records the
-    constants the curve was built from, for report provenance.
+    each lattice point carries the minimizing j.
     """
 
-    kind: str
     ns: tuple[int, ...]
     values: tuple
-    threshold: float | None = None
     crossing: int | None = None
     js: tuple[int, ...] | None = None
-    log_values: tuple[float, ...] | None = None
-    inputs: Mapping[str, object] = MappingProxyType({})
 
     def value_at(self, n: int) -> object:
         return self.values[self.ns.index(n)]
@@ -198,7 +195,7 @@ def minorization_bound(epsilon, n0: int, n: int):
     return (1 - epsilon) ** (n // n0)
 
 
-def minorization_curve(epsilon, n0: int, n_max: int, threshold: float | None = None) -> BoundReport:
+def minorization_curve(epsilon, n0: int, n_max: int) -> BoundReport:
     """Evaluate the geometric bound on n = 0..n_max, as floats.
 
     Each value is the float nearest the exact bound: powers of a rational
@@ -213,18 +210,7 @@ def minorization_curve(epsilon, n0: int, n_max: int, threshold: float | None = N
         )
     ns = tuple(range(n_max + 1))
     powers = _geometric_powers(1 - epsilon, n_max // n0)
-    values = tuple(powers[n // n0] for n in ns)
-    crossing = None
-    if threshold is not None:
-        crossing = minorization_crossing(epsilon, n0, threshold)
-    return BoundReport(
-        kind="minorization-geometric",
-        ns=ns,
-        values=values,
-        threshold=threshold,
-        crossing=crossing,
-        inputs={"epsilon": float(epsilon), "n0": n0},
-    )
+    return BoundReport(ns=ns, values=tuple(powers[n // n0] for n in ns))
 
 
 def _geometric_powers(base, k_max: int) -> list[float]:
@@ -249,7 +235,7 @@ def minorization_crossing(epsilon, n0: int, delta: float) -> int:
     or two further in the rare case the estimate is off). Raises
     ``InputError`` when an exact power at the crossing would exceed
     ``MAX_POWER_BITS``, and ``ThresholdNotReachedError`` when the crossing
-    lies beyond the 10**9 steps ``steps_to_threshold`` searches by default.
+    lies beyond the ``MAX_STEPS`` steps ``steps_to_threshold`` searches.
     """
     if not 0 < delta < 1:
         raise InputError(f"delta must be in (0, 1), got {delta}")
@@ -272,9 +258,9 @@ def minorization_crossing(epsilon, n0: int, delta: float) -> int:
                 f"value there needs about {bits:.3g} bits, beyond the cap of "
                 f"{MAX_POWER_BITS} (epsilon too small for this delta)"
             )
-    if k_est * n0 > 10**9:
+    if k_est * n0 > MAX_STEPS:
         raise ThresholdNotReachedError(
-            f"bound does not fall below {delta} within {10**9} steps"
+            f"bound does not fall below {delta} within {MAX_STEPS} steps"
         )
 
     def below(k: int) -> bool:
@@ -291,13 +277,11 @@ def minorization_crossing(epsilon, n0: int, delta: float) -> int:
     raise MathError(f"log-space estimate {k_est} missed the crossing of the geometric bound")
 
 
-def steps_to_threshold(
-    bound: Callable[[int], float], delta: float, n_cap: int = 10**9
-) -> int:
+def steps_to_threshold(bound: Callable[[int], float], delta: float) -> int:
     """Smallest n >= 0 with bound(n) < delta, for a non-increasing bound.
 
     Doubling search for a bracket, then bisection. Raises
-    ``ThresholdNotReachedError`` if the bound stays >= delta up to ``n_cap``.
+    ``ThresholdNotReachedError`` if the bound stays >= delta up to ``MAX_STEPS``.
     """
     if not 0 < delta < 1:
         raise InputError(f"delta must be in (0, 1), got {delta}")
@@ -306,9 +290,9 @@ def steps_to_threshold(
     hi = 1
     while bound(hi) >= delta:
         hi *= 2
-        if hi > n_cap:
+        if hi > MAX_STEPS:
             raise ThresholdNotReachedError(
-                f"bound does not fall below {delta} within {n_cap} steps"
+                f"bound does not fall below {delta} within {MAX_STEPS} steps"
             )
     lo = hi // 2  # bound(lo) >= delta, bound(hi) < delta
     while hi - lo > 1:
@@ -420,11 +404,7 @@ def contained_by_step_radius(
 
 
 def sup_rh_via_containment(
-    V: Callable[[float], float],
-    region: Interval,
-    probe_step: float = 0.05,
-    containment: Callable[[], float] | None = None,
-    escape_tolerance: float = 1e-12,
+    V: Callable[[float], float], region: Interval, probe_step: float = 0.05
 ) -> float:
     """Bound sup of the post-failure expected h by sup of h over region x region.
 
@@ -433,16 +413,8 @@ def sup_rh_via_containment(
     is 0.5*(m+m), m the largest V on the grid: the same float the pairwise
     maximum gives, from one pass over the grid. Valid when every small-set
     start lands inside ``region`` with probability one after the minorization
-    lag. ``containment``, when given, returns the worst-case escaping mass and
-    is checked against ``escape_tolerance``.
+    lag, which the caller establishes (``contained_by_step_radius``).
     """
-    if containment is not None:
-        escape = containment()
-        if escape > escape_tolerance:
-            raise ContainmentError(
-                f"mass {escape:.3e} escapes the containment region "
-                f"[{region.lo}, {region.hi}]"
-            )
     m = max(V(x) for x in region.grid(probe_step))
     return 0.5 * (m + m)
 
@@ -492,17 +464,12 @@ def _best_j(inputs: DriftMinorizationInputs, n: int) -> int:
     return min(cands, key=lambda j: drift_minorization_bound(inputs, n, j))
 
 
-def optimize_drift_minorization(
-    inputs: DriftMinorizationInputs,
-    delta: float,
-    n_cap: int = 10**9,
-    schedule: Sequence[tuple[int, int]] = (),
-) -> BoundReport:
+def optimize_drift_minorization(inputs: DriftMinorizationInputs, delta: float) -> BoundReport:
     """Smallest n whose j-optimized two-term bound falls below ``delta``.
 
     The ``steps_to_threshold`` search over n >= 1; at each probed n the
-    integer j is optimized exactly. ``schedule`` lists extra (n, j) pairs to
-    evaluate for regression (reported under inputs["schedule"]).
+    integer j is optimized exactly. The report holds every probed n, its
+    bound and its j.
     """
     probes: dict[int, tuple[int, float]] = {}
 
@@ -512,37 +479,28 @@ def optimize_drift_minorization(
             probes[n] = (j, drift_minorization_bound(inputs, n, j))
         return probes[n][1]
 
-    crossing = steps_to_threshold(lambda n: probe(n) if n else math.inf, delta, n_cap)
+    crossing = steps_to_threshold(lambda n: probe(n) if n else math.inf, delta)
     ns = tuple(sorted(probes))
-    values = tuple(probes[n][1] for n in ns)
-    js = tuple(probes[n][0] for n in ns)
-    log_values = tuple(math.log(v) for v in values)
-    report_inputs: dict[str, object] = {
-        "epsilon": inputs.epsilon,
-        "n0": inputs.n0,
-        "alpha": inputs.alpha,
-        "B": inputs.big_b,
-        "expected_h": inputs.expected_h,
-        "optimal_j": probes[crossing][0],
-    }
-    if schedule:
-        report_inputs["schedule"] = [
-            {"n": n, "j": j, "bound": drift_minorization_bound(inputs, n, j)} for n, j in schedule
-        ]
     return BoundReport(
-        kind="drift-minorization",
         ns=ns,
-        values=values,
-        js=js,
-        log_values=log_values,
-        threshold=delta,
+        values=tuple(probes[n][1] for n in ns),
         crossing=crossing,
-        inputs=report_inputs,
+        js=tuple(probes[n][0] for n in ns),
     )
 
 
 def point_process_overlap(c: float, d: float) -> float:
-    """Published whole-space overlap constant for the particle chain."""
+    """Published whole-space overlap constant for the particle chain.
+
+    Raises ``InputError`` for a c or d that is not positive and finite, and
+    for an overlap too small to hold in a float.
+    """
     if not (c > 0 and d > 0):
         raise InputError(f"need c > 0 and d > 0, got c={c}, d={d}")
-    return 0.48 * math.exp(-4.25 * c - 9.88 * d)
+    for name, value in (("c", c), ("d", d)):
+        if value == math.inf:
+            raise InputError(f"{name} must be finite, got {name}={value}")
+    overlap = 0.48 * math.exp(-4.25 * c - 9.88 * d)
+    if overlap == 0:
+        raise InputError(f"the overlap constant at c={c}, d={d} underflows to 0")
+    return overlap

@@ -7,6 +7,7 @@ from fractions import Fraction
 
 from ..bounds import (
     LAPLACE_SCHEDULE,
+    drift_minorization_bound,
     minorization_crossing,
     minorization_curve,
     optimize_drift_minorization,
@@ -76,7 +77,8 @@ def run(args) -> tuple[_Report, int]:
     inputs, provenance = presets.laplace_drift_minorization_inputs(expected_h=args.expected_h)
     check_n = LAPLACE_SCHEDULE[0] if args.check_n is None else args.check_n
     check_j = LAPLACE_SCHEDULE[1] if args.check_j is None else args.check_j
-    opt = optimize_drift_minorization(inputs, args.delta, schedule=[(check_n, check_j)])
+    opt = optimize_drift_minorization(inputs, args.delta)
+    bound_at_crossing = opt.value_at(opt.crossing)
     config = {
         "preset": args.preset,
         "delta": args.delta,
@@ -84,7 +86,6 @@ def run(args) -> tuple[_Report, int]:
         "check_n": check_n,
         "check_j": check_j,
     }
-    sched = opt.inputs["schedule"][0]
     results = {
         "constants": {
             "lam": presets.LAPLACE_LAM,
@@ -97,13 +98,17 @@ def run(args) -> tuple[_Report, int]:
             "n0": inputs.n0,
         },
         "crossing": opt.crossing,
-        "optimal_j": opt.inputs["optimal_j"],
-        "bound_at_crossing": opt.value_at(opt.crossing),
-        "log_bound_at_crossing": math.log(opt.value_at(opt.crossing)),
-        "schedule_point": sched,
+        "optimal_j": opt.js[opt.ns.index(opt.crossing)],
+        "bound_at_crossing": bound_at_crossing,
+        "log_bound_at_crossing": math.log(bound_at_crossing),
+        "schedule_point": {
+            "n": check_n,
+            "j": check_j,
+            "bound": drift_minorization_bound(inputs, check_n, check_j),
+        },
         "curve": [
-            {"n": n, "j": j, "bound": v, "log_bound": lv}
-            for n, j, v, lv in zip(opt.ns, opt.js, opt.values, opt.log_values)
+            {"n": n, "j": j, "bound": v, "log_bound": math.log(v)}
+            for n, j, v in zip(opt.ns, opt.js, opt.values)
         ],
     }
     report = _Report("bound", "t2", config, results, provenance)

@@ -56,6 +56,16 @@ __all__ = [
     "minorization_margin",
 ]
 
+# exhaustive subset enumeration (``tv_distance_subset_sup``) stops at this size
+_SUBSET_MAX_STATES = 20
+
+# eigen_bound: the largest eigenvector-matrix condition number accepted, the
+# weight at or below which a mode does not count, and the distance within
+# which two eigenvalues form one cluster
+_COND_CAP = 1e8
+_COEFF_FLOOR = 1e-12
+_CLUSTER_TOL = 1e-7
+
 
 def _frac(value) -> Fraction:
     """Exact rational from Fraction, int, or a 'p/q' string. Floats rejected."""
@@ -191,10 +201,6 @@ class StochasticMatrix:
         return f"StochasticMatrix(rows={self.rows!r})"
 
     @classmethod
-    def from_rows(cls, rows: Iterable[Iterable]) -> "StochasticMatrix":
-        return cls(rows)
-
-    @classmethod
     def identity(cls, n: int) -> "StochasticMatrix":
         return cls.from_num_den([[int(i == j) for j in range(n)] for i in range(n)], 1)
 
@@ -231,7 +237,7 @@ class StochasticMatrix:
             rows = data["rows"]
         except (KeyError, TypeError) as exc:
             raise InputError(f"matrix JSON must have 'size' and 'rows': {exc}") from exc
-        matrix = cls.from_rows(rows)
+        matrix = cls(rows)
         if matrix.size != size:
             raise InputError(f"declared size {size} != actual size {matrix.size}")
         return matrix
@@ -449,7 +455,7 @@ def tv_distance(mu: ProbVector, nu: ProbVector) -> Fraction:
     return _tv(*_common_denominator(mu.entries), *_common_denominator(nu.entries))
 
 
-def tv_distance_subset_sup(mu: ProbVector, nu: ProbVector, max_size: int = 20) -> Fraction:
+def tv_distance_subset_sup(mu: ProbVector, nu: ProbVector) -> Fraction:
     """Total variation as the exhaustive sup over all subsets of states.
 
     Exponential in the state count; intended as an independent cross-check of
@@ -457,8 +463,8 @@ def tv_distance_subset_sup(mu: ProbVector, nu: ProbVector, max_size: int = 20) -
     """
     if mu.size != nu.size:
         raise InputError(f"dimension mismatch: {mu.size} vs {nu.size}")
-    if mu.size > max_size:
-        raise InputError(f"subset enumeration capped at {max_size} states")
+    if mu.size > _SUBSET_MAX_STATES:
+        raise InputError(f"subset enumeration capped at {_SUBSET_MAX_STATES} states")
     best = Fraction(0)
     states = range(mu.size)
     for r in range(mu.size + 1):
@@ -496,14 +502,7 @@ def exact_tv_curve(
     crossing = None
     if threshold is not None:
         crossing = next((n for n, v in enumerate(values) if v < threshold), None)
-    return BoundReport(
-        kind="exact-tv",
-        ns=tuple(range(n_max + 1)),
-        values=values,
-        threshold=threshold,
-        crossing=crossing,
-        inputs={"size": P.size},
-    )
+    return BoundReport(ns=tuple(range(n_max + 1)), values=values, crossing=crossing)
 
 
 class MinorizationCert(_Record):
@@ -652,7 +651,6 @@ class EigenMode(NamedTuple):
 class EigenBound(NamedTuple):
     """Geometric bound coefficient * rate^n on |mu_n(target) - pi(target)|."""
 
-    target: int
     coefficient: float
     rate: float
     eigenvalues: tuple[complex, ...]
@@ -663,14 +661,7 @@ class EigenBound(NamedTuple):
         return self.coefficient * self.rate**n
 
 
-def eigen_bound(
-    P: StochasticMatrix,
-    mu0: ProbVector,
-    target: int,
-    cond_cap: float = 1e8,
-    coeff_floor: float = 1e-12,
-    cluster_tol: float = 1e-7,
-) -> EigenBound:
+def eigen_bound(P: StochasticMatrix, mu0: ProbVector, target: int) -> EigenBound:
     """Spectral expansion bound for one state's probability.
 
     Expands mu0 over the left eigenvectors (by solving the linear system, not
@@ -678,7 +669,7 @@ def eigen_bound(
     result does not depend on the arbitrary basis inside a degenerate
     eigenspace, and returns coefficient = sum over non-unit clusters of
     |projection(target)| with rate = the largest modulus among clusters that
-    contribute more than ``coeff_floor``.
+    contribute more than ``_COEFF_FLOOR``.
     """
     import numpy as np
 
@@ -691,9 +682,9 @@ def eigen_bound(
     # columns of vecs are left eigenvectors of P
     eigvals, vecs = np.linalg.eig(P.to_floats().T)
     cond = np.linalg.cond(vecs)
-    if not np.isfinite(cond) or cond > cond_cap:
+    if not np.isfinite(cond) or cond > _COND_CAP:
         raise IllConditionedEigenbasisError(
-            f"eigenvector matrix condition number {cond:.3e} exceeds {cond_cap:.1e}; "
+            f"eigenvector matrix condition number {cond:.3e} exceeds {_COND_CAP:.1e}; "
             "chain may not be diagonalizable - use the minorization bound instead"
         )
 
@@ -712,7 +703,7 @@ def eigen_bound(
     clusters: list[list[int]] = []
     for k in order:
         for cluster in clusters:
-            if abs(eigvals[cluster[0]] - eigvals[k]) <= cluster_tol:
+            if abs(eigvals[cluster[0]] - eigvals[k]) <= _CLUSTER_TOL:
                 cluster.append(k)
                 break
         else:
@@ -736,7 +727,7 @@ def eigen_bound(
                 projection_norm=float(np.linalg.norm(projection)),
             )
         )
-        if weight > coeff_floor:
+        if weight > _COEFF_FLOOR:
             coefficient += weight
             rate = max(rate, abs(lam))
 
@@ -745,7 +736,6 @@ def eigen_bound(
         raise PeriodicChainError(f"non-unit eigenvalue of modulus {rate} >= 1")
 
     return EigenBound(
-        target=target,
         coefficient=coefficient,
         rate=rate,
         eigenvalues=tuple(complex(eigvals[k]) for k in order),

@@ -94,7 +94,6 @@ class DriftVerificationReport:
     rhs: tuple[float, ...]
     max_violation: float
     quadrature_error_estimate: float
-    tolerance: float
     passed: bool
 
 
@@ -102,13 +101,10 @@ class DriftVerificationReport:
 class MinorizationVerificationReport:
     """Worst margin of p^(lag)(x, y) - eps * nu(y) over the probe grid."""
 
-    lag: int
-    epsilon: float
     min_margin: float
     argmin_x: float
     argmin_y: float
     quadrature_error_estimate: float
-    tolerance: float
     passed: bool
 
 
@@ -324,7 +320,6 @@ def verify_univariate_drift(
         rhs=tuple(rhs.tolist()),
         max_violation=max_violation,
         quadrature_error_estimate=worst_err,
-        tolerance=tolerance,
         passed=max_violation <= tolerance,
     )
 
@@ -364,13 +359,10 @@ def verify_minorization_numeric(
         raise InputError("minorization verification needs at least one probe pair")
     if epsilon == 0.0:
         return MinorizationVerificationReport(
-            lag=lag,
-            epsilon=0.0,
             min_margin=0.0,
             argmin_x=float("nan"),
             argmin_y=float("nan"),
             quadrature_error_estimate=0.0,
-            tolerance=tolerance,
             passed=True,
         )
     density = kernel.transition_density
@@ -392,13 +384,10 @@ def verify_minorization_numeric(
             min_margin = float(margin[k])
             arg = (float(x[k]), float(y[k]))
     return MinorizationVerificationReport(
-        lag=lag,
-        epsilon=epsilon,
         min_margin=min_margin,
         argmin_x=arg[0],
         argmin_y=arg[1],
         quadrature_error_estimate=worst_err,
-        tolerance=tolerance,
         passed=min_margin >= -tolerance,
     )
 

@@ -7,10 +7,9 @@ one-flag operation in the CLI. Derived quantities (pair-drift rate, containment 
 constant) are computed here from the primitive constants, with provenance
 tags for the reports.
 
-The module imports neither numpy nor the kernels when it loads, so
-``bound t2`` runs without them: the containment of the Metropolis chain
-follows from its step radius, and quadrature is the fallback only when that
-argument does not settle it.
+The module imports neither numpy nor the kernels, so ``bound t2`` runs
+without them: the containment of the Metropolis chain follows from its step
+radius alone, and a region that argument does not settle is refused.
 """
 
 from __future__ import annotations
@@ -29,7 +28,7 @@ from .bounds import (
     stationary_moment_bound,
     sup_rh_via_containment,
 )
-from .errors import InputError
+from .errors import ContainmentError, InputError
 
 __all__ = [
     "LAPLACE_B",
@@ -39,7 +38,6 @@ __all__ = [
     "LAPLACE_REGION",
     "laplace_drift",
     "laplace_drift_V",
-    "laplace_escape_mass",
     "laplace_drift_minorization_inputs",
 ]
 
@@ -72,23 +70,6 @@ def laplace_drift(lam: float = LAPLACE_LAM, b: float = LAPLACE_B) -> UnivariateD
     return UnivariateDrift(V=laplace_drift_V, small_set=_CERT.small_set, lam=lam, b=b)
 
 
-def laplace_escape_mass() -> float:
-    """Worst mass the Metropolis chain moves out of ``LAPLACE_REGION`` in
-    its certificate's lag from its certificate's small set.
-
-    Exactly 0 when the step radius keeps every path inside; only otherwise
-    are the kernels (and numpy) loaded to integrate it.
-    """
-    if contained_by_step_radius(_CERT.small_set, LAPLACE_REGION, RWM_STEP_RADIUS, _CERT.n0):
-        return 0.0
-    from .kernels.chains import metropolis_rwm_laplace
-    from .kernels.verify import containment_escape_mass
-
-    return containment_escape_mass(
-        metropolis_rwm_laplace(), _CERT.small_set, LAPLACE_REGION, n_steps=_CERT.n0
-    )
-
-
 def laplace_drift_minorization_inputs(
     expected_h: str = "analytic",
 ) -> tuple[DriftMinorizationInputs, dict]:
@@ -97,12 +78,18 @@ def laplace_drift_minorization_inputs(
     ``expected_h`` selects the analytic stationary mean of h(0, .) or the
     always-available fallback (1 + b/(1-lam))/2 + 1/2 via the stationary
     moment bound. Returns the inputs plus a provenance map for reports.
+    Raises ``ContainmentError`` unless the step radius keeps every path from
+    the small set inside ``LAPLACE_REGION`` for the certificate's lag.
     """
+    small_set, region = _CERT.small_set, LAPLACE_REGION
+    if not contained_by_step_radius(small_set, region, RWM_STEP_RADIUS, _CERT.n0):
+        raise ContainmentError(
+            f"{_CERT.n0} steps of at most {RWM_STEP_RADIUS} from [{small_set.lo}, "
+            f"{small_set.hi}] can leave the containment region [{region.lo}, {region.hi}]"
+        )
     drift = laplace_drift()
     pair = bivariate_from_univariate(drift, d=LAPLACE_D)
-    sup_rh = sup_rh_via_containment(
-        drift.V, LAPLACE_REGION, probe_step=0.05, containment=laplace_escape_mass
-    )
+    sup_rh = sup_rh_via_containment(drift.V, region, probe_step=0.05)
     big_b = b_constant(_CERT.n0, pair.alpha, _CERT.epsilon, sup_rh)
     if expected_h == "analytic":
         eh = LAPLACE_EXPECTED_H

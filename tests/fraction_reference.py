@@ -132,14 +132,7 @@ def exact_tv_curve(
     crossing = None
     if threshold is not None:
         crossing = next((n for n, v in enumerate(values) if v < threshold), None)
-    return BoundReport(
-        kind="exact-tv",
-        ns=tuple(range(n_max + 1)),
-        values=tuple(values),
-        threshold=threshold,
-        crossing=crossing,
-        inputs={"size": P.size},
-    )
+    return BoundReport(ns=tuple(range(n_max + 1)), values=tuple(values), crossing=crossing)
 
 
 def minorization_uniform(P: StochasticMatrix, n0: int) -> MinorizationCert | None:

@@ -169,14 +169,11 @@ def test_criterion_08_laplace_two_term_pipeline():
     assert abs(precondition - 2.39) <= 0.01
 
     kernel = metropolis_rwm_laplace()
-    sup_rh = sup_rh_via_containment(
-        drift.V,
-        presets.LAPLACE_REGION,
-        probe_step=0.05,
-        containment=lambda: containment_escape_mass(
-            kernel, CERTIFICATES["rwm-laplace"].small_set, presets.LAPLACE_REGION, 2
-        ),
+    escape = containment_escape_mass(
+        kernel, CERTIFICATES["rwm-laplace"].small_set, presets.LAPLACE_REGION, 2
     )
+    assert escape == 0.0
+    sup_rh = sup_rh_via_containment(drift.V, presets.LAPLACE_REGION, probe_step=0.05)
     assert sup_rh == pytest.approx(math.e**3, rel=1e-12)
 
     big_b = b_constant(2, pair.alpha, CERTIFICATES["rwm-laplace"].epsilon, sup_rh)

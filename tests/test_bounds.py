@@ -6,8 +6,10 @@ from fractions import Fraction as F
 
 import pytest
 
+from mcbounds import presets
 from mcbounds.bounds import (
     MAX_CURVE_POINTS,
+    MAX_STEPS,
     Interval,
     DriftMinorizationInputs,
     UnivariateDrift,
@@ -55,11 +57,13 @@ class TestMinorizationBound:
             minorization_bound(1.5, 1, 3)
 
     def test_curve_monotone_and_blockwise_constant(self):
-        report = minorization_curve(F(9, 80), 2, 40, threshold=0.01)
-        vals = report.values
-        assert all(vals[n + 1] <= vals[n] for n in range(40))
-        assert all(vals[2 * k] == vals[2 * k + 1] for k in range(20))
-        assert report.crossing == 78
+        vals = minorization_curve(F(9, 80), 2, 80).values
+        assert all(vals[n + 1] <= vals[n] for n in range(80))
+        assert all(vals[2 * k] == vals[2 * k + 1] for k in range(40))
+        # the curve first falls below 0.01 at the crossing the search finds
+        crossing = minorization_crossing(F(9, 80), 2, 0.01)
+        assert crossing == 78
+        assert vals[crossing - 1] >= 0.01 > vals[crossing]
 
     @pytest.mark.parametrize("eps, n0", [
         (F(9, 80), 2), (F(1, 1000), 1), (F(1, 3), 4), (F(1), 3), (0.117, 1),
@@ -136,8 +140,16 @@ class TestStepsToThreshold:
         assert steps_to_threshold(lambda n: 0.001, 0.01) == 0
 
     def test_cap_raises(self):
-        with pytest.raises(ThresholdNotReachedError):
-            steps_to_threshold(lambda n: 1.0, 0.01, n_cap=10_000)
+        probed = []
+
+        def flat(n):
+            probed.append(n)
+            return 1.0
+
+        with pytest.raises(ThresholdNotReachedError, match=f"within {MAX_STEPS} steps"):
+            steps_to_threshold(flat, 0.01)
+        assert MAX_STEPS == 10**9
+        assert max(probed) <= 2 * MAX_STEPS
 
 
 class TestDriftConversion:
@@ -223,11 +235,14 @@ class TestMomentAndBConstant:
     def test_sup_rh_constant_function(self):
         assert sup_rh_via_containment(lambda x: 1.0, Interval(-6, 6)) == 1.0
 
-    def test_containment_failure_raises(self):
-        with pytest.raises(ContainmentError):
-            sup_rh_via_containment(
-                lambda x: 1.0, Interval(-6, 6), containment=lambda: 1e-6
-            )
+    def test_containment_failure_raises(self, monkeypatch):
+        # two steps of at most 2 from [-2, 2] end in [-6, 6]: a region short
+        # of that on either side is refused, one that meets it is accepted
+        assert presets.laplace_drift_minorization_inputs()[0].big_b > 1
+        for region in (Interval(-6.0, 5.9), Interval(-5.9, 6.0)):
+            monkeypatch.setattr(presets, "LAPLACE_REGION", region)
+            with pytest.raises(ContainmentError, match="can leave the containment region"):
+                presets.laplace_drift_minorization_inputs()
 
 
 def laplace_inputs():
@@ -264,14 +279,11 @@ class TestDriftMinorizationBound:
         assert report.js[report.ns.index(n_star)] == n_star
 
     def test_optimizer_beats_hand_picked_point(self):
-        report = optimize_drift_minorization(
-            laplace_inputs(), delta=0.01, schedule=[(120_000, 274)]
-        )
+        report = optimize_drift_minorization(laplace_inputs(), delta=0.01)
         assert report.crossing is not None
         assert report.crossing <= 120_000
         assert report.value_at(report.crossing) < 0.01
-        sched = report.inputs["schedule"][0]
-        assert sched["bound"] < 0.01
+        assert drift_minorization_bound(laplace_inputs(), 120_000, 274) < 0.01
 
     def test_optimizer_bound_at_most_any_scanned_pair(self):
         inputs = laplace_inputs()

@@ -118,6 +118,32 @@ class TestFinite:
         )
         assert (tmp_path / "finite-tv-exact.json").read_bytes() == stdout
 
+    # SHA-256 of stdout of the other exact invocations the benchmark runs,
+    # as in perfbench/golden.json
+    @pytest.mark.parametrize("argv,digest", [
+        ("bound t1 --epsilon 1/2 --n0 1",
+         "1facd595e91d91a266bb160f1c5ca47c3d157951e8ac0ee2b1f4486ffb6ee522"),
+        ("bound t1 --epsilon 9/80 --n0 2",
+         "dc95a5d0c037d968742dabfd326e5bce162b72df6919c22b566bfb5eb18e6cdb"),
+        ("bound t1 --epsilon 0.117 --n0 1",
+         "919bec61e1b6e80d1c61c8c1ec2a06fdfadcdf75e46f93e145cafc2772d04a6b"),
+        ("bound t1 --pointprocess 0.1,0.1",
+         "d97b5ae792a2aeefdf8b7d748ada501d446b63c563cce8f9ca1b7fa06bfb365c"),
+        ("bound t2 --preset rwm-laplace --delta 0.01",
+         "9956589824ee392b5a77604162125aed577f1ee1fd3c7065aaa7be5444417515"),
+        ("finite stationary --grid 8x8",
+         "92ad74b880e4a64586f8cb69954d745d6e1efeb6b08563d81859c4b1f2171983"),
+        ("finite pseudo --grid 3x3 --n0 2",
+         "2d5d8ee983492136fe9e5574dbeb73ea23c9f832cebceacc14cf946911e90382"),
+        ("finite minorization --grid 3x3 --n0 2",
+         "2c7664aa1abe61fa1b33462283ba1a1910433742647e4c509efe6e057b1bb20c"),
+    ], ids=["t1-half", "t1-9/80", "t1-0.117", "t1-pointprocess", "t2-rwm-laplace",
+            "stationary-8x8", "pseudo-3x3", "minorization-3x3"])
+    def test_exact_stdout_bytes_pinned(self, capsys, argv, digest):
+        assert main(argv.split()) == 0
+        stdout = capsys.readouterr().out.encode()
+        assert hashlib.sha256(stdout).hexdigest() == digest
+
     @pytest.mark.parametrize(
         "argv",
         [
@@ -149,13 +175,36 @@ class TestFinite:
         assert code == 0
         assert report["results"]["pi"][0] == "1/11"
 
-    def test_non_unique_stationary_exits_3(self, capsys, tmp_path):
-        path = tmp_path / "identity.json"
-        path.write_text(
-            json.dumps({"size": 2, "rows": [["1", "0"], ["0", "1"]]})
-        )
-        code, _ = run_cli(capsys, "finite", "stationary", "--matrix-file", str(path))
-        assert code == 3
+    # exit codes of the five analyses on degenerate chains: a periodic chain
+    # has no spectral bound, a reducible one no unique stationary law, and the
+    # overlap searches answer both (with no overlap at lag 1)
+    EDGE_CHAINS = {
+        "single-state": ([["1"]], {}),
+        "two-cycle": ([["0", "1"], ["1", "0"]], {"eigen-bound": 3}),
+        "identity": ([["1", "0"], ["0", "1"]],
+                     {"stationary": 3, "eigen-bound": 3, "tv-exact": 3}),
+    }
+
+    @pytest.mark.parametrize(
+        "analysis", ["stationary", "eigen-bound", "minorization", "pseudo", "tv-exact"]
+    )
+    @pytest.mark.parametrize("chain", list(EDGE_CHAINS))
+    def test_edge_chain_exit_codes(self, capsys, tmp_path, chain, analysis):
+        rows, failing = self.EDGE_CHAINS[chain]
+        path = tmp_path / "matrix.json"
+        path.write_text(json.dumps({"size": len(rows), "rows": rows}))
+        argv = ["finite", analysis, "--matrix-file", str(path), "--start", "1"]
+        code = main(argv)
+        assert code == failing.get(analysis, 0)
+        out, err = capsys.readouterr()
+        if code:
+            assert out == ""
+            assert err.startswith("mcbounds: ") and err.count("\n") == 1
+        else:
+            report = json.loads(out)
+            jsonschema.validate(report, SCHEMA)
+            assert report["analysis"] == analysis
+            assert err == ""
 
     def test_missing_model_exits_2(self, capsys):
         code, _ = run_cli(capsys, "finite", "stationary")
@@ -226,8 +275,13 @@ class TestBound:
         (["--epsilon", "1e-300"],
          "epsilon 1e-300 rounds to 0 at denominators up to 10**12; pass it as p/q"),
         (["--epsilon", "inf"], "cannot parse 'inf' as a probability"),
+        (["--pointprocess", "inf,0.1"], "c must be finite, got c=inf"),
+        (["--pointprocess", "0.1,inf"], "d must be finite, got d=inf"),
+        (["--pointprocess", "300,0.1"],
+         "the overlap constant at c=300.0, d=0.1 underflows to 0"),
     ], ids=["no-epsilon", "epsilon-0", "epsilon-3/2", "pointprocess-c-0", "epsilon-1e-300",
-            "epsilon-inf"])
+            "epsilon-inf", "pointprocess-c-inf", "pointprocess-d-inf",
+            "pointprocess-underflow"])
     def test_t1_bad_overlap_exits_2(self, capsys, argv, message):
         assert main(["bound", "t1", *argv]) == 2
         captured = capsys.readouterr()

@@ -504,7 +504,7 @@ class TestGridCoupling:
 
     def test_immediate_coupling_with_full_overlap(self):
         # identical rows: the chain forgets its state in one step, overlap 1
-        iid = StochasticMatrix.from_rows([[F(1, 3), F(2, 3)], [F(1, 3), F(2, 3)]])
+        iid = StochasticMatrix([[F(1, 3), F(2, 3)], [F(1, 3), F(2, 3)]])
         cert = minorization_uniform(iid, 1)
         assert cert.epsilon == 1
         config = CouplingConfig(
@@ -615,7 +615,7 @@ class TestFiniteTables:
         assert str(fast.value) == str(slow.value)
 
     def test_full_overlap_tables(self):
-        iid = StochasticMatrix.from_rows([[F(1, 3), F(2, 3)], [F(1, 3), F(2, 3)]])
+        iid = StochasticMatrix([[F(1, 3), F(2, 3)], [F(1, 3), F(2, 3)]])
         for finder in (minorization_uniform, minorization_pseudo):
             assert_tables_match_reference(iid, finder(iid, 1))
 
@@ -631,7 +631,7 @@ class TestFiniteTables:
         st.integers(1, 2),
     )
     def test_random_chain_tables(self, weights, n0):
-        matrix = StochasticMatrix.from_rows([[F(w, sum(row)) for w in row] for row in weights])
+        matrix = StochasticMatrix([[F(w, sum(row)) for w in row] for row in weights])
         for finder in (minorization_uniform, minorization_pseudo):
             cert = finder(matrix, n0)
             if cert is not None:

@@ -77,20 +77,20 @@ def stochastic_matrices(max_size=5, max_weight=6):
     @st.composite
     def unstructured(draw):
         n = draw(st.integers(1, max_size))
-        return StochasticMatrix.from_rows([draw(row(n, range(n))) for _ in range(n)])
+        return StochasticMatrix([draw(row(n, range(n))) for _ in range(n)])
 
     @st.composite
     def reducible(draw):
         n = draw(st.integers(2, max_size))
         k = draw(st.integers(1, n - 1))
         blocks = [range(k)] * k + [range(k, n)] * (n - k)
-        return StochasticMatrix.from_rows([draw(row(n, b)) for b in blocks])
+        return StochasticMatrix([draw(row(n, b)) for b in blocks])
 
     @st.composite
     def periodic(draw):
         n = draw(st.integers(2, max_size))
         even, odd = range(0, n, 2), range(1, n, 2)
-        return StochasticMatrix.from_rows(
+        return StochasticMatrix(
             [draw(row(n, odd if s % 2 == 0 else even)) for s in range(n)]
         )
 
@@ -113,11 +113,11 @@ class TestConstruction:
 
     def test_rows_must_sum_to_one(self):
         with pytest.raises(InputError):
-            StochasticMatrix.from_rows([[F(1, 2), F(1, 3)], [F(1, 2), F(1, 2)]])
+            StochasticMatrix([[F(1, 2), F(1, 3)], [F(1, 2), F(1, 2)]])
 
     def test_floats_rejected(self):
         with pytest.raises(InputError):
-            StochasticMatrix.from_rows([[0.5, 0.5], [0.5, 0.5]])
+            StochasticMatrix([[0.5, 0.5], [0.5, 0.5]])
 
     def test_json_roundtrip(self, grid):
         assert StochasticMatrix.from_json_dict(grid.to_json_dict()) == grid
@@ -126,7 +126,7 @@ class TestConstruction:
         # 2/6, 4/6 over 6 share the factor 2 with every numerator
         m = StochasticMatrix.from_num_den([[2, 4], [6, 0]], 6)
         assert (m._num, m._den) == (((1, 2), (3, 0)), 3)
-        same = StochasticMatrix.from_rows([[F(1, 3), F(2, 3)], [1, 0]])
+        same = StochasticMatrix([[F(1, 3), F(2, 3)], [1, 0]])
         assert m == same
         assert hash(m) == hash(same)
         assert repr(m) == repr(same)
@@ -292,13 +292,13 @@ class TestEigenBound:
         assert np.allclose(eb.stationary, grid_pi.to_floats(), atol=1e-10)
 
     def test_periodic_chain_rejected(self):
-        flip = StochasticMatrix.from_rows([[0, 1], [1, 0]])
+        flip = StochasticMatrix([[0, 1], [1, 0]])
         with pytest.raises(PeriodicChainError):
             eigen_bound(flip, ProbVector.delta(2, 0), target=0)
 
     def test_defective_chain_rejected(self):
         # upper-triangular chain with a repeated defective eigenvalue 1/2
-        jordan = StochasticMatrix.from_rows(
+        jordan = StochasticMatrix(
             [[F(1, 2), F(1, 2), 0], [0, F(1, 2), F(1, 2)], [0, 0, 1]]
         )
         with pytest.raises(IllConditionedEigenbasisError):
@@ -446,7 +446,7 @@ class TestMatchesFractionReference:
             assert minorization_pseudo(grid, n0) == ref.minorization_pseudo(grid, n0)
 
     def test_reducible_chain_raises_the_same_error(self):
-        two_classes = StochasticMatrix.from_rows(
+        two_classes = StochasticMatrix(
             [[F(1, 2), F(1, 2), 0], [F(1, 3), F(2, 3), 0], [0, 0, 1]]
         )
         with pytest.raises(NonUniqueStationaryError) as fast:

@@ -317,27 +317,30 @@ class TestContainment:
         got = containment_escape_mass(kernel, small, region, n_steps=2)
         assert got == pytest.approx(worst, rel=1e-12, abs=1e-12)
 
-    def test_preset_integrates_where_the_step_radius_does_not_settle_it(
+    def test_preset_refuses_where_the_step_radius_does_not_settle_it(
         self, rwm, monkeypatch
     ):
-        # two steps from [-2, 2] reach -6, below this region: the preset loads
-        # the kernels, integrates, and the t2 constants refuse the leak
+        # two steps from [-2, 2] reach -6, below this region: quadrature finds
+        # the leak, and the t2 constants refuse the region without integrating
         region = Interval(-5.0, 5.5)
-        monkeypatch.setattr(presets, "LAPLACE_REGION", region)
-        kernel = rwm
         small_set = CERTIFICATES["rwm-laplace"].small_set
-        escape = containment_escape_mass(kernel, small_set, region, 2)
-        assert escape > 1e-3
-        assert presets.laplace_escape_mass() == escape
-        with pytest.raises(ContainmentError, match=f"mass {escape:.3e} escapes"):
+        assert containment_escape_mass(rwm, small_set, region, 2) > 1e-3
+        monkeypatch.setattr(presets, "LAPLACE_REGION", region)
+        monkeypatch.setattr(verify, "batch_quad", None)  # any integral fails
+        with pytest.raises(
+            ContainmentError,
+            match=r"2 steps of at most 2.0 from \[-2.0, 2.0\] can leave the "
+            r"containment region \[-5.0, 5.5\]",
+        ):
             presets.laplace_drift_minorization_inputs()
 
-    def test_quadrature_agrees_with_the_step_radius_argument(self, monkeypatch):
-        expected = presets.laplace_drift_minorization_inputs()
-        for module in (presets, verify):
-            monkeypatch.setattr(module, "contained_by_step_radius", lambda *args: False)
-        assert 0.0 <= presets.laplace_escape_mass() <= 1e-12
-        assert presets.laplace_drift_minorization_inputs() == expected
+    def test_quadrature_agrees_with_the_step_radius_argument(self, rwm, monkeypatch):
+        # the preset's region holds every two-step path by the step radius;
+        # integrating the escape mass there instead finds none either
+        small_set = CERTIFICATES["rwm-laplace"].small_set
+        monkeypatch.setattr(verify, "contained_by_step_radius", lambda *args: False)
+        escape = containment_escape_mass(rwm, small_set, presets.LAPLACE_REGION, 2)
+        assert 0.0 <= escape <= 1e-12
 
     def test_unbounded_kernel_rejected(self, halfline):
         with pytest.raises(InputError):
