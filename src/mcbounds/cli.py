@@ -267,6 +267,19 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    """Run one command line; return the exit code.
+
+    Also registers ``gc.freeze`` to run at exit, once however often ``main``
+    is called: interpreter finalization then skips the collector's walk over
+    the start-up heap (numpy, the layers, argparse), which the OS reclaims.
+    No output waits for a finalizer: each file is closed once written, and
+    the interpreter flushes stdout at exit whatever the collector does.
+    """
+    import atexit
+    import gc
+
+    atexit.unregister(gc.freeze)
+    atexit.register(gc.freeze)
     args = build_parser().parse_args(argv)
     from importlib import import_module
 
@@ -288,4 +301,8 @@ def main(argv=None) -> int:
 
 
 if __name__ == "__main__":
+    # the command modules import this module by its package name; under
+    # `python -m mcbounds.cli` that name is registered for this run instead
+    # of loading and executing the file a second time
+    sys.modules.setdefault(f"{__package__}.cli", sys.modules[__name__])
     sys.exit(main())

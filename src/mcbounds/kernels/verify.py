@@ -4,10 +4,12 @@ Integrals use QUADPACK's 21-point Gauss-Kronrod rule qk21 (Piessens et al.,
 *QUADPACK*, 1983), applied as numpy arrays to every piece of every probe
 point at once; the kernel's declared kink points split each interval into
 pieces, and the pieces of a point that misses QUADPACK's tolerance test are
-bisected and integrated again. Probe points go through in chunks of
-``_CHUNK``, which bounds memory on fine grids. These checks evaluate the
-conditions at finitely many states to the stated tolerances; they are
-engineering checks, not proofs.
+bisected and integrated again. Memory stays bounded on fine grids: drift
+states and lag-2 overlap pairs reach the integrator in chunks of ``_CHUNK``,
+and a lag-1 overlap check, which integrates nothing, evaluates its margins
+in blocks of whole probe rows, at most ``_LAG1_PAIRS`` pairs each (a longer
+row in pieces). These checks evaluate the conditions at finitely many
+states to the stated tolerances; they are engineering checks, not proofs.
 """
 
 from __future__ import annotations
@@ -48,8 +50,12 @@ _QUAD_LIMIT = 200
 # s >> 1 (the half-line kernel's normal part at x = 18.1) sits in one piece
 # whose qk21 and Gauss sums agree to 6e-8 while both miss by 2.7e-5
 _MAP_CUTS = 20
-# probe points (or probe pairs) per array pass
+# probe points (or lag-2 probe pairs) per array pass
 _CHUNK = 1024
+# lag-1 probe pairs per density evaluation: a block's temporaries take 512 KiB
+# each, less than one node array of a lag-2 chunk (611 KiB for the first
+# pass over 1024 rwm-laplace pairs)
+_LAG1_PAIRS = 64 * _CHUNK
 # the largest probe sets the command line builds: a drift state costs one
 # integral and a row of the report's CSV (100 000 take seconds), a lag-1
 # overlap pair one density evaluation and a lag-2 pair one integral (about
@@ -348,8 +354,9 @@ def verify_minorization_numeric(
 
     The lag-2 density is formed by numeric convolution (atom cross-terms
     included), so the result is independent of the closed forms used by the
-    samplers. ``nu_density`` takes numpy arrays. Pairs run x-major in chunks;
-    the first pair with the smallest margin is reported.
+    samplers. ``nu_density`` takes numpy arrays. Lag-1 pairs run in blocks
+    of probe rows, lag-2 pairs in chunks, x-major either way; the first pair
+    with the smallest margin is reported.
     """
     if lag not in (1, 2):
         raise InputError(f"lag must be 1 or 2, got {lag}")
@@ -371,18 +378,35 @@ def verify_minorization_numeric(
     min_margin = math.inf
     arg = (float("nan"), float("nan"))
     worst_err = 0.0
-    for pairs in _chunks(xs.size * ys.size):
-        x, y = xs[pairs // ys.size], ys[pairs % ys.size]
-        if lag == 1:
-            p = density(x, y)
-        else:
+    if lag == 1:
+        # whole probe rows per block, a row split only when it alone exceeds
+        # the budget: the blocks visit the pairs x-major, and argmin over a
+        # C-ordered block is its first smallest pair, so a strict < keeps the
+        # first smallest pair overall; the density may ignore x, nu may
+        # ignore y, so both are broadcast
+        eps_nu = np.broadcast_to(epsilon * nu_density(ys), ys.shape)
+        cols = min(ys.size, _LAG1_PAIRS)
+        rows = max(1, _LAG1_PAIRS // ys.size)
+        for r0 in range(0, xs.size, rows):
+            x = xs[r0:r0 + rows, None]
+            for c0 in range(0, ys.size, cols):
+                y = ys[c0:c0 + cols]
+                margin = density(x, y) - eps_nu[c0:c0 + cols]
+                margin = np.broadcast_to(margin, (x.size, y.size))
+                i, j = divmod(int(np.argmin(margin)), y.size)
+                if margin[i, j] < min_margin:
+                    min_margin = float(margin[i, j])
+                    arg = (float(x[i, 0]), float(y[j]))
+    else:
+        for pairs in _chunks(xs.size * ys.size):
+            x, y = xs[pairs // ys.size], ys[pairs % ys.size]
             p, err = _two_step_densities(kernel, x, y)
             worst_err = max(worst_err, float(err.max()))
-        margin = p - epsilon * nu_density(y)
-        k = int(np.argmin(margin))
-        if margin[k] < min_margin:
-            min_margin = float(margin[k])
-            arg = (float(x[k]), float(y[k]))
+            margin = p - epsilon * nu_density(y)
+            k = int(np.argmin(margin))
+            if margin[k] < min_margin:
+                min_margin = float(margin[k])
+                arg = (float(x[k]), float(y[k]))
     return MinorizationVerificationReport(
         min_margin=min_margin,
         argmin_x=arg[0],

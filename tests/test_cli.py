@@ -144,6 +144,20 @@ class TestFinite:
         stdout = capsys.readouterr().out.encode()
         assert hashlib.sha256(stdout).hexdigest() == digest
 
+    # SHA-256 of stdout of the three verify invocations the benchmark runs
+    @pytest.mark.parametrize("argv,digest", [
+        ("verify minorization --preset rwm-laplace --probe-step 0.025",
+         "0c1dfa9ec031bdb384adb6253e883d8dd6b7cb1b5c55a218cf62ea180417b6ee"),
+        ("verify drift --preset rwm-laplace --grid-step 0.005",
+         "cf39ec4aae600ab26d1f95e27c86ea47d2d513691b2ccb927630d186bee4c780"),
+        ("verify minorization --preset halfline",
+         "cc647cd0223448b3353e5d2e9a7b5e8968ac91952363ae1906406380277ab214"),
+    ], ids=["minorization-rwm-laplace", "drift-rwm-laplace", "minorization-halfline"])
+    def test_verify_stdout_bytes_pinned(self, capsys, argv, digest):
+        assert main(argv.split()) == 0
+        stdout = capsys.readouterr().out.encode()
+        assert hashlib.sha256(stdout).hexdigest() == digest
+
     @pytest.mark.parametrize(
         "argv",
         [
@@ -724,6 +738,67 @@ class TestStartup:
         return subprocess.run(
             [sys.executable, "-c", script], capture_output=True, text=True, check=True
         ).stdout
+
+    def test_module_run_executes_cli_once(self):
+        # the command modules import mcbounds.cli by name; under -m that name
+        # is the running __main__, not a second copy of the file
+        out = self.run_script(
+            "import os, runpy\n"
+            "runs = []\n"
+            "sys.addaudithook(\n"
+            "    lambda event, args: event == 'exec' and runs.append(args[0].co_filename))\n"
+            "sys.argv = ['mcbounds', 'bound', 't1', '--epsilon', '1/2']\n"
+            "try:\n"
+            "    runpy.run_module('mcbounds.cli', run_name='__main__', alter_sys=True)\n"
+            "except SystemExit as exc:\n"
+            "    assert exc.code == 0\n"
+            "cli = os.path.join('mcbounds', 'cli.py')\n"
+            "print('cli runs', sum(name.endswith(cli) for name in runs))\n"
+        )
+        assert out.splitlines()[-1] == "cli runs 1"
+
+    def test_repeated_main_calls_register_one_exit_hook(self):
+        # counted by calls at exit: atexit._ncallbacks() also counts the
+        # slots that atexit.unregister emptied
+        out = self.run_script(
+            "import atexit, contextlib, gc, io\n"
+            "from mcbounds.cli import main\n"
+            "calls = []\n"
+            "freeze = gc.freeze\n"
+            "gc.freeze = lambda: calls.append(freeze())\n"
+            "atexit.register(lambda: print('freeze calls', len(calls)))  # runs last\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            "    for _ in range(3):\n"
+            "        assert main(['bound', 't1', '--epsilon', '1/2']) == 0\n"
+            "print('main done', len(calls))\n"
+        )
+        assert out.splitlines() == ["main done 0", "freeze calls 1"]
+
+    @pytest.mark.parametrize("argv,name", [
+        (["finite", "tv-exact", "--grid", "8x8", "--n0", "4", "--n", "100",
+          "--format", "both"], None),
+        (["simulate", "--rwm-laplace", "--n-max", "40", "--reps", "50", "--burn-in", "50",
+          "--record-every", "4", "--seed", "7"], "paths.csv"),
+    ], ids=["tv-exact", "simulate-trajectories"])
+    def test_a_process_writes_the_bytes_of_an_in_process_run(self, capsys, tmp_path, argv, name):
+        # the exit hook leaves the start-up heap to the OS: every output must
+        # be complete before the process exits
+        outputs = {}
+        for where in ("process", "in-process"):
+            out = tmp_path / where
+            extra = ["--trajectories", str(out / name)] if name else ["--output", str(out)]
+            out.mkdir()
+            if where == "process":
+                done = run_cli_process(*argv, *extra)
+                assert done.returncode == 0, done.stderr
+                stdout = done.stdout
+            else:
+                assert main([*argv, *extra]) == 0
+                stdout = capsys.readouterr().out
+            files = {path.name: path.read_bytes() for path in sorted(out.iterdir())}
+            outputs[where] = (stdout, files)
+        assert outputs["process"] == outputs["in-process"]
+        assert outputs["process"][1]
 
     def test_no_command_imports_scipy(self):
         out = self.run_script(

@@ -3,6 +3,8 @@
 import dataclasses
 import json
 import math
+import struct
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -30,6 +32,26 @@ from mcbounds.kernels.verify import (
 )
 
 LAPLACE_EPS = 1.0 / (8.0 * math.e**2)
+
+
+def pair_loop_lag1(kernel, epsilon, nu_density, xs, ys):
+    """(min margin, argmin x, argmin y) of the lag-1 overlap check, formed as
+    ``verify_minorization_numeric`` once did: 1024 gathered pairs per pass,
+    x-major, keeping the first smallest margin."""
+    xs, ys = np.asarray(xs, dtype=float), np.asarray(ys, dtype=float)
+    min_margin, arg = math.inf, (math.nan, math.nan)
+    for start in range(0, xs.size * ys.size, 1024):
+        pairs = np.arange(start, min(start + 1024, xs.size * ys.size))
+        x, y = xs[pairs // ys.size], ys[pairs % ys.size]
+        margin = kernel.transition_density(x, y) - epsilon * nu_density(y)
+        k = int(np.argmin(margin))
+        if margin[k] < min_margin:
+            min_margin, arg = float(margin[k]), (float(x[k]), float(y[k]))
+    return min_margin, *arg
+
+
+def float_bits(values):
+    return [struct.pack("<d", v) for v in values]
 
 
 def laplace_cdf(q):
@@ -150,6 +172,50 @@ class TestMinorizationVerification:
         assert type(report.passed) is bool
         assert type(report.min_margin) is float
         json.dumps(dataclasses.asdict(report))
+
+    @pytest.mark.parametrize("probe_x, probe_y", [
+        (np.arange(0.0, 50.0 + 1e-12, 0.05), np.arange(0.0, 50.0 + 1e-12, 0.05)),
+        ([0.0, 3.5, 20.0], np.linspace(0.0, 50.0, 3 * verify._LAG1_PAIRS // 2)),
+    ], ids=["halfline-default-grid", "row-larger-than-a-block"])
+    def test_lag1_blocks_match_the_pair_loop(self, halfline, probe_x, probe_y):
+        # the default grid's margin is exactly 0 at many pairs (the normal
+        # part underflows), and the first of them in x-major order is reported
+        report = verify_minorization_numeric(
+            halfline, 1, 0.5, laws.hl_nu_density, probe_x, probe_y
+        )
+        got = (report.min_margin, report.argmin_x, report.argmin_y)
+        assert float_bits(got) == float_bits(
+            pair_loop_lag1(halfline, 0.5, laws.hl_nu_density, probe_x, probe_y)
+        )
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        model=st.sampled_from(["halfline", "rwm-laplace", "independence"]),
+        epsilon=st.sampled_from([0.5, 0.25, LAPLACE_EPS, 1.0]),
+        xs=st.lists(st.integers(0, 160), min_size=1, max_size=40),
+        ys=st.lists(st.integers(0, 160), min_size=1, max_size=40),
+        block=st.integers(1, 64),
+    )
+    def test_lag1_blocks_match_the_pair_loop_on_random_grids(
+        self, halfline, rwm, model, epsilon, xs, ys, block
+    ):
+        # quarter-step grid points repeat, and far from x the densities
+        # vanish, so minima tie; small blocks split rows and split a row
+        if model == "halfline":
+            kernel, nu = halfline, laws.hl_nu_density
+            xs, ys = np.array(xs) * 0.25, np.array(ys) * 0.25
+        elif model == "independence":
+            # a density free of x and a constant nu, as a library caller may pass
+            kernel = dataclasses.replace(halfline, transition_density=lambda x, y: np.exp(-y))
+            nu = lambda y: 1.0
+            xs, ys = np.array(xs) * 0.25, np.array(ys) * 0.25
+        else:
+            kernel, nu = rwm, laws.rwm_nu_density
+            xs, ys = np.array(xs) * 0.25 - 20.0, np.array(ys) * 0.25 - 20.0
+        with mock.patch.object(verify, "_LAG1_PAIRS", block):
+            report = verify_minorization_numeric(kernel, 1, epsilon, nu, xs, ys)
+        got = (report.min_margin, report.argmin_x, report.argmin_y)
+        assert float_bits(got) == float_bits(pair_loop_lag1(kernel, epsilon, nu, xs, ys))
 
     @pytest.mark.parametrize("probe_x, probe_y", [([], [0.0]), ([0.0], []), ([], [])])
     def test_empty_probe_set_is_refused(self, halfline, probe_x, probe_y):
