@@ -45,6 +45,26 @@ def _csv_cell(value) -> str:
     return _FLOAT_FMT % value
 
 
+def _nonfinite_key(value, key: str = "") -> str | None:
+    """Where the first NaN or infinity in a JSON-like ``value`` sits, as
+    ``a.b[2].c``, or None."""
+    import math
+
+    if isinstance(value, float):
+        return None if math.isfinite(value) else key
+    if isinstance(value, dict):
+        items = ((f"{key}.{k}" if key else str(k), v) for k, v in sorted(value.items()))
+    elif isinstance(value, (list, tuple)):
+        items = ((f"{key}[{i}]", v) for i, v in enumerate(value))
+    else:
+        return None
+    for where, item in items:
+        found = _nonfinite_key(item, where)
+        if found is not None:
+            return found
+    return None
+
+
 def _check_ranges(args) -> None:
     """Refuse an out-of-range option shared by several commands, once, before
     any command runs."""
@@ -143,17 +163,33 @@ class _Report:
 
 def _emit(report: _Report, args) -> None:
     """Print the JSON report, or write it and its CSV tables under
-    ``--output``; a report without tables writes its JSON under any format."""
+    ``--output``; a report without tables writes its JSON under any format.
+
+    JSON (RFC 8259) has no NaN or infinity, so a report or table that holds
+    one is a ``MathError`` naming where, and nothing is printed or written.
+    """
     import json
     from pathlib import Path
 
-    text = json.dumps(report.payload, indent=2, sort_keys=True) + "\n"
+    from .errors import MathError
+
+    try:
+        text = json.dumps(report.payload, indent=2, sort_keys=True, allow_nan=False) + "\n"
+    except ValueError:
+        key = _nonfinite_key(report.payload)
+        if key is None:
+            raise
+        raise MathError(f"the report holds a non-finite number at {key}") from None
     if args.output is None:  # a report with tables was refused csv before it ran
         sys.stdout.write(text)
         return
     outdir = Path(args.output)  # made by _prepare_outputs
     stem = f"{report.command}-{report.analysis}"
     tables = report.csv_tables if args.format != "json" else {}
+    for suffix, columns in tables.items():
+        key = _nonfinite_key(columns)
+        if key is not None:
+            raise MathError(f"{stem}{suffix}.csv would hold a non-finite number at {key}")
     if args.format != "csv" or not tables:
         _write_text(outdir / f"{stem}.json", text)
     for suffix, columns in tables.items():
@@ -162,18 +198,24 @@ def _emit(report: _Report, args) -> None:
         _write_text(outdir / f"{stem}{suffix}.csv", "\n".join(lines) + "\n")
 
 
-def _dump_trajectories(path, result) -> None:
+def _dump_trajectories(out, lattice, first: int, xs, xps) -> None:
+    """Write the ``--trajectories`` CSV rows of one block of replications to
+    the text file ``out``: row r of the recorded states ``xs``/``xps``
+    (replications x ``lattice`` points) is replication ``first + r``. The
+    header goes before the first block's rows."""
     import numpy as np
 
-    value = "%d" if np.issubdtype(result.xs.dtype, np.integer) else _FLOAT_FMT
-    line = f"%d,%d,{value},{value},%d"
-    lines = ["replication,n,x,x_prime,coupled"]
-    for r, (xs, xps) in enumerate(zip(result.xs.tolist(), result.xps.tolist())):
+    value = "%d" if np.issubdtype(xs.dtype, np.integer) else _FLOAT_FMT
+    line = f"%d,%d,{value},{value},%d\n"
+    if first == 0:
+        out.write("replication,n,x,x_prime,coupled\n")
+    for r, (x_row, xp_row) in enumerate(zip(xs, xps), first):
         coupled = False
-        for n, x, xp in zip(result.lattice, xs, xps):
+        rows = []
+        for n, x, xp in zip(lattice, x_row.tolist(), xp_row.tolist()):
             coupled = coupled or x == xp
-            lines.append(line % (r, n, x, xp, coupled))
-    _write_text(path, "\n".join(lines) + "\n")
+            rows.append(line % (r, n, x, xp, coupled))
+        out.write("".join(rows))
 
 
 def build_parser() -> argparse.ArgumentParser:

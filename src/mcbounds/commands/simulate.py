@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import contextlib
 import os
+from functools import partial
 from pathlib import Path
 from typing import TYPE_CHECKING
 
@@ -25,6 +27,32 @@ def _resolve_seed(value: int | None) -> int:
         except ValueError as exc:
             raise InputError(f"MCB_SEED must be an integer, got {env!r}") from exc
     return 0
+
+
+@contextlib.contextmanager
+def _replacing(path):
+    """A text file to write ``path`` through. A regular file (through any
+    symlink) is written beside itself and replaced when the block ends
+    without an error; on an error the new file is removed and ``path`` stays
+    as it was. A device or pipe, such as /dev/stdout, is written in place.
+    A file that cannot be written is an ``InputError``."""
+    target = path.resolve()
+    temp = target.with_name(f".{target.name}.{os.getpid()}.tmp") if target.is_file() else None
+    try:
+        out = open(temp, "x") if temp else open(path, "w")
+    except OSError as exc:
+        raise InputError(f"cannot write {path}: {exc.strerror}") from exc
+    try:
+        with out:
+            yield out
+        if temp:
+            os.replace(temp, target)
+    except BaseException as exc:
+        if temp:
+            temp.unlink(missing_ok=True)
+        if isinstance(exc, OSError):
+            raise InputError(f"cannot write {path}: {exc.strerror}") from exc
+        raise
 
 
 def _simulate_config(args) -> tuple[CouplingConfig, dict]:
@@ -74,7 +102,15 @@ def run(args) -> tuple[_Report, int]:
     from ..coupling import run_coupling
 
     config, desc = _simulate_config(args)
-    result = run_coupling(config)
+    if args.trajectories:
+        # each block's paths are written as it ends; the file replaces the
+        # target only once the whole run has succeeded
+        with _replacing(Path(args.trajectories)) as out:
+            result = run_coupling(
+                config, on_block=partial(_dump_trajectories, out, config.lattice())
+            )
+    else:
+        result = run_coupling(config)
     bounds = [minorization_bound(result.epsilon, result.n0, n) for n in result.lattice]
 
     warnings = []
@@ -105,7 +141,4 @@ def run(args) -> tuple[_Report, int]:
         "-curve", n=result.lattice, p_neq=result.p_neq, p_neq_se=result.p_neq_se,
         bound=bounds,
     )
-
-    if args.trajectories:
-        _dump_trajectories(Path(args.trajectories), result)
     return report, 0

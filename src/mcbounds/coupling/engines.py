@@ -1,4 +1,4 @@
-"""Lockstep trajectory engines for the coupling simulator.
+"""Lockstep coupling engines: statistics streamed block by block.
 
 Randomness contract: replications are cut into blocks of ``BLOCK``
 consecutive replications. Block b draws from its own ``np.random.Generator``
@@ -13,13 +13,17 @@ chains already equal move together; unequal chains inside the small set flip
 an eps-coin (heads: both jump to a shared overlap draw; tails: independent
 residual draws); chains outside the small set update independently.
 
-Every engine returns ``(xs, xps, couple_at, ...)``: the states at the
-recorded lattice steps (step k is recorded in slot k // record_every when
-record_every divides k) and the exact lattice step at which each pair first
-coincides, -1 if it never does within the run.
+Every engine returns ``Totals``: per recorded slot (step k is recorded in
+slot k // record_every when record_every divides k) the number of coincident
+pairs and, for finite chains, the state counts of each chain, plus the
+histogram of the exact lattice step at which pairs first coincide. Nothing
+per replication outlives its block. A caller that wants the paths passes
+``on_block``, which receives each block's recorded states as it ends.
 """
 
 from __future__ import annotations
+
+from typing import NamedTuple
 
 import numpy as np
 
@@ -39,10 +43,18 @@ from ..kernels.laws import (
 # replications per Generator stream; changing it changes every seeded output
 BLOCK = 4096
 
-# recorded pair states per run, replications x (lattice steps // record_every
-# + 1): the two recorded arrays take 16 bytes a state as float64 (8 as the
-# finite chain's int32), so the cap keeps them within 1 GiB; the defaults
-# record 610 000 states
+# pair-steps a run may take: per block, its pairs (at least MIN_BLOCK_WIDTH)
+# times its steps (the start draw, the burn-in and the lattice steps). Set so
+# that the slowest engine, the Metropolis one, finishes in about a minute on a
+# 2-core x86 host: it runs 2.4e6 pair-steps/s in full blocks of short runs
+# and takes 62 us a step for a block of 1 pair, the cost of 150 pairs in a
+# full block, and took 50 s at the limit either way
+MAX_PAIR_STEPS = 120_000_000
+MIN_BLOCK_WIDTH = 150
+
+# recorded pair states that ``on_block`` receives per block, block size x
+# (lattice steps // record_every + 1): the buffer takes 16 bytes a state as
+# float64 (8 as the finite chain's int32), so the cap keeps it within 1 GiB
 MAX_RECORDED_STATES = 1 << 26
 
 # a residual sampler accepts each proposal with probability 1 - eps >= 1/2
@@ -58,47 +70,75 @@ def _blocks(master_seed: int, replications: int):
         yield slice(b * BLOCK, min((b + 1) * BLOCK, replications)), np.random.default_rng(child)
 
 
-class _Paths:
-    """Recorded states and first coupling steps of every replication."""
-
-    def __init__(self, replications: int, n_steps: int, record_every: int, dtype):
-        shape = (replications, n_steps // record_every + 1)
-        self.xs = np.empty(shape, dtype)
-        self.xps = np.empty(shape, dtype)
-        self.couple_at = np.full(replications, -1, np.int64)
-        self.every = record_every
-
-    def store(self, rows: slice, k: int, x: np.ndarray, xp: np.ndarray) -> None:
-        """Take lattice step k of the pairs in ``rows``."""
-        at = self.couple_at[rows]  # a view: rows is a slice
-        at[(at < 0) & (x == xp)] = k
-        if k % self.every == 0:
-            self.xs[rows, k // self.every] = x
-            self.xps[rows, k // self.every] = xp
-
-    def result(self):
-        return self.xs, self.xps, self.couple_at
+def pair_steps(replications: int, steps: int) -> int:
+    """The work a run of ``steps`` steps per block costs against
+    ``MAX_PAIR_STEPS``, each block counted at ``MIN_BLOCK_WIDTH`` pairs or
+    more."""
+    full, rest = divmod(replications, BLOCK)
+    width = full * BLOCK + (max(rest, MIN_BLOCK_WIDTH) if rest else 0)
+    return width * steps
 
 
-def _lockstep(n_steps, master_seed, replications, record_every, dtype, start, step):
-    """Run the coupled pairs block by block; returns ``(xs, xps, couple_at)``.
+class Totals(NamedTuple):
+    """Statistics of a run, summed over its blocks."""
+
+    coupled: np.ndarray  # coincident pairs at each recorded slot
+    couple_hist: np.ndarray  # pairs by the lattice step at which they first coincide
+    counts: np.ndarray | None  # finite chains: (slots, states) counts of x
+    counts_prime: np.ndarray | None  # the same for x'
+    opportunities: int | None = None  # Metropolis coin chances over all pairs
+
+
+def _lockstep(n_steps, master_seed, replications, record_every, start, step,
+              states=None, on_block=None, dtype=np.float64):
+    """Run the coupled pairs block by block and return their ``Totals``.
 
     ``start(rng, m)`` draws the two start arrays of an m-pair block, and
-    ``step(rng, x, xp, reps)`` returns the next lattice states of the pairs
-    ``(x, xp)``, which are replications ``reps`` of the run; it may overwrite
-    ``x`` and ``xp``, which are already recorded. Each block draws its starts
-    and then its steps from its own generator, and every pair of the block
-    takes every lattice step.
+    ``step(rng, x, xp)`` returns the next lattice states of the pairs
+    ``(x, xp)``; it may overwrite ``x`` and ``xp``, which are already
+    tallied. Each block draws its starts and then its steps from its own
+    generator, and every pair of the block takes every lattice step. A
+    finite chain passes its number of ``states``, to count them per slot.
+
+    ``on_block(first, xs, xps)``, if given, is called as each block ends with
+    the block's recorded states, replications x slots as ``dtype``, whose
+    first row is replication ``first``; the arrays are reused by the next
+    block. Raises ``MathError`` if a pair that coincided separates.
     """
-    paths = _Paths(replications, n_steps, record_every, dtype)
+    slots = n_steps // record_every + 1
+    coupled = np.zeros(slots, np.int64)
+    hist = np.zeros(n_steps + 1, np.int64)
+    counts = counts_prime = None
+    if states is not None:
+        counts = np.zeros((slots, states), np.int64)
+        counts_prime = np.zeros((slots, states), np.int64)
+    paths = None
+    if on_block is not None:
+        paths = np.empty((2, min(replications, BLOCK), slots), dtype)
     for rows, rng in _blocks(master_seed, replications):
-        reps = np.arange(rows.start, rows.stop)
-        x, xp = start(rng, reps.size)
-        paths.store(rows, 0, x, xp)
-        for k in range(1, n_steps + 1):
-            x, xp = step(rng, x, xp, reps)
-            paths.store(rows, k, x, xp)
-    return paths.result()
+        x, xp = start(rng, rows.stop - rows.start)
+        at = np.full(x.size, -1, np.int64)  # the step at which each pair coincided
+        for k in range(n_steps + 1):
+            if k:
+                x, xp = step(rng, x, xp)
+            eq = x == xp
+            if ((at >= 0) > eq).any():
+                raise MathError("a pair decoupled after coupling; engine invariant broken")
+            at[eq & (at < 0)] = k
+            if k % record_every:
+                continue
+            slot = k // record_every
+            coupled[slot] += np.count_nonzero(eq)
+            if counts is not None:
+                counts[slot] += np.bincount(x, minlength=states)
+                counts_prime[slot] += np.bincount(xp, minlength=states)
+            if paths is not None:
+                paths[0, : x.size, slot] = x
+                paths[1, : x.size, slot] = xp
+        hist += np.bincount(at[at >= 0], minlength=n_steps + 1)
+        if on_block is not None:
+            on_block(rows.start, paths[0, : x.size], paths[1, : x.size])
+    return Totals(coupled, hist, counts, counts_prime)
 
 
 def _stationary_start(x0: float, burn_in: int, stationary, kernel_step):
@@ -176,8 +216,9 @@ def finite_coupling_paths(
     nu_cdf: np.ndarray,
     resid_cdf: np.ndarray,
     in_small_set: np.ndarray,
-):
-    """Coupled paths of a finite chain on the lag-n0 lattice.
+    on_block=None,
+) -> Totals:
+    """Coupling of a finite chain on the lag-n0 lattice, with state counts.
 
     ``step_cdf`` holds row CDFs of the n0-step matrix, ``in_small_set`` one
     bool per state. The overlap table ``nu_cdf`` and the residual table
@@ -205,7 +246,7 @@ def finite_coupling_paths(
         u = rng.random((2, m))
         return inverse_cdf(mu0_cdf, u[0]), inverse_cdf(pi_cdf, u[1])
 
-    def step(rng, x, xp, _reps):
+    def step(rng, x, xp):
         u = rng.random((3, x.size))
         eq = x == xp
         coin = ~eq & in_small_set[x] & in_small_set[xp]
@@ -216,7 +257,8 @@ def finite_coupling_paths(
         new_x = inverse_cdf(table[row_x], u[1])
         return new_x, np.where(eq | heads, new_x, inverse_cdf(table[row_xp], u[2]))
 
-    return _lockstep(n_lat, master_seed, replications, record_every, np.int32, start, step)
+    return _lockstep(n_lat, master_seed, replications, record_every, start, step,
+                     size, on_block, np.int32)
 
 
 # ---------------------------------------------------------------------------
@@ -240,15 +282,16 @@ def halfline_coupling_paths(
     x0: float,
     eps: float,
     burn_in: int,
-):
-    """Coupled paths of the half-line mixture chain (whole-space overlap, lag 1).
+    on_block=None,
+) -> Totals:
+    """Coupling of the half-line mixture chain (whole-space overlap, lag 1).
 
     The second chain starts from an exact stationary draw (``hl_stationary``)
     advanced by ``burn_in`` further steps.
     """
     keep = _hl_keep(eps)
 
-    def step(rng, x, xp, _reps):
+    def step(rng, x, xp):
         n = x.size
         eq = x == xp
         heads = ~eq & (rng.random(n) < eps)
@@ -260,7 +303,8 @@ def halfline_coupling_paths(
         return np.where(tails, x, new), np.where(tails, xp, new)
 
     start = _stationary_start(x0, burn_in, hl_stationary, hl_step)
-    return _lockstep(n_lat, master_seed, replications, record_every, np.float64, start, step)
+    return _lockstep(n_lat, master_seed, replications, record_every, start, step,
+                     on_block=on_block)
 
 
 # ---------------------------------------------------------------------------
@@ -294,24 +338,25 @@ def rwm_coupling_paths(
     c_lo: float,
     c_hi: float,
     burn_in: int,
-):
-    """Coupled paths of the Metropolis chain with small set [c_lo, c_hi], lag 2.
+    on_block=None,
+) -> Totals:
+    """Coupling of the Metropolis chain with small set [c_lo, c_hi], lag 2.
 
     Coin flips happen at even times when both chains sit in the small set;
     otherwise both advance two Metropolis steps independently. Lattice steps
-    are pair-steps; the number of coin opportunities is returned per
-    replication after the coupling steps. The second chain starts from an
-    exact Laplace draw (``rwm_stationary``) advanced by ``burn_in`` further
-    Metropolis steps.
+    are pair-steps; ``Totals.opportunities`` counts the coin flips of all
+    pairs. The second chain starts from an exact Laplace draw
+    (``rwm_stationary``) advanced by ``burn_in`` further Metropolis steps.
     """
     keep = _rwm_keep(eps)
-    opportunities = np.zeros(replications, np.int64)
+    opportunities = 0
 
-    def step(rng, x, xp, reps):
+    def step(rng, x, xp):
+        nonlocal opportunities
         n = x.size
         eq = x == xp
         coin = ~eq & (c_lo <= x) & (x <= c_hi) & (c_lo <= xp) & (xp <= c_hi)
-        opportunities[reps[coin]] += 1
+        opportunities += int(np.count_nonzero(coin))
         heads = coin & (rng.random(n) < eps)
         tails = coin & ~heads
         moved = rwm_two_steps(rng, np.concatenate([x, xp]))
@@ -326,5 +371,6 @@ def rwm_coupling_paths(
         return new_x, new_xp
 
     start = _stationary_start(x0, burn_in, rwm_stationary, rwm_step)
-    paths = _lockstep(n_pairs, master_seed, replications, record_every, np.float64, start, step)
-    return (*paths, opportunities)
+    totals = _lockstep(n_pairs, master_seed, replications, record_every, start, step,
+                       on_block=on_block)
+    return totals._replace(opportunities=opportunities)

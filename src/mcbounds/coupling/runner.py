@@ -5,17 +5,19 @@ block of ``engines.BLOCK`` replications, so a run is reproducible bit for bit
 for a fixed config (see ``engines``). Statistics are reported on every
 ``record_every``-th point of the lag-n0 lattice; intermediate times are not
 filled in. Coupling times are exact lattice times whether recorded or not.
+The engines sum every statistic while they run, so a run holds per-slot
+totals, never a state per replication and slot.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
 
-from ..errors import CertificateError, InputError, MathError
+from ..errors import CertificateError, InputError
 from ..bounds import CERTIFICATES
 from . import engines
 
@@ -48,7 +50,9 @@ class CouplingConfig:
     chains ``burn_in`` further kernel steps follow it, which keep its law.
     The lag, the overlap and the coupling mode follow from the finite
     certificate or, for the continuous chains, from ``bounds.CERTIFICATES``.
-    Every replication runs all ``n_max // n0`` lattice steps.
+    Every replication runs all ``n_max // n0`` lattice steps; a run of more
+    than ``engines.MAX_PAIR_STEPS`` pair-steps (``engines.pair_steps``) is
+    refused.
     """
 
     model: str
@@ -88,15 +92,22 @@ class CouplingConfig:
             raise InputError(
                 f"half-line start must be in [0, {MAX_HALFLINE_START:g}], got {self.x0}"
             )
-        recorded = self.replications * (
-            self.n_max // self.effective_n0() // self.record_every + 1
-        )
-        if recorded > engines.MAX_RECORDED_STATES:
+        steps = 1 + self.burn_in + self.n_max // self.effective_n0()
+        work = engines.pair_steps(self.replications, steps)
+        if work > engines.MAX_PAIR_STEPS:
+            shrink = ["fewer replications (--reps)", "a smaller n_max (--n-max)"]
+            if self.burn_in:
+                shrink.append("a shorter burn_in (--burn-in)")
             raise InputError(
-                f"{recorded:.3g} recorded pair states exceed the cap of "
-                f"{engines.MAX_RECORDED_STATES}; pass fewer replications, a "
-                "smaller n_max or a larger record_every"
+                f"{work:.3g} pair-steps exceed the work budget of "
+                f"{engines.MAX_PAIR_STEPS:.3g}; pass {', '.join(shrink[:-1])} "
+                f"or {shrink[-1]}"
             )
+
+    def lattice(self) -> tuple[int, ...]:
+        """The recorded chain steps: every ``record_every``-th lattice point."""
+        n0 = self.effective_n0()
+        return tuple(range(0, self.n_max // n0 * n0 + 1, n0 * self.record_every))
 
     def effective_n0(self) -> int:
         if self.model == "finite":
@@ -166,13 +177,13 @@ def empirical_tv(counts: Sequence[int], reference: Sequence[float]) -> TvEstimat
     return TvEstimate(value=value, se=se, noise_floor=floor)
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True)
 class CouplingResult:
-    """Per-lattice coupling statistics plus the recorded paths.
+    """Per-lattice coupling statistics of a run.
 
-    ``lattice`` lists chain-step indices; arrays ``xs``/``xps`` (replications
-    x lattice) are carried for further analysis but excluded from the JSON
-    form. Coupling times are in chain steps.
+    ``lattice`` lists chain-step indices, and every per-point tuple follows
+    it. Coupling times are in chain steps. The result keeps no paths: pass
+    ``on_block`` to ``run_coupling`` to see them.
     """
 
     model: str
@@ -192,8 +203,6 @@ class CouplingResult:
     coupling_time_quantiles: tuple[tuple[str, float], ...]
     uncoupled: int
     opportunities_mean: float | None
-    xs: np.ndarray = field(repr=False)
-    xps: np.ndarray = field(repr=False)
 
     def to_jsonable(self) -> dict:
         out = {
@@ -294,73 +303,59 @@ def _finite_arrays(config: CouplingConfig):
     return step_cdf, nu_cdf, resid_cdf, in_small
 
 
-def _assert_once_coupled_forever(eq: np.ndarray) -> None:
-    if eq.shape[1] > 1 and not np.all(~eq[:, :-1] | eq[:, 1:]):
-        raise MathError("a trajectory decoupled after coupling; engine invariant broken")
-
-
-def _quantile(ordered: list[int], q: float) -> float:
-    """numpy's default (linear) quantile of ascending integers, to the float
-    bit: at v = q (n - 1), between a = ordered[floor(v)] and the next value
-    b, with d = b - a and g = v - floor(v), it is a + d g for g < 1/2 and
-    b - d (1 - g) otherwise. numpy's own quantile function imports
-    ``numpy.ma`` (through ``np.unique``), which no other step of a run needs.
+def _quantile(at_rank, n: int, q: float) -> float:
+    """numpy's default (linear) quantile of n ascending integers, to the float
+    bit; ``at_rank(i)`` is the i-th smallest. At v = q (n - 1), between
+    a = at_rank(floor(v)) and the next value b, with d = b - a and
+    g = v - floor(v), it is a + d g for g < 1/2 and b - d (1 - g) otherwise.
+    numpy's own quantile function imports ``numpy.ma`` (through
+    ``np.unique``), which no other step of a run needs.
     """
-    v = q * (len(ordered) - 1)
+    v = q * (n - 1)
     i = math.floor(v)
     g = v - i
-    a = ordered[i]
-    b = ordered[min(i + 1, len(ordered) - 1)]
+    a = at_rank(i)
+    b = at_rank(min(i + 1, n - 1))
     d = b - a
     return a + d * g if g < 0.5 else b - d * (1 - g)
 
 
 def _summarize(
     config: CouplingConfig,
-    n_steps: int,
-    xs: np.ndarray,
-    xps: np.ndarray,
-    couple_at: np.ndarray,
-    opportunities: np.ndarray | None,
+    totals: engines.Totals,
     finite_reference: ProbVector | None,
 ) -> CouplingResult:
-    """Statistics of an engine run of ``n_steps`` lattice steps.
+    """Statistics of an engine run from its ``Totals``.
 
-    ``xs``/``xps`` hold every ``record_every``-th lattice point and
-    ``couple_at`` the exact lattice step of coupling per replication.
+    Every count is an exact integer, so each mean is the correctly rounded
+    quotient that numpy's mean over the per-replication values gives.
     """
     reps = config.replications
     n0 = config.effective_n0()
-    lattice = tuple(k * n0 for k in range(0, n_steps + 1, config.record_every))
-    couple_steps = np.where(couple_at >= 0, couple_at * n0, -1)
-    eq = xs == xps
-    _assert_once_coupled_forever(eq)
-    p_neq = 1.0 - eq.mean(axis=0)
+    p_neq = 1.0 - totals.coupled / reps
     p_se = np.sqrt(p_neq * (1.0 - p_neq) / reps)
 
     tv = None
     counts = counts_prime = None
     if finite_reference is not None:
-        ref = finite_reference.to_floats()
-        size = len(ref)
-        counts = tuple(
-            tuple(int(c) for c in np.bincount(xs[:, k], minlength=size))
-            for k in range(xs.shape[1])
-        )
-        counts_prime = tuple(
-            tuple(int(c) for c in np.bincount(xps[:, k], minlength=size))
-            for k in range(xps.shape[1])
-        )
+        counts = tuple(map(tuple, totals.counts.tolist()))
+        counts_prime = tuple(map(tuple, totals.counts_prime.tolist()))
         if reps >= 2:  # the jackknife needs at least two samples
+            ref = finite_reference.to_floats()
             tv = tuple(empirical_tv(row, ref) for row in counts)
 
-    coupled = couple_steps[couple_steps >= 0]
-    uncoupled = int(reps - coupled.size)
-    mean_time = float(coupled.mean()) if coupled.size else None
+    ranks = np.cumsum(totals.couple_hist)
+    coupled = int(ranks[-1])
+    mean_time = None
     quantiles: tuple[tuple[str, float], ...] = ()
-    if coupled.size:
-        ordered = np.sort(coupled).tolist()
-        quantiles = tuple((str(q), _quantile(ordered, q)) for q in (0.5, 0.9, 0.99))
+    if coupled:
+        steps = np.arange(totals.couple_hist.size)
+        mean_time = int(totals.couple_hist @ steps) * n0 / coupled
+
+        def at_rank(i: int) -> int:
+            return int(np.searchsorted(ranks, i, side="right")) * n0
+
+        quantiles = tuple((str(q), _quantile(at_rank, coupled, q)) for q in (0.5, 0.9, 0.99))
 
     return CouplingResult(
         model=config.model,
@@ -370,24 +365,22 @@ def _summarize(
         replications=reps,
         master_seed=config.master_seed,
         n_max=config.n_max,
-        lattice=lattice,
-        p_neq=tuple(float(v) for v in p_neq),
-        p_neq_se=tuple(float(v) for v in p_se),
+        lattice=config.lattice(),
+        p_neq=tuple(p_neq.tolist()),
+        p_neq_se=tuple(p_se.tolist()),
         tv=tv,
         marginal_counts=counts,
         marginal_counts_prime=counts_prime,
         coupling_time_mean=mean_time,
         coupling_time_quantiles=quantiles,
-        uncoupled=uncoupled,
+        uncoupled=reps - coupled,
         opportunities_mean=(
-            float(opportunities.mean()) if opportunities is not None else None
+            totals.opportunities / reps if totals.opportunities is not None else None
         ),
-        xs=xs,
-        xps=xps,
     )
 
 
-def run_coupling(config: CouplingConfig) -> CouplingResult:
+def run_coupling(config: CouplingConfig, on_block=None) -> CouplingResult:
     """Simulate the coupling of ``config`` on its lag-n0 lattice.
 
     The chains flip an eps-coin whenever both sit in the small set: the whole
@@ -397,26 +390,41 @@ def run_coupling(config: CouplingConfig) -> CouplingResult:
     times with the published lag-2 overlap (odd-time states are not
     recorded). Finite chains draw from their exact certificate tables; the
     pairwise variant supplies pair-dependent overlap measures.
+
+    ``on_block(first, xs, xps)``, if given, receives each block's recorded
+    states as the block ends (see ``engines._lockstep``); such a run is
+    refused (``InputError``) when one block would record more than
+    ``engines.MAX_RECORDED_STATES`` pair states.
     """
     n_steps = config.n_max // config.effective_n0()
+    if on_block is not None:
+        buffered = min(config.replications, engines.BLOCK) * len(config.lattice())
+        if buffered > engines.MAX_RECORDED_STATES:
+            raise InputError(
+                f"the paths of one block take {buffered:.3g} recorded pair states, "
+                f"beyond the cap of {engines.MAX_RECORDED_STATES}; pass a larger "
+                "record_every (--record-every) or a smaller n_max (--n-max)"
+            )
     run = (n_steps, config.master_seed, config.replications, config.record_every)
     eps = config.effective_epsilon()
-    opportunities = pi = None
+    pi = None
     if config.model == "finite":
         from ..finite_chain import ProbVector, stationary
 
         pi = stationary(config.matrix)
         mu0 = config.initial_law or ProbVector.delta(config.matrix.size, 0)
         step_cdf, nu_cdf, resid_cdf, in_small = _finite_arrays(config)
-        xs, xps, couple_at = engines.finite_coupling_paths(
+        totals = engines.finite_coupling_paths(
             *run, _cdf_rows(mu0.to_floats()), _cdf_rows(pi.to_floats()), step_cdf, eps,
-            nu_cdf, resid_cdf, in_small
+            nu_cdf, resid_cdf, in_small, on_block
         )
     elif config.model == "halfline":
-        xs, xps, couple_at = engines.halfline_coupling_paths(*run, config.x0, eps, config.burn_in)
+        totals = engines.halfline_coupling_paths(
+            *run, config.x0, eps, config.burn_in, on_block
+        )
     else:
         small = CERTIFICATES[config.model].small_set
-        xs, xps, couple_at, opportunities = engines.rwm_coupling_paths(
-            *run, config.x0, eps, small.lo, small.hi, config.burn_in
+        totals = engines.rwm_coupling_paths(
+            *run, config.x0, eps, small.lo, small.hi, config.burn_in, on_block
         )
-    return _summarize(config, n_steps, xs, xps, couple_at, opportunities, pi)
+    return _summarize(config, totals, pi)

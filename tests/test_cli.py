@@ -6,6 +6,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from importlib.resources import files
 from pathlib import Path
 
@@ -475,8 +476,21 @@ class TestSimulate:
         (["--grid", "3x3", "--cert", "pseudo", "--n-max", "12", "--reps", "500"],
          "7c035fdd21abeacc1fb6ed913d39a930d49daafcdd3d27d4b946f2d36d38af10",
          "fc51cec4a79489f9d043a536e9620e6187b86a4ce7336e66a6d97c2d69762e82"),
+        # rows over several blocks of engines.BLOCK = 4096 replications
+        (["--grid", "3x3", "--cert", "pseudo", "--n-max", "6", "--reps", "9000"],
+         "23bf375bbde7214ebb09cf4d85d29a446195df15080752a099f30350f0f5f609",
+         "2755bd791de15fde56428e777f6c7b9f477d84d251129a9de43b9d293241b277"),
+        (["--grid", "3x3", "--cert", "uniform", "--n-max", "6", "--reps", "5000"],
+         "05538ce622a0447cc258146c60da34d13de90b6a55bc319d3c909717fa4354ab",
+         "cfa5bb95317016b6f13323d6ea30d61d49af3e58c2b3cb0d614e5356e64642b7"),
+        (["--halfline", "--n-max", "4", "--reps", "9000", "--burn-in", "5"],
+         "9b87caad0ae0c7286ffcdc73df0de3b40c1c3681acccbbf3325bd38c9415c615", None),
+        (["--rwm-laplace", "--n-max", "24", "--reps", "5000", "--record-every", "4"],
+         "245a2329c07ddbe031f347cf775031985beba165ae74a4e0d92cdf7bf3d52104",
+         "8a49b402fa8c4b85eee0d5ef7e244868d48a854362adef693e79af929f7b4745"),
     ], ids=["grid-pseudo", "grid-uniform", "halfline", "rwm-laplace", "halfline-burn-in-0",
-            "grid-pseudo-trajectories"])
+            "grid-pseudo-trajectories", "grid-pseudo-3-blocks", "grid-uniform-2-blocks",
+            "halfline-3-blocks", "rwm-laplace-2-blocks"])
     def test_seeded_bytes_pinned(self, capsys, tmp_path, argv, stdout_digest, traj_digest):
         # the random stream contract: a seed gives these bytes on every version
         # until a change says otherwise
@@ -487,6 +501,103 @@ class TestSimulate:
         assert hashlib.sha256(stdout).hexdigest() == stdout_digest
         if traj_digest:
             assert hashlib.sha256(traj.read_bytes()).hexdigest() == traj_digest
+
+    @pytest.mark.parametrize("argv,option", [
+        (["--halfline", "--reps", "10", "--n-max", "4", "--burn-in", "1000000000"],
+         "--burn-in"),
+        (["--grid", "3x3", "--n0", "2", "--reps", "1000000", "--n-max", "10000000",
+          "--record-every", "1000000"], "--n-max"),
+        (["--halfline", "--reps", "1000000000000", "--n-max", "0"], "--reps"),
+        # the inputs of test_coupling's test_recorded_states_capped
+        (["--grid", "3x3", "--cert", "uniform", "--reps", "10000000", "--n-max", "60"],
+         "--reps"),
+        (["--grid", "3x3", "--cert", "uniform", "--reps", "1", "--n-max", str(2**27)],
+         "--n-max"),
+        (["--grid", "3x3", "--cert", "uniform", "--reps", str(10**12), "--n-max",
+          str(10**6), "--record-every", str(10**6)], "--reps"),
+    ], ids=["burn-in", "record-every", "reps-n-max-0", "reps", "n-max", "all-large"])
+    def test_work_budget_refuses_before_the_run(self, capsys, argv, option):
+        start = time.perf_counter()
+        assert main(["simulate", *argv]) == 2
+        assert time.perf_counter() - start < 1.0
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("mcbounds: error:")
+        assert "work budget" in captured.err and option in captured.err
+
+    def test_trajectory_buffer_capped_per_block(self, capsys, tmp_path):
+        # within the work budget, but one block's paths would exceed the cap
+        traj = tmp_path / "paths.csv"
+        argv = ["simulate", "--rwm-laplace", "--reps", "4096", "--n-max", "40000",
+                "--trajectories", str(traj)]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert "recorded pair states" in err and "--record-every" in err
+        assert [p.name for p in tmp_path.iterdir()] == ["paths.csv"]
+        assert traj.read_bytes() == b""
+
+    def test_failed_run_leaves_the_trajectory_file_as_it_was(self, capsys, tmp_path,
+                                                             monkeypatch):
+        from mcbounds.coupling import engines
+        from mcbounds.errors import MathError
+
+        real = engines.halfline_coupling_paths
+
+        def fails_after_one_block(*args):
+            def then_fail(*block):
+                args[-1](*block)
+                raise MathError("stopped after one block")
+            return real(*args[:-1], then_fail)
+
+        monkeypatch.setattr(engines, "halfline_coupling_paths", fails_after_one_block)
+        traj = tmp_path / "paths.csv"
+        traj.write_text("earlier run\n")
+        argv = ["simulate", "--halfline", "--reps", "5000", "--n-max", "4",
+                "--trajectories", str(traj)]
+        assert main(argv) == 3
+        assert "stopped after one block" in capsys.readouterr().err
+        assert [p.name for p in tmp_path.iterdir()] == ["paths.csv"]
+        assert traj.read_text() == "earlier run\n"
+
+    def test_trajectories_through_a_symlink_and_to_a_pipe(self, capsys, tmp_path):
+        argv = ["simulate", "--grid", "2x2", "--n-max", "4", "--reps", "3", "--seed", "1"]
+        (tmp_path / "data").mkdir()
+        link = tmp_path / "paths.csv"
+        link.symlink_to(tmp_path / "data" / "p.csv")
+        assert main([*argv, "--trajectories", str(link)]) == 0
+        capsys.readouterr()
+        assert link.is_symlink()
+        csv = (tmp_path / "data" / "p.csv").read_text()
+        assert csv.startswith("replication,n,x,x_prime,coupled\n")
+        assert sorted(p.name for p in tmp_path.rglob("*")) == ["data", "p.csv", "paths.csv"]
+        # a device is written in place, not replaced
+        done = run_cli_process(*argv, "--trajectories", "/dev/stdout")
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.startswith(csv)
+        assert json.loads(done.stdout[len(csv):])["command"] == "simulate"
+
+    def test_peak_memory_does_not_grow_with_replications(self):
+        # the engines keep per-slot totals and one block in flight, so ten
+        # times the replications must not raise the process's peak RSS (at
+        # 20 000 replications the whole-run arrays took about 35 MB more)
+        src = str(Path(mcbounds.__file__).resolve().parents[1])
+        script = (
+            "import contextlib, io, sys\n"
+            f"sys.path.insert(0, {src!r})\n"
+            "from mcbounds.cli import main\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            "    assert main(sys.argv[1:]) == 0\n"
+            "status = open('/proc/self/status').read().splitlines()\n"
+            "print([line.split()[1] for line in status if line.startswith('VmHWM')][0])\n"
+        )
+        peak_kb = {}
+        for reps in (2000, 20000):
+            argv = ["simulate", "--grid", "3x3", "--cert", "pseudo", "--n-max", "400",
+                    "--seed", "3", "--reps", str(reps)]
+            done = subprocess.run([sys.executable, "-c", script, *argv],
+                                  capture_output=True, text=True, timeout=60, check=True)
+            peak_kb[reps] = int(done.stdout)
+        assert abs(peak_kb[20000] - peak_kb[2000]) < 4 * 1024, peak_kb
 
 
 class TestVerify:
@@ -588,6 +699,42 @@ class TestCertificates:
 
 
 class TestOutputs:
+    def test_non_finite_json_is_refused(self, capsys, tmp_path):
+        # RFC 8259 has no NaN or Infinity: the report is refused, not printed
+        argv = ["bound", "t2", "--check-n", "1000000", "--check-j", "1000000"]
+        assert main(argv) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            "mcbounds: the report holds a non-finite number at "
+            "results.schedule_point.bound\n"
+        )
+        assert main([*argv, "--output", str(tmp_path), "--format", "both"]) == 3
+        capsys.readouterr()
+        assert list(tmp_path.iterdir()) == []
+
+    def test_non_finite_csv_cell_is_refused(self, tmp_path):
+        from types import SimpleNamespace
+
+        from mcbounds.cli import _emit, _Report
+        from mcbounds.errors import MathError
+
+        report = _Report("bound", "t1", {}, {"crossing": 3})
+        report.add_csv("-curve", n=[1, 2, 3], bound=[0.5, float("nan"), 0.1])
+        with pytest.raises(MathError, match=r"bound-t1-curve.csv would hold a non-finite number at bound\[1\]"):
+            _emit(report, SimpleNamespace(output=str(tmp_path), format="both"))
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("value,key", [
+        ({"a": [1.0, {"b": float("-inf")}]}, "a[1].b"),
+        ({"b": 1.0, "a": (float("nan"),)}, "a[0]"),
+        ({"a": "inf", "b": [2, None, 1e308]}, None),
+    ])
+    def test_nonfinite_key_names_the_first_in_key_order(self, value, key):
+        from mcbounds.cli import _nonfinite_key
+
+        assert _nonfinite_key(value) == key
+
     def test_csv_without_output_dir_exits_2(self, capsys):
         code, _ = run_cli(
             capsys, "finite", "tv-exact", "--grid", "3x3", "--format", "csv"

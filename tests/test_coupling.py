@@ -11,6 +11,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import fraction_reference as ref
+from coupling_reference import reference_for, run_with_paths
+from mcbounds.bounds import CERTIFICATES
 from mcbounds.coupling import CouplingConfig, empirical_tv, run_coupling
 from mcbounds.coupling import engines
 from mcbounds.coupling.runner import _cdf_rows, _finite_arrays, _quantile
@@ -37,6 +39,7 @@ def grid():
 
 @pytest.fixture(scope="module")
 def grid_pseudo_run(grid):
+    """(config, result, xs, xps) of a 3x3 pseudo-certificate run."""
     config = CouplingConfig(
         model="finite",
         n_max=60,
@@ -46,42 +49,88 @@ def grid_pseudo_run(grid):
         cert=minorization_pseudo(grid, 2),
         initial_law=ProbVector.delta(9, 4),
     )
-    return config, run_coupling(config)
+    return config, *run_with_paths(config)
 
 
-def small_runs(master_seed, replications):
-    """One short run of each engine: finite 3x3 pseudo, half-line, Metropolis."""
+def small_configs(master_seed, replications, record_every=1):
+    """One short config of each engine: finite 3x3 pseudo, half-line, Metropolis."""
     grid = build_grid_walk(3, 3)
-    common = dict(master_seed=master_seed, replications=replications)
+    common = dict(master_seed=master_seed, replications=replications,
+                  record_every=record_every)
     return (
-        run_coupling(CouplingConfig(
+        CouplingConfig(
             model="finite", n_max=8, matrix=grid, cert=minorization_pseudo(grid, 2),
             initial_law=ProbVector.delta(9, 4), **common,
-        )),
-        run_coupling(CouplingConfig(model="halfline", n_max=4, burn_in=10, **common)),
-        run_coupling(CouplingConfig(model="rwm-laplace", n_max=20, burn_in=10, **common)),
+        ),
+        CouplingConfig(model="halfline", n_max=4, burn_in=10, **common),
+        CouplingConfig(model="rwm-laplace", n_max=20, burn_in=10, **common),
     )
+
+
+def small_runs(master_seed, replications, record_every=1):
+    """``(result, xs, xps)`` of each of ``small_configs``."""
+    return [run_with_paths(c) for c in small_configs(master_seed, replications, record_every)]
 
 
 class TestSeeds:
     """Randomness contract: one Generator per block of engines.BLOCK replications."""
 
     def test_same_seed_gives_same_bytes(self):
-        for a, b in zip(small_runs(2024, 300), small_runs(2024, 300)):
-            assert a.xs.tobytes() == b.xs.tobytes()
-            assert a.xps.tobytes() == b.xps.tobytes()
+        for (a, a_xs, a_xps), (b, b_xs, b_xps) in zip(
+            small_runs(2024, 300), small_runs(2024, 300)
+        ):
+            assert a_xs.tobytes() == b_xs.tobytes()
+            assert a_xps.tobytes() == b_xps.tobytes()
             assert json.dumps(a.to_jsonable()) == json.dumps(b.to_jsonable())
 
     def test_different_masters_differ(self):
-        for a, b in zip(small_runs(1, 100), small_runs(2, 100)):
-            assert not np.array_equal(a.xps, b.xps)
+        for (_, _, a_xps), (_, _, b_xps) in zip(small_runs(1, 100), small_runs(2, 100)):
+            assert not np.array_equal(a_xps, b_xps)
 
     def test_first_block_repeats_in_a_longer_run(self):
         block = engines.BLOCK
-        for one, two in zip(small_runs(5, block), small_runs(5, 2 * block)):
-            assert np.array_equal(two.xs[:block], one.xs)
-            assert np.array_equal(two.xps[:block], one.xps)
-            assert not np.array_equal(two.xps[block:], one.xps)
+        for (_, one_xs, one_xps), (_, two_xs, two_xps) in zip(
+            small_runs(5, block), small_runs(5, 2 * block)
+        ):
+            assert np.array_equal(two_xs[:block], one_xs)
+            assert np.array_equal(two_xps[:block], one_xps)
+            assert not np.array_equal(two_xps[block:], one_xps)
+
+
+class TestStreamedSummary:
+    """The per-block totals give the statistics of the whole-matrix reference."""
+
+    @settings(max_examples=25, deadline=None)
+    @example(0, 4096, 4, 1, 0)
+    @example(2, 1, 12, 3, 5)
+    @given(
+        st.integers(0, 2),
+        st.sampled_from([1, 4095, 4096, 4097, 8193]),
+        st.integers(0, 12),
+        st.integers(1, 3),
+        st.integers(0, 2**32 - 1),
+    )
+    def test_same_bytes_as_the_whole_matrix_summary(self, model, reps, steps, every, seed):
+        config = small_configs(seed, reps, every)[model]
+        config = dataclasses.replace(config, n_max=steps * config.effective_n0())
+        small = CERTIFICATES["rwm-laplace"].small_set
+        want = reference_for(
+            config,
+            small_set=(small.lo, small.hi) if config.model == "rwm-laplace" else None,
+            finite_reference=stationary(config.matrix) if config.model == "finite" else None,
+        )
+        got = run_coupling(config)
+        assert json.dumps(got.to_jsonable()) == json.dumps(want.to_jsonable())
+
+    def test_a_pair_that_separates_raises(self):
+        def start(rng, m):
+            return np.zeros(m), np.zeros(m)
+
+        def step(rng, x, xp):
+            return x, xp + (rng.random(x.size) < 0.5)
+
+        with pytest.raises(MathError, match="decoupled"):
+            engines._lockstep(3, 1, 10, 1, start, step)
 
 
 class TestInverseCdf:
@@ -237,20 +286,11 @@ class TestRecordEvery:
     @pytest.mark.parametrize("every", [2, 3])
     def test_recorded_columns_are_the_full_run_thinned(self, every):
         full = small_runs(8, 200)
-        grid = build_grid_walk(3, 3)
-        common = dict(master_seed=8, replications=200, record_every=every)
-        thinned = (
-            run_coupling(CouplingConfig(
-                model="finite", n_max=8, matrix=grid, cert=minorization_pseudo(grid, 2),
-                initial_law=ProbVector.delta(9, 4), **common,
-            )),
-            run_coupling(CouplingConfig(model="halfline", n_max=4, burn_in=10, **common)),
-            run_coupling(CouplingConfig(model="rwm-laplace", n_max=20, burn_in=10, **common)),
-        )
-        for a, b in zip(full, thinned):
+        thinned = small_runs(8, 200, every)
+        for (a, a_xs, a_xps), (b, b_xs, b_xps) in zip(full, thinned):
             assert b.lattice == a.lattice[::every]
-            assert np.array_equal(b.xs, a.xs[:, ::every])
-            assert np.array_equal(b.xps, a.xps[:, ::every])
+            assert np.array_equal(b_xs, a_xs[:, ::every])
+            assert np.array_equal(b_xps, a_xps[:, ::every])
             assert b.p_neq == a.p_neq[::every]
             # coupling times stay exact between recorded points
             assert b.coupling_time_mean == a.coupling_time_mean
@@ -292,11 +332,28 @@ class TestContinuousOverlapBounds:
     ])
     def test_recorded_states_capped(self, grid, run):
         cert = minorization_uniform(grid, 2)
-        with pytest.raises(InputError, match="recorded pair states"):
+        with pytest.raises(InputError, match="work budget"):
             CouplingConfig(model="finite", matrix=grid, cert=cert, master_seed=1, **run)
         run = {**run, "model": "rwm-laplace", "n_max": 2 * run["n_max"]}
-        with pytest.raises(InputError, match="recorded pair states"):
+        with pytest.raises(InputError, match="work budget"):
             CouplingConfig(master_seed=1, **run)
+
+    def test_work_budget_counts_blocks_at_a_minimum_width(self):
+        width = engines.MIN_BLOCK_WIDTH
+        assert engines.pair_steps(1, 1) == width
+        assert engines.pair_steps(engines.BLOCK, 7) == engines.BLOCK * 7
+        assert engines.pair_steps(2 * engines.BLOCK + 1, 3) == (2 * engines.BLOCK + width) * 3
+        assert engines.pair_steps(engines.BLOCK + width + 1, 2) == (
+            (engines.BLOCK + width + 1) * 2
+        )
+
+    def test_work_budget_admits_long_runs_that_memory_once_refused(self, grid):
+        # 70 000 replications x 1001 lattice points were 7.0e7 recorded states
+        CouplingConfig(model="finite", matrix=grid, cert=minorization_pseudo(grid, 2),
+                       master_seed=1, replications=70_000, n_max=2000)
+        with pytest.raises(InputError, match="work budget"):
+            CouplingConfig(model="halfline", master_seed=1, replications=1,
+                           n_max=engines.MAX_PAIR_STEPS // engines.MIN_BLOCK_WIDTH)
 
     def test_redraws_stop_after_the_round_cap(self):
         rng = np.random.default_rng(0)
@@ -418,7 +475,7 @@ class TestQuantile:
         values = np.random.default_rng(seed).integers(0, 2**bits, n, endpoint=True)
         ordered = np.sort(values).tolist()
         qs = (0.5, 0.9, 0.99)
-        got = [_quantile(ordered, q) for q in qs]
+        got = [_quantile(ordered.__getitem__, len(ordered), q) for q in qs]
         assert all(type(v) is float for v in got)
         assert np.array(got).tobytes() == np.quantile(values, qs).tobytes()
 
@@ -443,7 +500,7 @@ class TestEmpiricalTv:
 
 class TestGridCoupling:
     def test_non_coupling_dominated_by_geometric_bound(self, grid_pseudo_run):
-        config, res = grid_pseudo_run
+        config, res, _, _ = grid_pseudo_run
         for n, p, se in zip(res.lattice, res.p_neq, res.p_neq_se):
             assert p <= float(F(2, 3)) ** (n // 2) + 3 * se
 
@@ -462,7 +519,7 @@ class TestGridCoupling:
             assert p <= float(F(71, 80)) ** (n // 2) + 3 * se
 
     def test_marginals_match_exact_evolution(self, grid, grid_pseudo_run):
-        config, res = grid_pseudo_run
+        config, res, _, _ = grid_pseudo_run
         mu0 = ProbVector.delta(9, 4)
         for k, n in enumerate(res.lattice):
             want = evolve(mu0, grid, n).to_floats()
@@ -471,7 +528,7 @@ class TestGridCoupling:
             assert np.all(np.abs(got - want) <= 4 * se + 1e-12)
 
     def test_stationary_marginal_stays_stationary(self, grid, grid_pseudo_run):
-        config, res = grid_pseudo_run
+        config, res, _, _ = grid_pseudo_run
         pi = stationary(grid).to_floats()
         for k in range(len(res.lattice)):
             got = np.array(res.marginal_counts_prime[k]) / config.replications
@@ -479,23 +536,23 @@ class TestGridCoupling:
             assert np.all(np.abs(got - pi) <= 4 * se)
 
     def test_once_coupled_forever(self, grid_pseudo_run):
-        _, res = grid_pseudo_run
-        eq = res.xs == res.xps
+        _, _, xs, xps = grid_pseudo_run
+        eq = xs == xps
         assert np.all(~eq[:, :-1] | eq[:, 1:])
 
     def test_non_coupling_frequency_non_increasing(self, grid_pseudo_run):
-        _, res = grid_pseudo_run
+        _, res, _, _ = grid_pseudo_run
         assert all(b <= a for a, b in zip(res.p_neq, res.p_neq[1:]))
 
     def test_empirical_tv_respects_coupling_inequality(self, grid_pseudo_run):
-        _, res = grid_pseudo_run
+        _, res, _, _ = grid_pseudo_run
         for k in range(len(res.lattice)):
             t = res.tv[k]
             allowance = t.noise_floor + 3 * math.hypot(t.se, res.p_neq_se[k])
             assert t.value <= res.p_neq[k] + allowance
 
     def test_empirical_tv_tracks_exact_curve_at_signal_scale(self, grid, grid_pseudo_run):
-        config, res = grid_pseudo_run
+        config, res, _, _ = grid_pseudo_run
         curve = exact_tv_curve(ProbVector.delta(9, 4), grid, 8)
         for k, n in enumerate(res.lattice[:4]):
             exact = float(curve.value_at(n))
@@ -668,35 +725,35 @@ def rwm_run():
         master_seed=11,
         record_every=50,
     )
-    return config, run_coupling(config)
+    return config, *run_with_paths(config)
 
 
 class TestRwmSmallSetCoupling:
     def test_every_replication_couples_within_cap(self, rwm_run):
-        _, res = rwm_run
+        _, res, _, _ = rwm_run
         assert res.uncoupled == 0
         assert res.coupling_time_mean is not None
 
     def test_opportunity_rate_matches_overlap_constant(self, rwm_run):
         # coupling needs on average about 1/eps coin flips
-        _, res = rwm_run
+        _, res, _, _ = rwm_run
         eps = 1.0 / (8.0 * math.e**2)
         assert res.opportunities_mean == pytest.approx(1.0 / eps, rel=0.15)
 
     def test_drift_function_mean_stays_bounded(self, rwm_run):
         # iterated one-step drift gives E[V(X_n)] <= V(x0) + b/(1-lam)
-        config, res = rwm_run
+        config, _, xs, _ = rwm_run
         v0 = math.exp(abs(config.x0) / 2.0)
         cap = v0 + 0.285 / (1.0 - 0.916)
-        vals = np.exp(np.abs(res.xs) / 2.0)
+        vals = np.exp(np.abs(xs) / 2.0)
         for k in range(vals.shape[1]):
             mean = vals[:, k].mean()
             se = vals[:, k].std(ddof=1) / math.sqrt(vals.shape[0])
             assert mean <= cap + 3 * se
 
     def test_once_coupled_forever_on_recorded_lattice(self, rwm_run):
-        _, res = rwm_run
-        eq = res.xs == res.xps
+        _, _, xs, xps = rwm_run
+        eq = xs == xps
         assert np.all(~eq[:, :-1] | eq[:, 1:])
 
 
