@@ -20,11 +20,28 @@ from ..kernels.verify import (
 )
 
 
-def _probe_count(lo: float, hi: float, step: float) -> float:
+def _probe_count(lo: float, hi: float, step: float) -> int | float:
     """Length of the probe grid ``np.arange(lo, hi + 1e-12, step)``, counted
-    without building it (inf when the count overflows a float)."""
+    without building it: an int, or inf when the count overflows a float."""
     n = (hi + 1e-12 - lo) / step
-    return float(math.ceil(n)) if math.isfinite(n) else n
+    return math.ceil(n) if math.isfinite(n) else n
+
+
+def _require_finite_drift(kernel, V, grid) -> None:
+    """Refuse a grid on which V overflows, at a probe state or at an end of
+    its one-step window: there E[V(next)] and lam V(x) would compare
+    infinities. V = exp(|x|/2) grows with |x|, so the ends bound it on the
+    window."""
+    lo, hi = kernel.window(grid)
+    with np.errstate(over="ignore"):
+        finite = np.isfinite(V(grid)) & np.isfinite(V(lo)) & np.isfinite(V(hi))
+    if not finite.all():
+        i = int(np.argmin(finite))
+        raise InputError(
+            f"V = exp(|x|/2) is not finite on the one-step window [{lo[i]}, "
+            f"{hi[i]}] of the probe state {grid[i]}; keep --grid-lo and "
+            "--grid-hi nearer to 0"
+        )
 
 
 def run(args) -> tuple[_Report, int]:
@@ -40,7 +57,7 @@ def run(args) -> tuple[_Report, int]:
         points = _probe_count(args.grid_lo, args.grid_hi, args.grid_step)
         if points > MAX_DRIFT_POINTS:
             raise InputError(
-                f"a drift grid of {points:.3g} points exceeds the cap of "
+                f"a drift grid of {points} points exceeds the cap of "
                 f"{MAX_DRIFT_POINTS}; pass a larger --grid-step"
             )
         kernel = metropolis_rwm_laplace()
@@ -48,6 +65,7 @@ def run(args) -> tuple[_Report, int]:
         b = args.b if args.b is not None else presets.LAPLACE_B
         drift = presets.laplace_drift(lam=lam, b=b)
         grid = np.arange(args.grid_lo, args.grid_hi + 1e-12, args.grid_step)
+        _require_finite_drift(kernel, drift.V, grid)
         verif = verify_univariate_drift(kernel, drift, grid, tolerance=args.tolerance)
         config = {
             "preset": args.preset,
@@ -87,7 +105,7 @@ def run(args) -> tuple[_Report, int]:
     pairs = _probe_count(*x_range, step) * _probe_count(*y_range, step)
     if pairs > MAX_PROBE_PAIRS:
         raise InputError(
-            f"{pairs:.3g} probe pairs exceed the cap of {MAX_PROBE_PAIRS}; "
+            f"{pairs} probe pairs exceed the cap of {MAX_PROBE_PAIRS}; "
             "pass a larger --probe-step"
         )
     probe_x, probe_y = (np.arange(lo, hi + 1e-12, step) for lo, hi in (x_range, y_range))

@@ -52,11 +52,6 @@ BLOCK = 4096
 MAX_PAIR_STEPS = 120_000_000
 MIN_BLOCK_WIDTH = 150
 
-# recorded pair states that ``on_block`` receives per block, block size x
-# (lattice steps // record_every + 1): the buffer takes 16 bytes a state as
-# float64 (8 as the finite chain's int32), so the cap keeps it within 1 GiB
-MAX_RECORDED_STATES = 1 << 26
-
 # a residual sampler accepts each proposal with probability 1 - eps >= 1/2
 # under the certified overlaps, so a pair still pending after this many
 # rounds means the residual law is not what the certificate promises

@@ -18,7 +18,7 @@ from typing import TYPE_CHECKING, Sequence
 import numpy as np
 
 from ..errors import CertificateError, InputError
-from ..bounds import CERTIFICATES
+from ..bounds import CERTIFICATES, MAX_CURVE_POINTS
 from . import engines
 
 if TYPE_CHECKING:
@@ -52,7 +52,8 @@ class CouplingConfig:
     certificate or, for the continuous chains, from ``bounds.CERTIFICATES``.
     Every replication runs all ``n_max // n0`` lattice steps; a run of more
     than ``engines.MAX_PAIR_STEPS`` pair-steps (``engines.pair_steps``) is
-    refused.
+    refused, and so is one that records more than ``bounds.MAX_CURVE_POINTS``
+    lattice points, the cap on bound curves.
     """
 
     model: str
@@ -99,9 +100,16 @@ class CouplingConfig:
             if self.burn_in:
                 shrink.append("a shorter burn_in (--burn-in)")
             raise InputError(
-                f"{work:.3g} pair-steps exceed the work budget of "
-                f"{engines.MAX_PAIR_STEPS:.3g}; pass {', '.join(shrink[:-1])} "
+                f"{work} pair-steps exceed the work budget of "
+                f"{engines.MAX_PAIR_STEPS}; pass {', '.join(shrink[:-1])} "
                 f"or {shrink[-1]}"
+            )
+        points = self.n_max // self.effective_n0() // self.record_every + 1
+        if points > MAX_CURVE_POINTS:
+            raise InputError(
+                f"a run recording {points} lattice points exceeds the cap of "
+                f"{MAX_CURVE_POINTS}; pass a larger record_every (--record-every) "
+                "or a smaller n_max (--n-max)"
             )
 
     def lattice(self) -> tuple[int, ...]:
@@ -392,19 +400,10 @@ def run_coupling(config: CouplingConfig, on_block=None) -> CouplingResult:
     pairwise variant supplies pair-dependent overlap measures.
 
     ``on_block(first, xs, xps)``, if given, receives each block's recorded
-    states as the block ends (see ``engines._lockstep``); such a run is
-    refused (``InputError``) when one block would record more than
-    ``engines.MAX_RECORDED_STATES`` pair states.
+    states as the block ends (see ``engines._lockstep``): at most
+    ``engines.BLOCK`` x ``bounds.MAX_CURVE_POINTS`` pair states.
     """
     n_steps = config.n_max // config.effective_n0()
-    if on_block is not None:
-        buffered = min(config.replications, engines.BLOCK) * len(config.lattice())
-        if buffered > engines.MAX_RECORDED_STATES:
-            raise InputError(
-                f"the paths of one block take {buffered:.3g} recorded pair states, "
-                f"beyond the cap of {engines.MAX_RECORDED_STATES}; pass a larger "
-                "record_every (--record-every) or a smaller n_max (--n-max)"
-            )
     run = (n_steps, config.master_seed, config.replications, config.record_every)
     eps = config.effective_epsilon()
     pi = None

@@ -1,15 +1,19 @@
 """Numeric verification of drift and overlap conditions on probe grids.
 
 Integrals use QUADPACK's 21-point Gauss-Kronrod rule qk21 (Piessens et al.,
-*QUADPACK*, 1983), applied as numpy arrays to every piece of every probe
-point at once; the kernel's declared kink points split each interval into
+*QUADPACK*, 1983), applied as numpy arrays to the pieces of many probe
+points at once; the kernel's declared kink points split each interval into
 pieces, and the pieces of a point that misses QUADPACK's tolerance test are
-bisected and integrated again. Memory stays bounded on fine grids: drift
-states and lag-2 overlap pairs reach the integrator in chunks of ``_CHUNK``,
-and a lag-1 overlap check, which integrates nothing, evaluates its margins
-in blocks of whole probe rows, at most ``_LAG1_PAIRS`` pairs each (a longer
-row in pieces). These checks evaluate the conditions at finitely many
-states to the stated tolerances; they are engineering checks, not proofs.
+bisected and integrated again. One byte budget, ``_PASS_BYTES``, bounds the
+working set: every qk21 pass, the first and each bisection round, runs over
+blocks of at most ``_PASS_BYTES // (21 * 8)`` pieces, so a block's
+(21, pieces) node arrays take at most that many bytes each, and a lag-1
+overlap check, which integrates nothing, evaluates its margins in blocks of
+whole probe rows, at most ``_PASS_BYTES // 8`` pairs each (a longer row in
+pieces). Drift states and lag-2 overlap pairs still reach the integrator in
+chunks of ``_CHUNK``, which bounds the arrays held per point and per piece.
+These checks evaluate the conditions at finitely many states to the stated
+tolerances; they are engineering checks, not proofs.
 """
 
 from __future__ import annotations
@@ -50,12 +54,17 @@ _QUAD_LIMIT = 200
 # s >> 1 (the half-line kernel's normal part at x = 18.1) sits in one piece
 # whose qk21 and Gauss sums agree to 6e-8 while both miss by 2.7e-5
 _MAP_CUTS = 20
-# probe points (or lag-2 probe pairs) per array pass
+# bytes of one node array of a qk21 block (780 pieces) and of one lag-1
+# margin block (16 384 pairs), so a pass's dozen or so live arrays fit a
+# 2 MiB second-level cache. Swept from 64 KiB to 1 MiB on the three benchmark
+# lines (BENCH_verify_memory.json): 128 KiB had the lowest peak RSS from
+# 128 KiB up and the fastest warm runs of them; 64 KiB saved 0.4 MB more but
+# slowed the lag-1 line
+_PASS_BYTES = 128 * 1024
+# probe points (or lag-2 probe pairs) per batch_quad call: bounds the edge
+# and index arrays, a few per point, and the per-piece arrays, at most
+# _QUAD_LIMIT entries a point
 _CHUNK = 1024
-# lag-1 probe pairs per density evaluation: a block's temporaries take 512 KiB
-# each, less than one node array of a lag-2 chunk (611 KiB for the first
-# pass over 1024 rwm-laplace pairs)
-_LAG1_PAIRS = 64 * _CHUNK
 # the largest probe sets the command line builds: a drift state costs one
 # integral and a row of the report's CSV (100 000 take seconds), a lag-1
 # overlap pair one density evaluation and a lag-2 pair one integral (about
@@ -127,8 +136,9 @@ def _qk21(f, owner, sign, base, a, b):
     absc = hlgth * _XGK[:, None]
     t = np.concatenate([centr - absc, centr + absc, centr[None]])
     if sign.any():
-        # finite pieces keep t; t is interior, so never 0, on mapped ones
-        with np.errstate(divide="ignore", invalid="ignore"):
+        # finite pieces keep t, so their mapped nodes, which may overflow
+        # near t = 0, are dropped; t is interior, so never 0, on mapped ones
+        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
             mapped = sign != 0.0
             fv = f(owner, np.where(mapped, base + sign * ((1.0 - t) / t), t))
             fv = np.where(mapped, fv / t / t, fv)
@@ -136,18 +146,24 @@ def _qk21(f, owner, sign, base, a, b):
         fv = f(owner, t)
     fv1, fv2, fc = fv[:10], fv[10:20], fv[20]
     fsum = fv1 + fv2
+    # each weight product as one (10, pieces) array, its rows then summed
+    # in QUADPACK's order: the same products and sums as a loop over j
+    kron = _WGK[:10, None] * fsum
+    gauss = _WG[:, None] * fsum[1::2]
+    absf = _WGK[:10, None] * (np.abs(fv1) + np.abs(fv2))
     resk = _WGK[10] * fc
     resg = np.zeros_like(resk)
     resabs = np.abs(resk)
     for j in (1, 3, 5, 7, 9, 0, 2, 4, 6, 8):
         if j % 2:
-            resg = resg + _WG[j // 2] * fsum[j]
-        resk = resk + _WGK[j] * fsum[j]
-        resabs = resabs + _WGK[j] * (np.abs(fv1[j]) + np.abs(fv2[j]))
+            resg += gauss[j // 2]
+        resk += kron[j]
+        resabs += absf[j]
     reskh = resk * 0.5
+    dev = _WGK[:10, None] * (np.abs(fv1 - reskh) + np.abs(fv2 - reskh))
     resasc = _WGK[10] * np.abs(fc - reskh)
-    for j in range(10):
-        resasc = resasc + _WGK[j] * (np.abs(fv1[j] - reskh) + np.abs(fv2[j] - reskh))
+    for row in dev:
+        resasc += row
     dhlgth = np.abs(hlgth)
     resabs = resabs * dhlgth
     resasc = resasc * dhlgth
@@ -160,6 +176,18 @@ def _qk21(f, owner, sign, base, a, b):
     return resk * hlgth, err
 
 
+def _qk21_blocks(f, owner, sign, base, a, b):
+    """``_qk21`` over the pieces in order, in blocks whose (21, pieces) node
+    arrays take at most ``_PASS_BYTES`` each. qk21 treats every piece on its
+    own, so the blocks give each piece the numbers of one whole pass."""
+    step = max(1, _PASS_BYTES // (21 * 8))
+    value, err = np.empty(owner.size), np.empty(owner.size)
+    for start in range(0, owner.size, step):
+        k = slice(start, start + step)
+        value[k], err[k] = _qk21(f, owner[k], sign[k], base[k], a[k], b[k])
+    return value, err
+
+
 def batch_quad(f, lo, hi, breaks=None) -> tuple[np.ndarray, np.ndarray]:
     """Integral of point i's integrand over [lo[i], hi[i]], for every point i.
 
@@ -168,11 +196,13 @@ def batch_quad(f, lo, hi, breaks=None) -> tuple[np.ndarray, np.ndarray]:
     holds point i's kink points; those strictly inside its interval split it
     into pieces, and an infinite end is mapped onto (0, 1] (qagi's
     substitution; the whole line is split at 0 first) and cut at t = 2^-k,
-    k = 1.._MAP_CUTS. Every piece gets the qk21 rule. A point is done when its summed error estimate is at most
-    max(_QUAD_TOL, _QUAD_REL * |value|), QUADPACK's test; until then its
-    pieces with more than an equal share of that bound are bisected, largest
-    errors first, up to _QUAD_LIMIT pieces. A point's result depends on its
-    own integrand only, never on the other points of the batch.
+    k = 1.._MAP_CUTS. Every piece gets the qk21 rule, in blocks of pieces
+    under ``_PASS_BYTES``. A point is done when its summed error estimate is
+    at most max(_QUAD_TOL, _QUAD_REL * |value|), QUADPACK's test; until then
+    its pieces with more than an equal share of that bound are bisected,
+    largest errors first, up to _QUAD_LIMIT pieces. A point's result depends
+    on its own integrand only, never on the other points of the batch or the
+    blocks of a pass.
 
     Returns (values, error estimates); raises ``QuadratureError`` when a
     point ends with an error above _QUAD_FAIL_FACTOR times that bound, or NaN.
@@ -201,7 +231,7 @@ def batch_quad(f, lo, hi, breaks=None) -> tuple[np.ndarray, np.ndarray]:
         b = np.concatenate([b[finite], np.tile(cuts, n_mapped)])
         order = np.lexsort((a, sign, owner))
         owner, sign, base, a, b = (v[order] for v in (owner, sign, base, a, b))
-    value, err = _qk21(f, owner, sign, base, a, b)
+    value, err = _qk21_blocks(f, owner, sign, base, a, b)
     while True:
         total = np.bincount(owner, value, m)
         errsum = np.bincount(owner, err, m)
@@ -222,7 +252,7 @@ def batch_quad(f, lo, hi, breaks=None) -> tuple[np.ndarray, np.ndarray]:
         owner, sign, base = (np.concatenate([v[keep], v[twice]]) for v in (owner, sign, base))
         a, b = np.concatenate([a[keep], a[cut], mid]), np.concatenate([b[keep], mid, b[cut]])
         new = slice(owner.size - twice.size, None)
-        halves = _qk21(f, owner[new], sign[new], base[new], a[new], b[new])
+        halves = _qk21_blocks(f, owner[new], sign[new], base[new], a[new], b[new])
         value = np.concatenate([value[keep], halves[0]])
         err = np.concatenate([err[keep], halves[1]])
         # each point's pieces left to right, so its sums run in a fixed order
@@ -385,8 +415,9 @@ def verify_minorization_numeric(
         # first smallest pair overall; the density may ignore x, nu may
         # ignore y, so both are broadcast
         eps_nu = np.broadcast_to(epsilon * nu_density(ys), ys.shape)
-        cols = min(ys.size, _LAG1_PAIRS)
-        rows = max(1, _LAG1_PAIRS // ys.size)
+        pairs = max(1, _PASS_BYTES // 8)
+        cols = min(ys.size, pairs)
+        rows = max(1, pairs // ys.size)
         for r0 in range(0, xs.size, rows):
             x = xs[r0:r0 + rows, None]
             for c0 in range(0, ys.size, cols):

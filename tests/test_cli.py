@@ -3,6 +3,7 @@
 import ast
 import hashlib
 import json
+import math
 import os
 import subprocess
 import sys
@@ -525,14 +526,23 @@ class TestSimulate:
         assert captured.err.startswith("mcbounds: error:")
         assert "work budget" in captured.err and option in captured.err
 
+    def test_work_budget_message_prints_exact_counts(self, capsys):
+        # rounded to 3 digits, both counts read "1.2e+08"
+        assert main(["simulate", "--halfline", "--reps", "4096", "--n-max", "29296"]) == 2
+        assert ("120000512 pair-steps exceed the work budget of 120000000;"
+                in capsys.readouterr().err)
+
     def test_trajectory_buffer_capped_per_block(self, capsys, tmp_path):
-        # within the work budget, but one block's paths would exceed the cap
+        # within the work budget, but 20001 recorded lattice points are over
+        # the cap of 10000, so one block's buffer never reaches 4096 x 20001
+        # pair states; the run is refused before it writes a row
         traj = tmp_path / "paths.csv"
         argv = ["simulate", "--rwm-laplace", "--reps", "4096", "--n-max", "40000",
                 "--trajectories", str(traj)]
         assert main(argv) == 2
         err = capsys.readouterr().err
-        assert "recorded pair states" in err and "--record-every" in err
+        assert "20001 lattice points exceeds the cap of 10000" in err
+        assert "--record-every" in err
         assert [p.name for p in tmp_path.iterdir()] == ["paths.csv"]
         assert traj.read_bytes() == b""
 
@@ -620,6 +630,43 @@ class TestVerify:
         assert captured.out == ""
         assert captured.err.startswith("mcbounds: error:")
         assert "--grid" in captured.err or "--probe-step" in captured.err
+
+    @pytest.mark.parametrize("argv, message", [
+        (["drift", "--grid-step", "0.0002"],
+         "a drift grid of 100001 points exceeds the cap of 100000;"),
+        (["minorization", "--preset", "halfline", "--probe-step", "0.02"],
+         "6255001 probe pairs exceed the cap of 4194304;"),
+    ], ids=["drift-grid", "probe-pairs"])
+    def test_cap_messages_print_exact_counts(self, capsys, argv, message):
+        # rounded to 3 digits, 100001 points read "1e+05", the cap itself
+        assert main(["verify", *argv]) == 2
+        assert message in capsys.readouterr().err
+
+    @pytest.mark.parametrize("lo, hi, step, state", [
+        ("1400", "1430", "10", "1420.0"),
+        ("-1430", "-1400", "10", "-1430.0"),
+        ("1417.6", "1417.6", "0.05", "1417.6"),
+    ])
+    def test_far_drift_grid_is_refused_before_integrating(self, capsys, lo, hi, step, state):
+        # V = exp(|x|/2) overflows beyond |x| = 1419.56, at a state or at an
+        # end of its window [x - 2, x + 2]; integrating there ended in exit 3
+        # on a NaN estimate, after numpy's overflow warnings
+        argv = ["drift", "--grid-lo", lo, "--grid-hi", hi, "--grid-step", step]
+        assert main(["verify", *argv]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.count("\n") == 1
+        assert captured.err.startswith("mcbounds: error: V = exp(|x|/2) is not finite")
+        assert f"probe state {state};" in captured.err
+        assert "--grid-lo" in captured.err and "--grid-hi" in captured.err
+
+    def test_drift_next_to_the_overflow_is_checked(self, capsys):
+        # the window [1415.5, 1419.5] keeps V finite, so the grid runs
+        code, report = run_cli(
+            capsys, "verify", "drift", "--grid-lo", "1417.5", "--grid-hi", "1417.5"
+        )
+        assert code == 0
+        assert math.isfinite(report["results"]["max_violation"])
 
     def test_drift_preset_passes(self, capsys):
         code, report = run_cli(

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 import fraction_reference as ref
 from coupling_reference import reference_for, run_with_paths
-from mcbounds.bounds import CERTIFICATES
+from mcbounds.bounds import CERTIFICATES, MAX_CURVE_POINTS
 from mcbounds.coupling import CouplingConfig, empirical_tv, run_coupling
 from mcbounds.coupling import engines
 from mcbounds.coupling.runner import _cdf_rows, _finite_arrays, _quantile
@@ -327,7 +327,7 @@ class TestContinuousOverlapBounds:
 
     @pytest.mark.parametrize("run", [
         dict(replications=10_000_000, n_max=60),
-        dict(replications=1, n_max=2 * engines.MAX_RECORDED_STATES),
+        dict(replications=1, n_max=2**27),
         dict(replications=10**12, n_max=10**6, record_every=10**6),
     ])
     def test_recorded_states_capped(self, grid, run):
@@ -337,6 +337,21 @@ class TestContinuousOverlapBounds:
         run = {**run, "model": "rwm-laplace", "n_max": 2 * run["n_max"]}
         with pytest.raises(InputError, match="work budget"):
             CouplingConfig(master_seed=1, **run)
+
+    def test_recorded_points_capped_at_a_bound_curve(self, grid):
+        # within the work budget; the cap keeps a block's trajectory buffer
+        # under 4096 x 10 000 pair states and the report under 10 000 rows
+        cert = minorization_uniform(grid, 2)
+        config = CouplingConfig(model="finite", matrix=grid, cert=cert, master_seed=1,
+                                replications=4096, n_max=2 * MAX_CURVE_POINTS - 1)
+        assert len(config.lattice()) == MAX_CURVE_POINTS
+        with pytest.raises(InputError, match=f"{MAX_CURVE_POINTS + 1} lattice points.*--record-every"):
+            dataclasses.replace(config, n_max=2 * MAX_CURVE_POINTS)
+        with pytest.raises(InputError, match="--record-every"):
+            CouplingConfig(model="rwm-laplace", master_seed=1, replications=4096,
+                           n_max=4 * MAX_CURVE_POINTS)
+        thinned = dataclasses.replace(config, n_max=4 * MAX_CURVE_POINTS - 1, record_every=2)
+        assert len(thinned.lattice()) == MAX_CURVE_POINTS
 
     def test_work_budget_counts_blocks_at_a_minimum_width(self):
         width = engines.MIN_BLOCK_WIDTH

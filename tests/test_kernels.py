@@ -4,6 +4,7 @@ import dataclasses
 import json
 import math
 import struct
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -48,6 +49,47 @@ def pair_loop_lag1(kernel, epsilon, nu_density, xs, ys):
         if margin[k] < min_margin:
             min_margin, arg = float(margin[k]), (float(x[k]), float(y[k]))
     return min_margin, *arg
+
+
+def loop_qk21(f, owner, sign, base, a, b):
+    """qk21 on every piece in one pass, its sums formed one node pair at a
+    time in QUADPACK's order, as ``verify._qk21`` once did."""
+    centr = 0.5 * (a + b)
+    hlgth = 0.5 * (b - a)
+    absc = hlgth * verify._XGK[:, None]
+    t = np.concatenate([centr - absc, centr + absc, centr[None]])
+    if sign.any():
+        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+            mapped = sign != 0.0
+            fv = f(owner, np.where(mapped, base + sign * ((1.0 - t) / t), t))
+            fv = np.where(mapped, fv / t / t, fv)
+    else:
+        fv = f(owner, t)
+    wgk, wg = verify._WGK, verify._WG
+    fv1, fv2, fc = fv[:10], fv[10:20], fv[20]
+    fsum = fv1 + fv2
+    resk = wgk[10] * fc
+    resg = np.zeros_like(resk)
+    resabs = np.abs(resk)
+    for j in (1, 3, 5, 7, 9, 0, 2, 4, 6, 8):
+        if j % 2:
+            resg = resg + wg[j // 2] * fsum[j]
+        resk = resk + wgk[j] * fsum[j]
+        resabs = resabs + wgk[j] * (np.abs(fv1[j]) + np.abs(fv2[j]))
+    reskh = resk * 0.5
+    resasc = wgk[10] * np.abs(fc - reskh)
+    for j in range(10):
+        resasc = resasc + wgk[j] * (np.abs(fv1[j] - reskh) + np.abs(fv2[j] - reskh))
+    dhlgth = np.abs(hlgth)
+    resabs = resabs * dhlgth
+    resasc = resasc * dhlgth
+    err = np.abs((resk - resg) * hlgth)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        scaled = resasc * np.minimum(1.0, (200.0 * err / resasc) ** 1.5)
+    err = np.where((resasc != 0.0) & (err != 0.0), scaled, err)
+    floor = (verify._EPMACH * 50.0) * resabs
+    err = np.where(resabs > verify._UFLOW / (50.0 * verify._EPMACH), np.maximum(floor, err), err)
+    return resk * hlgth, err
 
 
 def float_bits(values):
@@ -175,7 +217,7 @@ class TestMinorizationVerification:
 
     @pytest.mark.parametrize("probe_x, probe_y", [
         (np.arange(0.0, 50.0 + 1e-12, 0.05), np.arange(0.0, 50.0 + 1e-12, 0.05)),
-        ([0.0, 3.5, 20.0], np.linspace(0.0, 50.0, 3 * verify._LAG1_PAIRS // 2)),
+        ([0.0, 3.5, 20.0], np.linspace(0.0, 50.0, 3 * (verify._PASS_BYTES // 8) // 2)),
     ], ids=["halfline-default-grid", "row-larger-than-a-block"])
     def test_lag1_blocks_match_the_pair_loop(self, halfline, probe_x, probe_y):
         # the default grid's margin is exactly 0 at many pairs (the normal
@@ -212,10 +254,26 @@ class TestMinorizationVerification:
         else:
             kernel, nu = rwm, laws.rwm_nu_density
             xs, ys = np.array(xs) * 0.25 - 20.0, np.array(ys) * 0.25 - 20.0
-        with mock.patch.object(verify, "_LAG1_PAIRS", block):
+        with mock.patch.object(verify, "_PASS_BYTES", 8 * block):
             report = verify_minorization_numeric(kernel, 1, epsilon, nu, xs, ys)
         got = (report.min_margin, report.argmin_x, report.argmin_y)
         assert float_bits(got) == float_bits(pair_loop_lag1(kernel, epsilon, nu, xs, ys))
+
+    def test_lag2_check_stays_within_its_pass_budget(self, rwm):
+        # the command's default Metropolis grid, 81 x 41 pairs: passes over a
+        # whole 1024-pair chunk at once peaked at 6.2 MiB here
+        cert = CERTIFICATES["rwm-laplace"]
+        probe_x = np.arange(-2.0, 2.0 + 1e-12, 0.05)
+        probe_y = np.arange(-1.0, 1.0 + 1e-12, 0.05)
+        tracemalloc.start()
+        try:
+            verify_minorization_numeric(
+                rwm, cert.n0, cert.epsilon, laws.rwm_nu_density, probe_x, probe_y
+            )
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 3 * 2**20
 
     @pytest.mark.parametrize("probe_x, probe_y", [([], [0.0]), ([0.0], []), ([], [])])
     def test_empty_probe_set_is_refused(self, halfline, probe_x, probe_y):
@@ -564,6 +622,38 @@ class TestBatchQuad:
             v, e = batch_quad(cauchy(centre[sub], scale[sub]), lo[sub], hi[sub], breaks[sub])
             assert v.tobytes() == value[sub].tobytes()
             assert e.tobytes() == err[sub].tobytes()
+
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        points=st.lists(
+            st.tuples(
+                st.sampled_from(["finite", "right", "left", "line"]),
+                st.floats(-3.0, 3.0),
+                st.sampled_from([1e-3, 1e-2, 0.3, 2.0]),
+                st.floats(-2.0, 2.0),
+            ),
+            min_size=1, max_size=6,
+        ),
+        few=st.integers(2, 7),
+    )
+    def test_piece_blocks_give_the_bits_of_one_pass(self, points, few):
+        # finite windows, mapped half-lines and the whole line, with narrow
+        # Cauchy peaks that bisect for several rounds: every piece budget
+        # gives the bits of one unblocked pass with the per-node sums
+        kind, centre, scale, kink = (np.array(v) for v in zip(*points))
+        lo = np.where((kind == "left") | (kind == "line"), -math.inf, -1.0)
+        hi = np.where((kind == "right") | (kind == "line"), math.inf, 1.5)
+        breaks = kink[:, None]
+        f = cauchy(centre, scale)
+        with mock.patch.object(verify, "_qk21", loop_qk21), \
+                mock.patch.object(verify, "_PASS_BYTES", 1 << 40):
+            want = batch_quad(f, lo, hi, breaks)
+        for budget in (21 * 8, 21 * 8 * few, verify._PASS_BYTES):
+            with mock.patch.object(verify, "_PASS_BYTES", budget):
+                got = batch_quad(f, lo, hi, breaks)
+            assert got[0].tobytes() == want[0].tobytes()
+            assert got[1].tobytes() == want[1].tobytes()
 
 
 class TestPointProcessOverlap:
