@@ -47,7 +47,6 @@ _LAZY = {
         "minorization_pseudo",
         "minorization_uniform",
         "stationary",
-        "tv_distance",
     ),
 }
 _MODULE_OF = {name: module for module, names in _LAZY.items() for name in names}

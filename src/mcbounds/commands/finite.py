@@ -29,7 +29,7 @@ def _load_model(args) -> tuple[StochasticMatrix, str]:
     if args.matrix_file:
         try:
             data = json.loads(Path(args.matrix_file).read_text())
-        except (OSError, json.JSONDecodeError) as exc:
+        except (OSError, ValueError) as exc:  # ValueError: bad JSON, UTF-8 or int
             raise InputError(f"cannot read matrix file: {exc}") from exc
         return StochasticMatrix.from_json_dict(data), f"file {args.matrix_file}"
     raise InputError("select a model with --grid RxC or --matrix-file PATH")

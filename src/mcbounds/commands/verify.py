@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import sys
 
 import numpy as np
 
@@ -25,6 +26,19 @@ def _probe_count(lo: float, hi: float, step: float) -> int | float:
     without building it: an int, or inf when the count overflows a float."""
     n = (hi + 1e-12 - lo) / step
     return math.ceil(n) if math.isfinite(n) else n
+
+
+def _count_text(count: int | float, noun: str) -> str:
+    """A probe count for a refusal message: exact below 2^53, where the count
+    is the ceiling of an exactly represented float; above that to 3 digits;
+    and in words when it overflows a float."""
+    if count == math.inf:
+        return f"more than {sys.float_info.max:.3g} {noun} (the count overflows a float)"
+    if count < 2**53:
+        return f"{count} {noun}"
+    from decimal import Decimal  # formats ints beyond the float range
+
+    return f"{Decimal(count):.3g} {noun}"
 
 
 def _require_finite_drift(kernel, V, grid) -> None:
@@ -57,7 +71,7 @@ def run(args) -> tuple[_Report, int]:
         points = _probe_count(args.grid_lo, args.grid_hi, args.grid_step)
         if points > MAX_DRIFT_POINTS:
             raise InputError(
-                f"a drift grid of {points} points exceeds the cap of "
+                f"a drift grid of {_count_text(points, 'points')} exceeds the cap of "
                 f"{MAX_DRIFT_POINTS}; pass a larger --grid-step"
             )
         kernel = metropolis_rwm_laplace()
@@ -105,7 +119,7 @@ def run(args) -> tuple[_Report, int]:
     pairs = _probe_count(*x_range, step) * _probe_count(*y_range, step)
     if pairs > MAX_PROBE_PAIRS:
         raise InputError(
-            f"{pairs} probe pairs exceed the cap of {MAX_PROBE_PAIRS}; "
+            f"{_count_text(pairs, 'probe pairs')} exceed the cap of {MAX_PROBE_PAIRS}; "
             "pass a larger --probe-step"
         )
     probe_x, probe_y = (np.arange(lo, hi + 1e-12, step) for lo, hi in (x_range, y_range))

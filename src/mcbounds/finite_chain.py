@@ -13,7 +13,10 @@ and minorization constants are therefore exact; the only floating point in
 this module is the explicitly approximate eigenvalue analysis, and it is the
 only part that imports numpy (inside ``eigen_bound`` and ``to_floats``), so
 the exact analyses run without it. State indices are 0-based throughout;
-display layers may relabel them.
+display layers may relabel them. The module holds what the ``finite`` and
+``simulate --grid`` commands run, plus the public names the README lists;
+the independent checks of these results (total variation as a sup over
+subsets, certificate margins) are ``Fraction`` loops in the tests.
 """
 
 from __future__ import annotations
@@ -45,19 +48,11 @@ __all__ = [
     "matrix_power",
     "evolve",
     "stationary",
-    "tv_distance",
-    "tv_distance_subset_sup",
     "exact_tv_curve",
     "eigen_bound",
     "minorization_uniform",
     "minorization_pseudo",
-    "pseudo_pair_overlap",
-    "pseudo_nu",
-    "minorization_margin",
 ]
-
-# exhaustive subset enumeration (``tv_distance_subset_sup``) stops at this size
-_SUBSET_MAX_STATES = 20
 
 # eigen_bound: the largest eigenvector-matrix condition number accepted, the
 # weight at or below which a mode does not count, and the distance within
@@ -68,16 +63,22 @@ _CLUSTER_TOL = 1e-7
 
 
 def _frac(value) -> Fraction:
-    """Exact rational from Fraction, int, or a 'p/q' string. Floats rejected."""
+    """Exact rational from Fraction, int, or a 'p/q' string. Floats, bools
+    (a JSON true is no probability) and strings that name no finite
+    rational, such as '1/0', 'nan' or 'x', raise ``InputError``."""
     if isinstance(value, Fraction):
         return value
-    if isinstance(value, int):
+    if isinstance(value, int) and not isinstance(value, bool):
         return Fraction(value)
     if isinstance(value, str):
-        return Fraction(value)
+        try:
+            return Fraction(value)
+        except (ValueError, ZeroDivisionError):
+            raise InputError(f"entry {value!r} is not an exact rational 'p/q'") from None
+    note = "; floats are not exact" if isinstance(value, float) else ""
     raise InputError(
-        f"expected Fraction, int, or 'p/q' string, got {type(value).__name__}; "
-        "floats are not exact"
+        f"entry {value!r} is a {type(value).__name__}, not a Fraction, int or "
+        f"'p/q' string{note}"
     )
 
 
@@ -99,10 +100,6 @@ class ProbVector(_Record):
         if not 0 <= state < size:
             raise InputError(f"state {state} out of range for size {size}")
         return cls(tuple(Fraction(1 if i == state else 0) for i in range(size)))
-
-    @classmethod
-    def uniform(cls, size: int) -> "ProbVector":
-        return cls(tuple(Fraction(1, size) for _ in range(size)))
 
     @property
     def size(self) -> int:
@@ -200,10 +197,6 @@ class StochasticMatrix:
     def __repr__(self) -> str:
         return f"StochasticMatrix(rows={self.rows!r})"
 
-    @classmethod
-    def identity(cls, n: int) -> "StochasticMatrix":
-        return cls.from_num_den([[int(i == j) for j in range(n)] for i in range(n)], 1)
-
     @property
     def size(self) -> int:
         return len(self._num)
@@ -217,18 +210,12 @@ class StochasticMatrix:
         i, j = key
         return Fraction(self._num[i][j], self._den)
 
-    def row(self, i: int) -> ProbVector:
-        return ProbVector(self.rows[i])
-
     def to_floats(self) -> np.ndarray:
         import numpy as np
 
         # int / int is correctly rounded, as float(Fraction) is
         den = self._den
         return np.array([[v / den for v in row] for row in self._num])
-
-    def to_json_dict(self) -> dict:
-        return {"size": self.size, "rows": [[str(e) for e in row] for row in self.rows]}
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "StochasticMatrix":
@@ -237,6 +224,8 @@ class StochasticMatrix:
             rows = data["rows"]
         except (KeyError, TypeError) as exc:
             raise InputError(f"matrix JSON must have 'size' and 'rows': {exc}") from exc
+        if not (isinstance(rows, list) and all(isinstance(row, list) for row in rows)):
+            raise InputError("matrix JSON 'rows' must be a list of lists of entries")
         matrix = cls(rows)
         if matrix.size != size:
             raise InputError(f"declared size {size} != actual size {matrix.size}")
@@ -448,34 +437,6 @@ def _tv(v: Sequence[int], d: int, w: Sequence[int], e: int) -> Fraction:
     return Fraction(sum(abs(x * e - y * d) for x, y in zip(v, w)), 2 * d * e)
 
 
-def tv_distance(mu: ProbVector, nu: ProbVector) -> Fraction:
-    """Total variation distance, computed exactly as half the L1 distance."""
-    if mu.size != nu.size:
-        raise InputError(f"dimension mismatch: {mu.size} vs {nu.size}")
-    return _tv(*_common_denominator(mu.entries), *_common_denominator(nu.entries))
-
-
-def tv_distance_subset_sup(mu: ProbVector, nu: ProbVector) -> Fraction:
-    """Total variation as the exhaustive sup over all subsets of states.
-
-    Exponential in the state count; intended as an independent cross-check of
-    the half-L1 form on small spaces.
-    """
-    if mu.size != nu.size:
-        raise InputError(f"dimension mismatch: {mu.size} vs {nu.size}")
-    if mu.size > _SUBSET_MAX_STATES:
-        raise InputError(f"subset enumeration capped at {_SUBSET_MAX_STATES} states")
-    best = Fraction(0)
-    states = range(mu.size)
-    for r in range(mu.size + 1):
-        for subset in itertools.combinations(states, r):
-            diff = abs(
-                sum(mu.entries[s] for s in subset) - sum(nu.entries[s] for s in subset)
-            )
-            best = max(best, diff)
-    return best
-
-
 def exact_tv_curve(
     mu0: ProbVector,
     P: StochasticMatrix,
@@ -509,9 +470,9 @@ class MinorizationCert(_Record):
     """Certificate (C, n0, eps, nu) that n0-step transitions overlap by eps.
 
     ``variant`` is "uniform" (one shared overlap measure, ``nu`` set) or
-    "pseudo" (pairwise overlap measures, derived from the n0-step matrix via
-    ``pseudo_nu``; ``argmin_pairs`` lists the pairs attaining eps). The small
-    set is the whole space for both search routines here.
+    "pseudo" (pairwise overlap measures, each the normalized minimum of two
+    rows of the n0-step matrix; ``argmin_pairs`` lists the pairs attaining
+    eps). The small set is the whole space for both search routines here.
     """
 
     __slots__ = ("variant", "small_set", "n0", "epsilon", "nu", "argmin_pairs")
@@ -567,17 +528,6 @@ def _pair_measure(pn0: StochasticMatrix, i: int, j: int) -> tuple[list[int], int
     return mins, total
 
 
-def pseudo_pair_overlap(pn0: StochasticMatrix, i: int, j: int) -> Fraction:
-    """Overlap mass sum_z min((P^n0)_iz, (P^n0)_jz) of two starting rows."""
-    return Fraction(sum(map(min, pn0._num[i], pn0._num[j])), pn0._den)
-
-
-def pseudo_nu(pn0: StochasticMatrix, i: int, j: int) -> ProbVector:
-    """Pair overlap measure: min of the two rows, normalized."""
-    mins, total = _pair_measure(pn0, i, j)
-    return ProbVector(tuple(Fraction(m, total) for m in mins))
-
-
 def minorization_pseudo(P: StochasticMatrix, n0: int) -> MinorizationCert | None:
     """Pairwise overlap constant: eps = min over start pairs of the overlap.
 
@@ -608,36 +558,6 @@ def minorization_pseudo(P: StochasticMatrix, n0: int) -> MinorizationCert | None
         epsilon=Fraction(best, pn._den),
         argmin_pairs=tuple(pairs),
     )
-
-
-def minorization_margin(P: StochasticMatrix, cert: MinorizationCert) -> Fraction:
-    """Exact worst-case slack of the certificate; valid iff >= 0.
-
-    Uniform: min over (i, j) of (P^n0)_ij - eps*nu(j). Pseudo: min over
-    (i, j, z) of both row constraints against the pair measure.
-    """
-    pn = matrix_power(P, cert.n0)
-    num, den = pn._num, pn._den
-    eps = Fraction(cert.epsilon)
-    if cert.variant == "uniform":
-        # column j is tightest at its smallest entry
-        return min(
-            Fraction(min(col), den) - eps * cert.nu[j] for j, col in enumerate(zip(*num))
-        )
-    p, q = eps.numerator, eps.denominator
-    worst: Fraction | None = None
-    for i in range(P.size):
-        for j in range(i, P.size):
-            mins, total = _pair_measure(pn, i, j)
-            # at z the smaller row is tightest, with slack
-            # mins[z]/den - eps*mins[z]/total = mins[z]*factor / (den*q*total),
-            # so the pair's worst z has the smallest or the largest mins[z]
-            factor = q * total - p * den
-            extreme = min(mins) if factor >= 0 else max(mins)
-            slack = Fraction(extreme * factor, den * q * total)
-            if worst is None or slack < worst:
-                worst = slack
-    return worst
 
 
 class EigenMode(NamedTuple):

@@ -30,11 +30,9 @@ class Kernel:
     ``transition_density`` gives the absolutely continuous part and
     ``atom_mass`` the rejection mass left at the current point. ``window`` and
     ``breakpoints`` describe the one-step support and the integrand kinks for
-    quadrature. All four take numpy arrays of states and work per element;
-    ``atom_breakpoints`` lists the fixed states where ``atom_mass`` kinks.
-    ``step_radius`` bounds one-step moves when finite. The chains are sampled
-    only by ``laws`` (``hl_step``, ``rwm_step`` and their exact stationary
-    draws).
+    quadrature. All four take numpy arrays of states and work per element.
+    The chains are sampled only by ``laws`` (``hl_step``, ``rwm_step`` and
+    their exact stationary draws).
     """
 
     name: str
@@ -42,8 +40,6 @@ class Kernel:
     atom_mass: Callable
     window: Callable
     breakpoints: Callable
-    atom_breakpoints: tuple[float, ...] = ()
-    step_radius: float | None = None
 
 
 def halfline_mixture_kernel() -> Kernel:
@@ -73,6 +69,4 @@ def metropolis_rwm_laplace() -> Kernel:
         atom_mass=laws.rwm_atom,
         window=lambda x: (x - RWM_STEP_RADIUS, x + RWM_STEP_RADIUS),
         breakpoints=lambda x: [0.0, np.abs(x), -np.abs(x)],
-        atom_breakpoints=(-1.0, 1.0),  # where x -+ 2 meets the kink at -+|x|
-        step_radius=RWM_STEP_RADIUS,
     )

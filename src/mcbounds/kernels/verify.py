@@ -4,16 +4,19 @@ Integrals use QUADPACK's 21-point Gauss-Kronrod rule qk21 (Piessens et al.,
 *QUADPACK*, 1983), applied as numpy arrays to the pieces of many probe
 points at once; the kernel's declared kink points split each interval into
 pieces, and the pieces of a point that misses QUADPACK's tolerance test are
-bisected and integrated again. One byte budget, ``_PASS_BYTES``, bounds the
-working set: every qk21 pass, the first and each bisection round, runs over
-blocks of at most ``_PASS_BYTES // (21 * 8)`` pieces, so a block's
-(21, pieces) node arrays take at most that many bytes each, and a lag-1
-overlap check, which integrates nothing, evaluates its margins in blocks of
-whole probe rows, at most ``_PASS_BYTES // 8`` pairs each (a longer row in
-pieces). Drift states and lag-2 overlap pairs still reach the integrator in
-chunks of ``_CHUNK``, which bounds the arrays held per point and per piece.
-These checks evaluate the conditions at finitely many states to the stated
-tolerances; they are engineering checks, not proofs.
+bisected and integrated again. Every window is finite, and ``batch_quad``
+refuses one that is not: the Metropolis kernel moves at most 2 a step, and
+the half-line kernel, whose window is unbounded, is checked only at lag 1.
+One byte budget, ``_PASS_BYTES``, bounds the working set: every qk21 pass,
+the first and each bisection round, runs over blocks of at most
+``_PASS_BYTES // (21 * 8)`` pieces, so a block's (21, pieces) node arrays
+take at most that many bytes each, and a lag-1 overlap check, which
+integrates nothing, evaluates its margins in blocks of whole probe rows, at
+most ``_PASS_BYTES // 8`` pairs each (a longer row in pieces). Drift states
+and lag-2 overlap pairs still reach the integrator in chunks of ``_CHUNK``,
+which bounds the arrays held per point and per piece. These checks evaluate
+the conditions at finitely many states to the stated tolerances; they are
+engineering checks, not proofs.
 """
 
 from __future__ import annotations
@@ -24,7 +27,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from ..bounds import Interval, UnivariateDrift, contained_by_step_radius
+from ..bounds import UnivariateDrift
 from ..errors import InputError, QuadratureError
 from .chains import Kernel
 
@@ -34,11 +37,8 @@ __all__ = [
     "MAX_PROBE_PAIRS",
     "MinorizationVerificationReport",
     "batch_quad",
-    "expected_value_after_step",
     "verify_univariate_drift",
-    "two_step_density",
     "verify_minorization_numeric",
-    "containment_escape_mass",
 ]
 
 # absolute and relative tolerances of the integrator (QUADPACK's test, with
@@ -49,11 +49,6 @@ _QUAD_REL = 1.49e-8
 _QUAD_FAIL_FACTOR = 100.0
 # subintervals per point, QUADPACK's ``limit``
 _QUAD_LIMIT = 200
-# a mapped half-line starts as the pieces (0, 2^-K], ..., (1/2, 1] of t, cut
-# at y = 2^k - 1 from its finite end: on the whole of (0, 1] a bump of scale
-# s >> 1 (the half-line kernel's normal part at x = 18.1) sits in one piece
-# whose qk21 and Gauss sums agree to 6e-8 while both miss by 2.7e-5
-_MAP_CUTS = 20
 # bytes of one node array of a qk21 block (780 pieces) and of one lag-1
 # margin block (16 384 pairs), so a pass's dozen or so live arrays fit a
 # 2 MiB second-level cache. Swept from 64 KiB to 1 MiB on the three benchmark
@@ -123,27 +118,16 @@ class MinorizationVerificationReport:
     passed: bool
 
 
-def _qk21(f, owner, sign, base, a, b):
+def _qk21(f, owner, a, b):
     """QUADPACK's qk21 on every piece: (integral, error estimate) per piece.
 
-    Piece k integrates point ``owner[k]``'s integrand over [a[k], b[k]]; with
-    ``sign[k]`` = +-1 that interval lies in (0, 1] and stands for the
-    half-line y = base[k] +- (1 - t) / t, dy = dt / t^2 (qagi's substitution).
-    Sums run in QUADPACK's order.
+    Piece k integrates point ``owner[k]``'s integrand over [a[k], b[k]]. Sums
+    run in QUADPACK's order.
     """
     centr = 0.5 * (a + b)
     hlgth = 0.5 * (b - a)
     absc = hlgth * _XGK[:, None]
-    t = np.concatenate([centr - absc, centr + absc, centr[None]])
-    if sign.any():
-        # finite pieces keep t, so their mapped nodes, which may overflow
-        # near t = 0, are dropped; t is interior, so never 0, on mapped ones
-        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-            mapped = sign != 0.0
-            fv = f(owner, np.where(mapped, base + sign * ((1.0 - t) / t), t))
-            fv = np.where(mapped, fv / t / t, fv)
-    else:
-        fv = f(owner, t)
+    fv = f(owner, np.concatenate([centr - absc, centr + absc, centr[None]]))
     fv1, fv2, fc = fv[:10], fv[10:20], fv[20]
     fsum = fv1 + fv2
     # each weight product as one (10, pieces) array, its rows then summed
@@ -176,7 +160,7 @@ def _qk21(f, owner, sign, base, a, b):
     return resk * hlgth, err
 
 
-def _qk21_blocks(f, owner, sign, base, a, b):
+def _qk21_blocks(f, owner, a, b):
     """``_qk21`` over the pieces in order, in blocks whose (21, pieces) node
     arrays take at most ``_PASS_BYTES`` each. qk21 treats every piece on its
     own, so the blocks give each piece the numbers of one whole pass."""
@@ -184,7 +168,7 @@ def _qk21_blocks(f, owner, sign, base, a, b):
     value, err = np.empty(owner.size), np.empty(owner.size)
     for start in range(0, owner.size, step):
         k = slice(start, start + step)
-        value[k], err[k] = _qk21(f, owner[k], sign[k], base[k], a[k], b[k])
+        value[k], err[k] = _qk21(f, owner[k], a[k], b[k])
     return value, err
 
 
@@ -194,9 +178,7 @@ def batch_quad(f, lo, hi, breaks=None) -> tuple[np.ndarray, np.ndarray]:
     ``f(i, w)`` evaluates the integrands per element: ``i`` is an index array
     of points that broadcasts against the nodes ``w``. Row i of ``breaks``
     holds point i's kink points; those strictly inside its interval split it
-    into pieces, and an infinite end is mapped onto (0, 1] (qagi's
-    substitution; the whole line is split at 0 first) and cut at t = 2^-k,
-    k = 1.._MAP_CUTS. Every piece gets the qk21 rule, in blocks of pieces
+    into pieces, and every piece gets the qk21 rule, in blocks of pieces
     under ``_PASS_BYTES``. A point is done when its summed error estimate is
     at most max(_QUAD_TOL, _QUAD_REL * |value|), QUADPACK's test; until then
     its pieces with more than an equal share of that bound are bisected,
@@ -204,34 +186,24 @@ def batch_quad(f, lo, hi, breaks=None) -> tuple[np.ndarray, np.ndarray]:
     on its own integrand only, never on the other points of the batch or the
     blocks of a pass.
 
-    Returns (values, error estimates); raises ``QuadratureError`` when a
-    point ends with an error above _QUAD_FAIL_FACTOR times that bound, or NaN.
+    Returns (values, error estimates); raises ``InputError`` when a window
+    has an end that is not finite, and ``QuadratureError`` when a point ends
+    with an error above _QUAD_FAIL_FACTOR times that bound, or NaN.
     """
     lo = np.asarray(lo, dtype=float)
     hi = np.asarray(hi, dtype=float)
+    unbounded = np.flatnonzero(~(np.isfinite(lo) & np.isfinite(hi)))
+    if unbounded.size:
+        i = unbounded[0]
+        raise InputError(f"integration window [{lo[i]}, {hi[i]}] is not finite")
     m = lo.size
     inner = np.empty((m, 0)) if breaks is None else np.asarray(breaks, dtype=float)
-    split = np.where(np.isinf(lo) & np.isinf(hi), 0.0, np.nan)
-    inner = np.concatenate([inner, split[:, None]], axis=1)
     # breaks outside (lo, hi) move to hi, where they bound empty pieces
     inner = np.where((lo[:, None] < inner) & (inner < hi[:, None]), inner, hi[:, None])
     edges = np.concatenate([lo[:, None], np.sort(inner, axis=1), hi[:, None]], axis=1)
     owner, col = np.nonzero(edges[:, 1:] > edges[:, :-1])
-    left, right = edges[owner, col], edges[owner, col + 1]
-    sign = np.where(right == math.inf, 1.0, np.where(left == -math.inf, -1.0, 0.0))
-    base = np.where(sign > 0.0, left, right)
-    a, b = left, right
-    finite = sign == 0.0
-    if not finite.all():
-        cuts = 0.5 ** np.arange(_MAP_CUTS, -1, -1)
-        n_mapped = np.count_nonzero(~finite)
-        rep = np.repeat(np.flatnonzero(~finite), cuts.size)
-        owner, sign, base = (np.concatenate([v[finite], v[rep]]) for v in (owner, sign, base))
-        a = np.concatenate([a[finite], np.tile(np.concatenate([[0.0], cuts[:-1]]), n_mapped)])
-        b = np.concatenate([b[finite], np.tile(cuts, n_mapped)])
-        order = np.lexsort((a, sign, owner))
-        owner, sign, base, a, b = (v[order] for v in (owner, sign, base, a, b))
-    value, err = _qk21_blocks(f, owner, sign, base, a, b)
+    a, b = edges[owner, col], edges[owner, col + 1]
+    value, err = _qk21_blocks(f, owner, a, b)
     while True:
         total = np.bincount(owner, value, m)
         errsum = np.bincount(owner, err, m)
@@ -248,18 +220,15 @@ def batch_quad(f, lo, hi, breaks=None) -> tuple[np.ndarray, np.ndarray]:
         mid = 0.5 * (a[cut] + b[cut])
         keep = np.ones(owner.size, dtype=bool)
         keep[cut] = False
-        twice = np.concatenate([cut, cut])
-        owner, sign, base = (np.concatenate([v[keep], v[twice]]) for v in (owner, sign, base))
+        owner = np.concatenate([owner[keep], owner[cut], owner[cut]])
         a, b = np.concatenate([a[keep], a[cut], mid]), np.concatenate([b[keep], mid, b[cut]])
-        new = slice(owner.size - twice.size, None)
-        halves = _qk21_blocks(f, owner[new], sign[new], base[new], a[new], b[new])
+        new = slice(owner.size - 2 * cut.size, None)
+        halves = _qk21_blocks(f, owner[new], a[new], b[new])
         value = np.concatenate([value[keep], halves[0]])
         err = np.concatenate([err[keep], halves[1]])
         # each point's pieces left to right, so its sums run in a fixed order
-        order = np.lexsort((a, sign, owner))
-        owner, sign, base, a, b, value, err = (
-            v[order] for v in (owner, sign, base, a, b, value, err)
-        )
+        order = np.lexsort((a, owner))
+        owner, a, b, value, err = (v[order] for v in (owner, a, b, value, err))
     # a NaN estimate or value fails too: it is no estimate
     failed = np.flatnonzero(~(errsum <= _QUAD_FAIL_FACTOR * bound))
     if failed.size:
@@ -304,8 +273,6 @@ def _two_step_densities(kernel: Kernel, x: np.ndarray, y: np.ndarray):
     density = kernel.transition_density
     lo_x, hi_x = _window(kernel, x)
     lo_y, hi_y = _window(kernel, y)
-    if np.isinf(hi_x).any() or np.isinf(hi_y).any():
-        raise InputError("two-step convolution requires a bounded one-step window")
     # windows are symmetric in the built-ins: w reaches y iff y is in w's window
     conv, err = batch_quad(
         lambda i, w: density(x[i], w) * density(w, y[i]),
@@ -315,18 +282,6 @@ def _two_step_densities(kernel: Kernel, x: np.ndarray, y: np.ndarray):
     )
     p_xy = density(x, y)
     return conv + kernel.atom_mass(x) * p_xy + p_xy * kernel.atom_mass(y), err
-
-
-def expected_value_after_step(
-    kernel: Kernel, V: Callable, x: float
-) -> tuple[float, float]:
-    """E[V(next state) | current = x] with its quadrature error estimate.
-
-    Continuous part by quadrature over the one-step window plus the atom
-    contribution at x. ``V`` takes numpy arrays.
-    """
-    value, err = _expected_values(kernel, V, np.array([float(x)]))
-    return float(value[0]), float(err[0])
 
 
 def verify_univariate_drift(
@@ -360,17 +315,6 @@ def verify_univariate_drift(
     )
 
 
-def two_step_density(kernel: Kernel, x: float, y: float) -> tuple[float, float]:
-    """Absolutely continuous part of the two-step transition, by convolution.
-
-    Assembled as (continuous o continuous) + atom(x)*p(x,y) + p(x,y)*atom(y);
-    the double-rejection atom at x itself is excluded. Requires a kernel with
-    a finite one-step window.
-    """
-    value, err = _two_step_densities(kernel, np.array([float(x)]), np.array([float(y)]))
-    return float(value[0]), float(err[0])
-
-
 def verify_minorization_numeric(
     kernel: Kernel,
     lag: int,
@@ -394,14 +338,6 @@ def verify_minorization_numeric(
     ys = np.asarray(probe_y, dtype=float).ravel()
     if xs.size == 0 or ys.size == 0:
         raise InputError("minorization verification needs at least one probe pair")
-    if epsilon == 0.0:
-        return MinorizationVerificationReport(
-            min_margin=0.0,
-            argmin_x=float("nan"),
-            argmin_y=float("nan"),
-            quadrature_error_estimate=0.0,
-            passed=True,
-        )
     density = kernel.transition_density
     # builtin floats out: numpy scalars would make `passed` an np.bool_,
     # which json.dumps rejects
@@ -445,51 +381,3 @@ def verify_minorization_numeric(
         quadrature_error_estimate=worst_err,
         passed=min_margin >= -tolerance,
     )
-
-
-def containment_escape_mass(
-    kernel: Kernel, small_set: Interval, region: Interval, n_steps: int
-) -> float:
-    """Worst-case mass landing outside ``region`` after n_steps from the set.
-
-    Exactly zero when the kernel's bounded step radius keeps every path
-    inside; otherwise computed by quadrature from the worst starting point
-    (supported for n_steps <= 2).
-    """
-    if kernel.step_radius is None:
-        raise InputError(
-            f"kernel {kernel.name!r} has unbounded steps; containment must be "
-            "established analytically"
-        )
-    if contained_by_step_radius(small_set, region, kernel.step_radius, n_steps):
-        return 0.0
-    if n_steps > 2:
-        raise InputError("escape-mass quadrature supported for n_steps <= 2 only")
-    density = kernel.transition_density
-    x = np.array([small_set.lo, small_set.hi], dtype=float)
-    lo, hi = _window(kernel, x)
-    kept_atom = np.where(region.contains(x), kernel.atom_mass(x) ** n_steps, 0.0)
-    breaks = _breaks(kernel, x)
-    if n_steps == 1:
-        lo, hi = np.maximum(lo, region.lo), np.minimum(hi, region.hi)
-
-        def integrand(i, w):
-            return density(x[i], w)
-    else:
-        radius = kernel.step_radius
-        lo, hi = np.maximum(region.lo, lo - radius), np.minimum(region.hi, hi + radius)
-        # y -> p2(x, y) jumps at x -+ radius, where p(x, y) drops to 0, and
-        # kinks at the kinks of p(x, .), at those shifted by -+radius (where
-        # an end of the convolution window crosses one) and at the atom's
-        edges = np.stack([x - radius, x + radius], axis=-1)
-        atom_kinks = np.tile(np.array(kernel.atom_breakpoints, dtype=float), (x.size, 1))
-        breaks = np.concatenate(
-            [breaks, breaks - radius, breaks + radius, edges, atom_kinks], axis=1
-        )
-
-        def integrand(i, w):
-            starts = np.broadcast_to(x[i], w.shape).ravel()
-            return _two_step_densities(kernel, starts, w.ravel())[0].reshape(w.shape)
-
-    mass, _ = batch_quad(integrand, lo, hi, breaks)
-    return float(max(0.0, np.max(1.0 - (mass + kept_atom))))

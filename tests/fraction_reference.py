@@ -9,6 +9,7 @@ two to agree exactly, including which exception is raised and its message.
 
 from __future__ import annotations
 
+import itertools
 from fractions import Fraction
 from typing import Sequence
 
@@ -17,6 +18,16 @@ import numpy as np
 from mcbounds.bounds import BoundReport
 from mcbounds.errors import CertificateError, InputError, MathError, NonUniqueStationaryError
 from mcbounds.finite_chain import MinorizationCert, ProbVector, StochasticMatrix
+
+
+def identity(n: int) -> StochasticMatrix:
+    """The n-state chain that never moves."""
+    return StochasticMatrix([[int(i == j) for j in range(n)] for i in range(n)])
+
+
+def matrix_json(P: StochasticMatrix) -> dict:
+    """The matrix-file form of P: its size and its rows as 'p/q' strings."""
+    return {"size": P.size, "rows": [[str(e) for e in row] for row in P.rows]}
 
 
 def _mat_mul(a: Sequence[Sequence[Fraction]], b: Sequence[Sequence[Fraction]]):
@@ -31,7 +42,7 @@ def matrix_power(P: StochasticMatrix, n: int) -> StochasticMatrix:
     """Exact n-step transition matrix by binary exponentiation."""
     if n < 0:
         raise InputError("power must be >= 0")
-    result = StochasticMatrix.identity(P.size).rows
+    result = identity(P.size).rows
     base = P.rows
     while n:
         if n & 1:
@@ -114,6 +125,18 @@ def tv_distance(mu: ProbVector, nu: ProbVector) -> Fraction:
     if mu.size != nu.size:
         raise InputError(f"dimension mismatch: {mu.size} vs {nu.size}")
     return sum(abs(a - b) for a, b in zip(mu.entries, nu.entries)) / 2
+
+
+def tv_subset_sup(mu: ProbVector, nu: ProbVector) -> Fraction:
+    """Total variation as the sup of |mu(A) - nu(A)| over every subset A of
+    states, by enumeration: exponential in the state count, so for small
+    spaces only."""
+    states = range(mu.size)
+    return max(
+        abs(sum(mu[s] for s in subset) - sum(nu[s] for s in subset))
+        for r in range(mu.size + 1)
+        for subset in itertools.combinations(states, r)
+    )
 
 
 def exact_tv_curve(

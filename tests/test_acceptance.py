@@ -13,7 +13,9 @@ import pytest
 
 from mcbounds.bounds import (
     CERTIFICATES,
+    RWM_STEP_RADIUS,
     b_constant,
+    contained_by_step_radius,
     bivariate_from_univariate,
     stationary_moment_bound,
     steps_to_threshold,
@@ -37,12 +39,11 @@ from mcbounds.finite_chain import (
 from mcbounds.kernels import laws
 from mcbounds.kernels.chains import halfline_mixture_kernel, metropolis_rwm_laplace
 from mcbounds.kernels.verify import (
-    containment_escape_mass,
-    expected_value_after_step,
     verify_minorization_numeric,
     verify_univariate_drift,
 )
 from mcbounds import presets
+from verify_points import expected_value_after_step
 
 GOLDEN_PI = (
     F(1, 11), F(4, 33), F(1, 11),
@@ -168,11 +169,10 @@ def test_criterion_08_laplace_two_term_pipeline():
     precondition = drift.b / (1.0 - drift.lam) - 1.0
     assert abs(precondition - 2.39) <= 0.01
 
-    kernel = metropolis_rwm_laplace()
-    escape = containment_escape_mass(
-        kernel, CERTIFICATES["rwm-laplace"].small_set, presets.LAPLACE_REGION, 2
+    # no two-step path from the small set leaves the region: steps are at most 2
+    assert contained_by_step_radius(
+        CERTIFICATES["rwm-laplace"].small_set, presets.LAPLACE_REGION, RWM_STEP_RADIUS, 2
     )
-    assert escape == 0.0
     sup_rh = sup_rh_via_containment(drift.V, presets.LAPLACE_REGION, probe_step=0.05)
     assert sup_rh == pytest.approx(math.e**3, rel=1e-12)
 

@@ -14,6 +14,7 @@ from pathlib import Path
 import jsonschema
 import pytest
 
+import fraction_reference as ref
 import mcbounds
 from mcbounds import finite_chain
 from mcbounds.bounds import CERTIFICATES, LAPLACE_SCHEDULE
@@ -184,7 +185,7 @@ class TestFinite:
     def test_matrix_file_roundtrip(self, capsys, tmp_path):
         grid = build_grid_walk(3, 3)
         path = tmp_path / "grid.json"
-        path.write_text(json.dumps(grid.to_json_dict()))
+        path.write_text(json.dumps(ref.matrix_json(grid)))
         code, report = run_cli(
             capsys, "finite", "stationary", "--matrix-file", str(path)
         )
@@ -221,6 +222,38 @@ class TestFinite:
             jsonschema.validate(report, SCHEMA)
             assert report["analysis"] == analysis
             assert err == ""
+
+    MALFORMED = {
+        "zero-denominator": ('{"size": 2, "rows": [["1/0", "1"], ["0", "1"]]}',
+                             "entry '1/0' is not an exact rational"),
+        "nan": ('{"size": 2, "rows": [["nan", "1"], ["0", "1"]]}',
+                "entry 'nan' is not an exact rational"),
+        "letter": ('{"size": 2, "rows": [["x", "1"], ["0", "1"]]}',
+                   "entry 'x' is not an exact rational"),
+        "rows-string": ('{"size": 2, "rows": "xy"}', "must be a list of lists"),
+        "row-string": ('{"size": 2, "rows": [["1", "0"], "01"]}', "must be a list of lists"),
+        "rows-number": ('{"size": 2, "rows": 5}', "must be a list of lists"),
+        "bool": ('{"size": 2, "rows": [[true, 0], [0, true]]}', "entry True is a bool"),
+        "long-int": ('{"size": 1, "rows": [[1' + "0" * 5000 + ']]}',
+                     "cannot read matrix file"),
+        "not-utf-8": ("\udcff", "cannot read matrix file"),  # the byte 0xff
+    }
+
+    @pytest.mark.parametrize("analysis", ["stationary", "eigen-bound", "pseudo"])
+    @pytest.mark.parametrize("case", list(MALFORMED))
+    def test_malformed_matrix_file_exits_2(self, capsys, tmp_path, case, analysis):
+        # these ended in a ZeroDivisionError, ValueError or TypeError
+        # traceback (exit 1), and a JSON true or a row written as a string
+        # was read as numbers
+        text, message = self.MALFORMED[case]
+        path = tmp_path / "matrix.json"
+        path.write_bytes(text.encode(errors="surrogateescape"))
+        argv = ["finite", analysis, "--matrix-file", str(path), "--start", "1"]
+        assert main(argv) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("mcbounds: error: ") and err.count("\n") == 1
+        assert message in err
 
     def test_missing_model_exits_2(self, capsys):
         code, _ = run_cli(capsys, "finite", "stationary")
@@ -636,7 +669,16 @@ class TestVerify:
          "a drift grid of 100001 points exceeds the cap of 100000;"),
         (["minorization", "--preset", "halfline", "--probe-step", "0.02"],
          "6255001 probe pairs exceed the cap of 4194304;"),
-    ], ids=["drift-grid", "probe-pairs"])
+        # counts beyond a float read "inf points" and a 604-digit pair count
+        (["drift", "--grid-step", "1e-320"],
+         "a drift grid of more than 1.8e+308 points (the count overflows a float) "
+         "exceeds the cap of 100000;"),
+        (["minorization", "--preset", "halfline", "--probe-step", "1e-320"],
+         "more than 1.8e+308 probe pairs (the count overflows a float) exceed the "
+         "cap of 4194304;"),
+        (["minorization", "--preset", "halfline", "--probe-step", "1e-300"],
+         "mcbounds: error: 2.50e+603 probe pairs exceed the cap of 4194304;"),
+    ], ids=["drift-grid", "probe-pairs", "drift-overflow", "pairs-overflow", "pairs-huge"])
     def test_cap_messages_print_exact_counts(self, capsys, argv, message):
         # rounded to 3 digits, 100001 points read "1e+05", the cap itself
         assert main(["verify", *argv]) == 2

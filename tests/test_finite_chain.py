@@ -20,19 +20,15 @@ from mcbounds.finite_chain import (
     MinorizationCert,
     ProbVector,
     StochasticMatrix,
+    _pair_measure,
     build_grid_walk,
     eigen_bound,
     evolve,
     exact_tv_curve,
     matrix_power,
-    minorization_margin,
     minorization_pseudo,
     minorization_uniform,
-    pseudo_nu,
-    pseudo_pair_overlap,
     stationary,
-    tv_distance,
-    tv_distance_subset_sup,
 )
 
 GRID_PI = (
@@ -120,7 +116,7 @@ class TestConstruction:
             StochasticMatrix([[0.5, 0.5], [0.5, 0.5]])
 
     def test_json_roundtrip(self, grid):
-        assert StochasticMatrix.from_json_dict(grid.to_json_dict()) == grid
+        assert StochasticMatrix.from_json_dict(ref.matrix_json(grid)) == grid
 
     def test_integer_form_is_reduced_and_equals_the_rows_form(self):
         # 2/6, 4/6 over 6 share the factor 2 with every numerator
@@ -131,7 +127,7 @@ class TestConstruction:
         assert hash(m) == hash(same)
         assert repr(m) == repr(same)
         assert m.rows == same.rows
-        assert m != StochasticMatrix.identity(2)
+        assert m != ref.identity(2)
 
     @pytest.mark.parametrize("num,den", [
         ([[1, 1], [2, 0]], 3),  # a row sums to 2/3
@@ -145,7 +141,7 @@ class TestConstruction:
 
 class TestPowerAndEvolve:
     def test_power_zero_is_identity(self, grid):
-        assert matrix_power(grid, 0) == StochasticMatrix.identity(9)
+        assert matrix_power(grid, 0) == ref.identity(9)
 
     def test_power_two_matches_reference_multiply(self, grid):
         # independent O(n^3) reference multiply of one row
@@ -178,7 +174,7 @@ class TestStationary:
 
     def test_identity_matrix_not_unique(self):
         with pytest.raises(NonUniqueStationaryError):
-            stationary(StochasticMatrix.identity(2))
+            stationary(ref.identity(2))
 
     def test_two_by_two_grid_uniform_by_symmetry(self):
         pi = stationary(build_grid_walk(2, 2))
@@ -199,16 +195,21 @@ class TestStationary:
 
 
 class TestTvDistance:
-    def test_zero_on_equal(self, grid_pi):
-        assert tv_distance(grid_pi, grid_pi) == 0
+    """The distances of ``exact_tv_curve``, which passing ``pi`` measures
+    against any law."""
+
+    def test_zero_on_equal(self, grid, grid_pi):
+        assert exact_tv_curve(grid_pi, grid, 0, pi=grid_pi).values == (0,)
 
     def test_one_on_disjoint(self):
-        assert tv_distance(ProbVector.delta(3, 0), ProbVector.delta(3, 1)) == 1
+        start, other = ProbVector.delta(3, 0), ProbVector.delta(3, 1)
+        assert exact_tv_curve(start, ref.identity(3), 0, pi=other).values == (1,)
 
     def test_half_l1_equals_subset_sup(self, grid, grid_pi):
         mu = ProbVector.delta(9, 4)
+        curve = exact_tv_curve(mu, grid, 30, pi=grid_pi)
         for n in range(31):
-            assert tv_distance(mu, grid_pi) == tv_distance_subset_sup(mu, grid_pi)
+            assert curve.values[n] == ref.tv_subset_sup(mu, grid_pi)
             mu = evolve(mu, grid, 1)
 
     def test_curve_start_value(self, grid):
@@ -233,7 +234,7 @@ class TestMinorization:
         assert all(cert.nu[j] == 0 for j in range(9) if j != 4)
 
     def test_single_state_uniform(self):
-        cert = minorization_uniform(StochasticMatrix.identity(1), 1)
+        cert = minorization_uniform(ref.identity(1), 1)
         assert cert.epsilon == 1
         assert cert.nu.entries == (F(1),)
 
@@ -247,14 +248,14 @@ class TestMinorization:
         p2 = matrix_power(grid, 2)
         terms = [min(p2[2, z], p2[6, z]) for z in range(9)]
         assert terms == [F(1, 12), 0, 0, 0, F(1, 6), 0, 0, 0, F(1, 12)]
-        assert pseudo_pair_overlap(p2, 2, 6) == F(1, 3)
+        assert sum(terms) == F(1, 3)
 
     def test_disjoint_rows_give_none(self):
-        assert minorization_pseudo(StochasticMatrix.identity(2), 1) is None
+        assert minorization_pseudo(ref.identity(2), 1) is None
 
     def test_certificates_verify_exactly(self, grid):
         for cert in (minorization_uniform(grid, 2), minorization_pseudo(grid, 2)):
-            assert minorization_margin(grid, cert) >= 0
+            assert ref.minorization_margin(grid, cert) >= 0
 
 
 class TestEigenBound:
@@ -333,7 +334,7 @@ class TestAlgebraicProperties:
     def test_certificates_always_verify(self, P, n0):
         for cert in (minorization_uniform(P, n0), minorization_pseudo(P, n0)):
             if cert is not None:
-                assert minorization_margin(P, cert) >= 0
+                assert ref.minorization_margin(P, cert) >= 0
 
     @settings(max_examples=30, deadline=None)
     @given(stochastic_matrices(max_size=4))
@@ -350,7 +351,7 @@ class TestAlgebraicProperties:
     def test_tv_half_l1_equals_subset_sup_random(self, P):
         mu = ProbVector.delta(P.size, 0)
         nu = evolve(mu, P, 2)
-        assert tv_distance(mu, nu) == tv_distance_subset_sup(mu, nu)
+        assert exact_tv_curve(mu, P, 0, pi=nu).values == (ref.tv_subset_sup(mu, nu),)
 
 
 def same_outcome(fast, slow, *args):
@@ -399,7 +400,8 @@ class TestMatchesFractionReference:
     @settings(max_examples=60, deadline=None)
     @given(stochastic_matrices(), st.integers(0, 8), st.integers(0, 4))
     def test_evolve(self, P, n, start):
-        for mu0 in (ProbVector.delta(P.size, start % P.size), P.row(start % P.size)):
+        start %= P.size
+        for mu0 in (ProbVector.delta(P.size, start), ProbVector(P.rows[start])):
             same_outcome(evolve, ref.evolve, mu0, P, n)
 
     @settings(max_examples=80, deadline=None)
@@ -410,7 +412,7 @@ class TestMatchesFractionReference:
     @settings(max_examples=40, deadline=None)
     @given(stochastic_matrices(), st.integers(0, 12), st.sampled_from([None, 0.01, 0.3]))
     def test_exact_tv_curve(self, P, n_max, threshold):
-        mu0 = P.row(P.size - 1)
+        mu0 = ProbVector(P.rows[-1])
         same_outcome(exact_tv_curve, ref.exact_tv_curve, mu0, P, n_max, threshold)
 
     @settings(max_examples=60, deadline=None)
@@ -423,17 +425,24 @@ class TestMatchesFractionReference:
             cert = same_outcome(fast, slow, P, n0)
             if cert is None:
                 continue
+            # the certificate holds, and no larger claim does
             for claimed in (cert, inflated(cert, F(1, 97)), inflated(cert, F(1, 10**15))):
-                same_outcome(minorization_margin, ref.minorization_margin, P, claimed)
+                holds = ref.minorization_margin(P, claimed) >= 0
+                assert holds == (claimed.epsilon == cert.epsilon)
 
     @settings(max_examples=40, deadline=None)
     @given(stochastic_matrices(max_size=4), st.integers(1, 3))
     def test_pair_overlaps_and_measures(self, P, n0):
+        # the pair measures the finite coupling tables are built from
+        def measure(pn, i, j):
+            mins, total = _pair_measure(pn, i, j)
+            assert F(total, pn._den) == ref.pseudo_pair_overlap(pn, i, j)
+            return ProbVector(tuple(F(m, total) for m in mins))
+
         pn = matrix_power(P, n0)
         for i in range(P.size):
             for j in range(P.size):
-                same_outcome(pseudo_pair_overlap, ref.pseudo_pair_overlap, pn, i, j)
-                same_outcome(pseudo_nu, ref.pseudo_nu, pn, i, j)
+                same_outcome(measure, ref.pseudo_nu, pn, i, j)
 
     def test_grid_goldens(self):
         grid = build_grid_walk(4, 4)

@@ -15,7 +15,14 @@ from scipy.integrate import quad
 from scipy.stats import ks_2samp, kstest
 
 import scalar_reference as sref
-from mcbounds.bounds import CERTIFICATES, Interval, UnivariateDrift, point_process_overlap
+from mcbounds.bounds import (
+    CERTIFICATES,
+    RWM_STEP_RADIUS,
+    Interval,
+    UnivariateDrift,
+    contained_by_step_radius,
+    point_process_overlap,
+)
 from mcbounds import presets
 from mcbounds.errors import ContainmentError, InputError, QuadratureError
 from mcbounds.kernels import laws, verify
@@ -25,12 +32,10 @@ from mcbounds.kernels.chains import (
 )
 from mcbounds.kernels.verify import (
     batch_quad,
-    containment_escape_mass,
-    expected_value_after_step,
-    two_step_density,
     verify_minorization_numeric,
     verify_univariate_drift,
 )
+from verify_points import expected_value_after_step, two_step_density
 
 LAPLACE_EPS = 1.0 / (8.0 * math.e**2)
 
@@ -51,20 +56,13 @@ def pair_loop_lag1(kernel, epsilon, nu_density, xs, ys):
     return min_margin, *arg
 
 
-def loop_qk21(f, owner, sign, base, a, b):
+def loop_qk21(f, owner, a, b):
     """qk21 on every piece in one pass, its sums formed one node pair at a
     time in QUADPACK's order, as ``verify._qk21`` once did."""
     centr = 0.5 * (a + b)
     hlgth = 0.5 * (b - a)
     absc = hlgth * verify._XGK[:, None]
-    t = np.concatenate([centr - absc, centr + absc, centr[None]])
-    if sign.any():
-        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-            mapped = sign != 0.0
-            fv = f(owner, np.where(mapped, base + sign * ((1.0 - t) / t), t))
-            fv = np.where(mapped, fv / t / t, fv)
-    else:
-        fv = f(owner, t)
+    fv = f(owner, np.concatenate([centr - absc, centr + absc, centr[None]]))
     wgk, wg = verify._WGK, verify._WG
     fv1, fv2, fc = fv[:10], fv[10:20], fv[20]
     fsum = fv1 + fv2
@@ -398,57 +396,17 @@ class TestDriftVerification:
 
 
 class TestContainment:
-    def test_two_steps_from_small_set_stay_inside(self, rwm):
-        kernel = rwm
-        escape = containment_escape_mass(
-            kernel, Interval(-2.0, 2.0), Interval(-6.0, 6.0), n_steps=2
+    def test_two_steps_from_small_set_stay_inside(self):
+        # two moves of at most 2 from [-2, 2] end in [-6, 6], which is how
+        # `bound t2` settles containment
+        assert contained_by_step_radius(
+            Interval(-2.0, 2.0), Interval(-6.0, 6.0), RWM_STEP_RADIUS, 2
         )
-        assert escape == 0.0
 
-    def test_too_small_region_leaks(self, rwm):
-        kernel = rwm
-        escape = containment_escape_mass(
-            kernel, Interval(-2.0, 2.0), Interval(-3.0, 3.0), n_steps=2
-        )
-        assert escape > 1e-3
-
-    @pytest.mark.parametrize(
-        "small,region",
-        [
-            (Interval(-1.0, 1.5), Interval(-3.0, 3.0)),
-            (Interval(-2.0, 2.0), Interval(-5.0, 5.5)),
-        ],
-    )
-    def test_two_step_escape_matches_the_closed_form(self, rwm, small, region):
-        # scipy integrates the closed-form two-step density piece by piece,
-        # split at every kink: the jumps at x -+ 2, the kinks 0, -+|x| of
-        # p(x, .), those shifted by -+2, and |y| = 1 of the atom term
-        kernel = rwm
-        worst = 0.0
-        for x in (small.lo, small.hi):
-            lo, hi = max(region.lo, x - 4.0), min(region.hi, x + 4.0)
-            kinks = {s * 2.0 + b for s in (-1, 0, 1) for b in (0.0, abs(x), -abs(x))}
-            kinks |= {x - 2.0, x + 2.0, -1.0, 1.0}
-            edges = [lo] + sorted(k for k in kinks if lo < k < hi) + [hi]
-            inside = sum(
-                quad(lambda y: float(laws.rwm_two_step_density(x, y)), a, b,
-                     epsabs=1e-14, epsrel=1e-13)[0]
-                for a, b in zip(edges[:-1], edges[1:])
-            )
-            if region.contains(x):
-                inside += sref.rwm_atom(x) ** 2
-            worst = max(worst, 1.0 - inside)
-        got = containment_escape_mass(kernel, small, region, n_steps=2)
-        assert got == pytest.approx(worst, rel=1e-12, abs=1e-12)
-
-    def test_preset_refuses_where_the_step_radius_does_not_settle_it(
-        self, rwm, monkeypatch
-    ):
-        # two steps from [-2, 2] reach -6, below this region: quadrature finds
-        # the leak, and the t2 constants refuse the region without integrating
+    def test_preset_refuses_where_the_step_radius_does_not_settle_it(self, monkeypatch):
+        # two steps from [-2, 2] reach -6, below this region: the t2
+        # constants refuse the region without integrating
         region = Interval(-5.0, 5.5)
-        small_set = CERTIFICATES["rwm-laplace"].small_set
-        assert containment_escape_mass(rwm, small_set, region, 2) > 1e-3
         monkeypatch.setattr(presets, "LAPLACE_REGION", region)
         monkeypatch.setattr(verify, "batch_quad", None)  # any integral fails
         with pytest.raises(
@@ -458,23 +416,11 @@ class TestContainment:
         ):
             presets.laplace_drift_minorization_inputs()
 
-    def test_quadrature_agrees_with_the_step_radius_argument(self, rwm, monkeypatch):
-        # the preset's region holds every two-step path by the step radius;
-        # integrating the escape mass there instead finds none either
-        small_set = CERTIFICATES["rwm-laplace"].small_set
-        monkeypatch.setattr(verify, "contained_by_step_radius", lambda *args: False)
-        escape = containment_escape_mass(rwm, small_set, presets.LAPLACE_REGION, 2)
-        assert 0.0 <= escape <= 1e-12
-
-    def test_unbounded_kernel_rejected(self, halfline):
-        with pytest.raises(InputError):
-            containment_escape_mass(halfline, Interval(0, 2), Interval(0, 50), 1)
-
 
 def scipy_integral(f, lo, hi, pts=()):
     """``scipy.integrate.quad`` as the verifiers used to call it: inner kinks
     as points, 200 subintervals, absolute tolerance 1e-8."""
-    inner = sorted({p for p in pts if lo < p < hi}) if math.isfinite(hi) else []
+    inner = sorted({p for p in pts if lo < p < hi})
     value, _ = quad(f, lo, hi, points=inner or None, limit=200, epsabs=1e-8)
     return value
 
@@ -524,58 +470,29 @@ class TestBatchQuad:
         ) + sref.rwm_atom(x) * math.exp(abs(x) / 2.0)
         assert got == pytest.approx(want, rel=1e-12, abs=1e-12)
 
-    @settings(max_examples=40, deadline=None)
-    @given(st.floats(0.0, 20.0))
-    def test_halfline_infinite_window(self, halfline, x):
-        got, err = expected_value_after_step(halfline, lambda y: 1.0 + y, x)
-        assert err <= 1.49e-8 * got
-        # E[1 + Y] = (1/2 + 1/4) + (1/2 + (x + 1) / sqrt(2 pi)), in closed form.
-        # On the mapped half-line neither integrator is good to 1e-12: both
-        # stop at a relative estimate of 1.49e-8 and land up to ~1e-10 off
-        # (scipy's qagi at x = 15.2, for one), so each must stay within its
-        # own estimate instead.
-        closed = 1.25 + (x + 1.0) / math.sqrt(2.0 * math.pi)
-        assert abs(got - closed) <= min(err, 1e-10 * closed)
-        want, scipy_err = quad(lambda y: sref.hl_density(x, y) * (1.0 + y), 0.0, math.inf,
-                               limit=200, epsabs=1e-8)
-        assert abs(got - want) <= err + scipy_err
-
-    @pytest.mark.parametrize("x", [8.05078125, 13.921875, 17.2421875, 18.095])
-    def test_halfline_wide_normal_part_is_resolved(self, halfline, x):
-        # on the uncut map (0, 1] these missed the closed form by up to 2.7e-5
-        # (at x = 18.095) while estimating at most 6e-8
-        got, err = expected_value_after_step(halfline, lambda y: 1.0 + y, x)
-        closed = 1.25 + (x + 1.0) / math.sqrt(2.0 * math.pi)
-        assert abs(got - closed) <= min(err, 1e-10 * closed)
-
     @pytest.mark.parametrize("x", [1e6, 1e7, 1e8])
-    def test_large_values_pass_the_relative_test(self, halfline, x):
-        # the estimates (1.5e-3 at x = 1e6) are far above 1e-6 but within
-        # 1.49e-8 |value|, the test the bisection itself stops on
-        got, err = expected_value_after_step(halfline, lambda y: 1.0 + y, x)
-        closed = 1.25 + (x + 1.0) / math.sqrt(2.0 * math.pi)
-        assert err <= 1.49e-8 * got
-        assert abs(got - closed) <= 1e-14 * closed
+    def test_large_values_pass_the_relative_test(self, x):
+        # x times a Cauchy density of scale 1e-3: qk21's rounding floor, 50 eps
+        # times the integral of |f| (1.1e-8 at x = 1e6), is above the absolute
+        # tolerance 1e-8, so the bisection ends on the relative test
+        # 1.49e-8 |value| or not at all
+        peak = cauchy([0.3], [1e-3])
+        value, err = batch_quad(lambda i, w: x * peak(i, w), np.array([-1.0]), np.array([1.0]))
+        want = x * (math.atan(0.7 / 1e-3) + math.atan(1.3 / 1e-3)) / math.pi
+        assert 1e-8 < err[0] <= 1.49e-8 * value[0]
+        assert value[0] == pytest.approx(want, rel=1e-12)
 
-    @pytest.mark.parametrize("region", [Interval(-6.0, 6.0), Interval(-3.0, 3.0)])
-    @pytest.mark.parametrize("n_steps", [1, 2])
-    def test_containment_escape_mass(self, rwm, region, n_steps):
-        kernel = rwm
-        worst = 0.0
-        for x in (-2.0, 2.0):
-            reach = 2.0 * n_steps
-            lo, hi = max(region.lo, x - reach), min(region.hi, x + reach)
-            if n_steps == 1:
-                inside = scipy_integral(lambda y: sref.rwm_density(x, y), lo, hi,
-                                        (0.0, abs(x), -abs(x)))
-            else:
-                inside = scipy_integral(lambda y: scipy_two_step(x, y), lo, hi,
-                                        (0.0, abs(x), -abs(x)))
-            if region.contains(x):
-                inside += sref.rwm_atom(x) ** n_steps
-            worst = max(worst, 1.0 - inside)
-        got = containment_escape_mass(kernel, Interval(-2.0, 2.0), region, n_steps)
-        assert got == pytest.approx(worst, rel=1e-12, abs=1e-12)
+    @pytest.mark.parametrize("lo, hi", [
+        (0.0, math.inf), (-math.inf, 1.0), (-math.inf, math.inf), (0.0, math.nan),
+    ])
+    def test_infinite_end_is_refused(self, halfline, lo, hi):
+        # every window the commands integrate is finite, and no other is
+        with pytest.raises(InputError, match="is not finite"):
+            batch_quad(cauchy([0.0, 0.5], [1.0, 1.0]), np.array([-1.0, lo]),
+                       np.array([1.0, hi]))
+        # the half-line kernel's window is [0, inf): it is checked at lag 1 only
+        with pytest.raises(InputError, match=r"\[0.0, inf\] is not finite"):
+            expected_value_after_step(halfline, lambda y: 1.0 + y, 1.0)
 
     def test_peaked_integrand_is_bisected_until_it_converges(self):
         # Cauchy density with scale 1e-3 at 0.3: its tails reach every node
@@ -610,12 +527,11 @@ class TestBatchQuad:
     def test_value_does_not_depend_on_the_batch(self):
         centre = np.array([0.3, 0.0, -0.7, 2.0, 0.1])
         scale = np.array([1e-3, 1.0, 0.05, 0.5, 1e-2])
-        lo = np.array([-1.0, -math.inf, -1.0, 0.0, -math.inf])
-        hi = np.array([1.0, math.inf, 1.0, math.inf, 0.5])
+        lo = np.array([-1.0, -30.0, -1.0, 0.0, -3.0])
+        hi = np.array([1.0, 30.0, 1.0, 40.0, 0.5])
         breaks = np.array([[0.0], [np.nan], [-0.5], [1.0], [0.0]])
         value, err = batch_quad(cauchy(centre, scale), lo, hi, breaks)
-        with np.errstate(divide="ignore"):
-            want = (np.arctan((hi - centre) / scale) - np.arctan((lo - centre) / scale)) / math.pi
+        want = (np.arctan((hi - centre) / scale) - np.arctan((lo - centre) / scale)) / math.pi
         assert value == pytest.approx(want, rel=1e-10)
         for order in ([0], [3], [4, 1], [2, 0, 3], [4, 3, 2, 1, 0]):
             sub = np.array(order)
@@ -628,7 +544,8 @@ class TestBatchQuad:
     @given(
         points=st.lists(
             st.tuples(
-                st.sampled_from(["finite", "right", "left", "line"]),
+                st.floats(-30.0, -1.0),
+                st.floats(0.5, 60.0),
                 st.floats(-3.0, 3.0),
                 st.sampled_from([1e-3, 1e-2, 0.3, 2.0]),
                 st.floats(-2.0, 2.0),
@@ -638,12 +555,11 @@ class TestBatchQuad:
         few=st.integers(2, 7),
     )
     def test_piece_blocks_give_the_bits_of_one_pass(self, points, few):
-        # finite windows, mapped half-lines and the whole line, with narrow
-        # Cauchy peaks that bisect for several rounds: every piece budget
-        # gives the bits of one unblocked pass with the per-node sums
-        kind, centre, scale, kink = (np.array(v) for v in zip(*points))
-        lo = np.where((kind == "left") | (kind == "line"), -math.inf, -1.0)
-        hi = np.where((kind == "right") | (kind == "line"), math.inf, 1.5)
+        # windows of widths 0.5 to 60, with narrow Cauchy peaks that bisect
+        # for several rounds: every piece budget gives the bits of one
+        # unblocked pass with the per-node sums
+        lo, width, centre, scale, kink = (np.array(v) for v in zip(*points))
+        hi = lo + width
         breaks = kink[:, None]
         f = cauchy(centre, scale)
         with mock.patch.object(verify, "_qk21", loop_qk21), \

@@ -1,0 +1,196 @@
+"""Every function in ``src/`` is reached by a command line or is public.
+
+One child interpreter installs a ``sys.setprofile`` hook before it imports
+``mcbounds`` (so functions called at import time count too), then runs every
+command x analysis or preset once through ``cli.main``, at small sizes, along
+with refusals. A function defined with ``def`` under ``src/`` that no run
+enters fails the test, unless the README's list of public library names
+names it. Special methods are exempt, and so are the functions in
+``ALLOWED`` below, each with the reason no command line reaches it. Lambdas
+are not counted.
+"""
+
+import ast
+import importlib
+import json
+import os
+import re
+import subprocess
+import sys
+from pathlib import Path
+
+import mcbounds
+import mcbounds.coupling
+
+SRC = Path(mcbounds.__file__).resolve().parent
+README = SRC.parents[1] / "README.md"
+
+# (module, qualname) -> why no command line reaches it
+ALLOWED = {
+    ("mcbounds.bounds", "_Record._fields"): (
+        "called only by the special methods __eq__ and __hash__ of the records"
+    ),
+}
+
+MATRIX = {"size": 2, "rows": [["1/2", "1/2"], ["1/3", "2/3"]]}
+MALFORMED = {"size": 2, "rows": [["1/0", "1"], ["0", "1"]]}
+
+
+def _command_lines(tmp: Path) -> tuple[list[list[str]], list[int]]:
+    """The command lines, writing under ``tmp``, and their exit codes."""
+    good, bad = tmp / "matrix.json", tmp / "malformed.json"
+    good.write_text(json.dumps(MATRIX))
+    bad.write_text(json.dumps(MALFORMED))
+    out = str(tmp / "out")
+    small_sim = ["--n-max", "6", "--reps", "300", "--seed", "3"]
+    lines = [
+        ["finite", analysis, "--grid", "3x3", "--n0", "2"]
+        for analysis in ("stationary", "eigen-bound", "minorization", "pseudo")
+    ]
+    lines += [
+        ["finite", "tv-exact", "--grid", "3x3", "--n0", "2", "--n", "8",
+         "--output", out, "--format", "both"],
+        ["finite", "stationary", "--matrix-file", str(good)],
+        ["finite", "pseudo", "--matrix-file", str(good), "--n0", "1"],
+        ["finite", "eigen-bound", "--matrix-file", str(good), "--start", "1",
+         "--target", "2"],
+        ["bound", "t1", "--epsilon", "9/80", "--n0", "2"],
+        ["bound", "t1", "--epsilon", "0.117"],
+        ["bound", "t1", "--pointprocess", "0.1,0.1"],
+        ["bound", "t2", "--preset", "rwm-laplace", "--output", out, "--format", "both"],
+        ["bound", "t2", "--expected-h", "fallback"],
+        ["simulate", "--grid", "3x3", "--cert", "pseudo", *small_sim,
+         "--output", out, "--format", "both"],
+        ["simulate", "--grid", "3x3", "--cert", "uniform", *small_sim],
+        ["simulate", "--halfline", *small_sim, "--burn-in", "2",
+         "--trajectories", str(tmp / "paths.csv")],
+        ["simulate", "--rwm-laplace", *small_sim, "--record-every", "2"],
+        ["verify", "drift", "--grid-lo", "-4", "--grid-hi", "4", "--grid-step", "0.5",
+         "--output", out, "--format", "both"],
+        ["verify", "minorization", "--preset", "halfline", "--probe-step", "1"],
+        ["verify", "minorization", "--preset", "rwm-laplace", "--probe-step", "0.5"],
+    ]
+    refused = [
+        ["verify", "drift", "--grid-lo", "1400", "--grid-hi", "1430", "--grid-step", "10"],
+        ["verify", "drift", "--grid-step", "1e-320"],
+        ["finite", "stationary", "--matrix-file", str(bad)],
+        ["finite", "tv-exact", "--grid", "3x3", "--format", "csv"],
+    ]
+    # a report that would print an infinity: exit 3
+    nonfinite = [["bound", "t2", "--check-n", "1000000", "--check-j", "1000000"]]
+    return lines + refused + nonfinite, [0] * len(lines) + [2] * len(refused) + [3]
+
+
+DRIVER = """
+import contextlib, io, json, sys
+
+lines, out = json.loads(sys.argv[1]), sys.argv[2]
+codes = set()
+
+def hook(frame, event, arg):
+    if event == "call":
+        codes.add(frame.f_code)
+
+sys.setprofile(hook)
+from mcbounds import cli
+
+exits = []
+for argv in lines:
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        try:
+            exits.append(cli.main(argv))
+        except Exception as exc:  # a traceback is exit 1
+            exits.append(f"1 ({type(exc).__name__})")
+sys.setprofile(None)
+entered = sorted({(c.co_filename, c.co_firstlineno, c.co_name) for c in codes})
+with open(out, "w") as f:
+    json.dump({"exits": exits, "entered": entered}, f)
+"""
+
+
+def _defined_functions() -> dict[tuple[str, int], tuple[str, str]]:
+    """(file, first line) -> (module, qualname) of every ``def`` under src/.
+
+    The first line is that of the first decorator, as in ``co_firstlineno``.
+    """
+    found = {}
+    for path in sorted(SRC.rglob("*.py")):
+        parts = path.relative_to(SRC.parent).with_suffix("").parts
+        module = ".".join(parts[:-1] if parts[-1] == "__init__" else parts)
+
+        def visit(node, prefix):
+            for child in ast.iter_child_nodes(node):
+                if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                    qualname = prefix + child.name
+                    first = min([child.lineno] + [d.lineno for d in child.decorator_list])
+                    found[(str(path), first)] = (module, qualname)
+                    visit(child, qualname + ".<locals>.")
+                elif isinstance(child, ast.ClassDef):
+                    visit(child, prefix + child.name + ".")
+                else:
+                    visit(child, prefix)
+
+        visit(ast.parse(path.read_text()), "")
+    return found
+
+
+def _readme_names() -> dict[str, list[str]]:
+    """module -> names, from the README's public-name list, whose bullets
+    read "- `module`: `name`, `Class.method`, ..." (over several lines)."""
+    text = README.read_text()
+    section = re.search(r"^### Public names\n(.*?)(?=^#)", text, re.M | re.S)
+    assert section, "README has no '### Public names' section"
+    bullets = re.findall(r"^- (.*?)(?=^- |\Z)", section.group(1), re.M | re.S)
+    listed = {}
+    for bullet in bullets:
+        module, *names = re.findall(r"`([\w.]+)`", bullet)
+        listed[module] = names
+    return listed
+
+
+def _public_names() -> set[tuple[str, int]]:
+    """(file, first line) of each function the README's public-name list names."""
+    keys = set()
+    for module_name, names in _readme_names().items():
+        module = importlib.import_module(module_name)
+        for name in names:
+            obj = module
+            for part in name.split("."):
+                obj = getattr(obj, part)
+            obj = getattr(obj, "fget", obj)
+            code = getattr(getattr(obj, "__func__", obj), "__code__", None)
+            if code is not None:  # a class or a constant names no function
+                keys.add((str(Path(code.co_filename).resolve()), code.co_firstlineno))
+    return keys
+
+
+def test_every_function_is_reached_or_public(tmp_path):
+    lines, codes = _command_lines(tmp_path)
+    out = tmp_path / "entered.json"
+    subprocess.run(
+        [sys.executable, "-c", DRIVER, json.dumps(lines), str(out)],
+        check=True, timeout=300,
+        env={**os.environ, "PYTHONPATH": str(SRC.parent)},
+    )
+    run = json.loads(out.read_text())
+    entered = {(str(Path(f).resolve()), line) for f, line, _ in run["entered"]}
+    public = _public_names()
+    defined = _defined_functions()
+    unreached = sorted(
+        f"{module}.{qualname}"
+        for key, (module, qualname) in defined.items()
+        if key not in entered
+        and key not in public
+        and not re.fullmatch(r"__\w+__", qualname.rsplit(".", 1)[-1])
+        and (module, qualname) not in ALLOWED
+    )
+    assert unreached == [], "functions no command line reaches:\n" + "\n".join(unreached)
+    assert set(ALLOWED) <= set(defined.values())
+    # the runs succeed, and the refusals are refused
+    assert run["exits"] == codes
+
+
+def test_readme_lists_the_package_names():
+    listed = _readme_names()
+    assert sorted(listed["mcbounds"]) == sorted(mcbounds.__all__)
+    assert sorted(listed["mcbounds.coupling"]) == sorted(mcbounds.coupling.__all__)
