@@ -22,8 +22,11 @@ subsets, certificate margins) are ``Fraction`` loops in the tests.
 from __future__ import annotations
 
 import itertools
+import re
+import reprlib
+import sys
 from fractions import Fraction
-from math import gcd, lcm
+from math import floor, gcd, lcm, log10
 from typing import TYPE_CHECKING, Iterable, NamedTuple, Sequence
 
 from .bounds import BoundReport, _Record
@@ -64,22 +67,39 @@ _CLUSTER_TOL = 1e-7
 
 def _frac(value) -> Fraction:
     """Exact rational from Fraction, int, or a 'p/q' string. Floats, bools
-    (a JSON true is no probability) and strings that name no finite
-    rational, such as '1/0', 'nan' or 'x', raise ``InputError``."""
+    (a JSON true is no probability), strings that name no finite rational,
+    such as '1/0' or 'x', and ones too long to print raise ``InputError``."""
     if isinstance(value, Fraction):
         return value
     if isinstance(value, int) and not isinstance(value, bool):
         return Fraction(value)
     if isinstance(value, str):
+        shown = reprlib.repr(value)
+        # Fraction builds 10**k for an entry '...ek' before any check; its
+        # integers have at most len(value) + |k| digits
+        power = re.search(r"e[-+]?[0_]*(\d+(?:_\d+)*)\s*$", value, re.IGNORECASE)
+        limit = sys.get_int_max_str_digits()
+        if power and limit and (len(power[1]) > 18 or len(value) + int(power[1]) > limit):
+            raise InputError(f"entry {shown} needs more than the {limit} digits Python prints")
         try:
             return Fraction(value)
         except (ValueError, ZeroDivisionError):
-            raise InputError(f"entry {value!r} is not an exact rational 'p/q'") from None
+            raise InputError(f"entry {shown} is not an exact rational 'p/q'") from None
     note = "; floats are not exact" if isinstance(value, float) else ""
     raise InputError(
         f"entry {value!r} is a {type(value).__name__}, not a Fraction, int or "
         f"'p/q' string{note}"
     )
+
+
+def _sum_text(total: Fraction) -> str:
+    """A sum other than 1, as 'p/q' when short, else as its distance from 1
+    to 3 digits: no message prints a rational of thousands of digits."""
+    if max(total.numerator.bit_length(), total.denominator.bit_length()) <= 128:
+        return str(total)
+    gap = total - 1
+    log = log10(abs(gap.numerator)) - log10(gap.denominator)
+    return f"1 {'-+'[gap > 0]} {10 ** (log % 1):.3g}e{floor(log)} (to 3 digits)"
 
 
 class ProbVector(_Record):
@@ -92,7 +112,7 @@ class ProbVector(_Record):
         if any(e < 0 for e in entries):
             raise InputError("probabilities must be >= 0")
         if sum(entries) != 1:
-            raise InputError(f"probabilities must sum to 1, got {sum(entries)}")
+            raise InputError(f"probabilities must sum to 1, got {_sum_text(sum(entries))}")
         self._fill(entries)
 
     @classmethod
@@ -173,7 +193,7 @@ class StochasticMatrix:
                 raise InputError(f"row {i} has a negative entry")
             if sum(row) != den:
                 raise InputError(
-                    f"row {i} sums to {Fraction(sum(row), den)}, not exactly 1"
+                    f"row {i} sums to {_sum_text(Fraction(sum(row), den))}, not exactly 1"
                 )
         self._num = num
         self._den = den

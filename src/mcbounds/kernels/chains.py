@@ -28,14 +28,13 @@ class Kernel:
     """A one-dimensional Markov transition kernel, by its density evaluators.
 
     ``transition_density`` gives the absolutely continuous part and
-    ``atom_mass`` the rejection mass left at the current point. ``window`` and
-    ``breakpoints`` describe the one-step support and the integrand kinks for
-    quadrature. All four take numpy arrays of states and work per element.
+    ``atom_mass`` the rejection mass left at the current point; ``window``
+    gives the two ends of each state's one-step support, ``breakpoints`` a row
+    of integrand kinks per state. All four take numpy arrays of states.
     The chains are sampled only by ``laws`` (``hl_step``, ``rwm_step`` and
     their exact stationary draws).
     """
 
-    name: str
     transition_density: Callable
     atom_mass: Callable
     window: Callable
@@ -49,11 +48,10 @@ def halfline_mixture_kernel() -> Kernel:
     is the whole-space overlap used by the geometric bound.
     """
     return Kernel(
-        name="halfline-mixture",
         transition_density=laws.hl_density,
         atom_mass=lambda x: np.zeros(np.shape(x)),
-        window=lambda x: (0.0, math.inf),
-        breakpoints=lambda x: [],
+        window=lambda x: (np.zeros(np.shape(x)), np.full(np.shape(x), math.inf)),
+        breakpoints=lambda x: np.empty(np.shape(x) + (0,)),
     )
 
 
@@ -64,9 +62,8 @@ def metropolis_rwm_laplace() -> Kernel:
     mass is known in closed form.
     """
     return Kernel(
-        name="rwm-laplace",
         transition_density=laws.rwm_density,
         atom_mass=laws.rwm_atom,
         window=lambda x: (x - RWM_STEP_RADIUS, x + RWM_STEP_RADIUS),
-        breakpoints=lambda x: [0.0, np.abs(x), -np.abs(x)],
+        breakpoints=lambda x: np.stack([np.zeros(np.shape(x)), np.abs(x), -np.abs(x)], -1),
     )

@@ -1,21 +1,13 @@
 """Numeric verification of drift and overlap conditions on probe grids.
 
 Integrals use QUADPACK's 21-point Gauss-Kronrod rule qk21 (Piessens et al.,
-*QUADPACK*, 1983), applied as numpy arrays to the pieces of many probe
-points at once; the kernel's declared kink points split each interval into
-pieces, and the pieces of a point that misses QUADPACK's tolerance test are
-bisected and integrated again. Every window is finite, and ``batch_quad``
-refuses one that is not: the Metropolis kernel moves at most 2 a step, and
-the half-line kernel, whose window is unbounded, is checked only at lag 1.
-One byte budget, ``_PASS_BYTES``, bounds the working set: every qk21 pass,
-the first and each bisection round, runs over blocks of at most
-``_PASS_BYTES // (21 * 8)`` pieces, so a block's (21, pieces) node arrays
-take at most that many bytes each, and a lag-1 overlap check, which
-integrates nothing, evaluates its margins in blocks of whole probe rows, at
-most ``_PASS_BYTES // 8`` pairs each (a longer row in pieces). Drift states
-and lag-2 overlap pairs still reach the integrator in chunks of ``_CHUNK``,
-which bounds the arrays held per point and per piece. These checks evaluate
-the conditions at finitely many states to the stated tolerances; they are
+*QUADPACK*, 1983) in one numpy pass over the pieces of many probe points,
+the kernel's kink points splitting each finite window into pieces. Every
+built-in integrand is smooth between its kinks, so the pass meets
+QUADPACK's tolerance test; a point that misses it is refused, not refined.
+One byte budget, ``_PASS_BYTES``, bounds each pass's (21, pieces) node
+arrays and each block of lag-1 margins. These checks evaluate the
+conditions at finitely many states to the stated tolerances; they are
 engineering checks, not proofs.
 """
 
@@ -41,25 +33,16 @@ __all__ = [
     "verify_minorization_numeric",
 ]
 
-# absolute and relative tolerances of the integrator (QUADPACK's test, with
-# the relative one scipy.integrate.quad defaults to); estimates far above the
-# larger of the two indicate non-convergence
+# absolute and relative tolerances of the integrator: QUADPACK's test, with
+# the relative one scipy.integrate.quad defaults to
 _QUAD_TOL = 1e-8
 _QUAD_REL = 1.49e-8
-_QUAD_FAIL_FACTOR = 100.0
-# subintervals per point, QUADPACK's ``limit``
-_QUAD_LIMIT = 200
-# bytes of one node array of a qk21 block (780 pieces) and of one lag-1
-# margin block (16 384 pairs), so a pass's dozen or so live arrays fit a
-# 2 MiB second-level cache. Swept from 64 KiB to 1 MiB on the three benchmark
-# lines (BENCH_verify_memory.json): 128 KiB had the lowest peak RSS from
-# 128 KiB up and the fastest warm runs of them; 64 KiB saved 0.4 MB more but
-# slowed the lag-1 line
+# bytes of one node array of a qk21 pass (780 pieces: 195 drift states or
+# 111 lag-2 pairs) and of one lag-1 margin block (16 384 pairs), so a pass's
+# dozen or so live arrays fit a 2 MiB second-level cache. Swept from 64 KiB to
+# 1 MiB on the benchmark lines (BENCH_verify_memory.json): 128 KiB had the lowest
+# peak RSS from 128 KiB up; 64 KiB saved 0.4 MB more but slowed the lag-1 line
 _PASS_BYTES = 128 * 1024
-# probe points (or lag-2 probe pairs) per batch_quad call: bounds the edge
-# and index arrays, a few per point, and the per-piece arrays, at most
-# _QUAD_LIMIT entries a point
-_CHUNK = 1024
 # the largest probe sets the command line builds: a drift state costs one
 # integral and a row of the report's CSV (100 000 take seconds), a lag-1
 # overlap pair one density evaluation and a lag-2 pair one integral (about
@@ -148,9 +131,9 @@ def _qk21(f, owner, a, b):
     resasc = _WGK[10] * np.abs(fc - reskh)
     for row in dev:
         resasc += row
-    dhlgth = np.abs(hlgth)
-    resabs = resabs * dhlgth
-    resasc = resasc * dhlgth
+    # every piece has b > a, so hlgth is its own absolute value
+    resabs *= hlgth
+    resasc *= hlgth
     err = np.abs((resk - resg) * hlgth)
     with np.errstate(divide="ignore", invalid="ignore"):
         scaled = resasc * np.minimum(1.0, (200.0 * err / resasc) ** 1.5)
@@ -160,38 +143,22 @@ def _qk21(f, owner, a, b):
     return resk * hlgth, err
 
 
-def _qk21_blocks(f, owner, a, b):
-    """``_qk21`` over the pieces in order, in blocks whose (21, pieces) node
-    arrays take at most ``_PASS_BYTES`` each. qk21 treats every piece on its
-    own, so the blocks give each piece the numbers of one whole pass."""
-    step = max(1, _PASS_BYTES // (21 * 8))
-    value, err = np.empty(owner.size), np.empty(owner.size)
-    for start in range(0, owner.size, step):
-        k = slice(start, start + step)
-        value[k], err[k] = _qk21(f, owner[k], a[k], b[k])
-    return value, err
-
-
 def batch_quad(f, lo, hi, breaks=None) -> tuple[np.ndarray, np.ndarray]:
     """Integral of point i's integrand over [lo[i], hi[i]], for every point i.
 
     ``f(i, w)`` evaluates the integrands per element: ``i`` is an index array
     of points that broadcasts against the nodes ``w``. Row i of ``breaks``
     holds point i's kink points; those strictly inside its interval split it
-    into pieces, and every piece gets the qk21 rule, in blocks of pieces
-    under ``_PASS_BYTES``. A point is done when its summed error estimate is
-    at most max(_QUAD_TOL, _QUAD_REL * |value|), QUADPACK's test; until then
-    its pieces with more than an equal share of that bound are bisected,
-    largest errors first, up to _QUAD_LIMIT pieces. A point's result depends
-    on its own integrand only, never on the other points of the batch or the
-    blocks of a pass.
+    into pieces, and one qk21 pass integrates every piece of the batch. qk21
+    treats each piece on its own and a point's pieces are summed left to
+    right, so a point's result never depends on the rest of the batch.
 
     Returns (values, error estimates); raises ``InputError`` when a window
-    has an end that is not finite, and ``QuadratureError`` when a point ends
-    with an error above _QUAD_FAIL_FACTOR times that bound, or NaN.
+    has an end that is not finite, and ``QuadratureError`` when a point's
+    error estimate is NaN or above max(_QUAD_TOL, _QUAD_REL * |value|),
+    QUADPACK's test.
     """
-    lo = np.asarray(lo, dtype=float)
-    hi = np.asarray(hi, dtype=float)
+    lo, hi = np.asarray(lo, dtype=float), np.asarray(hi, dtype=float)
     unbounded = np.flatnonzero(~(np.isfinite(lo) & np.isfinite(hi)))
     if unbounded.size:
         i = unbounded[0]
@@ -202,35 +169,12 @@ def batch_quad(f, lo, hi, breaks=None) -> tuple[np.ndarray, np.ndarray]:
     inner = np.where((lo[:, None] < inner) & (inner < hi[:, None]), inner, hi[:, None])
     edges = np.concatenate([lo[:, None], np.sort(inner, axis=1), hi[:, None]], axis=1)
     owner, col = np.nonzero(edges[:, 1:] > edges[:, :-1])
-    a, b = edges[owner, col], edges[owner, col + 1]
-    value, err = _qk21_blocks(f, owner, a, b)
-    while True:
-        total = np.bincount(owner, value, m)
-        errsum = np.bincount(owner, err, m)
-        bound = np.maximum(_QUAD_TOL, _QUAD_REL * np.abs(total))
-        count = np.bincount(owner, minlength=m)
-        share = bound / np.maximum(count, 1)
-        cut = np.flatnonzero((errsum > bound)[owner] & (err > share[owner]))
-        cut = cut[np.lexsort((-err[cut], owner[cut]))]
-        who = owner[cut]
-        rank = np.arange(who.size) - np.searchsorted(who, who)
-        cut = cut[rank < (_QUAD_LIMIT - count)[who]]
-        if cut.size == 0:
-            break
-        mid = 0.5 * (a[cut] + b[cut])
-        keep = np.ones(owner.size, dtype=bool)
-        keep[cut] = False
-        owner = np.concatenate([owner[keep], owner[cut], owner[cut]])
-        a, b = np.concatenate([a[keep], a[cut], mid]), np.concatenate([b[keep], mid, b[cut]])
-        new = slice(owner.size - 2 * cut.size, None)
-        halves = _qk21_blocks(f, owner[new], a[new], b[new])
-        value = np.concatenate([value[keep], halves[0]])
-        err = np.concatenate([err[keep], halves[1]])
-        # each point's pieces left to right, so its sums run in a fixed order
-        order = np.lexsort((a, owner))
-        owner, a, b, value, err = (v[order] for v in (owner, a, b, value, err))
+    value, err = _qk21(f, owner, edges[owner, col], edges[owner, col + 1])
+    total = np.bincount(owner, value, m)
+    errsum = np.bincount(owner, err, m)
+    bound = np.maximum(_QUAD_TOL, _QUAD_REL * np.abs(total))
     # a NaN estimate or value fails too: it is no estimate
-    failed = np.flatnonzero(~(errsum <= _QUAD_FAIL_FACTOR * bound))
+    failed = np.flatnonzero(~(errsum <= bound))
     if failed.size:
         i = failed[0]
         raise QuadratureError(
@@ -241,44 +185,32 @@ def batch_quad(f, lo, hi, breaks=None) -> tuple[np.ndarray, np.ndarray]:
     return total, errsum
 
 
-def _chunks(n: int):
-    """Consecutive index ranges of at most ``_CHUNK`` probe points."""
-    for start in range(0, n, _CHUNK):
-        yield np.arange(start, min(start + _CHUNK, n))
-
-
-def _window(kernel: Kernel, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    lo, hi = kernel.window(x)
-    return np.full(x.shape, lo, dtype=float), np.full(x.shape, hi, dtype=float)
-
-
-def _breaks(kernel: Kernel, x: np.ndarray) -> np.ndarray:
-    """One row of kink points per state."""
-    pts = kernel.breakpoints(x)
-    if len(pts) == 0:
-        return np.empty(x.shape + (0,))
-    return np.stack([np.full(x.shape, p, dtype=float) for p in pts], axis=-1)
+def _chunks(n: int, pieces: int):
+    """Index ranges of probe points, as many as ``_PASS_BYTES`` gives a pass."""
+    step = max(1, _PASS_BYTES // (21 * 8 * pieces))
+    for start in range(0, n, step):
+        yield np.arange(start, min(start + step, n))
 
 
 def _expected_values(kernel: Kernel, V, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """E[V(next) | x] and its quadrature error estimate, per state of ``x``."""
     density = kernel.transition_density
-    lo, hi = _window(kernel, x)
-    cont, err = batch_quad(lambda i, w: density(x[i], w) * V(w), lo, hi, _breaks(kernel, x))
+    lo, hi = kernel.window(x)
+    cont, err = batch_quad(lambda i, w: density(x[i], w) * V(w), lo, hi, kernel.breakpoints(x))
     return cont + kernel.atom_mass(x) * V(x), err
 
 
 def _two_step_densities(kernel: Kernel, x: np.ndarray, y: np.ndarray):
     """Absolutely continuous two-step density at each pair (x, y), numerically."""
     density = kernel.transition_density
-    lo_x, hi_x = _window(kernel, x)
-    lo_y, hi_y = _window(kernel, y)
+    lo_x, hi_x = kernel.window(x)
+    lo_y, hi_y = kernel.window(y)
     # windows are symmetric in the built-ins: w reaches y iff y is in w's window
     conv, err = batch_quad(
         lambda i, w: density(x[i], w) * density(w, y[i]),
         np.maximum(lo_x, lo_y),
         np.minimum(hi_x, hi_y),
-        np.concatenate([_breaks(kernel, x), _breaks(kernel, y)], axis=1),
+        np.concatenate([kernel.breakpoints(x), kernel.breakpoints(y)], axis=1),
     )
     p_xy = density(x, y)
     return conv + kernel.atom_mass(x) * p_xy + p_xy * kernel.atom_mass(y), err
@@ -299,7 +231,7 @@ def verify_univariate_drift(
         raise InputError("drift verification needs at least one probe state")
     lhs = np.empty(grid.size)
     worst_err = 0.0
-    for rows in _chunks(grid.size):
+    for rows in _chunks(grid.size, 1 + kernel.breakpoints(grid[:1]).shape[1]):
         lhs[rows], err = _expected_values(kernel, drift.V, grid[rows])
         worst_err = max(worst_err, float(err.max()))
     bonus = np.where(drift.small_set.contains(grid), drift.b, 0.0)
@@ -365,7 +297,8 @@ def verify_minorization_numeric(
                     min_margin = float(margin[i, j])
                     arg = (float(x[i, 0]), float(y[j]))
     else:
-        for pairs in _chunks(xs.size * ys.size):
+        # a pair's window splits at the kinks of x and of y
+        for pairs in _chunks(xs.size * ys.size, 1 + 2 * kernel.breakpoints(xs[:1]).shape[1]):
             x, y = xs[pairs // ys.size], ys[pairs % ys.size]
             p, err = _two_step_densities(kernel, x, y)
             worst_err = max(worst_err, float(err.max()))

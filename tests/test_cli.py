@@ -21,6 +21,7 @@ from mcbounds.bounds import CERTIFICATES, LAPLACE_SCHEDULE
 from mcbounds.cli import _TABLELESS, main
 from mcbounds.finite_chain import build_grid_walk
 
+LIMIT = sys.get_int_max_str_digits()
 SCHEMA = json.loads(
     (files("mcbounds") / "schemas" / "report.schema.json").read_text()
 )
@@ -275,6 +276,27 @@ class TestFinite:
         assert done.returncode == 2
         assert done.stderr.startswith(f"mcbounds: error: {option} ")
         assert "Traceback" not in done.stderr
+
+    @pytest.mark.parametrize("exponent, message", [
+        (100000, f"entry '1e-100000' needs more than the {LIMIT} digits Python prints"),
+        (100000000, f"entry '1e-100000000' needs more than the {LIMIT} digits"),
+        (1000, "row 0 sums to 1 + 1e-1000 (to 3 digits), not exactly 1"),
+    ])
+    def test_huge_exponent_entries_exit_2_quickly(self, capsys, tmp_path, exponent, message):
+        # 1e-100000 ended in a traceback while the row-sum refusal printed its
+        # exact Fraction, 1e-100000000 built 10**100000000 for over 60 s, and
+        # 1e-1000's refusal printed about 2000 digits
+        path = tmp_path / "matrix.json"
+        path.write_text(json.dumps({"size": 2, "rows": [[f"1e-{exponent}", "1"], ["0", "1"]]}))
+        argv = ["finite", "stationary", "--matrix-file", str(path)]
+        done = run_cli_process(*argv)  # a run that does not end fails here
+        assert done.returncode == 2 and done.stdout == ""
+        assert done.stderr.startswith("mcbounds: error: ") and done.stderr.count("\n") == 1
+        assert message in done.stderr and len(done.stderr) < 200
+        start = time.perf_counter()
+        assert main(argv) == 2
+        assert time.perf_counter() - start < 1.0
+        assert capsys.readouterr().err == done.stderr
 
     @pytest.mark.parametrize("argv", [
         ["minorization", "--n0", "1000"],
@@ -644,6 +666,23 @@ class TestSimulate:
 
 
 class TestVerify:
+    @pytest.mark.parametrize("argv", [
+        ["drift", "--grid-lo", "-1", "--grid-hi", "1", "--grid-step", "0.5"],
+        ["minorization", "--preset", "rwm-laplace", "--probe-step", "0.5"],
+    ])
+    def test_point_that_misses_the_quadrature_bound_exits_3(self, capsys, monkeypatch, argv):
+        # with both tolerances 0 no estimate meets QUADPACK's test: the one
+        # qk21 pass refuses the point instead of refining it
+        from mcbounds.kernels import verify
+
+        monkeypatch.setattr(verify, "_QUAD_TOL", 0.0)
+        monkeypatch.setattr(verify, "_QUAD_REL", 0.0)
+        assert main(["verify", *argv]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("mcbounds: integration on [")
+        assert "requested max(0.0e+00, 0 |value|)" in captured.err
+
     @pytest.mark.parametrize("argv", [
         ["drift", "--grid-step", "0"],
         ["drift", "--grid-step", "-1"],

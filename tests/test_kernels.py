@@ -447,6 +447,16 @@ def cauchy(centre, scale):
     return f
 
 
+def laplace(centre, rate):
+    """Laplace densities, one per point, as a ``batch_quad`` integrand."""
+
+    def f(i, w):
+        c, r = np.asarray(centre)[i], np.asarray(rate)[i]
+        return 0.5 * r * np.exp(-r * np.abs(w - c))
+
+    return f
+
+
 class TestBatchQuad:
     """The batched qk21 integrator, cross-checked with scipy.integrate.quad to 1e-12."""
 
@@ -472,15 +482,13 @@ class TestBatchQuad:
 
     @pytest.mark.parametrize("x", [1e6, 1e7, 1e8])
     def test_large_values_pass_the_relative_test(self, x):
-        # x times a Cauchy density of scale 1e-3: qk21's rounding floor, 50 eps
-        # times the integral of |f| (1.1e-8 at x = 1e6), is above the absolute
-        # tolerance 1e-8, so the bisection ends on the relative test
+        # x e^w on [-1, 1]: qk21's rounding floor, 50 eps times the integral
+        # of |f| (2.6e-8 at x = 1e6), is above the absolute tolerance 1e-8,
+        # so the one pass meets QUADPACK's test on the relative part
         # 1.49e-8 |value| or not at all
-        peak = cauchy([0.3], [1e-3])
-        value, err = batch_quad(lambda i, w: x * peak(i, w), np.array([-1.0]), np.array([1.0]))
-        want = x * (math.atan(0.7 / 1e-3) + math.atan(1.3 / 1e-3)) / math.pi
+        value, err = batch_quad(lambda i, w: x * np.exp(w), np.array([-1.0]), np.array([1.0]))
         assert 1e-8 < err[0] <= 1.49e-8 * value[0]
-        assert value[0] == pytest.approx(want, rel=1e-12)
+        assert value[0] == pytest.approx(x * (math.e - 1.0 / math.e), rel=1e-12)
 
     @pytest.mark.parametrize("lo, hi", [
         (0.0, math.inf), (-math.inf, 1.0), (-math.inf, math.inf), (0.0, math.nan),
@@ -494,82 +502,78 @@ class TestBatchQuad:
         with pytest.raises(InputError, match=r"\[0.0, inf\] is not finite"):
             expected_value_after_step(halfline, lambda y: 1.0 + y, 1.0)
 
-    def test_peaked_integrand_is_bisected_until_it_converges(self):
-        # Cauchy density with scale 1e-3 at 0.3: its tails reach every node
-        f = cauchy([0.3], [1e-3])
-        passes = []
-
-        def counted(i, w):
-            passes.append(w.shape[1])
-            return f(i, w)
-
-        value, err = batch_quad(counted, np.array([-1.0]), np.array([1.0]))
-        assert len(passes) > 5  # bisection rounds after the first pass
-        want = (math.atan(0.7 / 1e-3) + math.atan(1.3 / 1e-3)) / math.pi
-        assert value[0] == pytest.approx(want, rel=1e-12)
-        assert err[0] <= 1.49e-8 * value[0]
-
-    def test_divergent_integrand_raises_at_the_cap(self):
-        passes = []
-
-        def inverse(i, w):
-            passes.append(w.shape[1])
-            return 1.0 / np.abs(w - 1.0 / 3.0)
-
+    def test_one_pass_that_misses_the_bound_raises(self):
+        # a Cauchy peak of scale 1e-3 at 0.3 needs more than one qk21 pass on
+        # [-1, 1], and a NaN is no estimate: neither is refined, both raise
         requested = r"requested max\(1\.0e-08, 1\.49e-08 \|value\|\)"
         with pytest.raises(QuadratureError, match=requested):
-            batch_quad(inverse, np.array([-1.0]), np.array([1.0]))
-        # each bisection turns one piece into two: the point ends at 200 pieces
-        assert passes[0] + sum(passes[1:]) // 2 == 200
-        with pytest.raises(QuadratureError):
+            batch_quad(cauchy([0.3], [1e-3]), np.array([-1.0]), np.array([1.0]))
+        with pytest.raises(QuadratureError, match=requested):
             batch_quad(lambda i, w: np.full(w.shape, np.nan), np.zeros(1), np.ones(1))
 
     def test_value_does_not_depend_on_the_batch(self):
+        # Laplace densities, exp-linear between the declared kinks like the
+        # kernels' integrands; the fourth peak lies outside its window
         centre = np.array([0.3, 0.0, -0.7, 2.0, 0.1])
-        scale = np.array([1e-3, 1.0, 0.05, 0.5, 1e-2])
-        lo = np.array([-1.0, -30.0, -1.0, 0.0, -3.0])
-        hi = np.array([1.0, 30.0, 1.0, 40.0, 0.5])
-        breaks = np.array([[0.0], [np.nan], [-0.5], [1.0], [0.0]])
-        value, err = batch_quad(cauchy(centre, scale), lo, hi, breaks)
-        want = (np.arctan((hi - centre) / scale) - np.arctan((lo - centre) / scale)) / math.pi
-        assert value == pytest.approx(want, rel=1e-10)
+        rate = np.array([3.0, 1.0, 0.5, 2.0, 1.5])
+        lo = np.array([-1.0, -4.0, -1.0, -1.0, -3.0])
+        hi = np.array([1.0, 4.0, 1.0, 1.5, 0.5])
+        breaks = np.array([[0.3], [0.0], [-0.7], [np.nan], [0.1]])
+        value, err = batch_quad(laplace(centre, rate), lo, hi, breaks)
+
+        def cdf(q):
+            tail = 0.5 * np.exp(-rate * np.abs(q - centre))
+            return np.where(q < centre, tail, 1.0 - tail)
+
+        assert value == pytest.approx(cdf(hi) - cdf(lo), rel=1e-12)
         for order in ([0], [3], [4, 1], [2, 0, 3], [4, 3, 2, 1, 0]):
             sub = np.array(order)
-            v, e = batch_quad(cauchy(centre[sub], scale[sub]), lo[sub], hi[sub], breaks[sub])
+            v, e = batch_quad(laplace(centre[sub], rate[sub]), lo[sub], hi[sub], breaks[sub])
             assert v.tobytes() == value[sub].tobytes()
             assert e.tobytes() == err[sub].tobytes()
 
-
     @settings(max_examples=40, deadline=None)
     @given(
-        points=st.lists(
-            st.tuples(
-                st.floats(-30.0, -1.0),
-                st.floats(0.5, 60.0),
-                st.floats(-3.0, 3.0),
-                st.sampled_from([1e-3, 1e-2, 0.3, 2.0]),
-                st.floats(-2.0, 2.0),
-            ),
-            min_size=1, max_size=6,
-        ),
+        grid=st.lists(st.floats(-10.0, 10.0), min_size=1, max_size=40),
+        xs=st.lists(st.floats(-2.0, 2.0), min_size=1, max_size=8),
+        ys=st.lists(st.floats(-1.0, 1.0), min_size=1, max_size=8),
         few=st.integers(2, 7),
     )
-    def test_piece_blocks_give_the_bits_of_one_pass(self, points, few):
-        # windows of widths 0.5 to 60, with narrow Cauchy peaks that bisect
-        # for several rounds: every piece budget gives the bits of one
-        # unblocked pass with the per-node sums
-        lo, width, centre, scale, kink = (np.array(v) for v in zip(*points))
-        hi = lo + width
-        breaks = kink[:, None]
-        f = cauchy(centre, scale)
+    def test_chunk_budgets_give_the_bits_of_one_pass(self, rwm, grid, xs, ys, few):
+        # budgets of one point a pass, a few points and the default give the
+        # reports of one unbounded pass with the per-node sums: qk21 treats
+        # each piece on its own, and a point's pieces are summed left to
+        # right (repr tells every float's bits)
+        drift = presets.laplace_drift()
+        cert = CERTIFICATES["rwm-laplace"]
+
+        def reports():
+            return repr((
+                verify_univariate_drift(rwm, drift, grid),
+                verify_minorization_numeric(rwm, 2, cert.epsilon, laws.rwm_nu_density, xs, ys),
+            ))
+
         with mock.patch.object(verify, "_qk21", loop_qk21), \
                 mock.patch.object(verify, "_PASS_BYTES", 1 << 40):
-            want = batch_quad(f, lo, hi, breaks)
-        for budget in (21 * 8, 21 * 8 * few, verify._PASS_BYTES):
+            want = reports()
+        # a drift state has at most 4 pieces and a lag-2 pair at most 7
+        for budget in (21 * 8, 21 * 8 * 7 * few, verify._PASS_BYTES):
             with mock.patch.object(verify, "_PASS_BYTES", budget):
-                got = batch_quad(f, lo, hi, breaks)
-            assert got[0].tobytes() == want[0].tobytes()
-            assert got[1].tobytes() == want[1].tobytes()
+                assert reports() == want
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        states=st.lists(st.floats(-1417.5, 1417.5), min_size=1, max_size=30),
+        xs=st.lists(st.floats(-2.0, 2.0), min_size=1, max_size=10),
+        ys=st.lists(st.floats(-1.0, 1.0), min_size=1, max_size=10),
+    )
+    def test_command_traffic_meets_the_bound_in_one_pass(self, rwm, states, xs, ys):
+        # the drift states `verify drift` admits under the preset V, and the
+        # lag-2 pairs of the Metropolis overlap check: one qk21 pass meets
+        # QUADPACK's test at every one, or batch_quad raises
+        verify._expected_values(rwm, presets.laplace_drift().V, np.array(states))
+        x, y = np.meshgrid(xs, ys, indexing="ij")
+        verify._two_step_densities(rwm, x.ravel(), y.ravel())
 
 
 class TestPointProcessOverlap:

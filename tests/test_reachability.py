@@ -7,7 +7,8 @@ with refusals. A function defined with ``def`` under ``src/`` that no run
 enters fails the test, unless the README's list of public library names
 names it. Special methods are exempt, and so are the functions in
 ``ALLOWED`` below, each with the reason no command line reaches it. Lambdas
-are not counted.
+are not counted. A second test fails on any module-level constant under
+``src/`` that no other line of ``src/`` reads, unless ``UNREAD`` names it.
 """
 
 import ast
@@ -32,15 +33,22 @@ ALLOWED = {
     ),
 }
 
+# (module, constant) -> why no line of src/ reads it
+UNREAD = {
+    ("mcbounds", "NUMBA_ENABLED"): "read by perfbench and one CLI test only",
+}
+
 MATRIX = {"size": 2, "rows": [["1/2", "1/2"], ["1/3", "2/3"]]}
 MALFORMED = {"size": 2, "rows": [["1/0", "1"], ["0", "1"]]}
+UNBALANCED = {"size": 2, "rows": [["1e-1000", "1"], ["0", "1"]]}
 
 
 def _command_lines(tmp: Path) -> tuple[list[list[str]], list[int]]:
     """The command lines, writing under ``tmp``, and their exit codes."""
-    good, bad = tmp / "matrix.json", tmp / "malformed.json"
+    good, bad, unbalanced = tmp / "matrix.json", tmp / "malformed.json", tmp / "unbalanced.json"
     good.write_text(json.dumps(MATRIX))
     bad.write_text(json.dumps(MALFORMED))
+    unbalanced.write_text(json.dumps(UNBALANCED))
     out = str(tmp / "out")
     small_sim = ["--n-max", "6", "--reps", "300", "--seed", "3"]
     lines = [
@@ -74,6 +82,7 @@ def _command_lines(tmp: Path) -> tuple[list[list[str]], list[int]]:
         ["verify", "drift", "--grid-lo", "1400", "--grid-hi", "1430", "--grid-step", "10"],
         ["verify", "drift", "--grid-step", "1e-320"],
         ["finite", "stationary", "--matrix-file", str(bad)],
+        ["finite", "stationary", "--matrix-file", str(unbalanced)],
         ["finite", "tv-exact", "--grid", "3x3", "--format", "csv"],
     ]
     # a report that would print an infinity: exit 3
@@ -194,3 +203,40 @@ def test_readme_lists_the_package_names():
     listed = _readme_names()
     assert sorted(listed["mcbounds"]) == sorted(mcbounds.__all__)
     assert sorted(listed["mcbounds.coupling"]) == sorted(mcbounds.coupling.__all__)
+
+
+def _module_constants() -> tuple[dict[tuple[str, str], tuple[str, int]], dict]:
+    """(module, name) -> (file, line) of every module-level assignment to a
+    name under src/ (dunders aside), and name -> the (file, line) places
+    under src/ that read a name or an attribute of that name."""
+    defined, reads = {}, {}
+    for path in sorted(SRC.rglob("*.py")):
+        parts = path.relative_to(SRC.parent).with_suffix("").parts
+        module = ".".join(parts[:-1] if parts[-1] == "__init__" else parts)
+        tree = ast.parse(path.read_text())
+        for node in tree.body:
+            if isinstance(node, ast.Assign):
+                targets = node.targets
+            elif isinstance(node, ast.AnnAssign):
+                targets = [node.target]
+            else:
+                continue
+            for target in targets:
+                if isinstance(target, ast.Name) and not target.id.startswith("__"):
+                    defined[(module, target.id)] = (str(path), node.lineno)
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                reads.setdefault(node.id, set()).add((str(path), node.lineno))
+            elif isinstance(node, ast.Attribute):
+                reads.setdefault(node.attr, set()).add((str(path), node.lineno))
+    return defined, reads
+
+
+def test_every_module_constant_is_read():
+    defined, reads = _module_constants()
+    unread = sorted(
+        f"{module}.{name}" for (module, name), where in defined.items()
+        if not reads.get(name, set()) - {where} and (module, name) not in UNREAD
+    )
+    assert unread == [], "module constants no other line of src/ reads:\n" + "\n".join(unread)
+    assert set(UNREAD) <= set(defined)

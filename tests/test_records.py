@@ -118,6 +118,11 @@ class TestDefaults:
     (lambda: DriftMinorizationInputs(0.1, 2, 1.1, 0.5, 2.0), "B must be >= 1"),
     (lambda: DriftMinorizationInputs(0.1, 2, 1.1, 2.0, 0.5), "expected h must be >= 1"),
     (lambda: ProbVector((F(1, 2), F(1, 3))), "probabilities must sum to 1, got 5/6"),
+    # a sum of thousands of digits is printed as its distance from 1
+    (lambda: ProbVector(("1e-1000", "1")),
+     r"must sum to 1, got 1 \+ 1e-1000 \(to 3 digits\)$"),
+    (lambda: ProbVector(("1e-1000", "1/2", "1/3")),
+     r"must sum to 1, got 1 - 1\.67e-1 \(to 3 digits\)$"),
     (lambda: ProbVector((F(3, 2), F(-1, 2))), "probabilities must be >= 0"),
     (lambda: ProbVector((0.5, 0.5)), "floats are not exact"),
     (lambda: MinorizationCert("shared", (0, 1), 1, F(1, 2), HALVES), "unknown variant 'shared'"),
