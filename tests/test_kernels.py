@@ -457,6 +457,9 @@ def laplace(centre, rate):
     return f
 
 
+REQUESTED = r"requested max\(1\.0e-08, 1\.49e-08 \|value\|\)"
+
+
 class TestBatchQuad:
     """The batched qk21 integrator, cross-checked with scipy.integrate.quad to 1e-12."""
 
@@ -502,13 +505,24 @@ class TestBatchQuad:
         with pytest.raises(InputError, match=r"\[0.0, inf\] is not finite"):
             expected_value_after_step(halfline, lambda y: 1.0 + y, 1.0)
 
-    def test_one_pass_that_misses_the_bound_raises(self):
+    def test_peaked_integrand_that_misses_the_bound_raises(self):
         # a Cauchy peak of scale 1e-3 at 0.3 needs more than one qk21 pass on
-        # [-1, 1], and a NaN is no estimate: neither is refined, both raise
-        requested = r"requested max\(1\.0e-08, 1\.49e-08 \|value\|\)"
-        with pytest.raises(QuadratureError, match=requested):
+        # [-1, 1]: the pass is not refined, it raises
+        with pytest.raises(QuadratureError, match=REQUESTED):
             batch_quad(cauchy([0.3], [1e-3]), np.array([-1.0]), np.array([1.0]))
-        with pytest.raises(QuadratureError, match=requested):
+
+    def test_divergent_integrand_raises_in_one_pass(self):
+        # 1 / |w - 1/3| has no finite integral, and a NaN is no estimate
+        passes = []
+
+        def inverse(i, w):
+            passes.append(w.shape[1])
+            return 1.0 / np.abs(w - 1.0 / 3.0)
+
+        with pytest.raises(QuadratureError, match=REQUESTED):
+            batch_quad(inverse, np.array([-1.0]), np.array([1.0]))
+        assert passes == [1]
+        with pytest.raises(QuadratureError, match=REQUESTED):
             batch_quad(lambda i, w: np.full(w.shape, np.nan), np.zeros(1), np.ones(1))
 
     def test_value_does_not_depend_on_the_batch(self):
