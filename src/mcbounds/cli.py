@@ -7,13 +7,13 @@ with optional CSV curves; exact rationals are serialized as "p/q" strings.
 Exit codes: 0 success, 2 usage or configuration error, 3 mathematical or
 verification failure.
 
-The parser, the option checks every command shares and the report writers
-live here; each imports what it uses when it runs, so parsing loads nothing
-beyond ``argparse``. Once the checks pass, ``main`` imports the command's
-module from ``mcbounds.commands``, which loads only the layers that command
-needs: ``bound`` and a continuous-chain ``simulate`` load no finite-chain
-code, and ``bound`` and every ``finite`` analysis but ``eigen-bound`` run
-without numpy.
+The parser (one per mode, declaring only the options that mode reads), the
+option checks every command shares and the report writers live here; each
+imports what it uses when it runs, so parsing loads nothing beyond
+``argparse``. Once the checks pass, ``main`` imports the command's module from
+``mcbounds.commands``, which loads only the layers that command needs:
+``bound`` and a continuous-chain ``simulate`` load no finite-chain code, and
+``bound`` and every ``finite`` analysis but ``eigen-bound`` run without numpy.
 """
 
 from __future__ import annotations
@@ -24,16 +24,6 @@ import sys
 from . import __version__
 
 _FLOAT_FMT = "%.17g"
-
-# the (command, analysis) pairs whose reports have no CSV table; every other
-# report has one, so only these may take --format csv without --output, and
-# under --output they write their JSON for it
-_TABLELESS = {
-    ("finite", "stationary"),
-    ("finite", "minorization"),
-    ("finite", "pseudo"),
-    ("verify", "minorization"),
-}
 
 
 def _csv_cell(value) -> str:
@@ -66,13 +56,18 @@ def _nonfinite_key(value, key: str = "") -> str | None:
 
 
 def _check_ranges(args) -> None:
-    """Refuse an out-of-range option shared by several commands, once, before
-    any command runs."""
+    """Refuse an out-of-range option shared by several commands, and a
+    ``simulate`` option its model does not read, once, before any command runs."""
     import math
 
     from .errors import InputError
 
-    opts = vars(args)
+    opts = vars(args)  # not getattr: a check is no use of an option
+    if args.command == "simulate":  # --cert, --n0 and --start are --grid's alone
+        others = ("x0", "burn_in") if opts["grid"] is not None else ("cert", "n0", "start")
+        given = ["--" + name.replace("_", "-") for name in others if opts[name] is not None]
+        if given:
+            raise InputError(f"{', '.join(given)} cannot be given with --{args.model or 'grid'}")
     delta, n_max, tolerance = opts.get("delta"), opts.get("n_max"), opts.get("tolerance")
     if delta is not None and not 0 < delta < 1:
         raise InputError(f"delta must be in (0, 1), got {delta}")
@@ -110,8 +105,7 @@ def _prepare_outputs(args) -> None:
     from .errors import InputError
 
     if args.output is None:
-        analysis = getattr(args, "analysis", None) or getattr(args, "condition", None)
-        if args.format != "json" and (args.command, analysis) not in _TABLELESS:
+        if args.format != "json" and not getattr(args, "tableless", False):
             raise InputError(f"--format {args.format} requires --output DIR")
     else:
         outdir = Path(args.output)
@@ -218,92 +212,102 @@ def _dump_trajectories(out, lattice, first: int, xs, xps) -> None:
         out.write("".join(rows))
 
 
+class _Parser(argparse.ArgumentParser):
+    def error(self, message):  # one line, as every other refusal
+        self.exit(2, f"{self.prog}: error: {message}\n")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="mcbounds",
-        description="Quantitative convergence bounds for Markov chains.",
-    )
+    parser = _Parser(prog="mcbounds",
+                     description="Quantitative convergence bounds for Markov chains.")
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_output(p):
+    def add_modes(command, help):
+        return sub.add_parser(command, help=help).add_subparsers(dest="analysis", required=True)
+
+    def add_mode(modes, name, help, tableless=False, **defaults):
+        # no abbreviations: finite pseudo --n 5 would mean --n0 5
+        p = modes.add_parser(name, help=help, description=help, allow_abbrev=False)
+        p.set_defaults(tableless=tableless, **defaults)
         p.add_argument("--output", help="directory for report files (default: stdout)")
-        p.add_argument(
-            "--format", choices=["json", "csv", "both"], default="json",
-            help="report format; csv requires --output",
-        )
+        p.add_argument("--format", choices=["json", "csv", "both"], default="json",
+                       help="report format; csv requires --output")
+        return p
 
-    p = sub.add_parser("finite", help="exact finite-chain analyses")
-    p.add_argument(
-        "analysis",
-        choices=["stationary", "eigen-bound", "minorization", "pseudo", "tv-exact"],
-    )
-    p.add_argument("--grid", help="grid model, e.g. 3x3")
-    p.add_argument("--matrix-file", help="JSON matrix file with 'p/q' entries")
-    p.add_argument("--n0", type=int, default=1, help="transition lag (default 1)")
-    p.add_argument("--start", type=int, help="1-based start state (grids: center)")
-    p.add_argument("--target", type=int, help="1-based target state for eigen-bound")
-    p.add_argument("--delta", type=float, default=0.01, help="threshold (default 0.01)")
-    p.add_argument(
-        "--n-max", "--n", dest="n_max", type=int, default=30,
-        help="curve length for tv-exact (default 30)",
-    )
-    add_output(p)
+    finite = add_modes("finite", "exact finite-chain analyses")
+    options = {  # of the finite analyses: flags, then settings
+        "n0": (["--n0"], {"type": int, "help": "transition lag (default 1)"}),
+        "start": (["--start"], {"type": int, "help": "1-based start state (grids: center)"}),
+        "target": (["--target"], {"type": int, "help": "1-based target state (default: start)"}),
+        "delta": (["--delta"], {"type": float, "help": "threshold (default 0.01)"}),
+        "n_max": (["--n-max", "--n"], {"type": int, "help": "curve length (default 30)"}),
+    }
+    for name, help, tableless, reads in (
+        ("stationary", "exact stationary law", True, ""),
+        ("eigen-bound", "spectral bound at a target state", False, "start target delta"),
+        ("minorization", "uniform overlap of P^n0", True, "n0 delta"),
+        ("pseudo", "pseudo-minorization overlap of P^n0", True, "n0 delta"),
+        ("tv-exact", "exact total variation curve and bounds", False, "n0 start delta n_max"),
+    ):
+        # each report echoes n0, delta and n_max: at these defaults if unread
+        p = add_mode(finite, name, help, tableless, n0=1, delta=0.01, n_max=30)
+        model = p.add_mutually_exclusive_group(required=True)
+        model.add_argument("--grid", help="grid model, e.g. 3x3")
+        model.add_argument("--matrix-file", help="JSON matrix file with 'p/q' entries")
+        for dest in reads.split():
+            flags, settings = options[dest]
+            p.add_argument(*flags, **settings)
 
-    p = sub.add_parser("bound", help="analytic bound calculators")
-    p.add_argument("theorem", choices=["t1", "t2"], help="t1: geometric overlap bound; t2: drift/overlap two-term bound")
-    p.add_argument("--epsilon", help="overlap constant for t1 (float or p/q)")
-    p.add_argument(
-        "--pointprocess", metavar="C,D",
-        help="derive the t1 overlap constant from the particle-chain parameters",
-    )
-    p.add_argument("--n0", type=int, default=1, help="lag for t1 (default 1)")
+    bound = add_modes("bound", "analytic bound calculators")
+    p = add_mode(bound, "t1", "geometric overlap bound")
+    overlap = p.add_mutually_exclusive_group(required=True)
+    overlap.add_argument("--epsilon", help="overlap constant (float or p/q)")
+    overlap.add_argument("--pointprocess", metavar="C,D",
+                         help="derive the overlap constant from the particle-chain parameters")
+    p.add_argument("--n0", type=int, default=1, help="lag (default 1)")
     p.add_argument("--delta", type=float, default=0.01)
-    p.add_argument("--n-max", type=int, help="extend the t1 curve to this n")
-    p.add_argument("--preset", default="rwm-laplace", help="t2 constant preset")
-    p.add_argument(
-        "--expected-h", choices=["analytic", "fallback"], default="analytic",
-        help="use the analytic stationary mean of h or the moment-bound fallback",
-    )
+    p.add_argument("--n-max", type=int, help="extend the curve to this n")
+    p = add_mode(bound, "t2", "drift/overlap two-term bound")
+    p.add_argument("--preset", choices=["rwm-laplace"], default="rwm-laplace")
+    p.add_argument("--delta", type=float, default=0.01)
+    p.add_argument("--expected-h", choices=["analytic", "fallback"], default="analytic",
+                   help="use the analytic stationary mean of h or the moment-bound fallback")
     # the defaults are bounds.LAPLACE_SCHEDULE, which `bound t2` fills in
-    p.add_argument("--check-n", type=int,
-                   help="regression point: n (default: the preset's, 120000)")
-    p.add_argument("--check-j", type=int,
-                   help="regression point: j (default: the preset's, 274)")
-    add_output(p)
+    p.add_argument("--check-n", type=int, help="schedule point: n (default: the preset's, 120000)")
+    p.add_argument("--check-j", type=int, help="schedule point: j (default: the preset's, 274)")
 
-    p = sub.add_parser("simulate", help="coupling Monte Carlo")
-    p.add_argument("--grid", help="finite grid model, e.g. 3x3")
-    p.add_argument("--halfline", action="store_true")
-    p.add_argument("--rwm-laplace", action="store_true")
-    p.add_argument("--cert", choices=["uniform", "pseudo"], default="pseudo",
-                   help="certificate for finite models (default pseudo)")
-    p.add_argument("--n0", type=int, default=2, help="lag for finite certificates")
-    p.add_argument("--start", type=int, help="1-based start state for finite models")
-    p.add_argument("--x0", type=float, default=0.0, help="start point, continuous models")
+    # one parser, the model being a flag; _check_ranges refuses the others'
+    p = add_mode(sub, "simulate", "coupling Monte Carlo")
+    model = p.add_mutually_exclusive_group(required=True)
+    model.add_argument("--grid", help="finite grid model, e.g. 3x3")
+    model.add_argument("--halfline", action="store_const", dest="model", const="halfline")
+    model.add_argument("--rwm-laplace", action="store_const", dest="model", const="rwm-laplace")
+    p.add_argument("--cert", choices=["uniform", "pseudo"], help="--grid only (default pseudo)")
+    p.add_argument("--n0", type=int, help="--grid: certificate lag (default 2)")
+    p.add_argument("--start", type=int, help="--grid: 1-based start state")
+    p.add_argument("--x0", type=float, help="continuous models: start point (default 0)")
     p.add_argument("--n-max", type=int, default=60)
     p.add_argument("--reps", type=int, default=10_000)
     p.add_argument("--seed", type=int, help="master seed (fallback: MCB_SEED, then 0)")
-    p.add_argument("--burn-in", type=int, default=0,
-                   help="kernel steps after the exact stationary start (continuous; "
-                        "default 0)")
-    p.add_argument("--record-every", type=int, default=1,
-                   help="record every k-th lattice point")
+    p.add_argument("--burn-in", type=int, help="continuous models: kernel steps after "
+                                               "the exact stationary start (default 0)")
+    p.add_argument("--record-every", type=int, default=1, help="record every k-th lattice point")
     p.add_argument("--trajectories", help="write per-trajectory CSV to this path")
-    add_output(p)
 
-    p = sub.add_parser("verify", help="numeric drift/overlap verification")
-    p.add_argument("condition", choices=["drift", "minorization"])
-    p.add_argument("--preset", default="rwm-laplace",
-                   help="drift: rwm-laplace; minorization: halfline or rwm-laplace")
+    verify = add_modes("verify", "numeric drift/overlap verification")
+    p = add_mode(verify, "drift", "drift condition on a grid of states")
+    p.add_argument("--preset", choices=["rwm-laplace"], default="rwm-laplace")
     p.add_argument("--lam", type=float, help="override the drift rate")
     p.add_argument("--b", type=float, help="override the drift offset")
     p.add_argument("--grid-lo", type=float, default=-10.0)
     p.add_argument("--grid-hi", type=float, default=10.0)
     p.add_argument("--grid-step", type=float, default=0.05)
+    p.add_argument("--tolerance", type=float, default=1e-6)
+    p = add_mode(verify, "minorization", "overlap on a grid of state pairs", tableless=True)
+    p.add_argument("--preset", choices=["halfline", "rwm-laplace"], default="rwm-laplace")
     p.add_argument("--probe-step", type=float, default=0.05)
     p.add_argument("--tolerance", type=float, default=1e-6)
-    add_output(p)
 
     return parser
 

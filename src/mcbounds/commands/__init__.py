@@ -37,17 +37,19 @@ def _default_start(args, size: int) -> int:
 
 
 def _require_printable(option: str, n: int, den: int, factor: int = 1) -> None:
-    """Refuse ``option`` = n when its exact results are too long to print.
-
-    Entries of P^n have denominators dividing den**n, and the probabilities
-    the command prints from them denominators dividing factor * den**n. Python
-    turns no int of more than ``sys.get_int_max_str_digits()`` digits into a
-    string, so such a run would end in a traceback after all its work.
-    """
-    limit = sys.get_int_max_str_digits()
+    """Refuse ``option`` = n when its exact results are too long to print:
+    entries of P^n have denominators dividing den**n, and the probabilities
+    the command prints from them denominators dividing factor * den**n."""
     digits = n * math.log10(den) + math.log10(factor)
+    _require_digits(f"{option} {n} gives", digits, f"; pass a smaller {option}")
+
+
+def _require_digits(cause: str, digits: float, advice: str = "") -> None:
+    """Refuse exact results of ``digits`` (a log10) digits, named by ``cause``:
+    Python turns no int of more than ``sys.get_int_max_str_digits()`` into a string."""
+    limit = sys.get_int_max_str_digits()
     if limit and digits >= limit:
         raise InputError(
-            f"{option} {n} gives exact rationals of up to {math.ceil(digits)} digits, "
-            f"beyond the {limit} that can be printed; pass a smaller {option}"
+            f"{cause} exact rationals of up to {math.ceil(digits)} digits, "
+            f"beyond the {limit} that can be printed{advice}"
         )

@@ -33,11 +33,9 @@ def _parse_rational(text: str) -> Fraction:
 
 
 def run(args) -> tuple[_Report, int]:
-    if args.theorem == "t1":
-        if not (args.epsilon or args.pointprocess):
-            raise InputError("bound t1 requires --epsilon or --pointprocess C,D")
+    if args.analysis == "t1":
         provenance = {"epsilon": "user"}
-        if args.pointprocess:
+        if args.pointprocess is not None:
             try:
                 c, d = (float(v) for v in args.pointprocess.split(","))
             except ValueError as exc:
@@ -72,8 +70,6 @@ def run(args) -> tuple[_Report, int]:
     # t2
     from .. import presets
 
-    if args.preset != "rwm-laplace":
-        raise InputError("bound t2 currently ships one preset: rwm-laplace")
     inputs, provenance = presets.laplace_drift_minorization_inputs(expected_h=args.expected_h)
     check_n = LAPLACE_SCHEDULE[0] if args.check_n is None else args.check_n
     check_j = LAPLACE_SCHEDULE[1] if args.check_j is None else args.check_j

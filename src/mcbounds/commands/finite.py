@@ -19,20 +19,18 @@ from ..finite_chain import (
     minorization_uniform,
     stationary,
 )
-from . import _default_start, _parse_grid, _require_printable
+from . import _default_start, _parse_grid, _require_digits, _require_printable
 
 
 def _load_model(args) -> tuple[StochasticMatrix, str]:
-    if args.grid:
+    if args.grid is not None:
         rows, cols = _parse_grid(args.grid)
         return build_grid_walk(rows, cols), f"grid {rows}x{cols}"
-    if args.matrix_file:
-        try:
-            data = json.loads(Path(args.matrix_file).read_text())
-        except (OSError, ValueError) as exc:  # ValueError: bad JSON, UTF-8 or int
-            raise InputError(f"cannot read matrix file: {exc}") from exc
-        return StochasticMatrix.from_json_dict(data), f"file {args.matrix_file}"
-    raise InputError("select a model with --grid RxC or --matrix-file PATH")
+    try:
+        data = json.loads(Path(args.matrix_file).read_text())
+    except (OSError, ValueError) as exc:  # ValueError: bad JSON, UTF-8 or int
+        raise InputError(f"cannot read matrix file: {exc}") from exc
+    return StochasticMatrix.from_json_dict(data), f"file {args.matrix_file}"
 
 
 def run(args) -> tuple[_Report, int]:
@@ -54,6 +52,8 @@ def run(args) -> tuple[_Report, int]:
 
     if args.analysis == "stationary":
         pi = stationary(matrix)
+        pi_digits = math.log10(math.lcm(*(v.denominator for v in pi)))
+        _require_digits(f"--matrix-file {args.matrix_file}: its stationary law has", pi_digits)
         results["pi"] = pi.as_strings()
         results["pi_float"] = [float(v) for v in pi]
         provenance["pi"] = "computed (exact elimination)"

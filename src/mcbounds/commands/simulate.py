@@ -64,7 +64,7 @@ def _simulate_config(args) -> tuple[CouplingConfig, dict]:
         master_seed=_resolve_seed(args.seed),
         record_every=args.record_every,
     )
-    if args.grid:
+    if args.grid is not None:
         from ..finite_chain import (
             ProbVector,
             build_grid_walk,
@@ -75,24 +75,26 @@ def _simulate_config(args) -> tuple[CouplingConfig, dict]:
         rows, cols = _parse_grid(args.grid)
         matrix = build_grid_walk(rows, cols)
         start = _default_start(args, matrix.size)
-        _require_printable("--n0", args.n0, matrix.denominator)
-        finder = minorization_pseudo if args.cert == "pseudo" else minorization_uniform
-        cert = finder(matrix, args.n0)
+        # a model's own options parse to None; `is None` keeps a given 0 or -0.0
+        n0 = 2 if args.n0 is None else args.n0
+        cert_name = "pseudo" if args.cert is None else args.cert
+        _require_printable("--n0", n0, matrix.denominator)
+        finder = minorization_pseudo if cert_name == "pseudo" else minorization_uniform
+        cert = finder(matrix, n0)
         if cert is None:
-            raise MathError(f"no {args.cert} overlap at lag {args.n0} for this grid")
+            raise MathError(f"no {cert_name} overlap at lag {n0} for this grid")
         config = CouplingConfig(
             model="finite", matrix=matrix, cert=cert,
             initial_law=ProbVector.delta(matrix.size, start), **run,
         )
-        desc = {"model": f"grid {rows}x{cols}", "cert": args.cert,
+        desc = {"model": f"grid {rows}x{cols}", "cert": cert_name,
                 "epsilon": str(cert.epsilon), "start": start + 1}
         return config, desc
-    if not (args.halfline or args.rwm_laplace):
-        raise InputError("select --grid RxC, --halfline, or --rwm-laplace")
-    model = "halfline" if args.halfline else "rwm-laplace"
-    config = CouplingConfig(model=model, x0=args.x0, burn_in=args.burn_in, **run)
-    desc = {"model": model, "x0": args.x0, "burn_in": args.burn_in}
-    small = CERTIFICATES[model].small_set
+    x0 = 0.0 if args.x0 is None else args.x0
+    burn_in = 0 if args.burn_in is None else args.burn_in
+    config = CouplingConfig(model=args.model, x0=x0, burn_in=burn_in, **run)
+    desc = {"model": args.model, "x0": x0, "burn_in": burn_in}
+    small = CERTIFICATES[args.model].small_set
     if small is not None:
         desc["small_set"] = [small.lo, small.hi]
     return config, desc

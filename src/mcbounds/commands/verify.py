@@ -59,9 +59,7 @@ def _require_finite_drift(kernel, V, grid) -> None:
 
 
 def run(args) -> tuple[_Report, int]:
-    if args.condition == "drift":
-        if args.preset != "rwm-laplace":
-            raise InputError("drift verification ships one preset: rwm-laplace")
+    if args.analysis == "drift":
         if not (math.isfinite(args.grid_lo) and math.isfinite(args.grid_hi)
                 and args.grid_lo <= args.grid_hi):
             raise InputError(
@@ -108,12 +106,10 @@ def run(args) -> tuple[_Report, int]:
         kernel = halfline_mixture_kernel()
         nu = laws.hl_nu_density
         x_range = y_range = (0.0, 50.0)
-    elif args.preset == "rwm-laplace":
+    else:
         kernel = metropolis_rwm_laplace()
         nu = laws.rwm_nu_density
         x_range, y_range = (-2.0, 2.0), (-1.0, 1.0)
-    else:
-        raise InputError("minorization presets: halfline, rwm-laplace")
     cert = CERTIFICATES[args.preset]
     step = args.probe_step
     pairs = _probe_count(*x_range, step) * _probe_count(*y_range, step)

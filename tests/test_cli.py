@@ -18,7 +18,7 @@ import fraction_reference as ref
 import mcbounds
 from mcbounds import finite_chain
 from mcbounds.bounds import CERTIFICATES, LAPLACE_SCHEDULE
-from mcbounds.cli import _TABLELESS, main
+from mcbounds.cli import build_parser, main
 from mcbounds.finite_chain import build_grid_walk
 
 LIMIT = sys.get_int_max_str_digits()
@@ -45,6 +45,16 @@ def run_cli(capsys, *argv):
     if report is not None:
         jsonschema.validate(report, SCHEMA)
     return code, report
+
+
+def parser_refusal(capsys, *argv) -> str:
+    """The one stderr line of a command line the parser refuses with exit 2."""
+    with pytest.raises(SystemExit) as exc:
+        main(list(argv))
+    assert exc.value.code == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.count("\n") == 1 and "Traceback" not in err
+    return err
 
 
 class TestFinite:
@@ -211,7 +221,9 @@ class TestFinite:
         rows, failing = self.EDGE_CHAINS[chain]
         path = tmp_path / "matrix.json"
         path.write_text(json.dumps({"size": len(rows), "rows": rows}))
-        argv = ["finite", analysis, "--matrix-file", str(path), "--start", "1"]
+        argv = ["finite", analysis, "--matrix-file", str(path)]
+        if analysis in ("eigen-bound", "tv-exact"):  # the analyses that read a start
+            argv += ["--start", "1"]
         code = main(argv)
         assert code == failing.get(analysis, 0)
         out, err = capsys.readouterr()
@@ -249,7 +261,9 @@ class TestFinite:
         text, message = self.MALFORMED[case]
         path = tmp_path / "matrix.json"
         path.write_bytes(text.encode(errors="surrogateescape"))
-        argv = ["finite", analysis, "--matrix-file", str(path), "--start", "1"]
+        argv = ["finite", analysis, "--matrix-file", str(path)]
+        if analysis == "eigen-bound":  # the one of these that reads a start
+            argv += ["--start", "1"]
         assert main(argv) == 2
         out, err = capsys.readouterr()
         assert out == ""
@@ -257,8 +271,8 @@ class TestFinite:
         assert message in err
 
     def test_missing_model_exits_2(self, capsys):
-        code, _ = run_cli(capsys, "finite", "stationary")
-        assert code == 2
+        err = parser_refusal(capsys, "finite", "stationary")
+        assert err.endswith("error: one of the arguments --grid --matrix-file is required\n")
 
     @pytest.mark.parametrize("argv,option", [
         (["minorization", "--n0", "3000"], "--n0"),
@@ -311,6 +325,24 @@ class TestFinite:
         text = results["curve"][-1]["tv"] if "curve" in results else results["epsilon"]
         assert len(text) > 1000
 
+    def test_stationary_law_too_long_to_print_exits_2(self, capsys, tmp_path):
+        # every entry shares one denominator of 2500 digits, and so prints,
+        # but the stationary law's denominators have about 5000; this ended
+        # in a traceback from pi.as_strings() after the elimination
+        q = 3 * 10**2499 + 7
+        firsts = [(q // 3 + 1 + 5 * i, q // 4 + 2 * i) for i in range(3)]
+        rows = [[f"{a}/{q}", f"{b}/{q}", f"{q - a - b}/{q}"] for a, b in firsts]
+        path = tmp_path / "long.json"
+        path.write_text(json.dumps({"size": 3, "rows": rows}))
+        assert main(["finite", "stationary", "--matrix-file", str(path)]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err.count("\n") == 1
+        assert err.startswith(f"mcbounds: error: --matrix-file {path}: its stationary law has ")
+        assert f"beyond the {LIMIT} that can be printed" in err
+        # the analyses that print no exact stationary law still run
+        assert main(["finite", "pseudo", "--matrix-file", str(path)]) == 0
+        capsys.readouterr()
+
 
 class TestBound:
     def test_t1_published_crossings(self, capsys):
@@ -335,11 +367,13 @@ class TestBound:
         assert report["results"]["crossing"] == 1
 
     def test_t1_requires_epsilon(self, capsys):
-        code, _ = run_cli(capsys, "bound", "t1")
-        assert code == 2
+        err = parser_refusal(capsys, "bound", "t1")
+        assert err == (
+            "mcbounds bound t1: error: one of the arguments --epsilon --pointprocess is required\n"
+        )
 
     @pytest.mark.parametrize("argv,message", [
-        ([], "bound t1 requires --epsilon or --pointprocess C,D"),
+        ([], "one of the arguments --epsilon --pointprocess is required"),
         (["--epsilon", "0"], "epsilon must be in (0, 1], got 0"),
         (["--epsilon", "3/2"], "epsilon must be in (0, 1], got 3/2"),
         (["--pointprocess", "0,1"], "need c > 0 and d > 0, got c=0.0, d=1.0"),
@@ -354,6 +388,10 @@ class TestBound:
             "epsilon-inf", "pointprocess-c-inf", "pointprocess-d-inf",
             "pointprocess-underflow"])
     def test_t1_bad_overlap_exits_2(self, capsys, argv, message):
+        if not argv:  # the parser refuses a missing overlap
+            err = parser_refusal(capsys, "bound", "t1")
+            assert err == f"mcbounds bound t1: error: {message}\n"
+            return
         assert main(["bound", "t1", *argv]) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
@@ -382,7 +420,7 @@ class TestBound:
     def test_t2_check_point_defaults_to_the_schedule(self, capsys):
         # the parser states the defaults without loading bounds; t2 fills them in
         with pytest.raises(SystemExit):
-            main(["bound", "--help"])
+            main(["bound", "t2", "--help"])
         help_text = " ".join(capsys.readouterr().out.split())
         for value in LAPLACE_SCHEDULE:
             assert f"(default: the preset's, {value})" in help_text
@@ -492,16 +530,17 @@ class TestSimulate:
         assert len(traj.read_text().splitlines()) == 1 + 30 * len(lattice)
 
     def test_model_required(self, capsys):
-        code, _ = run_cli(capsys, "simulate", "--reps", "10")
-        assert code == 2
+        err = parser_refusal(capsys, "simulate", "--reps", "10")
+        assert err == ("mcbounds simulate: error: one of the arguments "
+                       "--grid --halfline --rwm-laplace is required\n")
 
     @pytest.mark.parametrize("argv,seed_env", [
         (["--grid", "3x3", "--seed", "-1"], None),
-        (["--halfline"], "-2"),
-        (["--rwm-laplace", "--x0", "nan"], None),
-        (["--halfline", "--x0", "inf"], None),
+        (["--halfline", "--burn-in", "10"], "-2"),
+        (["--rwm-laplace", "--burn-in", "10", "--x0", "nan"], None),
+        (["--halfline", "--burn-in", "10", "--x0", "inf"], None),
         (["--rwm-laplace", "--burn-in", "-1"], None),
-        (["--halfline", "--x0", "1e300"], None),
+        (["--halfline", "--burn-in", "10", "--x0", "1e300"], None),
         (["--grid", "2x2", "--n0", "1", "--reps", "1000000000000", "--n-max", "1000000"],
          None),
         (["--grid", "3x3", "--n0", "5000", "--n-max", "10000"], None),  # epsilon unprintable
@@ -509,7 +548,7 @@ class TestSimulate:
     def test_bad_coupling_input_exits_2(self, capsys, monkeypatch, argv, seed_env):
         if seed_env is not None:
             monkeypatch.setenv("MCB_SEED", seed_env)
-        argv = ["simulate", "--n-max", "4", "--reps", "10", "--burn-in", "10", *argv]
+        argv = ["simulate", "--n-max", "4", "--reps", "10", *argv]
         assert main(argv) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
@@ -826,6 +865,100 @@ class TestCertificates:
             assert (constants["epsilon"], constants["n0"]) == (cert.epsilon, cert.n0)
 
 
+# a command line each mode accepts, and the options of its command's one
+# flat option list (before each mode had its own parser) that it never read
+MODE_LINES = {
+    ("finite", "stationary"): ["--grid", "3x3"],
+    ("finite", "eigen-bound"): ["--grid", "3x3"],
+    ("finite", "minorization"): ["--grid", "3x3", "--n0", "2"],
+    ("finite", "pseudo"): ["--grid", "3x3", "--n0", "2"],
+    ("finite", "tv-exact"): ["--grid", "3x3", "--n", "4"],
+    ("bound", "t1"): ["--epsilon", "1/2"],
+    ("bound", "t2"): [],
+    ("verify", "drift"): ["--grid-step", "1.0"],
+    ("verify", "minorization"): ["--preset", "halfline", "--probe-step", "1.0"],
+}
+IGNORED_OPTIONS = {
+    ("finite", "stationary"): ["--n0", "--start", "--target", "--delta", "--n-max", "--n"],
+    ("finite", "eigen-bound"): ["--n0", "--n-max", "--n"],
+    ("finite", "minorization"): ["--start", "--target", "--n-max", "--n"],
+    ("finite", "pseudo"): ["--start", "--target", "--n-max", "--n"],
+    ("finite", "tv-exact"): ["--target"],
+    ("bound", "t1"): ["--preset", "--expected-h", "--check-n", "--check-j"],
+    ("bound", "t2"): ["--epsilon", "--pointprocess", "--n0", "--n-max"],
+    ("verify", "drift"): ["--probe-step"],
+    ("verify", "minorization"): ["--lam", "--b", "--grid-lo", "--grid-hi", "--grid-step"],
+}
+# values the flat lists accepted; any other option took "2"
+OPTION_VALUES = {"--preset": "rwm-laplace", "--expected-h": "fallback", "--epsilon": "1/2",
+                 "--pointprocess": "0.1,0.1", "--delta": "0.1"}
+
+
+class TestModeOptions:
+    @pytest.mark.parametrize("mode,flag", [
+        pytest.param(mode, flag, id=f"{' '.join(mode)} {flag}")
+        for mode, flags in IGNORED_OPTIONS.items() for flag in flags
+    ])
+    def test_option_the_mode_does_not_read_exits_2(self, capsys, mode, flag):
+        # each of these exited 0 with the option ignored (stationary --n0
+        # echoed an n0 nothing used); an abbreviation is no way round it
+        value = OPTION_VALUES.get(flag, "2")
+        err = parser_refusal(capsys, *mode, *MODE_LINES[mode], flag, value)
+        assert err == f"mcbounds: error: unrecognized arguments: {flag} {value}\n"
+
+    def test_every_mode_has_a_line(self):
+        parser = build_parser()
+        for mode, argv in MODE_LINES.items():
+            args = parser.parse_args([*mode, *argv])
+            assert (args.command, args.analysis) == mode
+
+    @pytest.mark.parametrize("argv,message", [
+        (["finite", "stationary", "--grid", "3x3", "--matrix-file", "m.json"],
+         "mcbounds finite stationary: error: argument --matrix-file: "
+         "not allowed with argument --grid"),
+        (["bound", "t1", "--epsilon", "1/2", "--pointprocess", "0.1,0.1"],
+         "mcbounds bound t1: error: argument --pointprocess: not allowed with argument --epsilon"),
+        (["simulate", "--grid", "3x3", "--halfline"],
+         "mcbounds simulate: error: argument --halfline: not allowed with argument --grid"),
+        (["simulate", "--halfline", "--rwm-laplace"],
+         "mcbounds simulate: error: argument --rwm-laplace: not allowed with argument --halfline"),
+    ], ids=["grid-matrix-file", "epsilon-pointprocess", "grid-halfline", "halfline-rwm-laplace"])
+    def test_conflicting_models_exit_2(self, capsys, argv, message):
+        # the first of these analysed the grid, the second used --pointprocess
+        assert parser_refusal(capsys, *argv) == message + "\n"
+
+    @pytest.mark.parametrize("argv,message", [
+        (["--halfline", "--cert", "uniform"], "--cert cannot be given with --halfline"),
+        (["--rwm-laplace", "--n0", "2"], "--n0 cannot be given with --rwm-laplace"),
+        (["--halfline", "--start", "1"], "--start cannot be given with --halfline"),
+        (["--grid", "3x3", "--x0", "1"], "--x0 cannot be given with --grid"),
+        (["--grid", "3x3", "--burn-in", "5"], "--burn-in cannot be given with --grid"),
+        (["--grid", "3x3", "--x0", "0", "--burn-in", "0"],
+         "--x0, --burn-in cannot be given with --grid"),
+    ], ids=["halfline-cert", "rwm-laplace-n0", "halfline-start", "grid-x0", "grid-burn-in",
+            "grid-both"])
+    def test_option_of_the_other_model_exits_2(self, capsys, monkeypatch, argv, message):
+        def must_not_run(config):
+            raise AssertionError("the coupling ran with an option its model ignores")
+
+        monkeypatch.setattr("mcbounds.coupling.run_coupling", must_not_run)
+        assert main(["simulate", *argv, "--reps", "10", "--n-max", "2"]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err.count("\n") == 1
+        assert err == f"mcbounds: error: {message}\n"
+
+    def test_model_options_default_when_not_given(self, capsys):
+        # the five model options parse to None; the run fills in their
+        # defaults, and a given value is echoed as given
+        sim = ["--reps", "20", "--n-max", "2", "--seed", "1"]
+        _, report = run_cli(capsys, "simulate", "--grid", "2x2", *sim)
+        assert (report["config"]["cert"], report["config"]["n0"]) == ("pseudo", 2)
+        _, report = run_cli(capsys, "simulate", "--halfline", *sim)
+        assert (report["config"]["x0"], report["config"]["burn_in"]) == (0.0, 0)
+        _, report = run_cli(capsys, "simulate", "--halfline", "--x0", "-0.0", *sim)
+        assert math.copysign(1.0, report["config"]["x0"]) == -1.0
+
+
 class TestOutputs:
     def test_non_finite_json_is_refused(self, capsys, tmp_path):
         # RFC 8259 has no NaN or Infinity: the report is refused, not printed
@@ -923,13 +1056,13 @@ class TestOutputs:
             "simulate-rwm-laplace", "verify-drift", "verify-minorization-halfline",
             "verify-minorization-rwm-laplace"])
     def test_declared_tables_match_the_written_ones(self, capsys, tmp_path, argv, analysis):
-        # _prepare_outputs refuses csv without --output from _TABLELESS alone,
-        # before the run; the reports must agree with it
+        # _prepare_outputs refuses csv without --output from the parser's
+        # tableless alone, before the run; the reports must agree with it
         assert main([*argv, "--output", str(tmp_path), "--format", "both"]) == 0
         assert capsys.readouterr().out == ""
         stem = f"{argv[0]}-{analysis}"
         names = sorted(p.name for p in tmp_path.iterdir())
-        if (argv[0], analysis) in _TABLELESS:
+        if getattr(build_parser().parse_args(argv), "tableless", False):
             assert names == [f"{stem}.json"]
         else:
             assert f"{stem}.json" in names and len(names) >= 2
@@ -1107,8 +1240,9 @@ class TestStartup:
             f"out = {str(tmp_path)!r}\n"
             "with contextlib.redirect_stdout(io.StringIO()):\n"
             "    for analysis in ('stationary', 'pseudo', 'minorization', 'tv-exact'):\n"
-            "        assert main(['finite', analysis, '--grid', '3x3', '--n0', '2']) == 0\n"
-            "        assert main(['finite', analysis, '--grid', '3x3', '--n0', '2',\n"
+            "        lag = [] if analysis == 'stationary' else ['--n0', '2']\n"
+            "        assert main(['finite', analysis, '--grid', '3x3', *lag]) == 0\n"
+            "        assert main(['finite', analysis, '--grid', '3x3', *lag,\n"
             "                     '--output', out, '--format', 'both']) == 0\n"
             "    assert main(['bound', 't1', '--epsilon', '9/80', '--n0', '2']) == 0\n"
             "    assert main(['bound', 't1', '--epsilon', '0.117', '--output', out,\n"

@@ -1,4 +1,5 @@
-"""Every function in ``src/`` is reached by a command line or is public.
+"""Every function in ``src/`` is reached by a command line or is public, and
+every option a mode declares is read.
 
 One child interpreter installs a ``sys.setprofile`` hook before it imports
 ``mcbounds`` (so functions called at import time count too), then runs every
@@ -7,10 +8,14 @@ with refusals. A function defined with ``def`` under ``src/`` that no run
 enters fails the test, unless the README's list of public library names
 names it. Special methods are exempt, and so are the functions in
 ``ALLOWED`` below, each with the reason no command line reaches it. Lambdas
-are not counted. A second test fails on any module-level constant under
+are not counted. The same run parses each line into a namespace that
+records the attributes the command reads once parsing is done; an option
+that the parser of a mode declares and no line of that mode reads fails a
+second test. A third test fails on any module-level constant under
 ``src/`` that no other line of ``src/`` reads, unless ``UNREAD`` names it.
 """
 
+import argparse
 import ast
 import importlib
 import json
@@ -20,8 +25,11 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 import mcbounds
 import mcbounds.coupling
+from mcbounds.cli import build_parser
 
 SRC = Path(mcbounds.__file__).resolve().parent
 README = SRC.parents[1] / "README.md"
@@ -52,14 +60,16 @@ def _command_lines(tmp: Path) -> tuple[list[list[str]], list[int]]:
     out = str(tmp / "out")
     small_sim = ["--n-max", "6", "--reps", "300", "--seed", "3"]
     lines = [
-        ["finite", analysis, "--grid", "3x3", "--n0", "2"]
-        for analysis in ("stationary", "eigen-bound", "minorization", "pseudo")
-    ]
-    lines += [
+        ["finite", "stationary", "--grid", "3x3"],
+        ["finite", "eigen-bound", "--grid", "3x3"],
+        ["finite", "minorization", "--grid", "3x3", "--n0", "2"],
+        ["finite", "pseudo", "--grid", "3x3", "--n0", "2"],
         ["finite", "tv-exact", "--grid", "3x3", "--n0", "2", "--n", "8",
          "--output", out, "--format", "both"],
         ["finite", "stationary", "--matrix-file", str(good)],
+        ["finite", "minorization", "--matrix-file", str(good), "--n0", "1"],
         ["finite", "pseudo", "--matrix-file", str(good), "--n0", "1"],
+        ["finite", "tv-exact", "--matrix-file", str(good), "--start", "1", "--n", "4"],
         ["finite", "eigen-bound", "--matrix-file", str(good), "--start", "1",
          "--target", "2"],
         ["bound", "t1", "--epsilon", "9/80", "--n0", "2"],
@@ -84,6 +94,8 @@ def _command_lines(tmp: Path) -> tuple[list[list[str]], list[int]]:
         ["finite", "stationary", "--matrix-file", str(bad)],
         ["finite", "stationary", "--matrix-file", str(unbalanced)],
         ["finite", "tv-exact", "--grid", "3x3", "--format", "csv"],
+        ["finite", "stationary", "--grid", "3x3", "--n0", "2"],  # the parser refuses it
+        ["simulate", "--grid", "3x3", "--x0", "1"],
     ]
     # a report that would print an infinity: exit 3
     nonfinite = [["bound", "t2", "--check-n", "1000000", "--check-j", "1000000"]]
@@ -91,30 +103,68 @@ def _command_lines(tmp: Path) -> tuple[list[list[str]], list[int]]:
 
 
 DRIVER = """
-import contextlib, io, json, sys
+import argparse, contextlib, io, json, sys
 
 lines, out = json.loads(sys.argv[1]), sys.argv[2]
 codes = set()
+reads = [None]  # the names the running line reads once it is parsed
+
+
+class Recording(argparse.Namespace):
+    def __getattribute__(self, name):
+        if reads[0] is not None:
+            reads[0].add(name)
+        return super().__getattribute__(name)
+
+
+parse_args = argparse.ArgumentParser.parse_args
+
+
+def parse_recorded(self, args=None, namespace=None):
+    reads[0] = None  # argparse's own reads while it parses do not count
+    namespace = parse_args(self, args, Recording())
+    reads[0] = set()
+    return namespace
+
 
 def hook(frame, event, arg):
     if event == "call":
         codes.add(frame.f_code)
 
+argparse.ArgumentParser.parse_args = parse_recorded
 sys.setprofile(hook)
 from mcbounds import cli
 
-exits = []
+exits, read = [], []
 for argv in lines:
+    reads[0] = None
     with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
         try:
             exits.append(cli.main(argv))
+        except SystemExit as exc:  # the parser refuses a line so
+            exits.append(exc.code)
         except Exception as exc:  # a traceback is exit 1
             exits.append(f"1 ({type(exc).__name__})")
+    read.append(sorted(reads[0] or ()))
 sys.setprofile(None)
 entered = sorted({(c.co_filename, c.co_firstlineno, c.co_name) for c in codes})
 with open(out, "w") as f:
-    json.dump({"exits": exits, "entered": entered}, f)
+    json.dump({"exits": exits, "entered": entered, "read": read}, f)
 """
+
+
+@pytest.fixture(scope="module")
+def command_run(tmp_path_factory):
+    """The command lines, their exit codes and the driver's record of them."""
+    tmp = tmp_path_factory.mktemp("lines")
+    lines, codes = _command_lines(tmp)
+    out = tmp / "run.json"
+    subprocess.run(
+        [sys.executable, "-c", DRIVER, json.dumps(lines), str(out)],
+        check=True, timeout=300,
+        env={**os.environ, "PYTHONPATH": str(SRC.parent)},
+    )
+    return lines, codes, json.loads(out.read_text())
 
 
 def _defined_functions() -> dict[tuple[str, int], tuple[str, str]]:
@@ -173,15 +223,8 @@ def _public_names() -> set[tuple[str, int]]:
     return keys
 
 
-def test_every_function_is_reached_or_public(tmp_path):
-    lines, codes = _command_lines(tmp_path)
-    out = tmp_path / "entered.json"
-    subprocess.run(
-        [sys.executable, "-c", DRIVER, json.dumps(lines), str(out)],
-        check=True, timeout=300,
-        env={**os.environ, "PYTHONPATH": str(SRC.parent)},
-    )
-    run = json.loads(out.read_text())
+def test_every_function_is_reached_or_public(command_run):
+    _, codes, run = command_run
     entered = {(str(Path(f).resolve()), line) for f, line, _ in run["entered"]}
     public = _public_names()
     defined = _defined_functions()
@@ -197,6 +240,38 @@ def test_every_function_is_reached_or_public(tmp_path):
     assert set(ALLOWED) <= set(defined.values())
     # the runs succeed, and the refusals are refused
     assert run["exits"] == codes
+
+
+def _subparsers(parser) -> dict:
+    """name -> parser of the subcommands or modes ``parser`` parses, or {}."""
+    for action in parser._actions:
+        if isinstance(action, argparse._SubParsersAction):
+            return action.choices
+    return {}
+
+
+def test_every_declared_option_is_read(command_run):
+    # a mode that declares an option it never reads accepts it and ignores
+    # it; the lines of the mode must read each one (the command's parser
+    # stands for the mode where the command has no modes of its own)
+    lines, _, run = command_run
+    declared, read = {}, {}
+    for argv, names in zip(lines, run["read"]):
+        mode = tuple(argv[:1] if argv[1].startswith("-") else argv[:2])
+        parser = build_parser()
+        for name in mode:
+            parser = _subparsers(parser).get(name, parser)
+        declared[mode] = {a.dest: a.option_strings[0] for a in parser._actions
+                          if a.option_strings and a.dest != "help"}
+        read.setdefault(mode, set()).update(names)
+    unread = sorted(f"{' '.join(mode)} {flag}" for mode, options in declared.items()
+                    for dest, flag in options.items() if dest not in read[mode])
+    assert unread == [], "options that their mode declares and never reads:\n" + "\n".join(
+        unread)
+    modes = set()
+    for command, p in _subparsers(build_parser()).items():
+        modes |= {(command, mode) for mode in _subparsers(p)} or {(command,)}
+    assert modes == set(declared), "a mode has no command line"
 
 
 def test_readme_lists_the_package_names():
