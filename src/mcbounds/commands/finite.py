@@ -49,11 +49,14 @@ def run(args) -> tuple[_Report, int]:
     if args.analysis in ("minorization", "pseudo", "tv-exact"):
         # these form P^n0 exactly, for the overlap search
         _require_printable("--n0", args.n0, matrix.denominator)
+    if args.analysis in ("stationary", "tv-exact"):
+        # both print exact rationals over the stationary law's denominators
+        pi = stationary(matrix)
+        pi_den = math.lcm(*(v.denominator for v in pi))
+        _require_digits(f"--matrix-file {args.matrix_file}: its stationary law has",
+                        math.log10(pi_den))
 
     if args.analysis == "stationary":
-        pi = stationary(matrix)
-        pi_digits = math.log10(math.lcm(*(v.denominator for v in pi)))
-        _require_digits(f"--matrix-file {args.matrix_file}: its stationary law has", pi_digits)
         results["pi"] = pi.as_strings()
         results["pi_float"] = [float(v) for v in pi]
         provenance["pi"] = "computed (exact elimination)"
@@ -109,9 +112,7 @@ def run(args) -> tuple[_Report, int]:
     elif args.analysis == "tv-exact":
         start = _default_start(args, size)
         config["start"] = start + 1
-        pi = stationary(matrix)
         # a distance's denominator divides 2 * den**n * (that of pi)
-        pi_den = math.lcm(*(v.denominator for v in pi))
         _require_printable("--n", args.n_max, matrix.denominator, 2 * pi_den)
         curve = exact_tv_curve(
             ProbVector.delta(size, start), matrix, args.n_max, threshold=args.delta, pi=pi

@@ -52,6 +52,11 @@ BLOCK = 4096
 MAX_PAIR_STEPS = 120_000_000
 MIN_BLOCK_WIDTH = 150
 
+# bytes of float rows the finite engine holds at once: it works through a
+# step's pairs in chunks, each pair gathering a step-CDF row and a coin row
+# per chain; a 16-state chain takes a full block in one chunk
+STEP_BYTES = 2 << 20
+
 # a residual sampler accepts each proposal with probability 1 - eps >= 1/2
 # under the certified overlaps, so a pair still pending after this many
 # rounds means the residual law is not what the certificate promises
@@ -199,58 +204,92 @@ def residual_draw(rng, x: np.ndarray, propose, keep_prob) -> np.ndarray:
     return out
 
 
+def _cdf_rows(rows: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """Row CDFs, written to ``out`` when given (which may be ``rows``), exactly
+    1.0 from each row's last positive entry on: a rounded total just below 1
+    would otherwise leave the largest uniforms to a trailing zero-probability
+    state."""
+    cdf = np.cumsum(rows, axis=-1, out=out)
+    cdf[cdf >= cdf[..., -1:]] = 1.0
+    return cdf
+
+
+def _coin_cdf(rows: np.ndarray, heads: np.ndarray, eps: float, nu) -> np.ndarray:
+    """The CDFs that pairs flipping the coin draw from, written over their
+    n0-step rows of x (``rows[0]``) and of x' (``rows[1]``). On heads x draws
+    from the overlap law, ``nu`` or else the minimum of the pair's rows,
+    normalized, and x' follows it. On tails each chain draws from its
+    residual law (p - eps nu) / (1 - eps).
+
+    Where p = eps nu exactly, as where an argmin pair's row is the smaller,
+    the float difference is rounding noise on either side of 0. Every
+    difference up to (size + 4) 2^-52 eps nu, above that rounding error, is
+    set to 0, so no draw lands on a state the residual law excludes.
+    """
+    if nu is None:
+        nu = np.minimum(rows[0], rows[1])
+        nu /= nu.sum(axis=-1, keepdims=True)
+    if eps < 1.0:  # at eps = 1 every coin lands heads: no residual law
+        scaled = eps * nu
+        rows -= scaled
+        scaled *= (rows.shape[-1] + 4) * 2.0**-52
+        rows[rows <= scaled] = 0.0
+        rows /= 1.0 - eps
+    rows[0, heads] = np.broadcast_to(nu, rows[0].shape)[heads]
+    return _cdf_rows(rows, out=rows)
+
+
 def finite_coupling_paths(
     n_lat: int,
     master_seed: int,
     replications: int,
     record_every: int,
-    mu0_cdf: np.ndarray,
-    pi_cdf: np.ndarray,
-    step_cdf: np.ndarray,
+    mu0: np.ndarray,
+    pi: np.ndarray,
+    step_rows: np.ndarray,
     eps: float,
-    nu_cdf: np.ndarray,
-    resid_cdf: np.ndarray,
+    nu: np.ndarray | None,
     in_small_set: np.ndarray,
     on_block=None,
 ) -> Totals:
     """Coupling of a finite chain on the lag-n0 lattice, with state counts.
 
-    ``step_cdf`` holds row CDFs of the n0-step matrix, ``in_small_set`` one
-    bool per state. The overlap table ``nu_cdf`` and the residual table
-    ``resid_cdf`` hold one row for all pairs, one per start state (row x) or
-    one per ordered start pair (row x * size + x'); their row counts select
-    which. Each step takes three uniforms per pair: the coin, then one
-    inverse-CDF draw per chain.
+    ``step_rows`` holds the n0-step matrix, ``in_small_set`` one bool per
+    state, and ``nu`` the certificate's one overlap law, or None when each
+    pair overlaps on its own (the pairwise certificate). A pair's overlap and
+    residual rows are formed only at a step where it flips the coin. Each
+    step takes three uniforms per pair, the coin and then one inverse-CDF
+    draw per chain, and works through its pairs in chunks of ``STEP_BYTES``.
     """
-    size = step_cdf.shape[0]
-    table = np.concatenate([step_cdf, nu_cdf, resid_cdf])
-
-    def row(first: int, count: int, x, xp):
-        """Row of ``table`` for the pair (x, xp) in the ``count`` rows from ``first``."""
-        if count == 1:
-            return first
-        return first + (x if count == size else x * size + xp)
-
-    def nu_row(x, xp):
-        return row(size, nu_cdf.shape[0], x, xp)
-
-    def resid_row(x, xp):
-        return row(size + nu_cdf.shape[0], resid_cdf.shape[0], x, xp)
+    size = step_rows.shape[0]
+    step_cdf = _cdf_rows(step_rows)
+    mu0_cdf, pi_cdf = _cdf_rows(mu0), _cdf_rows(pi)
+    width = max(1, STEP_BYTES // (32 * size))  # four rows of 8-byte floats a pair
 
     def start(rng, m):
         u = rng.random((2, m))
         return inverse_cdf(mu0_cdf, u[0]), inverse_cdf(pi_cdf, u[1])
 
+    def chunk(x, xp, u):
+        eq = x == xp
+        coin = np.flatnonzero(~eq & in_small_set[x] & in_small_set[xp])
+        flip = u[0, coin] < eps
+        heads = np.zeros(x.size, bool)
+        heads[coin] = flip
+        # the coin rows first: their temporaries are freed before the gather
+        coin_cdf = _coin_cdf(step_rows[np.stack([x[coin], xp[coin]])], flip, eps, nu)
+        cdf = step_cdf[np.stack([x, xp])]
+        cdf[:, coin] = coin_cdf
+        new_x = inverse_cdf(cdf[0], u[1])
+        return new_x, np.where(eq | heads, new_x, inverse_cdf(cdf[1], u[2]))
+
     def step(rng, x, xp):
         u = rng.random((3, x.size))
-        eq = x == xp
-        coin = ~eq & in_small_set[x] & in_small_set[xp]
-        heads = coin & (u[0] < eps)
-        tails = coin & ~heads
-        row_x = np.where(heads, nu_row(x, xp), np.where(tails, resid_row(x, xp), x))
-        row_xp = np.where(tails, resid_row(xp, x), xp)
-        new_x = inverse_cdf(table[row_x], u[1])
-        return new_x, np.where(eq | heads, new_x, inverse_cdf(table[row_xp], u[2]))
+        new = np.empty((2, x.size), np.intp)
+        for lo in range(0, x.size, width):
+            part = slice(lo, lo + width)
+            new[:, part] = chunk(x[part], xp[part], u[:, part])
+        return new[0], new[1]
 
     return _lockstep(n_lat, master_seed, replications, record_every, start, step,
                      size, on_block, np.int32)

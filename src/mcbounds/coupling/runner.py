@@ -243,72 +243,36 @@ class CouplingResult:
         return out
 
 
-def _cdf_rows(rows: np.ndarray) -> np.ndarray:
-    """Row CDFs, exactly 1.0 from each row's last positive entry on.
-
-    A rounded total just below 1 would otherwise leave the largest uniforms
-    to a trailing zero-probability state.
-    """
-    cdf = np.cumsum(rows, axis=-1)
-    cdf[cdf >= cdf[..., -1:]] = 1.0
-    return cdf
-
-
 def _finite_arrays(config: CouplingConfig):
-    """Exact residual/overlap tables for the finite engine, as float CDFs.
+    """``(step_rows, nu, in_small)`` of the finite engine: the n0-step matrix
+    in floats, the uniform certificate's overlap law (None for the pairwise
+    one) and the small-set mask. A certificate that claims more overlap than
+    the chain has, by any amount, leaves a residual negative and is refused
+    in exact integers: a uniform one where eps nu exceeds an n0-step row, a
+    pairwise one where eps exceeds the smallest overlap of two rows, which
+    ``minorization_pseudo`` finds."""
+    from ..finite_chain import _common_denominator, matrix_power, minorization_pseudo
 
-    Returns ``(step_cdf, nu_cdf, resid_cdf, in_small)``. The uniform
-    certificate gives one overlap row and one residual row per state; the
-    pairwise one gives both per ordered pair, at row x * size + x' (the
-    diagonal rows are never drawn from). Residuals are formed exactly on
-    integer numerators, so a certificate that over-claims its overlap by any
-    amount is rejected. Each table entry is an int/int quotient, the
-    correctly rounded float of the exact rational.
-    """
-    from ..finite_chain import _common_denominator, _pair_measure, matrix_power
-
-    P = config.matrix
-    cert = config.cert
-    size = P.size
-    pn0 = matrix_power(P, cert.n0)  # memoized on P: the finder formed it already
-    num, den = pn0._num, pn0._den
-    p, q = cert.epsilon.numerator, cert.epsilon.denominator  # eps = p/q <= 1
-
-    step_cdf = _cdf_rows(np.array([[v / den for v in row] for row in num]))
-
-    def residual(row, weights, total, pair=""):
-        # (row/den - eps*weights/total) / (1 - eps) = resid / (den*total*(q-p))
-        if p == q:
-            return [1 / size] * size  # never used: the coin always couples
-        scale = den * total * (q - p)
-        resid = [a * q * total - p * w * den for a, w in zip(row, weights)]
-        for v in resid:
-            if v < 0:
-                raise CertificateError(f"residual entry {v / scale} is negative{pair}")
-        return [v / scale for v in resid]
-
+    cert, eps = config.cert, config.cert.epsilon
+    pn0 = matrix_power(config.matrix, cert.n0)  # memoized: the finder formed it already
+    nu = None
     if cert.variant == "uniform":
-        nu, nu_den = _common_denominator(cert.nu.entries)
-        nu_cdf = _cdf_rows(np.array([[w / nu_den for w in nu]]))
-        resid_cdf = _cdf_rows(np.array([residual(row, nu, nu_den) for row in num]))
+        weights, total = _common_denominator(cert.nu.entries)
+        # eps w / total <= a / den for every entry a of column j, in integers
+        for j, (a, w) in enumerate(zip(map(min, zip(*pn0._num)), weights)):
+            if a * eps.denominator * total < eps.numerator * w * pn0._den:
+                raise CertificateError(f"residual is negative at state {j}: epsilon "
+                                       f"{eps} times nu({j}) exceeds a {cert.n0}-step law")
+        nu = cert.nu.to_floats()
     else:
-        nu_pair = np.zeros((size * size, size))
-        resid_pair = np.zeros((size * size, size))
-        for i in range(size):
-            for j in range(size):
-                if i == j:
-                    continue
-                mins, total = _pair_measure(pn0, i, j)
-                nu_pair[i * size + j] = [m / total for m in mins]
-                resid_pair[i * size + j] = residual(
-                    num[i], mins, total, f" for pair ({i},{j})"
-                )
-        nu_cdf = _cdf_rows(nu_pair)
-        resid_cdf = _cdf_rows(resid_pair)
-
-    in_small = np.zeros(size, bool)
+        best = minorization_pseudo(config.matrix, cert.n0)
+        if best is None or eps > best.epsilon:
+            pair, overlap = (best.argmin_pairs[0], best.epsilon) if best else ("(disjoint)", 0)
+            raise CertificateError(f"residual is negative for pair {pair}: epsilon {eps} "
+                                   f"exceeds its {cert.n0}-step overlap {overlap}")
+    in_small = np.zeros(pn0.size, bool)
     in_small[list(cert.small_set)] = True
-    return step_cdf, nu_cdf, resid_cdf, in_small
+    return pn0.to_floats(), nu, in_small
 
 
 def _quantile(at_rank, n: int, q: float) -> float:
@@ -396,8 +360,10 @@ def run_coupling(config: CouplingConfig, on_block=None) -> CouplingResult:
     certificate on every state, the certificate's set for other finite ones,
     and the certificate's set for the Metropolis chain, which couples at even
     times with the published lag-2 overlap (odd-time states are not
-    recorded). Finite chains draw from their exact certificate tables; the
-    pairwise variant supplies pair-dependent overlap measures.
+    recorded). Finite chains form the overlap and residual rows of a pair
+    from the float n0-step rows when it flips the coin, after an exact check
+    that the certificate leaves no residual negative; the pairwise variant's
+    overlap is the normalized minimum of the pair's two rows.
 
     ``on_block(first, xs, xps)``, if given, receives each block's recorded
     states as the block ends (see ``engines._lockstep``): at most
@@ -412,10 +378,9 @@ def run_coupling(config: CouplingConfig, on_block=None) -> CouplingResult:
 
         pi = stationary(config.matrix)
         mu0 = config.initial_law or ProbVector.delta(config.matrix.size, 0)
-        step_cdf, nu_cdf, resid_cdf, in_small = _finite_arrays(config)
+        step_rows, nu, in_small = _finite_arrays(config)
         totals = engines.finite_coupling_paths(
-            *run, _cdf_rows(mu0.to_floats()), _cdf_rows(pi.to_floats()), step_cdf, eps,
-            nu_cdf, resid_cdf, in_small, on_block
+            *run, mu0.to_floats(), pi.to_floats(), step_rows, eps, nu, in_small, on_block
         )
     elif config.model == "halfline":
         totals = engines.halfline_coupling_paths(

@@ -158,7 +158,8 @@ class StochasticMatrix:
     entries, so this form is canonical and equality and hashing use it.
     ``rows``, the public ``Fraction`` view, is built on first use and cached.
     ``_power`` memoizes the last n-step matrix asked of ``matrix_power``, so
-    one command's certificate search and coupling tables form ``P^n0`` once.
+    one command's certificate search and coupling step rows form ``P^n0``
+    once.
     """
 
     def __init__(self, rows: Iterable[Iterable]) -> None:
@@ -324,7 +325,8 @@ def matrix_power(P: StochasticMatrix, n: int) -> StochasticMatrix:
     """Exact n-step transition matrix by binary exponentiation.
 
     The last power asked of each matrix is memoized on it, so callers that
-    need ``P^n0`` in turn (certificate search, coupling tables) share it.
+    need ``P^n0`` in turn (certificate search, the coupling's step rows and
+    its certificate check) share it.
     """
     if n < 0:
         raise InputError("power must be >= 0")
@@ -537,15 +539,6 @@ def minorization_uniform(P: StochasticMatrix, n0: int) -> MinorizationCert | Non
         epsilon=Fraction(total, pn._den),
         nu=ProbVector(tuple(Fraction(m, total) for m in mins)),
     )
-
-
-def _pair_measure(pn0: StochasticMatrix, i: int, j: int) -> tuple[list[int], int]:
-    """Numerators of min(row i, row j) of pn0 and their (nonzero) sum."""
-    mins = list(map(min, pn0._num[i], pn0._num[j]))
-    total = sum(mins)
-    if total == 0:
-        raise MathError(f"rows {i} and {j} have disjoint support at this lag")
-    return mins, total
 
 
 def minorization_pseudo(P: StochasticMatrix, n0: int) -> MinorizationCert | None:

@@ -50,7 +50,8 @@ LAPLACE_LAM = 0.916
 LAPLACE_B = 0.285
 LAPLACE_D = math.e  # inf of V outside the small set, analytic
 LAPLACE_REGION = Interval(-6.0, 6.0)  # two steps from the small set stay inside
-LAPLACE_EXPECTED_H = 2.0  # stationary mean of h(0, .), analytic
+# E[h] with both chains stationary, analytic; from x0 = 0 it is (1 + 2)/2
+LAPLACE_EXPECTED_H = 2.0
 
 
 def laplace_drift_V(x):
@@ -75,7 +76,7 @@ def laplace_drift_minorization_inputs(
 ) -> tuple[DriftMinorizationInputs, dict]:
     """Assemble the two-term bound constants for the Metropolis chain.
 
-    ``expected_h`` selects the analytic stationary mean of h(0, .) or the
+    ``expected_h`` selects the analytic ``LAPLACE_EXPECTED_H`` or the
     always-available fallback (1 + b/(1-lam))/2 + 1/2 via the stationary
     moment bound. Returns the inputs plus a provenance map for reports.
     Raises ``ContainmentError`` unless the step radius keeps every path from

@@ -1,10 +1,12 @@
 """Reference implementations on ``Fraction`` arithmetic, kept for tests only.
 
 These are the straightforward rational-arithmetic versions of the exact
-finite-chain algebra and of the finite coupling tables: every product, sum
-and quotient is a ``Fraction``. ``mcbounds`` computes the same quantities on
+finite-chain algebra and of the finite coupling's pair rows: every product,
+sum and quotient is a ``Fraction``. ``mcbounds`` computes the same algebra on
 integer numerators over a common denominator; the property tests require the
 two to agree exactly, including which exception is raised and its message.
+The coupling engine forms its pair rows in floats, which the tests hold to
+within a few ulps of ``pair_rows``.
 """
 
 from __future__ import annotations
@@ -12,8 +14,6 @@ from __future__ import annotations
 import itertools
 from fractions import Fraction
 from typing import Sequence
-
-import numpy as np
 
 from mcbounds.bounds import BoundReport
 from mcbounds.errors import CertificateError, InputError, MathError, NonUniqueStationaryError
@@ -241,71 +241,26 @@ def minorization_margin(P: StochasticMatrix, cert: MinorizationCert) -> Fraction
     return worst
 
 
-def _cdf_rows(rows: np.ndarray) -> np.ndarray:
-    cdf = np.cumsum(rows, axis=-1)
-    cdf[cdf >= cdf[..., -1:]] = 1.0
-    return cdf
+def pair_rows(pn0: StochasticMatrix, cert: MinorizationCert, x: int, xp: int):
+    """Exact coupling rows of the start pair (x, xp) under ``cert``, whose
+    n0-step matrix is ``pn0``.
 
-
-def _exact_row_floats(rows: Sequence[Sequence[Fraction]]) -> np.ndarray:
-    return np.array([[float(v) for v in row] for row in rows])
-
-
-def finite_arrays(P: StochasticMatrix, cert: MinorizationCert):
-    """Residual/overlap tables of the finite coupling engine, as float CDFs.
-
-    Returns the same tuple as ``mcbounds.coupling.runner._finite_arrays``;
-    a residual entry below zero raises ``CertificateError``.
+    Returns ``(nu, resid_x, resid_xp)`` as tuples of ``Fraction``: the law
+    that heads draws both chains from (the certificate's nu, or for the
+    pairwise certificate the normalized minimum of the two n0-step rows) and
+    the residual law (P^n0(s, .) - eps nu) / (1 - eps) of each chain s, which
+    tails draws from. At eps = 1 the coin always lands heads and both
+    residuals are None. A negative residual entry raises
+    ``CertificateError``.
     """
-    size = P.size
-    pn0 = matrix_power(P, cert.n0)
     eps = cert.epsilon
-    step_cdf = _cdf_rows(_exact_row_floats(pn0.rows))
-    one = Fraction(1)
-
-    if cert.variant == "uniform":
-        nu = cert.nu
-        if eps == 1:
-            resid = [[Fraction(1, size)] * size for _ in range(size)]
-        else:
-            resid = [
-                [(pn0.rows[i][j] - eps * nu[j]) / (one - eps) for j in range(size)]
-                for i in range(size)
-            ]
-        for row in resid:
-            for v in row:
-                if v < 0:
-                    raise CertificateError(f"residual entry {float(v)} is negative")
-        nu_cdf = _cdf_rows(np.array([[float(v) for v in nu.entries]]))
-        resid_cdf = _cdf_rows(_exact_row_floats(resid))
-    else:
-        nu_pair = np.empty((size * size, size))
-        resid_pair = np.empty((size * size, size))
-        for i in range(size):
-            for j in range(size):
-                if i == j:
-                    nu_pair[i * size + j] = 0.0
-                    resid_pair[i * size + j] = 0.0
-                    continue
-                nu_ij = pseudo_nu(pn0, i, j)
-                if eps == 1:
-                    resid_row = [Fraction(1, size)] * size
-                else:
-                    resid_row = [
-                        (pn0.rows[i][z] - eps * nu_ij[z]) / (one - eps)
-                        for z in range(size)
-                    ]
-                for v in resid_row:
-                    if v < 0:
-                        raise CertificateError(
-                            f"residual entry {float(v)} is negative for pair ({i},{j})"
-                        )
-                nu_pair[i * size + j] = [float(v) for v in nu_ij.entries]
-                resid_pair[i * size + j] = [float(v) for v in resid_row]
-        nu_cdf = _cdf_rows(nu_pair)
-        resid_cdf = _cdf_rows(resid_pair)
-
-    in_small = np.zeros(size, bool)
-    for s in cert.small_set:
-        in_small[s] = True
-    return step_cdf, nu_cdf, resid_cdf, in_small
+    nu = cert.nu if cert.variant == "uniform" else pseudo_nu(pn0, x, xp)
+    if eps == 1:
+        return tuple(nu), None, None
+    resid = []
+    for s in (x, xp):
+        row = tuple((a - eps * v) / (1 - eps) for a, v in zip(pn0.rows[s], nu))
+        if any(v < 0 for v in row):
+            raise CertificateError(f"residual of state {s} is negative for pair ({x},{xp})")
+        resid.append(row)
+    return (tuple(nu), *resid)

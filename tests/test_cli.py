@@ -38,6 +38,24 @@ def run_cli_process(*argv):
     )
 
 
+def peak_rss_kb(*argv) -> int:
+    """Run ``main(argv)`` in a fresh interpreter, require exit 0 and return
+    the child's peak resident set (``VmHWM``) in kB."""
+    src = str(Path(mcbounds.__file__).resolve().parents[1])
+    script = (
+        "import contextlib, io, sys\n"
+        f"sys.path.insert(0, {src!r})\n"
+        "from mcbounds.cli import main\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    assert main(sys.argv[1:]) == 0\n"
+        "status = open('/proc/self/status').read().splitlines()\n"
+        "print([line.split()[1] for line in status if line.startswith('VmHWM')][0])\n"
+    )
+    done = subprocess.run([sys.executable, "-c", script, *argv],
+                          capture_output=True, text=True, timeout=60, check=True)
+    return int(done.stdout)
+
+
 def run_cli(capsys, *argv):
     code = main(list(argv))
     out = capsys.readouterr().out
@@ -334,11 +352,14 @@ class TestFinite:
         rows = [[f"{a}/{q}", f"{b}/{q}", f"{q - a - b}/{q}"] for a, b in firsts]
         path = tmp_path / "long.json"
         path.write_text(json.dumps({"size": 3, "rows": rows}))
-        assert main(["finite", "stationary", "--matrix-file", str(path)]) == 2
-        out, err = capsys.readouterr()
-        assert out == "" and err.count("\n") == 1
-        assert err.startswith(f"mcbounds: error: --matrix-file {path}: its stationary law has ")
-        assert f"beyond the {LIMIT} that can be printed" in err
+        # tv-exact prints distances to that law: it is refused for the law,
+        # not for an --n that no value could make pass
+        for analysis in (["stationary"], ["tv-exact", "--start", "1", "--n", "0"]):
+            assert main(["finite", *analysis, "--matrix-file", str(path)]) == 2
+            out, err = capsys.readouterr()
+            assert out == "" and err.count("\n") == 1
+            assert err.startswith(f"mcbounds: error: --matrix-file {path}: its stationary law has ")
+            assert f"beyond the {LIMIT} that can be printed" in err
         # the analyses that print no exact stationary law still run
         assert main(["finite", "pseudo", "--matrix-file", str(path)]) == 0
         capsys.readouterr()
@@ -684,24 +705,19 @@ class TestSimulate:
         # the engines keep per-slot totals and one block in flight, so ten
         # times the replications must not raise the process's peak RSS (at
         # 20 000 replications the whole-run arrays took about 35 MB more)
-        src = str(Path(mcbounds.__file__).resolve().parents[1])
-        script = (
-            "import contextlib, io, sys\n"
-            f"sys.path.insert(0, {src!r})\n"
-            "from mcbounds.cli import main\n"
-            "with contextlib.redirect_stdout(io.StringIO()):\n"
-            "    assert main(sys.argv[1:]) == 0\n"
-            "status = open('/proc/self/status').read().splitlines()\n"
-            "print([line.split()[1] for line in status if line.startswith('VmHWM')][0])\n"
-        )
-        peak_kb = {}
-        for reps in (2000, 20000):
-            argv = ["simulate", "--grid", "3x3", "--cert", "pseudo", "--n-max", "400",
-                    "--seed", "3", "--reps", str(reps)]
-            done = subprocess.run([sys.executable, "-c", script, *argv],
-                                  capture_output=True, text=True, timeout=60, check=True)
-            peak_kb[reps] = int(done.stdout)
+        peak_kb = {
+            reps: peak_rss_kb("simulate", "--grid", "3x3", "--cert", "pseudo", "--n-max",
+                              "400", "--seed", "3", "--reps", str(reps))
+            for reps in (2000, 20000)
+        }
         assert abs(peak_kb[20000] - peak_kb[2000]) < 4 * 1024, peak_kb
+
+    def test_large_grid_holds_no_table_per_pair(self):
+        # the engine forms a coin pair's rows as it flips the coin; tables of
+        # 2 x 144^3 floats, 24 MB each, used to take the peak to 131 MB
+        peak_kb = peak_rss_kb("simulate", "--grid", "12x12", "--n0", "11", "--n-max", "11",
+                              "--reps", "10")
+        assert peak_kb < 60 * 1024, peak_kb
 
 
 class TestVerify:

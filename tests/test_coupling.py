@@ -1,6 +1,7 @@
 """Coupling simulator: bound dominance, marginal correctness, determinism."""
 
 import dataclasses
+import itertools
 import json
 import math
 from fractions import Fraction as F
@@ -15,7 +16,7 @@ from coupling_reference import reference_for, run_with_paths
 from mcbounds.bounds import CERTIFICATES, MAX_CURVE_POINTS
 from mcbounds.coupling import CouplingConfig, empirical_tv, run_coupling
 from mcbounds.coupling import engines
-from mcbounds.coupling.runner import _cdf_rows, _finite_arrays, _quantile
+from mcbounds.coupling.runner import _finite_arrays, _quantile
 from mcbounds.errors import CertificateError, InputError, MathError
 import scalar_reference as sref
 from mcbounds.kernels import laws
@@ -26,6 +27,7 @@ from mcbounds.finite_chain import (
     build_grid_walk,
     evolve,
     exact_tv_curve,
+    matrix_power,
     minorization_pseudo,
     minorization_uniform,
     stationary,
@@ -141,7 +143,7 @@ class TestInverseCdf:
         probs[:, 3] = 0.0
         probs[0] = [0, 0, 1, 0, 0, 0, 0]
         probs /= probs.sum(axis=1, keepdims=True)
-        cdf = _cdf_rows(probs)
+        cdf = engines._cdf_rows(probs)
         rows = np.repeat(np.arange(50), 9)
         # every step value of each row, 0, and the largest uniform below 1
         u = np.concatenate([cdf, np.zeros((50, 1)), np.full((50, 1), np.nextafter(1.0, 0.0))],
@@ -159,7 +161,7 @@ class TestInverseCdf:
             [0.0, 0.5, 0.0, 0.5, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0],
             [0.0] * 10 + [1.0],
         ])
-        cdf = _cdf_rows(probs)
+        cdf = engines._cdf_rows(probs)
         u = np.unique(np.concatenate([cdf.ravel(), [0.0, 0.25, np.nextafter(1.0, 0.0)]]))
         u = u[u < 1.0]
         for row in range(3):
@@ -168,21 +170,18 @@ class TestInverseCdf:
 
 
 def pair_chain_oracle(config):
-    """Exact P(X_n != X'_n) and law of X_n on the lattice, from the engine tables.
+    """Exact P(X_n != X'_n) and law of X_n on the lattice, from exact rows.
 
     The coupling is a Markov chain on ordered pairs (x, x') with index
-    x * size + x'; its float64 transition matrix is assembled from the same
-    CDF tables the engine draws from, and evolved from mu0 (x) pi.
+    x * size + x'; its float64 transition matrix is assembled from the
+    ``Fraction`` n0-step rows and pair rows of ``fraction_reference``, not
+    from the engine, and evolved from mu0 (x) pi.
     """
-    step, nu, resid, in_small = _finite_arrays(config)
-    size = step.shape[0]
-    pair_mode = config.cert.variant == "pseudo"
-
-    def probs(cdf):
-        return np.diff(cdf, prepend=0.0, axis=-1)
-
-    step, nu, resid = map(probs, (step, nu, resid))
-    eps = float(config.cert.epsilon)
+    cert = config.cert
+    size = config.matrix.size
+    pn0 = ref.matrix_power(config.matrix, cert.n0)
+    step = np.array([[float(v) for v in row] for row in pn0.rows])
+    eps = float(cert.epsilon)
     T = np.zeros((size * size, size * size))
     diagonal = np.arange(size) * (size + 1)
     for x in range(size):
@@ -190,10 +189,11 @@ def pair_chain_oracle(config):
             i = x * size + xp
             if x == xp:
                 T[i, diagonal] = step[x]
-            elif in_small[x] and in_small[xp]:
-                shared = nu[i] if pair_mode else nu[0]
-                r_x = resid[i] if pair_mode else resid[x]
-                r_xp = resid[xp * size + x] if pair_mode else resid[xp]
+            elif x in cert.small_set and xp in cert.small_set:
+                shared, r_x, r_xp = (
+                    np.array([float(v) for v in row])
+                    for row in ref.pair_rows(pn0, cert, x, xp)
+                )
                 T[i] = (1.0 - eps) * np.outer(r_x, r_xp).ravel()
                 T[i, diagonal] += eps * shared
             else:
@@ -634,25 +634,53 @@ class TestGridCoupling:
             run_coupling(config)
 
 
-def assert_tables_match_reference(matrix, cert):
+ULP = 2.0**-53  # the unit roundoff of float64
+
+
+def exact_cdf(row) -> np.ndarray:
+    return np.array([float(v) for v in itertools.accumulate(row)])
+
+
+def assert_rows_match_reference(matrix, cert):
+    """The engine's step rows are the correctly rounded n0-step matrix, and
+    the heads and tails CDFs it forms for every ordered pair of distinct
+    states lie within a few ulps a state of the CDFs of the exact pair rows,
+    end at exactly 1, never decrease below 1 and stay flat on every state of
+    exact probability 0."""
     config = CouplingConfig(
         model="finite", n_max=1, replications=1, master_seed=0, matrix=matrix, cert=cert
     )
-    tables = _finite_arrays(config)
-    expected = ref.finite_arrays(matrix, cert)
-    # one overlap row, one residual row per state; or both per ordered pair
+    step_rows, nu, in_small = _finite_arrays(config)
     size = matrix.size
-    pair = cert.variant == "pseudo"
-    assert tables[1].shape == (size * size if pair else 1, size)
-    assert tables[2].shape == (size * size if pair else size, size)
-    assert len(tables) == len(expected)
-    for got, want in zip(tables, expected):
-        assert np.array_equal(got, want)
-        assert np.asarray(got).dtype == np.asarray(want).dtype
+    pn0 = ref.matrix_power(matrix, cert.n0)
+    assert np.array_equal(step_rows, [[float(v) for v in row] for row in pn0.rows])
+    assert in_small.tolist() == [s in cert.small_set for s in range(size)]
+    eps = float(cert.epsilon)
+    x, xp = np.divmod(np.arange(size * size), size)
+    x, xp = x[x != xp], xp[x != xp]
+    rows = step_rows[np.stack([x, xp])]
+    # heads: x draws from the overlap law; tails: each chain from its residual
+    heads = engines._coin_cdf(rows.copy(), np.ones(x.size, bool), eps, nu)[0]
+    tails = engines._coin_cdf(rows.copy(), np.zeros(x.size, bool), eps, nu)
+    # each CDF entry sums at most size entries, each a few roundings off
+    slack = (2 * size + 4) * ULP
+    for k in range(x.size):
+        want_nu, *want_resid = ref.pair_rows(pn0, cert, int(x[k]), int(xp[k]))
+        got = [heads[k]] if eps == 1.0 else [heads[k], tails[0, k], tails[1, k]]
+        want = [want_nu] if eps == 1.0 else [want_nu, *want_resid]
+        for cdf, row, scale in zip(got, want, [1.0, 1.0 - eps, 1.0 - eps]):
+            # entries rounded above 1 lie past every uniform, like 1 itself
+            probs = np.diff(np.minimum(cdf, 1.0), prepend=0.0)
+            assert cdf[-1] == 1.0 and np.all(probs >= 0.0)
+            assert np.all(probs[np.array(row) == 0] == 0.0)
+            assert np.all(np.abs(cdf - exact_cdf(row)) <= slack / scale)
+        if eps == 1.0:
+            assert want_resid == [None, None]
 
 
 class TestFiniteTables:
-    """Engine tables from integer numerators equal the Fraction-built ones."""
+    """The finite engine's arrays and the pair rows it forms on demand
+    against the exact ``Fraction`` rows of ``fraction_reference``."""
 
     @pytest.mark.parametrize(
         "shape,finder,n0",
@@ -664,7 +692,19 @@ class TestFiniteTables:
     )
     def test_grid_tables(self, shape, finder, n0):
         grid = build_grid_walk(*shape)
-        assert_tables_match_reference(grid, finder(grid, n0))
+        assert_rows_match_reference(grid, finder(grid, n0))
+
+    @pytest.mark.parametrize("finder", [minorization_uniform, minorization_pseudo])
+    def test_exact_zeros_stay_zero_on_small_grids(self, finder):
+        # argmin pairs and column minima give exact zeros that the float
+        # difference puts on either side of 0: on the 2x2 grid at lag 3 an
+        # unguarded residual gave excluded states probability 7.8e-16
+        for shape in ((1, 2), (2, 2), (2, 3), (3, 3)):
+            grid = build_grid_walk(*shape)
+            for n0 in range(1, 7):
+                cert = finder(grid, n0)
+                if cert is not None:
+                    assert_rows_match_reference(grid, cert)
 
     @pytest.mark.parametrize("finder", [minorization_uniform, minorization_pseudo])
     def test_over_claimed_overlap_raises_like_the_reference(self, grid, finder):
@@ -680,16 +720,27 @@ class TestFiniteTables:
         config = CouplingConfig(
             model="finite", n_max=1, replications=1, master_seed=0, matrix=grid, cert=bad
         )
-        with pytest.raises(CertificateError) as fast:
+        with pytest.raises(CertificateError, match="is negative"):
             _finite_arrays(config)
-        with pytest.raises(CertificateError) as slow:
-            ref.finite_arrays(grid, bad)
-        assert str(fast.value) == str(slow.value)
+        with pytest.raises(CertificateError, match="is negative"):
+            for pair in bad.argmin_pairs or [(0, 1)]:
+                ref.pair_rows(ref.matrix_power(grid, 2), bad, *pair)
+
+    def test_disjoint_rows_refuse_any_pairwise_overlap(self):
+        # the two states never meet, so no pair of rows overlaps
+        config = CouplingConfig(
+            model="finite", n_max=1, replications=1, master_seed=0, matrix=ref.identity(2),
+            cert=MinorizationCert("pseudo", (0, 1), 1, F(1, 2), argmin_pairs=((0, 1),)),
+        )
+        with pytest.raises(CertificateError, match="is negative for pair"):
+            _finite_arrays(config)
 
     def test_full_overlap_tables(self):
         iid = StochasticMatrix([[F(1, 3), F(2, 3)], [F(1, 3), F(2, 3)]])
         for finder in (minorization_uniform, minorization_pseudo):
-            assert_tables_match_reference(iid, finder(iid, 1))
+            cert = finder(iid, 1)
+            assert cert.epsilon == 1
+            assert_rows_match_reference(iid, cert)
 
     @settings(max_examples=30, deadline=None)
     @given(
@@ -701,13 +752,41 @@ class TestFiniteTables:
             )
         ),
         st.integers(1, 2),
+        st.booleans(),
     )
-    def test_random_chain_tables(self, weights, n0):
+    def test_random_chain_tables(self, weights, n0, full_overlap):
+        if full_overlap:  # every row the same: overlap 1 at every lag
+            weights = [weights[0]] * len(weights)
         matrix = StochasticMatrix([[F(w, sum(row)) for w in row] for row in weights])
         for finder in (minorization_uniform, minorization_pseudo):
             cert = finder(matrix, n0)
             if cert is not None:
-                assert_tables_match_reference(matrix, cert)
+                assert cert.epsilon == 1 or not full_overlap
+                assert_rows_match_reference(matrix, cert)
+
+    def test_argmin_residual_is_clipped_and_never_drawn(self):
+        # pair (0, 8) attains the 3x3 grid's pairwise overlap at lag 6, so
+        # each of its residual rows is exactly 0 wherever that row is the
+        # smaller; the float difference dips below 0 at one such state
+        grid = build_grid_walk(3, 3)
+        cert = minorization_pseudo(grid, 6)
+        assert (0, 8) in cert.argmin_pairs
+        rows = matrix_power(grid, 6).to_floats()[[[0], [8]]]
+        eps = float(cert.epsilon)
+        mins = np.minimum(rows[0], rows[1])
+        assert ((rows - eps * mins / mins.sum()) / (1.0 - eps)).min() < 0.0
+        cdf = engines._coin_cdf(rows, np.zeros(1, bool), eps, None)[:, 0]
+        _, *exact = ref.pair_rows(ref.matrix_power(grid, 6), cert, 0, 8)
+        zero = np.array(exact) == 0
+        assert zero.any() and np.all(np.diff(cdf, prepend=0.0)[zero] == 0.0)
+        # every step of either CDF, its neighbours, 0 and the largest uniform
+        steps = np.unique(cdf)
+        u = np.concatenate([steps, np.nextafter(steps, 0.0), np.nextafter(steps, 2.0),
+                            [0.0, np.nextafter(1.0, 0.0)]])
+        u = np.unique(u[(u >= 0.0) & (u < 1.0)])
+        for row in range(2):
+            drawn = engines.inverse_cdf(cdf[row], u)
+            assert not zero[row, drawn].any()
 
 
 class TestHalflineCoupling:

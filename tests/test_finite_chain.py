@@ -20,7 +20,6 @@ from mcbounds.finite_chain import (
     MinorizationCert,
     ProbVector,
     StochasticMatrix,
-    _pair_measure,
     build_grid_walk,
     eigen_bound,
     evolve,
@@ -429,20 +428,6 @@ class TestMatchesFractionReference:
             for claimed in (cert, inflated(cert, F(1, 97)), inflated(cert, F(1, 10**15))):
                 holds = ref.minorization_margin(P, claimed) >= 0
                 assert holds == (claimed.epsilon == cert.epsilon)
-
-    @settings(max_examples=40, deadline=None)
-    @given(stochastic_matrices(max_size=4), st.integers(1, 3))
-    def test_pair_overlaps_and_measures(self, P, n0):
-        # the pair measures the finite coupling tables are built from
-        def measure(pn, i, j):
-            mins, total = _pair_measure(pn, i, j)
-            assert F(total, pn._den) == ref.pseudo_pair_overlap(pn, i, j)
-            return ProbVector(tuple(F(m, total) for m in mins))
-
-        pn = matrix_power(P, n0)
-        for i in range(P.size):
-            for j in range(P.size):
-                same_outcome(measure, ref.pseudo_nu, pn, i, j)
 
     def test_grid_goldens(self):
         grid = build_grid_walk(4, 4)
