@@ -50,7 +50,7 @@ LAPLACE_LAM = 0.916
 LAPLACE_B = 0.285
 LAPLACE_D = math.e  # inf of V outside the small set, analytic
 LAPLACE_REGION = Interval(-6.0, 6.0)  # two steps from the small set stay inside
-# E[h] with both chains stationary, analytic; from x0 = 0 it is (1 + 2)/2
+# E[h] with both chains stationary, analytic; from x0 = 0 it is (V(0) + pi V)/2 = 1.5
 LAPLACE_EXPECTED_H = 2.0
 
 
