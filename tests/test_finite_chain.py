@@ -1,6 +1,7 @@
 """Exact finite-chain analysis: golden values and algebraic invariants."""
 
 from fractions import Fraction as F
+from itertools import accumulate
 from math import lcm
 
 import numpy as np
@@ -9,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import fraction_reference as ref
+from mcbounds.coupling import engines
 from mcbounds.errors import (
     IllConditionedEigenbasisError,
     InputError,
@@ -428,6 +430,30 @@ class TestMatchesFractionReference:
             for claimed in (cert, inflated(cert, F(1, 97)), inflated(cert, F(1, 10**15))):
                 holds = ref.minorization_margin(P, claimed) >= 0
                 assert holds == (claimed.epsilon == cert.epsilon)
+
+    @settings(max_examples=40, deadline=None)
+    @given(stochastic_matrices(max_size=4), st.integers(1, 3))
+    def test_pair_overlaps_and_measures(self, P, n0):
+        # the pair overlap laws the finite coupling draws from on heads,
+        # formed in floats from the rounded n0-step rows
+        pn = matrix_power(P, n0)
+        floats = pn.to_floats()
+        disjoint = False
+        for i in range(P.size):
+            for j in range(P.size):
+                if ref.pseudo_pair_overlap(pn, i, j) == 0:
+                    disjoint |= i != j
+                    continue
+                rows = floats[[[i], [j]]]
+                cdf = engines._coin_cdf(rows, np.ones(1, bool), 1.0, None)[0, 0]
+                want = ref.pseudo_nu(pn, i, j).entries
+                probs = np.diff(np.minimum(cdf, 1.0), prepend=0.0)
+                assert cdf[-1] == 1.0 and np.all(probs >= 0.0)
+                assert np.all(probs[np.array(want) == 0] == 0.0)
+                exact = np.array([float(v) for v in accumulate(want)])
+                assert np.all(np.abs(cdf - exact) <= (2 * P.size + 4) * 2.0**-53)
+        # one disjoint pair of distinct states leaves no pairwise certificate
+        assert (minorization_pseudo(P, n0) is None) == disjoint
 
     def test_grid_goldens(self):
         grid = build_grid_walk(4, 4)
