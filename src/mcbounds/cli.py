@@ -82,24 +82,53 @@ def _check_ranges(args) -> None:
             raise InputError(f"{option} must be a positive finite number, got {step}")
 
 
-def _write_text(path, text: str) -> None:
-    """Write one output file; a path that cannot be written is a usage error."""
+def _replacing(path):
+    """A text file to write ``path`` through, as a context manager: the one
+    way a command writes a file. A new or regular file (through any symlink)
+    is written to a temporary file beside it, which replaces it when the
+    block ends without an error and is removed on any error, so a refused or
+    failed run leaves no new file and an existing one as it was. A path that
+    exists but is no regular file, such as the device or pipe /dev/stdout, is
+    written in place. A path that cannot be written, new or existing, is an
+    ``InputError`` naming it."""
+    import contextlib
+    import os
+
     from .errors import InputError
 
-    try:
-        path.write_text(text)
-    except OSError as exc:
-        raise InputError(f"cannot write {path}: {exc.strerror}") from exc
+    @contextlib.contextmanager
+    def replacing():
+        temp = None
+        try:
+            if path.exists() and not path.is_file():  # follows symlinks
+                out = open(path, "w")
+            else:
+                if path.exists():
+                    open(path, "a").close()  # refuse a file the user cannot write
+                target = path.resolve()
+                temp = target.with_name(f".{target.name}.{os.getpid()}.tmp")
+                out = open(temp, "x")
+        except (OSError, RuntimeError) as exc:  # resolve raises RuntimeError on a loop
+            raise InputError(f"cannot write {path}: {getattr(exc, 'strerror', exc)}") from exc
+        try:
+            with out:
+                yield out
+            if temp:
+                os.replace(temp, target)
+        except BaseException as exc:
+            if temp:
+                temp.unlink(missing_ok=True)
+            if isinstance(exc, OSError):
+                raise InputError(f"cannot write {path}: {exc.strerror}") from exc
+            raise
+
+    return replacing()
 
 
 def _prepare_outputs(args) -> None:
-    """Refuse CSV tables without ``--output``, create the ``--output``
-    directory and open the ``--trajectories`` file, before any command runs,
-    so a bad output choice costs no work.
-
-    The trajectory file is opened for appending, which creates it but leaves
-    an existing file as it is until the run writes it.
-    """
+    """Refuse CSV tables without ``--output`` and create the ``--output``
+    directory, before any command runs, so a bad output choice costs no
+    work. The files themselves are written through ``_replacing``."""
     from pathlib import Path
 
     from .errors import InputError
@@ -113,12 +142,6 @@ def _prepare_outputs(args) -> None:
             outdir.mkdir(parents=True, exist_ok=True)
         except OSError as exc:
             raise InputError(f"cannot create {outdir}: {exc.strerror}") from exc
-    if getattr(args, "trajectories", None):
-        path = Path(args.trajectories)
-        try:
-            path.open("a").close()
-        except OSError as exc:
-            raise InputError(f"cannot write {path}: {exc.strerror}") from exc
 
 
 class _Report:
@@ -162,6 +185,7 @@ def _emit(report: _Report, args) -> None:
     JSON (RFC 8259) has no NaN or infinity, so a report or table that holds
     one is a ``MathError`` naming where, and nothing is printed or written.
     """
+    import contextlib
     import json
     from pathlib import Path
 
@@ -184,12 +208,14 @@ def _emit(report: _Report, args) -> None:
         key = _nonfinite_key(columns)
         if key is not None:
             raise MathError(f"{stem}{suffix}.csv would hold a non-finite number at {key}")
-    if args.format != "csv" or not tables:
-        _write_text(outdir / f"{stem}.json", text)
+    files = {f"{stem}.json": text} if args.format != "csv" or not tables else {}
     for suffix, columns in tables.items():
         lines = [",".join(columns)]
         lines += [",".join(map(_csv_cell, row)) for row in zip(*columns.values())]
-        _write_text(outdir / f"{stem}{suffix}.csv", "\n".join(lines) + "\n")
+        files[f"{stem}{suffix}.csv"] = "\n".join(lines) + "\n"
+    with contextlib.ExitStack() as stack:  # no file is replaced until all are written
+        for name, body in files.items():
+            stack.enter_context(_replacing(outdir / name)).write(body)
 
 
 def _dump_trajectories(out, lattice, first: int, xs, xps) -> None:
@@ -289,7 +315,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--x0", type=float, help="continuous models: start point (default 0)")
     p.add_argument("--n-max", type=int, default=60)
     p.add_argument("--reps", type=int, default=10_000)
-    p.add_argument("--seed", type=int, help="master seed (fallback: MCB_SEED, then 0)")
+    p.add_argument("--seed", type=int, default=0, help="master seed (default 0)")
     p.add_argument("--burn-in", type=int, help="continuous models: kernel steps after "
                                                "the exact stationary start (default 0)")
     p.add_argument("--record-every", type=int, default=1, help="record every k-th lattice point")

@@ -2,57 +2,18 @@
 
 from __future__ import annotations
 
-import contextlib
-import os
+from contextlib import nullcontext
 from functools import partial
 from pathlib import Path
 from typing import TYPE_CHECKING
 
 from ..bounds import CERTIFICATES, minorization_bound
-from ..cli import _dump_trajectories, _Report
-from ..errors import InputError, MathError
+from ..cli import _dump_trajectories, _replacing, _Report
+from ..errors import MathError
 from . import _default_start, _parse_grid, _require_printable
 
 if TYPE_CHECKING:
     from ..coupling import CouplingConfig
-
-
-def _resolve_seed(value: int | None) -> int:
-    if value is not None:
-        return value
-    env = os.environ.get("MCB_SEED")
-    if env:
-        try:
-            return int(env)
-        except ValueError as exc:
-            raise InputError(f"MCB_SEED must be an integer, got {env!r}") from exc
-    return 0
-
-
-@contextlib.contextmanager
-def _replacing(path):
-    """A text file to write ``path`` through. A regular file (through any
-    symlink) is written beside itself and replaced when the block ends
-    without an error; on an error the new file is removed and ``path`` stays
-    as it was. A device or pipe, such as /dev/stdout, is written in place.
-    A file that cannot be written is an ``InputError``."""
-    target = path.resolve()
-    temp = target.with_name(f".{target.name}.{os.getpid()}.tmp") if target.is_file() else None
-    try:
-        out = open(temp, "x") if temp else open(path, "w")
-    except OSError as exc:
-        raise InputError(f"cannot write {path}: {exc.strerror}") from exc
-    try:
-        with out:
-            yield out
-        if temp:
-            os.replace(temp, target)
-    except BaseException as exc:
-        if temp:
-            temp.unlink(missing_ok=True)
-        if isinstance(exc, OSError):
-            raise InputError(f"cannot write {path}: {exc.strerror}") from exc
-        raise
 
 
 def _simulate_config(args) -> tuple[CouplingConfig, dict]:
@@ -61,7 +22,7 @@ def _simulate_config(args) -> tuple[CouplingConfig, dict]:
     run = dict(
         n_max=args.n_max,
         replications=args.reps,
-        master_seed=_resolve_seed(args.seed),
+        master_seed=args.seed,
         record_every=args.record_every,
     )
     if args.grid is not None:
@@ -103,16 +64,14 @@ def _simulate_config(args) -> tuple[CouplingConfig, dict]:
 def run(args) -> tuple[_Report, int]:
     from ..coupling import run_coupling
 
-    config, desc = _simulate_config(args)
-    if args.trajectories:
-        # each block's paths are written as it ends; the file replaces the
-        # target only once the whole run has succeeded
-        with _replacing(Path(args.trajectories)) as out:
-            result = run_coupling(
-                config, on_block=partial(_dump_trajectories, out, config.lattice())
-            )
-    else:
-        result = run_coupling(config)
+    # the trajectory file is opened before the config is checked, so a path
+    # that cannot be written costs no search; each block's paths are written
+    # as it ends, and the file replaces the target once the whole run succeeds
+    paths = _replacing(Path(args.trajectories)) if args.trajectories else nullcontext()
+    with paths as out:
+        config, desc = _simulate_config(args)
+        on_block = None if out is None else partial(_dump_trajectories, out, config.lattice())
+        result = run_coupling(config, on_block)
     bounds = [minorization_bound(result.epsilon, result.n0, n) for n in result.lattice]
 
     warnings = []

@@ -11,6 +11,7 @@ totals, never a state per replication and slot.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Sequence
@@ -246,30 +247,37 @@ class CouplingResult:
 def _finite_arrays(config: CouplingConfig):
     """``(step_rows, nu, in_small)`` of the finite engine: the n0-step matrix
     in floats, the uniform certificate's overlap law (None for the pairwise
-    one) and the small-set mask. A certificate that claims more overlap than
-    the chain has, by any amount, leaves a residual negative and is refused
-    in exact integers: a uniform one where eps nu exceeds an n0-step row, a
-    pairwise one where eps exceeds the smallest overlap of two rows, which
-    ``minorization_pseudo`` finds."""
-    from ..finite_chain import _common_denominator, matrix_power, minorization_pseudo
+    one) and the small-set mask. The engine flips the coin only when both
+    chains sit in the small set C, so the certificate is checked on C's rows
+    alone, in exact integers: one that claims more overlap than those rows
+    have, by any amount, leaves a residual negative and is refused. A uniform
+    one is refused where eps nu exceeds the smallest entry of a column over
+    C's rows, a pairwise one at the first pair of C whose rows overlap by
+    less than eps."""
+    from fractions import Fraction
+
+    from ..finite_chain import _common_denominator, matrix_power
 
     cert, eps = config.cert, config.cert.epsilon
     pn0 = matrix_power(config.matrix, cert.n0)  # memoized: the finder formed it already
+    rows = pn0._num
     nu = None
     if cert.variant == "uniform":
         weights, total = _common_denominator(cert.nu.entries)
+        columns = zip(*(rows[i] for i in cert.small_set))
         # eps w / total <= a / den for every entry a of column j, in integers
-        for j, (a, w) in enumerate(zip(map(min, zip(*pn0._num)), weights)):
+        for j, (a, w) in enumerate(zip(map(min, columns), weights)):
             if a * eps.denominator * total < eps.numerator * w * pn0._den:
                 raise CertificateError(f"residual is negative at state {j}: epsilon "
                                        f"{eps} times nu({j}) exceeds a {cert.n0}-step law")
         nu = cert.nu.to_floats()
     else:
-        best = minorization_pseudo(config.matrix, cert.n0)
-        if best is None or eps > best.epsilon:
-            pair, overlap = (best.argmin_pairs[0], best.epsilon) if best else ("(disjoint)", 0)
-            raise CertificateError(f"residual is negative for pair {pair}: epsilon {eps} "
-                                   f"exceeds its {cert.n0}-step overlap {overlap}")
+        for x, xp in itertools.combinations(cert.small_set, 2):
+            overlap = sum(map(min, rows[x], rows[xp]))
+            if overlap * eps.denominator < eps.numerator * pn0._den:
+                raise CertificateError(
+                    f"residual is negative for pair ({x}, {xp}): epsilon {eps} exceeds its "
+                    f"{cert.n0}-step overlap {Fraction(overlap, pn0._den)}")
     in_small = np.zeros(pn0.size, bool)
     in_small[list(cert.small_set)] = True
     return pn0.to_floats(), nu, in_small

@@ -555,7 +555,7 @@ class TestSimulate:
         assert err == ("mcbounds simulate: error: one of the arguments "
                        "--grid --halfline --rwm-laplace is required\n")
 
-    @pytest.mark.parametrize("argv,seed_env", [
+    @pytest.mark.parametrize("argv,seed", [
         (["--grid", "3x3", "--seed", "-1"], None),
         (["--halfline", "--burn-in", "10"], "-2"),
         (["--rwm-laplace", "--burn-in", "10", "--x0", "nan"], None),
@@ -566,9 +566,9 @@ class TestSimulate:
          None),
         (["--grid", "3x3", "--n0", "5000", "--n-max", "10000"], None),  # epsilon unprintable
     ])
-    def test_bad_coupling_input_exits_2(self, capsys, monkeypatch, argv, seed_env):
-        if seed_env is not None:
-            monkeypatch.setenv("MCB_SEED", seed_env)
+    def test_bad_coupling_input_exits_2(self, capsys, argv, seed):
+        if seed is not None:
+            argv = [*argv, "--seed", seed]
         argv = ["simulate", "--n-max", "4", "--reps", "10", *argv]
         assert main(argv) == 2
         captured = capsys.readouterr()
@@ -650,7 +650,8 @@ class TestSimulate:
     def test_trajectory_buffer_capped_per_block(self, capsys, tmp_path):
         # within the work budget, but 20001 recorded lattice points are over
         # the cap of 10000, so one block's buffer never reaches 4096 x 20001
-        # pair states; the run is refused before it writes a row
+        # pair states; the run is refused before it writes a row, and leaves
+        # no file behind
         traj = tmp_path / "paths.csv"
         argv = ["simulate", "--rwm-laplace", "--reps", "4096", "--n-max", "40000",
                 "--trajectories", str(traj)]
@@ -658,8 +659,24 @@ class TestSimulate:
         err = capsys.readouterr().err
         assert "20001 lattice points exceeds the cap of 10000" in err
         assert "--record-every" in err
-        assert [p.name for p in tmp_path.iterdir()] == ["paths.csv"]
-        assert traj.read_bytes() == b""
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("argv,code", [
+        (["--grid", "2x2", "--cert", "uniform", "--n0", "1"], 3),
+        (["--halfline", "--reps", "1000000000000", "--n-max", "0"], 2),
+        (["--grid", "3x3", "--n0", "0"], 2),
+    ], ids=["no-overlap", "work-budget", "n0-0"])
+    def test_refused_run_leaves_no_trajectory_file(self, capsys, tmp_path, argv, code):
+        # the file is opened before the config is checked, and removed with it
+        traj = tmp_path / "paths.csv"
+        argv = ["simulate", *argv, "--trajectories", str(traj)]
+        assert main(argv) == code
+        assert list(tmp_path.iterdir()) == []
+        traj.write_bytes(b"earlier run\n")
+        assert main(argv) == code
+        capsys.readouterr()
+        assert list(tmp_path.iterdir()) == [traj]
+        assert traj.read_bytes() == b"earlier run\n"
 
     def test_failed_run_leaves_the_trajectory_file_as_it_was(self, capsys, tmp_path,
                                                              monkeypatch):
@@ -700,6 +717,14 @@ class TestSimulate:
         assert done.returncode == 0, done.stderr
         assert done.stdout.startswith(csv)
         assert json.loads(done.stdout[len(csv):])["command"] == "simulate"
+
+    def test_trajectories_through_a_symlink_loop_exit_2(self, capsys, tmp_path):
+        loop = tmp_path / "paths.csv"
+        loop.symlink_to(loop)
+        argv = ["simulate", "--grid", "2x2", "--n-max", "4", "--reps", "3"]
+        assert main([*argv, "--trajectories", str(loop)]) == 2
+        assert capsys.readouterr().err.startswith(f"mcbounds: error: cannot write {loop}: ")
+        assert list(tmp_path.iterdir()) == [loop] and loop.is_symlink()
 
     def test_peak_memory_does_not_grow_with_replications(self):
         # the engines keep per-slot totals and one block in flight, so ten
@@ -1001,6 +1026,31 @@ class TestOutputs:
         with pytest.raises(MathError, match=r"bound-t1-curve.csv would hold a non-finite number at bound\[1\]"):
             _emit(report, SimpleNamespace(output=str(tmp_path), format="both"))
         assert list(tmp_path.iterdir()) == []
+
+    def test_emit_failing_partway_leaves_the_reports_as_they_were(self, tmp_path, monkeypatch):
+        import itertools
+
+        from mcbounds import cli
+
+        def argv(n):
+            return ["finite", "tv-exact", "--grid", "3x3", "--n", str(n),
+                    "--output", str(tmp_path), "--format", "both"]
+
+        assert main(argv(10)) == 0
+        before = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
+        assert sorted(before) == ["finite-tv-exact-curve.csv", "finite-tv-exact.json"]
+        calls = itertools.count()
+        real = cli._csv_cell
+
+        def fails_on_a_later_row(value):
+            if next(calls) == 20:  # the first cell of the sixth row
+                raise RuntimeError("stopped partway")
+            return real(value)
+
+        monkeypatch.setattr(cli, "_csv_cell", fails_on_a_later_row)
+        with pytest.raises(RuntimeError, match="stopped partway"):
+            main(argv(12))
+        assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
 
     @pytest.mark.parametrize("value,key", [
         ({"a": [1.0, {"b": float("-inf")}]}, "a[1].b"),
@@ -1398,6 +1448,26 @@ class TestStartup:
         sources = sorted(package.rglob("*.py"))
         assert len(sources) > 10
         return [(path, ast.parse(path.read_text())) for path in sources]
+
+    def test_only_the_writer_opens_a_file(self):
+        # every output file goes through cli._replacing, which replaces its
+        # target only when the run succeeds; the matrix file is read with
+        # read_text
+        package = Path(mcbounds.__file__).resolve().parent
+        trees = dict(self.sources())
+        writer = next(node for node in trees[package / "cli.py"].body
+                      if isinstance(node, ast.FunctionDef) and node.name == "_replacing")
+        inside = {id(node) for node in ast.walk(writer)}
+        found = []
+        for path, tree in trees.items():
+            for node in ast.walk(tree):
+                if not isinstance(node, ast.Call) or id(node) in inside:
+                    continue
+                func = node.func
+                name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+                if name in ("open", "write_text", "write_bytes"):
+                    found.append((path.relative_to(package).as_posix(), node.lineno, name))
+        assert found == []
 
     def test_no_module_under_src_imports_scipy(self):
         for path, tree in self.sources():

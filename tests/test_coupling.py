@@ -218,23 +218,37 @@ def proper_subset_cert(grid):
     )
 
 
+def line_cert(variant, epsilon=F(1, 3)):
+    """(matrix, cert): a lag-1 certificate on the middle states C = (1, 2, 3)
+    of the 1x5 grid, whose rows there are uniform on three neighbours. Both
+    hold on C alone: the uniform one with nu the point mass at 2 (state 0
+    never moves to 2), the pairwise one with overlap 1/3 at the pair (1, 3)
+    (the end rows 0 and 4 are disjoint)."""
+    line = build_grid_walk(1, 5)
+    nu = ProbVector.delta(5, 2) if variant == "uniform" else None
+    return line, MinorizationCert(variant, (1, 2, 3), 1, epsilon, nu=nu)
+
+
 class TestPairChainOracle:
     """Simulated p_neq and X_n law against the exact pair-chain law, within 4 se."""
 
     @pytest.mark.parametrize(
         "make_cert",
         [
-            lambda grid: minorization_uniform(grid, 2),
-            lambda grid: minorization_pseudo(grid, 2),
-            proper_subset_cert,
+            lambda grid: (grid, minorization_uniform(grid, 2)),
+            lambda grid: (grid, minorization_pseudo(grid, 2)),
+            lambda grid: (grid, proper_subset_cert(grid)),
+            lambda grid: line_cert("uniform"),
+            lambda grid: line_cert("pseudo"),
         ],
-        ids=["uniform", "pseudo", "proper-subset"],
+        ids=["uniform", "pseudo", "proper-subset", "line-uniform-small-set",
+             "line-pseudo-small-set"],
     )
     def test_simulation_matches_the_exact_pair_chain(self, grid, make_cert):
-        cert = make_cert(grid)
+        matrix, cert = make_cert(grid)
         config = CouplingConfig(
             model="finite", n_max=20, replications=20_000, master_seed=99,
-            matrix=grid, cert=cert, initial_law=ProbVector.delta(9, 0),
+            matrix=matrix, cert=cert, initial_law=ProbVector.delta(matrix.size, 0),
         )
         res = run_coupling(config)
         exact_p, exact_law = pair_chain_oracle(config)
@@ -244,6 +258,20 @@ class TestPairChainOracle:
         freq = np.array(res.marginal_counts) / reps
         law_se = np.sqrt(exact_law * (1.0 - exact_law) / reps)
         assert np.all(np.abs(freq - exact_law) <= 4.0 * law_se + 1e-12)
+
+    @pytest.mark.parametrize("variant,message", [
+        ("uniform", "residual is negative at state 2:"),
+        ("pseudo", "residual is negative for pair (1, 3):"),
+    ], ids=["uniform", "pseudo"])
+    def test_small_set_certificate_over_claimed_by_1e_15_refused(self, variant, message):
+        # checked on C's rows alone: rows 0 and 4 have no overlap with nu or
+        # with each other, yet eps = 1/3 holds on C
+        line, cert = line_cert(variant, F(1, 3) + F(1, 10**15))
+        config = CouplingConfig(model="finite", n_max=4, replications=10, master_seed=1,
+                                matrix=line, cert=cert)
+        with pytest.raises(CertificateError) as refused:
+            run_coupling(config)
+        assert str(refused.value).startswith(message)
 
     def test_proper_subset_coupling_is_slower(self, grid):
         # the oracle itself must see the smaller small set
