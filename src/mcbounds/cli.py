@@ -82,15 +82,27 @@ def _check_ranges(args) -> None:
             raise InputError(f"{option} must be a positive finite number, got {step}")
 
 
+def _is_stdout(path) -> bool:
+    """Whether ``path`` names the file that fd 1 has open."""
+    import os
+
+    try:
+        return os.path.samestat(os.stat(path), os.fstat(1))
+    except OSError:
+        return False
+
+
 def _replacing(path):
     """A text file to write ``path`` through, as a context manager: the one
     way a command writes a file. A new or regular file (through any symlink)
     is written to a temporary file beside it, which replaces it when the
     block ends without an error and is removed on any error, so a refused or
-    failed run leaves no new file and an existing one as it was. A path that
-    exists but is no regular file, such as the device or pipe /dev/stdout, is
-    written in place. A path that cannot be written, new or existing, is an
-    ``InputError`` naming it."""
+    failed run leaves no new file and an existing one as it was. The file
+    that stdout has open, such as /dev/stdout redirected to a file, is
+    written through a copy of fd 1, sharing its offset with the report that
+    follows; a path that exists but is no regular file, such as a device or
+    a pipe, is written in place. A path that cannot be written, new or
+    existing, is an ``InputError`` naming it."""
     import contextlib
     import os
 
@@ -100,7 +112,9 @@ def _replacing(path):
     def replacing():
         temp = None
         try:
-            if path.exists() and not path.is_file():  # follows symlinks
+            if _is_stdout(path):  # not reopened: that would truncate it
+                out = open(os.dup(1), "w")
+            elif path.exists() and not path.is_file():  # follows symlinks
                 out = open(path, "w")
             else:
                 if path.exists():
@@ -184,12 +198,16 @@ def _emit(report: _Report, args) -> None:
 
     JSON (RFC 8259) has no NaN or infinity, so a report or table that holds
     one is a ``MathError`` naming where, and nothing is printed or written.
+    A stdout that cannot take the report, such as a pipe whose reader has
+    gone, is an ``InputError``; fd 1 then points at the null device, so the
+    flush at exit writes nothing more.
     """
     import contextlib
     import json
+    import os
     from pathlib import Path
 
-    from .errors import MathError
+    from .errors import InputError, MathError
 
     try:
         text = json.dumps(report.payload, indent=2, sort_keys=True, allow_nan=False) + "\n"
@@ -199,7 +217,14 @@ def _emit(report: _Report, args) -> None:
             raise
         raise MathError(f"the report holds a non-finite number at {key}") from None
     if args.output is None:  # a report with tables was refused csv before it ran
-        sys.stdout.write(text)
+        try:
+            sys.stdout.write(text)
+            sys.stdout.flush()
+        except OSError as exc:
+            devnull = os.open(os.devnull, os.O_WRONLY)
+            os.dup2(devnull, 1)
+            os.close(devnull)
+            raise InputError(f"cannot write stdout: {exc.strerror}") from exc
         return
     outdir = Path(args.output)  # made by _prepare_outputs
     stem = f"{report.command}-{report.analysis}"

@@ -16,14 +16,15 @@ residual draws); chains outside the small set update independently.
 Every engine returns ``Totals``: per recorded slot (step k is recorded in
 slot k // record_every when record_every divides k) the number of coincident
 pairs and, for finite chains, the state counts of each chain, plus the
-histogram of the exact lattice step at which pairs first coincide. Nothing
+histogram of the exact lattice step at which pairs first coincide; the
+continuous engine also counts coin flips. Nothing
 per replication outlives its block. A caller that wants the paths passes
 ``on_block``, which receives each block's recorded states as it ends.
 """
 
 from __future__ import annotations
 
-from typing import NamedTuple
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -86,7 +87,7 @@ class Totals(NamedTuple):
     couple_hist: np.ndarray  # pairs by the lattice step at which they first coincide
     counts: np.ndarray | None  # finite chains: (slots, states) counts of x
     counts_prime: np.ndarray | None  # the same for x'
-    opportunities: int | None = None  # Metropolis coin chances over all pairs
+    opportunities: int | None = None  # continuous chains: coin flips over all pairs
 
 
 def _lockstep(n_steps, master_seed, replications, record_every, start, step,
@@ -139,19 +140,6 @@ def _lockstep(n_steps, master_seed, replications, record_every, start, step,
         if on_block is not None:
             on_block(rows.start, paths[0, : x.size], paths[1, : x.size])
     return Totals(coupled, hist, counts, counts_prime)
-
-
-def _stationary_start(x0: float, burn_in: int, stationary, kernel_step):
-    """Start draw of a continuous chain: x at x0, x' an exact stationary draw
-    followed by ``burn_in`` kernel steps, which leave its law at pi."""
-
-    def start(rng, m):
-        xp = stationary(rng, m)
-        for _ in range(burn_in):
-            xp = kernel_step(rng, xp)
-        return np.full(m, float(x0)), xp
-
-    return start
 
 
 def inverse_cdf(cdf: np.ndarray, u: np.ndarray) -> np.ndarray:
@@ -296,7 +284,8 @@ def finite_coupling_paths(
 
 
 # ---------------------------------------------------------------------------
-# half-line mixture chain
+# continuous chains: the half-line mixture, and random-walk Metropolis with
+# target exp(-|x|)
 
 
 def _hl_keep(eps: float):
@@ -306,43 +295,6 @@ def _hl_keep(eps: float):
         return 1.0 - eps * hl_nu_density(z) / hl_density(x, z)
 
     return keep
-
-
-def halfline_coupling_paths(
-    n_lat: int,
-    master_seed: int,
-    replications: int,
-    record_every: int,
-    x0: float,
-    eps: float,
-    burn_in: int,
-    on_block=None,
-) -> Totals:
-    """Coupling of the half-line mixture chain (whole-space overlap, lag 1).
-
-    The second chain starts from an exact stationary draw (``hl_stationary``)
-    advanced by ``burn_in`` further steps.
-    """
-    keep = _hl_keep(eps)
-
-    def step(rng, x, xp):
-        n = x.size
-        eq = x == xp
-        heads = ~eq & (rng.random(n) < eps)
-        tails = ~(eq | heads)
-        new = np.where(eq, hl_step(rng, x), rng.exponential(0.5, n))
-        if tails.any():
-            both = residual_draw(rng, np.concatenate([x[tails], xp[tails]]), hl_step, keep)
-            x[tails], xp[tails] = np.split(both, 2)
-        return np.where(tails, x, new), np.where(tails, xp, new)
-
-    start = _stationary_start(x0, burn_in, hl_stationary, hl_step)
-    return _lockstep(n_lat, master_seed, replications, record_every, start, step,
-                     on_block=on_block)
-
-
-# ---------------------------------------------------------------------------
-# random-walk Metropolis with target exp(-|x|)
 
 
 def _rwm_keep(eps: float):
@@ -362,49 +314,69 @@ def _rwm_keep(eps: float):
     return keep
 
 
-def rwm_coupling_paths(
-    n_pairs: int,
-    master_seed: int,
-    replications: int,
-    record_every: int,
-    x0: float,
-    eps: float,
-    c_lo: float,
-    c_hi: float,
-    burn_in: int,
-    on_block=None,
-) -> Totals:
-    """Coupling of the Metropolis chain with small set [c_lo, c_hi], lag 2.
+class _Chain(NamedTuple):
+    """The samplers of a continuous chain's coupling."""
 
-    Coin flips happen at even times when both chains sit in the small set;
-    otherwise both advance two Metropolis steps independently. Lattice steps
-    are pair-steps; ``Totals.opportunities`` counts the coin flips of all
-    pairs. The second chain starts from an exact Laplace draw
-    (``rwm_stationary``) advanced by ``burn_in`` further Metropolis steps.
+    stationary: Callable  # (rng, m): m exact draws from pi
+    kernel: Callable  # (rng, x): one kernel step from each state, for the burn-in
+    lattice: Callable  # (rng, x): n0 kernel steps from each state
+    nu: Callable  # (rng, m): m draws from the overlap law
+    keep: Callable  # eps -> (x, z): residual acceptance of a lattice draw z from x
+
+
+# keyed like bounds.CERTIFICATES, whose lag, overlap and small set they sample
+CHAINS = {
+    "halfline": _Chain(hl_stationary, hl_step, hl_step,
+                       lambda rng, m: rng.exponential(0.5, m), _hl_keep),
+    "rwm-laplace": _Chain(rwm_stationary, rwm_step, rwm_two_steps,
+                          lambda rng, m: 2.0 * rng.random(m) - 1.0, _rwm_keep),
+}
+
+
+def continuous_coupling_paths(model: str, n_lat: int, master_seed: int, replications: int,
+                              record_every: int, x0: float, eps: float, small_set,
+                              burn_in: int, on_block=None) -> Totals:
+    """Coupling of the continuous chain ``model``, a key of ``CHAINS``, on
+    its lag-n0 lattice, with the small set ``small_set`` (an ``Interval``, or
+    None for the whole space).
+
+    x starts at ``x0``; x' at an exact stationary draw advanced by
+    ``burn_in`` further kernel steps. Each lattice step draws, in order: a
+    coin uniform per pair; the lattice step of x and x' (of x alone when the
+    set is the whole space, where every unequal pair flips the coin and x'
+    moves only with x); one overlap draw per pair; the residual rounds of the
+    pairs whose coin lands tails. ``Totals.opportunities`` counts the coin
+    flips of all pairs.
     """
-    keep = _rwm_keep(eps)
+    chain = CHAINS[model]
+    keep = chain.keep(eps)
     opportunities = 0
+
+    def start(rng, m):
+        xp = chain.stationary(rng, m)
+        for _ in range(burn_in):
+            xp = chain.kernel(rng, xp)
+        return np.full(m, float(x0)), xp
 
     def step(rng, x, xp):
         nonlocal opportunities
         n = x.size
         eq = x == xp
-        coin = ~eq & (c_lo <= x) & (x <= c_hi) & (c_lo <= xp) & (xp <= c_hi)
+        coin = ~eq
+        if small_set is not None:
+            coin &= small_set.contains(x) & small_set.contains(xp)
         opportunities += int(np.count_nonzero(coin))
         heads = coin & (rng.random(n) < eps)
         tails = coin & ~heads
-        moved = rwm_two_steps(rng, np.concatenate([x, xp]))
-        shared = 2.0 * rng.random(n) - 1.0
+        moved = chain.lattice(rng, x if small_set is None else np.concatenate([x, xp]))
+        shared = chain.nu(rng, n)
         new_x = np.where(heads, shared, moved[:n])
-        new_xp = np.where(heads, shared, np.where(eq, new_x, moved[n:]))
+        new_xp = np.where(heads, shared, np.where(eq, new_x, moved[-n:]))
         if tails.any():
-            both = residual_draw(
-                rng, np.concatenate([x[tails], xp[tails]]), rwm_two_steps, keep
-            )
+            both = residual_draw(rng, np.concatenate([x[tails], xp[tails]]), chain.lattice, keep)
             new_x[tails], new_xp[tails] = np.split(both, 2)
         return new_x, new_xp
 
-    start = _stationary_start(x0, burn_in, rwm_stationary, rwm_step)
-    totals = _lockstep(n_pairs, master_seed, replications, record_every, start, step,
+    totals = _lockstep(n_lat, master_seed, replications, record_every, start, step,
                        on_block=on_block)
     return totals._replace(opportunities=opportunities)

@@ -46,9 +46,10 @@ class CouplingConfig:
     """Everything a coupling run needs; immutable and fully seed-determined.
 
     ``model`` selects the chain: "finite" (supply ``matrix``, ``cert``, and an
-    ``initial_law``), "halfline", or "rwm-laplace" (point start ``x0``). The
-    partner chain starts from an exact stationary draw; for the continuous
-    chains ``burn_in`` further kernel steps follow it, which keep its law.
+    ``initial_law``) or a key of ``bounds.CERTIFICATES``, "halfline" or
+    "rwm-laplace" (point start ``x0``). The partner chain starts from an
+    exact stationary draw; for the continuous chains ``burn_in`` further
+    kernel steps follow it, which keep its law.
     The lag, the overlap and the coupling mode follow from the finite
     certificate or, for the continuous chains, from ``bounds.CERTIFICATES``.
     Every replication runs all ``n_max // n0`` lattice steps; a run of more
@@ -69,7 +70,7 @@ class CouplingConfig:
     record_every: int = 1
 
     def __post_init__(self) -> None:
-        if self.model not in ("finite", "halfline", "rwm-laplace"):
+        if self.model != "finite" and self.model not in CERTIFICATES:
             raise InputError(f"unknown model {self.model!r}")
         if self.master_seed < 0:
             raise InputError(
@@ -308,7 +309,8 @@ def _summarize(
     """Statistics of an engine run from its ``Totals``.
 
     Every count is an exact integer, so each mean is the correctly rounded
-    quotient that numpy's mean over the per-replication values gives.
+    quotient that numpy's mean over the per-replication values gives. The
+    mean coin flips per replication are reported in small-set mode only.
     """
     reps = config.replications
     n0 = config.effective_n0()
@@ -355,7 +357,9 @@ def _summarize(
         coupling_time_quantiles=quantiles,
         uncoupled=reps - coupled,
         opportunities_mean=(
-            totals.opportunities / reps if totals.opportunities is not None else None
+            totals.opportunities / reps
+            if totals.opportunities is not None and config.mode() == "small-set"
+            else None
         ),
     )
 
@@ -368,10 +372,12 @@ def run_coupling(config: CouplingConfig, on_block=None) -> CouplingResult:
     certificate on every state, the certificate's set for other finite ones,
     and the certificate's set for the Metropolis chain, which couples at even
     times with the published lag-2 overlap (odd-time states are not
-    recorded). Finite chains form the overlap and residual rows of a pair
-    from the float n0-step rows when it flips the coin, after an exact check
-    that the certificate leaves no residual negative; the pairwise variant's
-    overlap is the normalized minimum of the pair's two rows.
+    recorded). Both continuous chains run one engine,
+    ``engines.continuous_coupling_paths``. Finite chains form the overlap and
+    residual rows of a pair from the float n0-step rows when it flips the
+    coin, after an exact check that the certificate leaves no residual
+    negative; the pairwise variant's overlap is the normalized minimum of the
+    pair's two rows.
 
     ``on_block(first, xs, xps)``, if given, receives each block's recorded
     states as the block ends (see ``engines._lockstep``): at most
@@ -390,13 +396,9 @@ def run_coupling(config: CouplingConfig, on_block=None) -> CouplingResult:
         totals = engines.finite_coupling_paths(
             *run, mu0.to_floats(), pi.to_floats(), step_rows, eps, nu, in_small, on_block
         )
-    elif config.model == "halfline":
-        totals = engines.halfline_coupling_paths(
-            *run, config.x0, eps, config.burn_in, on_block
-        )
     else:
-        small = CERTIFICATES[config.model].small_set
-        totals = engines.rwm_coupling_paths(
-            *run, config.x0, eps, small.lo, small.hi, config.burn_in, on_block
+        totals = engines.continuous_coupling_paths(
+            config.model, *run, config.x0, eps, CERTIFICATES[config.model].small_set,
+            config.burn_in, on_block,
         )
     return _summarize(config, totals, pi)

@@ -27,13 +27,13 @@ SCHEMA = json.loads(
 )
 
 
-def run_cli_process(*argv):
+def run_cli_process(*argv, stdout=subprocess.PIPE):
     """Run the CLI in a child process, so that a run that does not end fails
-    the test after 30 s."""
+    the test after 30 s; its stdout goes to ``stdout``, captured by default."""
     src = str(Path(mcbounds.__file__).resolve().parents[1])
     return subprocess.run(
         [sys.executable, "-m", "mcbounds.cli", *argv],
-        capture_output=True, text=True, timeout=30,
+        stdout=stdout, stderr=subprocess.PIPE, text=True, timeout=30,
         env={**os.environ, "PYTHONPATH": src},
     )
 
@@ -683,7 +683,7 @@ class TestSimulate:
         from mcbounds.coupling import engines
         from mcbounds.errors import MathError
 
-        real = engines.halfline_coupling_paths
+        real = engines.continuous_coupling_paths
 
         def fails_after_one_block(*args):
             def then_fail(*block):
@@ -691,7 +691,7 @@ class TestSimulate:
                 raise MathError("stopped after one block")
             return real(*args[:-1], then_fail)
 
-        monkeypatch.setattr(engines, "halfline_coupling_paths", fails_after_one_block)
+        monkeypatch.setattr(engines, "continuous_coupling_paths", fails_after_one_block)
         traj = tmp_path / "paths.csv"
         traj.write_text("earlier run\n")
         argv = ["simulate", "--halfline", "--reps", "5000", "--n-max", "4",
@@ -717,6 +717,23 @@ class TestSimulate:
         assert done.returncode == 0, done.stderr
         assert done.stdout.startswith(csv)
         assert json.loads(done.stdout[len(csv):])["command"] == "simulate"
+
+    def test_trajectories_to_a_redirected_stdout_keep_the_report(self, tmp_path):
+        # /dev/stdout names the file that stdout has open: it is written
+        # through fd 1, not replaced by a new file, which the report missed
+        out = tmp_path / "out.txt"
+        argv = ["simulate", "--grid", "2x2", "--n-max", "4", "--reps", "3", "--seed", "1"]
+        with open(out, "w") as stdout:
+            done = run_cli_process(*argv, "--trajectories", "/dev/stdout", stdout=stdout)
+        assert done.returncode == 0, done.stderr
+        text = out.read_text()
+        csv, brace, report = text.partition("{")
+        lines = csv.splitlines()
+        assert lines[0] == "replication,n,x,x_prime,coupled"
+        assert len(lines) == 1 + 3 * 3  # three replications at n = 0, 2, 4
+        report = json.loads(brace + report)
+        jsonschema.validate(report, SCHEMA)
+        assert report["command"] == "simulate"
 
     def test_trajectories_through_a_symlink_loop_exit_2(self, capsys, tmp_path):
         loop = tmp_path / "paths.csv"
@@ -1001,6 +1018,21 @@ class TestModeOptions:
 
 
 class TestOutputs:
+    @pytest.mark.parametrize("argv", [
+        ["finite", "stationary", "--grid", "3x3"],
+        ["simulate", "--grid", "2x2", "--n-max", "4", "--reps", "3"],
+    ], ids=["finite", "simulate"])
+    def test_closed_stdout_pipe_exits_2_without_a_traceback(self, argv):
+        # the reader closes its end before the child writes the report
+        read, write = os.pipe()
+        os.close(read)
+        try:
+            done = run_cli_process(*argv, stdout=write)
+        finally:
+            os.close(write)
+        assert done.returncode == 2
+        assert done.stderr == "mcbounds: error: cannot write stdout: Broken pipe\n"
+
     def test_non_finite_json_is_refused(self, capsys, tmp_path):
         # RFC 8259 has no NaN or Infinity: the report is refused, not printed
         argv = ["bound", "t2", "--check-n", "1000000", "--check-j", "1000000"]
@@ -1452,7 +1484,8 @@ class TestStartup:
     def test_only_the_writer_opens_a_file(self):
         # every output file goes through cli._replacing, which replaces its
         # target only when the run succeeds; the matrix file is read with
-        # read_text
+        # read_text. Opening the null device, which takes fd 1 once stdout
+        # has failed, writes no file
         package = Path(mcbounds.__file__).resolve().parent
         trees = dict(self.sources())
         writer = next(node for node in trees[package / "cli.py"].body
@@ -1465,7 +1498,8 @@ class TestStartup:
                     continue
                 func = node.func
                 name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
-                if name in ("open", "write_text", "write_bytes"):
+                null = node.args and getattr(node.args[0], "attr", None) == "devnull"
+                if name in ("open", "write_text", "write_bytes") and not null:
                     found.append((path.relative_to(package).as_posix(), node.lineno, name))
         assert found == []
 

@@ -879,6 +879,47 @@ class TestRwmSmallSetCoupling:
         assert np.all(~eq[:, :-1] | eq[:, 1:])
 
 
+class TestContinuousEngine:
+    """One engine runs both continuous chains, the certificate's small set
+    (None: the whole space) deciding where the coin is flipped."""
+
+    def test_one_chain_per_certificate(self):
+        assert engines.CHAINS.keys() == CERTIFICATES.keys()
+
+    def test_config_refuses_another_model(self):
+        with pytest.raises(InputError, match="unknown model 'laplace'"):
+            CouplingConfig(model="laplace", n_max=2, replications=2, master_seed=0)
+
+    @staticmethod
+    def coin_run(model, x0):
+        """Totals of a seeded run recording every step, its paths, and the
+        unequal pairs summed over the steps before the last."""
+        cert, reps = CERTIFICATES[model], 300
+        blocks = []
+        totals = engines.continuous_coupling_paths(
+            model, 12, 3, reps, 1, x0, cert.epsilon, cert.small_set, 0,
+            lambda first, xs, xps: blocks.append((xs.copy(), xps.copy())),
+        )
+        xs, xps = map(np.concatenate, zip(*blocks))
+        unequal_before_a_step = int((reps - totals.coupled[:-1]).sum())
+        return totals, xs, xps, unequal_before_a_step
+
+    def test_halfline_flips_the_coin_for_every_unequal_pair(self):
+        totals, _, _, unequal = self.coin_run("halfline", 0.0)
+        assert totals.opportunities == unequal > 0
+        # the whole-space coupling reports no coin count
+        config = CouplingConfig(model="halfline", n_max=4, replications=20, master_seed=1)
+        assert run_coupling(config).opportunities_mean is None
+
+    def test_metropolis_flips_the_coin_only_inside_the_small_set(self):
+        # from x0 = 5 every pair starts outside [-2, 2]
+        totals, xs, xps, unequal = self.coin_run("rwm-laplace", 5.0)
+        small = CERTIFICATES["rwm-laplace"].small_set
+        coin = (xs != xps) & small.contains(xs) & small.contains(xps)
+        assert totals.opportunities == int(coin[:, :-1].sum())
+        assert 0 < totals.opportunities < unequal
+
+
 class TestDeterminism:
     def test_rerun_is_byte_identical(self, grid):
         config = CouplingConfig(
