@@ -264,6 +264,15 @@ def _dump_trajectories(out, lattice, first: int, xs, xps) -> None:
 
 
 class _Parser(argparse.ArgumentParser):
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        import re
+
+        # argparse's own pattern has no exponent, so it reads -1e3 as an option
+        self._negative_number_matcher = re.compile(
+            r"^-(\d+\.?\d*|\.\d+)(e[-+]?\d+)?$|^-(inf|infinity|nan)$", re.IGNORECASE
+        )
+
     def error(self, message):  # one line, as every other refusal
         self.exit(2, f"{self.prog}: error: {message}\n")
 

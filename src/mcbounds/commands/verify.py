@@ -11,8 +11,7 @@ from .. import presets
 from ..bounds import CERTIFICATES
 from ..cli import _Report
 from ..errors import InputError
-from ..kernels import laws
-from ..kernels.chains import halfline_mixture_kernel, metropolis_rwm_laplace
+from ..kernels.laws import CHAINS
 from ..kernels.verify import (
     MAX_DRIFT_POINTS,
     MAX_PROBE_PAIRS,
@@ -72,7 +71,7 @@ def run(args) -> tuple[_Report, int]:
                 f"a drift grid of {_count_text(points, 'points')} exceeds the cap of "
                 f"{MAX_DRIFT_POINTS}; pass a larger --grid-step"
             )
-        kernel = metropolis_rwm_laplace()
+        kernel = CHAINS[args.preset]
         lam = args.lam if args.lam is not None else presets.LAPLACE_LAM
         b = args.b if args.b is not None else presets.LAPLACE_B
         drift = presets.laplace_drift(lam=lam, b=b)
@@ -103,14 +102,10 @@ def run(args) -> tuple[_Report, int]:
 
     # minorization
     if args.preset == "halfline":
-        kernel = halfline_mixture_kernel()
-        nu = laws.hl_nu_density
         x_range = y_range = (0.0, 50.0)
     else:
-        kernel = metropolis_rwm_laplace()
-        nu = laws.rwm_nu_density
         x_range, y_range = (-2.0, 2.0), (-1.0, 1.0)
-    cert = CERTIFICATES[args.preset]
+    chain, cert = CHAINS[args.preset], CERTIFICATES[args.preset]
     step = args.probe_step
     pairs = _probe_count(*x_range, step) * _probe_count(*y_range, step)
     if pairs > MAX_PROBE_PAIRS:
@@ -120,7 +115,8 @@ def run(args) -> tuple[_Report, int]:
         )
     probe_x, probe_y = (np.arange(lo, hi + 1e-12, step) for lo, hi in (x_range, y_range))
     verif = verify_minorization_numeric(
-        kernel, cert.n0, cert.epsilon, nu, probe_x, probe_y, tolerance=args.tolerance
+        chain, cert.n0, cert.epsilon, chain.nu_density, probe_x, probe_y,
+        tolerance=args.tolerance,
     )
     config = {
         "preset": args.preset,

@@ -11,7 +11,9 @@ every full block of a run with fewer.
 Construction per lattice step, given the overlap constant eps at lag n0:
 chains already equal move together; unequal chains inside the small set flip
 an eps-coin (heads: both jump to a shared overlap draw; tails: independent
-residual draws); chains outside the small set update independently.
+residual draws); chains outside the small set update independently. The
+continuous chains take their samplers from ``laws.CHAINS`` and their eps, n0
+and small set from ``bounds.CERTIFICATES``.
 
 Every engine returns ``Totals``: per recorded slot (step k is recorded in
 slot k // record_every when record_every divides k) the number of coincident
@@ -24,22 +26,13 @@ per replication outlives its block. A caller that wants the paths passes
 
 from __future__ import annotations
 
-from typing import Callable, NamedTuple
+from typing import NamedTuple
 
 import numpy as np
 
+from ..bounds import CERTIFICATES
 from ..errors import MathError
-from ..kernels.laws import (
-    hl_density,
-    hl_nu_density,
-    hl_stationary,
-    hl_step,
-    rwm_nu_density,
-    rwm_stationary,
-    rwm_step,
-    rwm_two_step_density,
-    rwm_two_steps,
-)
+from ..kernels.laws import CHAINS, Chain
 
 # replications per Generator stream; changing it changes every seeded output
 BLOCK = 4096
@@ -288,74 +281,49 @@ def finite_coupling_paths(
 # target exp(-|x|)
 
 
-def _hl_keep(eps: float):
-    """Acceptance 1 - eps * nu(z) / p(x, z) of the half-line residual sampler."""
+def _keep(chain: Chain, eps: float, x: np.ndarray, z: np.ndarray) -> np.ndarray:
+    """Acceptance 1 - eps * nu(z) / p_n0(x, z) of the residual sampler, per
+    pair of a state x and its lattice draw z.
 
-    def keep(x, z):
-        return 1.0 - eps * hl_nu_density(z) / hl_density(x, z)
-
-    return keep
-
-
-def _rwm_keep(eps: float):
-    """Acceptance 1 - eps * nu(w) / p2(x, w) of the two-step residual sampler.
-
-    A proposal equal to x is the double-rejection atom and one outside
-    [-1, 1] lies where nu is 0: both are always kept.
+    A draw equal to x is the n0-step atom (both Metropolis steps rejected)
+    and one where nu is 0 lies outside the overlap: both are always kept.
     """
-
-    def keep(x, w):
-        out = np.ones_like(w)
-        nu = rwm_nu_density(w)
-        inside = (w != x) & (nu > 0.0)
-        out[inside] = 1.0 - eps * nu[inside] / rwm_two_step_density(x[inside], w[inside])
-        return out
-
-    return keep
-
-
-class _Chain(NamedTuple):
-    """The samplers of a continuous chain's coupling."""
-
-    stationary: Callable  # (rng, m): m exact draws from pi
-    kernel: Callable  # (rng, x): one kernel step from each state, for the burn-in
-    lattice: Callable  # (rng, x): n0 kernel steps from each state
-    nu: Callable  # (rng, m): m draws from the overlap law
-    keep: Callable  # eps -> (x, z): residual acceptance of a lattice draw z from x
-
-
-# keyed like bounds.CERTIFICATES, whose lag, overlap and small set they sample
-CHAINS = {
-    "halfline": _Chain(hl_stationary, hl_step, hl_step,
-                       lambda rng, m: rng.exponential(0.5, m), _hl_keep),
-    "rwm-laplace": _Chain(rwm_stationary, rwm_step, rwm_two_steps,
-                          lambda rng, m: 2.0 * rng.random(m) - 1.0, _rwm_keep),
-}
+    out = np.ones_like(z)
+    nu = chain.nu_density(z)
+    inside = (z != x) & (nu > 0.0)
+    out[inside] = 1.0 - eps * nu[inside] / chain.step_density(x[inside], z[inside])
+    return out
 
 
 def continuous_coupling_paths(model: str, n_lat: int, master_seed: int, replications: int,
-                              record_every: int, x0: float, eps: float, small_set,
-                              burn_in: int, on_block=None) -> Totals:
-    """Coupling of the continuous chain ``model``, a key of ``CHAINS``, on
-    its lag-n0 lattice, with the small set ``small_set`` (an ``Interval``, or
-    None for the whole space).
+                              record_every: int, x0: float, burn_in: int,
+                              on_block=None) -> Totals:
+    """Coupling of the continuous chain ``model``, a key of ``laws.CHAINS``,
+    on its lag-n0 lattice, with the overlap eps, the lag n0 and the small set
+    (an ``Interval``, or None for the whole space) of its certificate in
+    ``bounds.CERTIFICATES``.
 
     x starts at ``x0``; x' at an exact stationary draw advanced by
-    ``burn_in`` further kernel steps. Each lattice step draws, in order: a
-    coin uniform per pair; the lattice step of x and x' (of x alone when the
-    set is the whole space, where every unequal pair flips the coin and x'
-    moves only with x); one overlap draw per pair; the residual rounds of the
-    pairs whose coin lands tails. ``Totals.opportunities`` counts the coin
-    flips of all pairs.
+    ``burn_in`` further kernel steps. The lattice step is n0 one-step draws.
+    Each lattice step draws, in order: a coin uniform per pair; the lattice
+    step of x and x' (of x alone when the set is the whole space, where every
+    unequal pair flips the coin and x' moves only with x); one overlap draw
+    per pair; the residual rounds of the pairs whose coin lands tails.
+    ``Totals.opportunities`` counts the coin flips of all pairs.
     """
-    chain = CHAINS[model]
-    keep = chain.keep(eps)
+    chain, cert = CHAINS[model], CERTIFICATES[model]
+    eps, small_set = cert.epsilon, cert.small_set
     opportunities = 0
+
+    def lattice(rng, x):
+        for _ in range(cert.n0):
+            x = chain.step(rng, x)
+        return x
 
     def start(rng, m):
         xp = chain.stationary(rng, m)
         for _ in range(burn_in):
-            xp = chain.kernel(rng, xp)
+            xp = chain.step(rng, xp)
         return np.full(m, float(x0)), xp
 
     def step(rng, x, xp):
@@ -368,12 +336,13 @@ def continuous_coupling_paths(model: str, n_lat: int, master_seed: int, replicat
         opportunities += int(np.count_nonzero(coin))
         heads = coin & (rng.random(n) < eps)
         tails = coin & ~heads
-        moved = chain.lattice(rng, x if small_set is None else np.concatenate([x, xp]))
-        shared = chain.nu(rng, n)
+        moved = lattice(rng, x if small_set is None else np.concatenate([x, xp]))
+        shared = chain.nu_draw(rng, n)
         new_x = np.where(heads, shared, moved[:n])
         new_xp = np.where(heads, shared, np.where(eq, new_x, moved[-n:]))
         if tails.any():
-            both = residual_draw(rng, np.concatenate([x[tails], xp[tails]]), chain.lattice, keep)
+            both = residual_draw(rng, np.concatenate([x[tails], xp[tails]]), lattice,
+                                 lambda at, z: _keep(chain, eps, at, z))
             new_x[tails], new_xp[tails] = np.split(both, 2)
         return new_x, new_xp
 

@@ -373,7 +373,8 @@ def run_coupling(config: CouplingConfig, on_block=None) -> CouplingResult:
     and the certificate's set for the Metropolis chain, which couples at even
     times with the published lag-2 overlap (odd-time states are not
     recorded). Both continuous chains run one engine,
-    ``engines.continuous_coupling_paths``. Finite chains form the overlap and
+    ``engines.continuous_coupling_paths``, which reads the chain's lag,
+    overlap and small set from ``bounds.CERTIFICATES`` itself. Finite chains form the overlap and
     residual rows of a pair from the float n0-step rows when it flips the
     coin, after an exact check that the certificate leaves no residual
     negative; the pairwise variant's overlap is the normalized minimum of the
@@ -385,7 +386,6 @@ def run_coupling(config: CouplingConfig, on_block=None) -> CouplingResult:
     """
     n_steps = config.n_max // config.effective_n0()
     run = (n_steps, config.master_seed, config.replications, config.record_every)
-    eps = config.effective_epsilon()
     pi = None
     if config.model == "finite":
         from ..finite_chain import ProbVector, stationary
@@ -394,11 +394,11 @@ def run_coupling(config: CouplingConfig, on_block=None) -> CouplingResult:
         mu0 = config.initial_law or ProbVector.delta(config.matrix.size, 0)
         step_rows, nu, in_small = _finite_arrays(config)
         totals = engines.finite_coupling_paths(
-            *run, mu0.to_floats(), pi.to_floats(), step_rows, eps, nu, in_small, on_block
+            *run, mu0.to_floats(), pi.to_floats(), step_rows, config.effective_epsilon(),
+            nu, in_small, on_block,
         )
     else:
         totals = engines.continuous_coupling_paths(
-            config.model, *run, config.x0, eps, CERTIFICATES[config.model].small_set,
-            config.burn_in, on_block,
+            config.model, *run, config.x0, config.burn_in, on_block
         )
     return _summarize(config, totals, pi)

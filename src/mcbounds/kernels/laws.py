@@ -2,17 +2,22 @@
 
 Densities, atom masses, one-step samplers and exact stationary samplers of
 the one-dimensional chains, each evaluated per element of its (broadcast)
-array arguments, and the particle chain's target on arrays of states. The
-kernels, the quadrature verifiers and the coupling engines all use these
-functions; they are the only samplers of the half-line and Metropolis chains.
-Samplers draw from the ``np.random.Generator`` they are given.
+array arguments, and the particle chain's target on arrays of states.
+``CHAINS`` gathers each one-dimensional chain into one ``Chain`` record,
+keyed like ``bounds.CERTIFICATES``: the quadrature verifiers read its
+densities and the coupling engine its samplers, so these are the only
+samplers of the half-line and Metropolis chains. Samplers draw from the
+``np.random.Generator`` they are given.
 """
 
 from __future__ import annotations
 
 import math
+from typing import Callable, NamedTuple
 
 import numpy as np
+
+from ..bounds import RWM_STEP_RADIUS
 
 SQRT_TWO_PI = math.sqrt(2.0 * math.pi)
 
@@ -132,13 +137,60 @@ def rwm_step(rng, x: np.ndarray) -> np.ndarray:
     return np.where((gap >= 0.0) | (u[1] < np.exp(gap)), y, x)
 
 
-def rwm_two_steps(rng, x: np.ndarray) -> np.ndarray:
-    return rwm_step(rng, rwm_step(rng, x))
-
-
 def rwm_stationary(rng, m: int) -> np.ndarray:
     """m exact draws from the Metropolis target exp(-|x|) / 2, Laplace(0, 1)."""
     return rng.laplace(0.0, 1.0, m)
+
+
+class Chain(NamedTuple):
+    """A built-in one-dimensional chain, by its densities and its samplers.
+
+    The first four fields are the kernel the quadrature verifiers read, each
+    taking numpy arrays of states: the absolutely continuous part of a step,
+    the rejection mass left at the current point, the two ends of each
+    state's one-step support and a row of integrand kinks per state. The
+    n0-step density and the overlap density nu are those of the chain's
+    certificate in ``bounds.CERTIFICATES``, split as
+    P^n0(x, .) = eps nu + (1 - eps) R(x, .); the coupling engine draws from
+    the last three fields, and its lattice step is n0 one-step draws.
+    """
+
+    transition_density: Callable  # (x, y)
+    atom_mass: Callable  # (x)
+    window: Callable  # (x): (lo, hi)
+    breakpoints: Callable  # (x): shape x.shape + (kinks,)
+    step_density: Callable  # (x, z): absolutely continuous part of the n0-step law
+    nu_density: Callable  # (y)
+    stationary: Callable  # (rng, m): m exact draws from pi
+    step: Callable  # (rng, x): one kernel step from each state
+    nu_draw: Callable  # (rng, m): m draws from nu
+
+
+# keyed like bounds.CERTIFICATES, whose split each record's densities follow
+CHAINS = {
+    "halfline": Chain(
+        transition_density=hl_density,
+        atom_mass=lambda x: np.zeros(np.shape(x)),
+        window=lambda x: (np.zeros(np.shape(x)), np.full(np.shape(x), math.inf)),
+        breakpoints=lambda x: np.empty(np.shape(x) + (0,)),
+        step_density=hl_density,
+        nu_density=hl_nu_density,
+        stationary=hl_stationary,
+        step=hl_step,
+        nu_draw=lambda rng, m: rng.exponential(0.5, m),
+    ),
+    "rwm-laplace": Chain(
+        transition_density=rwm_density,
+        atom_mass=rwm_atom,
+        window=lambda x: (x - RWM_STEP_RADIUS, x + RWM_STEP_RADIUS),
+        breakpoints=lambda x: np.stack([np.zeros(np.shape(x)), np.abs(x), -np.abs(x)], -1),
+        step_density=rwm_two_step_density,
+        nu_density=rwm_nu_density,
+        stationary=rwm_stationary,
+        step=rwm_step,
+        nu_draw=lambda rng, m: 2.0 * rng.random(m) - 1.0,
+    ),
+}
 
 
 # ---------------------------------------------------------------------------

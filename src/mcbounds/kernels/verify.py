@@ -21,7 +21,7 @@ import numpy as np
 
 from ..bounds import UnivariateDrift
 from ..errors import InputError, QuadratureError
-from .chains import Kernel
+from .laws import Chain
 
 __all__ = [
     "DriftVerificationReport",
@@ -192,7 +192,7 @@ def _chunks(n: int, pieces: int):
         yield np.arange(start, min(start + step, n))
 
 
-def _expected_values(kernel: Kernel, V, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _expected_values(kernel: Chain, V, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """E[V(next) | x] and its quadrature error estimate, per state of ``x``."""
     density = kernel.transition_density
     lo, hi = kernel.window(x)
@@ -200,7 +200,7 @@ def _expected_values(kernel: Kernel, V, x: np.ndarray) -> tuple[np.ndarray, np.n
     return cont + kernel.atom_mass(x) * V(x), err
 
 
-def _two_step_densities(kernel: Kernel, x: np.ndarray, y: np.ndarray):
+def _two_step_densities(kernel: Chain, x: np.ndarray, y: np.ndarray):
     """Absolutely continuous two-step density at each pair (x, y), numerically."""
     density = kernel.transition_density
     lo_x, hi_x = kernel.window(x)
@@ -217,7 +217,7 @@ def _two_step_densities(kernel: Kernel, x: np.ndarray, y: np.ndarray):
 
 
 def verify_univariate_drift(
-    kernel: Kernel,
+    kernel: Chain,
     drift: UnivariateDrift,
     probe_grid: Sequence[float],
     tolerance: float = 1e-6,
@@ -248,7 +248,7 @@ def verify_univariate_drift(
 
 
 def verify_minorization_numeric(
-    kernel: Kernel,
+    kernel: Chain,
     lag: int,
     epsilon: float,
     nu_density: Callable,

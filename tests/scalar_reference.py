@@ -84,6 +84,10 @@ def rwm_two_step_density(x: float, z: float) -> float:
     return rwm_conv2(x, z) + rwm_atom(x) * p_xz + p_xz * rwm_atom(z)
 
 
+def rwm_nu_density(y: float) -> float:
+    return 0.5 if abs(y) <= 1.0 else 0.0
+
+
 def pp_log_target(state, c: float, d: float) -> float:
     """Particle log target -c * sum |x_i| - d * sum 1/|x_i - x_j|, -inf on
     coincident particles; ``state`` is (x1, y1, x2, y2, x3, y3)."""

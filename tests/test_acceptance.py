@@ -37,7 +37,6 @@ from mcbounds.finite_chain import (
     stationary,
 )
 from mcbounds.kernels import laws
-from mcbounds.kernels.chains import halfline_mixture_kernel, metropolis_rwm_laplace
 from mcbounds.kernels.verify import (
     verify_minorization_numeric,
     verify_univariate_drift,
@@ -128,7 +127,7 @@ def test_criterion_05_exact_tv_dominated_by_both_bounds(grid):
 
 
 def test_criterion_06_halfline_overlap_and_crossing():
-    kernel = halfline_mixture_kernel()
+    kernel = laws.CHAINS["halfline"]
     verif = verify_minorization_numeric(
         kernel,
         lag=1,
@@ -198,7 +197,7 @@ def test_criterion_08_laplace_two_term_pipeline():
 
 
 def test_criterion_09_drift_verification():
-    kernel = metropolis_rwm_laplace()
+    kernel = laws.CHAINS["rwm-laplace"]
     verif = verify_univariate_drift(
         kernel,
         presets.laplace_drift(),

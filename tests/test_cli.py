@@ -1016,6 +1016,27 @@ class TestModeOptions:
         _, report = run_cli(capsys, "simulate", "--halfline", "--x0", "-0.0", *sim)
         assert math.copysign(1.0, report["config"]["x0"]) == -1.0
 
+    @pytest.mark.parametrize("argv,exponent,plain", [
+        (["simulate", "--rwm-laplace", "--n-max", "10", "--reps", "5", "--x0"], "-1e1", "-10"),
+        (["verify", "drift", "--grid-hi", "4", "--grid-step", "0.5", "--grid-lo"], "-4e0", "-4"),
+    ], ids=["x0", "grid-lo"])
+    def test_negative_number_in_exponent_form_is_a_value(self, capsys, argv, exponent, plain):
+        # argparse's own negative-number pattern has no exponent, so it once
+        # read -1e1 as an option and refused the line
+        assert main([*argv, exponent]) == 0
+        out = capsys.readouterr().out
+        assert main([*argv, plain]) == 0
+        assert out == capsys.readouterr().out
+
+    @pytest.mark.parametrize("value,echo", [("-inf", "-inf"), ("-Infinity", "-inf"),
+                                            ("-nan", "nan")])
+    def test_negative_non_finite_value_is_refused_as_not_finite(self, capsys, value, echo):
+        argv = ["simulate", "--rwm-laplace", "--n-max", "4", "--reps", "5", "--x0", value]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"mcbounds: error: start point x0 must be finite, got {echo}\n"
+
 
 class TestOutputs:
     @pytest.mark.parametrize("argv", [
@@ -1233,7 +1254,7 @@ class TestOutputs:
 
 
 FINITE_AND_KERNEL_LAYERS = (
-    "mcbounds.finite_chain", "mcbounds.kernels.chains", "mcbounds.kernels.verify", "numpy.ma",
+    "mcbounds.finite_chain", "mcbounds.kernels.verify", "numpy.ma",
 )
 
 
@@ -1361,7 +1382,7 @@ class TestStartup:
         (["--grid", "2x2"], FINITE_AND_KERNEL_LAYERS[1:]),
     ], ids=["halfline", "rwm-laplace", "grid"])
     def test_simulate_loads_only_the_layers_its_model_runs(self, argv, unused):
-        # the engines need kernels.laws alone; the chains, the verifiers and
+        # the engines need kernels.laws alone; the verifiers and
         # numpy.ma (loaded by np.quantile) cost start-up time and do nothing
         argv = ["simulate", "--n-max", "4", "--reps", "20", "--seed", "1", *argv]
         out = self.run_script(
@@ -1369,6 +1390,22 @@ class TestStartup:
             "from mcbounds.cli import main\n"
             "with contextlib.redirect_stdout(io.StringIO()):\n"
             f"    assert main({argv!r}) == 0\n"
+            f"print(sorted(m for m in {unused!r} if m in sys.modules))\n"
+        )
+        assert out.strip() == "[]"
+
+    @pytest.mark.parametrize("argv", [
+        ["minorization", "--preset", "halfline", "--probe-step", "1"],
+        ["drift"],
+    ], ids=["minorization-halfline", "drift"])
+    def test_verify_loads_no_coupling_or_finite_chain_code(self, argv):
+        # laws.CHAINS carries the samplers too, but they need no engine
+        unused = ("mcbounds.coupling", "mcbounds.finite_chain")
+        out = self.run_script(
+            "import contextlib, io\n"
+            "from mcbounds.cli import main\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            f"    assert main({['verify', *argv]!r}) == 0\n"
             f"print(sorted(m for m in {unused!r} if m in sys.modules))\n"
         )
         assert out.strip() == "[]"

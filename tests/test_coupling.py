@@ -407,9 +407,12 @@ class TestContinuousOverlapBounds:
             )
 
     def test_halfline_epsilon_one_no_longer_samples_silently(self):
-        # with eps = 1 the acceptance 1 - nu/p is negative near 0
-        keep = engines._hl_keep(1.0)
-        assert keep(np.zeros(1), np.zeros(1))[0] < 0
+        # with eps = 1 the acceptance 1 - nu/p is negative near 0; z = x is
+        # the atom, always kept, so the probe sits off it
+        def keep(x, z):
+            return engines._keep(laws.CHAINS["halfline"], 1.0, x, z)
+
+        assert keep(np.zeros(1), np.full(1, 0.01))[0] < 0
         with pytest.raises(MathError):
             engines.residual_draw(np.random.default_rng(0), np.zeros(4096),
                                   laws.hl_step, keep)
@@ -452,12 +455,30 @@ class TestArrayKernels:
             [sref.hl_nu_density(b) for b in hy.tolist()], rel=1e-14)
 
     def test_halfline_acceptance_matches_the_scalar_formula(self):
+        # off the diagonal z = x, where the atom is always kept
         x = np.linspace(0.0, 5.0, 50)
-        z = np.linspace(0.0, 8.0, 50)
-        got = engines._hl_keep(0.4)(x, z)
+        z = np.linspace(0.01, 8.0, 50)
+        got = engines._keep(laws.CHAINS["halfline"], 0.4, x, z)
         want = [1.0 - 0.4 * sref.hl_nu_density(b) / sref.hl_density(a, b)
                 for a, b in zip(x, z)]
         assert got == pytest.approx(want, rel=1e-12)
+
+    @pytest.mark.parametrize("model", ["halfline", "rwm-laplace"])
+    def test_acceptance_is_the_scalar_formula_off_the_atom(self, model):
+        chain, eps = laws.CHAINS[model], CERTIFICATES[model].epsilon
+        rng = np.random.default_rng(17)
+        if model == "halfline":
+            x, z = rng.uniform(0.0, 5.0, 200), rng.uniform(0.0, 8.0, 200)
+            nu, p_n0, nowhere = sref.hl_nu_density, sref.hl_density, 400.0
+        else:
+            x, z = rng.uniform(-2.0, 2.0, 200), rng.uniform(-1.0, 1.0, 200)
+            nu, p_n0, nowhere = sref.rwm_nu_density, sref.rwm_two_step_density, 1.5
+        want = [1.0 - eps * nu(b) / p_n0(a, b) for a, b in zip(x.tolist(), z.tolist())]
+        assert engines._keep(chain, eps, x, z) == pytest.approx(want, rel=1e-12, abs=1e-12)
+        # the n0-step atom z = x and a draw where nu is 0 are always kept
+        assert chain.nu_density(np.array(nowhere)) == 0.0
+        assert np.all(engines._keep(chain, eps, x, x.copy()) == 1.0)
+        assert np.all(engines._keep(chain, eps, x, np.full_like(x, nowhere)) == 1.0)
 
     def test_halfline_step_law(self):
         x = 1.0
@@ -471,7 +492,8 @@ class TestArrayKernels:
         # at eps = 1/2 the residual (p - nu/2) / (1/2) is exactly the half-normal part
         x = 0.5
         z = engines.residual_draw(
-            np.random.default_rng(5), np.full(100_000, x), laws.hl_step, engines._hl_keep(0.5)
+            np.random.default_rng(5), np.full(100_000, x), laws.hl_step,
+            lambda x, z: engines._keep(laws.CHAINS["halfline"], 0.5, x, z),
         )
         scale = x + 1.0
         law = lambda t: np.array([math.erf(v / (scale * math.sqrt(2))) for v in t])
@@ -494,8 +516,9 @@ class TestArrayKernels:
         # an overlap above the published one, still below the two-step density
         x, eps, lo, hi = 0.5, 0.07, -1.0, 0.0
         w = engines.residual_draw(
-            np.random.default_rng(7), np.full(100_000, x), laws.rwm_two_steps,
-            engines._rwm_keep(eps),
+            np.random.default_rng(7), np.full(100_000, x),
+            lambda rng, x: laws.rwm_step(rng, laws.rwm_step(rng, x)),
+            lambda x, w: engines._keep(laws.CHAINS["rwm-laplace"], eps, x, w),
         )
         mass, _ = quad(lambda v: sref.rwm_two_step_density(x, v), lo, hi, points=[-0.5])
         want = (mass - eps * 0.5 * (hi - lo)) / (1.0 - eps)
@@ -884,7 +907,7 @@ class TestContinuousEngine:
     (None: the whole space) deciding where the coin is flipped."""
 
     def test_one_chain_per_certificate(self):
-        assert engines.CHAINS.keys() == CERTIFICATES.keys()
+        assert laws.CHAINS.keys() == CERTIFICATES.keys()
 
     def test_config_refuses_another_model(self):
         with pytest.raises(InputError, match="unknown model 'laplace'"):
@@ -894,10 +917,9 @@ class TestContinuousEngine:
     def coin_run(model, x0):
         """Totals of a seeded run recording every step, its paths, and the
         unequal pairs summed over the steps before the last."""
-        cert, reps = CERTIFICATES[model], 300
-        blocks = []
+        reps, blocks = 300, []
         totals = engines.continuous_coupling_paths(
-            model, 12, 3, reps, 1, x0, cert.epsilon, cert.small_set, 0,
+            model, 12, 3, reps, 1, x0, 0,
             lambda first, xs, xps: blocks.append((xs.copy(), xps.copy())),
         )
         xs, xps = map(np.concatenate, zip(*blocks))

@@ -26,10 +26,6 @@ from mcbounds.bounds import (
 from mcbounds import presets
 from mcbounds.errors import ContainmentError, InputError, QuadratureError
 from mcbounds.kernels import laws, verify
-from mcbounds.kernels.chains import (
-    halfline_mixture_kernel,
-    metropolis_rwm_laplace,
-)
 from mcbounds.kernels.verify import (
     batch_quad,
     verify_minorization_numeric,
@@ -102,12 +98,12 @@ def laplace_cdf(q):
 
 @pytest.fixture(scope="module")
 def halfline():
-    return halfline_mixture_kernel()
+    return laws.CHAINS["halfline"]
 
 
 @pytest.fixture(scope="module")
 def rwm():
-    return metropolis_rwm_laplace()
+    return laws.CHAINS["rwm-laplace"]
 
 
 class TestHalflineDensity:
@@ -246,7 +242,7 @@ class TestMinorizationVerification:
             xs, ys = np.array(xs) * 0.25, np.array(ys) * 0.25
         elif model == "independence":
             # a density free of x and a constant nu, as a library caller may pass
-            kernel = dataclasses.replace(halfline, transition_density=lambda x, y: np.exp(-y))
+            kernel = halfline._replace(transition_density=lambda x, y: np.exp(-y))
             nu = lambda y: 1.0
             xs, ys = np.array(xs) * 0.25, np.array(ys) * 0.25
         else:
