@@ -77,7 +77,11 @@ RWM_STEP_RADIUS = 2.0
 class _Record:
     """Base of the immutable validating records: fields are the subclass's
     ``__slots__``, stored once by ``_fill`` and read-only afterwards; equality
-    (same class only), hashing and repr go by the fields in slot order."""
+    (same class only), hashing and repr go by the fields in slot order.
+
+    The package declares a record in one of two ways: a subclass of this
+    base when ``__init__`` checks its fields, a ``typing.NamedTuple`` when it
+    is a plain bundle of values."""
 
     __slots__ = ()
 

@@ -139,10 +139,12 @@ def _replacing(path):
     return replacing()
 
 
-def _prepare_outputs(args) -> None:
+def _prepare_outputs(args) -> list:
     """Refuse CSV tables without ``--output`` and create the ``--output``
     directory, before any command runs, so a bad output choice costs no
-    work. The files themselves are written through ``_replacing``."""
+    work; return the directories this created, deepest first. The files
+    themselves are written through ``_replacing``."""
+    from itertools import takewhile
     from pathlib import Path
 
     from .errors import InputError
@@ -150,12 +152,14 @@ def _prepare_outputs(args) -> None:
     if args.output is None:
         if args.format != "json" and not getattr(args, "tableless", False):
             raise InputError(f"--format {args.format} requires --output DIR")
-    else:
-        outdir = Path(args.output)
-        try:
-            outdir.mkdir(parents=True, exist_ok=True)
-        except OSError as exc:
-            raise InputError(f"cannot create {outdir}: {exc.strerror}") from exc
+        return []
+    outdir = Path(args.output)
+    try:
+        created = list(takewhile(lambda d: not d.exists(), (outdir, *outdir.parents)))
+        outdir.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise InputError(f"cannot create {outdir}: {exc.strerror}") from exc
+    return created
 
 
 class _Report:
@@ -391,19 +395,27 @@ def main(argv=None) -> int:
 
     from .errors import InputError, McbError
 
+    created = []
     try:
         _check_ranges(args)
-        _prepare_outputs(args)
+        created = _prepare_outputs(args)
         command = import_module(f".commands.{args.command}", __package__)
         report, code = command.run(args)
         _emit(report, args)
         return code
     except InputError as exc:
         print(f"mcbounds: error: {exc}", file=sys.stderr)
-        return 2
+        code = 2
     except McbError as exc:
         print(f"mcbounds: {exc}", file=sys.stderr)
-        return 3
+        code = 3
+    # a refused run takes back the --output directories it made, while empty
+    for directory in created:
+        try:
+            directory.rmdir()
+        except OSError:
+            break
+    return code
 
 
 if __name__ == "__main__":

@@ -70,9 +70,12 @@ def run(args) -> tuple[_Report, int]:
     # t2
     from .. import presets
 
-    inputs, provenance = presets.laplace_drift_minorization_inputs(expected_h=args.expected_h)
     check_n = LAPLACE_SCHEDULE[0] if args.check_n is None else args.check_n
     check_j = LAPLACE_SCHEDULE[1] if args.check_j is None else args.check_j
+    if not 1 <= check_j <= check_n:
+        raise InputError(f"--check-j must be in 1..--check-n, got --check-j {check_j} "
+                         f"with --check-n {check_n}")
+    inputs, provenance = presets.laplace_drift_minorization_inputs(expected_h=args.expected_h)
     opt = optimize_drift_minorization(inputs, args.delta)
     bound_at_crossing = opt.value_at(opt.crossing)
     config = {

@@ -13,13 +13,12 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
-from typing import TYPE_CHECKING, Sequence
+from typing import TYPE_CHECKING, NamedTuple, Sequence
 
 import numpy as np
 
 from ..errors import CertificateError, InputError
-from ..bounds import CERTIFICATES, MAX_CURVE_POINTS
+from ..bounds import CERTIFICATES, MAX_CURVE_POINTS, _Record
 from . import engines
 
 if TYPE_CHECKING:
@@ -41,8 +40,7 @@ __all__ = [
 MAX_HALFLINE_START = 1e100
 
 
-@dataclass(frozen=True)
-class CouplingConfig:
+class CouplingConfig(_Record):
     """Everything a coupling run needs; immutable and fully seed-determined.
 
     ``model`` selects the chain: "finite" (supply ``matrix``, ``cert``, and an
@@ -58,55 +56,51 @@ class CouplingConfig:
     lattice points, the cap on bound curves.
     """
 
-    model: str
-    n_max: int
-    replications: int
-    master_seed: int
-    matrix: StochasticMatrix | None = None
-    cert: MinorizationCert | None = None
-    initial_law: ProbVector | None = None
-    x0: float = 0.0
-    burn_in: int = 0
-    record_every: int = 1
+    __slots__ = ("model", "n_max", "replications", "master_seed", "matrix", "cert",
+                 "initial_law", "x0", "burn_in", "record_every")
 
-    def __post_init__(self) -> None:
-        if self.model != "finite" and self.model not in CERTIFICATES:
-            raise InputError(f"unknown model {self.model!r}")
-        if self.master_seed < 0:
-            raise InputError(
-                f"master seed must be a non-negative integer, got {self.master_seed}"
-            )
-        if not math.isfinite(self.x0):
-            raise InputError(f"start point x0 must be finite, got {self.x0}")
-        if self.burn_in < 0:
-            raise InputError(f"burn_in must be >= 0, got {self.burn_in}")
-        if self.replications < 1:
+    def __init__(self, model: str, n_max: int, replications: int, master_seed: int,
+                 matrix: StochasticMatrix | None = None, cert: MinorizationCert | None = None,
+                 initial_law: ProbVector | None = None, x0: float = 0.0, burn_in: int = 0,
+                 record_every: int = 1) -> None:
+        # filled first: the budget check reads the lag through effective_n0()
+        self._fill(model, n_max, replications, master_seed, matrix, cert, initial_law,
+                   x0, burn_in, record_every)
+        if model != "finite" and model not in CERTIFICATES:
+            raise InputError(f"unknown model {model!r}")
+        if master_seed < 0:
+            raise InputError(f"master seed must be a non-negative integer, got {master_seed}")
+        if not math.isfinite(x0):
+            raise InputError(f"start point x0 must be finite, got {x0}")
+        if burn_in < 0:
+            raise InputError(f"burn_in must be >= 0, got {burn_in}")
+        if replications < 1:
             raise InputError("replications must be >= 1")
-        if self.n_max < 0:
+        if n_max < 0:
             raise InputError("n_max must be >= 0")
-        if self.record_every < 1:
+        if record_every < 1:
             raise InputError("record_every must be >= 1")
-        if self.model == "finite":
-            if self.matrix is None or self.cert is None:
+        if model == "finite":
+            if matrix is None or cert is None:
                 raise InputError("finite model requires matrix and cert")
-            if self.initial_law is not None and self.initial_law.size != self.matrix.size:
+            if initial_law is not None and initial_law.size != matrix.size:
                 raise InputError("initial law size does not match the matrix")
-        if self.model == "halfline" and not 0 <= self.x0 <= MAX_HALFLINE_START:
+        if model == "halfline" and not 0 <= x0 <= MAX_HALFLINE_START:
             raise InputError(
-                f"half-line start must be in [0, {MAX_HALFLINE_START:g}], got {self.x0}"
+                f"half-line start must be in [0, {MAX_HALFLINE_START:g}], got {x0}"
             )
-        steps = 1 + self.burn_in + self.n_max // self.effective_n0()
-        work = engines.pair_steps(self.replications, steps)
+        n_lat = n_max // self.effective_n0()
+        work = engines.pair_steps(replications, 1 + burn_in + n_lat)
         if work > engines.MAX_PAIR_STEPS:
             shrink = ["fewer replications (--reps)", "a smaller n_max (--n-max)"]
-            if self.burn_in:
+            if burn_in:
                 shrink.append("a shorter burn_in (--burn-in)")
             raise InputError(
                 f"{work} pair-steps exceed the work budget of "
                 f"{engines.MAX_PAIR_STEPS}; pass {', '.join(shrink[:-1])} "
                 f"or {shrink[-1]}"
             )
-        points = self.n_max // self.effective_n0() // self.record_every + 1
+        points = n_lat // record_every + 1
         if points > MAX_CURVE_POINTS:
             raise InputError(
                 f"a run recording {points} lattice points exceeds the cap of "
@@ -140,8 +134,7 @@ class CouplingConfig:
         return CERTIFICATES[self.model].epsilon
 
 
-@dataclass(frozen=True)
-class TvEstimate:
+class TvEstimate(NamedTuple):
     """Plug-in total variation between empirical frequencies and a reference.
 
     ``noise_floor`` is the expected value of the estimator when the true
@@ -158,7 +151,8 @@ def empirical_tv(counts: Sequence[int], reference: Sequence[float]) -> TvEstimat
     """Half-L1 distance of empirical state counts from reference probabilities.
 
     The standard error is a leave-one-out jackknife over samples, grouped by
-    state for O(states^2) work.
+    state: row t of one (states, states) array is the frequency vector with
+    one sample of state t left out, for O(states^2) work and memory.
     """
     counts = np.asarray(counts, dtype=np.int64)
     ref = np.asarray(reference, dtype=float)
@@ -169,14 +163,11 @@ def empirical_tv(counts: Sequence[int], reference: Sequence[float]) -> TvEstimat
         raise InputError("need at least two samples")
     freq = counts / total
     value = 0.5 * float(np.abs(freq - ref).sum())
-    loo = np.empty(len(counts))
-    for t in range(len(counts)):
-        if counts[t] == 0:
-            loo[t] = 0.0
-            continue
-        adjusted = counts.astype(float).copy()
-        adjusted[t] -= 1.0
-        loo[t] = 0.5 * float(np.abs(adjusted / (total - 1) - ref).sum())
+    # each row sums in the order of a sum over one vector, so every entry is
+    # the float that vector's sum gives
+    rows = np.tile(np.abs(counts / (total - 1) - ref), (counts.size, 1))
+    np.fill_diagonal(rows, np.abs((counts - 1) / (total - 1) - ref))
+    loo = np.where(counts > 0, 0.5 * rows.sum(axis=1), 0.0)
     weights = counts / total
     mean_loo = float((weights * loo).sum())
     var = float((weights * (loo - mean_loo) ** 2).sum()) * (total - 1)
@@ -187,8 +178,7 @@ def empirical_tv(counts: Sequence[int], reference: Sequence[float]) -> TvEstimat
     return TvEstimate(value=value, se=se, noise_floor=floor)
 
 
-@dataclass(frozen=True)
-class CouplingResult:
+class CouplingResult(NamedTuple):
     """Per-lattice coupling statistics of a run.
 
     ``lattice`` lists chain-step indices, and every per-point tuple follows
@@ -215,33 +205,13 @@ class CouplingResult:
     opportunities_mean: float | None
 
     def to_jsonable(self) -> dict:
-        out = {
-            "model": self.model,
-            "mode": self.mode,
-            "n0": self.n0,
-            "epsilon": self.epsilon,
-            "replications": self.replications,
-            "master_seed": self.master_seed,
-            "n_max": self.n_max,
-            "lattice": list(self.lattice),
-            "p_neq": list(self.p_neq),
-            "p_neq_se": list(self.p_neq_se),
-            "coupling_time_mean": self.coupling_time_mean,
-            "coupling_time_quantiles": {q: v for q, v in self.coupling_time_quantiles},
-            "uncoupled": self.uncoupled,
-        }
+        """The fields as JSON values; a field that is None is left out, except
+        ``coupling_time_mean``."""
+        out = {name: value for name, value in self._asdict().items()
+               if value is not None or name == "coupling_time_mean"}
+        out["coupling_time_quantiles"] = dict(self.coupling_time_quantiles)
         if self.tv is not None:
-            out["tv"] = [
-                {"value": t.value, "se": t.se, "noise_floor": t.noise_floor}
-                for t in self.tv
-            ]
-        if self.marginal_counts is not None:
-            out["marginal_counts"] = [list(row) for row in self.marginal_counts]
-            out["marginal_counts_prime"] = [
-                list(row) for row in self.marginal_counts_prime
-            ]
-        if self.opportunities_mean is not None:
-            out["opportunities_mean"] = self.opportunities_mean
+            out["tv"] = [t._asdict() for t in self.tv]
         return out
 
 

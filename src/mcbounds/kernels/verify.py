@@ -14,8 +14,7 @@ engineering checks, not proofs.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -78,8 +77,7 @@ _EPMACH = float(np.finfo(float).eps)
 _UFLOW = float(np.finfo(float).tiny)
 
 
-@dataclass(frozen=True)
-class DriftVerificationReport:
+class DriftVerificationReport(NamedTuple):
     """Pointwise comparison of E[V(next)] against lam*V + b on the small set."""
 
     grid: tuple[float, ...]
@@ -90,8 +88,7 @@ class DriftVerificationReport:
     passed: bool
 
 
-@dataclass(frozen=True)
-class MinorizationVerificationReport:
+class MinorizationVerificationReport(NamedTuple):
     """Worst margin of p^(lag)(x, y) - eps * nu(y) over the probe grid."""
 
     min_margin: float

@@ -1,20 +1,57 @@
 """Whole-matrix reference for the coupling statistics that the engines stream.
 
-``run_with_paths`` collects a run's recorded states block by block through
+``rebuilt`` builds a config again with some fields changed, so the new one
+is checked as any other. ``run_with_paths`` collects a run's recorded states block by block through
 ``run_coupling``'s ``on_block`` consumer. ``reference_summary`` is the
 summary as it was computed from the full replications x lattice matrices:
 ``p_neq`` as one minus the column means of ``xs == xps``, marginal counts as
 column ``bincount``s, and the coupling-time mean and quantiles from the
-sorted per-replication coupling steps.
+sorted per-replication coupling steps. ``loop_empirical_tv`` is the
+jackknife of ``empirical_tv`` as one sum per left-out state.
 """
 
 from __future__ import annotations
 
-import dataclasses
+import math
 
 import numpy as np
 
-from mcbounds.coupling import CouplingResult, empirical_tv, run_coupling
+from mcbounds.coupling import (
+    CouplingConfig,
+    CouplingResult,
+    TvEstimate,
+    empirical_tv,
+    run_coupling,
+)
+
+
+def rebuilt(config, **changes):
+    """``config`` with ``changes``, built and checked again."""
+    fields = {name: getattr(config, name) for name in config.__slots__}
+    return CouplingConfig(**{**fields, **changes})
+
+
+def loop_empirical_tv(counts, reference):
+    """``empirical_tv`` with its leave-one-out distances summed state by state."""
+    counts = np.asarray(counts, dtype=np.int64)
+    ref = np.asarray(reference, dtype=float)
+    total = int(counts.sum())
+    value = 0.5 * float(np.abs(counts / total - ref).sum())
+    loo = np.empty(len(counts))
+    for t in range(len(counts)):
+        if counts[t] == 0:
+            loo[t] = 0.0
+            continue
+        adjusted = counts.astype(float).copy()
+        adjusted[t] -= 1.0
+        loo[t] = 0.5 * float(np.abs(adjusted / (total - 1) - ref).sum())
+    weights = counts / total
+    mean_loo = float((weights * loo).sum())
+    var = float((weights * (loo - mean_loo) ** 2).sum()) * (total - 1)
+    floor = 0.5 * math.sqrt(2.0 / math.pi) * float(
+        np.sqrt(ref * (1.0 - ref) / total).sum()
+    )
+    return TvEstimate(value=value, se=math.sqrt(max(var, 0.0)), noise_floor=floor)
 
 
 def run_with_paths(config):
@@ -107,7 +144,7 @@ def reference_summary(config, xs, xps, couple_at, opportunities, finite_referenc
 def reference_for(config, small_set=None, finite_reference=None):
     """``reference_summary`` of ``config``, from the paths of the same run
     recorded at every lattice point and thinned to ``config.record_every``."""
-    _, xs, xps = run_with_paths(dataclasses.replace(config, record_every=1))
+    _, xs, xps = run_with_paths(rebuilt(config, record_every=1))
     opportunities = None if small_set is None else coin_opportunities(xs, xps, small_set)
     every = config.record_every
     return reference_summary(

@@ -449,6 +449,21 @@ class TestBound:
         assert code == 0
         assert (report["config"]["check_n"], report["config"]["check_j"]) == LAPLACE_SCHEDULE
 
+    @pytest.mark.parametrize("options,j,n", [
+        (["--check-n", "0"], 274, 0),
+        (["--check-j", "0"], 0, 120_000),
+        (["--check-j", "200000"], 200_000, 120_000),
+        (["--check-n", "5", "--check-j", "6"], 6, 5),
+    ])
+    def test_t2_check_j_outside_1_to_check_n_is_refused(self, capsys, options, j, n):
+        assert main(["bound", "t2", *options]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            f"mcbounds: error: --check-j must be in 1..--check-n, "
+            f"got --check-j {j} with --check-n {n}\n"
+        )
+
     def test_t2_fallback_expected_h(self, capsys):
         code, report = run_cli(
             capsys, "bound", "t2", "--expected-h", "fallback"
@@ -1115,6 +1130,27 @@ class TestOutputs:
 
         assert _nonfinite_key(value) == key
 
+    @pytest.mark.parametrize("argv,code", [
+        (["simulate", "--grid", "3x3", "--n0", "1"], 3),  # no pseudo overlap at lag 1
+        (["finite", "tv-exact", "--grid", "3x3", "--n0", "0", "--format", "both"], 2),
+    ], ids=["simulate-exit-3", "tv-exact-exit-2"])
+    def test_refused_run_takes_back_the_output_directories_it_made(
+        self, capsys, tmp_path, argv, code
+    ):
+        new = tmp_path / "new" / "deeper"
+        assert main([*argv, "--output", str(new)]) == code
+        assert capsys.readouterr().err.count("\n") == 1
+        assert list(tmp_path.iterdir()) == []
+        # a directory that was there before the run is left as it was
+        kept = tmp_path / "kept"
+        kept.mkdir()
+        assert main([*argv, "--output", str(kept)]) == code
+        assert kept.is_dir() and list(kept.iterdir()) == []
+        (kept / "notes.txt").write_text("mine\n")
+        assert main([*argv, "--output", str(kept / "sub")]) == code
+        capsys.readouterr()
+        assert [p.name for p in kept.iterdir()] == ["notes.txt"]
+
     def test_csv_without_output_dir_exits_2(self, capsys):
         code, _ = run_cli(
             capsys, "finite", "tv-exact", "--grid", "3x3", "--format", "csv"
@@ -1377,13 +1413,14 @@ class TestStartup:
         assert (tmp_path / "bound-t1-curve.csv").is_file()
 
     @pytest.mark.parametrize("argv,unused", [
-        (["--halfline", "--burn-in", "5"], FINITE_AND_KERNEL_LAYERS),
-        (["--rwm-laplace", "--burn-in", "5"], FINITE_AND_KERNEL_LAYERS),
-        (["--grid", "2x2"], FINITE_AND_KERNEL_LAYERS[1:]),
+        (["--halfline", "--burn-in", "5"], (*FINITE_AND_KERNEL_LAYERS, "dataclasses")),
+        (["--rwm-laplace", "--burn-in", "5"], (*FINITE_AND_KERNEL_LAYERS, "dataclasses")),
+        (["--grid", "2x2"], (*FINITE_AND_KERNEL_LAYERS[1:], "dataclasses")),
     ], ids=["halfline", "rwm-laplace", "grid"])
     def test_simulate_loads_only_the_layers_its_model_runs(self, argv, unused):
-        # the engines need kernels.laws alone; the verifiers and
-        # numpy.ma (loaded by np.quantile) cost start-up time and do nothing
+        # the engines need kernels.laws alone; the verifiers, numpy.ma
+        # (loaded by np.quantile) and dataclasses cost start-up time and do
+        # nothing
         argv = ["simulate", "--n-max", "4", "--reps", "20", "--seed", "1", *argv]
         out = self.run_script(
             "import contextlib, io\n"
@@ -1400,7 +1437,7 @@ class TestStartup:
     ], ids=["minorization-halfline", "drift"])
     def test_verify_loads_no_coupling_or_finite_chain_code(self, argv):
         # laws.CHAINS carries the samplers too, but they need no engine
-        unused = ("mcbounds.coupling", "mcbounds.finite_chain")
+        unused = ("mcbounds.coupling", "mcbounds.finite_chain", "dataclasses")
         out = self.run_script(
             "import contextlib, io\n"
             "from mcbounds.cli import main\n"

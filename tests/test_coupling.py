@@ -1,6 +1,5 @@
 """Coupling simulator: bound dominance, marginal correctness, determinism."""
 
-import dataclasses
 import itertools
 import json
 import math
@@ -12,7 +11,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import fraction_reference as ref
-from coupling_reference import reference_for, run_with_paths
+from coupling_reference import loop_empirical_tv, rebuilt, reference_for, run_with_paths
 from mcbounds.bounds import CERTIFICATES, MAX_CURVE_POINTS
 from mcbounds.coupling import CouplingConfig, empirical_tv, run_coupling
 from mcbounds.coupling import engines
@@ -114,7 +113,7 @@ class TestStreamedSummary:
     )
     def test_same_bytes_as_the_whole_matrix_summary(self, model, reps, steps, every, seed):
         config = small_configs(seed, reps, every)[model]
-        config = dataclasses.replace(config, n_max=steps * config.effective_n0())
+        config = rebuilt(config, n_max=steps * config.effective_n0())
         small = CERTIFICATES["rwm-laplace"].small_set
         want = reference_for(
             config,
@@ -281,7 +280,7 @@ class TestPairChainOracle:
         )
         whole, _ = pair_chain_oracle(config)
         subset, _ = pair_chain_oracle(
-            dataclasses.replace(config, cert=proper_subset_cert(grid))
+            rebuilt(config, cert=proper_subset_cert(grid))
         )
         assert np.all(subset[1:] > whole[1:])
 
@@ -374,11 +373,11 @@ class TestContinuousOverlapBounds:
                                 replications=4096, n_max=2 * MAX_CURVE_POINTS - 1)
         assert len(config.lattice()) == MAX_CURVE_POINTS
         with pytest.raises(InputError, match=f"{MAX_CURVE_POINTS + 1} lattice points.*--record-every"):
-            dataclasses.replace(config, n_max=2 * MAX_CURVE_POINTS)
+            rebuilt(config, n_max=2 * MAX_CURVE_POINTS)
         with pytest.raises(InputError, match="--record-every"):
             CouplingConfig(model="rwm-laplace", master_seed=1, replications=4096,
                            n_max=4 * MAX_CURVE_POINTS)
-        thinned = dataclasses.replace(config, n_max=4 * MAX_CURVE_POINTS - 1, record_every=2)
+        thinned = rebuilt(config, n_max=4 * MAX_CURVE_POINTS - 1, record_every=2)
         assert len(thinned.lattice()) == MAX_CURVE_POINTS
 
     def test_work_budget_counts_blocks_at_a_minimum_width(self):
@@ -556,6 +555,20 @@ class TestEmpiricalTv:
         est = empirical_tv([25, 75], [0.5, 0.5])
         assert est.value == pytest.approx(0.25)
         assert est.se > 0
+
+    @settings(max_examples=200, deadline=None)
+    @example([(1, 1), (1, 1)])
+    @example([(0, 3), (2, 5), (0, 1)])
+    @given(st.lists(st.tuples(st.just(0) | st.integers(0, 10**6), st.integers(1, 1000)),
+                    min_size=1, max_size=300)
+           .filter(lambda pairs: sum(c for c, _ in pairs) >= 2))
+    def test_same_floats_as_the_per_state_loop(self, pairs):
+        # (count, reference weight) per state; zero counts and N = 2 included
+        counts, weights = zip(*pairs)
+        reference = np.array(weights) / sum(weights)
+        got = empirical_tv(counts, reference)
+        want = loop_empirical_tv(counts, reference)
+        assert np.array(got).tobytes() == np.array(want).tobytes()
 
     def test_noise_floor_scale(self):
         # floor for a fair coin with n samples is sqrt(2/(pi n)) / 2 * 2 halves

@@ -1,6 +1,5 @@
 """Continuous kernels: densities, verification routines, sampler correctness."""
 
-import dataclasses
 import json
 import math
 import struct
@@ -207,7 +206,7 @@ class TestMinorizationVerification:
         )
         assert type(report.passed) is bool
         assert type(report.min_margin) is float
-        json.dumps(dataclasses.asdict(report))
+        json.dumps(report._asdict())
 
     @pytest.mark.parametrize("probe_x, probe_y", [
         (np.arange(0.0, 50.0 + 1e-12, 0.05), np.arange(0.0, 50.0 + 1e-12, 0.05)),
@@ -371,7 +370,7 @@ class TestDriftVerification:
         assert type(report.passed) is bool
         assert type(report.max_violation) is float
         assert {type(v) for v in report.lhs + report.rhs} == {float}
-        json.dumps(dataclasses.asdict(report))
+        json.dumps(report._asdict())
 
     def test_understated_constants_fail(self, rwm):
         kernel = rwm

@@ -1,5 +1,5 @@
-"""The record types of the exact layers: construction, validation, immutability,
-equality and hashing."""
+"""The record types: construction, validation, immutability, equality and
+hashing."""
 
 import math
 from fractions import Fraction as F
@@ -14,6 +14,7 @@ from mcbounds.bounds import (
     Interval,
     UnivariateDrift,
 )
+from mcbounds.coupling import CouplingConfig
 from mcbounds.errors import InputError
 from mcbounds.finite_chain import EigenBound, EigenMode, MinorizationCert, ProbVector
 
@@ -46,6 +47,9 @@ RECORDS = [
     (EigenBound, {"coefficient": 1.0, "rate": 0.5,
                   "eigenvalues": (1 + 0j, 0.5 + 0j), "stationary": (0.5, 0.5),
                   "modes": (MODE,)}),
+    (CouplingConfig, {"model": "halfline", "n_max": 6, "replications": 10, "master_seed": 1,
+                      "matrix": None, "cert": None, "initial_law": None, "x0": 0.5,
+                      "burn_in": 3, "record_every": 2}),
 ]
 RECORD_IDS = [cls.__name__ for cls, _ in RECORDS]
 
