@@ -4,11 +4,13 @@ Covers the geometric minorization bound (1-eps)^floor(n/n0), the
 drift-based two-term bound (1-eps)^j + alpha^-n * B^(j-1) * E[h], the
 univariate-to-bivariate drift conversion, and the helpers around them
 (stationary moment bound, B constant, sup-h shortcut, threshold search,
-integer-j optimization), the overlap certificates of the built-in chains,
-which every layer reads from ``CERTIFICATES``, and the step-radius argument
-that settles containment without an integral. Everything here is a pure
-function; large powers are evaluated in log space. The module imports no
-numpy, so the exact commands (``bound t2`` among them) start without it.
+integer-j optimization), the step-radius argument that settles containment
+without an integral, and ``CERTIFICATES``, one record of every numpy-free
+fact about each built-in chain, which every layer reads and from which
+``chain_drift_minorization_inputs`` assembles the two-term bound.
+Everything here is a pure function; large powers are evaluated in log space.
+The module imports no numpy, so the exact commands (``bound t2`` among them)
+start without it.
 """
 
 from __future__ import annotations
@@ -18,6 +20,7 @@ from fractions import Fraction
 from typing import Callable, NamedTuple
 
 from .errors import (
+    ContainmentError,
     DriftConversionError,
     InputError,
     MathError,
@@ -28,6 +31,7 @@ __all__ = [
     "BoundReport",
     "CERTIFICATES",
     "ChainCertificate",
+    "ChainDrift",
     "Interval",
     "UnivariateDrift",
     "BivariateDrift",
@@ -45,11 +49,11 @@ __all__ = [
     "optimize_drift_minorization",
     "point_process_overlap",
     "contained_by_step_radius",
-    "LAPLACE_SCHEDULE",
+    "chain_drift",
+    "chain_drift_minorization_inputs",
     "MAX_CURVE_POINTS",
     "MAX_POWER_BITS",
     "MAX_STEPS",
-    "RWM_STEP_RADIUS",
 ]
 
 # exp() overflows just above this; larger log-terms are reported as +inf
@@ -65,13 +69,6 @@ MAX_POWER_BITS = 1 << 22
 
 # a threshold search gives up, with ThresholdNotReachedError, beyond this n
 MAX_STEPS = 10**9
-
-# reference (n, j) pair at which `bound t2` reports the Metropolis chain's
-# two-term bound, for regression
-LAPLACE_SCHEDULE = (120_000, 274)
-
-# the Metropolis chain's proposals lie within this distance of the state
-RWM_STEP_RADIUS = 2.0
 
 
 class _Record:
@@ -140,29 +137,83 @@ class Interval(_Record):
         return pts
 
 
+class ChainDrift(NamedTuple):
+    """Drift certificate of a built-in chain: E[V(next)] <= lam V(x) + b 1_C(x),
+    C the small set of the chain's overlap certificate.
+
+    ``V`` takes a builtin float or a numpy array, and ``text`` is how the
+    reports print it. V is largest at an end of any interval, so its values
+    at a window's two ends bound it on the window. ``d`` is inf of V off C;
+    the step radius keeps every n0-step path from C inside ``region``; and
+    ``pi_v`` is pi(V), which is E[h] with both chains stationary (from a start
+    x0 it is (V(x0) + pi(V))/2), all analytic. ``bound t2`` reports the
+    two-term bound at the (n, j) of ``schedule``, for regression.
+    """
+
+    V: Callable
+    text: str
+    lam: float
+    b: float
+    d: float
+    region: Interval
+    pi_v: float
+    schedule: tuple[int, int]
+
+
 class ChainCertificate(NamedTuple):
-    """Overlap certificate (C, n0, eps, nu) of a built-in chain.
+    """A built-in chain's numpy-free facts, its overlap certificate first.
 
     From any two states in ``small_set`` (the whole space when None) the
     ``n0``-step laws share mass ``epsilon`` of the measure ``nu``, given here
-    as the text the reports print.
+    as the text the reports print. ``space`` holds the starts a coupling run
+    accepts; every move lies within ``step_radius`` of the state, when that
+    is not None; ``probes`` are the x and y ranges on which ``verify
+    minorization`` checks the overlap (every built-in chain sets them); and
+    ``drift`` is the chain's drift certificate, when it has one.
+    ``kernels.laws.CHAINS`` holds the numpy half of each chain under the
+    same key.
     """
 
     epsilon: float
     n0: int
     nu: str
     small_set: Interval | None = None
+    space: Interval = Interval(-math.inf, math.inf)
+    step_radius: float | None = None
+    probes: tuple[tuple[float, float], tuple[float, float]] | None = None
+    drift: ChainDrift | None = None
 
 
-# published certificates of the built-in continuous chains, keyed by model;
-# the half-line mixture dominates its exponential component everywhere
+def _exp_half_abs(x):
+    """e^{|x|/2}: per element on numpy arrays, a builtin float on a float.
+
+    The bound calculators evaluate V on builtin floats, point by point, and
+    their reports keep the bytes that ``math.exp`` gives.
+    """
+    if isinstance(x, float):
+        return math.exp(abs(x) / 2.0)
+    import numpy as np
+
+    return np.exp(np.abs(x) / 2.0)
+
+
+# the built-in chains, keyed by model; the half-line mixture dominates its
+# exponential component everywhere. The half-line transition density from x
+# divides by 2 (x + 1)^2, which overflows above x = 9.4e153, and a half-normal
+# step moves x to |N(0, 1)| (x + 1), so from a start at most 1e100 the chain
+# would need dozens of consecutive extreme draws to get there. The Metropolis
+# chain's drift function is e^{+|x|/2}: the growing sign is the only one
+# consistent with inf V = e off [-2, 2] and sup V = e^3 on [-6, 6].
 CERTIFICATES = {
-    "halfline": ChainCertificate(epsilon=0.5, n0=1, nu="2*exp(-2y)"),
+    "halfline": ChainCertificate(
+        epsilon=0.5, n0=1, nu="2*exp(-2y)", space=Interval(0.0, 1e100),
+        probes=((0.0, 50.0), (0.0, 50.0)),
+    ),
     "rwm-laplace": ChainCertificate(
-        epsilon=1.0 / (8.0 * math.e**2),
-        n0=2,
-        nu="half of Lebesgue on [-1,1]",
-        small_set=Interval(-2.0, 2.0),
+        epsilon=1.0 / (8.0 * math.e**2), n0=2, nu="half of Lebesgue on [-1,1]",
+        small_set=Interval(-2.0, 2.0), step_radius=2.0, probes=((-2.0, 2.0), (-1.0, 1.0)),
+        drift=ChainDrift(V=_exp_half_abs, text="exp(|x|/2)", lam=0.916, b=0.285, d=math.e,
+                         region=Interval(-6.0, 6.0), pi_v=2.0, schedule=(120_000, 274)),
     ),
 }
 
@@ -421,6 +472,69 @@ def sup_rh_via_containment(
     """
     m = max(V(x) for x in region.grid(probe_step))
     return 0.5 * (m + m)
+
+
+def chain_drift(chain: ChainCertificate, lam: float | None = None,
+                b: float | None = None) -> UnivariateDrift:
+    """The one-chain drift of ``chain``, on its small set, with its own lam
+    and b unless others are given."""
+    drift = chain.drift
+    return UnivariateDrift(
+        V=drift.V,
+        small_set=chain.small_set,
+        lam=drift.lam if lam is None else lam,
+        b=drift.b if b is None else b,
+    )
+
+
+def chain_drift_minorization_inputs(
+    chain: ChainCertificate, expected_h: str = "analytic"
+) -> tuple[DriftMinorizationInputs, dict]:
+    """Assemble the two-term bound constants of a chain with a drift record.
+
+    ``expected_h`` selects the analytic pi(V) of the record or the
+    always-available fallback (1 + b/(1-lam))/2 + 1/2 via the stationary
+    moment bound. Returns the inputs plus a provenance map for reports.
+    Raises ``ContainmentError`` unless the chain's step radius keeps every
+    path from the small set inside the drift's region for the certificate's
+    lag.
+    """
+    drift = chain.drift
+    small_set, region = chain.small_set, drift.region
+    if not contained_by_step_radius(small_set, region, chain.step_radius, chain.n0):
+        raise ContainmentError(
+            f"{chain.n0} steps of at most {chain.step_radius} from [{small_set.lo}, "
+            f"{small_set.hi}] can leave the containment region [{region.lo}, {region.hi}]"
+        )
+    pair = bivariate_from_univariate(chain_drift(chain), d=drift.d)
+    sup_rh = sup_rh_via_containment(drift.V, region, probe_step=0.05)
+    big_b = b_constant(chain.n0, pair.alpha, chain.epsilon, sup_rh)
+    if expected_h == "analytic":
+        eh = drift.pi_v
+        eh_source = "preset (analytic stationary mean)"
+    elif expected_h == "fallback":
+        eh = 0.5 + 0.5 * stationary_moment_bound(drift.lam, drift.b)
+        eh_source = "computed (stationary moment bound)"
+    else:
+        raise InputError(f"expected_h must be 'analytic' or 'fallback', got {expected_h!r}")
+    inputs = DriftMinorizationInputs(
+        epsilon=chain.epsilon,
+        n0=chain.n0,
+        alpha=pair.alpha,
+        big_b=big_b,
+        expected_h=eh,
+    )
+    provenance = {
+        "lam": "preset",
+        "b": "preset",
+        "epsilon": "preset",
+        "d": "preset (analytic infimum)",
+        "alpha_inv": "computed (lam + b/(d+1))",
+        "sup_rh": "computed (sup of h over the containment region)",
+        "B": "computed",
+        "expected_h": eh_source,
+    }
+    return inputs, provenance
 
 
 def drift_minorization_log_terms(inputs: DriftMinorizationInputs, n: int, j: int) -> tuple[float, float]:

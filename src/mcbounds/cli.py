@@ -333,11 +333,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--delta", type=float, default=0.01)
     p.add_argument("--n-max", type=int, help="extend the curve to this n")
     p = add_mode(bound, "t2", "drift/overlap two-term bound")
+    # chain keys spelled out, here and below: parsing loads no bounds (test_parsing_loads_no_layer)
     p.add_argument("--preset", choices=["rwm-laplace"], default="rwm-laplace")
     p.add_argument("--delta", type=float, default=0.01)
     p.add_argument("--expected-h", choices=["analytic", "fallback"], default="analytic",
                    help="use the analytic stationary mean of h or the moment-bound fallback")
-    # the defaults are bounds.LAPLACE_SCHEDULE, which `bound t2` fills in
+    # the defaults are the preset's drift schedule, which `bound t2` fills in
     p.add_argument("--check-n", type=int, help="schedule point: n (default: the preset's, 120000)")
     p.add_argument("--check-j", type=int, help="schedule point: j (default: the preset's, 274)")
 

@@ -6,7 +6,8 @@ import math
 from fractions import Fraction
 
 from ..bounds import (
-    LAPLACE_SCHEDULE,
+    CERTIFICATES,
+    chain_drift_minorization_inputs,
     drift_minorization_bound,
     minorization_crossing,
     minorization_curve,
@@ -68,14 +69,14 @@ def run(args) -> tuple[_Report, int]:
         return report, 0
 
     # t2
-    from .. import presets
-
-    check_n = LAPLACE_SCHEDULE[0] if args.check_n is None else args.check_n
-    check_j = LAPLACE_SCHEDULE[1] if args.check_j is None else args.check_j
+    cert = CERTIFICATES[args.preset]
+    drift = cert.drift
+    check_n = drift.schedule[0] if args.check_n is None else args.check_n
+    check_j = drift.schedule[1] if args.check_j is None else args.check_j
     if not 1 <= check_j <= check_n:
         raise InputError(f"--check-j must be in 1..--check-n, got --check-j {check_j} "
                          f"with --check-n {check_n}")
-    inputs, provenance = presets.laplace_drift_minorization_inputs(expected_h=args.expected_h)
+    inputs, provenance = chain_drift_minorization_inputs(cert, expected_h=args.expected_h)
     opt = optimize_drift_minorization(inputs, args.delta)
     bound_at_crossing = opt.value_at(opt.crossing)
     config = {
@@ -87,9 +88,9 @@ def run(args) -> tuple[_Report, int]:
     }
     results = {
         "constants": {
-            "lam": presets.LAPLACE_LAM,
-            "b": presets.LAPLACE_B,
-            "d": presets.LAPLACE_D,
+            "lam": drift.lam,
+            "b": drift.b,
+            "d": drift.d,
             "epsilon": inputs.epsilon,
             "alpha_inv": 1.0 / inputs.alpha,
             "B": inputs.big_b,

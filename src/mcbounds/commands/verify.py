@@ -7,8 +7,7 @@ import sys
 
 import numpy as np
 
-from .. import presets
-from ..bounds import CERTIFICATES
+from ..bounds import CERTIFICATES, chain_drift
 from ..cli import _Report
 from ..errors import InputError
 from ..kernels.laws import CHAINS
@@ -40,18 +39,19 @@ def _count_text(count: int | float, noun: str) -> str:
     return f"{Decimal(count):.3g} {noun}"
 
 
-def _require_finite_drift(kernel, V, grid) -> None:
-    """Refuse a grid on which V overflows, at a probe state or at an end of
-    its one-step window: there E[V(next)] and lam V(x) would compare
-    infinities. V = exp(|x|/2) grows with |x|, so the ends bound it on the
-    window."""
+def _require_finite_drift(kernel, drift, grid) -> None:
+    """Refuse a grid on which the ``bounds.ChainDrift`` V overflows, at a
+    probe state or at an end of its one-step window: there E[V(next)] and
+    lam V(x) would compare infinities. V is largest at an end of any
+    interval, so the ends bound it on the window."""
+    V = drift.V
     lo, hi = kernel.window(grid)
     with np.errstate(over="ignore"):
         finite = np.isfinite(V(grid)) & np.isfinite(V(lo)) & np.isfinite(V(hi))
     if not finite.all():
         i = int(np.argmin(finite))
         raise InputError(
-            f"V = exp(|x|/2) is not finite on the one-step window [{lo[i]}, "
+            f"V = {drift.text} is not finite on the one-step window [{lo[i]}, "
             f"{hi[i]}] of the probe state {grid[i]}; keep --grid-lo and "
             "--grid-hi nearer to 0"
         )
@@ -71,17 +71,15 @@ def run(args) -> tuple[_Report, int]:
                 f"a drift grid of {_count_text(points, 'points')} exceeds the cap of "
                 f"{MAX_DRIFT_POINTS}; pass a larger --grid-step"
             )
-        kernel = CHAINS[args.preset]
-        lam = args.lam if args.lam is not None else presets.LAPLACE_LAM
-        b = args.b if args.b is not None else presets.LAPLACE_B
-        drift = presets.laplace_drift(lam=lam, b=b)
+        kernel, cert = CHAINS[args.preset], CERTIFICATES[args.preset]
+        drift = chain_drift(cert, args.lam, args.b)
         grid = np.arange(args.grid_lo, args.grid_hi + 1e-12, args.grid_step)
-        _require_finite_drift(kernel, drift.V, grid)
+        _require_finite_drift(kernel, cert.drift, grid)
         verif = verify_univariate_drift(kernel, drift, grid, tolerance=args.tolerance)
         config = {
             "preset": args.preset,
-            "lam": lam,
-            "b": b,
+            "lam": drift.lam,
+            "b": drift.b,
             "grid": [args.grid_lo, args.grid_hi, args.grid_step],
             "tolerance": args.tolerance,
         }
@@ -89,7 +87,7 @@ def run(args) -> tuple[_Report, int]:
             "passed": verif.passed,
             "max_violation": verif.max_violation,
             "quadrature_error_estimate": verif.quadrature_error_estimate,
-            "drift_function": "exp(|x|/2)",
+            "drift_function": cert.drift.text,
             "small_set": [drift.small_set.lo, drift.small_set.hi],
         }
         provenance = {
@@ -101,11 +99,8 @@ def run(args) -> tuple[_Report, int]:
         return report, 0 if verif.passed else 3
 
     # minorization
-    if args.preset == "halfline":
-        x_range = y_range = (0.0, 50.0)
-    else:
-        x_range, y_range = (-2.0, 2.0), (-1.0, 1.0)
     chain, cert = CHAINS[args.preset], CERTIFICATES[args.preset]
+    x_range, y_range = cert.probes
     step = args.probe_step
     pairs = _probe_count(*x_range, step) * _probe_count(*y_range, step)
     if pairs > MAX_PROBE_PAIRS:

@@ -33,19 +33,12 @@ __all__ = [
 ]
 
 
-# largest half-line start: the transition density from x divides by
-# 2 (x + 1)^2, which overflows above x = 9.4e153, and a half-normal step moves
-# x to |N(0, 1)| (x + 1), so from 1e100 the chain would need dozens of
-# consecutive extreme draws to get there
-MAX_HALFLINE_START = 1e100
-
-
 class CouplingConfig(_Record):
     """Everything a coupling run needs; immutable and fully seed-determined.
 
     ``model`` selects the chain: "finite" (supply ``matrix``, ``cert``, and an
-    ``initial_law``) or a key of ``bounds.CERTIFICATES``, "halfline" or
-    "rwm-laplace" (point start ``x0``). The partner chain starts from an
+    ``initial_law``) or a key of ``bounds.CERTIFICATES`` (point start ``x0``,
+    in the chain's ``space``). The partner chain starts from an
     exact stationary draw; for the continuous chains ``burn_in`` further
     kernel steps follow it, which keep its law.
     The lag, the overlap and the coupling mode follow from the finite
@@ -85,10 +78,11 @@ class CouplingConfig(_Record):
                 raise InputError("finite model requires matrix and cert")
             if initial_law is not None and initial_law.size != matrix.size:
                 raise InputError("initial law size does not match the matrix")
-        if model == "halfline" and not 0 <= x0 <= MAX_HALFLINE_START:
-            raise InputError(
-                f"half-line start must be in [0, {MAX_HALFLINE_START:g}], got {x0}"
-            )
+        else:
+            space = CERTIFICATES[model].space
+            if not space.contains(x0):
+                raise InputError(f"start point x0 must be in [{space.lo:g}, {space.hi:g}] "
+                                 f"for the {model} chain, got {x0}")
         n_lat = n_max // self.effective_n0()
         work = engines.pair_steps(replications, 1 + burn_in + n_lat)
         if work > engines.MAX_PAIR_STEPS:

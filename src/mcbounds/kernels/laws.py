@@ -4,10 +4,10 @@ Densities, atom masses, one-step samplers and exact stationary samplers of
 the one-dimensional chains, each evaluated per element of its (broadcast)
 array arguments, and the particle chain's target on arrays of states.
 ``CHAINS`` gathers each one-dimensional chain into one ``Chain`` record,
-keyed like ``bounds.CERTIFICATES``: the quadrature verifiers read its
-densities and the coupling engine its samplers, so these are the only
-samplers of the half-line and Metropolis chains. Samplers draw from the
-``np.random.Generator`` they are given.
+the numpy half of its record in ``bounds.CERTIFICATES``, under the same key:
+the quadrature verifiers read its densities and the coupling engine its
+samplers, so these are the only samplers of the half-line and Metropolis
+chains. Samplers draw from the ``np.random.Generator`` they are given.
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from ..bounds import RWM_STEP_RADIUS
+from ..bounds import CERTIFICATES
 
 SQRT_TWO_PI = math.sqrt(2.0 * math.pi)
 
@@ -182,7 +182,7 @@ CHAINS = {
     "rwm-laplace": Chain(
         transition_density=rwm_density,
         atom_mass=rwm_atom,
-        window=lambda x: (x - RWM_STEP_RADIUS, x + RWM_STEP_RADIUS),
+        window=lambda x, r=CERTIFICATES["rwm-laplace"].step_radius: (x - r, x + r),
         breakpoints=lambda x: np.stack([np.zeros(np.shape(x)), np.abs(x), -np.abs(x)], -1),
         step_density=rwm_two_step_density,
         nu_density=rwm_nu_density,

@@ -13,8 +13,9 @@ import pytest
 
 from mcbounds.bounds import (
     CERTIFICATES,
-    RWM_STEP_RADIUS,
     b_constant,
+    chain_drift,
+    chain_drift_minorization_inputs,
     contained_by_step_radius,
     bivariate_from_univariate,
     stationary_moment_bound,
@@ -41,7 +42,6 @@ from mcbounds.kernels.verify import (
     verify_minorization_numeric,
     verify_univariate_drift,
 )
-from mcbounds import presets
 from verify_points import expected_value_after_step
 
 GOLDEN_PI = (
@@ -159,9 +159,12 @@ def test_criterion_07_particle_chain_overlap_and_crossing():
     )
 
 
+LAPLACE = CERTIFICATES["rwm-laplace"]
+
+
 def test_criterion_08_laplace_two_term_pipeline():
-    drift = presets.laplace_drift()
-    pair = bivariate_from_univariate(drift, d=presets.LAPLACE_D)
+    drift = chain_drift(LAPLACE)
+    pair = bivariate_from_univariate(drift, d=LAPLACE.drift.d)
     alpha_inv = 1.0 / pair.alpha
     assert abs(alpha_inv - 0.9927) <= 5e-4
 
@@ -170,9 +173,9 @@ def test_criterion_08_laplace_two_term_pipeline():
 
     # no two-step path from the small set leaves the region: steps are at most 2
     assert contained_by_step_radius(
-        CERTIFICATES["rwm-laplace"].small_set, presets.LAPLACE_REGION, RWM_STEP_RADIUS, 2
+        LAPLACE.small_set, LAPLACE.drift.region, LAPLACE.step_radius, 2
     )
-    sup_rh = sup_rh_via_containment(drift.V, presets.LAPLACE_REGION, probe_step=0.05)
+    sup_rh = sup_rh_via_containment(drift.V, LAPLACE.drift.region, probe_step=0.05)
     assert sup_rh == pytest.approx(math.e**3, rel=1e-12)
 
     big_b = b_constant(2, pair.alpha, CERTIFICATES["rwm-laplace"].epsilon, sup_rh)
@@ -181,7 +184,7 @@ def test_criterion_08_laplace_two_term_pipeline():
     fallback = stationary_moment_bound(drift.lam, drift.b)
     assert abs(fallback - 3.393) <= 0.001
 
-    inputs, _ = presets.laplace_drift_minorization_inputs(expected_h="analytic")
+    inputs, _ = chain_drift_minorization_inputs(LAPLACE, expected_h="analytic")
     assert inputs.expected_h == 2.0
     value = drift_minorization_bound(inputs, 120_000, 274)
     log_t1, log_t2 = drift_minorization_log_terms(inputs, 120_000, 274)
@@ -200,14 +203,14 @@ def test_criterion_09_drift_verification():
     kernel = laws.CHAINS["rwm-laplace"]
     verif = verify_univariate_drift(
         kernel,
-        presets.laplace_drift(),
+        chain_drift(LAPLACE),
         np.arange(-10.0, 10.0 + 1e-9, 0.05),
         tolerance=1e-6,
     )
     assert verif.passed
     assert verif.max_violation <= 1e-6
-    pv, _ = expected_value_after_step(kernel, presets.laplace_drift_V, 6.0)
-    ratio = pv / presets.laplace_drift_V(6.0)
+    pv, _ = expected_value_after_step(kernel, LAPLACE.drift.V, 6.0)
+    ratio = pv / LAPLACE.drift.V(6.0)
     assert abs(ratio - 0.9159) <= 0.001
     report(
         f"criterion 9: drift inequality holds on [-10,10] step 0.05 "

@@ -6,8 +6,8 @@ from fractions import Fraction as F
 
 import pytest
 
-from mcbounds import presets
 from mcbounds.bounds import (
+    CERTIFICATES,
     MAX_CURVE_POINTS,
     MAX_STEPS,
     Interval,
@@ -15,6 +15,7 @@ from mcbounds.bounds import (
     UnivariateDrift,
     b_constant,
     bivariate_from_univariate,
+    chain_drift_minorization_inputs,
     optimize_drift_minorization,
     stationary_moment_bound,
     steps_to_threshold,
@@ -235,14 +236,15 @@ class TestMomentAndBConstant:
     def test_sup_rh_constant_function(self):
         assert sup_rh_via_containment(lambda x: 1.0, Interval(-6, 6)) == 1.0
 
-    def test_containment_failure_raises(self, monkeypatch):
+    def test_containment_failure_raises(self):
         # two steps of at most 2 from [-2, 2] end in [-6, 6]: a region short
         # of that on either side is refused, one that meets it is accepted
-        assert presets.laplace_drift_minorization_inputs()[0].big_b > 1
+        chain = CERTIFICATES["rwm-laplace"]
+        assert chain_drift_minorization_inputs(chain)[0].big_b > 1
         for region in (Interval(-6.0, 5.9), Interval(-5.9, 6.0)):
-            monkeypatch.setattr(presets, "LAPLACE_REGION", region)
+            short = chain._replace(drift=chain.drift._replace(region=region))
             with pytest.raises(ContainmentError, match="can leave the containment region"):
-                presets.laplace_drift_minorization_inputs()
+                chain_drift_minorization_inputs(short)
 
 
 def laplace_inputs():

@@ -17,7 +17,7 @@ import pytest
 import fraction_reference as ref
 import mcbounds
 from mcbounds import finite_chain
-from mcbounds.bounds import CERTIFICATES, LAPLACE_SCHEDULE
+from mcbounds.bounds import CERTIFICATES
 from mcbounds.cli import build_parser, main
 from mcbounds.finite_chain import build_grid_walk
 
@@ -443,11 +443,12 @@ class TestBound:
         with pytest.raises(SystemExit):
             main(["bound", "t2", "--help"])
         help_text = " ".join(capsys.readouterr().out.split())
-        for value in LAPLACE_SCHEDULE:
+        schedule = CERTIFICATES["rwm-laplace"].drift.schedule
+        for value in schedule:
             assert f"(default: the preset's, {value})" in help_text
         code, report = run_cli(capsys, "bound", "t2")
         assert code == 0
-        assert (report["config"]["check_n"], report["config"]["check_j"]) == LAPLACE_SCHEDULE
+        assert (report["config"]["check_n"], report["config"]["check_j"]) == schedule
 
     @pytest.mark.parametrize("options,j,n", [
         (["--check-n", "0"], 274, 0),
@@ -1459,12 +1460,12 @@ class TestStartup:
             mcbounds.no_such_name
 
     def test_exact_layers_import_no_heavy_module_at_top_level(self):
-        # the modules the exact commands load (presets for `bound t2`); a
-        # top-level numpy (or engine, kernel or preset) import there puts its
-        # start-up cost on every command, and dataclasses loads inspect, ast
-        # and dis, which only numpy's commands load anyway
+        # the modules the exact commands load; a top-level numpy (or engine,
+        # kernel or preset) import there puts its start-up cost on every
+        # command, and dataclasses loads inspect, ast and dis, which only
+        # numpy's commands load anyway
         exact_layers = {
-            "__init__.py", "cli.py", "bounds.py", "finite_chain.py", "errors.py", "presets.py",
+            "__init__.py", "cli.py", "bounds.py", "finite_chain.py", "errors.py",
             "commands/__init__.py", "commands/finite.py", "commands/bound.py",
         }
         heavy = {"numpy", "coupling", "kernels", "presets", "dataclasses"}

@@ -343,13 +343,12 @@ class TestContinuousOverlapBounds:
             )
 
     def test_halfline_start_capped_where_the_density_stays_finite(self):
-        from mcbounds.coupling.runner import MAX_HALFLINE_START
-
+        cap = CERTIFICATES["halfline"].space.hi
         run = dict(model="halfline", n_max=4, replications=10, master_seed=1, burn_in=10)
-        with pytest.raises(InputError, match="half-line start"):
-            CouplingConfig(x0=math.nextafter(MAX_HALFLINE_START, math.inf), **run)
+        with pytest.raises(InputError, match=r"x0 must be in \[0, 1e\+100\] for the halfline"):
+            CouplingConfig(x0=math.nextafter(cap, math.inf), **run)
         with np.errstate(over="raise", invalid="raise"):
-            result = run_coupling(CouplingConfig(x0=MAX_HALFLINE_START, **run))
+            result = run_coupling(CouplingConfig(x0=cap, **run))
         assert all(math.isfinite(p) for p in result.p_neq)
 
     @pytest.mark.parametrize("run", [

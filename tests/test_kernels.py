@@ -16,13 +16,13 @@ from scipy.stats import ks_2samp, kstest
 import scalar_reference as sref
 from mcbounds.bounds import (
     CERTIFICATES,
-    RWM_STEP_RADIUS,
     Interval,
     UnivariateDrift,
+    chain_drift,
+    chain_drift_minorization_inputs,
     contained_by_step_radius,
     point_process_overlap,
 )
-from mcbounds import presets
 from mcbounds.errors import ContainmentError, InputError, QuadratureError
 from mcbounds.kernels import laws, verify
 from mcbounds.kernels.verify import (
@@ -395,21 +395,22 @@ class TestContainment:
         # two moves of at most 2 from [-2, 2] end in [-6, 6], which is how
         # `bound t2` settles containment
         assert contained_by_step_radius(
-            Interval(-2.0, 2.0), Interval(-6.0, 6.0), RWM_STEP_RADIUS, 2
+            Interval(-2.0, 2.0), Interval(-6.0, 6.0), CERTIFICATES["rwm-laplace"].step_radius, 2
         )
 
     def test_preset_refuses_where_the_step_radius_does_not_settle_it(self, monkeypatch):
         # two steps from [-2, 2] reach -6, below this region: the t2
         # constants refuse the region without integrating
         region = Interval(-5.0, 5.5)
-        monkeypatch.setattr(presets, "LAPLACE_REGION", region)
+        chain = CERTIFICATES["rwm-laplace"]
+        chain = chain._replace(drift=chain.drift._replace(region=region))
         monkeypatch.setattr(verify, "batch_quad", None)  # any integral fails
         with pytest.raises(
             ContainmentError,
             match=r"2 steps of at most 2.0 from \[-2.0, 2.0\] can leave the "
             r"containment region \[-5.0, 5.5\]",
         ):
-            presets.laplace_drift_minorization_inputs()
+            chain_drift_minorization_inputs(chain)
 
 
 def scipy_integral(f, lo, hi, pts=()):
@@ -553,8 +554,8 @@ class TestBatchQuad:
         # reports of one unbounded pass with the per-node sums: qk21 treats
         # each piece on its own, and a point's pieces are summed left to
         # right (repr tells every float's bits)
-        drift = presets.laplace_drift()
         cert = CERTIFICATES["rwm-laplace"]
+        drift = chain_drift(cert)
 
         def reports():
             return repr((
@@ -580,7 +581,7 @@ class TestBatchQuad:
         # the drift states `verify drift` admits under the preset V, and the
         # lag-2 pairs of the Metropolis overlap check: one qk21 pass meets
         # QUADPACK's test at every one, or batch_quad raises
-        verify._expected_values(rwm, presets.laplace_drift().V, np.array(states))
+        verify._expected_values(rwm, CERTIFICATES["rwm-laplace"].drift.V, np.array(states))
         x, y = np.meshgrid(xs, ys, indexing="ij")
         verify._two_step_densities(rwm, x.ravel(), y.ravel())
 

@@ -10,6 +10,7 @@ from mcbounds.bounds import (
     BivariateDrift,
     BoundReport,
     ChainCertificate,
+    ChainDrift,
     DriftMinorizationInputs,
     Interval,
     UnivariateDrift,
@@ -29,12 +30,17 @@ def h(x, y):
 
 HALVES = ProbVector((F(1, 2), F(1, 2)))
 MODE = EigenMode(0.5 + 0j, 0.25, 0.5)
+DRIFT = {"V": V, "text": "exp(|x|/2)", "lam": 0.916, "b": 0.285, "d": math.e,
+         "region": Interval(-6.0, 6.0), "pi_v": 2.0, "schedule": (120_000, 274)}
 
 # each record with a valid value for every field, in declaration order
 RECORDS = [
     (Interval, {"lo": -2.0, "hi": 2.0}),
+    (ChainDrift, DRIFT),
     (ChainCertificate, {"epsilon": 0.5, "n0": 1, "nu": "2*exp(-2y)",
-                        "small_set": Interval(0.0, 1.0)}),
+                        "small_set": Interval(0.0, 1.0), "space": Interval(0.0, 1e100),
+                        "step_radius": 2.0, "probes": ((0.0, 50.0), (0.0, 50.0)),
+                        "drift": ChainDrift(**DRIFT)}),
     (BoundReport, {"ns": (0, 1), "values": (F(1), F(1, 2)), "crossing": 1, "js": (1, 1)}),
     (UnivariateDrift, {"V": V, "small_set": Interval(-2.0, 2.0), "lam": 0.916, "b": 0.285}),
     (BivariateDrift, {"h": h, "small_set": Interval(-2.0, 2.0), "alpha": 1.007}),
@@ -98,6 +104,9 @@ def test_repr_shows_each_field_value():
 class TestDefaults:
     def test_optional_fields(self):
         assert ChainCertificate(0.5, 1, "nu").small_set is None
+        chain = ChainCertificate(0.5, 1, "nu")
+        assert chain.space == Interval(-math.inf, math.inf)
+        assert (chain.step_radius, chain.probes, chain.drift) == (None, None, None)
         report = BoundReport((0,), (1.0,))
         assert (report.crossing, report.js) == (None, None)
         cert = MinorizationCert("pseudo", (0, 1), 1, F(1, 2), argmin_pairs=((0, 1),))
