@@ -250,12 +250,15 @@ def _emit(report: _Report, args) -> None:
 def _dump_trajectories(out, lattice, first: int, xs, xps) -> None:
     """Write the ``--trajectories`` CSV rows of one block of replications to
     the text file ``out``: row r of the recorded states ``xs``/``xps``
-    (replications x ``lattice`` points) is replication ``first + r``. The
-    header goes before the first block's rows."""
+    (replications x ``lattice`` points) is replication ``first + r``. Grid
+    states are written 1-based, as every report labels them. The header goes
+    before the first block's rows."""
     import numpy as np
 
-    value = "%d" if np.issubdtype(xs.dtype, np.integer) else _FLOAT_FMT
-    line = f"%d,%d,{value},{value},%d\n"
+    if np.issubdtype(xs.dtype, np.integer):
+        line, xs, xps = "%d,%d,%d,%d,%d\n", xs + 1, xps + 1
+    else:
+        line = f"%d,%d,{_FLOAT_FMT},{_FLOAT_FMT},%d\n"
     if first == 0:
         out.write("replication,n,x,x_prime,coupled\n")
     for r, (x_row, xp_row) in enumerate(zip(xs, xps), first):

@@ -3,15 +3,11 @@
 from .runner import (
     CouplingConfig,
     CouplingResult,
-    TvEstimate,
-    empirical_tv,
     run_coupling,
 )
 
 __all__ = [
     "CouplingConfig",
     "CouplingResult",
-    "TvEstimate",
-    "empirical_tv",
     "run_coupling",
 ]

@@ -11,13 +11,12 @@ totals, never a state per replication and slot.
 
 from __future__ import annotations
 
-import itertools
 import math
-from typing import TYPE_CHECKING, NamedTuple, Sequence
+from typing import TYPE_CHECKING, NamedTuple
 
 import numpy as np
 
-from ..errors import CertificateError, InputError
+from ..errors import InputError
 from ..bounds import CERTIFICATES, MAX_CURVE_POINTS, _Record
 from . import engines
 
@@ -27,8 +26,6 @@ if TYPE_CHECKING:
 __all__ = [
     "CouplingConfig",
     "CouplingResult",
-    "TvEstimate",
-    "empirical_tv",
     "run_coupling",
 ]
 
@@ -128,56 +125,15 @@ class CouplingConfig(_Record):
         return CERTIFICATES[self.model].epsilon
 
 
-class TvEstimate(NamedTuple):
-    """Plug-in total variation between empirical frequencies and a reference.
-
-    ``noise_floor`` is the expected value of the estimator when the true
-    distance is zero (pure multinomial noise); comparisons against other
-    estimates must allow for it on top of the jackknife standard error.
-    """
-
-    value: float
-    se: float
-    noise_floor: float
-
-
-def empirical_tv(counts: Sequence[int], reference: Sequence[float]) -> TvEstimate:
-    """Half-L1 distance of empirical state counts from reference probabilities.
-
-    The standard error is a leave-one-out jackknife over samples, grouped by
-    state: row t of one (states, states) array is the frequency vector with
-    one sample of state t left out, for O(states^2) work and memory.
-    """
-    counts = np.asarray(counts, dtype=np.int64)
-    ref = np.asarray(reference, dtype=float)
-    if counts.shape != ref.shape:
-        raise InputError(f"shape mismatch: {counts.shape} vs {ref.shape}")
-    total = int(counts.sum())
-    if total < 2:
-        raise InputError("need at least two samples")
-    freq = counts / total
-    value = 0.5 * float(np.abs(freq - ref).sum())
-    # each row sums in the order of a sum over one vector, so every entry is
-    # the float that vector's sum gives
-    rows = np.tile(np.abs(counts / (total - 1) - ref), (counts.size, 1))
-    np.fill_diagonal(rows, np.abs((counts - 1) / (total - 1) - ref))
-    loo = np.where(counts > 0, 0.5 * rows.sum(axis=1), 0.0)
-    weights = counts / total
-    mean_loo = float((weights * loo).sum())
-    var = float((weights * (loo - mean_loo) ** 2).sum()) * (total - 1)
-    se = math.sqrt(max(var, 0.0))
-    floor = 0.5 * math.sqrt(2.0 / math.pi) * float(
-        np.sqrt(ref * (1.0 - ref) / total).sum()
-    )
-    return TvEstimate(value=value, se=se, noise_floor=floor)
-
-
 class CouplingResult(NamedTuple):
     """Per-lattice coupling statistics of a run.
 
     ``lattice`` lists chain-step indices, and every per-point tuple follows
-    it. Coupling times are in chain steps. The result keeps no paths: pass
-    ``on_block`` to ``run_coupling`` to see them.
+    it. Coupling times are in chain steps. ``tv_exact`` is the distance to
+    stationarity TV_n = |mu0 P^n - pi|_TV of a finite chain at each point,
+    which the coupling inequality puts at or below P(T > n); it is None for
+    the continuous chains. The result keeps no paths: pass ``on_block`` to
+    ``run_coupling`` to see them.
     """
 
     model: str
@@ -190,7 +146,7 @@ class CouplingResult(NamedTuple):
     lattice: tuple[int, ...]
     p_neq: tuple[float, ...]
     p_neq_se: tuple[float, ...]
-    tv: tuple[TvEstimate, ...] | None
+    tv_exact: tuple[float, ...] | None
     marginal_counts: tuple[tuple[int, ...], ...] | None
     marginal_counts_prime: tuple[tuple[int, ...], ...] | None
     coupling_time_mean: float | None
@@ -204,48 +160,41 @@ class CouplingResult(NamedTuple):
         out = {name: value for name, value in self._asdict().items()
                if value is not None or name == "coupling_time_mean"}
         out["coupling_time_quantiles"] = dict(self.coupling_time_quantiles)
-        if self.tv is not None:
-            out["tv"] = [t._asdict() for t in self.tv]
         return out
 
 
 def _finite_arrays(config: CouplingConfig):
     """``(step_rows, nu, in_small)`` of the finite engine: the n0-step matrix
-    in floats, the uniform certificate's overlap law (None for the pairwise
-    one) and the small-set mask. The engine flips the coin only when both
-    chains sit in the small set C, so the certificate is checked on C's rows
-    alone, in exact integers: one that claims more overlap than those rows
-    have, by any amount, leaves a residual negative and is refused. A uniform
-    one is refused where eps nu exceeds the smallest entry of a column over
-    C's rows, a pairwise one at the first pair of C whose rows overlap by
-    less than eps."""
-    from fractions import Fraction
+    in floats, checked exactly against the certificate
+    (``finite_chain._certified_power``), the uniform certificate's overlap
+    law (None for the pairwise one) and the small-set mask."""
+    from ..finite_chain import _certified_power
 
-    from ..finite_chain import _common_denominator, matrix_power
-
-    cert, eps = config.cert, config.cert.epsilon
-    pn0 = matrix_power(config.matrix, cert.n0)  # memoized: the finder formed it already
-    rows = pn0._num
-    nu = None
-    if cert.variant == "uniform":
-        weights, total = _common_denominator(cert.nu.entries)
-        columns = zip(*(rows[i] for i in cert.small_set))
-        # eps w / total <= a / den for every entry a of column j, in integers
-        for j, (a, w) in enumerate(zip(map(min, columns), weights)):
-            if a * eps.denominator * total < eps.numerator * w * pn0._den:
-                raise CertificateError(f"residual is negative at state {j}: epsilon "
-                                       f"{eps} times nu({j}) exceeds a {cert.n0}-step law")
-        nu = cert.nu.to_floats()
-    else:
-        for x, xp in itertools.combinations(cert.small_set, 2):
-            overlap = sum(map(min, rows[x], rows[xp]))
-            if overlap * eps.denominator < eps.numerator * pn0._den:
-                raise CertificateError(
-                    f"residual is negative for pair ({x}, {xp}): epsilon {eps} exceeds its "
-                    f"{cert.n0}-step overlap {Fraction(overlap, pn0._den)}")
+    cert = config.cert
+    pn0 = _certified_power(config.matrix, cert)
+    nu = cert.nu.to_floats() if cert.variant == "uniform" else None
     in_small = np.zeros(pn0.size, bool)
     in_small[list(cert.small_set)] = True
     return pn0.to_floats(), nu, in_small
+
+
+def _tv_exact(config: CouplingConfig, mu0: np.ndarray, pi: np.ndarray) -> tuple[float, ...]:
+    """TV_n = 1/2 |mu0 P^n - pi|_1 at each recorded lattice point, in floats.
+
+    The law is carried one chain step at a time through the nonzero entries
+    of P, which on a grid walk costs O(states) a step rather than the
+    O(states^2) of a product with the n0-step rows.
+    """
+    p = config.matrix.to_floats()
+    i, j = np.nonzero(p)
+    weights = p[i, j]
+    law, at, tv = mu0, 0, []
+    for n in config.lattice():
+        for _ in range(n - at):
+            law = np.bincount(j, law[i] * weights, pi.size)
+        at = n
+        tv.append(0.5 * float(np.abs(law - pi).sum()))
+    return tuple(tv)
 
 
 def _quantile(at_rank, n: int, q: float) -> float:
@@ -268,9 +217,10 @@ def _quantile(at_rank, n: int, q: float) -> float:
 def _summarize(
     config: CouplingConfig,
     totals: engines.Totals,
-    finite_reference: ProbVector | None,
+    tv_exact: tuple[float, ...] | None,
 ) -> CouplingResult:
-    """Statistics of an engine run from its ``Totals``.
+    """Statistics of an engine run from its ``Totals``, with a finite chain's
+    ``tv_exact``.
 
     Every count is an exact integer, so each mean is the correctly rounded
     quotient that numpy's mean over the per-replication values gives. The
@@ -281,14 +231,10 @@ def _summarize(
     p_neq = 1.0 - totals.coupled / reps
     p_se = np.sqrt(p_neq * (1.0 - p_neq) / reps)
 
-    tv = None
     counts = counts_prime = None
-    if finite_reference is not None:
+    if totals.counts is not None:
         counts = tuple(map(tuple, totals.counts.tolist()))
         counts_prime = tuple(map(tuple, totals.counts_prime.tolist()))
-        if reps >= 2:  # the jackknife needs at least two samples
-            ref = finite_reference.to_floats()
-            tv = tuple(empirical_tv(row, ref) for row in counts)
 
     ranks = np.cumsum(totals.couple_hist)
     coupled = int(ranks[-1])
@@ -314,7 +260,7 @@ def _summarize(
         lattice=config.lattice(),
         p_neq=tuple(p_neq.tolist()),
         p_neq_se=tuple(p_se.tolist()),
-        tv=tv,
+        tv_exact=tv_exact,
         marginal_counts=counts,
         marginal_counts_prime=counts_prime,
         coupling_time_mean=mean_time,
@@ -342,7 +288,7 @@ def run_coupling(config: CouplingConfig, on_block=None) -> CouplingResult:
     residual rows of a pair from the float n0-step rows when it flips the
     coin, after an exact check that the certificate leaves no residual
     negative; the pairwise variant's overlap is the normalized minimum of the
-    pair's two rows.
+    pair's two rows. A finite run also reports ``tv_exact`` (``_tv_exact``).
 
     ``on_block(first, xs, xps)``, if given, receives each block's recorded
     states as the block ends (see ``engines._lockstep``): at most
@@ -350,19 +296,19 @@ def run_coupling(config: CouplingConfig, on_block=None) -> CouplingResult:
     """
     n_steps = config.n_max // config.effective_n0()
     run = (n_steps, config.master_seed, config.replications, config.record_every)
-    pi = None
+    tv_exact = None
     if config.model == "finite":
         from ..finite_chain import ProbVector, stationary
 
-        pi = stationary(config.matrix)
-        mu0 = config.initial_law or ProbVector.delta(config.matrix.size, 0)
+        pi = stationary(config.matrix).to_floats()
+        mu0 = (config.initial_law or ProbVector.delta(config.matrix.size, 0)).to_floats()
         step_rows, nu, in_small = _finite_arrays(config)
         totals = engines.finite_coupling_paths(
-            *run, mu0.to_floats(), pi.to_floats(), step_rows, config.effective_epsilon(),
-            nu, in_small, on_block,
+            *run, mu0, pi, step_rows, config.effective_epsilon(), nu, in_small, on_block,
         )
+        tv_exact = _tv_exact(config, mu0, pi)
     else:
         totals = engines.continuous_coupling_paths(
             config.model, *run, config.x0, config.burn_in, on_block
         )
-    return _summarize(config, totals, pi)
+    return _summarize(config, totals, tv_exact)

@@ -31,6 +31,7 @@ from typing import TYPE_CHECKING, Iterable, NamedTuple, Sequence
 
 from .bounds import BoundReport, _Record
 from .errors import (
+    CertificateError,
     IllConditionedEigenbasisError,
     InputError,
     MathError,
@@ -571,6 +572,37 @@ def minorization_pseudo(P: StochasticMatrix, n0: int) -> MinorizationCert | None
         epsilon=Fraction(best, pn._den),
         argmin_pairs=tuple(pairs),
     )
+
+
+def _certified_power(P: StochasticMatrix, cert: MinorizationCert) -> StochasticMatrix:
+    """``P^n0`` once ``cert`` is checked on it, in exact integers.
+
+    A coupling flips its coin only when both chains sit in the small set C,
+    so the certificate is checked on C's rows alone: one that claims more
+    overlap than those rows have, by any amount, leaves a residual negative
+    and raises ``CertificateError``. A uniform one is refused where eps nu
+    exceeds the smallest entry of a column over C's rows, a pairwise one at
+    the first pair of C whose rows overlap by less than eps.
+    """
+    eps, n0 = cert.epsilon, cert.n0
+    pn = matrix_power(P, n0)  # memoized: the finder formed it already
+    rows = pn._num
+    if cert.variant == "uniform":
+        weights, total = _common_denominator(cert.nu.entries)
+        columns = zip(*(rows[i] for i in cert.small_set))
+        # eps w / total <= a / den for every entry a of column j, in integers
+        for j, (a, w) in enumerate(zip(map(min, columns), weights)):
+            if a * eps.denominator * total < eps.numerator * w * pn._den:
+                raise CertificateError(f"residual is negative at state {j}: epsilon "
+                                       f"{eps} times nu({j}) exceeds a {n0}-step law")
+    else:
+        for x, xp in itertools.combinations(cert.small_set, 2):
+            overlap = sum(map(min, rows[x], rows[xp]))
+            if overlap * eps.denominator < eps.numerator * pn._den:
+                raise CertificateError(
+                    f"residual is negative for pair ({x}, {xp}): epsilon {eps} exceeds its "
+                    f"{n0}-step overlap {Fraction(overlap, pn._den)}")
+    return pn
 
 
 class EigenMode(NamedTuple):

@@ -6,52 +6,22 @@ is checked as any other. ``run_with_paths`` collects a run's recorded states blo
 summary as it was computed from the full replications x lattice matrices:
 ``p_neq`` as one minus the column means of ``xs == xps``, marginal counts as
 column ``bincount``s, and the coupling-time mean and quantiles from the
-sorted per-replication coupling steps. ``loop_empirical_tv`` is the
-jackknife of ``empirical_tv`` as one sum per left-out state.
+sorted per-replication coupling steps. ``tv_exact`` is not streamed, so the
+reference takes it from the run (``TestGridCoupling`` pins it to the exact
+curve).
 """
 
 from __future__ import annotations
 
-import math
-
 import numpy as np
 
-from mcbounds.coupling import (
-    CouplingConfig,
-    CouplingResult,
-    TvEstimate,
-    empirical_tv,
-    run_coupling,
-)
+from mcbounds.coupling import CouplingConfig, CouplingResult, run_coupling
 
 
 def rebuilt(config, **changes):
     """``config`` with ``changes``, built and checked again."""
     fields = {name: getattr(config, name) for name in config.__slots__}
     return CouplingConfig(**{**fields, **changes})
-
-
-def loop_empirical_tv(counts, reference):
-    """``empirical_tv`` with its leave-one-out distances summed state by state."""
-    counts = np.asarray(counts, dtype=np.int64)
-    ref = np.asarray(reference, dtype=float)
-    total = int(counts.sum())
-    value = 0.5 * float(np.abs(counts / total - ref).sum())
-    loo = np.empty(len(counts))
-    for t in range(len(counts)):
-        if counts[t] == 0:
-            loo[t] = 0.0
-            continue
-        adjusted = counts.astype(float).copy()
-        adjusted[t] -= 1.0
-        loo[t] = 0.5 * float(np.abs(adjusted / (total - 1) - ref).sum())
-    weights = counts / total
-    mean_loo = float((weights * loo).sum())
-    var = float((weights * (loo - mean_loo) ** 2).sum()) * (total - 1)
-    floor = 0.5 * math.sqrt(2.0 / math.pi) * float(
-        np.sqrt(ref * (1.0 - ref) / total).sum()
-    )
-    return TvEstimate(value=value, se=math.sqrt(max(var, 0.0)), noise_floor=floor)
 
 
 def run_with_paths(config):
@@ -82,10 +52,11 @@ def coin_opportunities(xs, xps, small_set):
     return coin[:, :-1].sum(axis=1)
 
 
-def reference_summary(config, xs, xps, couple_at, opportunities, finite_reference):
+def reference_summary(config, xs, xps, couple_at, opportunities, tv_exact):
     """The statistics of ``config`` from whole matrices: ``xs``/``xps`` hold its
     recorded lattice points, ``couple_at`` the exact lattice step of coupling
-    per replication and ``opportunities`` the coin chances per replication."""
+    per replication, ``opportunities`` the coin chances per replication and
+    ``tv_exact`` the run's exact distances (None for a continuous chain)."""
     reps = config.replications
     n0 = config.effective_n0()
     n_steps = config.n_max // n0
@@ -96,11 +67,9 @@ def reference_summary(config, xs, xps, couple_at, opportunities, finite_referenc
     p_neq = 1.0 - eq.mean(axis=0)
     p_se = np.sqrt(p_neq * (1.0 - p_neq) / reps)
 
-    tv = None
     counts = counts_prime = None
-    if finite_reference is not None:
-        ref = finite_reference.to_floats()
-        size = len(ref)
+    if config.model == "finite":
+        size = config.matrix.size
         counts = tuple(
             tuple(int(c) for c in np.bincount(xs[:, k], minlength=size))
             for k in range(xs.shape[1])
@@ -109,8 +78,6 @@ def reference_summary(config, xs, xps, couple_at, opportunities, finite_referenc
             tuple(int(c) for c in np.bincount(xps[:, k], minlength=size))
             for k in range(xps.shape[1])
         )
-        if reps >= 2:
-            tv = tuple(empirical_tv(row, ref) for row in counts)
 
     coupled = couple_steps[couple_steps >= 0]
     quantiles = ()
@@ -129,7 +96,7 @@ def reference_summary(config, xs, xps, couple_at, opportunities, finite_referenc
         lattice=lattice,
         p_neq=tuple(float(v) for v in p_neq),
         p_neq_se=tuple(float(v) for v in p_se),
-        tv=tv,
+        tv_exact=tv_exact,
         marginal_counts=counts,
         marginal_counts_prime=counts_prime,
         coupling_time_mean=float(coupled.mean()) if coupled.size else None,
@@ -141,13 +108,14 @@ def reference_summary(config, xs, xps, couple_at, opportunities, finite_referenc
     )
 
 
-def reference_for(config, small_set=None, finite_reference=None):
+def reference_for(config, small_set=None):
     """``reference_summary`` of ``config``, from the paths of the same run
     recorded at every lattice point and thinned to ``config.record_every``."""
-    _, xs, xps = run_with_paths(rebuilt(config, record_every=1))
+    run, xs, xps = run_with_paths(rebuilt(config, record_every=1))
     opportunities = None if small_set is None else coin_opportunities(xs, xps, small_set)
     every = config.record_every
+    tv_exact = None if run.tv_exact is None else run.tv_exact[::every]
     return reference_summary(
         config, xs[:, ::every], xps[:, ::every], first_coupling_steps(xs, xps),
-        opportunities, finite_reference,
+        opportunities, tv_exact,
     )

@@ -530,6 +530,8 @@ class TestSimulate:
         assert code == 0
         if report["results"]["p_neq"][1] == 1.0:
             assert report.get("warnings")
+        # the exact distance needs no second replication
+        assert len(report["results"]["tv_exact"]) == len(report["results"]["lattice"]) == 5
 
     def test_trajectory_dump(self, tmp_path, capsys):
         traj = tmp_path / "paths.csv"
@@ -545,6 +547,17 @@ class TestSimulate:
         lines = traj.read_text().splitlines()
         assert lines[0] == "replication,n,x,x_prime,coupled"
         assert len(lines) == 1 + 5 * 4  # header + reps * lattice points
+
+    def test_grid_trajectories_label_states_1_based(self, capsys, tmp_path):
+        traj = tmp_path / "paths.csv"
+        code, report = run_cli(
+            capsys, "simulate", "--grid", "3x3", "--reps", "2", "--n-max", "2",
+            "--trajectories", str(traj),
+        )
+        assert code == 0
+        rows = [line.split(",") for line in traj.read_text().splitlines()[1:]]
+        starts = [int(x) for _, n, x, _, _ in rows if n == "0"]
+        assert starts == [report["config"]["start"]] * 2
 
     @pytest.mark.parametrize(
         "model,every,lattice",
@@ -593,9 +606,9 @@ class TestSimulate:
 
     @pytest.mark.parametrize("argv,stdout_digest,traj_digest", [
         (["--grid", "3x3", "--cert", "pseudo", "--n-max", "12", "--reps", "500"],
-         "7c035fdd21abeacc1fb6ed913d39a930d49daafcdd3d27d4b946f2d36d38af10", None),
+         "87fe37cc31fc22579ba8dad4c1ef0a9dec8a45b9c0c350aba81e81176488b793", None),
         (["--grid", "3x3", "--cert", "uniform", "--n-max", "12", "--reps", "500"],
-         "c26cadcf5022834be455f0a22dc3b2739e89b2d72e8f6c4242eb57419a80d64b", None),
+         "72a9d9ed1809dcc6a72a2e02ea1f16d38460c297d34fd6f8eb6b406d716291e0", None),
         (["--halfline", "--n-max", "6", "--reps", "300", "--burn-in", "50"],
          "410490dd181de2e2a36d1e517fcf71852afa75f47f6c12d9cd0e579c57a9fa6f", None),
         (["--rwm-laplace", "--n-max", "40", "--reps", "50", "--burn-in", "50",
@@ -606,15 +619,15 @@ class TestSimulate:
          "65998f447006604c3df54929d8b16ec341602e2f73836d96e900e442d7dde656",
          "d233a22a2698de5c351c3d00650c5af9836164cdade52eb98341fb29b7b64efa"),
         (["--grid", "3x3", "--cert", "pseudo", "--n-max", "12", "--reps", "500"],
-         "7c035fdd21abeacc1fb6ed913d39a930d49daafcdd3d27d4b946f2d36d38af10",
-         "fc51cec4a79489f9d043a536e9620e6187b86a4ce7336e66a6d97c2d69762e82"),
+         "87fe37cc31fc22579ba8dad4c1ef0a9dec8a45b9c0c350aba81e81176488b793",
+         "c7ca87f52fd758705bb5d57c2033905277084f3d1eb8a8623cadf7b74e37f32c"),
         # rows over several blocks of engines.BLOCK = 4096 replications
         (["--grid", "3x3", "--cert", "pseudo", "--n-max", "6", "--reps", "9000"],
-         "23bf375bbde7214ebb09cf4d85d29a446195df15080752a099f30350f0f5f609",
-         "2755bd791de15fde56428e777f6c7b9f477d84d251129a9de43b9d293241b277"),
+         "12d4908b9a506cc6ddc79d1d1b66c50d0e95f6f05214c3840c5418562d4b42ac",
+         "768b373a7b63e6e78a9315b531ec979910d6ca85e9663a3155f7b672eb875c55"),
         (["--grid", "3x3", "--cert", "uniform", "--n-max", "6", "--reps", "5000"],
-         "05538ce622a0447cc258146c60da34d13de90b6a55bc319d3c909717fa4354ab",
-         "cfa5bb95317016b6f13323d6ea30d61d49af3e58c2b3cb0d614e5356e64642b7"),
+         "87436b17fc3b9745b4e0c8bb44f22d214f30c4dbf8445c450f9b898cf7c58d92",
+         "ea50d2b23ee59912821ea6a228af2fb05fbf2c41f2d153ceac11349dcbacc54c"),
         (["--halfline", "--n-max", "4", "--reps", "9000", "--burn-in", "5"],
          "9b87caad0ae0c7286ffcdc73df0de3b40c1c3681acccbbf3325bd38c9415c615", None),
         (["--rwm-laplace", "--n-max", "24", "--reps", "5000", "--record-every", "4"],

@@ -11,9 +11,9 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import fraction_reference as ref
-from coupling_reference import loop_empirical_tv, rebuilt, reference_for, run_with_paths
+from coupling_reference import rebuilt, reference_for, run_with_paths
 from mcbounds.bounds import CERTIFICATES, MAX_CURVE_POINTS
-from mcbounds.coupling import CouplingConfig, empirical_tv, run_coupling
+from mcbounds.coupling import CouplingConfig, run_coupling
 from mcbounds.coupling import engines
 from mcbounds.coupling.runner import _finite_arrays, _quantile
 from mcbounds.errors import CertificateError, InputError, MathError
@@ -118,10 +118,13 @@ class TestStreamedSummary:
         want = reference_for(
             config,
             small_set=(small.lo, small.hi) if config.model == "rwm-laplace" else None,
-            finite_reference=stationary(config.matrix) if config.model == "finite" else None,
         )
         got = run_coupling(config)
         assert json.dumps(got.to_jsonable()) == json.dumps(want.to_jsonable())
+        if config.model == "finite":
+            assert len(got.tv_exact) == len(got.lattice)
+        else:
+            assert got.tv_exact is None
 
     def test_a_pair_that_separates_raises(self):
         def start(rng, m):
@@ -544,38 +547,6 @@ class TestQuantile:
         assert np.array(got).tobytes() == np.quantile(values, qs).tobytes()
 
 
-class TestEmpiricalTv:
-    def test_zero_against_itself(self):
-        counts = np.array([10, 30, 60])
-        est = empirical_tv(counts, counts / counts.sum())
-        assert est.value == 0.0
-
-    def test_matches_manual_half_l1(self):
-        est = empirical_tv([25, 75], [0.5, 0.5])
-        assert est.value == pytest.approx(0.25)
-        assert est.se > 0
-
-    @settings(max_examples=200, deadline=None)
-    @example([(1, 1), (1, 1)])
-    @example([(0, 3), (2, 5), (0, 1)])
-    @given(st.lists(st.tuples(st.just(0) | st.integers(0, 10**6), st.integers(1, 1000)),
-                    min_size=1, max_size=300)
-           .filter(lambda pairs: sum(c for c, _ in pairs) >= 2))
-    def test_same_floats_as_the_per_state_loop(self, pairs):
-        # (count, reference weight) per state; zero counts and N = 2 included
-        counts, weights = zip(*pairs)
-        reference = np.array(weights) / sum(weights)
-        got = empirical_tv(counts, reference)
-        want = loop_empirical_tv(counts, reference)
-        assert np.array(got).tobytes() == np.array(want).tobytes()
-
-    def test_noise_floor_scale(self):
-        # floor for a fair coin with n samples is sqrt(2/(pi n)) / 2 * 2 halves
-        est = empirical_tv([500, 500], [0.5, 0.5])
-        want = 0.5 * math.sqrt(2 / math.pi) * 2 * math.sqrt(0.25 / 1000)
-        assert est.noise_floor == pytest.approx(want, rel=1e-12)
-
-
 class TestGridCoupling:
     def test_non_coupling_dominated_by_geometric_bound(self, grid_pseudo_run):
         config, res, _, _ = grid_pseudo_run
@@ -622,20 +593,30 @@ class TestGridCoupling:
         _, res, _, _ = grid_pseudo_run
         assert all(b <= a for a, b in zip(res.p_neq, res.p_neq[1:]))
 
-    def test_empirical_tv_respects_coupling_inequality(self, grid_pseudo_run):
-        _, res, _, _ = grid_pseudo_run
-        for k in range(len(res.lattice)):
-            t = res.tv[k]
-            allowance = t.noise_floor + 3 * math.hypot(t.se, res.p_neq_se[k])
-            assert t.value <= res.p_neq[k] + allowance
-
-    def test_empirical_tv_tracks_exact_curve_at_signal_scale(self, grid, grid_pseudo_run):
+    def test_coupling_inequality_against_the_exact_distance(self, grid_pseudo_run):
+        # TV_n <= P(T > n); the error is taken at TV_n, since late slots have
+        # p_neq = 0 and so a standard error of 0 there
         config, res, _, _ = grid_pseudo_run
-        curve = exact_tv_curve(ProbVector.delta(9, 4), grid, 8)
-        for k, n in enumerate(res.lattice[:4]):
-            exact = float(curve.value_at(n))
-            t = res.tv[k]
-            assert t.value == pytest.approx(exact, abs=3 * t.se + t.noise_floor)
+        for tv, p in zip(res.tv_exact, res.p_neq):
+            assert tv <= p + 3 * math.sqrt(tv * (1 - tv) / config.replications)
+
+    @pytest.mark.parametrize("rows,n0,start,every", [
+        (3, 2, 4, 1), (3, 2, 0, 1), (3, 2, 4, 3), (3, 2, 0, 3),
+        # a 5x5 walk has no pairwise overlap at lag 2
+        (5, 6, 12, 1), (5, 6, 0, 3),
+    ])
+    def test_tv_exact_is_the_exact_curve(self, rows, n0, start, every):
+        matrix = build_grid_walk(rows, rows)
+        mu0 = ProbVector.delta(matrix.size, start)
+        config = CouplingConfig(
+            model="finite", n_max=60, replications=3, master_seed=5, matrix=matrix,
+            cert=minorization_pseudo(matrix, n0), initial_law=mu0, record_every=every,
+        )
+        res = run_coupling(config)
+        curve = exact_tv_curve(mu0, matrix, config.lattice()[-1])
+        assert len(res.tv_exact) == len(res.lattice)
+        for n, tv in zip(res.lattice, res.tv_exact):
+            assert tv == pytest.approx(float(curve.value_at(n)), abs=1e-12, rel=0)
 
     def test_immediate_coupling_with_full_overlap(self):
         # identical rows: the chain forgets its state in one step, overlap 1
