@@ -18,7 +18,6 @@ NUMBA_ENABLED = False
 
 _LAZY = {
     "bounds": (
-        "BivariateDrift",
         "BoundReport",
         "Interval",
         "DriftMinorizationInputs",

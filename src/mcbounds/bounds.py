@@ -34,7 +34,6 @@ __all__ = [
     "ChainDrift",
     "Interval",
     "UnivariateDrift",
-    "BivariateDrift",
     "DriftMinorizationInputs",
     "minorization_bound",
     "minorization_curve",
@@ -121,20 +120,6 @@ class Interval(_Record):
     def contains(self, x):
         """Membership of x; per element when x is a numpy array."""
         return (self.lo <= x) & (x <= self.hi)
-
-    def grid(self, step: float) -> list[float]:
-        """Probe points lo, lo+step, ... up to hi, and hi itself.
-
-        No point lies above hi. Raises ``InputError`` unless ``step`` is a
-        positive finite number.
-        """
-        if not 0 < step < math.inf:
-            raise InputError(f"grid step must be a positive finite number, got {step}")
-        n = int(round((self.hi - self.lo) / step))
-        pts = [x for x in (self.lo + k * step for k in range(n + 1)) if x <= self.hi]
-        if pts[-1] < self.hi - 1e-12:
-            pts.append(self.hi)
-        return pts
 
 
 class ChainDrift(NamedTuple):
@@ -374,19 +359,6 @@ class UnivariateDrift(_Record):
         self._fill(V, small_set, lam, b)
 
 
-class BivariateDrift(_Record):
-    """Two-chain drift certificate: E[h(next pair)] <= h(x,y)/alpha off C x C."""
-
-    __slots__ = ("h", "small_set", "alpha")
-
-    def __init__(
-        self, h: Callable[[float, float], float], small_set: Interval, alpha: float
-    ) -> None:
-        if not alpha > 1:
-            raise InputError(f"alpha must be > 1, got {alpha}")
-        self._fill(h, small_set, alpha)
-
-
 class DriftMinorizationInputs(_Record):
     """Constants feeding the two-term drift/minorization bound."""
 
@@ -408,8 +380,9 @@ class DriftMinorizationInputs(_Record):
         self._fill(epsilon, n0, alpha, big_b, expected_h)
 
 
-def bivariate_from_univariate(uni: UnivariateDrift, d: float) -> BivariateDrift:
-    """Build the pair drift h(x,y) = (V(x)+V(y))/2 from a one-chain drift.
+def bivariate_from_univariate(uni: UnivariateDrift, d: float) -> float:
+    """The rate alpha of the pair drift h(x,y) = (V(x)+V(y))/2 of a one-chain
+    drift: E[h(next pair)] <= h(x,y)/alpha off C x C.
 
     ``d`` is inf of V outside the small set, supplied analytically by the
     caller. Requires d > b/(1-lam) - 1; then alpha = 1/(lam + b/(d+1)) > 1.
@@ -423,12 +396,7 @@ def bivariate_from_univariate(uni: UnivariateDrift, d: float) -> BivariateDrift:
     alpha_inv = uni.lam + uni.b / (d + 1.0)
     # algebraic consequence of the precondition; guard anyway
     assert alpha_inv < 1.0
-    V = uni.V
-    return BivariateDrift(
-        h=lambda x, y: 0.5 * (V(x) + V(y)),
-        small_set=uni.small_set,
-        alpha=1.0 / alpha_inv,
-    )
+    return 1.0 / alpha_inv
 
 
 def stationary_moment_bound(lam: float, b: float) -> float:
@@ -458,20 +426,16 @@ def contained_by_step_radius(
     return region.lo <= small_set.lo - reach and small_set.hi + reach <= region.hi
 
 
-def sup_rh_via_containment(
-    V: Callable[[float], float], region: Interval, probe_step: float = 0.05
-) -> float:
-    """Bound sup of the post-failure expected h by sup of h over region x region.
+def sup_rh_via_containment(V: Callable[[float], float], region: Interval) -> float:
+    """Bound sup of the post-failure expected h by the sup of V on ``region``:
+    max(V(lo), V(hi)).
 
-    h is the pair drift (V(x)+V(y))/2 of ``bivariate_from_univariate``. Float
-    addition and halving are monotone, so its sup over the probe grid squared
-    is 0.5*(m+m), m the largest V on the grid: the same float the pairwise
-    maximum gives, from one pass over the grid. Valid when every small-set
-    start lands inside ``region`` with probability one after the minorization
-    lag, which the caller establishes (``contained_by_step_radius``).
+    Precondition: V is largest at an end of any interval, as every
+    ``ChainDrift``'s V is. Valid when every small-set start lands inside
+    ``region`` with probability one after the minorization lag, which the
+    caller establishes (``contained_by_step_radius``).
     """
-    m = max(V(x) for x in region.grid(probe_step))
-    return 0.5 * (m + m)
+    return max(V(region.lo), V(region.hi))
 
 
 def chain_drift(chain: ChainCertificate, lam: float | None = None,
@@ -506,9 +470,9 @@ def chain_drift_minorization_inputs(
             f"{chain.n0} steps of at most {chain.step_radius} from [{small_set.lo}, "
             f"{small_set.hi}] can leave the containment region [{region.lo}, {region.hi}]"
         )
-    pair = bivariate_from_univariate(chain_drift(chain), d=drift.d)
-    sup_rh = sup_rh_via_containment(drift.V, region, probe_step=0.05)
-    big_b = b_constant(chain.n0, pair.alpha, chain.epsilon, sup_rh)
+    alpha = bivariate_from_univariate(chain_drift(chain), d=drift.d)
+    sup_rh = sup_rh_via_containment(drift.V, region)
+    big_b = b_constant(chain.n0, alpha, chain.epsilon, sup_rh)
     if expected_h == "analytic":
         eh = drift.pi_v
         eh_source = "preset (analytic stationary mean)"
@@ -520,7 +484,7 @@ def chain_drift_minorization_inputs(
     inputs = DriftMinorizationInputs(
         epsilon=chain.epsilon,
         n0=chain.n0,
-        alpha=pair.alpha,
+        alpha=alpha,
         big_b=big_b,
         expected_h=eh,
     )

@@ -40,14 +40,15 @@ def _count_text(count: int | float, noun: str) -> str:
 
 
 def _require_finite_drift(kernel, drift, grid) -> None:
-    """Refuse a grid on which the ``bounds.ChainDrift`` V overflows, at a
-    probe state or at an end of its one-step window: there E[V(next)] and
-    lam V(x) would compare infinities. V is largest at an end of any
-    interval, so the ends bound it on the window."""
+    """Refuse a grid on which the ``bounds.ChainDrift`` V overflows on a
+    probe state's one-step window: there E[V(next)] and lam V(x) would
+    compare infinities. V is largest at an end of any interval, so finite
+    values at the window's ends bound it on the window, the probe state
+    included."""
     V = drift.V
     lo, hi = kernel.window(grid)
     with np.errstate(over="ignore"):
-        finite = np.isfinite(V(grid)) & np.isfinite(V(lo)) & np.isfinite(V(hi))
+        finite = np.isfinite(V(lo)) & np.isfinite(V(hi))
     if not finite.all():
         i = int(np.argmin(finite))
         raise InputError(

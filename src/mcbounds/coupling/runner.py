@@ -37,7 +37,10 @@ class CouplingConfig(_Record):
     ``initial_law``) or a key of ``bounds.CERTIFICATES`` (point start ``x0``,
     in the chain's ``space``). The partner chain starts from an
     exact stationary draw; for the continuous chains ``burn_in`` further
-    kernel steps follow it, which keep its law.
+    kernel steps follow it, which keep its law. A field the model does not
+    read (``x0`` or ``burn_in`` on "finite", ``matrix``, ``cert`` or
+    ``initial_law`` on a continuous chain) is refused unless it is left at
+    its default.
     The lag, the overlap and the coupling mode follow from the finite
     certificate or, for the continuous chains, from ``bounds.CERTIFICATES``.
     Every replication runs all ``n_max // n0`` lattice steps; a run of more
@@ -58,6 +61,14 @@ class CouplingConfig(_Record):
                    x0, burn_in, record_every)
         if model != "finite" and model not in CERTIFICATES:
             raise InputError(f"unknown model {model!r}")
+        if model == "finite":
+            unread = {"x0": x0 != 0, "burn_in": burn_in != 0}
+        else:
+            unread = {"matrix": matrix is not None, "cert": cert is not None,
+                      "initial_law": initial_law is not None}
+        for name, given in unread.items():
+            if given:
+                raise InputError(f"the {model} model does not read {name}; leave it out")
         if master_seed < 0:
             raise InputError(f"master seed must be a non-negative integer, got {master_seed}")
         if not math.isfinite(x0):

@@ -164,8 +164,8 @@ LAPLACE = CERTIFICATES["rwm-laplace"]
 
 def test_criterion_08_laplace_two_term_pipeline():
     drift = chain_drift(LAPLACE)
-    pair = bivariate_from_univariate(drift, d=LAPLACE.drift.d)
-    alpha_inv = 1.0 / pair.alpha
+    alpha = bivariate_from_univariate(drift, d=LAPLACE.drift.d)
+    alpha_inv = 1.0 / alpha
     assert abs(alpha_inv - 0.9927) <= 5e-4
 
     precondition = drift.b / (1.0 - drift.lam) - 1.0
@@ -175,10 +175,10 @@ def test_criterion_08_laplace_two_term_pipeline():
     assert contained_by_step_radius(
         LAPLACE.small_set, LAPLACE.drift.region, LAPLACE.step_radius, 2
     )
-    sup_rh = sup_rh_via_containment(drift.V, LAPLACE.drift.region, probe_step=0.05)
+    sup_rh = sup_rh_via_containment(drift.V, LAPLACE.drift.region)
     assert sup_rh == pytest.approx(math.e**3, rel=1e-12)
 
-    big_b = b_constant(2, pair.alpha, CERTIFICATES["rwm-laplace"].epsilon, sup_rh)
+    big_b = b_constant(2, alpha, CERTIFICATES["rwm-laplace"].epsilon, sup_rh)
     assert abs(big_b - 20.04) <= 0.05
 
     fallback = stationary_moment_bound(drift.lam, drift.b)

@@ -163,9 +163,10 @@ class TestDriftConversion:
         )
 
     def test_pair_drift_rate(self):
-        bi = bivariate_from_univariate(self.uni(), d=math.e)
-        assert 1.0 / bi.alpha == pytest.approx(0.916 + 0.285 / (math.e + 1), abs=1e-12)
-        assert 1.0 / bi.alpha == pytest.approx(0.9927, abs=5e-4)
+        alpha = bivariate_from_univariate(self.uni(), d=math.e)
+        assert type(alpha) is float
+        assert 1.0 / alpha == pytest.approx(0.916 + 0.285 / (math.e + 1), abs=1e-12)
+        assert 1.0 / alpha == pytest.approx(0.9927, abs=5e-4)
 
     def test_precondition_boundary_value(self):
         floor = 0.285 / (1 - 0.916) - 1
@@ -181,10 +182,6 @@ class TestDriftConversion:
         )
         with pytest.raises(DriftConversionError):
             bivariate_from_univariate(bad, d=1.0)
-
-    def test_pair_function_averages(self):
-        bi = bivariate_from_univariate(self.uni(), d=math.e)
-        assert bi.h(0.0, 2.0) == pytest.approx(0.5 * (1 + math.e), abs=1e-12)
 
 
 class TestMomentAndBConstant:
@@ -208,30 +205,10 @@ class TestMomentAndBConstant:
 
     def test_sup_rh_on_interval(self):
         V = lambda x: math.exp(abs(x) / 2)
-        sup = sup_rh_via_containment(V, Interval(-6.0, 6.0), probe_step=0.05)
+        sup = sup_rh_via_containment(V, Interval(-6.0, 6.0))
         assert sup == pytest.approx(math.e**3, rel=1e-12)
         assert sup < 20.1
-        # the one-pass sup is the float the pairwise maximum of h gives
-        pts = Interval(-6.0, 6.0).grid(0.05)
-        assert len(pts) == 241
-        assert sup == max(0.5 * (V(x) + V(y)) for x in pts for y in pts)
         assert sup == 20.085536923187668
-
-    @pytest.mark.parametrize("lo,hi,step,points", [
-        (0.0, 1.0, 0.6, [0.0, 0.6, 1.0]),  # 2 * 0.6 lies above 1
-        (0.0, 1.0, 0.4, [0.0, 0.4, 0.8, 1.0]),
-        (0.0, 0.3, 0.1, [0.0, 0.1, 0.2, 0.3]),  # 3 * 0.1 rounds above 0.3
-        (2.0, 2.0, 0.5, [2.0]),
-    ])
-    def test_grid_stays_inside_the_interval(self, lo, hi, step, points):
-        assert Interval(lo, hi).grid(step) == points
-
-    @pytest.mark.parametrize("step", [0.0, -0.05, math.inf, math.nan])
-    def test_grid_refuses_a_bad_step(self, step):
-        with pytest.raises(InputError, match="grid step must be a positive finite number"):
-            Interval(0.0, 1.0).grid(step)
-        with pytest.raises(InputError, match="grid step"):
-            sup_rh_via_containment(lambda x: 1.0, Interval(-6, 6), probe_step=step)
 
     def test_sup_rh_constant_function(self):
         assert sup_rh_via_containment(lambda x: 1.0, Interval(-6, 6)) == 1.0

@@ -1,8 +1,9 @@
 """One record per built-in chain: ``bounds.CERTIFICATES`` holds its numpy-free
 facts and ``kernels.laws.CHAINS`` its numpy half, under the same key. The
 parser's literal key lists match the table, no other code spells a key, a
-chain registered under a second key behaves as under its first, and the
-Metropolis record's step radius is the one its kernel moves by."""
+chain registered under a second key behaves as under its first, the
+Metropolis record's step radius is the one its kernel moves by, and every
+drift function is largest at an end of any interval."""
 
 import argparse
 import ast
@@ -12,9 +13,15 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import mcbounds
-from mcbounds.bounds import CERTIFICATES, chain_drift_minorization_inputs
+from mcbounds.bounds import (
+    CERTIFICATES,
+    chain_drift_minorization_inputs,
+    sup_rh_via_containment,
+)
 from mcbounds.cli import build_parser
 from mcbounds.coupling import CouplingConfig
 from mcbounds.errors import ContainmentError, InputError
@@ -151,6 +158,52 @@ class TestMetropolisStepRadius:
         moves = np.abs(laws.rwm_step(rng, x) - x)
         assert moves.max() <= self.r
         assert moves.max() > 0.99 * self.r  # and the radius is not loose
+
+
+class TestDriftPeaksAtAnEnd:
+    """V never exceeds the larger of its values at an interval's two ends:
+    ``bounds.sup_rh_via_containment`` reads V at the region's ends alone,
+    and ``verify``'s overflow check at the ends of each one-step window,
+    anywhere on the user's grid."""
+
+    # e^{|x|/2} overflows past |x| = 2 ln(DBL_MAX) = 1419.56...; there numpy
+    # gives inf and math.exp raises
+    EDGE = 2 * math.log(np.finfo(float).max)
+
+    @classmethod
+    def assert_peaks_at_an_end(cls, V, lo, hi, xs):
+        with np.errstate(over="ignore"):
+            assert V(np.asarray(xs, float)).max() <= V(np.array([lo, hi])).max()
+        if max(-lo, hi) < cls.EDGE - 1:
+            assert max(V(float(x)) for x in xs) <= max(V(lo), V(hi))
+
+    @pytest.mark.parametrize("key", DRIFT_KEYS)
+    def test_on_the_region(self, key):
+        drift = CERTIFICATES[key].drift
+        lo, hi = drift.region.lo, drift.region.hi
+        self.assert_peaks_at_an_end(drift.V, lo, hi, np.linspace(lo, hi, 2001))
+        assert sup_rh_via_containment(drift.V, drift.region) == max(drift.V(lo), drift.V(hi))
+
+    @pytest.mark.parametrize("key", DRIFT_KEYS)
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data())
+    def test_on_sub_intervals_of_the_region(self, key, data):
+        drift = CERTIFICATES[key].drift
+        self.check_a_sub_interval(drift.V, data, st.floats(drift.region.lo, drift.region.hi))
+
+    @pytest.mark.parametrize("key", DRIFT_KEYS)
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data())
+    def test_on_sub_intervals_up_to_the_overflow_edge(self, key, data):
+        edge = self.EDGE
+        ends = st.one_of(st.floats(-1e3, 1e3), st.floats(edge - 2, edge + 2),
+                         st.floats(-edge - 2, -edge + 2))
+        self.check_a_sub_interval(CERTIFICATES[key].drift.V, data, ends)
+
+    def check_a_sub_interval(self, V, data, ends):
+        lo, hi = sorted((data.draw(ends), data.draw(ends)))
+        xs = data.draw(st.lists(st.floats(lo, hi), min_size=1, max_size=50))
+        self.assert_peaks_at_an_end(V, lo, hi, xs)
 
 
 def test_containment_reads_the_record():

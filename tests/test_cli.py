@@ -163,6 +163,8 @@ class TestFinite:
          "d97b5ae792a2aeefdf8b7d748ada501d446b63c563cce8f9ca1b7fa06bfb365c"),
         ("bound t2 --preset rwm-laplace --delta 0.01",
          "9956589824ee392b5a77604162125aed577f1ee1fd3c7065aaa7be5444417515"),
+        ("bound t2 --expected-h fallback",
+         "c2b7947dbffcb18d98af0f3b4f2276422bc9859b2b93c91681885f2dfc632512"),
         ("finite stationary --grid 8x8",
          "92ad74b880e4a64586f8cb69954d745d6e1efeb6b08563d81859c4b1f2171983"),
         ("finite pseudo --grid 3x3 --n0 2",
@@ -170,7 +172,7 @@ class TestFinite:
         ("finite minorization --grid 3x3 --n0 2",
          "2c7664aa1abe61fa1b33462283ba1a1910433742647e4c509efe6e057b1bb20c"),
     ], ids=["t1-half", "t1-9/80", "t1-0.117", "t1-pointprocess", "t2-rwm-laplace",
-            "stationary-8x8", "pseudo-3x3", "minorization-3x3"])
+            "t2-fallback", "stationary-8x8", "pseudo-3x3", "minorization-3x3"])
     def test_exact_stdout_bytes_pinned(self, capsys, argv, digest):
         assert main(argv.split()) == 0
         stdout = capsys.readouterr().out.encode()
@@ -508,6 +510,22 @@ class TestSimulate:
             assert p <= point["bound"] + 3 * se
         assert report["config"]["master_seed"] == 42
 
+    def test_small_set_run_reports_no_geometric_curve(self, capsys, tmp_path):
+        # (1-eps)^floor(n/n0) bounds P(T > n) only when every unequal pair
+        # flips the coin; this seed's p_neq lies above it by more than 3 se
+        argv = ["simulate", "--rwm-laplace", "--n-max", "24", "--reps", "5000",
+                "--record-every", "4", "--seed", "7"]
+        code, report = run_cli(capsys, *argv)
+        assert code == 0
+        assert report["results"]["mode"] == "small-set"
+        assert "warnings" not in report
+        assert "bound_curve" not in report["results"]
+        assert main([*argv, "--output", str(tmp_path), "--format", "both"]) == 0
+        capsys.readouterr()
+        csv = (tmp_path / "simulate-rwm-laplace-curve.csv").read_text().splitlines()
+        assert csv[0] == "n,p_neq,p_neq_se"
+        assert len(csv) == 1 + len(report["results"]["lattice"])
+
     def test_rerun_byte_identical(self, tmp_path, capsys):
         argv = [
             "simulate", "--halfline", "--n-max", "8", "--reps", "1000",
@@ -613,7 +631,7 @@ class TestSimulate:
          "410490dd181de2e2a36d1e517fcf71852afa75f47f6c12d9cd0e579c57a9fa6f", None),
         (["--rwm-laplace", "--n-max", "40", "--reps", "50", "--burn-in", "50",
           "--record-every", "4"],
-         "3f45ec8a69edbed6919f0476e9064c997e1d9e5af45963e9893cfd902b859bd2",
+         "ac9bd6f0a8dd1b960d9d5ae0fa9bc6ae487f002ad663cfdcecc5312955dedfc1",
          "4c021b896e5d768bb78f54be55012264faaac0b94f78039d78977eb33741914a"),
         (["--halfline", "--n-max", "6", "--reps", "300"],
          "65998f447006604c3df54929d8b16ec341602e2f73836d96e900e442d7dde656",
@@ -631,7 +649,7 @@ class TestSimulate:
         (["--halfline", "--n-max", "4", "--reps", "9000", "--burn-in", "5"],
          "9b87caad0ae0c7286ffcdc73df0de3b40c1c3681acccbbf3325bd38c9415c615", None),
         (["--rwm-laplace", "--n-max", "24", "--reps", "5000", "--record-every", "4"],
-         "245a2329c07ddbe031f347cf775031985beba165ae74a4e0d92cdf7bf3d52104",
+         "6a4b8c522d8decba3c2c337dc1a4a141234face01c0cf3e5383996e1f3863d5c",
          "8a49b402fa8c4b85eee0d5ef7e244868d48a854362adef693e79af929f7b4745"),
     ], ids=["grid-pseudo", "grid-uniform", "halfline", "rwm-laplace", "halfline-burn-in-0",
             "grid-pseudo-trajectories", "grid-pseudo-3-blocks", "grid-uniform-2-blocks",

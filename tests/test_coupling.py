@@ -906,6 +906,20 @@ class TestContinuousEngine:
         with pytest.raises(InputError, match="unknown model 'laplace'"):
             CouplingConfig(model="laplace", n_max=2, replications=2, master_seed=0)
 
+    @pytest.mark.parametrize("model,field", [
+        ("finite", "x0"), ("finite", "burn_in"), ("halfline", "matrix"),
+        ("rwm-laplace", "cert"), ("halfline", "initial_law"),
+    ])
+    def test_config_refuses_a_field_its_model_does_not_read(self, grid, model, field):
+        # a burn-in the finite engine never runs is not charged to the budget
+        cert = minorization_pseudo(grid, 2)
+        fields = {"finite": dict(matrix=grid, cert=cert)}.get(model, {})
+        value = {"x0": 7.0, "burn_in": 10**7, "matrix": grid, "cert": cert,
+                 "initial_law": ProbVector.delta(grid.size, 0)}[field]
+        with pytest.raises(InputError, match=f"the {model} model does not read {field}; "):
+            CouplingConfig(model=model, n_max=4, replications=10, master_seed=1,
+                           **fields, **{field: value})
+
     @staticmethod
     def coin_run(model, x0):
         """Totals of a seeded run recording every step, its paths, and the

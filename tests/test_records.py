@@ -7,7 +7,6 @@ from fractions import Fraction as F
 import pytest
 
 from mcbounds.bounds import (
-    BivariateDrift,
     BoundReport,
     ChainCertificate,
     ChainDrift,
@@ -22,10 +21,6 @@ from mcbounds.finite_chain import EigenBound, EigenMode, MinorizationCert, ProbV
 
 def V(x):
     return math.exp(abs(x) / 2.0)
-
-
-def h(x, y):
-    return 0.5 * (V(x) + V(y))
 
 
 HALVES = ProbVector((F(1, 2), F(1, 2)))
@@ -43,7 +38,6 @@ RECORDS = [
                         "drift": ChainDrift(**DRIFT)}),
     (BoundReport, {"ns": (0, 1), "values": (F(1), F(1, 2)), "crossing": 1, "js": (1, 1)}),
     (UnivariateDrift, {"V": V, "small_set": Interval(-2.0, 2.0), "lam": 0.916, "b": 0.285}),
-    (BivariateDrift, {"h": h, "small_set": Interval(-2.0, 2.0), "alpha": 1.007}),
     (DriftMinorizationInputs, {"epsilon": 0.0169, "n0": 2, "alpha": 1.007,
                                "big_b": 20.04, "expected_h": 2.0}),
     (ProbVector, {"entries": (F(1, 2), F(1, 2))}),
@@ -123,7 +117,6 @@ class TestDefaults:
     (lambda: Interval(2, 1), r"empty interval \[2, 1\]"),
     (lambda: UnivariateDrift(V, Interval(-2.0, 2.0), 1.0, 0.285), r"lam must be in \(0, 1\)"),
     (lambda: UnivariateDrift(V, Interval(-2.0, 2.0), 0.9, math.inf), "b must be finite"),
-    (lambda: BivariateDrift(h, Interval(-2.0, 2.0), 1.0), "alpha must be > 1"),
     (lambda: DriftMinorizationInputs(0.0, 2, 1.1, 2.0, 2.0), r"epsilon must be in \(0, 1\)"),
     (lambda: DriftMinorizationInputs(1.0, 2, 1.1, 2.0, 2.0), r"epsilon must be in \(0, 1\)"),
     (lambda: DriftMinorizationInputs(0.1, 0, 1.1, 2.0, 2.0), "n0 must be >= 1"),
