@@ -7,7 +7,7 @@ from functools import partial
 from pathlib import Path
 from typing import TYPE_CHECKING
 
-from ..bounds import CERTIFICATES, minorization_bound
+from ..bounds import minorization_bound
 from ..cli import _dump_trajectories, _replacing, _Report
 from ..errors import MathError
 from . import _default_start, _parse_grid, _require_printable
@@ -26,12 +26,7 @@ def _simulate_config(args) -> tuple[CouplingConfig, dict]:
         record_every=args.record_every,
     )
     if args.grid is not None:
-        from ..finite_chain import (
-            ProbVector,
-            build_grid_walk,
-            minorization_pseudo,
-            minorization_uniform,
-        )
+        from ..finite_chain import build_grid_walk, minorization_pseudo, minorization_uniform
 
         rows, cols = _parse_grid(args.grid)
         matrix = build_grid_walk(rows, cols)
@@ -44,10 +39,7 @@ def _simulate_config(args) -> tuple[CouplingConfig, dict]:
         cert = finder(matrix, n0)
         if cert is None:
             raise MathError(f"no {cert_name} overlap at lag {n0} for this grid")
-        config = CouplingConfig(
-            model="finite", matrix=matrix, cert=cert,
-            initial_law=ProbVector.delta(matrix.size, start), **run,
-        )
+        config = CouplingConfig(model="finite", matrix=matrix, cert=cert, x0=start, **run)
         desc = {"model": f"grid {rows}x{cols}", "cert": cert_name,
                 "epsilon": str(cert.epsilon), "start": start + 1}
         return config, desc
@@ -55,7 +47,7 @@ def _simulate_config(args) -> tuple[CouplingConfig, dict]:
     burn_in = 0 if args.burn_in is None else args.burn_in
     config = CouplingConfig(model=args.model, x0=x0, burn_in=burn_in, **run)
     desc = {"model": args.model, "x0": x0, "burn_in": burn_in}
-    small = CERTIFICATES[args.model].small_set
+    small = config.certificate().small_set
     if small is not None:
         desc["small_set"] = [small.lo, small.hi]
     return config, desc
@@ -92,8 +84,7 @@ def run(args) -> tuple[_Report, int]:
             if p > bound + 3.0 * se:
                 warnings.append(
                     f"empirical non-coupling {p:.6g} at n={n} exceeds the analytic "
-                    f"bound {bound:.6g} by more than 3 standard errors (simulation "
-                    "noise, not a tool failure)"
+                    f"bound {bound:.6g} by more than 3 standard errors"
                 )
         results["bound_curve"] = [
             {"n": n, "bound": bound} for n, bound in zip(result.lattice, bounds)

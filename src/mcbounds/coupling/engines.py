@@ -12,16 +12,16 @@ Construction per lattice step, given the overlap constant eps at lag n0:
 chains already equal move together; unequal chains inside the small set flip
 an eps-coin (heads: both jump to a shared overlap draw; tails: independent
 residual draws); chains outside the small set update independently. The
-continuous chains take their samplers from ``laws.CHAINS`` and their eps, n0
-and small set from ``bounds.CERTIFICATES``.
+engines look nothing up: the runner hands each one its chain's arrays or
+``laws.Chain`` and its certificate's eps, n0 and small set.
 
 Every engine returns ``Totals``: per recorded slot (step k is recorded in
 slot k // record_every when record_every divides k) the number of coincident
 pairs and, for finite chains, the state counts of each chain, plus the
-histogram of the exact lattice step at which pairs first coincide; the
-continuous engine also counts coin flips. Nothing
-per replication outlives its block. A caller that wants the paths passes
-``on_block``, which receives each block's recorded states as it ends.
+histogram of the exact lattice step at which pairs first coincide and the
+number of coin flips. Nothing per replication outlives its block. A caller
+that wants the paths passes ``on_block``, which receives each block's
+recorded states as it ends.
 """
 
 from __future__ import annotations
@@ -30,9 +30,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from ..bounds import CERTIFICATES
 from ..errors import MathError
-from ..kernels.laws import CHAINS, Chain
+from ..kernels.laws import Chain
 
 # replications per Generator stream; changing it changes every seeded output
 BLOCK = 4096
@@ -80,7 +79,7 @@ class Totals(NamedTuple):
     couple_hist: np.ndarray  # pairs by the lattice step at which they first coincide
     counts: np.ndarray | None  # finite chains: (slots, states) counts of x
     counts_prime: np.ndarray | None  # the same for x'
-    opportunities: int | None = None  # continuous chains: coin flips over all pairs
+    opportunities: int  # coin flips over all pairs and steps
 
 
 def _lockstep(n_steps, master_seed, replications, record_every, start, step,
@@ -89,10 +88,11 @@ def _lockstep(n_steps, master_seed, replications, record_every, start, step,
 
     ``start(rng, m)`` draws the two start arrays of an m-pair block, and
     ``step(rng, x, xp)`` returns the next lattice states of the pairs
-    ``(x, xp)``; it may overwrite ``x`` and ``xp``, which are already
-    tallied. Each block draws its starts and then its steps from its own
-    generator, and every pair of the block takes every lattice step. A
-    finite chain passes its number of ``states``, to count them per slot.
+    ``(x, xp)`` and the number of pairs that flipped the coin; it may
+    overwrite ``x`` and ``xp``, which are already tallied. Each block draws
+    its starts and then its steps from its own generator, and every pair of
+    the block takes every lattice step. A finite chain passes its number of
+    ``states``, to count them per slot.
 
     ``on_block(first, xs, xps)``, if given, is called as each block ends with
     the block's recorded states, replications x slots as ``dtype``, whose
@@ -102,6 +102,7 @@ def _lockstep(n_steps, master_seed, replications, record_every, start, step,
     slots = n_steps // record_every + 1
     coupled = np.zeros(slots, np.int64)
     hist = np.zeros(n_steps + 1, np.int64)
+    flips = 0
     counts = counts_prime = None
     if states is not None:
         counts = np.zeros((slots, states), np.int64)
@@ -114,7 +115,8 @@ def _lockstep(n_steps, master_seed, replications, record_every, start, step,
         at = np.full(x.size, -1, np.int64)  # the step at which each pair coincided
         for k in range(n_steps + 1):
             if k:
-                x, xp = step(rng, x, xp)
+                x, xp, n = step(rng, x, xp)
+                flips += n
             eq = x == xp
             if ((at >= 0) > eq).any():
                 raise MathError("a pair decoupled after coupling; engine invariant broken")
@@ -132,7 +134,7 @@ def _lockstep(n_steps, master_seed, replications, record_every, start, step,
         hist += np.bincount(at[at >= 0], minlength=n_steps + 1)
         if on_block is not None:
             on_block(rows.start, paths[0, : x.size], paths[1, : x.size])
-    return Totals(coupled, hist, counts, counts_prime)
+    return Totals(coupled, hist, counts, counts_prime, flips)
 
 
 def inverse_cdf(cdf: np.ndarray, u: np.ndarray) -> np.ndarray:
@@ -225,7 +227,7 @@ def finite_coupling_paths(
     master_seed: int,
     replications: int,
     record_every: int,
-    mu0: np.ndarray,
+    x0: int,
     pi: np.ndarray,
     step_rows: np.ndarray,
     eps: float,
@@ -235,21 +237,22 @@ def finite_coupling_paths(
 ) -> Totals:
     """Coupling of a finite chain on the lag-n0 lattice, with state counts.
 
-    ``step_rows`` holds the n0-step matrix, ``in_small_set`` one bool per
-    state, and ``nu`` the certificate's one overlap law, or None when each
-    pair overlaps on its own (the pairwise certificate). A pair's overlap and
-    residual rows are formed only at a step where it flips the coin. Each
-    step takes three uniforms per pair, the coin and then one inverse-CDF
-    draw per chain, and works through its pairs in chunks of ``STEP_BYTES``.
+    x starts at state ``x0``, x' at a draw from ``pi``. ``step_rows`` holds
+    the n0-step matrix, ``in_small_set`` one bool per state, and ``nu`` the
+    certificate's one overlap law, or None when each pair overlaps on its own
+    (the pairwise certificate). A pair's overlap and residual rows are formed
+    only at a step where it flips the coin. Each step takes three uniforms
+    per pair, the coin and then one inverse-CDF draw per chain, and works
+    through its pairs in chunks of ``STEP_BYTES``.
     """
     size = step_rows.shape[0]
     step_cdf = _cdf_rows(step_rows)
-    mu0_cdf, pi_cdf = _cdf_rows(mu0), _cdf_rows(pi)
+    pi_cdf = _cdf_rows(pi)
     width = max(1, STEP_BYTES // (32 * size))  # four rows of 8-byte floats a pair
 
     def start(rng, m):
-        u = rng.random((2, m))
-        return inverse_cdf(mu0_cdf, u[0]), inverse_cdf(pi_cdf, u[1])
+        u = rng.random((2, m))  # row 0 goes unused; the seeded streams depend on its draw
+        return np.full(m, x0, np.intp), inverse_cdf(pi_cdf, u[1])
 
     def chunk(x, xp, u):
         eq = x == xp
@@ -262,15 +265,17 @@ def finite_coupling_paths(
         cdf = step_cdf[np.stack([x, xp])]
         cdf[:, coin] = coin_cdf
         new_x = inverse_cdf(cdf[0], u[1])
-        return new_x, np.where(eq | heads, new_x, inverse_cdf(cdf[1], u[2]))
+        return new_x, np.where(eq | heads, new_x, inverse_cdf(cdf[1], u[2])), coin.size
 
     def step(rng, x, xp):
         u = rng.random((3, x.size))
         new = np.empty((2, x.size), np.intp)
+        flips = 0
         for lo in range(0, x.size, width):
             part = slice(lo, lo + width)
-            new[:, part] = chunk(x[part], xp[part], u[:, part])
-        return new[0], new[1]
+            new[0, part], new[1, part], n = chunk(x[part], xp[part], u[:, part])
+            flips += n
+        return new[0], new[1], flips
 
     return _lockstep(n_lat, master_seed, replications, record_every, start, step,
                      size, on_block, np.int32)
@@ -295,13 +300,12 @@ def _keep(chain: Chain, eps: float, x: np.ndarray, z: np.ndarray) -> np.ndarray:
     return out
 
 
-def continuous_coupling_paths(model: str, n_lat: int, master_seed: int, replications: int,
-                              record_every: int, x0: float, burn_in: int,
+def continuous_coupling_paths(chain: Chain, cert, n_lat: int, master_seed: int,
+                              replications: int, record_every: int, x0: float, burn_in: int,
                               on_block=None) -> Totals:
-    """Coupling of the continuous chain ``model``, a key of ``laws.CHAINS``,
-    on its lag-n0 lattice, with the overlap eps, the lag n0 and the small set
-    (an ``Interval``, or None for the whole space) of its certificate in
-    ``bounds.CERTIFICATES``.
+    """Coupling of the continuous ``chain`` on its lag-n0 lattice, with the
+    overlap eps, the lag n0 and the small set (an ``Interval``, or None for
+    the whole space) of its certificate ``cert``.
 
     x starts at ``x0``; x' at an exact stationary draw advanced by
     ``burn_in`` further kernel steps. The lattice step is n0 one-step draws.
@@ -309,11 +313,8 @@ def continuous_coupling_paths(model: str, n_lat: int, master_seed: int, replicat
     step of x and x' (of x alone when the set is the whole space, where every
     unequal pair flips the coin and x' moves only with x); one overlap draw
     per pair; the residual rounds of the pairs whose coin lands tails.
-    ``Totals.opportunities`` counts the coin flips of all pairs.
     """
-    chain, cert = CHAINS[model], CERTIFICATES[model]
     eps, small_set = cert.epsilon, cert.small_set
-    opportunities = 0
 
     def lattice(rng, x):
         for _ in range(cert.n0):
@@ -327,13 +328,11 @@ def continuous_coupling_paths(model: str, n_lat: int, master_seed: int, replicat
         return np.full(m, float(x0)), xp
 
     def step(rng, x, xp):
-        nonlocal opportunities
         n = x.size
         eq = x == xp
         coin = ~eq
         if small_set is not None:
             coin &= small_set.contains(x) & small_set.contains(xp)
-        opportunities += int(np.count_nonzero(coin))
         heads = coin & (rng.random(n) < eps)
         tails = coin & ~heads
         moved = lattice(rng, x if small_set is None else np.concatenate([x, xp]))
@@ -344,8 +343,7 @@ def continuous_coupling_paths(model: str, n_lat: int, master_seed: int, replicat
             both = residual_draw(rng, np.concatenate([x[tails], xp[tails]]), lattice,
                                  lambda at, z: _keep(chain, eps, at, z))
             new_x[tails], new_xp[tails] = np.split(both, 2)
-        return new_x, new_xp
+        return new_x, new_xp, int(np.count_nonzero(coin))
 
-    totals = _lockstep(n_lat, master_seed, replications, record_every, start, step,
-                       on_block=on_block)
-    return totals._replace(opportunities=opportunities)
+    return _lockstep(n_lat, master_seed, replications, record_every, start, step,
+                     on_block=on_block)

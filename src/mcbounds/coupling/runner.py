@@ -18,10 +18,12 @@ import numpy as np
 
 from ..errors import InputError
 from ..bounds import CERTIFICATES, MAX_CURVE_POINTS, _Record
+from ..kernels.laws import CHAINS
 from . import engines
 
 if TYPE_CHECKING:
-    from ..finite_chain import MinorizationCert, ProbVector, StochasticMatrix
+    from ..bounds import ChainCertificate
+    from ..finite_chain import MinorizationCert, StochasticMatrix
 
 __all__ = [
     "CouplingConfig",
@@ -33,16 +35,15 @@ __all__ = [
 class CouplingConfig(_Record):
     """Everything a coupling run needs; immutable and fully seed-determined.
 
-    ``model`` selects the chain: "finite" (supply ``matrix``, ``cert``, and an
-    ``initial_law``) or a key of ``bounds.CERTIFICATES`` (point start ``x0``,
-    in the chain's ``space``). The partner chain starts from an
-    exact stationary draw; for the continuous chains ``burn_in`` further
-    kernel steps follow it, which keep its law. A field the model does not
-    read (``x0`` or ``burn_in`` on "finite", ``matrix``, ``cert`` or
-    ``initial_law`` on a continuous chain) is refused unless it is left at
-    its default.
-    The lag, the overlap and the coupling mode follow from the finite
-    certificate or, for the continuous chains, from ``bounds.CERTIFICATES``.
+    ``model`` selects the chain: "finite" (supply ``matrix`` and ``cert``) or
+    a key of ``bounds.CERTIFICATES``. Chain x starts at ``x0``: a state index
+    in 0..size-1 for "finite", a point of the chain's ``space`` otherwise.
+    The partner chain starts from an exact stationary draw; for the
+    continuous chains ``burn_in`` further kernel steps follow it, which keep
+    its law. A field the model does not read (``burn_in`` on "finite",
+    ``matrix`` or ``cert`` on a continuous chain) is refused unless it is
+    left at its default.
+    The lag, the overlap and the coupling mode follow from ``certificate()``.
     Every replication runs all ``n_max // n0`` lattice steps; a run of more
     than ``engines.MAX_PAIR_STEPS`` pair-steps (``engines.pair_steps``) is
     refused, and so is one that records more than ``bounds.MAX_CURVE_POINTS``
@@ -50,28 +51,24 @@ class CouplingConfig(_Record):
     """
 
     __slots__ = ("model", "n_max", "replications", "master_seed", "matrix", "cert",
-                 "initial_law", "x0", "burn_in", "record_every")
+                 "x0", "burn_in", "record_every")
 
     def __init__(self, model: str, n_max: int, replications: int, master_seed: int,
                  matrix: StochasticMatrix | None = None, cert: MinorizationCert | None = None,
-                 initial_law: ProbVector | None = None, x0: float = 0.0, burn_in: int = 0,
-                 record_every: int = 1) -> None:
-        # filled first: the budget check reads the lag through effective_n0()
-        self._fill(model, n_max, replications, master_seed, matrix, cert, initial_law,
-                   x0, burn_in, record_every)
+                 x0: float = 0, burn_in: int = 0, record_every: int = 1) -> None:
+        # filled first: the budget check reads the lag through certificate()
+        self._fill(model, n_max, replications, master_seed, matrix, cert, x0, burn_in,
+                   record_every)
         if model != "finite" and model not in CERTIFICATES:
             raise InputError(f"unknown model {model!r}")
-        if model == "finite":
-            unread = {"x0": x0 != 0, "burn_in": burn_in != 0}
-        else:
-            unread = {"matrix": matrix is not None, "cert": cert is not None,
-                      "initial_law": initial_law is not None}
+        unread = ({"burn_in": burn_in != 0} if model == "finite"
+                  else {"matrix": matrix is not None, "cert": cert is not None})
         for name, given in unread.items():
             if given:
                 raise InputError(f"the {model} model does not read {name}; leave it out")
         if master_seed < 0:
             raise InputError(f"master seed must be a non-negative integer, got {master_seed}")
-        if not math.isfinite(x0):
+        if model != "finite" and not math.isfinite(x0):
             raise InputError(f"start point x0 must be finite, got {x0}")
         if burn_in < 0:
             raise InputError(f"burn_in must be >= 0, got {burn_in}")
@@ -84,14 +81,13 @@ class CouplingConfig(_Record):
         if model == "finite":
             if matrix is None or cert is None:
                 raise InputError("finite model requires matrix and cert")
-            if initial_law is not None and initial_law.size != matrix.size:
-                raise InputError("initial law size does not match the matrix")
+            _require_fit(matrix.size, cert, x0)
         else:
-            space = CERTIFICATES[model].space
+            space = self.certificate().space
             if not space.contains(x0):
                 raise InputError(f"start point x0 must be in [{space.lo:g}, {space.hi:g}] "
                                  f"for the {model} chain, got {x0}")
-        n_lat = n_max // self.effective_n0()
+        n_lat = n_max // self.certificate().n0
         work = engines.pair_steps(replications, 1 + burn_in + n_lat)
         if work > engines.MAX_PAIR_STEPS:
             shrink = ["fewer replications (--reps)", "a smaller n_max (--n-max)"]
@@ -110,30 +106,44 @@ class CouplingConfig(_Record):
                 "or a smaller n_max (--n-max)"
             )
 
+    def certificate(self) -> MinorizationCert | ChainCertificate:
+        """The run's overlap certificate, whose lag ``n0``, overlap ``epsilon``
+        and ``small_set`` drive it: ``cert`` for "finite",
+        ``bounds.CERTIFICATES[model]`` otherwise."""
+        return self.cert if self.model == "finite" else CERTIFICATES[self.model]
+
     def lattice(self) -> tuple[int, ...]:
         """The recorded chain steps: every ``record_every``-th lattice point."""
-        n0 = self.effective_n0()
+        n0 = self.certificate().n0
         return tuple(range(0, self.n_max // n0 * n0 + 1, n0 * self.record_every))
-
-    def effective_n0(self) -> int:
-        if self.model == "finite":
-            return self.cert.n0
-        return CERTIFICATES[self.model].n0
 
     def mode(self) -> str:
         """The coupling mode: ``uniform`` when the coin is flipped on the whole
         state space (the half-line chain, a finite certificate on every
         state), ``small-set`` otherwise."""
-        if self.model == "finite":
-            whole = set(self.cert.small_set) == set(range(self.matrix.size))
-        else:
-            whole = CERTIFICATES[self.model].small_set is None
+        small = self.certificate().small_set
+        whole = (set(small) == set(range(self.matrix.size)) if self.model == "finite"
+                 else small is None)
         return "uniform" if whole else "small-set"
 
-    def effective_epsilon(self) -> float:
-        if self.model == "finite":
-            return float(self.cert.epsilon)
-        return CERTIFICATES[self.model].epsilon
+
+def _require_fit(size: int, cert: MinorizationCert, x0) -> None:
+    """Refuse a finite start or certificate that names no state of a
+    ``size``-state chain: ``x0`` and every small-set entry must be an int in
+    0..size-1, and a uniform certificate's ``nu`` must have ``size`` entries."""
+
+    def is_state(value) -> bool:
+        return isinstance(value, int) and not isinstance(value, bool) and 0 <= value < size
+
+    states = f"an integer in 0..{size - 1} for the {size}-state chain"
+    if not is_state(x0):
+        raise InputError(f"start state x0 must be {states}, got {x0!r}")
+    for state in cert.small_set:
+        if not is_state(state):
+            raise InputError(f"small-set state {state!r} of the certificate must be {states}")
+    if cert.nu is not None and cert.nu.size != size:
+        raise InputError(f"the certificate's nu has {cert.nu.size} states but the chain "
+                         f"has {size}")
 
 
 class CouplingResult(NamedTuple):
@@ -141,7 +151,7 @@ class CouplingResult(NamedTuple):
 
     ``lattice`` lists chain-step indices, and every per-point tuple follows
     it. Coupling times are in chain steps. ``tv_exact`` is the distance to
-    stationarity TV_n = |mu0 P^n - pi|_TV of a finite chain at each point,
+    stationarity TV_n = |P^n(x0, .) - pi|_TV of a finite chain at each point,
     which the coupling inequality puts at or below P(T > n); it is None for
     the continuous chains. The result keeps no paths: pass ``on_block`` to
     ``run_coupling`` to see them.
@@ -189,8 +199,8 @@ def _finite_arrays(config: CouplingConfig):
     return pn0.to_floats(), nu, in_small
 
 
-def _tv_exact(config: CouplingConfig, mu0: np.ndarray, pi: np.ndarray) -> tuple[float, ...]:
-    """TV_n = 1/2 |mu0 P^n - pi|_1 at each recorded lattice point, in floats.
+def _tv_exact(config: CouplingConfig, pi: np.ndarray) -> tuple[float, ...]:
+    """TV_n = 1/2 |P^n(x0, .) - pi|_1 at each recorded lattice point, in floats.
 
     The law is carried one chain step at a time through the nonzero entries
     of P, which on a grid walk costs O(states) a step rather than the
@@ -199,7 +209,8 @@ def _tv_exact(config: CouplingConfig, mu0: np.ndarray, pi: np.ndarray) -> tuple[
     p = config.matrix.to_floats()
     i, j = np.nonzero(p)
     weights = p[i, j]
-    law, at, tv = mu0, 0, []
+    law, at, tv = np.zeros(pi.size), 0, []
+    law[config.x0] = 1.0
     for n in config.lattice():
         for _ in range(n - at):
             law = np.bincount(j, law[i] * weights, pi.size)
@@ -238,7 +249,8 @@ def _summarize(
     mean coin flips per replication are reported in small-set mode only.
     """
     reps = config.replications
-    n0 = config.effective_n0()
+    cert = config.certificate()
+    n0 = cert.n0
     p_neq = 1.0 - totals.coupled / reps
     p_se = np.sqrt(p_neq * (1.0 - p_neq) / reps)
 
@@ -264,7 +276,7 @@ def _summarize(
         model=config.model,
         mode=config.mode(),
         n0=n0,
-        epsilon=config.effective_epsilon(),
+        epsilon=float(cert.epsilon),
         replications=reps,
         master_seed=config.master_seed,
         n_max=config.n_max,
@@ -278,9 +290,7 @@ def _summarize(
         coupling_time_quantiles=quantiles,
         uncoupled=reps - coupled,
         opportunities_mean=(
-            totals.opportunities / reps
-            if totals.opportunities is not None and config.mode() == "small-set"
-            else None
+            totals.opportunities / reps if config.mode() == "small-set" else None
         ),
     )
 
@@ -294,8 +304,8 @@ def run_coupling(config: CouplingConfig, on_block=None) -> CouplingResult:
     and the certificate's set for the Metropolis chain, which couples at even
     times with the published lag-2 overlap (odd-time states are not
     recorded). Both continuous chains run one engine,
-    ``engines.continuous_coupling_paths``, which reads the chain's lag,
-    overlap and small set from ``bounds.CERTIFICATES`` itself. Finite chains form the overlap and
+    ``engines.continuous_coupling_paths``, handed the chain's ``laws.Chain``
+    and ``config.certificate()``. Finite chains form the overlap and
     residual rows of a pair from the float n0-step rows when it flips the
     coin, after an exact check that the certificate leaves no residual
     negative; the pairwise variant's overlap is the normalized minimum of the
@@ -305,21 +315,21 @@ def run_coupling(config: CouplingConfig, on_block=None) -> CouplingResult:
     states as the block ends (see ``engines._lockstep``): at most
     ``engines.BLOCK`` x ``bounds.MAX_CURVE_POINTS`` pair states.
     """
-    n_steps = config.n_max // config.effective_n0()
-    run = (n_steps, config.master_seed, config.replications, config.record_every)
+    cert = config.certificate()
+    run = (config.n_max // cert.n0, config.master_seed, config.replications,
+           config.record_every)
     tv_exact = None
     if config.model == "finite":
-        from ..finite_chain import ProbVector, stationary
+        from ..finite_chain import stationary
 
         pi = stationary(config.matrix).to_floats()
-        mu0 = (config.initial_law or ProbVector.delta(config.matrix.size, 0)).to_floats()
         step_rows, nu, in_small = _finite_arrays(config)
         totals = engines.finite_coupling_paths(
-            *run, mu0, pi, step_rows, config.effective_epsilon(), nu, in_small, on_block,
+            *run, config.x0, pi, step_rows, float(cert.epsilon), nu, in_small, on_block,
         )
-        tv_exact = _tv_exact(config, mu0, pi)
+        tv_exact = _tv_exact(config, pi)
     else:
         totals = engines.continuous_coupling_paths(
-            config.model, *run, config.x0, config.burn_in, on_block
+            CHAINS[config.model], cert, *run, config.x0, config.burn_in, on_block
         )
     return _summarize(config, totals, tv_exact)

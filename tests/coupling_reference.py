@@ -58,7 +58,7 @@ def reference_summary(config, xs, xps, couple_at, opportunities, tv_exact):
     per replication, ``opportunities`` the coin chances per replication and
     ``tv_exact`` the run's exact distances (None for a continuous chain)."""
     reps = config.replications
-    n0 = config.effective_n0()
+    n0 = config.certificate().n0
     n_steps = config.n_max // n0
     lattice = tuple(k * n0 for k in range(0, n_steps + 1, config.record_every))
     couple_steps = np.where(couple_at >= 0, couple_at * n0, -1)
@@ -89,7 +89,7 @@ def reference_summary(config, xs, xps, couple_at, opportunities, tv_exact):
         model=config.model,
         mode=config.mode(),
         n0=n0,
-        epsilon=config.effective_epsilon(),
+        epsilon=float(config.certificate().epsilon),
         replications=reps,
         master_seed=config.master_seed,
         n_max=config.n_max,

@@ -228,7 +228,7 @@ def big_grid_run(grid):
         master_seed=1,
         matrix=grid,
         cert=minorization_pseudo(grid, 2),
-        initial_law=ProbVector.delta(9, 4),
+        x0=4,
     )
     return config, run_coupling(config)
 
@@ -267,7 +267,7 @@ def test_criterion_11_determinism(grid):
         master_seed=777,
         matrix=grid,
         cert=minorization_uniform(grid, 2),
-        initial_law=ProbVector.delta(9, 4),
+        x0=4,
     )
     first = json.dumps(run_coupling(config).to_jsonable(), sort_keys=True)
     second = json.dumps(run_coupling(config).to_jsonable(), sort_keys=True)

@@ -550,6 +550,15 @@ class TestSimulate:
             assert report.get("warnings")
         # the exact distance needs no second replication
         assert len(report["results"]["tv_exact"]) == len(report["results"]["lattice"]) == 5
+        # at seed 0 the one pair is apart at n = 2; no check tells such an
+        # excess from chance, so the warning does not call it noise
+        code, report = run_cli(
+            capsys,
+            "simulate", "--grid", "3x3", "--cert", "pseudo",
+            "--n-max", "8", "--reps", "1", "--seed", "0",
+        )
+        assert code == 0 and report["results"]["p_neq"][1] == 1.0
+        assert report["warnings"] and not any("noise" in w for w in report["warnings"])
 
     def test_trajectory_dump(self, tmp_path, capsys):
         traj = tmp_path / "paths.csv"

@@ -1,9 +1,12 @@
 """Coupling simulator: bound dominance, marginal correctness, determinism."""
 
+import ast
 import itertools
 import json
 import math
+import re
 from fractions import Fraction as F
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -14,7 +17,7 @@ import fraction_reference as ref
 from coupling_reference import rebuilt, reference_for, run_with_paths
 from mcbounds.bounds import CERTIFICATES, MAX_CURVE_POINTS
 from mcbounds.coupling import CouplingConfig, run_coupling
-from mcbounds.coupling import engines
+from mcbounds.coupling import engines, runner
 from mcbounds.coupling.runner import _finite_arrays, _quantile
 from mcbounds.errors import CertificateError, InputError, MathError
 import scalar_reference as sref
@@ -48,7 +51,7 @@ def grid_pseudo_run(grid):
         master_seed=42,
         matrix=grid,
         cert=minorization_pseudo(grid, 2),
-        initial_law=ProbVector.delta(9, 4),
+        x0=4,
     )
     return config, *run_with_paths(config)
 
@@ -61,7 +64,7 @@ def small_configs(master_seed, replications, record_every=1):
     return (
         CouplingConfig(
             model="finite", n_max=8, matrix=grid, cert=minorization_pseudo(grid, 2),
-            initial_law=ProbVector.delta(9, 4), **common,
+            x0=4, **common,
         ),
         CouplingConfig(model="halfline", n_max=4, burn_in=10, **common),
         CouplingConfig(model="rwm-laplace", n_max=20, burn_in=10, **common),
@@ -113,7 +116,7 @@ class TestStreamedSummary:
     )
     def test_same_bytes_as_the_whole_matrix_summary(self, model, reps, steps, every, seed):
         config = small_configs(seed, reps, every)[model]
-        config = rebuilt(config, n_max=steps * config.effective_n0())
+        config = rebuilt(config, n_max=steps * config.certificate().n0)
         small = CERTIFICATES["rwm-laplace"].small_set
         want = reference_for(
             config,
@@ -131,7 +134,7 @@ class TestStreamedSummary:
             return np.zeros(m), np.zeros(m)
 
         def step(rng, x, xp):
-            return x, xp + (rng.random(x.size) < 0.5)
+            return x, xp + (rng.random(x.size) < 0.5), 0
 
         with pytest.raises(MathError, match="decoupled"):
             engines._lockstep(3, 1, 10, 1, start, step)
@@ -200,7 +203,7 @@ def pair_chain_oracle(config):
                 T[i, diagonal] += eps * shared
             else:
                 T[i] = np.outer(step[x], step[xp]).ravel()
-    mu0 = config.initial_law.to_floats()
+    mu0 = np.eye(size)[config.x0]
     pi = stationary(config.matrix).to_floats()
     law = np.outer(mu0, pi).ravel()
     p_neq, marginals = [], []
@@ -250,7 +253,7 @@ class TestPairChainOracle:
         matrix, cert = make_cert(grid)
         config = CouplingConfig(
             model="finite", n_max=20, replications=20_000, master_seed=99,
-            matrix=matrix, cert=cert, initial_law=ProbVector.delta(matrix.size, 0),
+            matrix=matrix, cert=cert, x0=0,
         )
         res = run_coupling(config)
         exact_p, exact_law = pair_chain_oracle(config)
@@ -279,7 +282,7 @@ class TestPairChainOracle:
         # the oracle itself must see the smaller small set
         config = CouplingConfig(
             model="finite", n_max=10, replications=1, master_seed=0, matrix=grid,
-            cert=minorization_pseudo(grid, 2), initial_law=ProbVector.delta(9, 0),
+            cert=minorization_pseudo(grid, 2), x0=0,
         )
         whole, _ = pair_chain_oracle(config)
         subset, _ = pair_chain_oracle(
@@ -290,7 +293,7 @@ class TestPairChainOracle:
 
 def finite_model(make_cert):
     return lambda grid: dict(model="finite", matrix=grid, cert=make_cert(grid),
-                             initial_law=ProbVector.delta(9, 0))
+                             x0=0)
 
 
 @pytest.mark.parametrize(
@@ -308,6 +311,63 @@ def test_mode_follows_from_the_model_and_certificate(grid, model, mode):
     config = CouplingConfig(n_max=4, replications=20, master_seed=1, **model(grid))
     assert config.mode() == mode
     assert run_coupling(config).mode == mode
+
+
+def test_finite_small_set_run_reports_its_coin_flips(grid):
+    # a pair flips the coin before a step when it is apart and both states lie in C
+    cert = proper_subset_cert(grid)
+    config = CouplingConfig(model="finite", n_max=20, replications=3000, master_seed=12,
+                            matrix=grid, cert=cert)
+    res, xs, xps = run_with_paths(config)
+    in_c = np.isin(xs, cert.small_set) & np.isin(xps, cert.small_set)
+    flips = int(((xs != xps) & in_c)[:, :-1].sum())
+    assert res.mode == "small-set" and flips > 0
+    assert res.opportunities_mean == flips / config.replications
+
+
+class TestFiniteConfigFitsItsMatrix:
+    """A finite start or certificate that names no state of the matrix is
+    refused when the config is built."""
+
+    @pytest.mark.parametrize("x0", [-1, 9, 2.0, True])
+    def test_start_must_be_a_state_index(self, grid, x0):
+        message = f"start state x0 must be an integer in 0..8 for the 9-state chain, got {x0!r}"
+        with pytest.raises(InputError, match=re.escape(message)):
+            CouplingConfig(model="finite", n_max=4, replications=10, master_seed=1,
+                           matrix=grid, cert=minorization_pseudo(grid, 2), x0=x0)
+
+    @pytest.mark.parametrize("small_set,bad", [((0, 9), 9), ((-1, 0), -1)])
+    def test_small_set_must_name_states_of_the_matrix(self, grid, small_set, bad):
+        cert = MinorizationCert("pseudo", small_set, 2, F(1, 3))
+        message = (f"small-set state {bad} of the certificate must be an integer "
+                   "in 0..8 for the 9-state chain")
+        with pytest.raises(InputError, match=re.escape(message)):
+            CouplingConfig(model="finite", n_max=4, replications=10, master_seed=1,
+                           matrix=grid, cert=cert)
+
+    def test_nu_must_have_a_state_per_matrix_state(self):
+        # every entry positive, so the exact check alone would pass it
+        thirds = StochasticMatrix([[F(1, 3)] * 3] * 3)
+        halves = ProbVector((F(1, 2), F(1, 2)))
+        cert = MinorizationCert("uniform", (0, 1, 2), 1, F(1, 2), nu=halves)
+        with pytest.raises(InputError, match="nu has 2 states but the chain has 3"):
+            CouplingConfig(model="finite", n_max=4, replications=10, master_seed=1,
+                           matrix=thirds, cert=cert)
+
+
+def test_the_certificate_table_is_read_in_one_place():
+    # the engines take their chain and certificate from the runner, which
+    # reads the table only in CouplingConfig.certificate()
+    assert not re.search("CERTIFICATES|CHAINS", Path(engines.__file__).read_text())
+
+    def table_reads(node):
+        return [n for n in ast.walk(node) if isinstance(n, ast.Subscript)
+                and isinstance(n.value, ast.Name) and n.value.id == "CERTIFICATES"]
+
+    tree = ast.parse(Path(runner.__file__).read_text())
+    inside = [n for f in ast.walk(tree) if isinstance(f, ast.FunctionDef)
+              and f.name == "certificate" for n in table_reads(f)]
+    assert len(inside) == 1 and table_reads(tree) == inside
 
 
 class TestRecordEvery:
@@ -561,7 +621,7 @@ class TestGridCoupling:
             master_seed=7,
             matrix=grid,
             cert=minorization_uniform(grid, 2),
-            initial_law=ProbVector.delta(9, 4),
+            x0=4,
         )
         res = run_coupling(config)
         for n, p, se in zip(res.lattice, res.p_neq, res.p_neq_se):
@@ -610,7 +670,7 @@ class TestGridCoupling:
         mu0 = ProbVector.delta(matrix.size, start)
         config = CouplingConfig(
             model="finite", n_max=60, replications=3, master_seed=5, matrix=matrix,
-            cert=minorization_pseudo(matrix, n0), initial_law=mu0, record_every=every,
+            cert=minorization_pseudo(matrix, n0), x0=start, record_every=every,
         )
         res = run_coupling(config)
         curve = exact_tv_curve(mu0, matrix, config.lattice()[-1])
@@ -630,7 +690,7 @@ class TestGridCoupling:
             master_seed=3,
             matrix=iid,
             cert=cert,
-            initial_law=ProbVector.delta(2, 0),
+            x0=0,
         )
         res = run_coupling(config)
         assert all(p == 0.0 for p in res.p_neq[1:])
@@ -651,7 +711,7 @@ class TestGridCoupling:
             master_seed=1,
             matrix=grid,
             cert=inflated,
-            initial_law=ProbVector.delta(9, 4),
+            x0=4,
         )
         with pytest.raises(CertificateError):
             run_coupling(config)
@@ -672,7 +732,7 @@ class TestGridCoupling:
             master_seed=1,
             matrix=grid,
             cert=inflated,
-            initial_law=ProbVector.delta(9, 4),
+            x0=4,
         )
         with pytest.raises(CertificateError, match="is negative for pair"):
             run_coupling(config)
@@ -907,15 +967,13 @@ class TestContinuousEngine:
             CouplingConfig(model="laplace", n_max=2, replications=2, master_seed=0)
 
     @pytest.mark.parametrize("model,field", [
-        ("finite", "x0"), ("finite", "burn_in"), ("halfline", "matrix"),
-        ("rwm-laplace", "cert"), ("halfline", "initial_law"),
+        ("finite", "burn_in"), ("halfline", "matrix"), ("rwm-laplace", "cert"),
     ])
     def test_config_refuses_a_field_its_model_does_not_read(self, grid, model, field):
         # a burn-in the finite engine never runs is not charged to the budget
         cert = minorization_pseudo(grid, 2)
         fields = {"finite": dict(matrix=grid, cert=cert)}.get(model, {})
-        value = {"x0": 7.0, "burn_in": 10**7, "matrix": grid, "cert": cert,
-                 "initial_law": ProbVector.delta(grid.size, 0)}[field]
+        value = {"burn_in": 10**7, "matrix": grid, "cert": cert}[field]
         with pytest.raises(InputError, match=f"the {model} model does not read {field}; "):
             CouplingConfig(model=model, n_max=4, replications=10, master_seed=1,
                            **fields, **{field: value})
@@ -926,7 +984,7 @@ class TestContinuousEngine:
         unequal pairs summed over the steps before the last."""
         reps, blocks = 300, []
         totals = engines.continuous_coupling_paths(
-            model, 12, 3, reps, 1, x0, 0,
+            laws.CHAINS[model], CERTIFICATES[model], 12, 3, reps, 1, x0, 0,
             lambda first, xs, xps: blocks.append((xs.copy(), xps.copy())),
         )
         xs, xps = map(np.concatenate, zip(*blocks))
@@ -958,7 +1016,7 @@ class TestDeterminism:
             master_seed=5,
             matrix=grid,
             cert=minorization_pseudo(grid, 2),
-            initial_law=ProbVector.delta(9, 4),
+            x0=4,
         )
         a = json.dumps(run_coupling(config).to_jsonable(), sort_keys=True)
         b = json.dumps(run_coupling(config).to_jsonable(), sort_keys=True)

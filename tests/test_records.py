@@ -16,7 +16,13 @@ from mcbounds.bounds import (
 )
 from mcbounds.coupling import CouplingConfig
 from mcbounds.errors import InputError
-from mcbounds.finite_chain import EigenBound, EigenMode, MinorizationCert, ProbVector
+from mcbounds.finite_chain import (
+    EigenBound,
+    EigenMode,
+    MinorizationCert,
+    ProbVector,
+    StochasticMatrix,
+)
 
 
 def V(x):
@@ -24,6 +30,7 @@ def V(x):
 
 
 HALVES = ProbVector((F(1, 2), F(1, 2)))
+COIN = StochasticMatrix([[F(1, 2), F(1, 2)], [F(1, 2), F(1, 2)]])
 MODE = EigenMode(0.5 + 0j, 0.25, 0.5)
 DRIFT = {"V": V, "text": "exp(|x|/2)", "lam": 0.916, "b": 0.285, "d": math.e,
          "region": Interval(-6.0, 6.0), "pi_v": 2.0, "schedule": (120_000, 274)}
@@ -48,10 +55,14 @@ RECORDS = [
                   "eigenvalues": (1 + 0j, 0.5 + 0j), "stationary": (0.5, 0.5),
                   "modes": (MODE,)}),
     (CouplingConfig, {"model": "halfline", "n_max": 6, "replications": 10, "master_seed": 1,
-                      "matrix": None, "cert": None, "initial_law": None, "x0": 0.5,
-                      "burn_in": 3, "record_every": 2}),
+                      "matrix": None, "cert": None, "x0": 0.5, "burn_in": 3,
+                      "record_every": 2}),
+    (CouplingConfig, {"model": "finite", "n_max": 6, "replications": 10, "master_seed": 1,
+                      "matrix": COIN, "cert": MinorizationCert("uniform", (0, 1), 1, F(1), HALVES),
+                      "x0": 1, "burn_in": 0, "record_every": 2}),
 ]
-RECORD_IDS = [cls.__name__ for cls, _ in RECORDS]
+RECORD_IDS = [f"{cls.__name__}-finite" if fields.get("model") == "finite" else cls.__name__
+              for cls, fields in RECORDS]
 
 
 @pytest.mark.parametrize("cls,fields", RECORDS, ids=RECORD_IDS)
