@@ -71,6 +71,8 @@ def _check_ranges(args) -> None:
     delta, n_max, tolerance = opts.get("delta"), opts.get("n_max"), opts.get("tolerance")
     if delta is not None and not 0 < delta < 1:
         raise InputError(f"delta must be in (0, 1), got {delta}")
+    if opts.get("n0") is not None and opts["n0"] < 1:
+        raise InputError("n0 must be >= 1")
     if n_max is not None and n_max < 0:
         raise InputError("n_max must be >= 0")
     if tolerance is not None and not 0 <= tolerance < math.inf:

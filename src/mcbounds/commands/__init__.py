@@ -10,18 +10,34 @@ serve the two commands that read a finite model, ``finite`` and
 
 from __future__ import annotations
 
+import json
 import math
 import sys
+from pathlib import Path
+from typing import TYPE_CHECKING
 
 from ..errors import InputError
 
+if TYPE_CHECKING:
+    from ..finite_chain import StochasticMatrix
 
-def _parse_grid(text: str) -> tuple[int, int]:
+
+def _load_model(args) -> tuple[StochasticMatrix, str]:
+    """The chain of --grid or --matrix-file, and its name in the report."""
+    # imported here: bound, verify and a continuous simulate load no finite chain
+    from ..finite_chain import StochasticMatrix, build_grid_walk
+
+    if args.grid is not None:
+        try:
+            rows, cols = map(int, args.grid.lower().split("x"))
+        except ValueError as exc:
+            raise InputError(f"grid must look like 3x3, got {args.grid!r}") from exc
+        return build_grid_walk(rows, cols), f"grid {rows}x{cols}"
     try:
-        rows, cols = text.lower().split("x")
-        return int(rows), int(cols)
-    except ValueError as exc:
-        raise InputError(f"grid must look like 3x3, got {text!r}") from exc
+        data = json.loads(Path(args.matrix_file).read_text())
+    except (OSError, ValueError) as exc:  # ValueError: bad JSON, UTF-8 or int
+        raise InputError(f"cannot read matrix file: {exc}") from exc
+    return StochasticMatrix.from_json_dict(data), f"file {args.matrix_file}"
 
 
 def _default_start(args, size: int) -> int:

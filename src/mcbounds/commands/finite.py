@@ -2,35 +2,20 @@
 
 from __future__ import annotations
 
-import json
 import math
-from pathlib import Path
 
 from ..bounds import minorization_bound, minorization_crossing, steps_to_threshold
 from ..cli import _Report
 from ..errors import InputError
 from ..finite_chain import (
     ProbVector,
-    StochasticMatrix,
-    build_grid_walk,
     eigen_bound,
     exact_tv_curve,
     minorization_pseudo,
     minorization_uniform,
     stationary,
 )
-from . import _default_start, _parse_grid, _require_digits, _require_printable
-
-
-def _load_model(args) -> tuple[StochasticMatrix, str]:
-    if args.grid is not None:
-        rows, cols = _parse_grid(args.grid)
-        return build_grid_walk(rows, cols), f"grid {rows}x{cols}"
-    try:
-        data = json.loads(Path(args.matrix_file).read_text())
-    except (OSError, ValueError) as exc:  # ValueError: bad JSON, UTF-8 or int
-        raise InputError(f"cannot read matrix file: {exc}") from exc
-    return StochasticMatrix.from_json_dict(data), f"file {args.matrix_file}"
+from . import _default_start, _load_model, _require_digits, _require_printable
 
 
 def run(args) -> tuple[_Report, int]:
@@ -49,6 +34,9 @@ def run(args) -> tuple[_Report, int]:
     if args.analysis in ("minorization", "pseudo", "tv-exact"):
         # these form P^n0 exactly, for the overlap search
         _require_printable("--n0", args.n0, matrix.denominator)
+    if args.analysis in ("eigen-bound", "tv-exact"):
+        start = _default_start(args, size)  # checked before pi is solved for
+        config["start"] = start + 1
     if args.analysis in ("stationary", "tv-exact"):
         # both print exact rationals over the stationary law's denominators
         pi = stationary(matrix)
@@ -62,11 +50,9 @@ def run(args) -> tuple[_Report, int]:
         provenance["pi"] = "computed (exact elimination)"
 
     elif args.analysis == "eigen-bound":
-        start = _default_start(args, size)
         target = (args.target - 1) if args.target is not None else start
         if not 0 <= target < size:
             raise InputError(f"--target must be in 1..{size}")
-        config["start"] = start + 1
         config["target"] = target + 1
         eb = eigen_bound(matrix, ProbVector.delta(size, start), target)
         crossing = steps_to_threshold(eb.value, args.delta)
@@ -110,8 +96,6 @@ def run(args) -> tuple[_Report, int]:
             provenance["epsilon"] = "computed (exact search)"
 
     elif args.analysis == "tv-exact":
-        start = _default_start(args, size)
-        config["start"] = start + 1
         # a distance's denominator divides 2 * den**n * (that of pi)
         _require_printable("--n", args.n_max, matrix.denominator, 2 * pi_den)
         curve = exact_tv_curve(

@@ -10,14 +10,14 @@ from typing import TYPE_CHECKING
 from ..bounds import minorization_bound
 from ..cli import _dump_trajectories, _replacing, _Report
 from ..errors import MathError
-from . import _default_start, _parse_grid, _require_printable
+from . import _default_start, _load_model, _require_printable
 
 if TYPE_CHECKING:
     from ..coupling import CouplingConfig
 
 
 def _simulate_config(args) -> tuple[CouplingConfig, dict]:
-    from ..coupling import CouplingConfig
+    from ..coupling.runner import CouplingConfig, check_run
 
     run = dict(
         n_max=args.n_max,
@@ -26,22 +26,23 @@ def _simulate_config(args) -> tuple[CouplingConfig, dict]:
         record_every=args.record_every,
     )
     if args.grid is not None:
-        from ..finite_chain import build_grid_walk, minorization_pseudo, minorization_uniform
+        from ..finite_chain import minorization_pseudo, minorization_uniform
 
-        rows, cols = _parse_grid(args.grid)
-        matrix = build_grid_walk(rows, cols)
+        matrix, model = _load_model(args)
         start = _default_start(args, matrix.size)
         # a model's own options parse to None; `is None` keeps a given 0 or -0.0
         n0 = 2 if args.n0 is None else args.n0
         cert_name = "pseudo" if args.cert is None else args.cert
         _require_printable("--n0", n0, matrix.denominator)
+        # refused before the search: it is exact and can take seconds
+        check_run(args.n_max // n0, args.reps, args.seed, record_every=args.record_every)
         finder = minorization_pseudo if cert_name == "pseudo" else minorization_uniform
         cert = finder(matrix, n0)
         if cert is None:
             raise MathError(f"no {cert_name} overlap at lag {n0} for this grid")
         config = CouplingConfig(model="finite", matrix=matrix, cert=cert, x0=start, **run)
-        desc = {"model": f"grid {rows}x{cols}", "cert": cert_name,
-                "epsilon": str(cert.epsilon), "start": start + 1}
+        desc = {"model": model, "cert": cert_name, "epsilon": str(cert.epsilon),
+                "start": start + 1}
         return config, desc
     x0 = 0.0 if args.x0 is None else args.x0
     burn_in = 0 if args.burn_in is None else args.burn_in
@@ -64,14 +65,16 @@ def run(args) -> tuple[_Report, int]:
         config, desc = _simulate_config(args)
         on_block = None if out is None else partial(_dump_trajectories, out, config.lattice())
         result = run_coupling(config, on_block)
+    cert = config.certificate()
+    eps = float(cert.epsilon)
     cfg = {
-        "epsilon": result.epsilon,
-        "n0": result.n0,
+        "epsilon": eps,  # a grid's desc gives it as the exact "p/q"
+        "n0": cert.n0,
         **desc,
-        "n_max": args.n_max,
-        "replications": args.reps,
+        "n_max": config.n_max,
+        "replications": config.replications,
         "master_seed": config.master_seed,
-        "record_every": args.record_every,
+        "record_every": config.record_every,
     }
     results = result.to_jsonable()
     curve = {"n": result.lattice, "p_neq": result.p_neq, "p_neq_se": result.p_neq_se}
@@ -79,7 +82,7 @@ def run(args) -> tuple[_Report, int]:
     # (1-eps)^floor(n/n0) bounds P(T > n) only when every unequal pair flips
     # the coin; a small-set coupling flips it inside C alone, so has no curve
     if result.mode == "uniform":
-        bounds = [minorization_bound(result.epsilon, result.n0, n) for n in result.lattice]
+        bounds = [minorization_bound(eps, cert.n0, n) for n in result.lattice]
         for n, p, se, bound in zip(result.lattice, result.p_neq, result.p_neq_se, bounds):
             if p > bound + 3.0 * se:
                 warnings.append(

@@ -44,10 +44,8 @@ class CouplingConfig(_Record):
     ``matrix`` or ``cert`` on a continuous chain) is refused unless it is
     left at its default.
     The lag, the overlap and the coupling mode follow from ``certificate()``.
-    Every replication runs all ``n_max // n0`` lattice steps; a run of more
-    than ``engines.MAX_PAIR_STEPS`` pair-steps (``engines.pair_steps``) is
-    refused, and so is one that records more than ``bounds.MAX_CURVE_POINTS``
-    lattice points, the cap on bound curves.
+    Every replication runs all ``n_max // n0`` lattice steps; ``check_run``
+    refuses a run over the work budget or the cap on bound curves.
     """
 
     __slots__ = ("model", "n_max", "replications", "master_seed", "matrix", "cert",
@@ -56,7 +54,7 @@ class CouplingConfig(_Record):
     def __init__(self, model: str, n_max: int, replications: int, master_seed: int,
                  matrix: StochasticMatrix | None = None, cert: MinorizationCert | None = None,
                  x0: float = 0, burn_in: int = 0, record_every: int = 1) -> None:
-        # filled first: the budget check reads the lag through certificate()
+        # filled first: the run checks read the lag through certificate()
         self._fill(model, n_max, replications, master_seed, matrix, cert, x0, burn_in,
                    record_every)
         if model != "finite" and model not in CERTIFICATES:
@@ -66,45 +64,19 @@ class CouplingConfig(_Record):
         for name, given in unread.items():
             if given:
                 raise InputError(f"the {model} model does not read {name}; leave it out")
-        if master_seed < 0:
-            raise InputError(f"master seed must be a non-negative integer, got {master_seed}")
-        if model != "finite" and not math.isfinite(x0):
-            raise InputError(f"start point x0 must be finite, got {x0}")
-        if burn_in < 0:
-            raise InputError(f"burn_in must be >= 0, got {burn_in}")
-        if replications < 1:
-            raise InputError("replications must be >= 1")
-        if n_max < 0:
-            raise InputError("n_max must be >= 0")
-        if record_every < 1:
-            raise InputError("record_every must be >= 1")
+        if model == "finite" and (matrix is None or cert is None):
+            raise InputError("finite model requires matrix and cert")
+        check_run(n_max // self.certificate().n0, replications, master_seed, burn_in,
+                  record_every)
         if model == "finite":
-            if matrix is None or cert is None:
-                raise InputError("finite model requires matrix and cert")
             _require_fit(matrix.size, cert, x0)
+        elif not math.isfinite(x0):
+            raise InputError(f"start point x0 must be finite, got {x0}")
         else:
             space = self.certificate().space
             if not space.contains(x0):
                 raise InputError(f"start point x0 must be in [{space.lo:g}, {space.hi:g}] "
                                  f"for the {model} chain, got {x0}")
-        n_lat = n_max // self.certificate().n0
-        work = engines.pair_steps(replications, 1 + burn_in + n_lat)
-        if work > engines.MAX_PAIR_STEPS:
-            shrink = ["fewer replications (--reps)", "a smaller n_max (--n-max)"]
-            if burn_in:
-                shrink.append("a shorter burn_in (--burn-in)")
-            raise InputError(
-                f"{work} pair-steps exceed the work budget of "
-                f"{engines.MAX_PAIR_STEPS}; pass {', '.join(shrink[:-1])} "
-                f"or {shrink[-1]}"
-            )
-        points = n_lat // record_every + 1
-        if points > MAX_CURVE_POINTS:
-            raise InputError(
-                f"a run recording {points} lattice points exceeds the cap of "
-                f"{MAX_CURVE_POINTS}; pass a larger record_every (--record-every) "
-                "or a smaller n_max (--n-max)"
-            )
 
     def certificate(self) -> MinorizationCert | ChainCertificate:
         """The run's overlap certificate, whose lag ``n0``, overlap ``epsilon``
@@ -127,6 +99,36 @@ class CouplingConfig(_Record):
         return "uniform" if whole else "small-set"
 
 
+def check_run(n_lat: int, replications: int, master_seed: int, burn_in: int = 0,
+              record_every: int = 1) -> None:
+    """Refuse a run of ``n_lat = n_max // n0`` lattice steps with a bad seed
+    or count, over ``engines.MAX_PAIR_STEPS`` pair-steps or over
+    ``bounds.MAX_CURVE_POINTS`` recorded points. It reads no certificate, so
+    ``simulate --grid`` runs it before the certificate search."""
+    if master_seed < 0:
+        raise InputError(f"master seed must be a non-negative integer, got {master_seed}")
+    if burn_in < 0:
+        raise InputError(f"burn_in must be >= 0, got {burn_in}")
+    if replications < 1:
+        raise InputError("replications must be >= 1")
+    if n_lat < 0:
+        raise InputError("n_max must be >= 0")
+    if record_every < 1:
+        raise InputError("record_every must be >= 1")
+    work = engines.pair_steps(replications, 1 + burn_in + n_lat)
+    if work > engines.MAX_PAIR_STEPS:
+        shrink = ["fewer replications (--reps)", "a smaller n_max (--n-max)"]
+        if burn_in:
+            shrink.append("a shorter burn_in (--burn-in)")
+        raise InputError(f"{work} pair-steps exceed the work budget of {engines.MAX_PAIR_STEPS}; "
+                         f"pass {', '.join(shrink[:-1])} or {shrink[-1]}")
+    points = n_lat // record_every + 1
+    if points > MAX_CURVE_POINTS:
+        raise InputError(f"a run recording {points} lattice points exceeds the cap of "
+                         f"{MAX_CURVE_POINTS}; pass a larger record_every (--record-every) "
+                         "or a smaller n_max (--n-max)")
+
+
 def _require_fit(size: int, cert: MinorizationCert, x0) -> None:
     """Refuse a finite start or certificate that names no state of a
     ``size``-state chain: ``x0`` and every small-set entry must be an int in
@@ -147,7 +149,8 @@ def _require_fit(size: int, cert: MinorizationCert, x0) -> None:
 
 
 class CouplingResult(NamedTuple):
-    """Per-lattice coupling statistics of a run.
+    """Per-lattice coupling statistics of a run; the run itself (model,
+    overlap, replications, seed, ``n_max``) is its config's.
 
     ``lattice`` lists chain-step indices, and every per-point tuple follows
     it. Coupling times are in chain steps. ``tv_exact`` is the distance to
@@ -157,13 +160,8 @@ class CouplingResult(NamedTuple):
     ``run_coupling`` to see them.
     """
 
-    model: str
     mode: str
     n0: int
-    epsilon: float
-    replications: int
-    master_seed: int
-    n_max: int
     lattice: tuple[int, ...]
     p_neq: tuple[float, ...]
     p_neq_se: tuple[float, ...]
@@ -249,8 +247,7 @@ def _summarize(
     mean coin flips per replication are reported in small-set mode only.
     """
     reps = config.replications
-    cert = config.certificate()
-    n0 = cert.n0
+    n0 = config.certificate().n0
     p_neq = 1.0 - totals.coupled / reps
     p_se = np.sqrt(p_neq * (1.0 - p_neq) / reps)
 
@@ -273,13 +270,8 @@ def _summarize(
         quantiles = tuple((str(q), _quantile(at_rank, coupled, q)) for q in (0.5, 0.9, 0.99))
 
     return CouplingResult(
-        model=config.model,
         mode=config.mode(),
         n0=n0,
-        epsilon=float(cert.epsilon),
-        replications=reps,
-        master_seed=config.master_seed,
-        n_max=config.n_max,
         lattice=config.lattice(),
         p_neq=tuple(p_neq.tolist()),
         p_neq_se=tuple(p_se.tolist()),

@@ -86,13 +86,8 @@ def reference_summary(config, xs, xps, couple_at, opportunities, tv_exact):
             (str(q), float(np.quantile(coupled, q))) for q in (0.5, 0.9, 0.99)
         )
     return CouplingResult(
-        model=config.model,
         mode=config.mode(),
         n0=n0,
-        epsilon=float(config.certificate().epsilon),
-        replications=reps,
-        master_seed=config.master_seed,
-        n_max=config.n_max,
         lattice=lattice,
         p_neq=tuple(float(v) for v in p_neq),
         p_neq_se=tuple(float(v) for v in p_se),

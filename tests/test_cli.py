@@ -345,6 +345,18 @@ class TestFinite:
         text = results["curve"][-1]["tv"] if "curve" in results else results["epsilon"]
         assert len(text) > 1000
 
+    def test_tv_exact_checks_the_start_before_solving_for_pi(self, capsys, monkeypatch):
+        # the refusal needs no pi; it came after the 40x40 elimination
+        from mcbounds.commands import finite
+
+        def must_not_solve(matrix):
+            raise AssertionError("pi was solved for before --start was checked")
+
+        monkeypatch.setattr(finite, "stationary", must_not_solve)
+        argv = ["finite", "tv-exact", "--grid", "40x40", "--start", "99999", "--n", "2"]
+        assert main(argv) == 2
+        assert capsys.readouterr().err == "mcbounds: error: --start must be in 1..1600\n"
+
     def test_stationary_law_too_long_to_print_exits_2(self, capsys, tmp_path):
         # every entry shares one denominator of 2500 digits, and so prints,
         # but the stationary law's denominators have about 5000; this ended
@@ -633,32 +645,32 @@ class TestSimulate:
 
     @pytest.mark.parametrize("argv,stdout_digest,traj_digest", [
         (["--grid", "3x3", "--cert", "pseudo", "--n-max", "12", "--reps", "500"],
-         "87fe37cc31fc22579ba8dad4c1ef0a9dec8a45b9c0c350aba81e81176488b793", None),
+         "136dbb38ffa024c052111e16baf13af6ab778d849c5fb9e5f7920bdc2fd5fe8f", None),
         (["--grid", "3x3", "--cert", "uniform", "--n-max", "12", "--reps", "500"],
-         "72a9d9ed1809dcc6a72a2e02ea1f16d38460c297d34fd6f8eb6b406d716291e0", None),
+         "6ea7bd68168ceb5e56bb77d2a8827c1b959021ef23a75ba684d2c9b04e47fddf", None),
         (["--halfline", "--n-max", "6", "--reps", "300", "--burn-in", "50"],
-         "410490dd181de2e2a36d1e517fcf71852afa75f47f6c12d9cd0e579c57a9fa6f", None),
+         "9b3f2f6164d72fca790178dc4e39ea13512e2ba71ed79bd9057582fda4c77c91", None),
         (["--rwm-laplace", "--n-max", "40", "--reps", "50", "--burn-in", "50",
           "--record-every", "4"],
-         "ac9bd6f0a8dd1b960d9d5ae0fa9bc6ae487f002ad663cfdcecc5312955dedfc1",
+         "9390e65eb43ed623985433ea0d719fa2fb200af0e1ab764d74377ff9f5ff009e",
          "4c021b896e5d768bb78f54be55012264faaac0b94f78039d78977eb33741914a"),
         (["--halfline", "--n-max", "6", "--reps", "300"],
-         "65998f447006604c3df54929d8b16ec341602e2f73836d96e900e442d7dde656",
+         "30d44347e80bf28769d3fdb4173e50fd5fa80d0ac24499d7af3c916ef3a024a3",
          "d233a22a2698de5c351c3d00650c5af9836164cdade52eb98341fb29b7b64efa"),
         (["--grid", "3x3", "--cert", "pseudo", "--n-max", "12", "--reps", "500"],
-         "87fe37cc31fc22579ba8dad4c1ef0a9dec8a45b9c0c350aba81e81176488b793",
+         "136dbb38ffa024c052111e16baf13af6ab778d849c5fb9e5f7920bdc2fd5fe8f",
          "c7ca87f52fd758705bb5d57c2033905277084f3d1eb8a8623cadf7b74e37f32c"),
         # rows over several blocks of engines.BLOCK = 4096 replications
         (["--grid", "3x3", "--cert", "pseudo", "--n-max", "6", "--reps", "9000"],
-         "12d4908b9a506cc6ddc79d1d1b66c50d0e95f6f05214c3840c5418562d4b42ac",
+         "c32b8f8a17547688cfbf0fd2a8a7f059e01ab0b576a2c41b226403e6ae6dceba",
          "768b373a7b63e6e78a9315b531ec979910d6ca85e9663a3155f7b672eb875c55"),
         (["--grid", "3x3", "--cert", "uniform", "--n-max", "6", "--reps", "5000"],
-         "87436b17fc3b9745b4e0c8bb44f22d214f30c4dbf8445c450f9b898cf7c58d92",
+         "93f50a964cef48af82d42e79131ebf6313a7c8512f096c1036f1d866dc9e67ae",
          "ea50d2b23ee59912821ea6a228af2fb05fbf2c41f2d153ceac11349dcbacc54c"),
         (["--halfline", "--n-max", "4", "--reps", "9000", "--burn-in", "5"],
-         "9b87caad0ae0c7286ffcdc73df0de3b40c1c3681acccbbf3325bd38c9415c615", None),
+         "581d90daaa7b2c2b5bc406d54666df7c5722cbfce7b9d26f6d913b50fdd1e1be", None),
         (["--rwm-laplace", "--n-max", "24", "--reps", "5000", "--record-every", "4"],
-         "6a4b8c522d8decba3c2c337dc1a4a141234face01c0cf3e5383996e1f3863d5c",
+         "51392905d1244c0f86cf9a3b14e5baa58d0715a0a8385e964817cd80d155e281",
          "8a49b402fa8c4b85eee0d5ef7e244868d48a854362adef693e79af929f7b4745"),
     ], ids=["grid-pseudo", "grid-uniform", "halfline", "rwm-laplace", "halfline-burn-in-0",
             "grid-pseudo-trajectories", "grid-pseudo-3-blocks", "grid-uniform-2-blocks",
@@ -702,6 +714,37 @@ class TestSimulate:
         assert main(["simulate", "--halfline", "--reps", "4096", "--n-max", "29296"]) == 2
         assert ("120000512 pair-steps exceed the work budget of 120000000;"
                 in capsys.readouterr().err)
+
+    @pytest.mark.parametrize("argv,message", [
+        (["--reps", "1000000000000"], "5000000000000 pair-steps exceed the work budget of "
+         "120000000; pass fewer replications (--reps) or a smaller n_max (--n-max)"),
+        (["--record-every", "0"], "record_every must be >= 1"),
+        (["--seed", "-1"], "master seed must be a non-negative integer, got -1"),
+        (["--n-max", "1000000"], "714290000 pair-steps exceed the work budget of "
+         "120000000; pass fewer replications (--reps) or a smaller n_max (--n-max)"),
+        (["--reps", "1", "--n-max", "1000000"], "a run recording 71429 lattice points "
+         "exceeds the cap of 10000; pass a larger record_every (--record-every) or a "
+         "smaller n_max (--n-max)"),
+        (["--n0", "0"], "n0 must be >= 1"),
+    ], ids=["reps", "record-every-0", "seed", "n-max", "curve-cap", "n0-0"])
+    def test_grid_run_checked_before_its_certificate_search(self, capsys, monkeypatch,
+                                                            argv, message):
+        # these were refused only after the exact pairwise search, 2-3 s at 15x15
+        def must_not_search(matrix, n0):
+            raise AssertionError("the certificate search ran before the run was checked")
+
+        monkeypatch.setattr(finite_chain, "minorization_pseudo", must_not_search)
+        assert main(["simulate", "--grid", "15x15", "--n0", "14", *argv]) == 2
+        assert capsys.readouterr() == ("", f"mcbounds: error: {message}\n")
+
+    @pytest.mark.parametrize("model", [["--grid", "3x3"], ["--halfline"], ["--rwm-laplace"]],
+                             ids=["grid", "halfline", "rwm-laplace"])
+    def test_results_repeat_no_config_key_but_n0(self, capsys, model):
+        # config echoes the run, results hold what it produced; n0 is in
+        # both, as the lattice's step
+        code, report = run_cli(capsys, "simulate", *model, "--n-max", "4", "--reps", "10")
+        assert code == 0
+        assert report["results"].keys() & report["config"].keys() == {"n0"}
 
     def test_trajectory_buffer_capped_per_block(self, capsys, tmp_path):
         # within the work budget, but 20001 recorded lattice points are over
