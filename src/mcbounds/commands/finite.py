@@ -37,6 +37,8 @@ def run(args) -> tuple[_Report, int]:
     if args.analysis in ("eigen-bound", "tv-exact"):
         start = _default_start(args, size)  # checked before pi is solved for
         config["start"] = start + 1
+    if args.analysis == "tv-exact":  # the part of the --n check below that needs no pi
+        _require_printable("--n", args.n_max, matrix.denominator, 2)
     if args.analysis in ("stationary", "tv-exact"):
         # both print exact rationals over the stationary law's denominators
         pi = stationary(matrix)

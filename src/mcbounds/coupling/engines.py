@@ -11,9 +11,10 @@ every full block of a run with fewer.
 Construction per lattice step, given the overlap constant eps at lag n0:
 chains already equal move together; unequal chains inside the small set flip
 an eps-coin (heads: both jump to a shared overlap draw; tails: independent
-residual draws); chains outside the small set update independently. The
-engines look nothing up: the runner hands each one its chain's arrays or
-``laws.Chain`` and its certificate's eps, n0 and small set.
+residual draws); chains outside the small set update independently.
+``_lockstep`` applies this rule for both engines, whose steps only draw the
+moves and look nothing up: the runner hands each engine its chain's arrays
+or ``laws.Chain`` and its certificate's eps, n0 and small set.
 
 Every engine returns ``Totals``: per recorded slot (step k is recorded in
 slot k // record_every when record_every divides k) the number of coincident
@@ -82,17 +83,20 @@ class Totals(NamedTuple):
     opportunities: int  # coin flips over all pairs and steps
 
 
-def _lockstep(n_steps, master_seed, replications, record_every, start, step,
+def _lockstep(n_steps, master_seed, replications, record_every, eps, in_set, start, step,
               states=None, on_block=None, dtype=np.float64):
     """Run the coupled pairs block by block and return their ``Totals``.
 
-    ``start(rng, m)`` draws the two start arrays of an m-pair block, and
-    ``step(rng, x, xp)`` returns the next lattice states of the pairs
-    ``(x, xp)`` and the number of pairs that flipped the coin; it may
-    overwrite ``x`` and ``xp``, which are already tallied. Each block draws
-    its starts and then its steps from its own generator, and every pair of
-    the block takes every lattice step. A finite chain passes its number of
-    ``states``, to count them per slot.
+    ``start(rng, m)`` draws the two start arrays of an m-pair block. At each
+    lattice step the unequal pairs inside the small set (``in_set(states)``
+    masks it, None for the whole space) flip the coin, heads when their
+    uniform, drawn for every pair, is below ``eps``. Then ``step(rng, x, xp,
+    coin, heads)`` returns the next states of the pairs ``(x, xp)``; it may
+    overwrite ``x`` and ``xp``, which are already tallied. A pair that was
+    equal or landed heads ends the step equal, at its new x. Each block
+    draws its starts and then its steps from its own generator, and every
+    pair of the block takes every lattice step. A finite chain passes its
+    number of ``states``, to count them per slot.
 
     ``on_block(first, xs, xps)``, if given, is called as each block ends with
     the block's recorded states, replications x slots as ``dtype``, whose
@@ -115,8 +119,11 @@ def _lockstep(n_steps, master_seed, replications, record_every, start, step,
         at = np.full(x.size, -1, np.int64)  # the step at which each pair coincided
         for k in range(n_steps + 1):
             if k:
-                x, xp, n = step(rng, x, xp)
-                flips += n
+                coin = ~eq if in_set is None else ~eq & in_set(x) & in_set(xp)
+                heads = coin & (rng.random(x.size) < eps)
+                flips += int(np.count_nonzero(coin))
+                x, xp = step(rng, x, xp, coin, heads)
+                xp = np.where(eq | heads, x, xp)
             eq = x == xp
             if ((at >= 0) > eq).any():
                 raise MathError("a pair decoupled after coupling; engine invariant broken")
@@ -238,12 +245,12 @@ def finite_coupling_paths(
     """Coupling of a finite chain on the lag-n0 lattice, with state counts.
 
     x starts at state ``x0``, x' at a draw from ``pi``. ``step_rows`` holds
-    the n0-step matrix, ``in_small_set`` one bool per state, and ``nu`` the
-    certificate's one overlap law, or None when each pair overlaps on its own
-    (the pairwise certificate). A pair's overlap and residual rows are formed
-    only at a step where it flips the coin. Each step takes three uniforms
-    per pair, the coin and then one inverse-CDF draw per chain, and works
-    through its pairs in chunks of ``STEP_BYTES``.
+    the n0-step matrix, ``in_small_set`` one bool per state (None: all in),
+    and ``nu`` the certificate's one overlap law, or None when each pair
+    overlaps on its own (the pairwise certificate). A pair's overlap and
+    residual rows are formed only at a step where it flips the coin. After
+    ``_lockstep``'s coin, a step draws one inverse-CDF uniform per chain and
+    pair, and works through its pairs in chunks of ``STEP_BYTES``.
     """
     size = step_rows.shape[0]
     step_cdf = _cdf_rows(step_rows)
@@ -254,30 +261,23 @@ def finite_coupling_paths(
         u = rng.random((2, m))  # row 0 goes unused; the seeded streams depend on its draw
         return np.full(m, x0, np.intp), inverse_cdf(pi_cdf, u[1])
 
-    def chunk(x, xp, u):
-        eq = x == xp
-        coin = np.flatnonzero(~eq & in_small_set[x] & in_small_set[xp])
-        flip = u[0, coin] < eps
-        heads = np.zeros(x.size, bool)
-        heads[coin] = flip
+    def chunk(x, xp, coin, heads, u):
         # the coin rows first: their temporaries are freed before the gather
-        coin_cdf = _coin_cdf(step_rows[np.stack([x[coin], xp[coin]])], flip, eps, nu)
+        coin_cdf = _coin_cdf(step_rows[np.stack([x[coin], xp[coin]])], heads[coin], eps, nu)
         cdf = step_cdf[np.stack([x, xp])]
         cdf[:, coin] = coin_cdf
-        new_x = inverse_cdf(cdf[0], u[1])
-        return new_x, np.where(eq | heads, new_x, inverse_cdf(cdf[1], u[2])), coin.size
+        return inverse_cdf(cdf[0], u[0]), inverse_cdf(cdf[1], u[1])
 
-    def step(rng, x, xp):
-        u = rng.random((3, x.size))
+    def step(rng, x, xp, coin, heads):
+        u = rng.random((2, x.size))
         new = np.empty((2, x.size), np.intp)
-        flips = 0
         for lo in range(0, x.size, width):
             part = slice(lo, lo + width)
-            new[0, part], new[1, part], n = chunk(x[part], xp[part], u[:, part])
-            flips += n
-        return new[0], new[1], flips
+            new[:, part] = chunk(x[part], xp[part], coin[part], heads[part], u[:, part])
+        return new[0], new[1]
 
-    return _lockstep(n_lat, master_seed, replications, record_every, start, step,
+    in_set = None if in_small_set is None else in_small_set.__getitem__
+    return _lockstep(n_lat, master_seed, replications, record_every, eps, in_set, start, step,
                      size, on_block, np.int32)
 
 
@@ -309,7 +309,7 @@ def continuous_coupling_paths(chain: Chain, cert, n_lat: int, master_seed: int,
 
     x starts at ``x0``; x' at an exact stationary draw advanced by
     ``burn_in`` further kernel steps. The lattice step is n0 one-step draws.
-    Each lattice step draws, in order: a coin uniform per pair; the lattice
+    Each lattice step draws, after ``_lockstep``'s coin uniforms: the lattice
     step of x and x' (of x alone when the set is the whole space, where every
     unequal pair flips the coin and x' moves only with x); one overlap draw
     per pair; the residual rounds of the pairs whose coin lands tails.
@@ -327,23 +327,17 @@ def continuous_coupling_paths(chain: Chain, cert, n_lat: int, master_seed: int,
             xp = chain.step(rng, xp)
         return np.full(m, float(x0)), xp
 
-    def step(rng, x, xp):
+    def step(rng, x, xp, coin, heads):
         n = x.size
-        eq = x == xp
-        coin = ~eq
-        if small_set is not None:
-            coin &= small_set.contains(x) & small_set.contains(xp)
-        heads = coin & (rng.random(n) < eps)
         tails = coin & ~heads
         moved = lattice(rng, x if small_set is None else np.concatenate([x, xp]))
-        shared = chain.nu_draw(rng, n)
-        new_x = np.where(heads, shared, moved[:n])
-        new_xp = np.where(heads, shared, np.where(eq, new_x, moved[-n:]))
+        new_x, new_xp = np.where(heads, chain.nu_draw(rng, n), moved[:n]), moved[-n:]
         if tails.any():
             both = residual_draw(rng, np.concatenate([x[tails], xp[tails]]), lattice,
                                  lambda at, z: _keep(chain, eps, at, z))
             new_x[tails], new_xp[tails] = np.split(both, 2)
-        return new_x, new_xp, int(np.count_nonzero(coin))
+        return new_x, new_xp
 
-    return _lockstep(n_lat, master_seed, replications, record_every, start, step,
+    return _lockstep(n_lat, master_seed, replications, record_every, eps,
+                     None if small_set is None else small_set.contains, start, step,
                      on_block=on_block)

@@ -290,11 +290,10 @@ def _summarize(
 def run_coupling(config: CouplingConfig, on_block=None) -> CouplingResult:
     """Simulate the coupling of ``config`` on its lag-n0 lattice.
 
-    The chains flip an eps-coin whenever both sit in the small set: the whole
-    space for the half-line chain (closed-form overlap 1/2) and for a finite
-    certificate on every state, the certificate's set for other finite ones,
-    and the certificate's set for the Metropolis chain, which couples at even
-    times with the published lag-2 overlap (odd-time states are not
+    The chains flip an eps-coin whenever both sit in the certificate's small
+    set, passed to the engine as no set in ``uniform`` mode (the half-line
+    chain, a finite certificate on every state). The Metropolis chain couples
+    at even times with the published lag-2 overlap (odd-time states are not
     recorded). Both continuous chains run one engine,
     ``engines.continuous_coupling_paths``, handed the chain's ``laws.Chain``
     and ``config.certificate()``. Finite chains form the overlap and
@@ -317,7 +316,8 @@ def run_coupling(config: CouplingConfig, on_block=None) -> CouplingResult:
         pi = stationary(config.matrix).to_floats()
         step_rows, nu, in_small = _finite_arrays(config)
         totals = engines.finite_coupling_paths(
-            *run, config.x0, pi, step_rows, float(cert.epsilon), nu, in_small, on_block,
+            *run, config.x0, pi, step_rows, float(cert.epsilon), nu,
+            None if config.mode() == "uniform" else in_small, on_block,
         )
         tv_exact = _tv_exact(config, pi)
     else:

@@ -357,6 +357,20 @@ class TestFinite:
         assert main(argv) == 2
         assert capsys.readouterr().err == "mcbounds: error: --start must be in 1..1600\n"
 
+    def test_tv_exact_checks_n_before_solving_for_pi(self, capsys, monkeypatch):
+        # no pi makes --n 3000 printable on a 40x40 grid; the refusal came
+        # after the elimination
+        from mcbounds.commands import finite
+
+        def must_not_solve(matrix):
+            raise AssertionError("pi was solved for before --n was checked")
+
+        monkeypatch.setattr(finite, "stationary", must_not_solve)
+        assert main(["finite", "tv-exact", "--grid", "40x40", "--n", "3000"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("mcbounds: error: --n 3000 gives exact rationals of up to ")
+        assert err.endswith("; pass a smaller --n\n")
+
     def test_stationary_law_too_long_to_print_exits_2(self, capsys, tmp_path):
         # every entry shares one denominator of 2500 digits, and so prints,
         # but the stationary law's denominators have about 5000; this ended
@@ -414,14 +428,17 @@ class TestBound:
         (["--pointprocess", "0,1"], "need c > 0 and d > 0, got c=0.0, d=1.0"),
         (["--epsilon", "1e-300"],
          "epsilon 1e-300 rounds to 0 at denominators up to 10**12; pass it as p/q"),
+        (["--epsilon", "1e-400"],
+         "epsilon 1e-400 rounds to 0 at denominators up to 10**12; pass it as p/q"),
+        (["--epsilon", "0e-400"], "epsilon must be in (0, 1], got 0"),
         (["--epsilon", "inf"], "cannot parse 'inf' as a probability"),
         (["--pointprocess", "inf,0.1"], "c must be finite, got c=inf"),
         (["--pointprocess", "0.1,inf"], "d must be finite, got d=inf"),
         (["--pointprocess", "300,0.1"],
          "the overlap constant at c=300.0, d=0.1 underflows to 0"),
     ], ids=["no-epsilon", "epsilon-0", "epsilon-3/2", "pointprocess-c-0", "epsilon-1e-300",
-            "epsilon-inf", "pointprocess-c-inf", "pointprocess-d-inf",
-            "pointprocess-underflow"])
+            "epsilon-1e-400", "epsilon-0e-400", "epsilon-inf", "pointprocess-c-inf",
+            "pointprocess-d-inf", "pointprocess-underflow"])
     def test_t1_bad_overlap_exits_2(self, capsys, argv, message):
         if not argv:  # the parser refuses a missing overlap
             err = parser_refusal(capsys, "bound", "t1")

@@ -130,14 +130,72 @@ class TestStreamedSummary:
             assert got.tv_exact is None
 
     def test_a_pair_that_separates_raises(self):
+        # the loop joins every pair that met, so only a NaN state, unequal to
+        # itself, can separate one
         def start(rng, m):
             return np.zeros(m), np.zeros(m)
 
-        def step(rng, x, xp):
-            return x, xp + (rng.random(x.size) < 0.5), 0
+        def step(rng, x, xp, coin, heads):
+            return np.full(x.size, np.nan), np.full(x.size, np.nan)
 
         with pytest.raises(MathError, match="decoupled"):
-            engines._lockstep(3, 1, 10, 1, start, step)
+            engines._lockstep(3, 1, 10, 1, 0.5, None, start, step)
+
+
+class TestLockstepCoin:
+    """The coin of ``engines._lockstep`` on a toy chain, with no engine: the
+    integer states 0..9, the small set {0, ..., 4} or none, and a step that
+    moves each chain by its own draw and never returns a pair equal."""
+
+    EPS = 0.5
+
+    @staticmethod
+    def run(in_set, reps=300, steps=6):
+        seen = []  # (x, xp, coin, heads, new_x, new_xp) per step
+
+        def start(rng, m):
+            return rng.integers(0, 10, m), rng.integers(0, 10, m)
+
+        def step(rng, x, xp, coin, heads):
+            new_x = rng.integers(0, 10, x.size)
+            new_xp = (new_x + 1 + rng.integers(0, 9, x.size)) % 10  # never new_x
+            seen.append((x.copy(), xp.copy(), coin, heads, new_x, new_xp))
+            return new_x, new_xp
+
+        blocks = []
+        totals = engines._lockstep(steps, 5, reps, 1, TestLockstepCoin.EPS, in_set, start,
+                                   step, on_block=lambda first, xs, xps: blocks.append(
+                                       (xs.copy(), xps.copy())))
+        return totals, seen, blocks
+
+    def test_the_coin_is_flipped_only_for_unequal_pairs_inside_the_set(self):
+        totals, seen, _ = self.run(lambda s: s < 5)
+        for x, xp, coin, heads, _, _ in seen:
+            assert np.array_equal(coin, (x != xp) & (x < 5) & (xp < 5))
+            assert not (heads & ~coin).any()
+        flips = sum(int(coin.sum()) for _, _, coin, _, _, _ in seen)
+        assert totals.opportunities == flips > 0
+        # the coin lands heads about eps of the time
+        heads = sum(int(h.sum()) for _, _, _, h, _, _ in seen)
+        assert abs(heads / flips - self.EPS) < 0.1
+
+    def test_without_a_set_every_unequal_pair_flips(self):
+        totals, seen, _ = self.run(None)
+        for x, xp, coin, _, _, _ in seen:
+            assert np.array_equal(coin, x != xp)
+        assert totals.opportunities == sum(int((x != xp).sum()) for x, xp, *_ in seen)
+
+    def test_equal_and_heads_pairs_end_the_step_equal(self):
+        totals, seen, blocks = self.run(lambda s: s < 5, steps=8)
+        (xs, xps), = blocks
+        for k, (x, xp, coin, heads, new_x, new_xp) in enumerate(seen):
+            joined = (x == xp) | heads
+            assert joined.any() and (~joined).any()
+            # the step returned different states for every pair
+            assert (new_x != new_xp).all()
+            assert np.array_equal(xs[:, k + 1], new_x)
+            assert np.array_equal(xps[:, k + 1], np.where(joined, new_x, new_xp))
+        assert np.array_equal(totals.coupled, (xs == xps).sum(axis=0))
 
 
 class TestInverseCdf:
