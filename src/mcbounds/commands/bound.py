@@ -26,10 +26,11 @@ def _parse_rational(text: str) -> Fraction:
     except (ValueError, ZeroDivisionError, OverflowError) as exc:
         raise InputError(f"cannot parse {text!r} as a probability") from exc
     rounded = value.limit_denominator(10**12)
-    # a positive text can underflow to 0.0: a nonzero digit before any exponent
+    # a nonzero text can underflow to 0.0: a nonzero digit before any exponent
     mantissa = text.strip().lower().partition("e")[0]
-    if rounded == 0 and (value > 0 or not mantissa.startswith("-")
-                         and any(d in mantissa for d in "123456789")):
+    if rounded == 0 and any(d in mantissa for d in "123456789"):
+        if mantissa.startswith("-"):
+            raise InputError(f"epsilon must be in (0, 1], got {text}")
         raise InputError(
             f"epsilon {text} rounds to 0 at denominators up to 10**12; pass it as p/q"
         )

@@ -1,6 +1,7 @@
 """Command-line interface: golden outputs, exit codes, schema stability."""
 
 import ast
+import difflib
 import hashlib
 import json
 import math
@@ -16,12 +17,14 @@ import pytest
 
 import fraction_reference as ref
 import mcbounds
+import pinned
 from mcbounds import finite_chain
 from mcbounds.bounds import CERTIFICATES
 from mcbounds.cli import build_parser, main
 from mcbounds.finite_chain import build_grid_walk
 
 LIMIT = sys.get_int_max_str_digits()
+ROOT = Path(__file__).resolve().parents[1]
 SCHEMA = json.loads(
     (files("mcbounds") / "schemas" / "report.schema.json").read_text()
 )
@@ -73,6 +76,82 @@ def parser_refusal(capsys, *argv) -> str:
     out, err = capsys.readouterr()
     assert out == "" and err.count("\n") == 1 and "Traceback" not in err
     return err
+
+
+DIFF_LINES = 200  # a golden mismatch shows at most this many diff lines
+
+
+def assert_golden(name: str, got: bytes):
+    """``got`` must equal the golden file ``name`` byte for byte; a mismatch
+    fails with a unified diff of the two."""
+    want = (pinned.GOLDEN / name).read_bytes()
+    if got == want:
+        return
+    diff = list(difflib.unified_diff(
+        want.decode(errors="backslashreplace").splitlines(keepends=True),
+        got.decode(errors="backslashreplace").splitlines(keepends=True),
+        f"tests/golden/{name}", "this run",
+    ))
+    more = f"... {len(diff) - DIFF_LINES} more diff lines\n" if len(diff) > DIFF_LINES else ""
+    pytest.fail(f"{name} differs from its golden file:\n{''.join(diff[:DIFF_LINES])}{more}",
+                pytrace=False)
+
+
+def pinned_test(*commands):
+    """The byte test of the pinned cases whose command is one of ``commands``:
+    each output equals its golden file, a trajectory CSV its digest.
+
+    One body over one table; the exact, ``verify`` and ``simulate`` cases
+    keep the test names, and so the test ids, they were recorded under.
+    """
+    cases = [case for case in pinned.CASES if case.argv.split()[0] in commands]
+
+    @pytest.mark.parametrize("case", cases, ids=[case.id for case in cases])
+    def test(self, tmp_path, case):
+        outputs, trajectories = pinned.run(case, tmp_path)
+        for name, got in outputs:
+            assert_golden(name, got)
+        if trajectories is not None:
+            assert hashlib.sha256(trajectories).hexdigest() == case.trajectories
+
+    return test
+
+
+# perfbench's label of each `exact` line, and the pinned case of the same command
+BENCHMARK_CASES = {
+    "finite_tv_exact_8x8": "tv-exact-8x8", "finite_stationary_8x8": "stationary-8x8",
+    "finite_pseudo_3x3": "pseudo-3x3", "finite_minorization_3x3": "minorization-3x3",
+    "finite_eigen_bound_3x3": "eigen-bound-3x3", "bound_t1_half": "t1-half",
+    "bound_t1_9_80": "t1-9-80", "bound_t1_0_117": "t1-0.117",
+    "bound_t1_pointprocess": "t1-pointprocess", "bound_t2_rwm_laplace": "t2-rwm-laplace",
+}
+
+
+class TestGolden:
+    def test_directory_holds_exactly_the_cases_files(self):
+        named = set().union(*(case.golden_files for case in pinned.CASES))
+        present = {path.name for path in pinned.GOLDEN.iterdir()}
+        assert sorted(present - named) == [], "golden files no case names"
+        assert sorted(named - present) == [], "golden files missing"
+
+    def test_benchmark_digests_are_the_golden_files(self):
+        # an exact byte change the benchmark would refuse fails here first
+        recorded = json.loads((ROOT / "perfbench" / "golden.json").read_text())
+        assert set(recorded) == set(BENCHMARK_CASES)
+        cases = {case.id: case for case in pinned.CASES}
+
+        def digest(name: str) -> str:
+            return hashlib.sha256((pinned.GOLDEN / name).read_bytes()).hexdigest()
+
+        for label, expected in recorded.items():
+            case = cases[BENCHMARK_CASES[label]]
+            if case.reports:  # the benchmark passes --output: two reports, no stdout
+                files = {name: digest(case.stdout_file if name.endswith(".json")
+                                      else case.csv_file) for name in expected["files"]}
+                assert expected == {"files": files,
+                                    "stdout": hashlib.sha256(b"").hexdigest()}, label
+            else:
+                assert expected == {"files": {}, "stdout": digest(case.stdout_file)}, label
 
 
 class TestFinite:
@@ -135,62 +214,8 @@ class TestFinite:
         report = json.loads((tmp_path / "finite-tv-exact.json").read_text())
         assert report["results"]["curve"][0]["tv"] == "28/33"
 
-    def test_tv_exact_8x8_bytes_pinned(self, capsys, tmp_path):
-        # SHA-256 digests of the Fraction-arithmetic implementation's output
-        argv = ["finite", "tv-exact", "--grid", "8x8", "--n0", "4", "--n", "100"]
-        assert main(argv) == 0
-        stdout = capsys.readouterr().out.encode()
-        assert hashlib.sha256(stdout).hexdigest() == (
-            "74bf9f623632433b0b7f95665fb1389b9a5ace160af0a6739c62ea3c7acd07d0"
-        )
-        assert main(argv + ["--output", str(tmp_path), "--format", "both"]) == 0
-        csv = (tmp_path / "finite-tv-exact-curve.csv").read_bytes()
-        assert hashlib.sha256(csv).hexdigest() == (
-            "3507936730694e10cf2bc4acbd02dfd3232732681c1353676da41a853ea98011"
-        )
-        assert (tmp_path / "finite-tv-exact.json").read_bytes() == stdout
-
-    # SHA-256 of stdout of the other exact invocations the benchmark runs,
-    # as in perfbench/golden.json
-    @pytest.mark.parametrize("argv,digest", [
-        ("bound t1 --epsilon 1/2 --n0 1",
-         "1facd595e91d91a266bb160f1c5ca47c3d157951e8ac0ee2b1f4486ffb6ee522"),
-        ("bound t1 --epsilon 9/80 --n0 2",
-         "dc95a5d0c037d968742dabfd326e5bce162b72df6919c22b566bfb5eb18e6cdb"),
-        ("bound t1 --epsilon 0.117 --n0 1",
-         "919bec61e1b6e80d1c61c8c1ec2a06fdfadcdf75e46f93e145cafc2772d04a6b"),
-        ("bound t1 --pointprocess 0.1,0.1",
-         "d97b5ae792a2aeefdf8b7d748ada501d446b63c563cce8f9ca1b7fa06bfb365c"),
-        ("bound t2 --preset rwm-laplace --delta 0.01",
-         "9956589824ee392b5a77604162125aed577f1ee1fd3c7065aaa7be5444417515"),
-        ("bound t2 --expected-h fallback",
-         "c2b7947dbffcb18d98af0f3b4f2276422bc9859b2b93c91681885f2dfc632512"),
-        ("finite stationary --grid 8x8",
-         "92ad74b880e4a64586f8cb69954d745d6e1efeb6b08563d81859c4b1f2171983"),
-        ("finite pseudo --grid 3x3 --n0 2",
-         "2d5d8ee983492136fe9e5574dbeb73ea23c9f832cebceacc14cf946911e90382"),
-        ("finite minorization --grid 3x3 --n0 2",
-         "2c7664aa1abe61fa1b33462283ba1a1910433742647e4c509efe6e057b1bb20c"),
-    ], ids=["t1-half", "t1-9/80", "t1-0.117", "t1-pointprocess", "t2-rwm-laplace",
-            "t2-fallback", "stationary-8x8", "pseudo-3x3", "minorization-3x3"])
-    def test_exact_stdout_bytes_pinned(self, capsys, argv, digest):
-        assert main(argv.split()) == 0
-        stdout = capsys.readouterr().out.encode()
-        assert hashlib.sha256(stdout).hexdigest() == digest
-
-    # SHA-256 of stdout of the three verify invocations the benchmark runs
-    @pytest.mark.parametrize("argv,digest", [
-        ("verify minorization --preset rwm-laplace --probe-step 0.025",
-         "0c1dfa9ec031bdb384adb6253e883d8dd6b7cb1b5c55a218cf62ea180417b6ee"),
-        ("verify drift --preset rwm-laplace --grid-step 0.005",
-         "cf39ec4aae600ab26d1f95e27c86ea47d2d513691b2ccb927630d186bee4c780"),
-        ("verify minorization --preset halfline",
-         "cc647cd0223448b3353e5d2e9a7b5e8968ac91952363ae1906406380277ab214"),
-    ], ids=["minorization-rwm-laplace", "drift-rwm-laplace", "minorization-halfline"])
-    def test_verify_stdout_bytes_pinned(self, capsys, argv, digest):
-        assert main(argv.split()) == 0
-        stdout = capsys.readouterr().out.encode()
-        assert hashlib.sha256(stdout).hexdigest() == digest
+    test_exact_stdout_bytes_pinned = pinned_test("finite", "bound")
+    test_verify_stdout_bytes_pinned = pinned_test("verify")
 
     @pytest.mark.parametrize(
         "argv",
@@ -431,14 +456,15 @@ class TestBound:
         (["--epsilon", "1e-400"],
          "epsilon 1e-400 rounds to 0 at denominators up to 10**12; pass it as p/q"),
         (["--epsilon", "0e-400"], "epsilon must be in (0, 1], got 0"),
+        (["--epsilon", "-1e-400"], "epsilon must be in (0, 1], got -1e-400"),
         (["--epsilon", "inf"], "cannot parse 'inf' as a probability"),
         (["--pointprocess", "inf,0.1"], "c must be finite, got c=inf"),
         (["--pointprocess", "0.1,inf"], "d must be finite, got d=inf"),
         (["--pointprocess", "300,0.1"],
          "the overlap constant at c=300.0, d=0.1 underflows to 0"),
     ], ids=["no-epsilon", "epsilon-0", "epsilon-3/2", "pointprocess-c-0", "epsilon-1e-300",
-            "epsilon-1e-400", "epsilon-0e-400", "epsilon-inf", "pointprocess-c-inf",
-            "pointprocess-d-inf", "pointprocess-underflow"])
+            "epsilon-1e-400", "epsilon-0e-400", "epsilon-minus-1e-400", "epsilon-inf",
+            "pointprocess-c-inf", "pointprocess-d-inf", "pointprocess-underflow"])
     def test_t1_bad_overlap_exits_2(self, capsys, argv, message):
         if not argv:  # the parser refuses a missing overlap
             err = parser_refusal(capsys, "bound", "t1")
@@ -660,48 +686,7 @@ class TestSimulate:
         assert captured.out == ""
         assert captured.err.startswith("mcbounds: error:")
 
-    @pytest.mark.parametrize("argv,stdout_digest,traj_digest", [
-        (["--grid", "3x3", "--cert", "pseudo", "--n-max", "12", "--reps", "500"],
-         "136dbb38ffa024c052111e16baf13af6ab778d849c5fb9e5f7920bdc2fd5fe8f", None),
-        (["--grid", "3x3", "--cert", "uniform", "--n-max", "12", "--reps", "500"],
-         "6ea7bd68168ceb5e56bb77d2a8827c1b959021ef23a75ba684d2c9b04e47fddf", None),
-        (["--halfline", "--n-max", "6", "--reps", "300", "--burn-in", "50"],
-         "9b3f2f6164d72fca790178dc4e39ea13512e2ba71ed79bd9057582fda4c77c91", None),
-        (["--rwm-laplace", "--n-max", "40", "--reps", "50", "--burn-in", "50",
-          "--record-every", "4"],
-         "9390e65eb43ed623985433ea0d719fa2fb200af0e1ab764d74377ff9f5ff009e",
-         "4c021b896e5d768bb78f54be55012264faaac0b94f78039d78977eb33741914a"),
-        (["--halfline", "--n-max", "6", "--reps", "300"],
-         "30d44347e80bf28769d3fdb4173e50fd5fa80d0ac24499d7af3c916ef3a024a3",
-         "d233a22a2698de5c351c3d00650c5af9836164cdade52eb98341fb29b7b64efa"),
-        (["--grid", "3x3", "--cert", "pseudo", "--n-max", "12", "--reps", "500"],
-         "136dbb38ffa024c052111e16baf13af6ab778d849c5fb9e5f7920bdc2fd5fe8f",
-         "c7ca87f52fd758705bb5d57c2033905277084f3d1eb8a8623cadf7b74e37f32c"),
-        # rows over several blocks of engines.BLOCK = 4096 replications
-        (["--grid", "3x3", "--cert", "pseudo", "--n-max", "6", "--reps", "9000"],
-         "c32b8f8a17547688cfbf0fd2a8a7f059e01ab0b576a2c41b226403e6ae6dceba",
-         "768b373a7b63e6e78a9315b531ec979910d6ca85e9663a3155f7b672eb875c55"),
-        (["--grid", "3x3", "--cert", "uniform", "--n-max", "6", "--reps", "5000"],
-         "93f50a964cef48af82d42e79131ebf6313a7c8512f096c1036f1d866dc9e67ae",
-         "ea50d2b23ee59912821ea6a228af2fb05fbf2c41f2d153ceac11349dcbacc54c"),
-        (["--halfline", "--n-max", "4", "--reps", "9000", "--burn-in", "5"],
-         "581d90daaa7b2c2b5bc406d54666df7c5722cbfce7b9d26f6d913b50fdd1e1be", None),
-        (["--rwm-laplace", "--n-max", "24", "--reps", "5000", "--record-every", "4"],
-         "51392905d1244c0f86cf9a3b14e5baa58d0715a0a8385e964817cd80d155e281",
-         "8a49b402fa8c4b85eee0d5ef7e244868d48a854362adef693e79af929f7b4745"),
-    ], ids=["grid-pseudo", "grid-uniform", "halfline", "rwm-laplace", "halfline-burn-in-0",
-            "grid-pseudo-trajectories", "grid-pseudo-3-blocks", "grid-uniform-2-blocks",
-            "halfline-3-blocks", "rwm-laplace-2-blocks"])
-    def test_seeded_bytes_pinned(self, capsys, tmp_path, argv, stdout_digest, traj_digest):
-        # the random stream contract: a seed gives these bytes on every version
-        # until a change says otherwise
-        traj = tmp_path / "paths.csv"
-        extra = ["--trajectories", str(traj)] if traj_digest else []
-        assert main(["simulate", *argv, "--seed", "7", *extra]) == 0
-        stdout = capsys.readouterr().out.encode()
-        assert hashlib.sha256(stdout).hexdigest() == stdout_digest
-        if traj_digest:
-            assert hashlib.sha256(traj.read_bytes()).hexdigest() == traj_digest
+    test_seeded_bytes_pinned = pinned_test("simulate")
 
     @pytest.mark.parametrize("argv,option", [
         (["--halfline", "--reps", "10", "--n-max", "4", "--burn-in", "1000000000"],
