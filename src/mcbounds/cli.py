@@ -152,7 +152,7 @@ def _prepare_outputs(args) -> list:
     from .errors import InputError
 
     if args.output is None:
-        if args.format != "json" and not getattr(args, "tableless", False):
+        if args.format != "json":
             raise InputError(f"--format {args.format} requires --output DIR")
         return []
     outdir = Path(args.output)
@@ -200,7 +200,7 @@ class _Report:
 
 def _emit(report: _Report, args) -> None:
     """Print the JSON report, or write it and its CSV tables under
-    ``--output``; a report without tables writes its JSON under any format.
+    ``--output``.
 
     JSON (RFC 8259) has no NaN or infinity, so a report or table that holds
     one is a ``MathError`` naming where, and nothing is printed or written.
@@ -222,7 +222,7 @@ def _emit(report: _Report, args) -> None:
         if key is None:
             raise
         raise MathError(f"the report holds a non-finite number at {key}") from None
-    if args.output is None:  # a report with tables was refused csv before it ran
+    if args.output is None:  # csv without --output was refused before the run
         try:
             sys.stdout.write(text)
             sys.stdout.flush()
@@ -239,7 +239,7 @@ def _emit(report: _Report, args) -> None:
         key = _nonfinite_key(columns)
         if key is not None:
             raise MathError(f"{stem}{suffix}.csv would hold a non-finite number at {key}")
-    files = {f"{stem}.json": text} if args.format != "csv" or not tables else {}
+    files = {f"{stem}.json": text} if args.format != "csv" else {}
     for suffix, columns in tables.items():
         lines = [",".join(columns)]
         lines += [",".join(map(_csv_cell, row)) for row in zip(*columns.values())]
@@ -295,13 +295,14 @@ def build_parser() -> argparse.ArgumentParser:
     def add_modes(command, help):
         return sub.add_parser(command, help=help).add_subparsers(dest="analysis", required=True)
 
-    def add_mode(modes, name, help, tableless=False, **defaults):
+    def add_mode(modes, name, help, tables=True, **defaults):
         # no abbreviations: finite pseudo --n 5 would mean --n0 5
         p = modes.add_parser(name, help=help, description=help, allow_abbrev=False)
-        p.set_defaults(tableless=tableless, **defaults)
+        p.set_defaults(format="json", **defaults)
         p.add_argument("--output", help="directory for report files (default: stdout)")
-        p.add_argument("--format", choices=["json", "csv", "both"], default="json",
-                       help="report format; csv requires --output")
+        if tables:  # only a report with CSV tables has a format to choose
+            p.add_argument("--format", choices=["json", "csv", "both"], default="json",
+                           help="report format; csv requires --output")
         return p
 
     finite = add_modes("finite", "exact finite-chain analyses")
@@ -312,15 +313,15 @@ def build_parser() -> argparse.ArgumentParser:
         "delta": (["--delta"], {"type": float, "help": "threshold (default 0.01)"}),
         "n_max": (["--n-max", "--n"], {"type": int, "help": "curve length (default 30)"}),
     }
-    for name, help, tableless, reads in (
-        ("stationary", "exact stationary law", True, ""),
-        ("eigen-bound", "spectral bound at a target state", False, "start target delta"),
-        ("minorization", "uniform overlap of P^n0", True, "n0 delta"),
-        ("pseudo", "pseudo-minorization overlap of P^n0", True, "n0 delta"),
-        ("tv-exact", "exact total variation curve and bounds", False, "n0 start delta n_max"),
+    for name, help, tables, reads in (
+        ("stationary", "exact stationary law", False, ""),
+        ("eigen-bound", "spectral bound at a target state", True, "start target delta"),
+        ("minorization", "uniform overlap of P^n0", False, "n0 delta"),
+        ("pseudo", "pseudo-minorization overlap of P^n0", False, "n0 delta"),
+        ("tv-exact", "exact total variation curve and bounds", True, "n0 start delta n_max"),
     ):
         # each report echoes n0, delta and n_max: at these defaults if unread
-        p = add_mode(finite, name, help, tableless, n0=1, delta=0.01, n_max=30)
+        p = add_mode(finite, name, help, tables, n0=1, delta=0.01, n_max=30)
         model = p.add_mutually_exclusive_group(required=True)
         model.add_argument("--grid", help="grid model, e.g. 3x3")
         model.add_argument("--matrix-file", help="JSON matrix file with 'p/q' entries")
@@ -374,7 +375,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--grid-hi", type=float, default=10.0)
     p.add_argument("--grid-step", type=float, default=0.05)
     p.add_argument("--tolerance", type=float, default=1e-6)
-    p = add_mode(verify, "minorization", "overlap on a grid of state pairs", tableless=True)
+    p = add_mode(verify, "minorization", "overlap on a grid of state pairs", tables=False)
     p.add_argument("--preset", choices=["halfline", "rwm-laplace"], default="rwm-laplace")
     p.add_argument("--probe-step", type=float, default=0.05)
     p.add_argument("--tolerance", type=float, default=1e-6)

@@ -9,7 +9,6 @@ from typing import TYPE_CHECKING
 
 from ..bounds import minorization_bound
 from ..cli import _dump_trajectories, _replacing, _Report
-from ..errors import MathError
 from . import _default_start, _load_model, _require_printable
 
 if TYPE_CHECKING:
@@ -17,7 +16,7 @@ if TYPE_CHECKING:
 
 
 def _simulate_config(args) -> tuple[CouplingConfig, dict]:
-    from ..coupling.runner import CouplingConfig, check_run
+    from ..coupling.runner import CouplingConfig
 
     run = dict(
         n_max=args.n_max,
@@ -26,22 +25,15 @@ def _simulate_config(args) -> tuple[CouplingConfig, dict]:
         record_every=args.record_every,
     )
     if args.grid is not None:
-        from ..finite_chain import minorization_pseudo, minorization_uniform
-
         matrix, model = _load_model(args)
         start = _default_start(args, matrix.size)
         # a model's own options parse to None; `is None` keeps a given 0 or -0.0
         n0 = 2 if args.n0 is None else args.n0
-        cert_name = "pseudo" if args.cert is None else args.cert
+        cert = "pseudo" if args.cert is None else args.cert
         _require_printable("--n0", n0, matrix.denominator)
-        # refused before the search: it is exact and can take seconds
-        check_run(args.n_max // n0, args.reps, args.seed, record_every=args.record_every)
-        finder = minorization_pseudo if cert_name == "pseudo" else minorization_uniform
-        cert = finder(matrix, n0)
-        if cert is None:
-            raise MathError(f"no {cert_name} overlap at lag {n0} for this grid")
-        config = CouplingConfig(model="finite", matrix=matrix, cert=cert, x0=start, **run)
-        desc = {"model": model, "cert": cert_name, "epsilon": str(cert.epsilon),
+        config = CouplingConfig(model="finite", matrix=matrix, cert=cert, n0=n0, x0=start,
+                                **run)
+        desc = {"model": model, "cert": cert, "epsilon": str(config.certificate().epsilon),
                 "start": start + 1}
         return config, desc
     x0 = 0.0 if args.x0 is None else args.x0

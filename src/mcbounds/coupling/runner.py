@@ -12,11 +12,11 @@ totals, never a state per replication and slot.
 from __future__ import annotations
 
 import math
-from typing import TYPE_CHECKING, NamedTuple
+from typing import TYPE_CHECKING, Iterable, NamedTuple
 
 import numpy as np
 
-from ..errors import InputError
+from ..errors import InputError, MathError
 from ..bounds import CERTIFICATES, MAX_CURVE_POINTS, _Record
 from ..kernels.laws import CHAINS
 from . import engines
@@ -35,41 +35,55 @@ __all__ = [
 class CouplingConfig(_Record):
     """Everything a coupling run needs; immutable and fully seed-determined.
 
-    ``model`` selects the chain: "finite" (supply ``matrix`` and ``cert``) or
-    a key of ``bounds.CERTIFICATES``. Chain x starts at ``x0``: a state index
-    in 0..size-1 for "finite", a point of the chain's ``space`` otherwise.
-    The partner chain starts from an exact stationary draw; for the
-    continuous chains ``burn_in`` further kernel steps follow it, which keep
-    its law. A field the model does not read (``burn_in`` on "finite",
-    ``matrix`` or ``cert`` on a continuous chain) is refused unless it is
-    left at its default.
-    The lag, the overlap and the coupling mode follow from ``certificate()``.
-    Every replication runs all ``n_max // n0`` lattice steps; ``check_run``
-    refuses a run over the work budget or the cap on bound curves.
+    ``model`` selects the chain: "finite" or a key of
+    ``bounds.CERTIFICATES``. A finite run takes its chain, ``matrix``, and
+    the overlap it couples with: ``cert`` ("uniform" or "pseudo"), its lag
+    ``n0`` and its small set ``small_set`` (state indices; None, the
+    default, is every state), which ``certificate()`` finds exactly. Chain x
+    starts at ``x0``: a state index in 0..size-1 for "finite", a point of
+    the chain's ``space`` otherwise. The partner chain starts from an exact
+    stationary draw; for the continuous chains ``burn_in`` further kernel
+    steps follow it, which keep its law. A field the model does not read
+    (``burn_in`` on "finite", ``matrix``, ``cert``, ``n0`` or ``small_set``
+    on a continuous chain) is refused unless it is left at its default.
+    Every replication runs all ``n_max // n0`` lattice steps. A run over
+    the work budget, ``engines.MAX_PAIR_STEPS`` pair-steps, or the cap on
+    bound curves is refused before a finite certificate is searched for; a
+    finite chain with no overlap of that kind is a ``MathError``.
     """
 
-    __slots__ = ("model", "n_max", "replications", "master_seed", "matrix", "cert",
-                 "x0", "burn_in", "record_every")
+    __slots__ = ("model", "n_max", "replications", "master_seed", "matrix", "cert", "n0",
+                 "small_set", "x0", "burn_in", "record_every")
 
     def __init__(self, model: str, n_max: int, replications: int, master_seed: int,
-                 matrix: StochasticMatrix | None = None, cert: MinorizationCert | None = None,
+                 matrix: StochasticMatrix | None = None, cert: str | None = None,
+                 n0: int | None = None, small_set: Iterable[int] | None = None,
                  x0: float = 0, burn_in: int = 0, record_every: int = 1) -> None:
-        # filled first: the run checks read the lag through certificate()
-        self._fill(model, n_max, replications, master_seed, matrix, cert, x0, burn_in,
-                   record_every)
-        if model != "finite" and model not in CERTIFICATES:
+        if small_set is not None:
+            small_set = tuple(small_set)
+        self._fill(model, n_max, replications, master_seed, matrix, cert, n0, small_set, x0,
+                   burn_in, record_every)
+        finite = model == "finite"
+        if not finite and model not in CERTIFICATES:
             raise InputError(f"unknown model {model!r}")
-        unread = ({"burn_in": burn_in != 0} if model == "finite"
-                  else {"matrix": matrix is not None, "cert": cert is not None})
+        unread = ({"burn_in": burn_in != 0} if finite else {
+            name: value is not None for name, value in
+            (("matrix", matrix), ("cert", cert), ("n0", n0), ("small_set", small_set))})
         for name, given in unread.items():
             if given:
                 raise InputError(f"the {model} model does not read {name}; leave it out")
-        if model == "finite" and (matrix is None or cert is None):
-            raise InputError("finite model requires matrix and cert")
-        check_run(n_max // self.certificate().n0, replications, master_seed, burn_in,
-                  record_every)
-        if model == "finite":
-            _require_fit(matrix.size, cert, x0)
+        if finite:
+            if matrix is None or cert is None or n0 is None:
+                raise InputError("finite model requires matrix, cert and n0")
+            if cert not in ("uniform", "pseudo"):
+                shown = repr(cert) if isinstance(cert, str) else f"a {type(cert).__name__} value"
+                raise InputError(f'cert must be "uniform" or "pseudo", got {shown}')
+            if isinstance(n0, bool) or not isinstance(n0, int) or n0 < 1:
+                raise InputError(f"n0 must be an integer >= 1, got {n0!r}")
+            size = matrix.size
+            if isinstance(x0, bool) or not isinstance(x0, int) or not 0 <= x0 < size:
+                raise InputError(f"start state x0 must be an integer in 0..{size - 1} for "
+                                 f"the {size}-state chain, got {x0!r}")
         elif not math.isfinite(x0):
             raise InputError(f"start point x0 must be finite, got {x0}")
         else:
@@ -77,12 +91,50 @@ class CouplingConfig(_Record):
             if not space.contains(x0):
                 raise InputError(f"start point x0 must be in [{space.lo:g}, {space.hi:g}] "
                                  f"for the {model} chain, got {x0}")
+        # the run checks, before a finite search: it is exact and can take seconds
+        n_lat = n_max // (n0 if finite else self.certificate().n0)
+        if master_seed < 0:
+            raise InputError(f"master seed must be a non-negative integer, got {master_seed}")
+        if burn_in < 0:
+            raise InputError(f"burn_in must be >= 0, got {burn_in}")
+        if replications < 1:
+            raise InputError("replications must be >= 1")
+        if n_lat < 0:
+            raise InputError("n_max must be >= 0")
+        if record_every < 1:
+            raise InputError("record_every must be >= 1")
+        work = engines.pair_steps(replications, 1 + burn_in + n_lat)
+        if work > engines.MAX_PAIR_STEPS:
+            shrink = ["fewer replications (--reps)", "a smaller n_max (--n-max)"]
+            if burn_in:
+                shrink.append("a shorter burn_in (--burn-in)")
+            raise InputError(f"{work} pair-steps exceed the work budget of "
+                             f"{engines.MAX_PAIR_STEPS}; pass {', '.join(shrink[:-1])} or "
+                             f"{shrink[-1]}")
+        points = n_lat // record_every + 1
+        if points > MAX_CURVE_POINTS:
+            raise InputError(f"a run recording {points} lattice points exceeds the cap of "
+                             f"{MAX_CURVE_POINTS}; pass a larger record_every (--record-every) "
+                             "or a smaller n_max (--n-max)")
+        self.certificate()  # a finite chain's search, whose result the matrix keeps
 
     def certificate(self) -> MinorizationCert | ChainCertificate:
         """The run's overlap certificate, whose lag ``n0``, overlap ``epsilon``
-        and ``small_set`` drive it: ``cert`` for "finite",
-        ``bounds.CERTIFICATES[model]`` otherwise."""
-        return self.cert if self.model == "finite" else CERTIFICATES[self.model]
+        and ``small_set`` drive it: for "finite", the best ``cert`` overlap
+        of ``matrix`` at lag ``n0`` on ``small_set``
+        (``finite_chain.minorization_uniform`` or ``minorization_pseudo``,
+        whose result the matrix keeps), ``bounds.CERTIFICATES[model]``
+        otherwise."""
+        if self.model != "finite":
+            return CERTIFICATES[self.model]
+        from .. import finite_chain
+
+        finder = (finite_chain.minorization_uniform if self.cert == "uniform"
+                  else finite_chain.minorization_pseudo)
+        found = finder(self.matrix, self.n0, self.small_set)
+        if found is None:
+            raise MathError(f"no {self.cert} overlap at lag {self.n0} for this chain")
+        return found
 
     def lattice(self) -> tuple[int, ...]:
         """The recorded chain steps: every ``record_every``-th lattice point."""
@@ -94,58 +146,9 @@ class CouplingConfig(_Record):
         state space (the half-line chain, a finite certificate on every
         state), ``small-set`` otherwise."""
         small = self.certificate().small_set
-        whole = (set(small) == set(range(self.matrix.size)) if self.model == "finite"
+        whole = (len(small) == self.matrix.size if self.model == "finite"
                  else small is None)
         return "uniform" if whole else "small-set"
-
-
-def check_run(n_lat: int, replications: int, master_seed: int, burn_in: int = 0,
-              record_every: int = 1) -> None:
-    """Refuse a run of ``n_lat = n_max // n0`` lattice steps with a bad seed
-    or count, over ``engines.MAX_PAIR_STEPS`` pair-steps or over
-    ``bounds.MAX_CURVE_POINTS`` recorded points. It reads no certificate, so
-    ``simulate --grid`` runs it before the certificate search."""
-    if master_seed < 0:
-        raise InputError(f"master seed must be a non-negative integer, got {master_seed}")
-    if burn_in < 0:
-        raise InputError(f"burn_in must be >= 0, got {burn_in}")
-    if replications < 1:
-        raise InputError("replications must be >= 1")
-    if n_lat < 0:
-        raise InputError("n_max must be >= 0")
-    if record_every < 1:
-        raise InputError("record_every must be >= 1")
-    work = engines.pair_steps(replications, 1 + burn_in + n_lat)
-    if work > engines.MAX_PAIR_STEPS:
-        shrink = ["fewer replications (--reps)", "a smaller n_max (--n-max)"]
-        if burn_in:
-            shrink.append("a shorter burn_in (--burn-in)")
-        raise InputError(f"{work} pair-steps exceed the work budget of {engines.MAX_PAIR_STEPS}; "
-                         f"pass {', '.join(shrink[:-1])} or {shrink[-1]}")
-    points = n_lat // record_every + 1
-    if points > MAX_CURVE_POINTS:
-        raise InputError(f"a run recording {points} lattice points exceeds the cap of "
-                         f"{MAX_CURVE_POINTS}; pass a larger record_every (--record-every) "
-                         "or a smaller n_max (--n-max)")
-
-
-def _require_fit(size: int, cert: MinorizationCert, x0) -> None:
-    """Refuse a finite start or certificate that names no state of a
-    ``size``-state chain: ``x0`` and every small-set entry must be an int in
-    0..size-1, and a uniform certificate's ``nu`` must have ``size`` entries."""
-
-    def is_state(value) -> bool:
-        return isinstance(value, int) and not isinstance(value, bool) and 0 <= value < size
-
-    states = f"an integer in 0..{size - 1} for the {size}-state chain"
-    if not is_state(x0):
-        raise InputError(f"start state x0 must be {states}, got {x0!r}")
-    for state in cert.small_set:
-        if not is_state(state):
-            raise InputError(f"small-set state {state!r} of the certificate must be {states}")
-    if cert.nu is not None and cert.nu.size != size:
-        raise InputError(f"the certificate's nu has {cert.nu.size} states but the chain "
-                         f"has {size}")
 
 
 class CouplingResult(NamedTuple):
@@ -184,13 +187,12 @@ class CouplingResult(NamedTuple):
 
 def _finite_arrays(config: CouplingConfig):
     """``(step_rows, nu, in_small)`` of the finite engine: the n0-step matrix
-    in floats, checked exactly against the certificate
-    (``finite_chain._certified_power``), the uniform certificate's overlap
-    law (None for the pairwise one) and the small-set mask."""
-    from ..finite_chain import _certified_power
+    in floats, the uniform certificate's overlap law (None for the pairwise
+    one) and the small-set mask."""
+    from ..finite_chain import matrix_power
 
-    cert = config.cert
-    pn0 = _certified_power(config.matrix, cert)
+    cert = config.certificate()
+    pn0 = matrix_power(config.matrix, cert.n0)  # memoized: the search formed it
     nu = cert.nu.to_floats() if cert.variant == "uniform" else None
     in_small = np.zeros(pn0.size, bool)
     in_small[list(cert.small_set)] = True
@@ -298,8 +300,8 @@ def run_coupling(config: CouplingConfig, on_block=None) -> CouplingResult:
     ``engines.continuous_coupling_paths``, handed the chain's ``laws.Chain``
     and ``config.certificate()``. Finite chains form the overlap and
     residual rows of a pair from the float n0-step rows when it flips the
-    coin, after an exact check that the certificate leaves no residual
-    negative; the pairwise variant's overlap is the normalized minimum of the
+    coin; the certificate was found exactly on those rows, so no residual is
+    negative. The pairwise variant's overlap is the normalized minimum of the
     pair's two rows. A finite run also reports ``tv_exact`` (``_tv_exact``).
 
     ``on_block(first, xs, xps)``, if given, receives each block's recorded

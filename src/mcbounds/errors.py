@@ -44,9 +44,5 @@ class ContainmentError(MathError):
     """Probability mass escapes the region assumed to contain all moves."""
 
 
-class CertificateError(MathError):
-    """A minorization certificate failed validation."""
-
-
 class QuadratureError(MathError):
     """Numeric integration did not converge to the requested tolerance."""

@@ -31,7 +31,6 @@ from typing import TYPE_CHECKING, Iterable, NamedTuple, Sequence
 
 from .bounds import BoundReport, _Record
 from .errors import (
-    CertificateError,
     IllConditionedEigenbasisError,
     InputError,
     MathError,
@@ -158,9 +157,9 @@ class StochasticMatrix:
     ``_den``, reduced by their common gcd: the least common denominator of the
     entries, so this form is canonical and equality and hashing use it.
     ``rows``, the public ``Fraction`` view, is built on first use and cached.
-    ``_power`` memoizes the last n-step matrix asked of ``matrix_power``, so
-    one command's certificate search and coupling step rows form ``P^n0``
-    once.
+    ``_power`` memoizes the last n-step matrix asked of ``matrix_power``, with
+    the certificates found on it, so one command forms ``P^n0`` once and
+    scans it once per search.
     """
 
     def __init__(self, rows: Iterable[Iterable]) -> None:
@@ -325,15 +324,16 @@ def _int_power(
 def matrix_power(P: StochasticMatrix, n: int) -> StochasticMatrix:
     """Exact n-step transition matrix by binary exponentiation.
 
-    The last power asked of each matrix is memoized on it, so callers that
-    need ``P^n0`` in turn (certificate search, the coupling's step rows and
-    its certificate check) share it.
+    The last power asked of each matrix is memoized on it as ``(n, P^n,
+    found)``, so callers that need ``P^n0`` in turn (certificate search, the
+    coupling's step rows) share it; ``found`` keeps the certificate searches
+    run on it.
     """
     if n < 0:
         raise InputError("power must be >= 0")
     memo = P._power
     if memo is None or memo[0] != n:
-        memo = (n, StochasticMatrix.from_num_den(*_int_power(P._num, P._den, n)))
+        memo = (n, StochasticMatrix.from_num_den(*_int_power(P._num, P._den, n)), {})
         P._power = memo
     return memo[1]
 
@@ -490,12 +490,13 @@ def exact_tv_curve(
 
 
 class MinorizationCert(_Record):
-    """Certificate (C, n0, eps, nu) that n0-step transitions overlap by eps.
+    """Certificate (C, n0, eps, nu) that n0-step transitions from the small
+    set C overlap by eps.
 
     ``variant`` is "uniform" (one shared overlap measure, ``nu`` set) or
     "pseudo" (pairwise overlap measures, each the normalized minimum of two
     rows of the n0-step matrix; ``argmin_pairs`` lists the pairs attaining
-    eps). The small set is the whole space for both search routines here.
+    eps). ``small_set`` lists C's states in increasing order.
     """
 
     __slots__ = ("variant", "small_set", "n0", "epsilon", "nu", "argmin_pairs")
@@ -520,43 +521,74 @@ class MinorizationCert(_Record):
         self._fill(variant, small_set, n0, epsilon, nu, argmin_pairs)
 
 
-def minorization_uniform(P: StochasticMatrix, n0: int) -> MinorizationCert | None:
-    """Best whole-space overlap at lag n0: eps = sum_j min_i (P^n0)_ij.
-
-    Returns None when every column of P^n0 has a zero (eps = 0); absence is a
-    value, not an error.
-    """
+def _search(P: StochasticMatrix, n0: int, small_set, scan) -> MinorizationCert | None:
+    """``scan(P^n0, n0, C)``, kept on P's power memo, so a second search of
+    the same kind on the same C is a lookup. C lists ``small_set``'s states
+    in increasing order, every state when it is None; an empty C, a state
+    named twice and one that is not an int in 0..size-1 (a bool, a negative
+    index) raise ``InputError``."""
     if n0 < 1:
         raise InputError("n0 must be >= 1")
+    size = P.size
+    states = tuple(range(size)) if small_set is None else tuple(small_set)
+    if not states:
+        raise InputError("the small set must name at least one state")
+    for state in states:
+        if not (isinstance(state, int) and not isinstance(state, bool) and 0 <= state < size):
+            raise InputError(f"small-set state {state!r} of the certificate must be an "
+                             f"integer in 0..{size - 1} for the {size}-state chain")
+    if len(set(states)) < len(states):
+        twice = next(s for s in states if states.count(s) > 1)
+        raise InputError(f"small-set state {twice} is named twice")
+    states = tuple(sorted(states))
     pn = matrix_power(P, n0)
-    mins = [min(col) for col in zip(*pn._num)]
+    found = P._power[2]
+    if (scan, states) not in found:
+        found[scan, states] = scan(pn, n0, states)
+    return found[scan, states]
+
+
+def minorization_uniform(P: StochasticMatrix, n0: int, small_set=None) -> MinorizationCert | None:
+    """Best shared overlap of C's rows at lag n0: eps = sum_j min_{i in C}
+    (P^n0)_ij, with C every state unless ``small_set`` names it.
+
+    Returns None when every column of P^n0 has a zero on C (eps = 0);
+    absence is a value, not an error.
+    """
+    return _search(P, n0, small_set, _uniform_scan)
+
+
+def _uniform_scan(pn: StochasticMatrix, n0: int, states: tuple[int, ...]):
+    mins = [min(col) for col in zip(*(pn._num[i] for i in states))]
     total = sum(mins)
     if total == 0:
         return None
     return MinorizationCert(
         variant="uniform",
-        small_set=tuple(range(P.size)),
+        small_set=states,
         n0=n0,
         epsilon=Fraction(total, pn._den),
         nu=ProbVector(tuple(Fraction(m, total) for m in mins)),
     )
 
 
-def minorization_pseudo(P: StochasticMatrix, n0: int) -> MinorizationCert | None:
-    """Pairwise overlap constant: eps = min over start pairs of the overlap.
+def minorization_pseudo(P: StochasticMatrix, n0: int, small_set=None) -> MinorizationCert | None:
+    """Pairwise overlap constant: eps = min over pairs of C of the overlap of
+    their n0-step rows, with C every state unless ``small_set`` names it (a
+    one-state C pairs its state with itself).
 
     All pairs attaining the minimum are recorded in lexicographic order.
     Returns None when some pair of rows is disjoint (eps = 0).
     """
-    if n0 < 1:
-        raise InputError("n0 must be >= 1")
-    pn = matrix_power(P, n0)
+    return _search(P, n0, small_set, _pseudo_scan)
+
+
+def _pseudo_scan(pn: StochasticMatrix, n0: int, states: tuple[int, ...]):
     rows = pn._num
-    size = P.size
     best: int | None = None
     pairs: list[tuple[int, int]] = []
-    for i in range(size):
-        for j in range(i if size == 1 else i + 1, size):
+    for k, i in enumerate(states):
+        for j in states[k if len(states) == 1 else k + 1:]:
             overlap = sum(map(min, rows[i], rows[j]))
             if overlap == 0:
                 return None  # one disjoint pair settles eps = 0
@@ -567,42 +599,11 @@ def minorization_pseudo(P: StochasticMatrix, n0: int) -> MinorizationCert | None
                 pairs.append((i, j))
     return MinorizationCert(
         variant="pseudo",
-        small_set=tuple(range(size)),
+        small_set=states,
         n0=n0,
         epsilon=Fraction(best, pn._den),
         argmin_pairs=tuple(pairs),
     )
-
-
-def _certified_power(P: StochasticMatrix, cert: MinorizationCert) -> StochasticMatrix:
-    """``P^n0`` once ``cert`` is checked on it, in exact integers.
-
-    A coupling flips its coin only when both chains sit in the small set C,
-    so the certificate is checked on C's rows alone: one that claims more
-    overlap than those rows have, by any amount, leaves a residual negative
-    and raises ``CertificateError``. A uniform one is refused where eps nu
-    exceeds the smallest entry of a column over C's rows, a pairwise one at
-    the first pair of C whose rows overlap by less than eps.
-    """
-    eps, n0 = cert.epsilon, cert.n0
-    pn = matrix_power(P, n0)  # memoized: the finder formed it already
-    rows = pn._num
-    if cert.variant == "uniform":
-        weights, total = _common_denominator(cert.nu.entries)
-        columns = zip(*(rows[i] for i in cert.small_set))
-        # eps w / total <= a / den for every entry a of column j, in integers
-        for j, (a, w) in enumerate(zip(map(min, columns), weights)):
-            if a * eps.denominator * total < eps.numerator * w * pn._den:
-                raise CertificateError(f"residual is negative at state {j}: epsilon "
-                                       f"{eps} times nu({j}) exceeds a {n0}-step law")
-    else:
-        for x, xp in itertools.combinations(cert.small_set, 2):
-            overlap = sum(map(min, rows[x], rows[xp]))
-            if overlap * eps.denominator < eps.numerator * pn._den:
-                raise CertificateError(
-                    f"residual is negative for pair ({x}, {xp}): epsilon {eps} exceeds its "
-                    f"{n0}-step overlap {Fraction(overlap, pn._den)}")
-    return pn
 
 
 class EigenMode(NamedTuple):

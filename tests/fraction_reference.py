@@ -16,7 +16,7 @@ from fractions import Fraction
 from typing import Sequence
 
 from mcbounds.bounds import BoundReport
-from mcbounds.errors import CertificateError, InputError, MathError, NonUniqueStationaryError
+from mcbounds.errors import InputError, MathError, NonUniqueStationaryError
 from mcbounds.finite_chain import MinorizationCert, ProbVector, StochasticMatrix
 
 
@@ -158,19 +158,24 @@ def exact_tv_curve(
     return BoundReport(ns=tuple(range(n_max + 1)), values=tuple(values), crossing=crossing)
 
 
-def minorization_uniform(P: StochasticMatrix, n0: int) -> MinorizationCert | None:
-    """Best whole-space overlap at lag n0: eps = sum_j min_i (P^n0)_ij."""
+def _states(P: StochasticMatrix, small_set) -> tuple[int, ...]:
+    """The small set in increasing order; None is every state."""
+    return tuple(range(P.size)) if small_set is None else tuple(sorted(small_set))
+
+
+def minorization_uniform(P: StochasticMatrix, n0: int, small_set=None) -> MinorizationCert | None:
+    """Best overlap of C's rows at lag n0: eps = sum_j min_{i in C} (P^n0)_ij."""
     if n0 < 1:
         raise InputError("n0 must be >= 1")
     pn = matrix_power(P, n0)
-    size = P.size
-    mins = [min(pn.rows[i][j] for i in range(size)) for j in range(size)]
+    states = _states(P, small_set)
+    mins = [min(pn.rows[i][j] for i in states) for j in range(P.size)]
     eps = sum(mins)
     if eps == 0:
         return None
     nu = ProbVector(tuple(m / eps for m in mins))
     return MinorizationCert(
-        variant="uniform", small_set=tuple(range(size)), n0=n0, epsilon=eps, nu=nu
+        variant="uniform", small_set=states, n0=n0, epsilon=eps, nu=nu
     )
 
 
@@ -189,16 +194,16 @@ def pseudo_nu(pn0: StochasticMatrix, i: int, j: int) -> ProbVector:
     )
 
 
-def minorization_pseudo(P: StochasticMatrix, n0: int) -> MinorizationCert | None:
-    """Pairwise overlap constant: eps = min over start pairs of the overlap."""
+def minorization_pseudo(P: StochasticMatrix, n0: int, small_set=None) -> MinorizationCert | None:
+    """Pairwise overlap constant: eps = min over pairs of C of the overlap."""
     if n0 < 1:
         raise InputError("n0 must be >= 1")
     pn = matrix_power(P, n0)
-    size = P.size
+    states = _states(P, small_set)
     eps: Fraction | None = None
     pairs: list[tuple[int, int]] = []
-    for i in range(size):
-        for j in range(i if size == 1 else i + 1, size):
+    for a, i in enumerate(states):
+        for j in states[a if len(states) == 1 else a + 1:]:
             overlap = pseudo_pair_overlap(pn, i, j)
             if eps is None or overlap < eps:
                 eps = overlap
@@ -210,7 +215,7 @@ def minorization_pseudo(P: StochasticMatrix, n0: int) -> MinorizationCert | None
         return None
     return MinorizationCert(
         variant="pseudo",
-        small_set=tuple(range(size)),
+        small_set=states,
         n0=n0,
         epsilon=eps,
         argmin_pairs=tuple(pairs),
@@ -250,8 +255,8 @@ def pair_rows(pn0: StochasticMatrix, cert: MinorizationCert, x: int, xp: int):
     pairwise certificate the normalized minimum of the two n0-step rows) and
     the residual law (P^n0(s, .) - eps nu) / (1 - eps) of each chain s, which
     tails draws from. At eps = 1 the coin always lands heads and both
-    residuals are None. A negative residual entry raises
-    ``CertificateError``.
+    residuals are None. A certificate found on ``pn0`` leaves no residual
+    entry negative; the rows assert it.
     """
     eps = cert.epsilon
     nu = cert.nu if cert.variant == "uniform" else pseudo_nu(pn0, x, xp)
@@ -260,7 +265,6 @@ def pair_rows(pn0: StochasticMatrix, cert: MinorizationCert, x: int, xp: int):
     resid = []
     for s in (x, xp):
         row = tuple((a - eps * v) / (1 - eps) for a, v in zip(pn0.rows[s], nu))
-        if any(v < 0 for v in row):
-            raise CertificateError(f"residual of state {s} is negative for pair ({x},{xp})")
+        assert all(v >= 0 for v in row), f"residual of state {s} is negative for ({x},{xp})"
         resid.append(row)
     return (tuple(nu), *resid)

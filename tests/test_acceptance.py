@@ -227,7 +227,8 @@ def big_grid_run(grid):
         replications=100_000,
         master_seed=1,
         matrix=grid,
-        cert=minorization_pseudo(grid, 2),
+        cert="pseudo",
+        n0=2,
         x0=4,
     )
     return config, run_coupling(config)
@@ -266,7 +267,8 @@ def test_criterion_11_determinism(grid):
         replications=5_000,
         master_seed=777,
         matrix=grid,
-        cert=minorization_uniform(grid, 2),
+        cert="uniform",
+        n0=2,
         x0=4,
     )
     first = json.dumps(run_coupling(config).to_jsonable(), sort_keys=True)

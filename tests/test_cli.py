@@ -238,6 +238,22 @@ class TestFinite:
         capsys.readouterr()
         assert calls == [2]
 
+    @pytest.mark.parametrize("cert", ["pseudo", "uniform"])
+    def test_simulate_scans_the_n_step_matrix_once(self, capsys, monkeypatch, cert):
+        # the run's config finds the certificate and every later reader gets
+        # it from the matrix; the runner once scanned every pair again
+        calls = []
+        for name in ("_pseudo_scan", "_uniform_scan"):
+            def counted(pn, n0, states, scan=getattr(finite_chain, name)):
+                calls.append(scan.__name__)
+                return scan(pn, n0, states)
+
+            monkeypatch.setattr(finite_chain, name, counted)
+        argv = ["simulate", "--grid", "3x3", "--cert", cert, "--n-max", "6", "--reps", "20"]
+        assert main(argv) == 0
+        capsys.readouterr()
+        assert calls == [f"_{cert}_scan"]
+
     def test_matrix_file_roundtrip(self, capsys, tmp_path):
         grid = build_grid_walk(3, 3)
         path = tmp_path / "grid.json"
@@ -732,7 +748,7 @@ class TestSimulate:
     def test_grid_run_checked_before_its_certificate_search(self, capsys, monkeypatch,
                                                             argv, message):
         # these were refused only after the exact pairwise search, 2-3 s at 15x15
-        def must_not_search(matrix, n0):
+        def must_not_search(matrix, n0, small_set=None):
             raise AssertionError("the certificate search ran before the run was checked")
 
         monkeypatch.setattr(finite_chain, "minorization_pseudo", must_not_search)
@@ -1265,15 +1281,14 @@ class TestOutputs:
         ["finite", "pseudo", "--grid", "3x3", "--n0", "2"],
         ["verify", "minorization", "--preset", "halfline", "--probe-step", "1.0"],
     ], ids=["stationary", "minorization", "pseudo", "verify-minorization"])
-    def test_csv_of_a_report_without_tables_writes_its_json(self, capsys, tmp_path, argv):
-        # on stdout and under --output alike, csv means json for these reports
-        assert main([*argv, "--format", "csv"]) == 0
-        printed = capsys.readouterr().out
-        assert main([*argv, "--output", str(tmp_path), "--format", "csv"]) == 0
-        assert capsys.readouterr().out == ""
-        stem = f"{argv[0]}-{argv[1]}"
-        assert [p.name for p in tmp_path.iterdir()] == [f"{stem}.json"]
-        assert (tmp_path / f"{stem}.json").read_text() == printed
+    def test_format_of_a_report_without_tables_exits_2(self, capsys, tmp_path, argv):
+        # these reports have no table, so no format to choose
+        for output in ([], ["--output", str(tmp_path)]):
+            with pytest.raises(SystemExit) as refused:
+                main([*argv, *output, "--format", "json"])
+            assert refused.value.code == 2
+            assert "unrecognized arguments: --format json" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
 
     @pytest.mark.parametrize("argv,analysis", [
         (["finite", "stationary", "--grid", "3x3"], "stationary"),
@@ -1297,13 +1312,20 @@ class TestOutputs:
             "simulate-rwm-laplace", "verify-drift", "verify-minorization-halfline",
             "verify-minorization-rwm-laplace"])
     def test_declared_tables_match_the_written_ones(self, capsys, tmp_path, argv, analysis):
-        # _prepare_outputs refuses csv without --output from the parser's
-        # tableless alone, before the run; the reports must agree with it
-        assert main([*argv, "--output", str(tmp_path), "--format", "both"]) == 0
+        # a mode declares --format exactly when its report adds a CSV table:
+        # _prepare_outputs refuses csv without --output from the parser
+        # alone, before the run, so the reports must agree with it
+        try:
+            build_parser().parse_args([*argv, "--format", "json"])
+            declared = True
+        except SystemExit:
+            declared = False
+        tables = ["--format", "both"] if declared else []
+        assert main([*argv, "--output", str(tmp_path), *tables]) == 0
         assert capsys.readouterr().out == ""
         stem = f"{argv[0]}-{analysis}"
         names = sorted(p.name for p in tmp_path.iterdir())
-        if getattr(build_parser().parse_args(argv), "tableless", False):
+        if not declared:
             assert names == [f"{stem}.json"]
         else:
             assert f"{stem}.json" in names and len(names) >= 2
@@ -1482,9 +1504,10 @@ class TestStartup:
             "with contextlib.redirect_stdout(io.StringIO()):\n"
             "    for analysis in ('stationary', 'pseudo', 'minorization', 'tv-exact'):\n"
             "        lag = [] if analysis == 'stationary' else ['--n0', '2']\n"
+            "        tables = ['--format', 'both'] if analysis == 'tv-exact' else []\n"
             "        assert main(['finite', analysis, '--grid', '3x3', *lag]) == 0\n"
             "        assert main(['finite', analysis, '--grid', '3x3', *lag,\n"
-            "                     '--output', out, '--format', 'both']) == 0\n"
+            "                     '--output', out, *tables]) == 0\n"
             "    assert main(['bound', 't1', '--epsilon', '9/80', '--n0', '2']) == 0\n"
             "    assert main(['bound', 't1', '--epsilon', '0.117', '--output', out,\n"
             "                 '--format', 'both']) == 0\n"

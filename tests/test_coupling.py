@@ -19,7 +19,7 @@ from mcbounds.bounds import CERTIFICATES, MAX_CURVE_POINTS
 from mcbounds.coupling import CouplingConfig, run_coupling
 from mcbounds.coupling import engines, runner
 from mcbounds.coupling.runner import _finite_arrays, _quantile
-from mcbounds.errors import CertificateError, InputError, MathError
+from mcbounds.errors import InputError, MathError
 import scalar_reference as sref
 from mcbounds.kernels import laws
 from mcbounds.finite_chain import (
@@ -50,7 +50,8 @@ def grid_pseudo_run(grid):
         replications=20_000,
         master_seed=42,
         matrix=grid,
-        cert=minorization_pseudo(grid, 2),
+        cert="pseudo",
+        n0=2,
         x0=4,
     )
     return config, *run_with_paths(config)
@@ -63,8 +64,7 @@ def small_configs(master_seed, replications, record_every=1):
                   record_every=record_every)
     return (
         CouplingConfig(
-            model="finite", n_max=8, matrix=grid, cert=minorization_pseudo(grid, 2),
-            x0=4, **common,
+            model="finite", n_max=8, matrix=grid, cert="pseudo", n0=2, x0=4, **common,
         ),
         CouplingConfig(model="halfline", n_max=4, burn_in=10, **common),
         CouplingConfig(model="rwm-laplace", n_max=20, burn_in=10, **common),
@@ -240,7 +240,7 @@ def pair_chain_oracle(config):
     ``Fraction`` n0-step rows and pair rows of ``fraction_reference``, not
     from the engine, and evolved from mu0 (x) pi.
     """
-    cert = config.cert
+    cert = config.certificate()
     size = config.matrix.size
     pn0 = ref.matrix_power(config.matrix, cert.n0)
     step = np.array([[float(v) for v in row] for row in pn0.rows])
@@ -265,53 +265,45 @@ def pair_chain_oracle(config):
     pi = stationary(config.matrix).to_floats()
     law = np.outer(mu0, pi).ravel()
     p_neq, marginals = [], []
-    for _ in range(config.n_max // config.cert.n0 + 1):
+    for _ in range(config.n_max // cert.n0 + 1):
         p_neq.append(1.0 - law[diagonal].sum())
         marginals.append(law.reshape(size, size).sum(axis=1))
         law = law @ T
     return np.array(p_neq), np.array(marginals)
 
 
-def proper_subset_cert(grid):
-    """The pairwise certificate with its small set cut to the centre cross."""
-    cert = minorization_pseudo(grid, 2)
-    return MinorizationCert(
-        variant="pseudo", small_set=(1, 3, 4, 5, 7), n0=2, epsilon=cert.epsilon,
-        argmin_pairs=cert.argmin_pairs,
-    )
+CROSS = (1, 3, 4, 5, 7)  # the centre cross of the 3x3 grid
 
 
-def line_cert(variant, epsilon=F(1, 3)):
-    """(matrix, cert): a lag-1 certificate on the middle states C = (1, 2, 3)
-    of the 1x5 grid, whose rows there are uniform on three neighbours. Both
-    hold on C alone: the uniform one with nu the point mass at 2 (state 0
-    never moves to 2), the pairwise one with overlap 1/3 at the pair (1, 3)
+def line_run(variant):
+    """``(matrix, fields)``: a lag-1 coupling on the middle states C = (1, 2,
+    3) of the 1x5 grid, whose rows there are uniform on three neighbours.
+    Both overlaps are 1/3 on C alone: the uniform one with nu the point mass
+    at 2 (state 0 never moves to 2), the pairwise one at the pair (1, 3)
     (the end rows 0 and 4 are disjoint)."""
-    line = build_grid_walk(1, 5)
-    nu = ProbVector.delta(5, 2) if variant == "uniform" else None
-    return line, MinorizationCert(variant, (1, 2, 3), 1, epsilon, nu=nu)
+    return build_grid_walk(1, 5), dict(cert=variant, n0=1, small_set=(1, 2, 3))
 
 
 class TestPairChainOracle:
     """Simulated p_neq and X_n law against the exact pair-chain law, within 4 se."""
 
     @pytest.mark.parametrize(
-        "make_cert",
+        "make_run",
         [
-            lambda grid: (grid, minorization_uniform(grid, 2)),
-            lambda grid: (grid, minorization_pseudo(grid, 2)),
-            lambda grid: (grid, proper_subset_cert(grid)),
-            lambda grid: line_cert("uniform"),
-            lambda grid: line_cert("pseudo"),
+            lambda grid: (grid, dict(cert="uniform", n0=2)),
+            lambda grid: (grid, dict(cert="pseudo", n0=2)),
+            lambda grid: (grid, dict(cert="pseudo", n0=2, small_set=CROSS)),
+            lambda grid: line_run("uniform"),
+            lambda grid: line_run("pseudo"),
         ],
         ids=["uniform", "pseudo", "proper-subset", "line-uniform-small-set",
              "line-pseudo-small-set"],
     )
-    def test_simulation_matches_the_exact_pair_chain(self, grid, make_cert):
-        matrix, cert = make_cert(grid)
+    def test_simulation_matches_the_exact_pair_chain(self, grid, make_run):
+        matrix, fields = make_run(grid)
         config = CouplingConfig(
             model="finite", n_max=20, replications=20_000, master_seed=99,
-            matrix=matrix, cert=cert, x0=0,
+            matrix=matrix, x0=0, **fields,
         )
         res = run_coupling(config)
         exact_p, exact_law = pair_chain_oracle(config)
@@ -322,44 +314,27 @@ class TestPairChainOracle:
         law_se = np.sqrt(exact_law * (1.0 - exact_law) / reps)
         assert np.all(np.abs(freq - exact_law) <= 4.0 * law_se + 1e-12)
 
-    @pytest.mark.parametrize("variant,message", [
-        ("uniform", "residual is negative at state 2:"),
-        ("pseudo", "residual is negative for pair (1, 3):"),
-    ], ids=["uniform", "pseudo"])
-    def test_small_set_certificate_over_claimed_by_1e_15_refused(self, variant, message):
-        # checked on C's rows alone: rows 0 and 4 have no overlap with nu or
-        # with each other, yet eps = 1/3 holds on C
-        line, cert = line_cert(variant, F(1, 3) + F(1, 10**15))
-        config = CouplingConfig(model="finite", n_max=4, replications=10, master_seed=1,
-                                matrix=line, cert=cert)
-        with pytest.raises(CertificateError) as refused:
-            run_coupling(config)
-        assert str(refused.value).startswith(message)
-
     def test_proper_subset_coupling_is_slower(self, grid):
         # the oracle itself must see the smaller small set
         config = CouplingConfig(
             model="finite", n_max=10, replications=1, master_seed=0, matrix=grid,
-            cert=minorization_pseudo(grid, 2), x0=0,
+            cert="pseudo", n0=2, x0=0,
         )
         whole, _ = pair_chain_oracle(config)
-        subset, _ = pair_chain_oracle(
-            rebuilt(config, cert=proper_subset_cert(grid))
-        )
+        subset, _ = pair_chain_oracle(rebuilt(config, small_set=CROSS))
         assert np.all(subset[1:] > whole[1:])
 
 
-def finite_model(make_cert):
-    return lambda grid: dict(model="finite", matrix=grid, cert=make_cert(grid),
-                             x0=0)
+def finite_model(**fields):
+    return lambda grid: dict(model="finite", matrix=grid, n0=2, x0=0, **fields)
 
 
 @pytest.mark.parametrize(
     "model,mode",
     [
-        (finite_model(lambda grid: minorization_uniform(grid, 2)), "uniform"),
-        (finite_model(lambda grid: minorization_pseudo(grid, 2)), "uniform"),
-        (finite_model(proper_subset_cert), "small-set"),
+        (finite_model(cert="uniform"), "uniform"),
+        (finite_model(cert="pseudo"), "uniform"),
+        (finite_model(cert="pseudo", small_set=CROSS), "small-set"),
         (lambda grid: dict(model="halfline", burn_in=5), "uniform"),
         (lambda grid: dict(model="rwm-laplace", burn_in=5), "small-set"),
     ],
@@ -373,9 +348,9 @@ def test_mode_follows_from_the_model_and_certificate(grid, model, mode):
 
 def test_finite_small_set_run_reports_its_coin_flips(grid):
     # a pair flips the coin before a step when it is apart and both states lie in C
-    cert = proper_subset_cert(grid)
     config = CouplingConfig(model="finite", n_max=20, replications=3000, master_seed=12,
-                            matrix=grid, cert=cert)
+                            matrix=grid, cert="pseudo", n0=2, small_set=CROSS)
+    cert = config.certificate()
     res, xs, xps = run_with_paths(config)
     in_c = np.isin(xs, cert.small_set) & np.isin(xps, cert.small_set)
     flips = int(((xs != xps) & in_c)[:, :-1].sum())
@@ -384,33 +359,39 @@ def test_finite_small_set_run_reports_its_coin_flips(grid):
 
 
 class TestFiniteConfigFitsItsMatrix:
-    """A finite start or certificate that names no state of the matrix is
-    refused when the config is built."""
+    """A finite start, search or small set that names no state of the matrix
+    is refused when the config is built."""
 
     @pytest.mark.parametrize("x0", [-1, 9, 2.0, True])
     def test_start_must_be_a_state_index(self, grid, x0):
         message = f"start state x0 must be an integer in 0..8 for the 9-state chain, got {x0!r}"
         with pytest.raises(InputError, match=re.escape(message)):
             CouplingConfig(model="finite", n_max=4, replications=10, master_seed=1,
-                           matrix=grid, cert=minorization_pseudo(grid, 2), x0=x0)
+                           matrix=grid, cert="pseudo", n0=2, x0=x0)
 
     @pytest.mark.parametrize("small_set,bad", [((0, 9), 9), ((-1, 0), -1)])
     def test_small_set_must_name_states_of_the_matrix(self, grid, small_set, bad):
-        cert = MinorizationCert("pseudo", small_set, 2, F(1, 3))
         message = (f"small-set state {bad} of the certificate must be an integer "
                    "in 0..8 for the 9-state chain")
         with pytest.raises(InputError, match=re.escape(message)):
             CouplingConfig(model="finite", n_max=4, replications=10, master_seed=1,
-                           matrix=grid, cert=cert)
+                           matrix=grid, cert="pseudo", n0=2, small_set=small_set)
 
-    def test_nu_must_have_a_state_per_matrix_state(self):
-        # every entry positive, so the exact check alone would pass it
-        thirds = StochasticMatrix([[F(1, 3)] * 3] * 3)
-        halves = ProbVector((F(1, 2), F(1, 2)))
-        cert = MinorizationCert("uniform", (0, 1, 2), 1, F(1, 2), nu=halves)
-        with pytest.raises(InputError, match="nu has 2 states but the chain has 3"):
+    @pytest.mark.parametrize("cert,shown", [
+        ("Pseudo", "'Pseudo'"), ("minorization_pseudo", "'minorization_pseudo'"),
+        (2.5, "a float value"),
+    ])
+    def test_cert_names_one_of_the_two_searches(self, grid, cert, shown):
+        message = f'cert must be "uniform" or "pseudo", got {shown}'
+        with pytest.raises(InputError, match=re.escape(message)):
             CouplingConfig(model="finite", n_max=4, replications=10, master_seed=1,
-                           matrix=thirds, cert=cert)
+                           matrix=grid, cert=cert, n0=2)
+
+    @pytest.mark.parametrize("n0", [0, 2.0, True])
+    def test_lag_must_be_a_positive_integer(self, grid, n0):
+        with pytest.raises(InputError, match=re.escape(f"n0 must be an integer >= 1, got {n0!r}")):
+            CouplingConfig(model="finite", n_max=4, replications=10, master_seed=1,
+                           matrix=grid, cert="pseudo", n0=n0)
 
 
 def test_the_certificate_table_is_read_in_one_place():
@@ -478,9 +459,9 @@ class TestContinuousOverlapBounds:
         dict(replications=10**12, n_max=10**6, record_every=10**6),
     ])
     def test_recorded_states_capped(self, grid, run):
-        cert = minorization_uniform(grid, 2)
         with pytest.raises(InputError, match="work budget"):
-            CouplingConfig(model="finite", matrix=grid, cert=cert, master_seed=1, **run)
+            CouplingConfig(model="finite", matrix=grid, cert="uniform", n0=2, master_seed=1,
+                           **run)
         run = {**run, "model": "rwm-laplace", "n_max": 2 * run["n_max"]}
         with pytest.raises(InputError, match="work budget"):
             CouplingConfig(master_seed=1, **run)
@@ -488,9 +469,9 @@ class TestContinuousOverlapBounds:
     def test_recorded_points_capped_at_a_bound_curve(self, grid):
         # within the work budget; the cap keeps a block's trajectory buffer
         # under 4096 x 10 000 pair states and the report under 10 000 rows
-        cert = minorization_uniform(grid, 2)
-        config = CouplingConfig(model="finite", matrix=grid, cert=cert, master_seed=1,
-                                replications=4096, n_max=2 * MAX_CURVE_POINTS - 1)
+        config = CouplingConfig(model="finite", matrix=grid, cert="uniform", n0=2,
+                                master_seed=1, replications=4096,
+                                n_max=2 * MAX_CURVE_POINTS - 1)
         assert len(config.lattice()) == MAX_CURVE_POINTS
         with pytest.raises(InputError, match=f"{MAX_CURVE_POINTS + 1} lattice points.*--record-every"):
             rebuilt(config, n_max=2 * MAX_CURVE_POINTS)
@@ -511,8 +492,8 @@ class TestContinuousOverlapBounds:
 
     def test_work_budget_admits_long_runs_that_memory_once_refused(self, grid):
         # 70 000 replications x 1001 lattice points were 7.0e7 recorded states
-        CouplingConfig(model="finite", matrix=grid, cert=minorization_pseudo(grid, 2),
-                       master_seed=1, replications=70_000, n_max=2000)
+        CouplingConfig(model="finite", matrix=grid, cert="pseudo", n0=2, master_seed=1,
+                       replications=70_000, n_max=2000)
         with pytest.raises(InputError, match="work budget"):
             CouplingConfig(model="halfline", master_seed=1, replications=1,
                            n_max=engines.MAX_PAIR_STEPS // engines.MIN_BLOCK_WIDTH)
@@ -678,7 +659,8 @@ class TestGridCoupling:
             replications=20_000,
             master_seed=7,
             matrix=grid,
-            cert=minorization_uniform(grid, 2),
+            cert="uniform",
+            n0=2,
             x0=4,
         )
         res = run_coupling(config)
@@ -728,7 +710,7 @@ class TestGridCoupling:
         mu0 = ProbVector.delta(matrix.size, start)
         config = CouplingConfig(
             model="finite", n_max=60, replications=3, master_seed=5, matrix=matrix,
-            cert=minorization_pseudo(matrix, n0), x0=start, record_every=every,
+            cert="pseudo", n0=n0, x0=start, record_every=every,
         )
         res = run_coupling(config)
         curve = exact_tv_curve(mu0, matrix, config.lattice()[-1])
@@ -739,61 +721,36 @@ class TestGridCoupling:
     def test_immediate_coupling_with_full_overlap(self):
         # identical rows: the chain forgets its state in one step, overlap 1
         iid = StochasticMatrix([[F(1, 3), F(2, 3)], [F(1, 3), F(2, 3)]])
-        cert = minorization_uniform(iid, 1)
-        assert cert.epsilon == 1
         config = CouplingConfig(
             model="finite",
             n_max=5,
             replications=2_000,
             master_seed=3,
             matrix=iid,
-            cert=cert,
+            cert="uniform",
+            n0=1,
             x0=0,
         )
+        assert config.certificate().epsilon == 1
         res = run_coupling(config)
         assert all(p == 0.0 for p in res.p_neq[1:])
 
     def test_invalid_certificate_rejected(self, grid):
+        # a certificate is found on the matrix, never taken from the caller:
+        # one built by hand, here claiming 1/2 where the overlap is 9/80, is
+        # refused before any residual could go negative
         good = minorization_uniform(grid, 2)
         inflated = MinorizationCert(
             variant="uniform",
             small_set=good.small_set,
             n0=2,
-            epsilon=F(1, 2),  # true overlap is 9/80; residuals go negative
+            epsilon=F(1, 2),
             nu=good.nu,
         )
-        config = CouplingConfig(
-            model="finite",
-            n_max=4,
-            replications=10,
-            master_seed=1,
-            matrix=grid,
-            cert=inflated,
-            x0=4,
-        )
-        with pytest.raises(CertificateError):
-            run_coupling(config)
-
-    def test_overlap_claimed_just_above_the_pairwise_overlap_rejected(self, grid):
-        good = minorization_pseudo(grid, 2)
-        inflated = MinorizationCert(
-            variant="pseudo",
-            small_set=good.small_set,
-            n0=2,
-            epsilon=good.epsilon + F(1, 10**15),  # residuals dip below 0 by ~1e-15
-            argmin_pairs=good.argmin_pairs,
-        )
-        config = CouplingConfig(
-            model="finite",
-            n_max=4,
-            replications=10,
-            master_seed=1,
-            matrix=grid,
-            cert=inflated,
-            x0=4,
-        )
-        with pytest.raises(CertificateError, match="is negative for pair"):
-            run_coupling(config)
+        message = 'cert must be "uniform" or "pseudo", got a MinorizationCert value'
+        with pytest.raises(InputError, match=re.escape(message)):
+            CouplingConfig(model="finite", n_max=4, replications=10, master_seed=1,
+                           matrix=grid, cert=inflated, n0=2, x0=4)
 
 
 ULP = 2.0**-53  # the unit roundoff of float64
@@ -810,8 +767,10 @@ def assert_rows_match_reference(matrix, cert):
     end at exactly 1, never decrease below 1 and stay flat on every state of
     exact probability 0."""
     config = CouplingConfig(
-        model="finite", n_max=1, replications=1, master_seed=0, matrix=matrix, cert=cert
+        model="finite", n_max=1, replications=1, master_seed=0, matrix=matrix,
+        cert=cert.variant, n0=cert.n0, small_set=cert.small_set,
     )
+    assert config.certificate() == cert
     step_rows, nu, in_small = _finite_arrays(config)
     size = matrix.size
     pn0 = ref.matrix_power(matrix, cert.n0)
@@ -868,34 +827,12 @@ class TestFiniteTables:
                 if cert is not None:
                     assert_rows_match_reference(grid, cert)
 
-    @pytest.mark.parametrize("finder", [minorization_uniform, minorization_pseudo])
-    def test_over_claimed_overlap_raises_like_the_reference(self, grid, finder):
-        good = finder(grid, 2)
-        bad = MinorizationCert(
-            variant=good.variant,
-            small_set=good.small_set,
-            n0=2,
-            epsilon=good.epsilon + F(1, 7),
-            nu=good.nu,
-            argmin_pairs=good.argmin_pairs,
-        )
-        config = CouplingConfig(
-            model="finite", n_max=1, replications=1, master_seed=0, matrix=grid, cert=bad
-        )
-        with pytest.raises(CertificateError, match="is negative"):
-            _finite_arrays(config)
-        with pytest.raises(CertificateError, match="is negative"):
-            for pair in bad.argmin_pairs or [(0, 1)]:
-                ref.pair_rows(ref.matrix_power(grid, 2), bad, *pair)
-
     def test_disjoint_rows_refuse_any_pairwise_overlap(self):
-        # the two states never meet, so no pair of rows overlaps
-        config = CouplingConfig(
-            model="finite", n_max=1, replications=1, master_seed=0, matrix=ref.identity(2),
-            cert=MinorizationCert("pseudo", (0, 1), 1, F(1, 2), argmin_pairs=((0, 1),)),
-        )
-        with pytest.raises(CertificateError, match="is negative for pair"):
-            _finite_arrays(config)
+        # the two states never meet, so no pair of rows overlaps and no
+        # pairwise certificate exists to couple with
+        with pytest.raises(MathError, match="^no pseudo overlap at lag 1 for this chain$"):
+            CouplingConfig(model="finite", n_max=1, replications=1, master_seed=0,
+                           matrix=ref.identity(2), cert="pseudo", n0=1)
 
     def test_full_overlap_tables(self):
         iid = StochasticMatrix([[F(1, 3), F(2, 3)], [F(1, 3), F(2, 3)]])
@@ -1026,12 +963,13 @@ class TestContinuousEngine:
 
     @pytest.mark.parametrize("model,field", [
         ("finite", "burn_in"), ("halfline", "matrix"), ("rwm-laplace", "cert"),
+        ("halfline", "n0"), ("rwm-laplace", "small_set"),
     ])
     def test_config_refuses_a_field_its_model_does_not_read(self, grid, model, field):
         # a burn-in the finite engine never runs is not charged to the budget
-        cert = minorization_pseudo(grid, 2)
-        fields = {"finite": dict(matrix=grid, cert=cert)}.get(model, {})
-        value = {"burn_in": 10**7, "matrix": grid, "cert": cert}[field]
+        fields = {"finite": dict(matrix=grid, cert="pseudo", n0=2)}.get(model, {})
+        value = {"burn_in": 10**7, "matrix": grid, "cert": "pseudo", "n0": 2,
+                 "small_set": (0,)}[field]
         with pytest.raises(InputError, match=f"the {model} model does not read {field}; "):
             CouplingConfig(model=model, n_max=4, replications=10, master_seed=1,
                            **fields, **{field: value})
@@ -1073,7 +1011,8 @@ class TestDeterminism:
             replications=2_000,
             master_seed=5,
             matrix=grid,
-            cert=minorization_pseudo(grid, 2),
+            cert="pseudo",
+            n0=2,
             x0=4,
         )
         a = json.dumps(run_coupling(config).to_jsonable(), sort_keys=True)

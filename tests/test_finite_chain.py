@@ -259,6 +259,60 @@ class TestMinorization:
             assert ref.minorization_margin(grid, cert) >= 0
 
 
+FINDERS = [minorization_uniform, minorization_pseudo]
+
+
+class TestSmallSet:
+    """The finders' ``small_set`` keyword: C's edge inputs and the searches
+    restricted to C against the ``Fraction`` reference."""
+
+    @pytest.mark.parametrize("finder", FINDERS)
+    @pytest.mark.parametrize("small_set,message", [
+        ((), "the small set must name at least one state"),
+        ((1, 4, 1), "small-set state 1 is named twice"),
+        ((0, 9), "small-set state 9 of the certificate must be an integer in 0..8 "
+                 "for the 9-state chain"),
+        ((-1, 0), "small-set state -1 of the certificate must be an integer in 0..8"),
+        ((True, 4), "small-set state True of the certificate must be an integer in 0..8"),
+    ], ids=["empty", "duplicate", "out-of-range", "negative", "bool"])
+    def test_edge_small_sets_are_refused(self, grid, finder, small_set, message):
+        with pytest.raises(InputError) as refused:
+            finder(grid, 2, small_set)
+        assert str(refused.value).startswith(message)
+
+    def test_one_state_small_set(self, grid):
+        # the state's own row is the overlap law, and the one pair is (4, 4)
+        uniform = minorization_uniform(grid, 2, small_set=[4])
+        assert (uniform.small_set, uniform.epsilon) == ((4,), 1)
+        assert uniform.nu == ProbVector(matrix_power(grid, 2).rows[4])
+        pseudo = minorization_pseudo(grid, 2, small_set=[4])
+        assert (pseudo.small_set, pseudo.epsilon, pseudo.argmin_pairs) == ((4,), 1, ((4, 4),))
+
+    def test_centre_cross_overlaps_more_than_the_whole_grid(self, grid):
+        cert = minorization_pseudo(grid, 2, small_set=(7, 1, 3, 4, 5))
+        assert cert.small_set == (1, 3, 4, 5, 7)
+        assert cert.epsilon == F(23, 48) > minorization_pseudo(grid, 2).epsilon
+
+    def test_a_search_is_kept_on_the_power_memo(self):
+        P = build_grid_walk(3, 3)
+        for finder in FINDERS:
+            assert finder(P, 2) is finder(P, 2, range(9))
+            assert finder(P, 2, (4, 1)) is finder(P, 2, [1, 4])
+        kept = minorization_pseudo(P, 2)
+        matrix_power(P, 3)  # another power replaces the memo and what it kept
+        again = minorization_pseudo(P, 2)
+        assert again == kept and again is not kept
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(1, 4), st.integers(1, 4), st.integers(1, 4), st.data())
+    def test_matches_the_reference_restricted_to_c(self, rows, cols, n0, data):
+        grid = build_grid_walk(rows, cols)
+        small_set = data.draw(st.lists(st.integers(0, grid.size - 1), min_size=1,
+                                       unique=True))
+        for fast, slow in zip(FINDERS, (ref.minorization_uniform, ref.minorization_pseudo)):
+            assert fast(grid, n0, small_set) == slow(grid, n0, small_set)
+
+
 class TestEigenBound:
     def test_grid_center_bound(self, grid):
         eb = eigen_bound(grid, ProbVector.delta(9, 4), target=4)

@@ -55,10 +55,10 @@ RECORDS = [
                   "eigenvalues": (1 + 0j, 0.5 + 0j), "stationary": (0.5, 0.5),
                   "modes": (MODE,)}),
     (CouplingConfig, {"model": "halfline", "n_max": 6, "replications": 10, "master_seed": 1,
-                      "matrix": None, "cert": None, "x0": 0.5, "burn_in": 3,
-                      "record_every": 2}),
+                      "matrix": None, "cert": None, "n0": None, "small_set": None, "x0": 0.5,
+                      "burn_in": 3, "record_every": 2}),
     (CouplingConfig, {"model": "finite", "n_max": 6, "replications": 10, "master_seed": 1,
-                      "matrix": COIN, "cert": MinorizationCert("uniform", (0, 1), 1, F(1), HALVES),
+                      "matrix": COIN, "cert": "uniform", "n0": 1, "small_set": (0, 1),
                       "x0": 1, "burn_in": 0, "record_every": 2}),
 ]
 RECORD_IDS = [f"{cls.__name__}-finite" if fields.get("model") == "finite" else cls.__name__
