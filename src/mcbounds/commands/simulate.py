@@ -1,4 +1,5 @@
-"""``mcbounds simulate``: seeded coupling Monte Carlo against the geometric bound."""
+"""``mcbounds simulate``: seeded coupling Monte Carlo of a grid or a built-in
+chain, against the geometric bound in ``uniform`` mode only."""
 
 from __future__ import annotations
 
@@ -16,31 +17,26 @@ if TYPE_CHECKING:
 
 
 def _simulate_config(args) -> tuple[CouplingConfig, dict]:
-    from ..coupling.runner import CouplingConfig
+    from ..coupling.runner import ChainModel, CouplingConfig, FiniteModel
 
-    run = dict(
-        n_max=args.n_max,
-        replications=args.reps,
-        master_seed=args.seed,
-        record_every=args.record_every,
-    )
+    run = dict(n_max=args.n_max, replications=args.reps, master_seed=args.seed,
+               record_every=args.record_every)
     if args.grid is not None:
-        matrix, model = _load_model(args)
+        matrix, name = _load_model(args)
         start = _default_start(args, matrix.size)
         # a model's own options parse to None; `is None` keeps a given 0 or -0.0
         n0 = 2 if args.n0 is None else args.n0
         cert = "pseudo" if args.cert is None else args.cert
         _require_printable("--n0", n0, matrix.denominator)
-        config = CouplingConfig(model="finite", matrix=matrix, cert=cert, n0=n0, x0=start,
-                                **run)
-        desc = {"model": model, "cert": cert, "epsilon": str(config.certificate().epsilon),
+        config = CouplingConfig(FiniteModel(matrix, cert, n0), x0=start, **run)
+        desc = {"model": name, "cert": cert, "epsilon": str(config.model.certificate().epsilon),
                 "start": start + 1}
         return config, desc
     x0 = 0.0 if args.x0 is None else args.x0
     burn_in = 0 if args.burn_in is None else args.burn_in
-    config = CouplingConfig(model=args.model, x0=x0, burn_in=burn_in, **run)
+    config = CouplingConfig(ChainModel(args.model, burn_in), x0=x0, **run)
     desc = {"model": args.model, "x0": x0, "burn_in": burn_in}
-    small = config.certificate().small_set
+    small = config.model.certificate().small_set
     if small is not None:
         desc["small_set"] = [small.lo, small.hi]
     return config, desc
@@ -57,7 +53,7 @@ def run(args) -> tuple[_Report, int]:
         config, desc = _simulate_config(args)
         on_block = None if out is None else partial(_dump_trajectories, out, config.lattice())
         result = run_coupling(config, on_block)
-    cert = config.certificate()
+    cert = config.model.certificate()
     eps = float(cert.epsilon)
     cfg = {
         "epsilon": eps,  # a grid's desc gives it as the exact "p/q"

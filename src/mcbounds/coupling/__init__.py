@@ -1,13 +1,5 @@
 """Seeded Monte Carlo simulation of the coupling constructions."""
 
-from .runner import (
-    CouplingConfig,
-    CouplingResult,
-    run_coupling,
-)
+from .runner import ChainModel, CouplingConfig, CouplingResult, FiniteModel, run_coupling
 
-__all__ = [
-    "CouplingConfig",
-    "CouplingResult",
-    "run_coupling",
-]
+__all__ = ["ChainModel", "CouplingConfig", "CouplingResult", "FiniteModel", "run_coupling"]

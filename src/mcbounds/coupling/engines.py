@@ -13,8 +13,8 @@ chains already equal move together; unequal chains inside the small set flip
 an eps-coin (heads: both jump to a shared overlap draw; tails: independent
 residual draws); chains outside the small set update independently.
 ``_lockstep`` applies this rule for both engines, whose steps only draw the
-moves and look nothing up: the runner hands each engine its chain's arrays
-or ``laws.Chain`` and its certificate's eps, n0 and small set.
+moves and look nothing up: the runner's ``FiniteModel`` or ``ChainModel``
+hands its engine the chain (arrays or a ``laws.Chain``), eps, n0 and small set.
 
 Every engine returns ``Totals``: per recorded slot (step k is recorded in
 slot k // record_every when record_every divides k) the number of coincident
@@ -27,12 +27,14 @@ recorded states as it ends.
 
 from __future__ import annotations
 
-from typing import NamedTuple
+from typing import TYPE_CHECKING, NamedTuple
 
 import numpy as np
 
 from ..errors import MathError
-from ..kernels.laws import Chain
+
+if TYPE_CHECKING:
+    from ..kernels.laws import Chain
 
 # replications per Generator stream; changing it changes every seeded output
 BLOCK = 4096

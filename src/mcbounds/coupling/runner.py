@@ -18,115 +18,38 @@ import numpy as np
 
 from ..errors import InputError, MathError
 from ..bounds import CERTIFICATES, MAX_CURVE_POINTS, _Record
-from ..kernels.laws import CHAINS
 from . import engines
 
 if TYPE_CHECKING:
     from ..bounds import ChainCertificate
     from ..finite_chain import MinorizationCert, StochasticMatrix
 
-__all__ = [
-    "CouplingConfig",
-    "CouplingResult",
-    "run_coupling",
-]
+__all__ = ["ChainModel", "CouplingConfig", "CouplingResult", "FiniteModel", "run_coupling"]
 
 
-class CouplingConfig(_Record):
-    """Everything a coupling run needs; immutable and fully seed-determined.
+class FiniteModel(_Record):
+    """A finite chain, ``matrix``, and the overlap it couples with: ``cert``
+    ("uniform" or "pseudo"), its lag ``n0`` and its small set ``small_set``
+    (state indices, default every state), kept sorted, so two orders of one
+    set give equal models. ``certificate()`` finds the overlap exactly."""
 
-    ``model`` selects the chain: "finite" or a key of
-    ``bounds.CERTIFICATES``. A finite run takes its chain, ``matrix``, and
-    the overlap it couples with: ``cert`` ("uniform" or "pseudo"), its lag
-    ``n0`` and its small set ``small_set`` (state indices; None, the
-    default, is every state), which ``certificate()`` finds exactly. Chain x
-    starts at ``x0``: a state index in 0..size-1 for "finite", a point of
-    the chain's ``space`` otherwise. The partner chain starts from an exact
-    stationary draw; for the continuous chains ``burn_in`` further kernel
-    steps follow it, which keep its law. A field the model does not read
-    (``burn_in`` on "finite", ``matrix``, ``cert``, ``n0`` or ``small_set``
-    on a continuous chain) is refused unless it is left at its default.
-    Every replication runs all ``n_max // n0`` lattice steps. A run over
-    the work budget, ``engines.MAX_PAIR_STEPS`` pair-steps, or the cap on
-    bound curves is refused before a finite certificate is searched for; a
-    finite chain with no overlap of that kind is a ``MathError``.
-    """
+    __slots__ = ("matrix", "cert", "n0", "small_set")
 
-    __slots__ = ("model", "n_max", "replications", "master_seed", "matrix", "cert", "n0",
-                 "small_set", "x0", "burn_in", "record_every")
+    def __init__(self, matrix: StochasticMatrix, cert: str, n0: int,
+                 small_set: Iterable[int] | None = None) -> None:
+        from ..finite_chain import _small_set
 
-    def __init__(self, model: str, n_max: int, replications: int, master_seed: int,
-                 matrix: StochasticMatrix | None = None, cert: str | None = None,
-                 n0: int | None = None, small_set: Iterable[int] | None = None,
-                 x0: float = 0, burn_in: int = 0, record_every: int = 1) -> None:
-        if small_set is not None:
-            small_set = tuple(small_set)
-        self._fill(model, n_max, replications, master_seed, matrix, cert, n0, small_set, x0,
-                   burn_in, record_every)
-        finite = model == "finite"
-        if not finite and model not in CERTIFICATES:
-            raise InputError(f"unknown model {model!r}")
-        unread = ({"burn_in": burn_in != 0} if finite else {
-            name: value is not None for name, value in
-            (("matrix", matrix), ("cert", cert), ("n0", n0), ("small_set", small_set))})
-        for name, given in unread.items():
-            if given:
-                raise InputError(f"the {model} model does not read {name}; leave it out")
-        if finite:
-            if matrix is None or cert is None or n0 is None:
-                raise InputError("finite model requires matrix, cert and n0")
-            if cert not in ("uniform", "pseudo"):
-                shown = repr(cert) if isinstance(cert, str) else f"a {type(cert).__name__} value"
-                raise InputError(f'cert must be "uniform" or "pseudo", got {shown}')
-            if isinstance(n0, bool) or not isinstance(n0, int) or n0 < 1:
-                raise InputError(f"n0 must be an integer >= 1, got {n0!r}")
-            size = matrix.size
-            if isinstance(x0, bool) or not isinstance(x0, int) or not 0 <= x0 < size:
-                raise InputError(f"start state x0 must be an integer in 0..{size - 1} for "
-                                 f"the {size}-state chain, got {x0!r}")
-        elif not math.isfinite(x0):
-            raise InputError(f"start point x0 must be finite, got {x0}")
-        else:
-            space = self.certificate().space
-            if not space.contains(x0):
-                raise InputError(f"start point x0 must be in [{space.lo:g}, {space.hi:g}] "
-                                 f"for the {model} chain, got {x0}")
-        # the run checks, before a finite search: it is exact and can take seconds
-        n_lat = n_max // (n0 if finite else self.certificate().n0)
-        if master_seed < 0:
-            raise InputError(f"master seed must be a non-negative integer, got {master_seed}")
-        if burn_in < 0:
-            raise InputError(f"burn_in must be >= 0, got {burn_in}")
-        if replications < 1:
-            raise InputError("replications must be >= 1")
-        if n_lat < 0:
-            raise InputError("n_max must be >= 0")
-        if record_every < 1:
-            raise InputError("record_every must be >= 1")
-        work = engines.pair_steps(replications, 1 + burn_in + n_lat)
-        if work > engines.MAX_PAIR_STEPS:
-            shrink = ["fewer replications (--reps)", "a smaller n_max (--n-max)"]
-            if burn_in:
-                shrink.append("a shorter burn_in (--burn-in)")
-            raise InputError(f"{work} pair-steps exceed the work budget of "
-                             f"{engines.MAX_PAIR_STEPS}; pass {', '.join(shrink[:-1])} or "
-                             f"{shrink[-1]}")
-        points = n_lat // record_every + 1
-        if points > MAX_CURVE_POINTS:
-            raise InputError(f"a run recording {points} lattice points exceeds the cap of "
-                             f"{MAX_CURVE_POINTS}; pass a larger record_every (--record-every) "
-                             "or a smaller n_max (--n-max)")
-        self.certificate()  # a finite chain's search, whose result the matrix keeps
+        if cert not in ("uniform", "pseudo"):
+            shown = repr(cert) if isinstance(cert, str) else f"a {type(cert).__name__} value"
+            raise InputError(f'cert must be "uniform" or "pseudo", got {shown}')
+        if isinstance(n0, bool) or not isinstance(n0, int) or n0 < 1:
+            raise InputError(f"n0 must be an integer >= 1, got {n0!r}")
+        self._fill(matrix, cert, n0, _small_set(small_set, matrix.size))
 
-    def certificate(self) -> MinorizationCert | ChainCertificate:
-        """The run's overlap certificate, whose lag ``n0``, overlap ``epsilon``
-        and ``small_set`` drive it: for "finite", the best ``cert`` overlap
-        of ``matrix`` at lag ``n0`` on ``small_set``
-        (``finite_chain.minorization_uniform`` or ``minorization_pseudo``,
-        whose result the matrix keeps), ``bounds.CERTIFICATES[model]``
-        otherwise."""
-        if self.model != "finite":
-            return CERTIFICATES[self.model]
+    def certificate(self) -> MinorizationCert:
+        """The best ``cert`` overlap of ``matrix`` at lag ``n0`` on
+        ``small_set`` (``finite_chain.minorization_uniform`` or
+        ``minorization_pseudo``, whose result the matrix keeps)."""
         from .. import finite_chain
 
         finder = (finite_chain.minorization_uniform if self.cert == "uniform"
@@ -136,19 +59,158 @@ class CouplingConfig(_Record):
             raise MathError(f"no {self.cert} overlap at lag {self.n0} for this chain")
         return found
 
-    def lattice(self) -> tuple[int, ...]:
-        """The recorded chain steps: every ``record_every``-th lattice point."""
-        n0 = self.certificate().n0
-        return tuple(range(0, self.n_max // n0 * n0 + 1, n0 * self.record_every))
+    def check_start(self, x0) -> None:
+        size = self.matrix.size
+        if isinstance(x0, bool) or not isinstance(x0, int) or not 0 <= x0 < size:
+            raise InputError(f"start state x0 must be an integer in 0..{size - 1} for "
+                             f"the {size}-state chain, got {x0!r}")
 
     def mode(self) -> str:
-        """The coupling mode: ``uniform`` when the coin is flipped on the whole
-        state space (the half-line chain, a finite certificate on every
-        state), ``small-set`` otherwise."""
-        small = self.certificate().small_set
-        whole = (len(small) == self.matrix.size if self.model == "finite"
-                 else small is None)
-        return "uniform" if whole else "small-set"
+        return "uniform" if len(self.small_set) == self.matrix.size else "small-set"
+
+    def start_steps(self) -> int:
+        return 1  # the stationary start draw
+
+    def couple(self, run: tuple, config: CouplingConfig, on_block):
+        """The finite engine's ``Totals``, on the n0-step rows the certificate
+        was found on (so no residual is negative), and ``tv_exact``, TV_n =
+        1/2 |P^n(x0, .) - pi|_1 at each recorded point: the law steps through
+        the nonzero entries of P, O(states) a step on a grid walk."""
+        from ..finite_chain import stationary
+
+        pi = stationary(self.matrix).to_floats()
+        step_rows, nu, in_small = _finite_arrays(self)
+        totals = engines.finite_coupling_paths(
+            *run, config.x0, pi, step_rows, float(self.certificate().epsilon), nu,
+            None if self.mode() == "uniform" else in_small, on_block,
+        )
+        p = self.matrix.to_floats()
+        i, j = np.nonzero(p)
+        weights = p[i, j]
+        law, at, tv = np.zeros(pi.size), 0, []
+        law[config.x0] = 1.0
+        for n in config.lattice():
+            for _ in range(n - at):
+                law = np.bincount(j, law[i] * weights, pi.size)
+            at = n
+            tv.append(0.5 * float(np.abs(law - pi).sum()))
+        return totals, tuple(tv)
+
+
+def _finite_arrays(model: FiniteModel):
+    """``(step_rows, nu, in_small)`` of the finite engine: the n0-step matrix
+    in floats, the uniform certificate's overlap law (None for the pairwise
+    one) and the small-set mask."""
+    from ..finite_chain import matrix_power
+
+    cert = model.certificate()
+    pn0 = matrix_power(model.matrix, cert.n0)  # memoized: the search formed it
+    nu = cert.nu.to_floats() if cert.variant == "uniform" else None
+    in_small = np.zeros(pn0.size, bool)
+    in_small[list(cert.small_set)] = True
+    return pn0.to_floats(), nu, in_small
+
+
+class ChainModel(_Record):
+    """A built-in continuous chain by its key in ``bounds.CERTIFICATES`` (its
+    overlap) and ``laws.CHAINS`` (its samplers); the partner chain takes
+    ``burn_in`` kernel steps, which keep its law, after its stationary draw."""
+
+    __slots__ = ("key", "burn_in")
+
+    def __init__(self, key: str, burn_in: int = 0) -> None:
+        if key not in CERTIFICATES:
+            raise InputError(f"unknown model {key!r}")
+        if burn_in < 0:
+            raise InputError(f"burn_in must be >= 0, got {burn_in}")
+        self._fill(key, burn_in)
+
+    @property
+    def n0(self) -> int:
+        return self.certificate().n0
+
+    def certificate(self) -> ChainCertificate:
+        return CERTIFICATES[self.key]
+
+    def check_start(self, x0) -> None:
+        space = self.certificate().space
+        if not math.isfinite(x0):
+            raise InputError(f"start point x0 must be finite, got {x0}")
+        if not space.contains(x0):
+            raise InputError(f"start point x0 must be in [{space.lo:g}, {space.hi:g}] "
+                             f"for the {self.key} chain, got {x0}")
+
+    def mode(self) -> str:
+        return "uniform" if self.certificate().small_set is None else "small-set"
+
+    def start_steps(self) -> int:
+        return 1 + self.burn_in  # the stationary start draw and the burn-in
+
+    def couple(self, run: tuple, config: CouplingConfig, on_block):
+        """The ``Totals`` of ``engines.continuous_coupling_paths``, the one
+        engine of both continuous chains, for this chain's ``laws.Chain``
+        and certificate (the Metropolis chain couples at even times with its
+        lag-2 overlap, and odd-time states are not recorded); no exact
+        distance."""
+        from ..kernels.laws import CHAINS
+
+        totals = engines.continuous_coupling_paths(
+            CHAINS[self.key], self.certificate(), *run, config.x0, self.burn_in, on_block)
+        return totals, None
+
+
+class CouplingConfig(_Record):
+    """Everything a coupling run needs; immutable and fully seed-determined.
+
+    ``model``, a ``FiniteModel`` or a ``ChainModel``, is the chain and its
+    overlap, and answers for them: certificate, start check, mode
+    (``uniform`` when the coin is flipped on the whole space, ``small-set``
+    otherwise), steps before the lattice and engine. Chain x starts at
+    ``x0``, a state index of a finite chain or a point of the chain's
+    ``space``; the partner chain at an exact stationary draw. Every
+    replication runs all ``n_max // n0`` lattice steps. A run over the work
+    budget, ``engines.MAX_PAIR_STEPS`` pair-steps, or the cap on bound
+    curves is refused before a finite certificate is searched for.
+    """
+
+    __slots__ = ("model", "n_max", "replications", "master_seed", "x0", "record_every")
+
+    def __init__(self, model: FiniteModel | ChainModel, n_max: int, replications: int,
+                 master_seed: int, x0: float = 0, record_every: int = 1) -> None:
+        self._fill(model, n_max, replications, master_seed, x0, record_every)
+        if not isinstance(model, (FiniteModel, ChainModel)):
+            raise InputError(f"model must be a FiniteModel or a ChainModel, got {model!r}")
+        model.check_start(x0)
+        # the run checks, before a finite search: it is exact and can take seconds
+        n_lat = n_max // model.n0
+        if master_seed < 0:
+            raise InputError(f"master seed must be a non-negative integer, got {master_seed}")
+        if replications < 1:
+            raise InputError("replications must be >= 1")
+        if n_lat < 0:
+            raise InputError("n_max must be >= 0")
+        if record_every < 1:
+            raise InputError("record_every must be >= 1")
+        start = model.start_steps()
+        work = engines.pair_steps(replications, start + n_lat)
+        if work > engines.MAX_PAIR_STEPS:
+            shrink = ["fewer replications (--reps)", "a smaller n_max (--n-max)"]
+            if start > 1:  # the steps after the start draw are a burn-in
+                shrink.append("a shorter burn_in (--burn-in)")
+            raise InputError(f"{work} pair-steps exceed the work budget of "
+                             f"{engines.MAX_PAIR_STEPS}; pass {', '.join(shrink[:-1])} or "
+                             f"{shrink[-1]}")
+        points = n_lat // record_every + 1
+        if points > MAX_CURVE_POINTS:
+            raise InputError(f"a run recording {points} lattice points exceeds the cap of "
+                             f"{MAX_CURVE_POINTS}; pass a larger record_every (--record-every) "
+                             "or a smaller n_max (--n-max)")
+        model.certificate()  # a finite chain's search, whose result the matrix keeps
+
+    def lattice(self) -> tuple[int, ...]:
+        """The recorded chain steps: every ``record_every``-th lattice point."""
+        n0 = self.model.n0
+        return tuple(range(0, self.n_max // n0 * n0 + 1, n0 * self.record_every))
 
 
 class CouplingResult(NamedTuple):
@@ -185,40 +247,6 @@ class CouplingResult(NamedTuple):
         return out
 
 
-def _finite_arrays(config: CouplingConfig):
-    """``(step_rows, nu, in_small)`` of the finite engine: the n0-step matrix
-    in floats, the uniform certificate's overlap law (None for the pairwise
-    one) and the small-set mask."""
-    from ..finite_chain import matrix_power
-
-    cert = config.certificate()
-    pn0 = matrix_power(config.matrix, cert.n0)  # memoized: the search formed it
-    nu = cert.nu.to_floats() if cert.variant == "uniform" else None
-    in_small = np.zeros(pn0.size, bool)
-    in_small[list(cert.small_set)] = True
-    return pn0.to_floats(), nu, in_small
-
-
-def _tv_exact(config: CouplingConfig, pi: np.ndarray) -> tuple[float, ...]:
-    """TV_n = 1/2 |P^n(x0, .) - pi|_1 at each recorded lattice point, in floats.
-
-    The law is carried one chain step at a time through the nonzero entries
-    of P, which on a grid walk costs O(states) a step rather than the
-    O(states^2) of a product with the n0-step rows.
-    """
-    p = config.matrix.to_floats()
-    i, j = np.nonzero(p)
-    weights = p[i, j]
-    law, at, tv = np.zeros(pi.size), 0, []
-    law[config.x0] = 1.0
-    for n in config.lattice():
-        for _ in range(n - at):
-            law = np.bincount(j, law[i] * weights, pi.size)
-        at = n
-        tv.append(0.5 * float(np.abs(law - pi).sum()))
-    return tuple(tv)
-
-
 def _quantile(at_rank, n: int, q: float) -> float:
     """numpy's default (linear) quantile of n ascending integers, to the float
     bit; ``at_rank(i)`` is the i-th smallest. At v = q (n - 1), between
@@ -249,7 +277,7 @@ def _summarize(
     mean coin flips per replication are reported in small-set mode only.
     """
     reps = config.replications
-    n0 = config.certificate().n0
+    n0 = config.model.n0
     p_neq = 1.0 - totals.coupled / reps
     p_se = np.sqrt(p_neq * (1.0 - p_neq) / reps)
 
@@ -272,7 +300,7 @@ def _summarize(
         quantiles = tuple((str(q), _quantile(at_rank, coupled, q)) for q in (0.5, 0.9, 0.99))
 
     return CouplingResult(
-        mode=config.mode(),
+        mode=config.model.mode(),
         n0=n0,
         lattice=config.lattice(),
         p_neq=tuple(p_neq.tolist()),
@@ -284,46 +312,21 @@ def _summarize(
         coupling_time_quantiles=quantiles,
         uncoupled=reps - coupled,
         opportunities_mean=(
-            totals.opportunities / reps if config.mode() == "small-set" else None
+            totals.opportunities / reps if config.model.mode() == "small-set" else None
         ),
     )
 
 
 def run_coupling(config: CouplingConfig, on_block=None) -> CouplingResult:
-    """Simulate the coupling of ``config`` on its lag-n0 lattice.
-
-    The chains flip an eps-coin whenever both sit in the certificate's small
-    set, passed to the engine as no set in ``uniform`` mode (the half-line
-    chain, a finite certificate on every state). The Metropolis chain couples
-    at even times with the published lag-2 overlap (odd-time states are not
-    recorded). Both continuous chains run one engine,
-    ``engines.continuous_coupling_paths``, handed the chain's ``laws.Chain``
-    and ``config.certificate()``. Finite chains form the overlap and
-    residual rows of a pair from the float n0-step rows when it flips the
-    coin; the certificate was found exactly on those rows, so no residual is
-    negative. The pairwise variant's overlap is the normalized minimum of the
-    pair's two rows. A finite run also reports ``tv_exact`` (``_tv_exact``).
+    """Simulate the coupling of ``config`` on its lag-n0 lattice with its
+    model's engine (``couple``). The chains flip an eps-coin whenever both
+    sit in the certificate's small set, passed to the engine as no set in
+    ``uniform`` mode.
 
     ``on_block(first, xs, xps)``, if given, receives each block's recorded
     states as the block ends (see ``engines._lockstep``): at most
     ``engines.BLOCK`` x ``bounds.MAX_CURVE_POINTS`` pair states.
     """
-    cert = config.certificate()
-    run = (config.n_max // cert.n0, config.master_seed, config.replications,
+    run = (config.n_max // config.model.n0, config.master_seed, config.replications,
            config.record_every)
-    tv_exact = None
-    if config.model == "finite":
-        from ..finite_chain import stationary
-
-        pi = stationary(config.matrix).to_floats()
-        step_rows, nu, in_small = _finite_arrays(config)
-        totals = engines.finite_coupling_paths(
-            *run, config.x0, pi, step_rows, float(cert.epsilon), nu,
-            None if config.mode() == "uniform" else in_small, on_block,
-        )
-        tv_exact = _tv_exact(config, pi)
-    else:
-        totals = engines.continuous_coupling_paths(
-            CHAINS[config.model], cert, *run, config.x0, config.burn_in, on_block
-        )
-    return _summarize(config, totals, tv_exact)
+    return _summarize(config, *config.model.couple(run, config, on_block))

@@ -521,16 +521,15 @@ class MinorizationCert(_Record):
         self._fill(variant, small_set, n0, epsilon, nu, argmin_pairs)
 
 
-def _search(P: StochasticMatrix, n0: int, small_set, scan) -> MinorizationCert | None:
-    """``scan(P^n0, n0, C)``, kept on P's power memo, so a second search of
-    the same kind on the same C is a lookup. C lists ``small_set``'s states
-    in increasing order, every state when it is None; an empty C, a state
-    named twice and one that is not an int in 0..size-1 (a bool, a negative
-    index) raise ``InputError``."""
-    if n0 < 1:
-        raise InputError("n0 must be >= 1")
-    size = P.size
-    states = tuple(range(size)) if small_set is None else tuple(small_set)
+def _small_set(small_set, size: int) -> tuple[int, ...]:
+    """``small_set``'s states sorted, every state when it is None; no
+    collection, an empty one, a state named twice or one that is not an int
+    in 0..size-1 (a bool, a negative index) is an ``InputError``."""
+    try:
+        states = tuple(range(size) if small_set is None else small_set)
+    except TypeError:
+        raise InputError(f"small_set must be a collection of state indices, "
+                         f"got {small_set!r}") from None
     if not states:
         raise InputError("the small set must name at least one state")
     for state in states:
@@ -540,7 +539,15 @@ def _search(P: StochasticMatrix, n0: int, small_set, scan) -> MinorizationCert |
     if len(set(states)) < len(states):
         twice = next(s for s in states if states.count(s) > 1)
         raise InputError(f"small-set state {twice} is named twice")
-    states = tuple(sorted(states))
+    return tuple(sorted(states))
+
+
+def _search(P: StochasticMatrix, n0: int, small_set, scan) -> MinorizationCert | None:
+    """``scan(P^n0, n0, C)``, kept on P's power memo, so a second search of
+    the same kind on the same C is a lookup; C is ``_small_set``'s."""
+    if n0 < 1:
+        raise InputError("n0 must be >= 1")
+    states = _small_set(small_set, P.size)
     pn = matrix_power(P, n0)
     found = P._power[2]
     if (scan, states) not in found:

@@ -1,7 +1,7 @@
 """Whole-matrix reference for the coupling statistics that the engines stream.
 
-``rebuilt`` builds a config again with some fields changed, so the new one
-is checked as any other. ``run_with_paths`` collects a run's recorded states block by block through
+``rebuilt`` builds a config or model record again with some fields
+changed, so the new one is checked as any other. ``run_with_paths`` collects a run's recorded states block by block through
 ``run_coupling``'s ``on_block`` consumer. ``reference_summary`` is the
 summary as it was computed from the full replications x lattice matrices:
 ``p_neq`` as one minus the column means of ``xs == xps``, marginal counts as
@@ -15,13 +15,13 @@ from __future__ import annotations
 
 import numpy as np
 
-from mcbounds.coupling import CouplingConfig, CouplingResult, run_coupling
+from mcbounds.coupling import CouplingResult, FiniteModel, run_coupling
 
 
-def rebuilt(config, **changes):
-    """``config`` with ``changes``, built and checked again."""
-    fields = {name: getattr(config, name) for name in config.__slots__}
-    return CouplingConfig(**{**fields, **changes})
+def rebuilt(record, **changes):
+    """``record`` with ``changes``, built and checked again."""
+    fields = {name: getattr(record, name) for name in record.__slots__}
+    return type(record)(**{**fields, **changes})
 
 
 def run_with_paths(config):
@@ -58,7 +58,7 @@ def reference_summary(config, xs, xps, couple_at, opportunities, tv_exact):
     per replication, ``opportunities`` the coin chances per replication and
     ``tv_exact`` the run's exact distances (None for a continuous chain)."""
     reps = config.replications
-    n0 = config.certificate().n0
+    n0 = config.model.certificate().n0
     n_steps = config.n_max // n0
     lattice = tuple(k * n0 for k in range(0, n_steps + 1, config.record_every))
     couple_steps = np.where(couple_at >= 0, couple_at * n0, -1)
@@ -68,8 +68,8 @@ def reference_summary(config, xs, xps, couple_at, opportunities, tv_exact):
     p_se = np.sqrt(p_neq * (1.0 - p_neq) / reps)
 
     counts = counts_prime = None
-    if config.model == "finite":
-        size = config.matrix.size
+    if isinstance(config.model, FiniteModel):
+        size = config.model.matrix.size
         counts = tuple(
             tuple(int(c) for c in np.bincount(xs[:, k], minlength=size))
             for k in range(xs.shape[1])
@@ -86,7 +86,7 @@ def reference_summary(config, xs, xps, couple_at, opportunities, tv_exact):
             (str(q), float(np.quantile(coupled, q))) for q in (0.5, 0.9, 0.99)
         )
     return CouplingResult(
-        mode=config.mode(),
+        mode=config.model.mode(),
         n0=n0,
         lattice=lattice,
         p_neq=tuple(float(v) for v in p_neq),

@@ -26,7 +26,7 @@ from mcbounds.bounds import (
     drift_minorization_log_terms,
     point_process_overlap,
 )
-from mcbounds.coupling import CouplingConfig, run_coupling
+from mcbounds.coupling import CouplingConfig, FiniteModel, run_coupling
 from mcbounds.finite_chain import (
     ProbVector,
     build_grid_walk,
@@ -222,13 +222,10 @@ def test_criterion_09_drift_verification():
 @pytest.fixture(scope="module")
 def big_grid_run(grid):
     config = CouplingConfig(
-        model="finite",
+        FiniteModel(grid, "pseudo", 2),
         n_max=60,
         replications=100_000,
         master_seed=1,
-        matrix=grid,
-        cert="pseudo",
-        n0=2,
         x0=4,
     )
     return config, run_coupling(config)
@@ -262,13 +259,10 @@ def test_criterion_10_coupling_simulation(grid, big_grid_run):
 
 def test_criterion_11_determinism(grid):
     config = CouplingConfig(
-        model="finite",
+        FiniteModel(grid, "uniform", 2),
         n_max=40,
         replications=5_000,
         master_seed=777,
-        matrix=grid,
-        cert="uniform",
-        n0=2,
         x0=4,
     )
     first = json.dumps(run_coupling(config).to_jsonable(), sort_keys=True)

@@ -1524,12 +1524,13 @@ class TestStartup:
     @pytest.mark.parametrize("argv,unused", [
         (["--halfline", "--burn-in", "5"], (*FINITE_AND_KERNEL_LAYERS, "dataclasses")),
         (["--rwm-laplace", "--burn-in", "5"], (*FINITE_AND_KERNEL_LAYERS, "dataclasses")),
-        (["--grid", "2x2"], (*FINITE_AND_KERNEL_LAYERS[1:], "dataclasses")),
+        (["--grid", "2x2"],
+         (*FINITE_AND_KERNEL_LAYERS[1:], "mcbounds.kernels.laws", "dataclasses")),
     ], ids=["halfline", "rwm-laplace", "grid"])
     def test_simulate_loads_only_the_layers_its_model_runs(self, argv, unused):
-        # the engines need kernels.laws alone; the verifiers, numpy.ma
-        # (loaded by np.quantile) and dataclasses cost start-up time and do
-        # nothing
+        # a continuous chain's engine needs kernels.laws alone, a grid's none
+        # of the kernels; the verifiers, numpy.ma (loaded by np.quantile) and
+        # dataclasses cost start-up time and do nothing
         argv = ["simulate", "--n-max", "4", "--reps", "20", "--seed", "1", *argv]
         out = self.run_script(
             "import contextlib, io\n"

@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 import fraction_reference as ref
 from coupling_reference import rebuilt, reference_for, run_with_paths
 from mcbounds.bounds import CERTIFICATES, MAX_CURVE_POINTS
-from mcbounds.coupling import CouplingConfig, run_coupling
+from mcbounds.coupling import ChainModel, CouplingConfig, FiniteModel, run_coupling
 from mcbounds.coupling import engines, runner
 from mcbounds.coupling.runner import _finite_arrays, _quantile
 from mcbounds.errors import InputError, MathError
@@ -45,13 +45,10 @@ def grid():
 def grid_pseudo_run(grid):
     """(config, result, xs, xps) of a 3x3 pseudo-certificate run."""
     config = CouplingConfig(
-        model="finite",
+        FiniteModel(grid, "pseudo", 2),
         n_max=60,
         replications=20_000,
         master_seed=42,
-        matrix=grid,
-        cert="pseudo",
-        n0=2,
         x0=4,
     )
     return config, *run_with_paths(config)
@@ -63,11 +60,9 @@ def small_configs(master_seed, replications, record_every=1):
     common = dict(master_seed=master_seed, replications=replications,
                   record_every=record_every)
     return (
-        CouplingConfig(
-            model="finite", n_max=8, matrix=grid, cert="pseudo", n0=2, x0=4, **common,
-        ),
-        CouplingConfig(model="halfline", n_max=4, burn_in=10, **common),
-        CouplingConfig(model="rwm-laplace", n_max=20, burn_in=10, **common),
+        CouplingConfig(FiniteModel(grid, "pseudo", 2), n_max=8, x0=4, **common),
+        CouplingConfig(ChainModel("halfline", burn_in=10), n_max=4, **common),
+        CouplingConfig(ChainModel("rwm-laplace", burn_in=10), n_max=20, **common),
     )
 
 
@@ -116,15 +111,13 @@ class TestStreamedSummary:
     )
     def test_same_bytes_as_the_whole_matrix_summary(self, model, reps, steps, every, seed):
         config = small_configs(seed, reps, every)[model]
-        config = rebuilt(config, n_max=steps * config.certificate().n0)
+        config = rebuilt(config, n_max=steps * config.model.certificate().n0)
         small = CERTIFICATES["rwm-laplace"].small_set
-        want = reference_for(
-            config,
-            small_set=(small.lo, small.hi) if config.model == "rwm-laplace" else None,
-        )
+        # small_configs holds a finite, a half-line and a Metropolis config
+        want = reference_for(config, small_set=(small.lo, small.hi) if model == 2 else None)
         got = run_coupling(config)
         assert json.dumps(got.to_jsonable()) == json.dumps(want.to_jsonable())
-        if config.model == "finite":
+        if model == 0:
             assert len(got.tv_exact) == len(got.lattice)
         else:
             assert got.tv_exact is None
@@ -240,9 +233,10 @@ def pair_chain_oracle(config):
     ``Fraction`` n0-step rows and pair rows of ``fraction_reference``, not
     from the engine, and evolved from mu0 (x) pi.
     """
-    cert = config.certificate()
-    size = config.matrix.size
-    pn0 = ref.matrix_power(config.matrix, cert.n0)
+    cert = config.model.certificate()
+    matrix = config.model.matrix
+    size = matrix.size
+    pn0 = ref.matrix_power(matrix, cert.n0)
     step = np.array([[float(v) for v in row] for row in pn0.rows])
     eps = float(cert.epsilon)
     T = np.zeros((size * size, size * size))
@@ -262,7 +256,7 @@ def pair_chain_oracle(config):
             else:
                 T[i] = np.outer(step[x], step[xp]).ravel()
     mu0 = np.eye(size)[config.x0]
-    pi = stationary(config.matrix).to_floats()
+    pi = stationary(matrix).to_floats()
     law = np.outer(mu0, pi).ravel()
     p_neq, marginals = [], []
     for _ in range(config.n_max // cert.n0 + 1):
@@ -301,10 +295,8 @@ class TestPairChainOracle:
     )
     def test_simulation_matches_the_exact_pair_chain(self, grid, make_run):
         matrix, fields = make_run(grid)
-        config = CouplingConfig(
-            model="finite", n_max=20, replications=20_000, master_seed=99,
-            matrix=matrix, x0=0, **fields,
-        )
+        config = CouplingConfig(FiniteModel(matrix, **fields), n_max=20, replications=20_000,
+                                master_seed=99, x0=0)
         res = run_coupling(config)
         exact_p, exact_law = pair_chain_oracle(config)
         reps = config.replications
@@ -316,17 +308,16 @@ class TestPairChainOracle:
 
     def test_proper_subset_coupling_is_slower(self, grid):
         # the oracle itself must see the smaller small set
-        config = CouplingConfig(
-            model="finite", n_max=10, replications=1, master_seed=0, matrix=grid,
-            cert="pseudo", n0=2, x0=0,
-        )
+        config = CouplingConfig(FiniteModel(grid, "pseudo", 2), n_max=10, replications=1,
+                                master_seed=0, x0=0)
         whole, _ = pair_chain_oracle(config)
-        subset, _ = pair_chain_oracle(rebuilt(config, small_set=CROSS))
+        subset, _ = pair_chain_oracle(
+            rebuilt(config, model=rebuilt(config.model, small_set=CROSS)))
         assert np.all(subset[1:] > whole[1:])
 
 
 def finite_model(**fields):
-    return lambda grid: dict(model="finite", matrix=grid, n0=2, x0=0, **fields)
+    return lambda grid: FiniteModel(grid, n0=2, **fields)
 
 
 @pytest.mark.parametrize(
@@ -335,22 +326,22 @@ def finite_model(**fields):
         (finite_model(cert="uniform"), "uniform"),
         (finite_model(cert="pseudo"), "uniform"),
         (finite_model(cert="pseudo", small_set=CROSS), "small-set"),
-        (lambda grid: dict(model="halfline", burn_in=5), "uniform"),
-        (lambda grid: dict(model="rwm-laplace", burn_in=5), "small-set"),
+        (lambda grid: ChainModel("halfline", burn_in=5), "uniform"),
+        (lambda grid: ChainModel("rwm-laplace", burn_in=5), "small-set"),
     ],
     ids=["uniform", "pseudo", "proper-subset", "halfline", "rwm-laplace"],
 )
 def test_mode_follows_from_the_model_and_certificate(grid, model, mode):
-    config = CouplingConfig(n_max=4, replications=20, master_seed=1, **model(grid))
-    assert config.mode() == mode
+    config = CouplingConfig(model(grid), n_max=4, replications=20, master_seed=1)
+    assert config.model.mode() == mode
     assert run_coupling(config).mode == mode
 
 
 def test_finite_small_set_run_reports_its_coin_flips(grid):
     # a pair flips the coin before a step when it is apart and both states lie in C
-    config = CouplingConfig(model="finite", n_max=20, replications=3000, master_seed=12,
-                            matrix=grid, cert="pseudo", n0=2, small_set=CROSS)
-    cert = config.certificate()
+    config = CouplingConfig(FiniteModel(grid, "pseudo", 2, small_set=CROSS), n_max=20,
+                            replications=3000, master_seed=12)
+    cert = config.model.certificate()
     res, xs, xps = run_with_paths(config)
     in_c = np.isin(xs, cert.small_set) & np.isin(xps, cert.small_set)
     flips = int(((xs != xps) & in_c)[:, :-1].sum())
@@ -360,22 +351,43 @@ def test_finite_small_set_run_reports_its_coin_flips(grid):
 
 class TestFiniteConfigFitsItsMatrix:
     """A finite start, search or small set that names no state of the matrix
-    is refused when the config is built."""
+    is refused when the model or the config is built."""
 
     @pytest.mark.parametrize("x0", [-1, 9, 2.0, True])
     def test_start_must_be_a_state_index(self, grid, x0):
         message = f"start state x0 must be an integer in 0..8 for the 9-state chain, got {x0!r}"
         with pytest.raises(InputError, match=re.escape(message)):
-            CouplingConfig(model="finite", n_max=4, replications=10, master_seed=1,
-                           matrix=grid, cert="pseudo", n0=2, x0=x0)
+            CouplingConfig(FiniteModel(grid, "pseudo", 2), n_max=4, replications=10,
+                           master_seed=1, x0=x0)
 
     @pytest.mark.parametrize("small_set,bad", [((0, 9), 9), ((-1, 0), -1)])
     def test_small_set_must_name_states_of_the_matrix(self, grid, small_set, bad):
         message = (f"small-set state {bad} of the certificate must be an integer "
                    "in 0..8 for the 9-state chain")
         with pytest.raises(InputError, match=re.escape(message)):
-            CouplingConfig(model="finite", n_max=4, replications=10, master_seed=1,
-                           matrix=grid, cert="pseudo", n0=2, small_set=small_set)
+            FiniteModel(grid, "pseudo", 2, small_set=small_set)
+
+    @pytest.mark.parametrize("build", [
+        lambda grid: minorization_pseudo(grid, 2, 4),
+        lambda grid: minorization_uniform(grid, 2, 4),
+        lambda grid: FiniteModel(grid, "pseudo", 2, small_set=4),
+    ], ids=["pseudo", "uniform", "model"])
+    def test_small_set_must_be_a_collection(self, grid, build):
+        # one check, the finders', refuses it; tuple(4) once raised a bare TypeError
+        message = "small_set must be a collection of state indices, got 4"
+        with pytest.raises(InputError, match=re.escape(message)):
+            build(grid)
+
+    def test_small_set_order_does_not_matter(self, grid):
+        run = dict(n_max=4, replications=10, master_seed=1)
+        models = [FiniteModel(grid, "pseudo", 2, small_set=c)
+                  for c in ((7, 1, 3, 4, 5), CROSS, [5, 4, 7, 3, 1])]
+        configs = [CouplingConfig(model, **run) for model in models]
+        assert models[0].small_set == CROSS
+        assert len(set(models)) == len(set(configs)) == 1
+        assert len({config.model.certificate() for config in configs}) == 1
+        # the default small set is every state, as if it were named
+        assert FiniteModel(grid, "pseudo", 2) == FiniteModel(grid, "pseudo", 2, range(8, -1, -1))
 
     @pytest.mark.parametrize("cert,shown", [
         ("Pseudo", "'Pseudo'"), ("minorization_pseudo", "'minorization_pseudo'"),
@@ -384,19 +396,23 @@ class TestFiniteConfigFitsItsMatrix:
     def test_cert_names_one_of_the_two_searches(self, grid, cert, shown):
         message = f'cert must be "uniform" or "pseudo", got {shown}'
         with pytest.raises(InputError, match=re.escape(message)):
-            CouplingConfig(model="finite", n_max=4, replications=10, master_seed=1,
-                           matrix=grid, cert=cert, n0=2)
+            FiniteModel(grid, cert, 2)
 
     @pytest.mark.parametrize("n0", [0, 2.0, True])
     def test_lag_must_be_a_positive_integer(self, grid, n0):
         with pytest.raises(InputError, match=re.escape(f"n0 must be an integer >= 1, got {n0!r}")):
-            CouplingConfig(model="finite", n_max=4, replications=10, master_seed=1,
-                           matrix=grid, cert="pseudo", n0=n0)
+            FiniteModel(grid, "pseudo", n0)
+
+
+def _runner_class(tree, name):
+    """The class ``name`` of the runner's syntax ``tree``."""
+    cls, = (n for n in tree.body if isinstance(n, ast.ClassDef) and n.name == name)
+    return cls
 
 
 def test_the_certificate_table_is_read_in_one_place():
     # the engines take their chain and certificate from the runner, which
-    # reads the table only in CouplingConfig.certificate()
+    # reads the table only in ChainModel.certificate()
     assert not re.search("CERTIFICATES|CHAINS", Path(engines.__file__).read_text())
 
     def table_reads(node):
@@ -404,9 +420,34 @@ def test_the_certificate_table_is_read_in_one_place():
                 and isinstance(n.value, ast.Name) and n.value.id == "CERTIFICATES"]
 
     tree = ast.parse(Path(runner.__file__).read_text())
-    inside = [n for f in ast.walk(tree) if isinstance(f, ast.FunctionDef)
+    inside = [n for f in _runner_class(tree, "ChainModel").body if isinstance(f, ast.FunctionDef)
               and f.name == "certificate" for n in table_reads(f)]
     assert len(inside) == 1 and table_reads(tree) == inside
+
+
+def test_the_runner_asks_the_model_not_its_name():
+    # no model, nor a chain's key, is compared with a string; the chain
+    # tables are read by ChainModel alone, so each kind answers for itself
+    tree = ast.parse(Path(runner.__file__).read_text())
+
+    def is_model(n):
+        return (isinstance(n, ast.Name) and n.id in ("model", "key")
+                or isinstance(n, ast.Attribute) and n.attr in ("model", "key"))
+
+    def is_text(n):
+        if isinstance(n, (ast.Tuple, ast.List, ast.Set)):
+            return any(map(is_text, n.elts))
+        return isinstance(n, ast.Constant) and isinstance(n.value, str)
+
+    for compare in (n for n in ast.walk(tree) if isinstance(n, ast.Compare)):
+        operands = [compare.left, *compare.comparators]
+        assert not (any(map(is_model, operands)) and any(map(is_text, operands))), (
+            ast.unparse(compare))
+    tables = [n for n in ast.walk(tree)
+              if isinstance(n, ast.Name) and n.id in ("CERTIFICATES", "CHAINS")]
+    assert {n.id for n in tables} == {"CERTIFICATES", "CHAINS"}
+    chain = {id(n) for n in ast.walk(_runner_class(tree, "ChainModel"))}
+    assert {id(n) for n in tables} <= chain
 
 
 class TestRecordEvery:
@@ -446,7 +487,8 @@ class TestContinuousOverlapBounds:
 
     def test_halfline_start_capped_where_the_density_stays_finite(self):
         cap = CERTIFICATES["halfline"].space.hi
-        run = dict(model="halfline", n_max=4, replications=10, master_seed=1, burn_in=10)
+        run = dict(model=ChainModel("halfline", burn_in=10), n_max=4, replications=10,
+                   master_seed=1)
         with pytest.raises(InputError, match=r"x0 must be in \[0, 1e\+100\] for the halfline"):
             CouplingConfig(x0=math.nextafter(cap, math.inf), **run)
         with np.errstate(over="raise", invalid="raise"):
@@ -460,23 +502,21 @@ class TestContinuousOverlapBounds:
     ])
     def test_recorded_states_capped(self, grid, run):
         with pytest.raises(InputError, match="work budget"):
-            CouplingConfig(model="finite", matrix=grid, cert="uniform", n0=2, master_seed=1,
-                           **run)
-        run = {**run, "model": "rwm-laplace", "n_max": 2 * run["n_max"]}
+            CouplingConfig(FiniteModel(grid, "uniform", 2), master_seed=1, **run)
+        run = {**run, "model": ChainModel("rwm-laplace"), "n_max": 2 * run["n_max"]}
         with pytest.raises(InputError, match="work budget"):
             CouplingConfig(master_seed=1, **run)
 
     def test_recorded_points_capped_at_a_bound_curve(self, grid):
         # within the work budget; the cap keeps a block's trajectory buffer
         # under 4096 x 10 000 pair states and the report under 10 000 rows
-        config = CouplingConfig(model="finite", matrix=grid, cert="uniform", n0=2,
-                                master_seed=1, replications=4096,
-                                n_max=2 * MAX_CURVE_POINTS - 1)
+        config = CouplingConfig(FiniteModel(grid, "uniform", 2), master_seed=1,
+                                replications=4096, n_max=2 * MAX_CURVE_POINTS - 1)
         assert len(config.lattice()) == MAX_CURVE_POINTS
         with pytest.raises(InputError, match=f"{MAX_CURVE_POINTS + 1} lattice points.*--record-every"):
             rebuilt(config, n_max=2 * MAX_CURVE_POINTS)
         with pytest.raises(InputError, match="--record-every"):
-            CouplingConfig(model="rwm-laplace", master_seed=1, replications=4096,
+            CouplingConfig(ChainModel("rwm-laplace"), master_seed=1, replications=4096,
                            n_max=4 * MAX_CURVE_POINTS)
         thinned = rebuilt(config, n_max=4 * MAX_CURVE_POINTS - 1, record_every=2)
         assert len(thinned.lattice()) == MAX_CURVE_POINTS
@@ -492,10 +532,10 @@ class TestContinuousOverlapBounds:
 
     def test_work_budget_admits_long_runs_that_memory_once_refused(self, grid):
         # 70 000 replications x 1001 lattice points were 7.0e7 recorded states
-        CouplingConfig(model="finite", matrix=grid, cert="pseudo", n0=2, master_seed=1,
-                       replications=70_000, n_max=2000)
+        CouplingConfig(FiniteModel(grid, "pseudo", 2), master_seed=1, replications=70_000,
+                       n_max=2000)
         with pytest.raises(InputError, match="work budget"):
-            CouplingConfig(model="halfline", master_seed=1, replications=1,
+            CouplingConfig(ChainModel("halfline"), master_seed=1, replications=1,
                            n_max=engines.MAX_PAIR_STEPS // engines.MIN_BLOCK_WIDTH)
 
     def test_redraws_stop_after_the_round_cap(self):
@@ -654,13 +694,10 @@ class TestGridCoupling:
 
     def test_uniform_cert_dominated_too(self, grid):
         config = CouplingConfig(
-            model="finite",
+            FiniteModel(grid, "uniform", 2),
             n_max=40,
             replications=20_000,
             master_seed=7,
-            matrix=grid,
-            cert="uniform",
-            n0=2,
             x0=4,
         )
         res = run_coupling(config)
@@ -709,8 +746,8 @@ class TestGridCoupling:
         matrix = build_grid_walk(rows, rows)
         mu0 = ProbVector.delta(matrix.size, start)
         config = CouplingConfig(
-            model="finite", n_max=60, replications=3, master_seed=5, matrix=matrix,
-            cert="pseudo", n0=n0, x0=start, record_every=every,
+            FiniteModel(matrix, "pseudo", n0), n_max=60, replications=3, master_seed=5,
+            x0=start, record_every=every,
         )
         res = run_coupling(config)
         curve = exact_tv_curve(mu0, matrix, config.lattice()[-1])
@@ -722,16 +759,13 @@ class TestGridCoupling:
         # identical rows: the chain forgets its state in one step, overlap 1
         iid = StochasticMatrix([[F(1, 3), F(2, 3)], [F(1, 3), F(2, 3)]])
         config = CouplingConfig(
-            model="finite",
+            FiniteModel(iid, "uniform", 1),
             n_max=5,
             replications=2_000,
             master_seed=3,
-            matrix=iid,
-            cert="uniform",
-            n0=1,
             x0=0,
         )
-        assert config.certificate().epsilon == 1
+        assert config.model.certificate().epsilon == 1
         res = run_coupling(config)
         assert all(p == 0.0 for p in res.p_neq[1:])
 
@@ -749,8 +783,7 @@ class TestGridCoupling:
         )
         message = 'cert must be "uniform" or "pseudo", got a MinorizationCert value'
         with pytest.raises(InputError, match=re.escape(message)):
-            CouplingConfig(model="finite", n_max=4, replications=10, master_seed=1,
-                           matrix=grid, cert=inflated, n0=2, x0=4)
+            FiniteModel(grid, inflated, 2)
 
 
 ULP = 2.0**-53  # the unit roundoff of float64
@@ -766,12 +799,10 @@ def assert_rows_match_reference(matrix, cert):
     states lie within a few ulps a state of the CDFs of the exact pair rows,
     end at exactly 1, never decrease below 1 and stay flat on every state of
     exact probability 0."""
-    config = CouplingConfig(
-        model="finite", n_max=1, replications=1, master_seed=0, matrix=matrix,
-        cert=cert.variant, n0=cert.n0, small_set=cert.small_set,
-    )
-    assert config.certificate() == cert
-    step_rows, nu, in_small = _finite_arrays(config)
+    config = CouplingConfig(FiniteModel(matrix, cert.variant, cert.n0, cert.small_set),
+                            n_max=1, replications=1, master_seed=0)
+    assert config.model.certificate() == cert
+    step_rows, nu, in_small = _finite_arrays(config.model)
     size = matrix.size
     pn0 = ref.matrix_power(matrix, cert.n0)
     assert np.array_equal(step_rows, [[float(v) for v in row] for row in pn0.rows])
@@ -831,8 +862,8 @@ class TestFiniteTables:
         # the two states never meet, so no pair of rows overlaps and no
         # pairwise certificate exists to couple with
         with pytest.raises(MathError, match="^no pseudo overlap at lag 1 for this chain$"):
-            CouplingConfig(model="finite", n_max=1, replications=1, master_seed=0,
-                           matrix=ref.identity(2), cert="pseudo", n0=1)
+            CouplingConfig(FiniteModel(ref.identity(2), "pseudo", 1), n_max=1,
+                           replications=1, master_seed=0)
 
     def test_full_overlap_tables(self):
         iid = StochasticMatrix([[F(1, 3), F(2, 3)], [F(1, 3), F(2, 3)]])
@@ -891,7 +922,7 @@ class TestFiniteTables:
 class TestHalflineCoupling:
     def test_geometric_coin_tail(self):
         config = CouplingConfig(
-            model="halfline",
+            ChainModel("halfline"),
             n_max=12,
             replications=20_000,
             master_seed=77,
@@ -905,14 +936,14 @@ class TestHalflineCoupling:
     def test_negative_start_rejected(self):
         with pytest.raises(InputError):
             CouplingConfig(
-                model="halfline", n_max=5, replications=10, master_seed=1, x0=-1.0
+                ChainModel("halfline"), n_max=5, replications=10, master_seed=1, x0=-1.0
             )
 
 
 @pytest.fixture(scope="module")
 def rwm_run():
     config = CouplingConfig(
-        model="rwm-laplace",
+        ChainModel("rwm-laplace"),
         n_max=20_000,
         replications=500,
         master_seed=11,
@@ -959,20 +990,11 @@ class TestContinuousEngine:
 
     def test_config_refuses_another_model(self):
         with pytest.raises(InputError, match="unknown model 'laplace'"):
-            CouplingConfig(model="laplace", n_max=2, replications=2, master_seed=0)
-
-    @pytest.mark.parametrize("model,field", [
-        ("finite", "burn_in"), ("halfline", "matrix"), ("rwm-laplace", "cert"),
-        ("halfline", "n0"), ("rwm-laplace", "small_set"),
-    ])
-    def test_config_refuses_a_field_its_model_does_not_read(self, grid, model, field):
-        # a burn-in the finite engine never runs is not charged to the budget
-        fields = {"finite": dict(matrix=grid, cert="pseudo", n0=2)}.get(model, {})
-        value = {"burn_in": 10**7, "matrix": grid, "cert": "pseudo", "n0": 2,
-                 "small_set": (0,)}[field]
-        with pytest.raises(InputError, match=f"the {model} model does not read {field}; "):
-            CouplingConfig(model=model, n_max=4, replications=10, master_seed=1,
-                           **fields, **{field: value})
+            ChainModel("laplace")
+        # a model named by its key, as the config once took it, is no model
+        with pytest.raises(InputError, match="model must be a FiniteModel or a ChainModel, "
+                                             "got 'halfline'"):
+            CouplingConfig("halfline", n_max=2, replications=2, master_seed=0)
 
     @staticmethod
     def coin_run(model, x0):
@@ -991,7 +1013,8 @@ class TestContinuousEngine:
         totals, _, _, unequal = self.coin_run("halfline", 0.0)
         assert totals.opportunities == unequal > 0
         # the whole-space coupling reports no coin count
-        config = CouplingConfig(model="halfline", n_max=4, replications=20, master_seed=1)
+        config = CouplingConfig(ChainModel("halfline"), n_max=4, replications=20,
+                                master_seed=1)
         assert run_coupling(config).opportunities_mean is None
 
     def test_metropolis_flips_the_coin_only_inside_the_small_set(self):
@@ -1006,13 +1029,10 @@ class TestContinuousEngine:
 class TestDeterminism:
     def test_rerun_is_byte_identical(self, grid):
         config = CouplingConfig(
-            model="finite",
+            FiniteModel(grid, "pseudo", 2),
             n_max=20,
             replications=2_000,
             master_seed=5,
-            matrix=grid,
-            cert="pseudo",
-            n0=2,
             x0=4,
         )
         a = json.dumps(run_coupling(config).to_jsonable(), sort_keys=True)

@@ -14,7 +14,7 @@ from mcbounds.bounds import (
     Interval,
     UnivariateDrift,
 )
-from mcbounds.coupling import CouplingConfig
+from mcbounds.coupling import ChainModel, CouplingConfig, FiniteModel
 from mcbounds.errors import InputError
 from mcbounds.finite_chain import (
     EigenBound,
@@ -54,15 +54,15 @@ RECORDS = [
     (EigenBound, {"coefficient": 1.0, "rate": 0.5,
                   "eigenvalues": (1 + 0j, 0.5 + 0j), "stationary": (0.5, 0.5),
                   "modes": (MODE,)}),
-    (CouplingConfig, {"model": "halfline", "n_max": 6, "replications": 10, "master_seed": 1,
-                      "matrix": None, "cert": None, "n0": None, "small_set": None, "x0": 0.5,
-                      "burn_in": 3, "record_every": 2}),
-    (CouplingConfig, {"model": "finite", "n_max": 6, "replications": 10, "master_seed": 1,
-                      "matrix": COIN, "cert": "uniform", "n0": 1, "small_set": (0, 1),
-                      "x0": 1, "burn_in": 0, "record_every": 2}),
+    (FiniteModel, {"matrix": COIN, "cert": "uniform", "n0": 1, "small_set": (0, 1)}),
+    (ChainModel, {"key": "halfline", "burn_in": 3}),
+    (CouplingConfig, {"model": ChainModel("halfline", 3), "n_max": 6, "replications": 10,
+                      "master_seed": 1, "x0": 0.5, "record_every": 2}),
+    (CouplingConfig, {"model": FiniteModel(COIN, "uniform", 1, (0, 1)), "n_max": 6,
+                      "replications": 10, "master_seed": 1, "x0": 1, "record_every": 2}),
 ]
-RECORD_IDS = [f"{cls.__name__}-finite" if fields.get("model") == "finite" else cls.__name__
-              for cls, fields in RECORDS]
+RECORD_IDS = [f"{cls.__name__}-finite" if isinstance(fields.get("model"), FiniteModel)
+              else cls.__name__ for cls, fields in RECORDS]
 
 
 @pytest.mark.parametrize("cls,fields", RECORDS, ids=RECORD_IDS)
