@@ -25,6 +25,7 @@ from .errors import (
     InputError,
     MathError,
     ThresholdNotReachedError,
+    integer,
 )
 
 __all__ = [
@@ -228,11 +229,8 @@ def minorization_bound(epsilon, n0: int, n: int):
     """
     if not 0 < epsilon <= 1:
         raise InputError(f"epsilon must be in (0, 1], got {epsilon}")
-    if n0 < 1:
-        raise InputError("n0 must be >= 1")
-    if n < 0:
-        raise InputError("n must be >= 0")
-    return (1 - epsilon) ** (n // n0)
+    n0 = integer("n0", n0, 1)
+    return (1 - epsilon) ** (integer("n", n, 0) // n0)
 
 
 def minorization_curve(epsilon, n0: int, n_max: int) -> BoundReport:
@@ -242,7 +240,8 @@ def minorization_curve(epsilon, n0: int, n_max: int) -> BoundReport:
     ``epsilon`` are formed exactly, one multiplication per step. Raises
     ``InputError`` for a curve of more than ``MAX_CURVE_POINTS`` points.
     """
-    minorization_bound(epsilon, n0, 0)  # validates epsilon and n0
+    n0, n_max = integer("n0", n0, 1), integer("n_max", n_max, 0)
+    minorization_bound(epsilon, n0, 0)  # validates epsilon
     if n_max + 1 > MAX_CURVE_POINTS:
         raise InputError(
             f"a curve of {n_max + 1} points exceeds the cap of {MAX_CURVE_POINTS}; "
@@ -279,7 +278,8 @@ def minorization_crossing(epsilon, n0: int, delta: float) -> int:
     """
     if not 0 < delta < 1:
         raise InputError(f"delta must be in (0, 1), got {delta}")
-    minorization_bound(epsilon, n0, 0)  # validates epsilon and n0
+    n0 = integer("n0", n0, 1)
+    minorization_bound(epsilon, n0, 0)  # validates epsilon
     base = 1 - epsilon
     if base == 0:
         return n0
@@ -369,8 +369,7 @@ class DriftMinorizationInputs(_Record):
     ) -> None:
         if not 0 < epsilon < 1:
             raise InputError(f"epsilon must be in (0, 1), got {epsilon}")
-        if n0 < 1:
-            raise InputError("n0 must be >= 1")
+        n0 = integer("n0", n0, 1)
         if not alpha > 1:
             raise InputError(f"alpha must be > 1, got {alpha}")
         if not big_b >= 1:
@@ -503,8 +502,8 @@ def chain_drift_minorization_inputs(
 
 def drift_minorization_log_terms(inputs: DriftMinorizationInputs, n: int, j: int) -> tuple[float, float]:
     """Log of the two terms of the drift/minorization bound at (n, j)."""
-    if not 1 <= j <= n:
-        raise InputError(f"need 1 <= j <= n, got j={j}, n={n}")
+    n = integer("n", n, 1)
+    j = integer("j", j, 1, n)
     log_t1 = j * math.log1p(-inputs.epsilon)
     log_t2 = (
         -n * math.log(inputs.alpha)

@@ -60,7 +60,7 @@ def _check_ranges(args) -> None:
     ``simulate`` option its model does not read, once, before any command runs."""
     import math
 
-    from .errors import InputError
+    from .errors import InputError, integer
 
     opts = vars(args)  # not getattr: a check is no use of an option
     if args.command == "simulate":  # --cert, --n0 and --start are --grid's alone
@@ -71,10 +71,10 @@ def _check_ranges(args) -> None:
     delta, n_max, tolerance = opts.get("delta"), opts.get("n_max"), opts.get("tolerance")
     if delta is not None and not 0 < delta < 1:
         raise InputError(f"delta must be in (0, 1), got {delta}")
-    if opts.get("n0") is not None and opts["n0"] < 1:
-        raise InputError("n0 must be >= 1")
-    if n_max is not None and n_max < 0:
-        raise InputError("n_max must be >= 0")
+    if opts.get("n0") is not None:
+        opts["n0"] = integer("n0", opts["n0"], 1)
+    if n_max is not None:
+        opts["n_max"] = integer("n_max", n_max, 0)
     if tolerance is not None and not 0 <= tolerance < math.inf:
         raise InputError(f"tolerance must be finite and >= 0, got {tolerance}")
     for name in ("grid_step", "probe_step"):

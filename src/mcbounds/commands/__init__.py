@@ -16,7 +16,7 @@ import sys
 from pathlib import Path
 from typing import TYPE_CHECKING
 
-from ..errors import InputError
+from ..errors import InputError, integer
 
 if TYPE_CHECKING:
     from ..finite_chain import StochasticMatrix
@@ -43,10 +43,7 @@ def _load_model(args) -> tuple[StochasticMatrix, str]:
 def _default_start(args, size: int) -> int:
     """0-based start state: --start is 1-based; grids default to the center."""
     if args.start is not None:
-        state = args.start - 1
-        if not 0 <= state < size:
-            raise InputError(f"--start must be in 1..{size}")
-        return state
+        return integer("--start", args.start, 1, size) - 1
     if args.grid:
         return size // 2  # center cell for odd-sized grids, near-center otherwise
     raise InputError("--start is required with --matrix-file")

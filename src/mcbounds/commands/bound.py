@@ -15,7 +15,7 @@ from ..bounds import (
     point_process_overlap,
 )
 from ..cli import _Report
-from ..errors import InputError
+from ..errors import InputError, integer
 
 
 def _parse_rational(text: str) -> Fraction:
@@ -75,11 +75,9 @@ def run(args) -> tuple[_Report, int]:
     # t2
     cert = CERTIFICATES[args.preset]
     drift = cert.drift
-    check_n = drift.schedule[0] if args.check_n is None else args.check_n
-    check_j = drift.schedule[1] if args.check_j is None else args.check_j
-    if not 1 <= check_j <= check_n:
-        raise InputError(f"--check-j must be in 1..--check-n, got --check-j {check_j} "
-                         f"with --check-n {check_n}")
+    default_n, default_j = drift.schedule
+    check_n = integer("--check-n", default_n if args.check_n is None else args.check_n, 1)
+    check_j = integer("--check-j", default_j if args.check_j is None else args.check_j, 1, check_n)
     inputs, provenance = chain_drift_minorization_inputs(cert, expected_h=args.expected_h)
     opt = optimize_drift_minorization(inputs, args.delta)
     bound_at_crossing = opt.value_at(opt.crossing)

@@ -6,7 +6,7 @@ import math
 
 from ..bounds import minorization_bound, minorization_crossing, steps_to_threshold
 from ..cli import _Report
-from ..errors import InputError
+from ..errors import integer
 from ..finite_chain import (
     ProbVector,
     eigen_bound,
@@ -52,9 +52,7 @@ def run(args) -> tuple[_Report, int]:
         provenance["pi"] = "computed (exact elimination)"
 
     elif args.analysis == "eigen-bound":
-        target = (args.target - 1) if args.target is not None else start
-        if not 0 <= target < size:
-            raise InputError(f"--target must be in 1..{size}")
+        target = start if args.target is None else integer("--target", args.target, 1, size) - 1
         config["target"] = target + 1
         eb = eigen_bound(matrix, ProbVector.delta(size, start), target)
         crossing = steps_to_threshold(eb.value, args.delta)

@@ -16,7 +16,7 @@ from typing import TYPE_CHECKING, Iterable, NamedTuple
 
 import numpy as np
 
-from ..errors import InputError, MathError
+from ..errors import InputError, MathError, integer
 from ..bounds import CERTIFICATES, MAX_CURVE_POINTS, _Record
 from . import engines
 
@@ -42,9 +42,7 @@ class FiniteModel(_Record):
         if cert not in ("uniform", "pseudo"):
             shown = repr(cert) if isinstance(cert, str) else f"a {type(cert).__name__} value"
             raise InputError(f'cert must be "uniform" or "pseudo", got {shown}')
-        if isinstance(n0, bool) or not isinstance(n0, int) or n0 < 1:
-            raise InputError(f"n0 must be an integer >= 1, got {n0!r}")
-        self._fill(matrix, cert, n0, _small_set(small_set, matrix.size))
+        self._fill(matrix, cert, integer("n0", n0, 1), _small_set(small_set, matrix.size))
 
     def certificate(self) -> MinorizationCert:
         """The best ``cert`` overlap of ``matrix`` at lag ``n0`` on
@@ -59,11 +57,9 @@ class FiniteModel(_Record):
             raise MathError(f"no {self.cert} overlap at lag {self.n0} for this chain")
         return found
 
-    def check_start(self, x0) -> None:
-        size = self.matrix.size
-        if isinstance(x0, bool) or not isinstance(x0, int) or not 0 <= x0 < size:
-            raise InputError(f"start state x0 must be an integer in 0..{size - 1} for "
-                             f"the {size}-state chain, got {x0!r}")
+    def check_start(self, x0) -> int:
+        """``x0``, a state index, as an int."""
+        return integer("start state x0", x0, 0, self.matrix.size - 1)
 
     def mode(self) -> str:
         return "uniform" if len(self.small_set) == self.matrix.size else "small-set"
@@ -73,17 +69,23 @@ class FiniteModel(_Record):
 
     def couple(self, run: tuple, config: CouplingConfig, on_block):
         """The finite engine's ``Totals``, on the n0-step rows the certificate
-        was found on (so no residual is negative), and ``tv_exact``, TV_n =
+        was found on (so no residual is negative), with the uniform
+        certificate's overlap law (None for the pairwise one) and the
+        small-set mask (None in uniform mode), and ``tv_exact``, TV_n =
         1/2 |P^n(x0, .) - pi|_1 at each recorded point: the law steps through
         the nonzero entries of P, O(states) a step on a grid walk."""
-        from ..finite_chain import stationary
+        from ..finite_chain import matrix_power, stationary
 
         pi = stationary(self.matrix).to_floats()
-        step_rows, nu, in_small = _finite_arrays(self)
+        cert = self.certificate()
+        nu = cert.nu.to_floats() if cert.variant == "uniform" else None
+        in_small = None
+        if self.mode() == "small-set":
+            in_small = np.zeros(pi.size, bool)
+            in_small[list(cert.small_set)] = True
+        step_rows = matrix_power(self.matrix, cert.n0).to_floats()  # memoized: the search formed it
         totals = engines.finite_coupling_paths(
-            *run, config.x0, pi, step_rows, float(self.certificate().epsilon), nu,
-            None if self.mode() == "uniform" else in_small, on_block,
-        )
+            *run, config.x0, pi, step_rows, float(cert.epsilon), nu, in_small, on_block)
         p = self.matrix.to_floats()
         i, j = np.nonzero(p)
         weights = p[i, j]
@@ -97,20 +99,6 @@ class FiniteModel(_Record):
         return totals, tuple(tv)
 
 
-def _finite_arrays(model: FiniteModel):
-    """``(step_rows, nu, in_small)`` of the finite engine: the n0-step matrix
-    in floats, the uniform certificate's overlap law (None for the pairwise
-    one) and the small-set mask."""
-    from ..finite_chain import matrix_power
-
-    cert = model.certificate()
-    pn0 = matrix_power(model.matrix, cert.n0)  # memoized: the search formed it
-    nu = cert.nu.to_floats() if cert.variant == "uniform" else None
-    in_small = np.zeros(pn0.size, bool)
-    in_small[list(cert.small_set)] = True
-    return pn0.to_floats(), nu, in_small
-
-
 class ChainModel(_Record):
     """A built-in continuous chain by its key in ``bounds.CERTIFICATES`` (its
     overlap) and ``laws.CHAINS`` (its samplers); the partner chain takes
@@ -121,9 +109,7 @@ class ChainModel(_Record):
     def __init__(self, key: str, burn_in: int = 0) -> None:
         if key not in CERTIFICATES:
             raise InputError(f"unknown model {key!r}")
-        if burn_in < 0:
-            raise InputError(f"burn_in must be >= 0, got {burn_in}")
-        self._fill(key, burn_in)
+        self._fill(key, integer("burn_in", burn_in, 0))
 
     @property
     def n0(self) -> int:
@@ -132,13 +118,19 @@ class ChainModel(_Record):
     def certificate(self) -> ChainCertificate:
         return CERTIFICATES[self.key]
 
-    def check_start(self, x0) -> None:
+    def check_start(self, x0):
+        """``x0``, a point of the chain's space, as given."""
         space = self.certificate().space
-        if not math.isfinite(x0):
-            raise InputError(f"start point x0 must be finite, got {x0}")
+        try:
+            finite = math.isfinite(x0)
+        except TypeError:
+            finite = False
+        if not finite:
+            raise InputError(f"start point x0 must be a finite number, got {x0!r}")
         if not space.contains(x0):
             raise InputError(f"start point x0 must be in [{space.lo:g}, {space.hi:g}] "
                              f"for the {self.key} chain, got {x0}")
+        return x0
 
     def mode(self) -> str:
         return "uniform" if self.certificate().small_set is None else "small-set"
@@ -177,20 +169,16 @@ class CouplingConfig(_Record):
 
     def __init__(self, model: FiniteModel | ChainModel, n_max: int, replications: int,
                  master_seed: int, x0: float = 0, record_every: int = 1) -> None:
-        self._fill(model, n_max, replications, master_seed, x0, record_every)
         if not isinstance(model, (FiniteModel, ChainModel)):
             raise InputError(f"model must be a FiniteModel or a ChainModel, got {model!r}")
-        model.check_start(x0)
         # the run checks, before a finite search: it is exact and can take seconds
+        x0 = model.check_start(x0)
+        master_seed = integer("master_seed", master_seed, 0)
+        replications = integer("replications", replications, 1)
+        n_max = integer("n_max", n_max, 0)
+        record_every = integer("record_every", record_every, 1)
+        self._fill(model, n_max, replications, master_seed, x0, record_every)
         n_lat = n_max // model.n0
-        if master_seed < 0:
-            raise InputError(f"master seed must be a non-negative integer, got {master_seed}")
-        if replications < 1:
-            raise InputError("replications must be >= 1")
-        if n_lat < 0:
-            raise InputError("n_max must be >= 0")
-        if record_every < 1:
-            raise InputError("record_every must be >= 1")
         start = model.start_steps()
         work = engines.pair_steps(replications, start + n_lat)
         if work > engines.MAX_PAIR_STEPS:

@@ -2,10 +2,12 @@
 
 ``InputError`` marks bad arguments or configuration (CLI exit code 2);
 ``MathError`` and its subclasses mark mathematical or verification failures
-(CLI exit code 3).
+(CLI exit code 3). ``integer`` is the one check of an integer argument.
 """
 
 from __future__ import annotations
+
+import operator
 
 
 class McbError(Exception):
@@ -14,6 +16,22 @@ class McbError(Exception):
 
 class InputError(McbError, ValueError):
     """Invalid argument, dimension mismatch, or malformed configuration."""
+
+
+def integer(name: str, value, low: int, high: int | None = None) -> int:
+    """``value`` as a Python int, when it is an integer in low..high (no
+    upper end when ``high`` is None): anything ``operator.index`` takes, so a
+    numpy integer passes, but no bool. Anything else, a float or a string
+    among them, is an ``InputError`` naming ``name``."""
+    try:
+        index = None if isinstance(value, bool) else operator.index(value)
+    except TypeError:
+        index = None
+    if index is not None and low <= index and (high is None or index <= high):
+        return index
+    limits = f">= {low}" if high is None else f"in {low}..{high}"
+    shown = repr(value) if index is None else index
+    raise InputError(f"{name} must be an integer {limits}, got {shown}")
 
 
 class MathError(McbError):

@@ -36,6 +36,7 @@ from .errors import (
     MathError,
     NonUniqueStationaryError,
     PeriodicChainError,
+    integer,
 )
 
 if TYPE_CHECKING:
@@ -117,8 +118,8 @@ class ProbVector(_Record):
 
     @classmethod
     def delta(cls, size: int, state: int) -> "ProbVector":
-        if not 0 <= state < size:
-            raise InputError(f"state {state} out of range for size {size}")
+        size = integer("size", size, 1)
+        state = integer("state", state, 0, size - 1)
         return cls(tuple(Fraction(1 if i == state else 0) for i in range(size)))
 
     @property
@@ -177,8 +178,9 @@ class StochasticMatrix:
     ) -> "StochasticMatrix":
         """The matrix with entries ``num[i][j] / den``, from square integer rows."""
         n = len(num)
-        if n == 0 or any(len(row) != n for row in num) or den < 1:
-            raise InputError("matrix must be square and non-empty, over den >= 1")
+        if n == 0 or any(len(row) != n for row in num):
+            raise InputError("matrix must be square and non-empty")
+        den = integer("den", den, 1)
         g = gcd(den, *(v for row in num for v in row))
         if g > 1:
             num = [[v // g for v in row] for row in num]
@@ -248,7 +250,7 @@ class StochasticMatrix:
         if not (isinstance(rows, list) and all(isinstance(row, list) for row in rows)):
             raise InputError("matrix JSON 'rows' must be a list of lists of entries")
         matrix = cls(rows)
-        if matrix.size != size:
+        if integer("matrix JSON 'size'", size, 1) != matrix.size:
             raise InputError(f"declared size {size} != actual size {matrix.size}")
         return matrix
 
@@ -260,8 +262,7 @@ def build_grid_walk(rows: int, cols: int) -> StochasticMatrix:
     neighbors, all with equal probability 1/(degree+1). States are numbered
     row-major, top-to-bottom then left-to-right.
     """
-    if rows < 1 or cols < 1:
-        raise InputError("grid dimensions must be >= 1")
+    rows, cols = integer("rows", rows, 1), integer("cols", cols, 1)
     n = rows * cols
     den = 60  # lcm of the 1/(degree+1) denominators 1..5
     num = [[0] * n for _ in range(n)]
@@ -329,8 +330,7 @@ def matrix_power(P: StochasticMatrix, n: int) -> StochasticMatrix:
     coupling's step rows) share it; ``found`` keeps the certificate searches
     run on it.
     """
-    if n < 0:
-        raise InputError("power must be >= 0")
+    n = integer("n", n, 0)
     memo = P._power
     if memo is None or memo[0] != n:
         memo = (n, StochasticMatrix.from_num_den(*_int_power(P._num, P._den, n)), {})
@@ -356,8 +356,7 @@ def evolve(mu0: ProbVector, P: StochasticMatrix, n: int) -> ProbVector:
     """Exact distribution after n steps from mu0 (left multiplication)."""
     if mu0.size != P.size:
         raise InputError(f"dimension mismatch: vector {mu0.size}, matrix {P.size}")
-    if n < 0:
-        raise InputError("step count must be >= 0")
+    n = integer("n", n, 0)
     v, d = next(itertools.islice(_steps(mu0, P), n, None))
     return ProbVector(tuple(Fraction(x, d) for x in v))
 
@@ -473,8 +472,7 @@ def exact_tv_curve(
     threshold is given) is simply the first index below it. ``pi`` is
     ``stationary(P)``, passed by a caller that already holds it.
     """
-    if n_max < 0:
-        raise InputError("n_max must be >= 0")
+    n_max = integer("n_max", n_max, 0)
     if pi is None:
         pi = stationary(P)
     if mu0.size != pi.size:
@@ -512,8 +510,7 @@ class MinorizationCert(_Record):
     ) -> None:
         if variant not in ("uniform", "pseudo"):
             raise InputError(f"unknown variant {variant!r}")
-        if n0 < 1:
-            raise InputError("n0 must be >= 1")
+        n0 = integer("n0", n0, 1)
         if not 0 < epsilon <= 1:
             raise InputError(f"epsilon must be in (0, 1], got {epsilon}")
         if variant == "uniform" and nu is None:
@@ -522,9 +519,9 @@ class MinorizationCert(_Record):
 
 
 def _small_set(small_set, size: int) -> tuple[int, ...]:
-    """``small_set``'s states sorted, every state when it is None; no
-    collection, an empty one, a state named twice or one that is not an int
-    in 0..size-1 (a bool, a negative index) is an ``InputError``."""
+    """``small_set``'s states as ints, sorted, every state when it is None;
+    no collection, an empty one, a state named twice or one that is not an
+    integer in 0..size-1 (``errors.integer``) is an ``InputError``."""
     try:
         states = tuple(range(size) if small_set is None else small_set)
     except TypeError:
@@ -532,10 +529,7 @@ def _small_set(small_set, size: int) -> tuple[int, ...]:
                          f"got {small_set!r}") from None
     if not states:
         raise InputError("the small set must name at least one state")
-    for state in states:
-        if not (isinstance(state, int) and not isinstance(state, bool) and 0 <= state < size):
-            raise InputError(f"small-set state {state!r} of the certificate must be an "
-                             f"integer in 0..{size - 1} for the {size}-state chain")
+    states = tuple(integer("small-set state", state, 0, size - 1) for state in states)
     if len(set(states)) < len(states):
         twice = next(s for s in states if states.count(s) > 1)
         raise InputError(f"small-set state {twice} is named twice")
@@ -545,8 +539,7 @@ def _small_set(small_set, size: int) -> tuple[int, ...]:
 def _search(P: StochasticMatrix, n0: int, small_set, scan) -> MinorizationCert | None:
     """``scan(P^n0, n0, C)``, kept on P's power memo, so a second search of
     the same kind on the same C is a lookup; C is ``_small_set``'s."""
-    if n0 < 1:
-        raise InputError("n0 must be >= 1")
+    n0 = integer("n0", n0, 1)
     states = _small_set(small_set, P.size)
     pn = matrix_power(P, n0)
     found = P._power[2]
@@ -649,8 +642,7 @@ def eigen_bound(P: StochasticMatrix, mu0: ProbVector, target: int) -> EigenBound
     size = P.size
     if mu0.size != size:
         raise InputError(f"dimension mismatch: vector {mu0.size}, matrix {size}")
-    if not 0 <= target < size:
-        raise InputError(f"target {target} out of range")
+    target = integer("target", target, 0, size - 1)
 
     # columns of vecs are left eigenvectors of P
     eigvals, vecs = np.linalg.eig(P.to_floats().T)
@@ -685,11 +677,10 @@ def eigen_bound(P: StochasticMatrix, mu0: ProbVector, target: int) -> EigenBound
     coefficient = 0.0
     rate = 0.0
     modes: list[EigenMode] = []
-    stationary_proj: np.ndarray | None = None
     for cluster in clusters:
         lam = complex(eigvals[cluster[0]])
         projection = sum(coeffs[k] * vecs[:, k] for k in cluster)
-        if cluster[0] == unit[0] or unit[0] in cluster:
+        if unit[0] in cluster:
             stationary_proj = projection
             continue
         weight = abs(complex(projection[target]))
@@ -704,7 +695,6 @@ def eigen_bound(P: StochasticMatrix, mu0: ProbVector, target: int) -> EigenBound
             coefficient += weight
             rate = max(rate, abs(lam))
 
-    assert stationary_proj is not None
     if rate >= 1.0:
         raise PeriodicChainError(f"non-unit eigenvalue of modulus {rate} >= 1")
 

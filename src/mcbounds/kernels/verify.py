@@ -19,7 +19,7 @@ from typing import Callable, NamedTuple, Sequence
 import numpy as np
 
 from ..bounds import UnivariateDrift
-from ..errors import InputError, QuadratureError
+from ..errors import InputError, QuadratureError, integer
 from .laws import Chain
 
 __all__ = [
@@ -261,8 +261,7 @@ def verify_minorization_numeric(
     of probe rows, lag-2 pairs in chunks, x-major either way; the first pair
     with the smallest margin is reported.
     """
-    if lag not in (1, 2):
-        raise InputError(f"lag must be 1 or 2, got {lag}")
+    lag = integer("lag", lag, 1, 2)
     xs = np.asarray(probe_x, dtype=float).ravel()
     ys = np.asarray(probe_y, dtype=float).ravel()
     if xs.size == 0 or ys.size == 0:

@@ -308,6 +308,12 @@ class TestFinite:
         "row-string": ('{"size": 2, "rows": [["1", "0"], "01"]}', "must be a list of lists"),
         "rows-number": ('{"size": 2, "rows": 5}', "must be a list of lists"),
         "bool": ('{"size": 2, "rows": [[true, 0], [0, true]]}', "entry True is a bool"),
+        # a size that is no integer was compared with the matrix's, so a
+        # true passed as 1 and a "2" read "declared size 2 != actual size 2"
+        "size-bool": ('{"size": true, "rows": [["1"]]}',
+                      "matrix JSON 'size' must be an integer >= 1, got True"),
+        "size-string": ('{"size": "2", "rows": [["1", "0"], ["0", "1"]]}',
+                        "matrix JSON 'size' must be an integer >= 1, got '2'"),
         "long-int": ('{"size": 1, "rows": [[1' + "0" * 5000 + ']]}',
                      "cannot read matrix file"),
         "not-utf-8": ("\udcff", "cannot read matrix file"),  # the byte 0xff
@@ -396,7 +402,8 @@ class TestFinite:
         monkeypatch.setattr(finite, "stationary", must_not_solve)
         argv = ["finite", "tv-exact", "--grid", "40x40", "--start", "99999", "--n", "2"]
         assert main(argv) == 2
-        assert capsys.readouterr().err == "mcbounds: error: --start must be in 1..1600\n"
+        assert capsys.readouterr().err == (
+            "mcbounds: error: --start must be an integer in 1..1600, got 99999\n")
 
     def test_tv_exact_checks_n_before_solving_for_pi(self, capsys, monkeypatch):
         # no pi makes --n 3000 printable on a 40x40 grid; the refusal came
@@ -533,10 +540,10 @@ class TestBound:
         assert main(["bound", "t2", *options]) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert captured.err == (
-            f"mcbounds: error: --check-j must be in 1..--check-n, "
-            f"got --check-j {j} with --check-n {n}\n"
-        )
+        # --check-n is checked first, and --check-j against it
+        refusal = (f"--check-n must be an integer >= 1, got {n}" if n < 1
+                   else f"--check-j must be an integer in 1..{n}, got {j}")
+        assert captured.err == f"mcbounds: error: {refusal}\n"
 
     def test_t2_fallback_expected_h(self, capsys):
         code, report = run_cli(
@@ -736,14 +743,14 @@ class TestSimulate:
     @pytest.mark.parametrize("argv,message", [
         (["--reps", "1000000000000"], "5000000000000 pair-steps exceed the work budget of "
          "120000000; pass fewer replications (--reps) or a smaller n_max (--n-max)"),
-        (["--record-every", "0"], "record_every must be >= 1"),
-        (["--seed", "-1"], "master seed must be a non-negative integer, got -1"),
+        (["--record-every", "0"], "record_every must be an integer >= 1, got 0"),
+        (["--seed", "-1"], "master_seed must be an integer >= 0, got -1"),
         (["--n-max", "1000000"], "714290000 pair-steps exceed the work budget of "
          "120000000; pass fewer replications (--reps) or a smaller n_max (--n-max)"),
         (["--reps", "1", "--n-max", "1000000"], "a run recording 71429 lattice points "
          "exceeds the cap of 10000; pass a larger record_every (--record-every) or a "
          "smaller n_max (--n-max)"),
-        (["--n0", "0"], "n0 must be >= 1"),
+        (["--n0", "0"], "n0 must be an integer >= 1, got 0"),
     ], ids=["reps", "record-every-0", "seed", "n-max", "curve-cap", "n0-0"])
     def test_grid_run_checked_before_its_certificate_search(self, capsys, monkeypatch,
                                                             argv, message):
@@ -1152,7 +1159,8 @@ class TestModeOptions:
         assert main(argv) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert captured.err == f"mcbounds: error: start point x0 must be finite, got {echo}\n"
+        assert captured.err == (
+            f"mcbounds: error: start point x0 must be a finite number, got {echo}\n")
 
 
 class TestOutputs:
@@ -1340,8 +1348,10 @@ class TestOutputs:
         (["finite", "tv-exact", "--grid", "3x3", "--delta", "nan"], "delta must be in (0, 1)"),
         (["finite", "minorization", "--grid", "3x3", "--delta", "0"],
          "delta must be in (0, 1)"),
-        (["finite", "tv-exact", "--grid", "3x3", "--n", "-1"], "n_max must be >= 0"),
-        (["bound", "t1", "--epsilon", "1/2", "--n-max", "-5"], "n_max must be >= 0"),
+        (["finite", "tv-exact", "--grid", "3x3", "--n", "-1"],
+         "n_max must be an integer >= 0, got -1"),
+        (["bound", "t1", "--epsilon", "1/2", "--n-max", "-5"],
+         "n_max must be an integer >= 0, got -5"),
         (["verify", "drift", "--tolerance", "nan"], "tolerance must be"),
         (["verify", "minorization", "--tolerance=-1e-6"], "tolerance must be"),
         (["verify", "minorization", "--preset", "halfline", "--tolerance", "nan"],

@@ -270,10 +270,9 @@ class TestSmallSet:
     @pytest.mark.parametrize("small_set,message", [
         ((), "the small set must name at least one state"),
         ((1, 4, 1), "small-set state 1 is named twice"),
-        ((0, 9), "small-set state 9 of the certificate must be an integer in 0..8 "
-                 "for the 9-state chain"),
-        ((-1, 0), "small-set state -1 of the certificate must be an integer in 0..8"),
-        ((True, 4), "small-set state True of the certificate must be an integer in 0..8"),
+        ((0, 9), "small-set state must be an integer in 0..8, got 9"),
+        ((-1, 0), "small-set state must be an integer in 0..8, got -1"),
+        ((True, 4), "small-set state must be an integer in 0..8, got True"),
     ], ids=["empty", "duplicate", "out-of-range", "negative", "bool"])
     def test_edge_small_sets_are_refused(self, grid, finder, small_set, message):
         with pytest.raises(InputError) as refused:
