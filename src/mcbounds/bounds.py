@@ -16,6 +16,7 @@ start without it.
 from __future__ import annotations
 
 import math
+import numbers
 from fractions import Fraction
 from typing import Callable, NamedTuple
 
@@ -61,7 +62,7 @@ _EXP_OVERFLOW = 700.0
 
 # The geometric bound is evaluated on exact powers (1-eps)^k, whose numerator
 # and denominator grow linearly in k. A curve holds at most MAX_CURVE_POINTS
-# lattice points, and a crossing search refuses a power whose numerator or
+# lattice points, and no exact power is formed whose numerator or
 # denominator would exceed MAX_POWER_BITS bits (forming one such power takes
 # about a second on a 2-core x86 host); both limits raise InputError.
 MAX_CURVE_POINTS = 10_000
@@ -225,12 +226,15 @@ def minorization_bound(epsilon, n0: int, n: int):
     """Geometric bound (1-eps)^floor(n/n0) on the distance to stationarity.
 
     Returns a ``Fraction`` when ``epsilon`` is one (so exact-curve comparisons
-    stay exact), a float otherwise.
+    stay exact), a float otherwise. Raises ``InputError`` when the exact
+    power would exceed ``MAX_POWER_BITS``.
     """
     if not 0 < epsilon <= 1:
         raise InputError(f"epsilon must be in (0, 1], got {epsilon}")
     n0 = integer("n0", n0, 1)
-    return (1 - epsilon) ** (integer("n", n, 0) // n0)
+    k = integer("n", n, 0) // n0
+    _check_power(1 - epsilon, k, "n")
+    return (1 - epsilon) ** k
 
 
 def minorization_curve(epsilon, n0: int, n_max: int) -> BoundReport:
@@ -238,7 +242,8 @@ def minorization_curve(epsilon, n0: int, n_max: int) -> BoundReport:
 
     Each value is the float nearest the exact bound: powers of a rational
     ``epsilon`` are formed exactly, one multiplication per step. Raises
-    ``InputError`` for a curve of more than ``MAX_CURVE_POINTS`` points.
+    ``InputError`` for a curve of more than ``MAX_CURVE_POINTS`` points, or
+    whose last exact power would exceed ``MAX_POWER_BITS``.
     """
     n0, n_max = integer("n0", n0, 1), integer("n_max", n_max, 0)
     minorization_bound(epsilon, n0, 0)  # validates epsilon
@@ -247,9 +252,30 @@ def minorization_curve(epsilon, n0: int, n_max: int) -> BoundReport:
             f"a curve of {n_max + 1} points exceeds the cap of {MAX_CURVE_POINTS}; "
             "pass a smaller n_max"
         )
+    _check_power(1 - epsilon, n_max // n0, "n_max")
     ns = tuple(range(n_max + 1))
     powers = _geometric_powers(1 - epsilon, n_max // n0)
     return BoundReport(ns=ns, values=tuple(powers[n // n0] for n in ns))
+
+
+def _power_bits(base, k):
+    """About how many bits the larger of the numerator and denominator of
+    the exact power base**k takes, from bit lengths alone; 0 for a base that
+    is no exact rational (a float) and for a base of 0, whose powers cost
+    nothing."""
+    if not isinstance(base, numbers.Rational) or base == 0:
+        return 0
+    return k * max(base.numerator.bit_length(), base.denominator.bit_length())
+
+
+def _check_power(base, k: int, option: str) -> None:
+    """Refuse an exact power base**k beyond ``MAX_POWER_BITS``, before forming it."""
+    if _power_bits(base, k) > MAX_POWER_BITS:
+        raise InputError(
+            f"the exact power (1 - epsilon)^(n // n0) at this {option} needs more than "
+            f"MAX_POWER_BITS = {MAX_POWER_BITS} bits; pass a smaller {option} or a "
+            "float epsilon"
+        )
 
 
 def _geometric_powers(base, k_max: int) -> list[float]:
@@ -290,14 +316,13 @@ def minorization_crossing(epsilon, n0: int, delta: float) -> int:
     else:
         log_base = math.log(ratio.numerator) - math.log(ratio.denominator)
     k_est = math.log(delta) / log_base if log_base < 0 else math.inf
-    if not isinstance(base, float):
-        bits = k_est * max(ratio.numerator.bit_length(), ratio.denominator.bit_length())
-        if bits > MAX_POWER_BITS:
-            raise InputError(
-                f"the bound falls below {delta} near n = {k_est * n0:.4g}; its exact "
-                f"value there needs about {bits:.3g} bits, beyond the cap of "
-                f"{MAX_POWER_BITS} (epsilon too small for this delta)"
-            )
+    bits = _power_bits(base, k_est)
+    if bits > MAX_POWER_BITS:
+        raise InputError(
+            f"the bound falls below {delta} near n = {k_est * n0:.4g}; its exact "
+            f"value there needs about {bits:.3g} bits, beyond the cap of "
+            f"{MAX_POWER_BITS} (epsilon too small for this delta)"
+        )
     if k_est * n0 > MAX_STEPS:
         raise ThresholdNotReachedError(
             f"bound does not fall below {delta} within {MAX_STEPS} steps"

@@ -122,7 +122,7 @@ class ChainModel(_Record):
         """``x0``, a point of the chain's space, as given."""
         space = self.certificate().space
         try:
-            finite = math.isfinite(x0)
+            finite = not isinstance(x0, (bool, np.bool_)) and math.isfinite(x0)
         except TypeError:
             finite = False
         if not finite:

@@ -7,6 +7,7 @@
 
 from __future__ import annotations
 
+import math
 import operator
 
 
@@ -30,7 +31,15 @@ def integer(name: str, value, low: int, high: int | None = None) -> int:
     if index is not None and low <= index and (high is None or index <= high):
         return index
     limits = f">= {low}" if high is None else f"in {low}..{high}"
-    shown = repr(value) if index is None else index
+    if index is None:
+        shown = repr(value)
+    else:
+        try:
+            shown = str(index)
+        except ValueError:  # more digits than sys.get_int_max_str_digits() allows
+            n = abs(index)
+            d = int(n.bit_length() * math.log10(2))  # within one of the digit count
+            shown = f"an integer of {d + (10**d <= n) - (10 ** (d - 1) > n)} digits"
     raise InputError(f"{name} must be an integer {limits}, got {shown}")
 
 

@@ -84,33 +84,29 @@ def rwm_atom(x):
 
 
 def rwm_conv2(x, z):
-    """Integral of p(x,w)p(w,z) dw, exactly, piece by piece.
+    """Integral of p(x,w)p(w,z) dw, in closed form.
 
-    log p(x,w) + log p(w,z) is piecewise linear in w with breakpoints only at
-    0, +-|x|, +-|z|, so each piece integrates in closed form. Breakpoints
-    outside (lo, hi) move to hi, where they bound empty pieces.
+    With a = |x|, b = |z|, m = min(a, b) and M = max(a, b) (``big``), the
+    integrand on the overlap [lo, hi] of the two proposal windows is
+    exp(min(|w| - b, a - |w|, m - b)) / 16: a tent in |w| with a flat top
+    between m and M. Its integral over [0, t], t >= 0, is F(t), the rise to
+    m, the flat top and the fall from M; sign(w) F(|w|) is an antiderivative
+    in w. Every exponent is <= 0, so nothing overflows.
     """
-    x, z = np.broadcast_arrays(np.asarray(x, float), np.asarray(z, float))
+    x, z = np.asarray(x, float), np.asarray(z, float)
     lo = np.maximum(x, z) - 2.0
     hi = np.minimum(x, z) + 2.0
-    ax, az = np.abs(x), np.abs(z)
-    inner = np.stack([np.zeros_like(ax), ax, -ax, az, -az])
-    inner = np.where((lo < inner) & (inner < hi), inner, hi)
-    pts = np.sort(np.concatenate([lo[None], inner, hi[None]]), axis=0)
-    left, right = pts[:-1], pts[1:]
-    width = right - left
+    a, b = np.abs(x), np.abs(z)
+    m, big = np.minimum(a, b), np.maximum(a, b)
+    top = np.exp(m - b)
 
-    def log_integrand(w):
-        return np.minimum(0.0, ax - np.abs(w)) + np.minimum(0.0, np.abs(w) - az)
+    def antiderivative(w):
+        t = np.abs(w)
+        rise = np.exp(np.minimum(t, m) - b) - np.exp(-b)
+        fall = top - np.exp(a - np.maximum(t, big))
+        return np.sign(w) * (rise + top * (np.clip(t, m, big) - m) + fall)
 
-    fu, fv = log_integrand(left), log_integrand(right)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        slope = (fv - fu) / width
-        piece = np.where(
-            np.abs(slope) < 1e-12, np.exp(fu) * width, (np.exp(fv) - np.exp(fu)) / slope
-        )
-    total = np.where(width < 1e-15, 0.0, piece).sum(axis=0)
-    return np.where(lo < hi, total, 0.0) / 16.0
+    return np.where(lo < hi, antiderivative(hi) - antiderivative(lo), 0.0) / 16.0
 
 
 def rwm_two_step_density(x, z):

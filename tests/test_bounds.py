@@ -9,6 +9,7 @@ import pytest
 from mcbounds.bounds import (
     CERTIFICATES,
     MAX_CURVE_POINTS,
+    MAX_POWER_BITS,
     MAX_STEPS,
     Interval,
     DriftMinorizationInputs,
@@ -73,6 +74,25 @@ class TestMinorizationBound:
     def test_curve_values_are_the_rounded_exact_bound(self, eps, n0):
         values = minorization_curve(eps, n0, 400).values
         assert values == tuple(float(minorization_bound(eps, n0, n)) for n in range(401))
+
+    @pytest.mark.parametrize("call", [
+        lambda: minorization_bound(F(1, 3), 1, 10**7),  # took 4 s
+        lambda: minorization_bound(F(1, 3), 1, 10**9),
+        lambda: minorization_bound(F(1, 3), 1, 10**5000),
+        lambda: minorization_curve(F(10**400 - 1, 10**400), 1, 9999),  # ran for minutes
+    ])
+    def test_exact_power_bit_cap(self, call):
+        with pytest.raises(InputError, match="MAX_POWER_BITS"):
+            call()
+
+    def test_exact_powers_under_the_bit_cap(self):
+        # the last power of 2/3 within the cap, and powers that cost nothing
+        k = MAX_POWER_BITS // 2
+        assert minorization_bound(F(1, 3), 1, k) == F(2, 3) ** k
+        with pytest.raises(InputError, match="MAX_POWER_BITS"):
+            minorization_bound(F(1, 3), 1, k + 1)
+        assert minorization_bound(F(1), 1, 10**9) == 0
+        assert minorization_bound(0.5, 1, 10**9) == 0.0
 
     def test_curve_point_cap(self):
         assert len(minorization_curve(F(1, 2), 1, MAX_CURVE_POINTS - 1).values) == MAX_CURVE_POINTS

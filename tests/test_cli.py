@@ -558,6 +558,8 @@ class TestBound:
         ["--epsilon", "1/100000"],  # exact powers of ~8 million bits
         ["--epsilon", "1/10000"],  # a curve of 46051 points
         ["--pointprocess", "1,1"],  # a float curve of 13 million points
+        # 10 000 exact powers of a 1329-bit base, the last of 13 million bits
+        ["--epsilon", f"{10**400 - 1}/{10**400}", "--n-max", "9999"],
     ])
     def test_t1_small_epsilon_exits_2_quickly(self, argv):
         done = run_cli_process("bound", "t1", *argv)

@@ -579,6 +579,37 @@ class TestArrayKernels:
             [sref.rwm_conv2(float(a), float(b)) for a, b in zip(x, z)], rel=1e-12, abs=1e-300
         )
 
+    def test_rwm_conv2_at_its_kinks(self):
+        # the integrand bends at w = 0, +-|x|, +-|z|; z = +-x makes a flat
+        # top of no width, and |x - z| = 4 leaves the windows one common point
+        xs = [-3.5, -2.0, -1.0, -0.25, 0.0, 0.5, 1.0, 2.0, 3.0]
+        pairs = [(v, w) for v in xs for w in (0.0, v, -v, v + 4.0, v - 4.0)]
+        pairs += [(0.0, v) for v in xs]
+        x, z = np.array(pairs).T
+        got = laws.rwm_conv2(x, z)
+        assert got == pytest.approx([sref.rwm_conv2(a, b) for a, b in pairs], rel=1e-12,
+                                    abs=1e-300)
+        assert np.all(got[np.abs(x - z) == 4.0] == 0.0)
+
+    def test_rwm_conv2_where_the_windows_barely_overlap(self):
+        # an overlap 4 - |x - z| from 1e-12 to 1e-1: a difference of two
+        # antiderivative values of order one, so an absolute error near 1e-16
+        gap = 10.0 ** -np.arange(1, 13)
+        pairs = [(v, v + sign * (4.0 - g)) for v in (-2.5, -1.0, 0.3, 1.7, 3.0)
+                 for sign in (1.0, -1.0) for g in gap]
+        x, z = np.array(pairs).T
+        want = [sref.rwm_conv2(a, b) for a, b in pairs]
+        assert np.max(np.abs(laws.rwm_conv2(x, z) - want)) <= 1e-15
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.floats(-6.0, 6.0), st.floats(-3.99, 3.99))
+    def test_rwm_conv2_is_in_detailed_balance(self, x, step):
+        # pi(x) p2(x, z) = pi(z) p2(z, x) for the target pi(x) ~ exp(-|x|)
+        z = x + step
+        forward = math.exp(-abs(x)) * float(laws.rwm_conv2(x, z))
+        backward = math.exp(-abs(z)) * float(laws.rwm_conv2(z, x))
+        assert forward == pytest.approx(backward, rel=1e-12)
+
     def test_densities_match_the_scalar_ones(self):
         rng = np.random.default_rng(13)
         x = np.concatenate([rng.uniform(-4, 4, 300), [-1.0, 0.0, 1.0, 2.0]])
@@ -937,6 +968,14 @@ class TestHalflineCoupling:
             CouplingConfig(
                 ChainModel("halfline"), n_max=5, replications=10, master_seed=1, x0=-1.0
             )
+
+    @pytest.mark.parametrize("model", ["halfline", "rwm-laplace"])
+    @pytest.mark.parametrize("x0", [True, np.True_, np.False_])
+    def test_bool_start_rejected(self, model, x0):
+        # a bool was taken as the number 1.0 or 0.0
+        message = f"start point x0 must be a finite number, got {x0!r}"
+        with pytest.raises(InputError, match=f"^{re.escape(message)}$"):
+            CouplingConfig(ChainModel(model), n_max=4, replications=2, master_seed=0, x0=x0)
 
 
 @pytest.fixture(scope="module")

@@ -236,13 +236,16 @@ COUNTS = [
 
 
 @pytest.mark.parametrize("call,name,low,good", COUNTS)
-@pytest.mark.parametrize("kind", ["whole-float", "float", "bool", "below"])
+@pytest.mark.parametrize("kind", ["whole-float", "float", "bool", "below", "long"])
 def test_an_integer_argument_is_refused_unless_an_integer_in_range(call, name, low, good, kind):
     # a float once passed a sign check, or ended in a bare TypeError,
-    # ValueError or IndexError; a bool passed as 0 or 1
-    value = {"whole-float": float(good), "float": good + 0.5, "bool": True, "below": low - 1}[kind]
+    # ValueError or IndexError; a bool passed as 0 or 1; an int of more
+    # digits than str() converts ended in a bare ValueError
+    value = {"whole-float": float(good), "float": good + 0.5, "bool": True, "below": low - 1,
+             "long": -10**5000}[kind]
+    shown = "an integer of 5001 digits" if kind == "long" else repr(value)
     refusal = rf"{re.escape(name)} must be an integer (>= {low}|in {low}\.\.\d+), got "
-    with pytest.raises(InputError, match=f"^{refusal}{re.escape(repr(value))}$"):
+    with pytest.raises(InputError, match=f"^{refusal}{re.escape(shown)}$"):
         call(value)
 
 
@@ -256,8 +259,9 @@ def test_a_numpy_integer_is_taken_as_a_python_int(call, name, low, good):
 
 def test_integers_are_checked_in_one_place():
     # a hand-written integer check shows up here: isinstance(..., bool) and
-    # operator.index appear only in errors.integer and in finite_chain._frac,
-    # for which a JSON true is no probability
+    # operator.index appear only in errors.integer, in finite_chain._frac,
+    # for which a JSON true is no probability, and in ChainModel.check_start,
+    # for which True is no point of the line
     def is_check(node):
         if isinstance(node, ast.Attribute):
             return (node.attr == "index" and isinstance(node.value, ast.Name)
@@ -280,4 +284,5 @@ def test_integers_are_checked_in_one_place():
     src = Path(errors.__file__).parent
     found = {check for path in sorted(src.rglob("*.py"))
              for check in checks(ast.parse(path.read_text()), path.relative_to(src).as_posix())}
-    assert found == {("errors.py", "integer"), ("finite_chain.py", "_frac")}
+    assert found == {("errors.py", "integer"), ("finite_chain.py", "_frac"),
+                     ("coupling/runner.py", "check_start")}
